@@ -28,10 +28,13 @@
 //! assert_eq!(cache.hits(), 1);
 //! assert!(std::sync::Arc::ptr_eq(&a, &b));
 //! ```
+//!
+//! Concurrent workers share one [`SharedCache`], whose
+//! [`SharedCache::get_or_judge`] judges every shape exactly once.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use weakgpu_litmus::{printer, LitmusTest};
 
@@ -67,13 +70,12 @@ pub fn shape_key(test: &LitmusTest) -> String {
 }
 
 /// A memoising wrapper around [`model_outcomes`](crate::enumerate::model_outcomes), keyed by
-/// `(model name, enumeration config, shape_key)`.
+/// `(model name, enumeration bounds, shape_key)`.
 ///
-/// The key covers the **whole** `EnumConfig` debug form — including
-/// [`EnumConfig::pruning`](crate::enumerate::EnumConfig::pruning) — so
-/// the pruned and exhaustive arms keep separate entries and can never
-/// serve each other's verdicts (they are bit-identical by construction,
-/// but the cache does not rely on that).
+/// The key covers the whole [`EnumConfig`] debug form. Every field of
+/// it is a bound that can change a verdict (or turn it into a budget
+/// error); there is only one verdict walk, so nothing in the key names
+/// how the verdict was computed.
 ///
 /// The model contributes only its **name** to the key: the cache assumes
 /// distinct model semantics carry distinct names (true of every model in
@@ -83,10 +85,9 @@ pub fn shape_key(test: &LitmusTest) -> String {
 /// Verdicts are returned as [`Arc`]s so callers can hold them without
 /// cloning the (potentially large) allowed-outcome sets, and so the cache
 /// can be used behind a short-lived lock: clone the `Arc` out, drop the
-/// lock, then inspect the verdict. For concurrent fill, pair
-/// [`VerdictCache::lookup`] (under the lock) with [`model_outcomes`](crate::enumerate::model_outcomes)
-/// outside it and [`VerdictCache::publish`] to store the result — the
-/// enumeration itself then never blocks other threads.
+/// lock, then inspect the verdict. For concurrent fill, use
+/// [`SharedCache`], which judges outside its lock and never judges one
+/// shape twice.
 #[derive(Default, Debug)]
 pub struct VerdictCache {
     map: HashMap<String, Entry>,
@@ -113,8 +114,8 @@ impl VerdictCache {
         VerdictCache::default()
     }
 
-    /// The full cache key of one judgement: model name, the whole
-    /// [`EnumConfig`] debug form, and the test's [`shape_key`]. This is
+    /// The full cache key of one judgement: model name, the
+    /// [`EnumConfig`] bounds, and the test's [`shape_key`]. This is
     /// also the key persisted by [`crate::persist`] — it contains no
     /// process-specific state, so a key computed in one process answers
     /// lookups in another.
@@ -122,8 +123,26 @@ impl VerdictCache {
         format!("{}\u{0}{cfg:?}\u{0}{}", model.name(), shape_key(test))
     }
 
-    fn key(test: &LitmusTest, model: &dyn Model, cfg: &EnumConfig) -> String {
-        Self::entry_key(test, model, cfg)
+    /// The verdict under `key`, counting a hit (and a warm hit when the
+    /// entry was restored from a file).
+    fn get(&mut self, key: &str) -> Option<Arc<ModelOutcomes>> {
+        let entry = self.map.get(key)?;
+        self.hits += 1;
+        if entry.warm {
+            self.warm_hits += 1;
+        }
+        Some(Arc::clone(&entry.verdict))
+    }
+
+    /// Stores a fresh verdict under `key` and counts a miss; an entry
+    /// already present wins and is returned.
+    fn publish_key(&mut self, key: String, verdict: ModelOutcomes) -> Arc<ModelOutcomes> {
+        self.misses += 1;
+        let entry = self.map.entry(key).or_insert_with(|| Entry {
+            verdict: Arc::new(verdict),
+            warm: false,
+        });
+        Arc::clone(&entry.verdict)
     }
 
     /// The verdict of `model` on `test`, enumerating executions only if
@@ -159,53 +178,28 @@ impl VerdictCache {
         cfg: &EnumConfig,
         ctx: &mut EvalContext,
     ) -> Result<Arc<ModelOutcomes>, EnumError> {
-        let key = Self::key(test, model, cfg);
-        if let Some(hit) = self.map.get(&key) {
-            self.hits += 1;
-            if hit.warm {
-                self.warm_hits += 1;
-            }
-            return Ok(Arc::clone(&hit.verdict));
+        let key = Self::entry_key(test, model, cfg);
+        if let Some(hit) = self.get(&key) {
+            return Ok(hit);
         }
-        let verdict = Arc::new(model_outcomes_with(test, model, cfg, ctx)?);
-        self.misses += 1;
-        self.map.insert(
-            key,
-            Entry {
-                verdict: Arc::clone(&verdict),
-                warm: false,
-            },
-        );
-        Ok(verdict)
+        let verdict = model_outcomes_with(test, model, cfg, ctx)?;
+        Ok(self.publish_key(key, verdict))
     }
 
-    /// Probe half of the concurrent protocol: the cached verdict, if this
-    /// shape has been judged (counts a hit). A miss counts nothing — the
-    /// caller is expected to enumerate (outside any lock) and
-    /// [`publish`](VerdictCache::publish) the result, which records the
-    /// miss.
+    /// The cached verdict, if this shape has been judged (counts a hit).
+    /// A miss counts nothing; [`VerdictCache::publish`] records it.
     pub fn lookup(
         &mut self,
         test: &LitmusTest,
         model: &dyn Model,
         cfg: &EnumConfig,
     ) -> Option<Arc<ModelOutcomes>> {
-        let hit = self.map.get(&Self::key(test, model, cfg));
-        if let Some(entry) = hit {
-            self.hits += 1;
-            if entry.warm {
-                self.warm_hits += 1;
-            }
-        }
-        hit.map(|e| Arc::clone(&e.verdict))
+        self.get(&Self::entry_key(test, model, cfg))
     }
 
-    /// Publish half of the concurrent protocol: stores `verdict` for this
-    /// shape and counts a miss (the caller did the enumeration work). If
-    /// another thread published the same shape in the meantime the first
-    /// entry wins and is returned — so two racing threads may both count
-    /// a miss for one entry, which is why `misses >= len` under
-    /// concurrent fill.
+    /// Stores `verdict` for this shape and counts a miss (the caller did
+    /// the enumeration work). An entry already present wins and is
+    /// returned.
     pub fn publish(
         &mut self,
         test: &LitmusTest,
@@ -213,17 +207,7 @@ impl VerdictCache {
         cfg: &EnumConfig,
         verdict: ModelOutcomes,
     ) -> Arc<ModelOutcomes> {
-        self.misses += 1;
-        Arc::clone(
-            &self
-                .map
-                .entry(Self::key(test, model, cfg))
-                .or_insert_with(|| Entry {
-                    verdict: Arc::new(verdict),
-                    warm: false,
-                })
-                .verdict,
-        )
+        self.publish_key(Self::entry_key(test, model, cfg), verdict)
     }
 
     /// Installs a verdict restored from a persisted cache
@@ -298,6 +282,158 @@ impl VerdictCache {
                 slot.insert(entry);
             }
         }
+    }
+}
+
+/// A [`VerdictCache`] shared by concurrent workers, with single-flight
+/// judgement.
+///
+/// [`SharedCache::get_or_judge`] probes under the lock and, on a miss,
+/// judges with no lock held, so distinct shapes are judged in parallel.
+/// A worker that asks for a shape another worker is judging waits for
+/// that judgement instead of repeating it. Every shape is therefore
+/// judged at most once per successful judgement, and a cold cache ends
+/// with `misses() == len()`.
+#[derive(Debug, Default)]
+pub struct SharedCache {
+    state: Mutex<Shared>,
+    published: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Shared {
+    cache: VerdictCache,
+    /// Keys some worker is judging right now.
+    in_flight: HashSet<String>,
+    /// Workers blocked on an in-flight key, so tests can wait for them.
+    #[cfg(test)]
+    waiting: usize,
+}
+
+/// The answer of [`SharedCache::get_or_judge`].
+#[derive(Clone, Debug)]
+pub struct Lookup {
+    /// The verdict.
+    pub verdict: Arc<ModelOutcomes>,
+    /// `true` when this call ran the judgement; `false` when the cache
+    /// (possibly after waiting for another worker) answered.
+    pub judged: bool,
+    /// The cache's hit counter right after this lookup.
+    pub hits: u64,
+    /// The cache's miss counter right after this lookup.
+    pub misses: u64,
+}
+
+/// Clears an in-flight key and wakes its waiters when the judging
+/// worker leaves [`SharedCache::get_or_judge`] by any path, a panic
+/// included, so no waiter can block forever.
+struct InFlight<'a> {
+    shared: &'a SharedCache,
+    key: Option<String>,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        if let Some(key) = self.key.take() {
+            self.shared.state().in_flight.remove(&key);
+            self.shared.published.notify_all();
+        }
+    }
+}
+
+impl SharedCache {
+    /// Shares `cache` (for example one restored by [`crate::persist`]).
+    pub fn new(cache: VerdictCache) -> Self {
+        SharedCache {
+            state: Mutex::new(Shared {
+                cache,
+                ..Shared::default()
+            }),
+            published: Condvar::new(),
+        }
+    }
+
+    fn state(&self) -> MutexGuard<'_, Shared> {
+        // A panicking judge holds no lock, so the state is never left
+        // half-updated.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The verdict of `model` on `test`: from the cache when the shape
+    /// is known, from another worker's judgement when one is running,
+    /// and otherwise from `judge`, which runs with no lock held and
+    /// whose result is published.
+    ///
+    /// # Errors
+    ///
+    /// Returns `judge`'s error. Errors are not cached: the key is
+    /// released and waiting workers wake up and judge it themselves.
+    pub fn get_or_judge<E>(
+        &self,
+        test: &LitmusTest,
+        model: &dyn Model,
+        cfg: &EnumConfig,
+        judge: impl FnOnce() -> Result<ModelOutcomes, E>,
+    ) -> Result<Lookup, E> {
+        let key = VerdictCache::entry_key(test, model, cfg);
+        let mut state = self.state();
+        loop {
+            if let Some(verdict) = state.cache.get(&key) {
+                return Ok(Lookup {
+                    verdict,
+                    judged: false,
+                    hits: state.cache.hits(),
+                    misses: state.cache.misses(),
+                });
+            }
+            if state.in_flight.insert(key.clone()) {
+                break;
+            }
+            #[cfg(test)]
+            {
+                state.waiting += 1;
+            }
+            state = self
+                .published
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            #[cfg(test)]
+            {
+                state.waiting -= 1;
+            }
+        }
+        drop(state);
+        let mut flight = InFlight {
+            shared: self,
+            key: Some(key),
+        };
+        let verdict = judge()?;
+        let key = flight.key.take().expect("the key is still in flight");
+        let mut state = self.state();
+        state.in_flight.remove(&key);
+        let verdict = state.cache.publish_key(key, verdict);
+        let lookup = Lookup {
+            verdict,
+            judged: true,
+            hits: state.cache.hits(),
+            misses: state.cache.misses(),
+        };
+        drop(state);
+        self.published.notify_all();
+        Ok(lookup)
+    }
+
+    /// Runs `f` on the cache under the lock (counters, persistence).
+    pub fn read<R>(&self, f: impl FnOnce(&VerdictCache) -> R) -> R {
+        f(&self.state().cache)
+    }
+
+    /// The cache, for persisting after the workers are done.
+    pub fn into_inner(self) -> VerdictCache {
+        self.state
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .cache
     }
 }
 
@@ -381,16 +517,6 @@ mod tests {
         cache.outcomes(&t, &model, &a).unwrap();
         cache.outcomes(&t, &model, &b).unwrap();
         assert_eq!(cache.len(), 2, "different bounds must not share verdicts");
-        // The pruning flag splits entries too — and the arms agree bit
-        // for bit, so either entry answers the same verdict.
-        let pruned = EnumConfig {
-            pruning: true,
-            ..EnumConfig::default()
-        };
-        let p = cache.outcomes(&t, &model, &pruned).unwrap();
-        assert_eq!(cache.len(), 3, "the pruning flag must split the key");
-        let e = cache.outcomes(&t, &model, &a).unwrap();
-        assert_eq!(*p, *e);
     }
 
     #[test]
@@ -406,5 +532,75 @@ mod tests {
         // sb's weak outcome: forbidden under SC, allowed with no axioms.
         assert!(!a.condition_witnessed);
         assert!(b.condition_witnessed);
+    }
+
+    #[test]
+    fn shared_cache_judges_each_shape_once() {
+        let t = corpus::mp(ThreadScope::InterCta, None);
+        let model = sc();
+        let cfg = EnumConfig::default();
+        let shared = SharedCache::default();
+        let (shared, t, model, cfg) = (&shared, &t, &model, &cfg);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            // The first worker takes the key and holds it until released.
+            let first = s.spawn(move || {
+                shared
+                    .get_or_judge(t, model, cfg, || {
+                        started_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                        model_outcomes(t, model, cfg)
+                    })
+                    .unwrap()
+            });
+            started_rx.recv().unwrap();
+            // Three more ask for the same shape while it is in flight.
+            let racers: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(move || {
+                        shared
+                            .get_or_judge(t, model, cfg, || -> Result<_, EnumError> {
+                                unreachable!("the first worker judges this shape")
+                            })
+                            .unwrap()
+                    })
+                })
+                .collect();
+            while shared.state().waiting < 3 {
+                std::thread::yield_now();
+            }
+            release_tx.send(()).unwrap();
+            let first = first.join().unwrap();
+            assert!(first.judged);
+            for racer in racers {
+                let lookup = racer.join().unwrap();
+                assert!(!lookup.judged);
+                assert!(Arc::ptr_eq(&lookup.verdict, &first.verdict));
+            }
+        });
+        let counts = shared.read(|c| (c.hits(), c.misses(), c.len()));
+        assert_eq!(counts, (3, 1, 1));
+    }
+
+    #[test]
+    fn shared_cache_does_not_cache_errors() {
+        let t = corpus::mp(ThreadScope::InterCta, None);
+        let model = sc();
+        let cfg = EnumConfig::default();
+        let shared = SharedCache::default();
+        let failed = shared.get_or_judge(&t, &model, &cfg, || Err("budget"));
+        assert_eq!(failed.unwrap_err(), "budget");
+        let lookup = shared
+            .get_or_judge(&t, &model, &cfg, || model_outcomes(&t, &model, &cfg))
+            .unwrap();
+        assert!(lookup.judged, "a failed judgement leaves the key free");
+        assert_eq!((lookup.hits, lookup.misses), (0, 1));
+        let again = shared
+            .get_or_judge(&t, &model, &cfg, || -> Result<_, ()> {
+                unreachable!("cached")
+            })
+            .unwrap();
+        assert!(!again.judged && Arc::ptr_eq(&lookup.verdict, &again.verdict));
     }
 }

@@ -44,9 +44,6 @@ use weakgpu_front::{
 
 use crate::relation::{EventSet, Relation};
 
-#[doc(hidden)]
-pub mod legacy;
-
 /// Expressions of the `.cat` language.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Expr {
@@ -1125,20 +1122,5 @@ acyclic f(po) as c
         assert!(CatProgram::parse("let f(x = x").is_err());
         assert!(CatProgram::parse("bogus po as c").is_err());
         assert!(CatProgram::parse("let x = po ^ 2").is_err()); // stray ^
-    }
-
-    #[test]
-    fn agrees_with_legacy_on_paper_models() {
-        let src = "
-let com = rf | co | fr
-let po-loc-llh = WW(po-loc) | WR(po-loc) | RW(po-loc)
-acyclic (po-loc-llh | com) as sc-per-loc-llh
-let rmo(fence) = dp | fence | rfe | co | fr
-empty rmo(membar.gl) \\ hb as dead
-irreflexive (po ; rf)^-1+ as twisted
-";
-        let new = CatProgram::parse(src).unwrap();
-        let old = legacy::parse(src).unwrap();
-        assert_eq!(new, old);
     }
 }

@@ -19,38 +19,38 @@
 //! [`ExecutionView`] without materialising a `Vec<Candidate>` — no heap
 //! allocation per candidate, and visitors can stop early (first witness
 //! found, forbidden outcome observed) via [`ControlFlow::Break`].
+//! [`enumerate_executions`] is a thin materialising wrapper over that
+//! stream for rendering and diagnostics.
 //!
-//! [`model_outcomes`] runs a [`crate::model::Model`] over the stream and
-//! partitions the outcomes into allowed and forbidden;
-//! [`enumerate_executions`] survives as a thin materialising wrapper over
-//! the visitor for rendering, diagnostics and differential testing.
+//! Verdicts ([`model_outcomes_with`], [`model_outcomes_counted`],
+//! [`condition_witnessed_with`]) come from one production path, the
+//! decision-tree walk [`for_each_execution_pruned`]. Its rf slots and
+//! coherence axes are the levels of a tree, and three mechanisms are
+//! always on:
 //!
-//! With [`EnumConfig::pruning`] set, the verdict paths switch to
-//! [`for_each_execution_pruned`]: rf slots and coherence axes become the
-//! levels of a decision tree, and a subtree is cut whenever the
-//! partially-filled overlay already forces the model's verdict
-//! ([`crate::model::Model::partial_verdict`], a three-valued interval
-//! evaluation over the compiled plan). Cut subtrees are reported as one
-//! [`PrunedClass`] spanning all their candidates — same outcomes, same
-//! counts, exponentially fewer evaluations on conflict-heavy tests. The
-//! exhaustive stream stays available as the differential oracle.
+//! * **Interval cuts.** A subtree is cut whenever the partially-filled
+//!   overlay already forces the model's verdict
+//!   ([`crate::model::Model::partial_verdict`], a three-valued interval
+//!   evaluation over the compiled plan). A cut subtree is reported as one
+//!   [`PrunedClass`] spanning all its candidates.
+//! * **Push/pop delta evaluation.** The interval state is kept along the
+//!   tree path and moved between nodes by word-level undo and row-local
+//!   updates, never refilled from scratch.
+//! * **64-lane leaf batches.** A trailing subtree of 2–64 sibling
+//!   candidates is judged in one bit-plane pass: each sibling becomes a
+//!   lane of an [`OverlayBatch`] and every relational operation of the
+//!   compiled plan covers all lanes per machine word
+//!   ([`crate::plan::Plan::allows_batch`]).
 //!
-//! With [`EnumConfig::batching`] set, trailing subtrees of 2–64 sibling
-//! candidates — overlays differing only in their last rf slots / co
-//! axes — are judged in **one bit-plane pass**: each sibling becomes a
-//! lane of an [`OverlayBatch`] and every
-//! relational operation of the compiled plan covers all lanes per
-//! machine word ([`crate::plan::Plan::allows_batch`]). Batching applies
-//! to both the exhaustive stream ([`for_each_execution_batched`]) and
-//! the pruned walk, where it composes with forced-verdict cuts:
-//! pruning skips subtrees, batching amortises the leaves pruning kept.
-//! Verdicts are bit-identical on every path.
+//! Plans that are not row-local (`;`, `^-1`, `+` or `*` over an rf/co/fr
+//! operand) never cut: they walk with batched leaves only.
+//! [`model_outcomes_exhaustive`] — every candidate of the scalar stream
+//! judged one at a time — is the test oracle the walk is checked against;
+//! verdicts are bit-identical.
 
-use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::ControlFlow;
-use std::time::Instant;
 
 use weakgpu_litmus::{FinalExpr, Instr, LitmusTest, Loc, Operand, Outcome, Reg};
 
@@ -72,45 +72,16 @@ pub struct EnumConfig {
     pub domain_iters: usize,
     /// Bound on the traces enumerated per thread.
     pub max_traces_per_thread: usize,
-    /// Bound on the number of candidate executions **visited**. Under the
-    /// streaming visitor this counts candidates actually handed to the
-    /// callback, not candidates materialised: a visitor that exits early
-    /// (via [`ControlFlow::Break`]) before the limit never trips it.
-    /// Under the pruned walk ([`for_each_execution_pruned`]) it counts
-    /// **visited classes** — the nodes handed to the visitor — so a
-    /// budget that the exhaustive stream exceeds can still complete when
-    /// pruning collapses the space.
+    /// Bound on the number of classes **visited**: the verdict walk
+    /// ([`for_each_execution_pruned`]) charges one visit per
+    /// [`PrunedClass`] it hands to its visitor — a forced-cut class, a
+    /// uniform batch or a single leaf — so a budget that the exhaustive
+    /// stream exceeds can still complete when cuts and batches collapse
+    /// the space. The scalar stream ([`for_each_execution`]) charges one
+    /// visit per candidate handed to its callback. A visitor that exits
+    /// early (via [`ControlFlow::Break`]) before the limit never trips
+    /// it.
     pub max_executions: usize,
-    /// Route the verdict paths ([`model_outcomes_with`],
-    /// [`condition_witnessed_with`] and everything above them) through
-    /// the rf-class decision tree with conflict-driven subtree cutoffs
-    /// ([`for_each_execution_pruned`]) instead of the exhaustive stream.
-    /// Verdicts are bit-identical either way; pruning trades a
-    /// three-valued check per tree node for skipping entire rf×co
-    /// subtrees whose verdict is already forced.
-    pub pruning: bool,
-    /// Judge trailing rf×co subtrees of 2–64 sibling candidates in one
-    /// bit-plane pass: each sibling becomes a lane of an
-    /// [`OverlayBatch`] and every relational
-    /// operation of the compiled plan covers all lanes per machine word
-    /// ([`crate::plan::Plan::allows_batch`]). Routes the exhaustive
-    /// verdict paths through [`for_each_execution_batched`] and makes
-    /// the pruned walk batch the subtrees its cuts keep — the two flags
-    /// compose. Verdicts are bit-identical to the scalar paths; models
-    /// without a batched evaluator degrade to per-leaf judgement.
-    pub batching: bool,
-    /// Evaluate the pruned walk's cut attempts by delta: plan state
-    /// (overlay-dependent interval registers plus a Pearce–Kelly
-    /// maintained topological order per acyclicity check) is pushed and
-    /// popped along the decision-tree path through a word-level undo
-    /// journal instead of being refilled from scratch at every node
-    /// ([`crate::plan::EvalContext::set_incremental`]). Implies the
-    /// tree walk (`pruning`); composes with `batching`, whose lane
-    /// cyclicity sweeps are then seeded from the same maintained order.
-    /// Verdicts and [`PruneStats`] are bit-identical either way; plans
-    /// with non-row-local overlay operators (e.g. sequencing under the
-    /// overlay) transparently fall back to the from-scratch evaluation.
-    pub incremental: bool,
 }
 
 impl Default for EnumConfig {
@@ -120,9 +91,6 @@ impl Default for EnumConfig {
             domain_iters: 3,
             max_traces_per_thread: 4096,
             max_executions: 1_000_000,
-            pruning: false,
-            batching: false,
-            incremental: false,
         }
     }
 }
@@ -356,19 +324,27 @@ pub fn for_each_execution<B, F>(
 where
     F: FnMut(&ExecutionView<'_>) -> ControlFlow<B>,
 {
-    ENUM_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => for_each_execution_with(test, cfg, &mut scratch, &mut f),
-        Err(_) => for_each_execution_with(test, cfg, &mut EnumScratch::new(), &mut f),
+    with_scratch(|scratch| {
+        for_each_combination(test, cfg, scratch, |scratch, visited| {
+            visit_combination(cfg, scratch, visited, &mut f)
+        })
     })
 }
 
 // The enumeration scratch (skeleton, overlay, rf/co working set) is
-// kept per thread so consecutive tests reuse one warm buffer set. A
-// nested enumeration (a visitor that itself enumerates) falls back to a
-// fresh scratch.
+// kept per thread so consecutive tests reuse one warm buffer set.
 thread_local! {
     static ENUM_SCRATCH: std::cell::RefCell<EnumScratch> =
         std::cell::RefCell::new(EnumScratch::new());
+}
+
+/// Runs `f` on this thread's enumeration scratch, or on a fresh one
+/// when a visitor enumerates from inside an enumeration.
+fn with_scratch<R>(f: impl FnOnce(&mut EnumScratch) -> R) -> R {
+    ENUM_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut EnumScratch::new()),
+    })
 }
 
 /// One memoised [`fixed_point_traces`] result. Trace enumeration
@@ -433,15 +409,16 @@ fn fixed_point_traces_cached(
     })
 }
 
-fn for_each_execution_with<B, F>(
+/// Drives `visit` over every realisable trace combination of `test`,
+/// with the combination's skeleton and working set prepared in
+/// `scratch` (see [`prepare_combination`]). `visit` also gets the
+/// running visit count that [`EnumConfig::max_executions`] bounds.
+fn for_each_combination<B>(
     test: &LitmusTest,
     cfg: &EnumConfig,
     scratch: &mut EnumScratch,
-    f: &mut F,
-) -> Result<Option<B>, EnumError>
-where
-    F: FnMut(&ExecutionView<'_>) -> ControlFlow<B>,
-{
+    mut visit: impl FnMut(&mut EnumScratch, &mut usize) -> Result<ControlFlow<B>, EnumError>,
+) -> Result<Option<B>, EnumError> {
     let (_domains, per_thread) = fixed_point_traces_cached(test, cfg)?;
 
     let thread_cta: Vec<usize> = (0..test.num_threads())
@@ -460,17 +437,10 @@ where
     'combos: loop {
         traces.clear();
         traces.extend(combo.iter().zip(&*per_thread).map(|(&i, ts)| &ts[i]));
-        if let ControlFlow::Break(b) = visit_combination(
-            &traces,
-            &thread_cta,
-            &init_mem,
-            &observed,
-            cfg,
-            scratch,
-            &mut visited,
-            f,
-        )? {
-            return Ok(Some(b));
+        if prepare_combination(&traces, &thread_cta, &init_mem, &observed, scratch) {
+            if let ControlFlow::Break(b) = visit(scratch, &mut visited)? {
+                return Ok(Some(b));
+            }
         }
 
         // Advance the mixed-radix counter over thread traces.
@@ -512,8 +482,8 @@ struct EnumScratch {
     /// subtree below tree level `d` (product of the branch factors at
     /// levels `>= d`).
     suffix: Vec<usize>,
-    /// Bit-plane batch buffer for [`EnumConfig::batching`]; grow-only
-    /// lane planes reused across batches and combinations.
+    /// Bit-plane batch buffer of the verdict walk; grow-only lane
+    /// planes reused across batches and combinations.
     batch: OverlayBatch,
     /// Skeleton stamp for which `co_perms` and the overlay sizing were
     /// last built (0 = never).
@@ -594,8 +564,8 @@ fn emit_permutations(
 /// Returns `false` when the combination is unrealisable — some read's
 /// value matches neither the initial state nor any same-location write —
 /// in which case the working set is left untouched and the combination
-/// contributes no candidates. Shared prologue of the exhaustive and
-/// pruned walks.
+/// contributes no candidates. Shared prologue of the scalar stream and
+/// the verdict walk.
 fn prepare_combination(
     traces: &[&ThreadTrace],
     thread_cta: &[usize],
@@ -670,14 +640,9 @@ fn prepare_combination(
     true
 }
 
-/// Fills one trace combination's skeleton and streams its rf×co
-/// overlays through `f`, reusing every buffer in `scratch`.
-#[allow(clippy::too_many_arguments)]
+/// Streams one prepared combination's rf×co overlays through `f`,
+/// rewriting the overlay in place.
 fn visit_combination<B, F>(
-    traces: &[&ThreadTrace],
-    thread_cta: &[usize],
-    init_mem: &BTreeMap<Loc, i64>,
-    observed: &[FinalExpr],
     cfg: &EnumConfig,
     scratch: &mut EnumScratch,
     visited: &mut usize,
@@ -686,9 +651,6 @@ fn visit_combination<B, F>(
 where
     F: FnMut(&ExecutionView<'_>) -> ControlFlow<B>,
 {
-    if !prepare_combination(traces, thread_cta, init_mem, observed, scratch) {
-        return Ok(ControlFlow::Continue(()));
-    }
     let skel = &scratch.skel;
     let reads = &scratch.reads;
     let num_locs = skel.writes_per_loc().len();
@@ -710,11 +672,7 @@ where
         }
         'co: loop {
             scratch.overlay.stamp();
-
-            *visited += 1;
-            if *visited > cfg.max_executions {
-                return Err(EnumError::TooManyExecutions);
-            }
+            charge(visited, cfg)?;
             let view = ExecutionView::new(skel, &scratch.overlay);
             if let ControlFlow::Break(b) = f(&view) {
                 return Ok(ControlFlow::Break(b));
@@ -755,63 +713,30 @@ where
 /// checks at nodes whose verdict is not yet forced).
 const CUT_MIN: usize = 4;
 
-/// Counters reported by the pruned walk: how many tree nodes were
-/// handed to the visitor and how many candidate executions were skipped
-/// by forced-verdict cuts. `classes_visited + candidates_pruned` equals
-/// the exhaustive candidate count — cut classes and leaves partition
-/// the candidate space exactly.
-#[derive(Clone, Copy, Default, Debug)]
+/// Counters reported by the verdict walk: how many candidates it
+/// judged and how many forced-verdict cuts skipped.
+/// `classes_visited + candidates_pruned` equals the exhaustive candidate
+/// count — cut classes and judged leaves partition the candidate space
+/// exactly.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct PruneStats {
-    /// Tree nodes handed to the visitor (forced-cut classes + leaves).
+    /// Forced-cut classes plus judged leaves; a leaf counts once whether
+    /// it was judged alone or as a lane of a batch. (The walk's budget,
+    /// [`EnumConfig::max_executions`], counts a uniform batch once.)
     pub classes_visited: u64,
     /// Candidates subsumed by forced-cut classes beyond the one
     /// evaluation each cut performed.
     pub candidates_pruned: u64,
-    /// Bit-plane batches formed ([`EnumConfig::batching`]); 0 when
-    /// batching is off.
-    pub batches_formed: u64,
-    /// Lanes occupied across all formed batches —
-    /// `lanes_filled / batches_formed` is the mean lane occupancy, the
-    /// number CI artifacts watch to judge how well sibling leaves pack.
-    pub lanes_filled: u64,
-    /// Wall time spent inside the three-valued partial verdicts of the
-    /// walk's cut attempts, in microseconds. A measurement, not part of
-    /// the walk shape — equality (see [`PartialEq`][Self]) ignores it.
-    pub cut_attempt_micros: u64,
-    /// Overlay-dependent plan registers filled from scratch while
-    /// judging this walk. The from-scratch walk refills its whole
-    /// overlay register tier at every cut attempt and leaf; under
-    /// [`EnumConfig::incremental`] only the per-combination baseline
-    /// fills count — path moves are journalled delta updates, not
-    /// refills — so this counter's collapse is the direct witness of
-    /// the asymptotic win. Equality ignores it.
-    pub registers_refilled: u64,
 }
 
-/// Equality compares only the walk-shape counters (`classes_visited`,
-/// `candidates_pruned`, `batches_formed`, `lanes_filled`); the timing
-/// and work measurements (`cut_attempt_micros`, `registers_refilled`)
-/// legitimately differ between evaluation strategies that are
-/// verdict-identical, and the differential suites assert exactly that
-/// shape equality.
-impl PartialEq for PruneStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.classes_visited == other.classes_visited
-            && self.candidates_pruned == other.candidates_pruned
-            && self.batches_formed == other.batches_formed
-            && self.lanes_filled == other.lanes_filled
-    }
-}
-
-impl Eq for PruneStats {}
-
-/// One node of the pruned walk handed to the visitor: either a **leaf**
-/// (a single fully-assigned candidate, judged concretely) or a
-/// **forced class** (a subtree whose verdict the three-valued partial
-/// check already decided for *every* extension). Either way the node
-/// spans [`PrunedClass::size`] candidates, all sharing the verdict
-/// [`PrunedClass::allowed`], and its observable outcomes are spanned
-/// exactly by [`PrunedClass::observed_combos`] /
+/// One class of the verdict walk handed to the visitor: a **leaf** (a
+/// single fully-assigned candidate), a **uniform batch** (a trailing
+/// subtree of 2–64 leaves judged in one bit-plane pass, every lane with
+/// the same verdict) or a **forced class** (a subtree whose verdict the
+/// three-valued partial check already decided for *every* extension).
+/// Either way the class spans [`PrunedClass::size`] candidates, all
+/// sharing the verdict [`PrunedClass::allowed`], and its observable
+/// outcomes are spanned exactly by [`PrunedClass::observed_combos`] /
 /// [`PrunedClass::fill_observed`] — which is why folding classes
 /// reproduces the exhaustive [`ModelOutcomes`] bit for bit.
 pub struct PrunedClass<'a> {
@@ -833,7 +758,7 @@ impl<'a> PrunedClass<'a> {
     }
 
     /// `true` when the verdict was forced by the partial check (the
-    /// subtree was cut); `false` for a concretely judged leaf.
+    /// subtree was cut); `false` for judged leaves and uniform batches.
     pub fn is_forced(&self) -> bool {
         self.forced
     }
@@ -868,8 +793,7 @@ impl<'a> PrunedClass<'a> {
 }
 
 /// Streams `test`'s candidate space through `f` as a sequence of
-/// [`PrunedClass`]es — the conflict-driven pruned counterpart of
-/// [`for_each_execution`].
+/// [`PrunedClass`]es — the verdict walk behind every production verdict.
 ///
 /// The rf slots and coherence axes of each skeleton become the levels
 /// of a decision tree (rf outer, co inner, matching the exhaustive
@@ -878,16 +802,17 @@ impl<'a> PrunedClass<'a> {
 /// ([`crate::model::Model::partial_verdict`]) is consulted: `Some(v)`
 /// means *every* extension of the node's partially-filled overlay gets
 /// verdict `v`, so the subtree is emitted as one forced class and never
-/// descended. Leaves are judged concretely with
-/// [`crate::model::Model::allows_view`]. Models without a partial
-/// check (the trait's default returns `None`) degrade gracefully to
-/// per-leaf evaluation with identical results.
+/// descended. A trailing subtree of 2–64 leaves is judged in one
+/// bit-plane pass ([`crate::model::Model::allows_batch`]) and emitted
+/// as one class when every lane agrees, leaf by leaf otherwise; the
+/// remaining leaves are judged one at a time. Models without a partial
+/// check or a batched evaluator (the trait defaults return `None`)
+/// degrade to per-leaf evaluation with identical results.
 ///
-/// Classes and leaves partition the candidate space: summing
-/// [`PrunedClass::size`] over all visited nodes reproduces the
-/// exhaustive candidate count, and folding each class's spanned
-/// outcomes reproduces the exhaustive outcome sets —
-/// [`model_outcomes_counted`] relies on exactly this.
+/// Classes partition the candidate space: summing [`PrunedClass::size`]
+/// over all visited classes reproduces the exhaustive candidate count,
+/// and folding each class's spanned outcomes reproduces the exhaustive
+/// outcome sets — [`model_outcomes_counted`] relies on exactly this.
 ///
 /// `stats` accumulates the visited-class / pruned-candidate counters.
 /// Returning [`ControlFlow::Break`] from `f` stops the walk; the break
@@ -895,10 +820,8 @@ impl<'a> PrunedClass<'a> {
 ///
 /// # Errors
 ///
-/// Fails if symbolic execution fails or more than
-/// [`EnumConfig::max_executions`] **classes** are visited (the pruned
-/// walk budgets visited nodes, not spanned candidates, so a budget the
-/// exhaustive stream exceeds can still complete under pruning).
+/// Fails if symbolic execution fails or the walk hands more than
+/// [`EnumConfig::max_executions`] classes to the visitor.
 pub fn for_each_execution_pruned<B, F>(
     test: &LitmusTest,
     model: &dyn Model,
@@ -910,74 +833,21 @@ pub fn for_each_execution_pruned<B, F>(
 where
     F: FnMut(&PrunedClass<'_>) -> ControlFlow<B>,
 {
-    ENUM_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => {
-            for_each_execution_pruned_with(test, model, cfg, ctx, &mut scratch, stats, &mut f)
-        }
-        Err(_) => for_each_execution_pruned_with(
-            test,
-            model,
-            cfg,
-            ctx,
-            &mut EnumScratch::new(),
-            stats,
-            &mut f,
-        ),
+    with_scratch(|scratch| {
+        for_each_combination(test, cfg, scratch, |scratch, visited| {
+            visit_combination_pruned(model, ctx, cfg, scratch, visited, stats, &mut f)
+        })
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn for_each_execution_pruned_with<B, F>(
-    test: &LitmusTest,
-    model: &dyn Model,
-    cfg: &EnumConfig,
-    ctx: &mut EvalContext,
-    scratch: &mut EnumScratch,
-    stats: &mut PruneStats,
-    f: &mut F,
-) -> Result<Option<B>, EnumError>
-where
-    F: FnMut(&PrunedClass<'_>) -> ControlFlow<B>,
-{
-    let (_domains, per_thread) = fixed_point_traces_cached(test, cfg)?;
-    // Refills accrued outside this walk (e.g. a prior exhaustive pass
-    // over the same context) are not this walk's work.
-    ctx.take_registers_refilled();
-
-    let thread_cta: Vec<usize> = (0..test.num_threads())
-        .map(|t| test.scope_tree().placement(t).cta)
-        .collect();
-    let init_mem: BTreeMap<Loc, i64> = test
-        .memory()
-        .iter()
-        .map(|(l, mi)| (l.clone(), mi.init))
-        .collect();
-    let observed = test.observed();
-
-    let mut visited = 0usize;
-    let mut traces: Vec<&ThreadTrace> = Vec::with_capacity(per_thread.len());
-    let mut combo = vec![0usize; per_thread.len()];
-    'combos: loop {
-        traces.clear();
-        traces.extend(combo.iter().zip(&*per_thread).map(|(&i, ts)| &ts[i]));
-        if prepare_combination(&traces, &thread_cta, &init_mem, &observed, scratch) {
-            if let ControlFlow::Break(b) =
-                visit_combination_pruned(model, ctx, cfg, scratch, &mut visited, stats, f)?
-            {
-                return Ok(Some(b));
-            }
-        }
-
-        for t in (0..combo.len()).rev() {
-            combo[t] += 1;
-            if combo[t] < per_thread[t].len() {
-                continue 'combos;
-            }
-            combo[t] = 0;
-        }
-        break;
+/// Charges one visit against [`EnumConfig::max_executions`].
+fn charge(visited: &mut usize, cfg: &EnumConfig) -> Result<(), EnumError> {
+    *visited += 1;
+    if *visited > cfg.max_executions {
+        Err(EnumError::TooManyExecutions)
+    } else {
+        Ok(())
     }
-    Ok(None)
 }
 
 /// Adds read `r`'s fr edges for one (rf source, coherence order)
@@ -1006,9 +876,9 @@ fn add_fr_axis(batch: &mut OverlayBatch, src: Option<usize>, order: &[usize], r:
     }
 }
 
-/// Borrowed working set of one combination's pruned walk — the
-/// immutable slices [`PruneWalk::descend`] threads through the
-/// recursion, leaving only the overlay and contexts mutable.
+/// Borrowed working set of one combination's walk — the immutable
+/// slices [`PruneWalk::descend`] threads through the recursion, leaving
+/// only the overlay and contexts mutable.
 struct PruneWalk<'a, 'm> {
     skel: &'a ExecutionSkeleton,
     reads: &'a [usize],
@@ -1019,14 +889,29 @@ struct PruneWalk<'a, 'm> {
     suffix: &'a [usize],
     model: &'m dyn Model,
     cfg: &'m EnumConfig,
-    /// Nanoseconds spent inside partial verdicts, accumulated here and
-    /// folded into [`PruneStats::cut_attempt_micros`] once per
-    /// combination (per-attempt truncation to µs would round the
-    /// sub-microsecond incremental attempts to zero).
-    cut_nanos: Cell<u64>,
 }
 
 impl PruneWalk<'_, '_> {
+    /// Number of tree levels: one per rf slot, then one per coherence
+    /// axis.
+    fn levels(&self) -> usize {
+        self.reads.len() + self.co_perms.len()
+    }
+
+    /// The partial view of the node at tree level `depth` (all slots
+    /// above it committed).
+    fn partial_at<'v>(&'v self, overlay: &'v Overlay, depth: usize) -> PartialView<'v> {
+        let num_reads = self.reads.len();
+        PartialView::new(
+            self.skel,
+            overlay,
+            self.reads,
+            self.rf_choices,
+            depth.min(num_reads),
+            depth.saturating_sub(num_reads),
+        )
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn descend<B, F>(
         &self,
@@ -1042,40 +927,25 @@ impl PruneWalk<'_, '_> {
         F: FnMut(&PrunedClass<'_>) -> ControlFlow<B>,
     {
         let num_reads = self.reads.len();
-        let num_levels = num_reads + self.co_perms.len();
-        if depth == num_levels {
-            // Leaf: every slot committed — judge the candidate
-            // concretely, exactly like the exhaustive stream.
+        if depth == self.levels() {
+            // Leaf: every slot committed. Once the combination has
+            // attempted a cut (its root spans at least CUT_MIN
+            // candidates), the maintained path state already holds the
+            // leaf, so a plan-backed model's partial verdict is definite
+            // and costs one level delta. A smaller combination has no
+            // path state, and building it would cost more than judging
+            // the view concretely, as models without a partial path do.
             overlay.stamp();
-            *visited += 1;
-            if *visited > self.cfg.max_executions {
-                return Err(EnumError::TooManyExecutions);
-            }
+            charge(visited, self.cfg)?;
             stats.classes_visited += 1;
-            let partial = PartialView::new(
-                self.skel,
-                overlay,
-                self.reads,
-                self.rf_choices,
-                num_reads,
-                self.co_perms.len(),
-            );
-            // Under incremental evaluation the maintained path state
-            // already holds this leaf: at full depth the interval
-            // degenerates (`lo == hi`), the partial verdict is definite
-            // for every plan-backed model, and reading it off the
-            // journalled state costs one level delta instead of a full
-            // overlay-register refill. Models without a partial path
-            // (`None`) fall back to the concrete judgement.
-            let allowed = if self.cfg.incremental {
-                self.model.partial_verdict(ctx, &partial)
-            } else {
-                None
-            }
-            .unwrap_or_else(|| {
-                let view = ExecutionView::new(self.skel, overlay);
-                self.model.allows_view(ctx, &view)
-            });
+            let partial = self.partial_at(overlay, depth);
+            let allowed = (self.suffix[0] >= CUT_MIN)
+                .then(|| self.model.partial_verdict(ctx, &partial))
+                .flatten()
+                .unwrap_or_else(|| {
+                    let view = ExecutionView::new(self.skel, overlay);
+                    self.model.allows_view(ctx, &view)
+                });
             let class = PrunedClass {
                 partial,
                 size: 1,
@@ -1085,24 +955,15 @@ impl PruneWalk<'_, '_> {
             return Ok(f(&class));
         }
 
-        if self.cfg.batching {
-            let span = self.suffix[depth];
-            if (2..=64).contains(&span) {
-                // The trailing subtree fits the lane budget: judge all
-                // of its leaves in one bit-plane pass. The parent's
-                // forced-verdict cut already had its chance (cuts fire
-                // before descending), so batches only see subtrees the
-                // pruning kept — the two compose multiplicatively.
-                return self.batch_subtree(overlay, batch, ctx, depth, visited, stats, f);
-            }
+        if (2..=64).contains(&self.suffix[depth]) {
+            // The trailing subtree fits the lane budget: judge all of
+            // its leaves in one bit-plane pass. The parent's cut already
+            // had its chance (cuts fire before descending), so batches
+            // only see subtrees the cuts kept.
+            return self.batch_subtree(overlay, batch, ctx, depth, visited, stats, f);
         }
 
-        let branch = if depth < num_reads {
-            self.rf_choices[depth].len()
-        } else {
-            self.co_perm_counts[depth - num_reads]
-        };
-        for choice in 0..branch {
+        for choice in 0..self.branch_count(depth) {
             if depth < num_reads {
                 overlay.set_rf(self.reads[depth], self.rf_choices[depth][choice]);
             } else {
@@ -1112,25 +973,11 @@ impl PruneWalk<'_, '_> {
             let remaining = self.suffix[depth + 1];
             if remaining >= CUT_MIN {
                 overlay.stamp();
-                let partial = PartialView::new(
-                    self.skel,
-                    overlay,
-                    self.reads,
-                    self.rf_choices,
-                    (depth + 1).min(num_reads),
-                    (depth + 1).saturating_sub(num_reads),
-                );
-                let t0 = Instant::now();
-                let verdict = self.model.partial_verdict(ctx, &partial);
-                self.cut_nanos
-                    .set(self.cut_nanos.get() + t0.elapsed().as_nanos() as u64);
-                if let Some(allowed) = verdict {
+                let partial = self.partial_at(overlay, depth + 1);
+                if let Some(allowed) = self.model.partial_verdict(ctx, &partial) {
                     // Forced: no extension can change the verdict — cut
                     // the subtree and report it as one class.
-                    *visited += 1;
-                    if *visited > self.cfg.max_executions {
-                        return Err(EnumError::TooManyExecutions);
-                    }
+                    charge(visited, self.cfg)?;
                     stats.classes_visited += 1;
                     stats.candidates_pruned += (remaining - 1) as u64;
                     let class = PrunedClass {
@@ -1167,16 +1014,10 @@ impl PruneWalk<'_, '_> {
         g: &mut impl FnMut(&mut Overlay) -> ControlFlow<T>,
     ) -> ControlFlow<T> {
         let num_reads = self.reads.len();
-        let num_levels = num_reads + self.co_perms.len();
-        if depth == num_levels {
+        if depth == self.levels() {
             return g(overlay);
         }
-        let branch = if depth < num_reads {
-            self.rf_choices[depth].len()
-        } else {
-            self.co_perm_counts[depth - num_reads]
-        };
-        for choice in 0..branch {
+        for choice in 0..self.branch_count(depth) {
             if depth < num_reads {
                 overlay.set_rf(self.reads[depth], self.rf_choices[depth][choice]);
             } else {
@@ -1333,7 +1174,6 @@ impl PruneWalk<'_, '_> {
         batch: &mut OverlayBatch,
         ctx: &mut EvalContext,
         depth: usize,
-        stats: &mut PruneStats,
     ) -> Option<LaneMask> {
         batch.begin(self.skel);
         if batch.needs_lane_walk() {
@@ -1348,8 +1188,6 @@ impl PruneWalk<'_, '_> {
         } else {
             self.pack_axes(overlay, batch, depth);
         }
-        stats.batches_formed += 1;
-        stats.lanes_filled += batch.lanes() as u64;
         // The view only feeds skeleton-derived queries in the batched
         // evaluator; its overlay (left at the last leaf's state) is
         // never read — lanes carry the per-leaf rf/co planes.
@@ -1359,11 +1197,9 @@ impl PruneWalk<'_, '_> {
 
     /// Judges the whole subtree rooted at `depth` as one bit-plane
     /// batch. When every lane agrees the subtree is reported as a
-    /// single multi-candidate [`PrunedClass`] (the shape a forced cut
-    /// produces); a mixed batch reports each leaf as a size-1 class in
-    /// the exact order the scalar walk would have produced, with
-    /// per-leaf budget accounting so a budget exhausted mid-batch errs
-    /// exactly where the scalar walk would.
+    /// single multi-candidate [`PrunedClass`]; a mixed batch reports
+    /// each leaf as a size-1 class in the exact order the scalar walk
+    /// would have produced, with per-leaf budget accounting.
     #[allow(clippy::too_many_arguments)]
     fn batch_subtree<B, F>(
         &self,
@@ -1378,37 +1214,21 @@ impl PruneWalk<'_, '_> {
     where
         F: FnMut(&PrunedClass<'_>) -> ControlFlow<B>,
     {
-        let mask = self.batch_verdicts(overlay, batch, ctx, depth, stats);
-        let num_reads = self.reads.len();
+        let mask = self.batch_verdicts(overlay, batch, ctx, depth);
         let span = self.suffix[depth];
         if let Some(m) = mask {
             let live = LaneMask::all(span).bits();
             let bits = m.bits() & live;
             if bits == live || bits == 0 {
-                // Every lane agrees: report the subtree as one class,
-                // exactly like a forced cut would — the fold expands a
-                // class's observed combinations without per-candidate
-                // views, so a uniform batch skips the whole per-leaf
-                // report walk. The non-representative lanes count as
-                // pruned (covered without an individual visit), keeping
-                // the partition invariant.
+                // Every lane agrees: report the subtree as one class —
+                // the fold expands a class's observed combinations
+                // without per-candidate views, so a uniform batch skips
+                // the whole per-leaf report walk.
                 overlay.stamp();
-                *visited += 1;
-                if *visited > self.cfg.max_executions {
-                    return Err(EnumError::TooManyExecutions);
-                }
-                stats.classes_visited += 1;
-                stats.candidates_pruned += (span - 1) as u64;
-                let partial = PartialView::new(
-                    self.skel,
-                    overlay,
-                    self.reads,
-                    self.rf_choices,
-                    depth.min(num_reads),
-                    depth.saturating_sub(num_reads),
-                );
+                charge(visited, self.cfg)?;
+                stats.classes_visited += span as u64;
                 let class = PrunedClass {
-                    partial,
+                    partial: self.partial_at(overlay, depth),
                     size: span,
                     allowed: bits == live,
                     forced: false,
@@ -1420,9 +1240,8 @@ impl PruneWalk<'_, '_> {
         let mut err = None;
         let flow = self.for_each_leaf(overlay, depth, &mut |ov: &mut Overlay| {
             ov.stamp();
-            *visited += 1;
-            if *visited > self.cfg.max_executions {
-                err = Some(EnumError::TooManyExecutions);
+            if let Err(e) = charge(visited, self.cfg) {
+                err = Some(e);
                 return ControlFlow::Break(None);
             }
             stats.classes_visited += 1;
@@ -1434,16 +1253,8 @@ impl PruneWalk<'_, '_> {
                 }
             };
             lane += 1;
-            let partial = PartialView::new(
-                self.skel,
-                ov,
-                self.reads,
-                self.rf_choices,
-                num_reads,
-                self.co_perms.len(),
-            );
             let class = PrunedClass {
-                partial,
+                partial: self.partial_at(ov, self.levels()),
                 size: 1,
                 allowed,
                 forced: false,
@@ -1461,97 +1272,10 @@ impl PruneWalk<'_, '_> {
             _ => ControlFlow::Continue(()),
         })
     }
-
-    /// The exhaustive batched walk: the same decision tree as
-    /// [`PruneWalk::descend`] but with no partial-verdict cuts — every
-    /// candidate is judged, trailing subtrees of 2–64 leaves as one
-    /// bit-plane batch, the rest scalar. Visits candidates in the
-    /// exhaustive stream's order with its visited-count accounting.
-    #[allow(clippy::too_many_arguments)]
-    fn descend_exhaustive<B, F>(
-        &self,
-        overlay: &mut Overlay,
-        batch: &mut OverlayBatch,
-        ctx: &mut EvalContext,
-        depth: usize,
-        visited: &mut usize,
-        stats: &mut PruneStats,
-        f: &mut F,
-    ) -> Result<ControlFlow<B>, EnumError>
-    where
-        F: FnMut(&ExecutionView<'_>, bool) -> ControlFlow<B>,
-    {
-        let num_reads = self.reads.len();
-        let num_levels = num_reads + self.co_perms.len();
-        if depth == num_levels {
-            overlay.stamp();
-            *visited += 1;
-            if *visited > self.cfg.max_executions {
-                return Err(EnumError::TooManyExecutions);
-            }
-            stats.classes_visited += 1;
-            let view = ExecutionView::new(self.skel, overlay);
-            let allowed = self.model.allows_view(ctx, &view);
-            return Ok(f(&view, allowed));
-        }
-
-        let span = self.suffix[depth];
-        if (2..=64).contains(&span) {
-            let mask = self.batch_verdicts(overlay, batch, ctx, depth, stats);
-            let mut lane = 0usize;
-            let mut err = None;
-            let flow = self.for_each_leaf(overlay, depth, &mut |ov: &mut Overlay| {
-                ov.stamp();
-                *visited += 1;
-                if *visited > self.cfg.max_executions {
-                    err = Some(EnumError::TooManyExecutions);
-                    return ControlFlow::Break(None);
-                }
-                stats.classes_visited += 1;
-                let view = ExecutionView::new(self.skel, ov);
-                let allowed = match mask {
-                    Some(m) => m.contains(lane),
-                    None => self.model.allows_view(ctx, &view),
-                };
-                lane += 1;
-                match f(&view, allowed) {
-                    ControlFlow::Break(b) => ControlFlow::Break(Some(b)),
-                    ControlFlow::Continue(()) => ControlFlow::Continue(()),
-                }
-            });
-            if let Some(e) = err {
-                return Err(e);
-            }
-            return Ok(match flow {
-                ControlFlow::Break(Some(b)) => ControlFlow::Break(b),
-                _ => ControlFlow::Continue(()),
-            });
-        }
-
-        let branch = if depth < num_reads {
-            self.rf_choices[depth].len()
-        } else {
-            self.co_perm_counts[depth - num_reads]
-        };
-        for choice in 0..branch {
-            if depth < num_reads {
-                overlay.set_rf(self.reads[depth], self.rf_choices[depth][choice]);
-            } else {
-                let li = depth - num_reads;
-                overlay.set_co(li, &self.co_perms[li][choice]);
-            }
-            if let ControlFlow::Break(b) =
-                self.descend_exhaustive(overlay, batch, ctx, depth + 1, visited, stats, f)?
-            {
-                return Ok(ControlFlow::Break(b));
-            }
-        }
-        Ok(ControlFlow::Continue(()))
-    }
 }
 
-/// Runs the pruned decision-tree walk over one prepared combination
-/// (see [`prepare_combination`]).
+/// Runs the verdict walk over one prepared combination (see
+/// [`prepare_combination`]).
 #[allow(clippy::too_many_arguments)]
 fn visit_combination_pruned<B, F>(
     model: &dyn Model,
@@ -1587,45 +1311,28 @@ where
         suffix,
         model,
         cfg,
-        cut_nanos: Cell::new(0),
     };
-    ctx.set_incremental(cfg.incremental);
 
-    let result = (|| {
-        // Root check: the combination may be forced before anything is
-        // committed (e.g. single-candidate rf slots inducing a definite
-        // conflict) — then the whole combination is one class.
-        if walk.suffix[0] >= CUT_MIN {
-            overlay.stamp();
-            let partial = PartialView::new(walk.skel, overlay, walk.reads, walk.rf_choices, 0, 0);
-            let t0 = Instant::now();
-            let verdict = model.partial_verdict(ctx, &partial);
-            walk.cut_nanos
-                .set(walk.cut_nanos.get() + t0.elapsed().as_nanos() as u64);
-            if let Some(allowed) = verdict {
-                *visited += 1;
-                if *visited > cfg.max_executions {
-                    return Err(EnumError::TooManyExecutions);
-                }
-                stats.classes_visited += 1;
-                stats.candidates_pruned += (walk.suffix[0] - 1) as u64;
-                let class = PrunedClass {
-                    partial,
-                    size: walk.suffix[0],
-                    allowed,
-                    forced: true,
-                };
-                return Ok(f(&class));
-            }
+    // Root check: the combination may be forced before anything is
+    // committed (e.g. single-candidate rf slots inducing a definite
+    // conflict) — then the whole combination is one class.
+    if walk.suffix[0] >= CUT_MIN {
+        overlay.stamp();
+        let partial = walk.partial_at(overlay, 0);
+        if let Some(allowed) = model.partial_verdict(ctx, &partial) {
+            charge(visited, cfg)?;
+            stats.classes_visited += 1;
+            stats.candidates_pruned += (walk.suffix[0] - 1) as u64;
+            let class = PrunedClass {
+                partial,
+                size: walk.suffix[0],
+                allowed,
+                forced: true,
+            };
+            return Ok(f(&class));
         }
-        walk.descend(overlay, batch, ctx, 0, visited, stats, f)
-    })();
-    // Fold the measurements on every exit path (including budget errors
-    // and visitor breaks) so partially walked combinations still report
-    // their work.
-    stats.cut_attempt_micros += walk.cut_nanos.get() / 1000;
-    stats.registers_refilled += ctx.take_registers_refilled();
-    result
+    }
+    walk.descend(overlay, batch, ctx, 0, visited, stats, f)
 }
 
 /// Computes `scratch.suffix` — subtree sizes per tree level, saturating
@@ -1647,148 +1354,6 @@ fn fill_suffix(scratch: &mut EnumScratch) -> (usize, usize) {
         scratch.suffix[d] = scratch.suffix[d + 1].saturating_mul(branch);
     }
     (num_reads, num_locs)
-}
-
-/// Streams every candidate of `test` through `f` together with
-/// `model`'s verdict, judging trailing sibling groups of 2–64
-/// candidates in one bit-plane pass — the batched counterpart of
-/// running [`crate::model::Model::allows_view`] inside a
-/// [`for_each_execution`] visitor.
-///
-/// Candidates arrive in the exhaustive stream's deterministic order
-/// with its visited-count accounting: each candidate handed to `f`
-/// counts one visit against [`EnumConfig::max_executions`], including
-/// mid-batch (a budget exhausted inside a batch errs exactly where the
-/// scalar stream would). `stats` accumulates the batch counters
-/// ([`PruneStats::batches_formed`] / [`PruneStats::lanes_filled`];
-/// `classes_visited` counts candidates here, `candidates_pruned` stays
-/// 0). Models without a batched evaluator
-/// ([`crate::model::Model::allows_batch`] returning `None`) degrade to
-/// per-candidate judgement with identical results.
-///
-/// # Errors
-///
-/// Fails if symbolic execution fails or more than
-/// [`EnumConfig::max_executions`] candidates are visited.
-pub fn for_each_execution_batched<B, F>(
-    test: &LitmusTest,
-    model: &dyn Model,
-    cfg: &EnumConfig,
-    ctx: &mut EvalContext,
-    stats: &mut PruneStats,
-    mut f: F,
-) -> Result<Option<B>, EnumError>
-where
-    F: FnMut(&ExecutionView<'_>, bool) -> ControlFlow<B>,
-{
-    ENUM_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => {
-            for_each_execution_batched_with(test, model, cfg, ctx, &mut scratch, stats, &mut f)
-        }
-        Err(_) => for_each_execution_batched_with(
-            test,
-            model,
-            cfg,
-            ctx,
-            &mut EnumScratch::new(),
-            stats,
-            &mut f,
-        ),
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn for_each_execution_batched_with<B, F>(
-    test: &LitmusTest,
-    model: &dyn Model,
-    cfg: &EnumConfig,
-    ctx: &mut EvalContext,
-    scratch: &mut EnumScratch,
-    stats: &mut PruneStats,
-    f: &mut F,
-) -> Result<Option<B>, EnumError>
-where
-    F: FnMut(&ExecutionView<'_>, bool) -> ControlFlow<B>,
-{
-    let (_domains, per_thread) = fixed_point_traces_cached(test, cfg)?;
-    ctx.take_registers_refilled();
-
-    let thread_cta: Vec<usize> = (0..test.num_threads())
-        .map(|t| test.scope_tree().placement(t).cta)
-        .collect();
-    let init_mem: BTreeMap<Loc, i64> = test
-        .memory()
-        .iter()
-        .map(|(l, mi)| (l.clone(), mi.init))
-        .collect();
-    let observed = test.observed();
-
-    let mut visited = 0usize;
-    let mut traces: Vec<&ThreadTrace> = Vec::with_capacity(per_thread.len());
-    let mut combo = vec![0usize; per_thread.len()];
-    'combos: loop {
-        traces.clear();
-        traces.extend(combo.iter().zip(&*per_thread).map(|(&i, ts)| &ts[i]));
-        if prepare_combination(&traces, &thread_cta, &init_mem, &observed, scratch) {
-            if let ControlFlow::Break(b) =
-                visit_combination_batched(model, ctx, cfg, scratch, &mut visited, stats, f)?
-            {
-                return Ok(Some(b));
-            }
-        }
-
-        for t in (0..combo.len()).rev() {
-            combo[t] += 1;
-            if combo[t] < per_thread[t].len() {
-                continue 'combos;
-            }
-            combo[t] = 0;
-        }
-        break;
-    }
-    Ok(None)
-}
-
-/// Runs the batched exhaustive walk over one prepared combination.
-fn visit_combination_batched<B, F>(
-    model: &dyn Model,
-    ctx: &mut EvalContext,
-    cfg: &EnumConfig,
-    scratch: &mut EnumScratch,
-    visited: &mut usize,
-    stats: &mut PruneStats,
-    f: &mut F,
-) -> Result<ControlFlow<B>, EnumError>
-where
-    F: FnMut(&ExecutionView<'_>, bool) -> ControlFlow<B>,
-{
-    let (num_reads, num_locs) = fill_suffix(scratch);
-
-    let EnumScratch {
-        skel,
-        overlay,
-        reads,
-        rf_choices,
-        co_perms,
-        co_perm_counts,
-        suffix,
-        batch,
-        ..
-    } = scratch;
-    let walk = PruneWalk {
-        skel,
-        reads,
-        rf_choices: &rf_choices[..num_reads],
-        co_perms: &co_perms[..num_locs],
-        co_perm_counts: &co_perm_counts[..num_locs],
-        suffix,
-        model,
-        cfg,
-        cut_nanos: Cell::new(0),
-    };
-    let result = walk.descend_exhaustive(overlay, batch, ctx, 0, visited, stats, f);
-    stats.registers_refilled += ctx.take_registers_refilled();
-    result
 }
 
 /// Materialises all candidate executions of `test` — a thin wrapper over
@@ -1852,18 +1417,13 @@ pub fn model_outcomes(
     model_outcomes_with(test, model, cfg, &mut EvalContext::new())
 }
 
-/// [`model_outcomes`] with a caller-owned [`EvalContext`], streamed over
-/// the skeleton/overlay visitor: the skeleton's base relations are
-/// filled once per trace combination, each candidate refills only the
-/// rf/co-derived ones, and outcome dedup runs against reused value
-/// buffers — for plan-backed models the whole judgement loop performs no
-/// heap allocation per candidate. Sweep workers hold one context each
-/// and pass it here on verdict-cache misses.
-///
-/// With [`EnumConfig::pruning`] set the judgement runs over
-/// [`for_each_execution_pruned`] instead — same `ModelOutcomes`, bit
-/// for bit, with forced subtrees folded in as classes. Callers that
-/// want the pruning counters use [`model_outcomes_counted`].
+/// [`model_outcomes`] with a caller-owned [`EvalContext`], judged by the
+/// verdict walk ([`for_each_execution_pruned`]): forced subtrees and
+/// uniform batches fold in as classes, and for plan-backed models the
+/// judgement loop performs no heap allocation per candidate. Sweep
+/// workers hold one context each and pass it here on verdict-cache
+/// misses. Callers that want the walk counters use
+/// [`model_outcomes_counted`].
 ///
 /// # Errors
 ///
@@ -1877,10 +1437,7 @@ pub fn model_outcomes_with(
     model_outcomes_counted(test, model, cfg, ctx).map(|(outcomes, _)| outcomes)
 }
 
-/// [`model_outcomes_with`] plus the [`PruneStats`] of the run. On the
-/// exhaustive path (pruning off) the stats degenerate to
-/// `classes_visited == num_candidates`, `candidates_pruned == 0`, so
-/// sweep cells report comparable counters on both arms.
+/// [`model_outcomes_with`] plus the [`PruneStats`] of the walk.
 ///
 /// # Errors
 ///
@@ -1891,17 +1448,6 @@ pub fn model_outcomes_counted(
     cfg: &EnumConfig,
     ctx: &mut EvalContext,
 ) -> Result<(ModelOutcomes, PruneStats), EnumError> {
-    if !cfg.pruning {
-        if cfg.batching {
-            return model_outcomes_batched(test, model, cfg, ctx);
-        }
-        let outcomes = model_outcomes_exhaustive(test, model, cfg, ctx)?;
-        let stats = PruneStats {
-            classes_visited: outcomes.num_candidates as u64,
-            ..PruneStats::default()
-        };
-        return Ok((outcomes, stats));
-    }
     let cond = test.cond();
     let mut all = BTreeSet::new();
     let mut allowed: BTreeSet<Outcome> = BTreeSet::new();
@@ -1958,10 +1504,20 @@ pub fn model_outcomes_counted(
     ))
 }
 
-/// The exhaustive-stream judgement loop backing
-/// [`model_outcomes_counted`] — and the differential oracle the pruned
-/// arm is tested against.
-fn model_outcomes_exhaustive(
+/// The test oracle for the verdict walk: streams every candidate of
+/// `test` through [`for_each_execution`] and judges each one alone with
+/// [`crate::model::Model::allows_view`] — no cuts, no batches, no delta
+/// state. Production code uses [`model_outcomes_with`]; the
+/// differential suites assert that both return the same
+/// [`ModelOutcomes`], bit for bit (its
+/// [`ModelOutcomes::condition_witnessed`] is also the oracle for
+/// [`condition_witnessed_with`]).
+///
+/// # Errors
+///
+/// Propagates [`EnumError`]s from the enumeration; here
+/// [`EnumConfig::max_executions`] bounds the candidate count.
+pub fn model_outcomes_exhaustive(
     test: &LitmusTest,
     model: &dyn Model,
     cfg: &EnumConfig,
@@ -1976,28 +1532,8 @@ fn model_outcomes_exhaustive(
     Ok(fold.finish())
 }
 
-/// The batched exhaustive judgement loop: the same fold as
-/// [`model_outcomes_exhaustive`] fed by [`for_each_execution_batched`],
-/// which delivers each candidate's verdict precomputed — lane-parallel
-/// for trailing sibling groups. Same `ModelOutcomes`, bit for bit.
-fn model_outcomes_batched(
-    test: &LitmusTest,
-    model: &dyn Model,
-    cfg: &EnumConfig,
-    ctx: &mut EvalContext,
-) -> Result<(ModelOutcomes, PruneStats), EnumError> {
-    let mut fold = OutcomeFold::new(test.cond());
-    let mut stats = PruneStats::default();
-    for_each_execution_batched(test, model, cfg, ctx, &mut stats, |view, allowed| {
-        fold.candidate(view, allowed);
-        ControlFlow::<()>::Continue(())
-    })?;
-    Ok((fold.finish(), stats))
-}
-
-/// The exhaustive fold shared by the scalar and batched judgement
-/// loops: accumulates a [`ModelOutcomes`] one `(candidate, verdict)`
-/// pair at a time.
+/// The fold of [`model_outcomes_exhaustive`]: accumulates a
+/// [`ModelOutcomes`] one `(candidate, verdict)` pair at a time.
 ///
 /// Dedup is by observed-value vector: `vals` is refilled per candidate
 /// and matched against the distinct vectors seen so far (a handful per
@@ -2148,8 +1684,9 @@ impl SeenOutcomes {
 
 /// `true` iff some model-allowed candidate witnesses the test's final
 /// condition — the early-exit form of
-/// [`ModelOutcomes::condition_witnessed`]: the stream stops at the first
-/// allowed witness instead of enumerating the full candidate space.
+/// [`ModelOutcomes::condition_witnessed`]: the walk stops at the first
+/// allowed class that spans a witnessing outcome instead of covering
+/// the full candidate space.
 ///
 /// # Errors
 ///
@@ -2163,81 +1700,18 @@ pub fn condition_witnessed_with(
     ctx: &mut EvalContext,
 ) -> Result<bool, EnumError> {
     let cond = test.cond();
-    if cfg.pruning {
-        // Pruned arm: an allowed class witnesses the condition iff one
-        // of its spanned observed combinations does — stop at the first.
-        let mut vals: Vec<i64> = Vec::new();
-        let mut stats = PruneStats::default();
-        let hit = for_each_execution_pruned(test, model, cfg, ctx, &mut stats, |class| {
-            if class.allowed() {
-                for combo in 0..class.observed_combos() {
-                    class.fill_observed(combo, &mut vals);
-                    if cond.witnessed_by(&class.outcome_from_vals(&vals)) {
-                        return ControlFlow::Break(());
-                    }
-                }
-            }
-            ControlFlow::Continue(())
-        })?;
-        return Ok(hit.is_some());
-    }
-    if cfg.batching {
-        // Batched exhaustive arm: verdicts arrive precomputed (lane-
-        // parallel for sibling groups), so the witness probe only runs
-        // on allowed candidates — the walk breaks at the same first
-        // allowed witness the scalar stream would.
-        let mut vals: Vec<i64> = Vec::new();
-        let mut seen = SeenOutcomes::new();
-        let mut stats = PruneStats::default();
-        let hit =
-            for_each_execution_batched(test, model, cfg, ctx, &mut stats, |view, allowed| {
-                if !allowed {
-                    return ControlFlow::Continue(());
-                }
-                view.fill_observed(&mut vals);
-                let idx = match seen.find(&vals) {
-                    Some(i) => i,
-                    None => {
-                        let outcome = view.outcome();
-                        let witnesses = cond.witnessed_by(&outcome);
-                        seen.insert(&vals, outcome, witnesses)
-                    }
-                };
-                if seen.witnesses(idx) {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            })?;
-        return Ok(hit.is_some());
-    }
     let mut vals: Vec<i64> = Vec::new();
-    let mut seen = SeenOutcomes::new();
-    let mut fixed: Option<(u64, usize)> = None;
-    let hit = for_each_execution(test, cfg, |view| {
-        let idx = match fixed {
-            Some((combo, i)) if combo == view.combination_id() => i,
-            _ => {
-                view.fill_observed(&mut vals);
-                let i = match seen.find(&vals) {
-                    Some(i) => i,
-                    None => {
-                        let outcome = view.outcome();
-                        let witnesses = cond.witnessed_by(&outcome);
-                        seen.insert(&vals, outcome, witnesses)
-                    }
-                };
-                if view.observed_is_skeleton_fixed() {
-                    fixed = Some((view.combination_id(), i));
+    let mut stats = PruneStats::default();
+    let hit = for_each_execution_pruned(test, model, cfg, ctx, &mut stats, |class| {
+        if class.allowed() {
+            for combo in 0..class.observed_combos() {
+                class.fill_observed(combo, &mut vals);
+                if cond.witnessed_by(&class.outcome_from_vals(&vals)) {
+                    return ControlFlow::Break(());
                 }
-                i
             }
-        };
-        if seen.witnesses(idx) && model.allows_view(ctx, view) {
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
         }
+        ControlFlow::Continue(())
     })?;
     Ok(hit.is_some())
 }
@@ -2416,25 +1890,26 @@ mod tests {
             corpus::mp(ThreadScope::InterCta, None),
             corpus::sb(ThreadScope::IntraCta, None),
             corpus::dlb_lb(false),
+            weakgpu_litmus::corpus_extra::corr_fan(2, 4),
         ] {
-            let cfg = EnumConfig {
-                pruning: true,
-                ..EnumConfig::default()
-            };
-            let exhaustive = enumerate_executions(&test, &EnumConfig::default())
-                .unwrap()
-                .len();
+            let cfg = EnumConfig::default();
+            let exhaustive = enumerate_executions(&test, &cfg).unwrap().len();
             let mut ctx = EvalContext::new();
             let mut stats = PruneStats::default();
             let mut spanned = 0usize;
-            let mut classes = 0u64;
+            let mut charged = 0u64;
             for_each_execution_pruned(&test, &model, &cfg, &mut ctx, &mut stats, |class| {
                 spanned += class.size();
-                classes += 1;
                 // Cuts only fire on subtrees of at least CUT_MIN
-                // candidates; leaves span exactly one.
-                assert!(class.size() == 1 || class.size() >= CUT_MIN);
-                assert_eq!(class.is_forced(), class.size() > 1);
+                // candidates and count once; judged classes (leaves and
+                // uniform batches of at most 64 lanes) count per leaf.
+                if class.is_forced() {
+                    assert!(class.size() >= CUT_MIN);
+                    charged += 1;
+                } else {
+                    assert!((1..=64).contains(&class.size()));
+                    charged += class.size() as u64;
+                }
                 ControlFlow::<()>::Continue(())
             })
             .unwrap();
@@ -2444,7 +1919,7 @@ mod tests {
                 "{}: classes must partition",
                 test.name()
             );
-            assert_eq!(classes, stats.classes_visited, "{}", test.name());
+            assert_eq!(charged, stats.classes_visited, "{}", test.name());
             assert_eq!(
                 stats.classes_visited + stats.candidates_pruned,
                 exhaustive as u64,
@@ -2457,30 +1932,25 @@ mod tests {
     #[test]
     fn pruned_outcomes_match_exhaustive() {
         let model = crate::model::sc_model();
+        let cfg = EnumConfig::default();
         for test in [
             corpus::corr(),
             corpus::mp(ThreadScope::InterCta, None),
             corpus::dlb_mp(false),
         ] {
             let mut ctx = EvalContext::new();
-            let exhaustive =
-                model_outcomes_with(&test, &model, &EnumConfig::default(), &mut ctx).unwrap();
-            let pruned_cfg = EnumConfig {
-                pruning: true,
-                ..EnumConfig::default()
-            };
-            let (pruned, stats) =
-                model_outcomes_counted(&test, &model, &pruned_cfg, &mut ctx).unwrap();
-            assert_eq!(pruned, exhaustive, "{}", test.name());
+            let exhaustive = model_outcomes_exhaustive(&test, &model, &cfg, &mut ctx).unwrap();
+            let (walked, stats) = model_outcomes_counted(&test, &model, &cfg, &mut ctx).unwrap();
+            assert_eq!(walked, exhaustive, "{}", test.name());
             assert_eq!(
                 stats.classes_visited + stats.candidates_pruned,
                 exhaustive.num_candidates as u64,
                 "{}",
                 test.name()
             );
-            assert!(
-                condition_witnessed_with(&test, &model, &pruned_cfg, &mut ctx).unwrap()
-                    == exhaustive.condition_witnessed,
+            assert_eq!(
+                condition_witnessed_with(&test, &model, &cfg, &mut ctx).unwrap(),
+                exhaustive.condition_witnessed,
                 "{}",
                 test.name()
             );
@@ -2492,63 +1962,47 @@ mod tests {
         // The read-fan shape under SC prunes heavily: most value
         // patterns embed a forbidden new-then-old read pair, so the
         // class count falls far below the candidate count and a budget
-        // the exhaustive stream exceeds still completes under pruning.
+        // the exhaustive stream exceeds still completes on the walk.
+        // (Eight reads: with six, every value pattern spans at most 64
+        // candidates and goes straight to a batch, with no cut.)
         let model = crate::model::sc_model();
-        let test = weakgpu_litmus::corpus_extra::corr_fan(2, 6);
+        let test = weakgpu_litmus::corpus_extra::corr_fan(2, 8);
         let candidates = enumerate_executions(&test, &EnumConfig::default())
             .unwrap()
             .len();
         let mut ctx = EvalContext::new();
-        let mut stats = PruneStats::default();
-        let cfg = EnumConfig {
-            pruning: true,
-            ..EnumConfig::default()
+        let walk = |cfg: &EnumConfig, ctx: &mut EvalContext| {
+            let mut stats = PruneStats::default();
+            let mut classes = 0u64;
+            for_each_execution_pruned(&test, &model, cfg, ctx, &mut stats, |_| {
+                classes += 1;
+                ControlFlow::<()>::Continue(())
+            })
+            .map(|_| classes)
         };
-        for_each_execution_pruned(&test, &model, &cfg, &mut ctx, &mut stats, |_| {
-            ControlFlow::<()>::Continue(())
-        })
-        .unwrap();
-        let classes = stats.classes_visited;
+        let classes = walk(&EnumConfig::default(), &mut ctx).unwrap();
         assert!(
             (classes as usize) < candidates,
-            "pruning must collapse sb's candidate space ({classes} vs {candidates})"
+            "cuts must collapse the fan's candidate space ({classes} vs {candidates})"
         );
-        // A budget between the two completes pruned but trips exhaustive.
+        // A budget of exactly the class count completes on the walk but
+        // trips the exhaustive stream.
         let between = EnumConfig {
             max_executions: classes as usize,
-            pruning: true,
             ..EnumConfig::default()
         };
-        let mut stats = PruneStats::default();
-        assert!(
-            for_each_execution_pruned(&test, &model, &between, &mut ctx, &mut stats, |_| {
-                ControlFlow::<()>::Continue(())
-            })
-            .is_ok()
-        );
-        let exhaustive_budget = EnumConfig {
-            max_executions: classes as usize,
-            ..EnumConfig::default()
-        };
+        assert_eq!(walk(&between, &mut ctx), Ok(classes));
         assert_eq!(
-            for_each_execution(&test, &exhaustive_budget, |_| ControlFlow::<()>::Continue(
-                ()
-            ))
-            .unwrap_err(),
+            for_each_execution(&test, &between, |_| ControlFlow::<()>::Continue(())).unwrap_err(),
             EnumError::TooManyExecutions
         );
-        // One class fewer trips the pruned limit too …
+        // One class fewer trips the walk too …
         let tight = EnumConfig {
             max_executions: classes as usize - 1,
-            pruning: true,
             ..EnumConfig::default()
         };
-        let mut stats = PruneStats::default();
         assert_eq!(
-            for_each_execution_pruned(&test, &model, &tight, &mut ctx, &mut stats, |_| {
-                ControlFlow::<()>::Continue(())
-            })
-            .unwrap_err(),
+            walk(&tight, &mut ctx).unwrap_err(),
             EnumError::TooManyExecutions
         );
         // … unless the visitor exits before reaching it.
@@ -2560,36 +2014,39 @@ mod tests {
         assert_eq!(broke, Some(7));
     }
 
+    /// SC spelled with a transitive closure over the communication
+    /// relations: not row-local, so the walk never cuts and every
+    /// subtree of at most 64 leaves goes through a batch.
+    fn sc_closure_model() -> crate::CatModel {
+        crate::CatModel::new("sc+", "acyclic (po | rf | co | fr)+ as sc")
+            .unwrap()
+            .with_rmw_atomicity(crate::RmwAtomicity::Full)
+    }
+
     #[test]
     fn batched_outcomes_match_exhaustive() {
-        let model = crate::model::sc_model();
-        for test in [
-            corpus::corr(),
-            corpus::mp(ThreadScope::InterCta, None),
-            corpus::dlb_mp(false),
-        ] {
-            let mut ctx = EvalContext::new();
-            let exhaustive =
-                model_outcomes_with(&test, &model, &EnumConfig::default(), &mut ctx).unwrap();
-            for pruning in [false, true] {
-                let cfg = EnumConfig {
-                    pruning,
-                    batching: true,
-                    ..EnumConfig::default()
-                };
+        let cfg = EnumConfig::default();
+        for model in [crate::model::sc_model(), sc_closure_model()] {
+            for test in [
+                corpus::corr(),
+                corpus::mp(ThreadScope::InterCta, None),
+                corpus::dlb_mp(false),
+                weakgpu_litmus::corpus_extra::corr_fan(2, 4),
+            ] {
+                let name = format!("{} under {}", test.name(), crate::Model::name(&model));
+                let mut ctx = EvalContext::new();
+                let exhaustive = model_outcomes_exhaustive(&test, &model, &cfg, &mut ctx).unwrap();
                 let (got, stats) = model_outcomes_counted(&test, &model, &cfg, &mut ctx).unwrap();
-                assert_eq!(got, exhaustive, "{} pruning={pruning}", test.name());
+                assert_eq!(got, exhaustive, "{name}");
                 assert_eq!(
                     stats.classes_visited + stats.candidates_pruned,
                     exhaustive.num_candidates as u64,
-                    "{} pruning={pruning}",
-                    test.name()
+                    "{name}"
                 );
                 assert_eq!(
                     condition_witnessed_with(&test, &model, &cfg, &mut ctx).unwrap(),
                     exhaustive.condition_witnessed,
-                    "{} pruning={pruning}",
-                    test.name()
+                    "{name}"
                 );
             }
         }
@@ -2597,92 +2054,51 @@ mod tests {
 
     #[test]
     fn batched_limit_counts_visits_including_mid_batch() {
-        // `max_executions` under batching follows the pruned-walk
-        // convention: every node handed to the visitor counts one
-        // visit, and a budget exhausted mid-batch errs on the exact
-        // leaf the scalar walk would have erred on.
-        let model = crate::model::sc_model();
+        // With no cuts every candidate is a judged leaf; a uniform batch
+        // is one visit, a mixed batch one visit per leaf, so a budget
+        // one short of the visit count errs mid-walk.
+        let model = sc_closure_model();
         let test = weakgpu_litmus::corpus_extra::corr_fan(2, 6);
         let candidates = enumerate_executions(&test, &EnumConfig::default())
             .unwrap()
             .len();
         let mut ctx = EvalContext::new();
-
-        // The batched exhaustive stream visits every candidate once.
-        let cfg = EnumConfig {
-            batching: true,
-            ..EnumConfig::default()
-        };
         let mut stats = PruneStats::default();
-        let mut visits = 0usize;
-        for_each_execution_batched(&test, &model, &cfg, &mut ctx, &mut stats, |_, _| {
-            visits += 1;
-            ControlFlow::<()>::Continue(())
-        })
+        let (mut classes, mut uniform, mut leaves) = (0usize, 0usize, 0usize);
+        for_each_execution_pruned(
+            &test,
+            &model,
+            &EnumConfig::default(),
+            &mut ctx,
+            &mut stats,
+            |class| {
+                assert!(!class.is_forced(), "non-row-local plans never cut");
+                classes += 1;
+                uniform += usize::from(class.size() > 1);
+                leaves += usize::from(class.size() == 1);
+                ControlFlow::<()>::Continue(())
+            },
+        )
         .unwrap();
-        assert_eq!(visits, candidates);
         assert_eq!(stats.classes_visited, candidates as u64);
-        assert!(stats.batches_formed > 0, "fan tests must form batches");
-        assert!(stats.lanes_filled >= 2 * stats.batches_formed);
+        assert_eq!(stats.candidates_pruned, 0);
+        assert!(uniform > 0, "fan tests must form uniform batches");
+        assert!(leaves > 0, "fan tests must form mixed batches");
+        assert!(classes < candidates);
 
-        // A budget one short trips mid-walk — inside a batch …
-        let tight = EnumConfig {
-            max_executions: candidates - 1,
-            batching: true,
+        let exact = EnumConfig {
+            max_executions: classes,
             ..EnumConfig::default()
         };
         let mut stats = PruneStats::default();
-        assert_eq!(
-            for_each_execution_batched(&test, &model, &tight, &mut ctx, &mut stats, |_, _| {
+        assert!(
+            for_each_execution_pruned(&test, &model, &exact, &mut ctx, &mut stats, |_| {
                 ControlFlow::<()>::Continue(())
             })
-            .unwrap_err(),
-            EnumError::TooManyExecutions
+            .is_ok()
         );
-        // … unless the visitor breaks mid-batch first.
-        let mut stats = PruneStats::default();
-        let mut visits = 0usize;
-        let broke = for_each_execution_batched(&test, &model, &tight, &mut ctx, &mut stats, {
-            let visits = &mut visits;
-            move |_, _| {
-                *visits += 1;
-                if *visits == 3 {
-                    ControlFlow::Break(9)
-                } else {
-                    ControlFlow::Continue(())
-                }
-            }
-        })
-        .unwrap();
-        assert_eq!(broke, Some(9));
-        assert_eq!(visits, 3);
-
-        // Pruned + batched: visited nodes (cut classes + batch leaves)
-        // still partition the candidate space, and the budget counts
-        // exactly those nodes.
-        let pcfg = EnumConfig {
-            pruning: true,
-            batching: true,
-            ..EnumConfig::default()
-        };
-        let mut stats = PruneStats::default();
-        let mut spanned = 0usize;
-        for_each_execution_pruned(&test, &model, &pcfg, &mut ctx, &mut stats, |class| {
-            spanned += class.size();
-            ControlFlow::<()>::Continue(())
-        })
-        .unwrap();
-        assert_eq!(spanned, candidates);
-        assert_eq!(
-            stats.classes_visited + stats.candidates_pruned,
-            candidates as u64
-        );
-        assert!(stats.batches_formed > 0);
-        let nodes = stats.classes_visited as usize;
         let tight = EnumConfig {
-            max_executions: nodes - 1,
-            pruning: true,
-            batching: true,
+            max_executions: classes - 1,
             ..EnumConfig::default()
         };
         let mut stats = PruneStats::default();
@@ -2693,23 +2109,19 @@ mod tests {
             .unwrap_err(),
             EnumError::TooManyExecutions
         );
-        let exact = EnumConfig {
-            max_executions: nodes,
-            pruning: true,
-            batching: true,
-            ..EnumConfig::default()
-        };
+        // … unless the visitor breaks first.
         let mut stats = PruneStats::default();
-        assert!(
-            for_each_execution_pruned(
-                &test,
-                &model,
-                &exact,
-                &mut ctx,
-                &mut stats,
-                |_| ControlFlow::<()>::Continue(())
-            )
-            .is_ok()
-        );
+        let mut visits = 0usize;
+        let broke = for_each_execution_pruned(&test, &model, &tight, &mut ctx, &mut stats, |_| {
+            visits += 1;
+            if visits == 3 {
+                ControlFlow::Break(9)
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .unwrap();
+        assert_eq!(broke, Some(9));
+        assert_eq!(visits, 3);
     }
 }

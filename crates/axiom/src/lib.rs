@@ -50,8 +50,8 @@ pub mod symbolic;
 
 pub use cache::{shape_key, VerdictCache};
 pub use enumerate::{
-    condition_witnessed_with, enumerate_executions, for_each_execution, for_each_execution_batched,
-    for_each_execution_pruned, model_outcomes, model_outcomes_counted, model_outcomes_with,
+    condition_witnessed_with, enumerate_executions, for_each_execution, for_each_execution_pruned,
+    model_outcomes, model_outcomes_counted, model_outcomes_exhaustive, model_outcomes_with,
     EnumConfig, ModelOutcomes, PruneStats, PrunedClass,
 };
 pub use event::{Event, EventKind};

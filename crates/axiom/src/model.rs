@@ -46,7 +46,7 @@ pub trait Model {
     }
 
     /// Three-valued verdict on a *partially* committed candidate: the
-    /// conflict-driven cutoff of the pruned enumerator
+    /// conflict-driven cutoff of the verdict walk
     /// ([`crate::enumerate::for_each_execution_pruned`]). `Some(v)`
     /// asserts that **every** concrete extension of `partial`'s open rf
     /// slots and coherence axes gets verdict `v`; `None` means "cannot
@@ -234,7 +234,9 @@ impl CatModel {
     /// side condition and the compiled plan's interval evaluation
     /// ([`Plan::check_partial_view`]), combined as a three-valued AND —
     /// a definite failure of either forces `Some(false)` for the whole
-    /// subtree, `Some(true)` needs both definitely passing.
+    /// subtree, `Some(true)` needs both definitely passing. Always
+    /// `None` for plans that are not row-local ([`Plan::is_row_local`]),
+    /// so the walk judges their leaves concretely and never cuts.
     ///
     /// # Panics
     ///
@@ -245,6 +247,9 @@ impl CatModel {
         ctx: &mut EvalContext,
         partial: &PartialView<'_>,
     ) -> Option<bool> {
+        if !self.plan.is_row_local() {
+            return None;
+        }
         let rmw = partial.rmw_atomicity_partial(self.rmw);
         if rmw == Some(false) {
             return Some(false);

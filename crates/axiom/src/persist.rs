@@ -1,4 +1,4 @@
-//! Persistent, shareable verdict caches (the `weakgpu-cache/1` format).
+//! Persistent, shareable verdict caches (the `weakgpu-cache/2` format).
 //!
 //! A [`VerdictCache`] pays the cache-miss
 //! enumeration cost once per process — and then throws the result away
@@ -7,8 +7,10 @@
 //! long-running `weakgpu serve` daemon) starts warm:
 //!
 //! * **Versioned** — the first line is the schema tag
-//!   [`SCHEMA`] (`weakgpu-cache/1`); a loader that meets any other tag
-//!   refuses with a diagnostic instead of misreading the records.
+//!   [`SCHEMA`] (`weakgpu-cache/2`); a loader that meets any other tag
+//!   refuses with a diagnostic instead of misreading the records. Version
+//!   2 dropped the walk flags from the record keys; `/1` files are
+//!   rejected the same way and must be regenerated.
 //! * **Line-oriented and append-friendly** — after the header, each
 //!   line is one complete `key → ModelOutcomes` record, so a writer can
 //!   append new judgements to an existing file ([`CacheWriter`]) and a
@@ -21,8 +23,8 @@
 //!
 //! Records are keyed by the full
 //! [`VerdictCache::entry_key`](crate::cache::VerdictCache::entry_key)
-//! (model name, enumeration config, test shape), so one file can hold
-//! verdicts for several models and configs side by side. The key is an
+//! (model name, enumeration bounds, test shape), so one file can hold
+//! verdicts for several models and bounds side by side. The key is an
 //! opaque string to this module: a format change upstream (say a new
 //! `EnumConfig` field) simply stops old entries from being hit — it can
 //! never make them answer the wrong question.
@@ -60,7 +62,7 @@ use crate::cache::VerdictCache;
 use crate::enumerate::ModelOutcomes;
 
 /// Version tag of the on-disk cache format; the file's first line.
-pub const SCHEMA: &str = "weakgpu-cache/1";
+pub const SCHEMA: &str = "weakgpu-cache/2";
 
 /// Why a cache file could not be written or restored.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -266,7 +268,7 @@ fn parse_record(text: &str, line: usize) -> Result<(String, ModelOutcomes), Pers
     ))
 }
 
-/// Serialises `cache` to the `weakgpu-cache/1` text format: the schema
+/// Serialises `cache` to the `weakgpu-cache/2` text format: the schema
 /// header, then one record per entry, sorted by key so equal caches
 /// render byte-identically.
 pub fn render(cache: &VerdictCache) -> String {
@@ -282,7 +284,7 @@ pub fn render(cache: &VerdictCache) -> String {
     out
 }
 
-/// Parses a `weakgpu-cache/1` document into a cache of warm entries.
+/// Parses a `weakgpu-cache/2` document into a cache of warm entries.
 ///
 /// Duplicate keys are allowed (they arise from appending): the **last**
 /// record wins, matching append semantics. Restored entries count as
@@ -483,7 +485,10 @@ mod tests {
     fn wrong_version_is_rejected() {
         let err = parse("weakgpu-cache/9\n").unwrap_err();
         assert!(matches!(err, PersistError::Version(_)), "{err}");
-        assert!(err.to_string().contains("weakgpu-cache/1"), "{err}");
+        assert!(err.to_string().contains("weakgpu-cache/2"), "{err}");
+        // Version 1 keys carried the walk flags; they are not read.
+        let err = parse("weakgpu-cache/1\n").unwrap_err();
+        assert!(matches!(err, PersistError::Version(_)), "{err}");
         assert!(parse("").is_err());
         assert!(parse("garbage").is_err());
     }

@@ -209,8 +209,9 @@ pub struct Plan {
     /// operand row changes only the same row downstream, which is what
     /// lets an axis commit update `O(dirty rows)` instead of the whole
     /// register tier. Plans using `;`/`^-1`/`+`/`*` on overlay operands
-    /// fall back to the from-scratch partial evaluation.
-    incremental_ok: bool,
+    /// have no partial evaluation ([`Plan::check_partial_view`] answers
+    /// `None`), so the verdict walk never cuts them.
+    row_local: bool,
 }
 
 /// `true` for base relations derived from the rf/co overlay, which every
@@ -279,7 +280,7 @@ enum EnvSource<'a> {
 
 /// One committed tree level of the incremental evaluator's path. Levels
 /// `0..reads.len()` are rf slots (in read order), the rest are coherence
-/// axes (in location order) — the same canonical order the pruned walk
+/// axes (in location order) — the same canonical order the verdict walk
 /// descends, so a path is always "all rf levels, then a co prefix".
 #[derive(Clone, Copy, Default, Debug)]
 struct IncLevel {
@@ -299,7 +300,7 @@ struct IncLevel {
 
 /// The maintained `[lo, hi]` interval relations of the incremental
 /// evaluator — separate from the epoch-gated arena so interleaved
-/// non-incremental evaluations never clobber path state.
+/// concrete and batched evaluations never clobber path state.
 #[derive(Default, Debug)]
 struct IncRels {
     /// Plain rf/co/fr bounds, indexed by family ([`FAM_RF`]…).
@@ -403,7 +404,6 @@ fn inc_rel_mut(rels: &mut IncRels, tag: u32) -> &mut Relation {
     }
 }
 
-// TEMP ablation switches (perf attribution; remove before commit)
 /// Pops maintained state back to `keep` levels: journalled relation
 /// words and topological-order slots replay in reverse, the coherence
 /// arena truncates, and any verdict memo taken below `keep` is voided.
@@ -549,7 +549,7 @@ fn pk_insert(
                 if succ == x {
                     return true; // y reaches x: the new edge closes a cycle
                 }
-                if (st.pos[succ] as u32) < px && visited[succ / 64] & (1 << (succ % 64)) == 0 {
+                if st.pos[succ] < px && visited[succ / 64] & (1 << (succ % 64)) == 0 {
                     visited[succ / 64] |= 1 << (succ % 64);
                     found.push(succ as u32);
                     stack.push((succ as u32, 0));
@@ -645,7 +645,12 @@ fn store_word(journal: &mut EdgeJournal, rel: &mut Relation, tag: u32, idx: u32,
 /// Single-word variant of [`fr_row_fill`] (`n <= 64`): the `[lo, hi]`
 /// fr bound of rf slot `k`'s read row as a pair of words.
 #[inline]
-fn fr_row_word(partial: &PartialView<'_>, k: usize, rf_depth: usize, co_depth: usize) -> (u64, u64) {
+fn fr_row_word(
+    partial: &PartialView<'_>,
+    k: usize,
+    rf_depth: usize,
+    co_depth: usize,
+) -> (u64, u64) {
     let (mut lo, mut hi) = (0u64, 0u64);
     partial.fr_slot_each(k, rf_depth, co_depth, |w, definite| {
         let bit = 1u64 << w;
@@ -707,14 +712,6 @@ pub struct EvalContext {
     base_epoch: Vec<u64>,
     regs: Vec<Relation>,
     reg_epoch: Vec<u64>,
-    /// Upper-bound companions of `bases`/`regs` for three-valued partial
-    /// evaluation ([`Plan::check_partial_view`]): overlay-dependent slots
-    /// hold `[lo, hi]` intervals there (`lo` lives in the regular
-    /// buffer), sized lazily on the first partial evaluation. One epoch
-    /// vector covers both halves — every tree node stamps its overlay,
-    /// so partial and concrete evaluations never share an epoch.
-    bases_hi: Vec<Relation>,
-    regs_hi: Vec<Relation>,
     /// Bit-plane companions of `bases`/`regs` for batched evaluation
     /// ([`Plan::allows_batch`]): overlay-dependent slots hold one lane
     /// per batched candidate, skeleton-derived ones hold the scalar
@@ -744,17 +741,7 @@ pub struct EvalContext {
     fast_order: Vec<usize>,
     /// The plan `fast_order` belongs to (0 = none).
     fast_order_plan: u64,
-    /// Route [`Plan::check_partial_view`] through the maintained
-    /// path-delta state (set by the pruned walk under
-    /// [`EnumConfig::incremental`](crate::enumerate::EnumConfig)). Plans
-    /// with non-row-local overlay operators ignore the flag and evaluate
-    /// from scratch — verdicts are identical either way.
-    incremental: bool,
-    /// Overlay-dependent register/base (re)fills since the last
-    /// [`EvalContext::take_registers_refilled`] drain — the counter
-    /// that shows what the incremental path saves.
-    registers_refilled: u64,
-    /// Maintained path-indexed state of the incremental evaluator.
+    /// Maintained path-indexed state of [`Plan::check_partial_view`].
     inc: IncState,
 }
 
@@ -762,25 +749,6 @@ impl EvalContext {
     /// An empty context; buffers are allocated lazily on first use.
     pub fn new() -> Self {
         EvalContext::default()
-    }
-
-    /// Enables (or disables) the incremental path-delta mode of
-    /// [`Plan::check_partial_view`]. Off by default; the pruned walk
-    /// sets it from
-    /// [`EnumConfig::incremental`](crate::enumerate::EnumConfig).
-    pub fn set_incremental(&mut self, on: bool) {
-        self.incremental = on;
-    }
-
-    /// Whether the incremental mode is currently enabled.
-    pub fn incremental(&self) -> bool {
-        self.incremental
-    }
-
-    /// Drains the overlay register/base refill counter (see
-    /// [`crate::enumerate::PruneStats::registers_refilled`]).
-    pub fn take_registers_refilled(&mut self) -> u64 {
-        mem::take(&mut self.registers_refilled)
     }
 
     /// Starts a fresh evaluation: bumps the epoch (invalidating all
@@ -809,18 +777,6 @@ impl EvalContext {
         match s {
             Src::Base(i) => &self.bases[i],
             Src::Reg(i) => &self.regs[i],
-        }
-    }
-
-    /// Grows the upper-bound buffers to `plan`'s slot counts (no-op once
-    /// warm).
-    fn size_hi(&mut self, plan: &Plan) {
-        if self.bases_hi.len() < plan.base_names.len() {
-            self.bases_hi
-                .resize_with(plan.base_names.len(), Relation::default);
-        }
-        if self.regs_hi.len() < plan.ops.len() {
-            self.regs_hi.resize_with(plan.ops.len(), Relation::default);
         }
     }
 
@@ -1169,7 +1125,7 @@ impl Plan {
             .filter(|&i| live[i] && op_fam[i] != 0)
             .map(|i| i as u32)
             .collect();
-        let incremental_ok = inc_ops.iter().all(|&i| {
+        let row_local = inc_ops.iter().all(|&i| {
             matches!(
                 c.ops[i as usize],
                 Op::Zero
@@ -1196,7 +1152,7 @@ impl Plan {
             op_fam,
             fam_used,
             inc_ops,
-            incremental_ok,
+            row_local,
         })
     }
 
@@ -1228,9 +1184,6 @@ impl Plan {
         };
         if ctx.base_epoch[slot] >= required {
             return Ok(());
-        }
-        if self.base_overlay[slot] {
-            ctx.registers_refilled += 1;
         }
         let name = self.base_names[slot].as_str();
         let mut dst = mem::take(&mut ctx.bases[slot]);
@@ -1294,9 +1247,6 @@ impl Plan {
         };
         if ctx.reg_epoch[i] >= required {
             return Ok(());
-        }
-        if self.op_overlay[i] {
-            ctx.registers_refilled += 1;
         }
         let op = self.ops[i];
         let mut src_err = Ok(());
@@ -1458,6 +1408,19 @@ impl Plan {
     /// A definite failure short-circuits (any failing check forbids the
     /// whole subtree); `Some(true)` requires every check definite-true.
     ///
+    /// The intervals are not refilled per call. The walk asks about
+    /// nodes that share all but the deepest committed axis, so the
+    /// context keeps the intervals of the current tree *path* and moves
+    /// between nodes by popping to the divergence level (word-level undo
+    /// journal) and pushing the newly committed axes (edge deltas,
+    /// row-local register recomputes, Pearce–Kelly order maintenance
+    /// for acyclicity). Along a path `lo` only grows and `hi` only
+    /// shrinks, and every verdict memo leans on that monotonicity.
+    ///
+    /// Only plans whose overlay operators are row-local
+    /// ([`Plan::is_row_local`]) have this evaluation; for any other plan
+    /// the answer is always `Ok(None)`, which never cuts.
+    ///
     /// # Errors
     ///
     /// See [`Plan::allows_exec`].
@@ -1466,276 +1429,11 @@ impl Plan {
         ctx: &mut EvalContext,
         partial: &PartialView<'_>,
     ) -> Result<Option<bool>, CatError> {
+        if !self.row_local {
+            return Ok(None);
+        }
         let view = partial.as_view();
         self.begin_view(ctx, &view);
-        if ctx.incremental && self.incremental_ok {
-            return self.check_partial_incremental(ctx, partial, &view);
-        }
-        ctx.size_hi(self);
-        let mut all_definite = true;
-        for &ci in &self.fast_order {
-            let check = &self.checks[ci];
-            for &op in &check.deps {
-                self.run_op_partial(ctx, op, partial, &view)?;
-            }
-            self.ensure_src_partial(ctx, check.src, partial, &view)?;
-            match self.check_passes_partial(ctx, check) {
-                Some(true) => {}
-                Some(false) => return Ok(Some(false)),
-                None => all_definite = false,
-            }
-        }
-        Ok(if all_definite { Some(true) } else { None })
-    }
-
-    /// The upper-bound companion of [`EvalContext::src_rel`]: for
-    /// overlay-dependent slots the `hi` half of the interval, for
-    /// skeleton-derived ones the exact relation (`lo == hi`).
-    fn src_hi<'c>(&self, ctx: &'c EvalContext, s: Src) -> &'c Relation {
-        match s {
-            Src::Base(i) => {
-                if self.base_overlay[i] {
-                    &ctx.bases_hi[i]
-                } else {
-                    &ctx.bases[i]
-                }
-            }
-            Src::Reg(i) => {
-                if self.op_overlay[i] {
-                    &ctx.regs_hi[i]
-                } else {
-                    &ctx.regs[i]
-                }
-            }
-        }
-    }
-
-    /// Interval variant of [`Plan::ensure_base`]: overlay bases get
-    /// `[lo, hi]` bounds from the partial view, skeleton-derived ones
-    /// fall through to the exact fill.
-    fn ensure_base_partial(
-        &self,
-        ctx: &mut EvalContext,
-        slot: usize,
-        partial: &PartialView<'_>,
-        view: &ExecutionView<'_>,
-    ) -> Result<(), CatError> {
-        if !self.base_overlay[slot] {
-            return self.ensure_base(ctx, slot, &EnvSource::View(view));
-        }
-        if ctx.base_epoch[slot] >= ctx.epoch {
-            return Ok(());
-        }
-        ctx.registers_refilled += 1;
-        let name = self.base_names[slot].as_str();
-        let mut lo = mem::take(&mut ctx.bases[slot]);
-        let mut hi = mem::take(&mut ctx.bases_hi[slot]);
-        match name {
-            "rf" => partial.fill_rf_bounds(&mut lo, &mut hi),
-            "co" => partial.fill_co_bounds(&mut lo, &mut hi),
-            "fr" => partial.fill_fr_bounds(&mut lo, &mut hi),
-            "rfe" | "rfi" | "coe" | "coi" | "fre" | "fri" => {
-                // An internal/external variant is the plain interval
-                // intersected with the (exact, skeleton-derived)
-                // ext/int relation — intersection is monotone, so the
-                // bounds intersect componentwise.
-                match &name[..2] {
-                    "rf" => partial.fill_rf_bounds(&mut ctx.scratch_a, &mut ctx.scratch_b),
-                    "co" => partial.fill_co_bounds(&mut ctx.scratch_a, &mut ctx.scratch_b),
-                    _ => partial.fill_fr_bounds(&mut ctx.scratch_a, &mut ctx.scratch_b),
-                }
-                let other = if name.ends_with('e') {
-                    view.ext()
-                } else {
-                    view.int()
-                };
-                lo.inter_from(&ctx.scratch_a, other);
-                hi.inter_from(&ctx.scratch_b, other);
-            }
-            _ => unreachable!("overlay bases are rf/co/fr and their variants"),
-        }
-        ctx.bases[slot] = lo;
-        ctx.bases_hi[slot] = hi;
-        ctx.base_epoch[slot] = ctx.epoch;
-        Ok(())
-    }
-
-    fn ensure_src_partial(
-        &self,
-        ctx: &mut EvalContext,
-        s: Src,
-        partial: &PartialView<'_>,
-        view: &ExecutionView<'_>,
-    ) -> Result<(), CatError> {
-        if let Src::Base(slot) = s {
-            self.ensure_base_partial(ctx, slot, partial, view)?;
-        }
-        Ok(())
-    }
-
-    /// Interval variant of [`Plan::run_op`]: overlay-dependent
-    /// instructions compute both interval halves (into `regs`/`regs_hi`),
-    /// skeleton-derived ones run exactly once per skeleton as usual.
-    fn run_op_partial(
-        &self,
-        ctx: &mut EvalContext,
-        i: usize,
-        partial: &PartialView<'_>,
-        view: &ExecutionView<'_>,
-    ) -> Result<(), CatError> {
-        if !self.op_overlay[i] {
-            return self.run_op(ctx, i, &EnvSource::View(view));
-        }
-        if ctx.reg_epoch[i] >= ctx.epoch {
-            return Ok(());
-        }
-        ctx.registers_refilled += 1;
-        let op = self.ops[i];
-        let mut src_err = Ok(());
-        op.for_each_src(&self.operands, |s| {
-            if src_err.is_ok() {
-                src_err = self.ensure_src_partial(ctx, s, partial, view);
-            }
-        });
-        src_err?;
-        let mut lo = mem::take(&mut ctx.regs[i]);
-        let mut hi = mem::take(&mut ctx.regs_hi[i]);
-        match op {
-            Op::Zero => {
-                lo.reset(ctx.n);
-                hi.reset(ctx.n);
-            }
-            Op::Union(a, b) => {
-                lo.union_from(ctx.src_rel(a), ctx.src_rel(b));
-                hi.union_from(self.src_hi(ctx, a), self.src_hi(ctx, b));
-            }
-            Op::UnionN { start, len } => {
-                let operands = &self.operands[start as usize..(start + len) as usize];
-                lo.copy_from(ctx.src_rel(operands[0]));
-                hi.copy_from(self.src_hi(ctx, operands[0]));
-                for &s in &operands[1..] {
-                    lo.or_in_place(ctx.src_rel(s));
-                    hi.or_in_place(self.src_hi(ctx, s));
-                }
-            }
-            Op::Inter(a, b) => {
-                lo.inter_from(ctx.src_rel(a), ctx.src_rel(b));
-                hi.inter_from(self.src_hi(ctx, a), self.src_hi(ctx, b));
-            }
-            Op::Diff(a, b) => {
-                // Antitone right operand: the tightest lower bound
-                // removes the most (`b.hi`), the loosest upper bound
-                // removes the least (`b.lo`).
-                lo.diff_from(ctx.src_rel(a), self.src_hi(ctx, b));
-                hi.diff_from(self.src_hi(ctx, a), ctx.src_rel(b));
-            }
-            Op::Seq(a, b) => {
-                lo.seq_from(ctx.src_rel(a), ctx.src_rel(b));
-                hi.seq_from(self.src_hi(ctx, a), self.src_hi(ctx, b));
-            }
-            Op::Inverse(a) => {
-                lo.inverse_from(ctx.src_rel(a));
-                hi.inverse_from(self.src_hi(ctx, a));
-            }
-            Op::Opt(a) => {
-                lo.opt_from(ctx.src_rel(a));
-                hi.opt_from(self.src_hi(ctx, a));
-            }
-            Op::Plus(a) => {
-                let mut scratch = mem::take(&mut ctx.scratch_a);
-                lo.plus_from(ctx.src_rel(a), &mut scratch);
-                hi.plus_from(self.src_hi(ctx, a), &mut scratch);
-                ctx.scratch_a = scratch;
-            }
-            Op::Star(a) => {
-                let mut scratch = mem::take(&mut ctx.scratch_a);
-                lo.star_from(ctx.src_rel(a), &mut scratch);
-                hi.star_from(self.src_hi(ctx, a), &mut scratch);
-                ctx.scratch_a = scratch;
-            }
-            Op::Restrict(a, dom, rng) => {
-                let dom = match dom {
-                    Sort::Reads => &ctx.reads,
-                    Sort::Writes => &ctx.writes,
-                };
-                let rng = match rng {
-                    Sort::Reads => &ctx.reads,
-                    Sort::Writes => &ctx.writes,
-                };
-                lo.restrict_from(ctx.src_rel(a), dom, rng);
-                hi.restrict_from(self.src_hi(ctx, a), dom, rng);
-            }
-        }
-        ctx.regs[i] = lo;
-        ctx.regs_hi[i] = hi;
-        ctx.reg_epoch[i] = ctx.epoch;
-        Ok(())
-    }
-
-    /// Three-valued check over an interval: passing on `hi` proves every
-    /// extension passes, failing on `lo` proves every extension fails.
-    fn check_passes_partial(&self, ctx: &mut EvalContext, check: &PlanCheck) -> Option<bool> {
-        let mut colour = mem::take(&mut ctx.colour);
-        let mut stack = mem::take(&mut ctx.stack);
-        let lo = ctx.src_rel(check.src);
-        let hi = self.src_hi(ctx, check.src);
-        let verdict = match check.kind {
-            CheckKind::Empty => {
-                if hi.is_empty() {
-                    Some(true)
-                } else if !lo.is_empty() {
-                    Some(false)
-                } else {
-                    None
-                }
-            }
-            CheckKind::Irreflexive => {
-                if hi.is_irreflexive() {
-                    Some(true)
-                } else if !lo.is_irreflexive() {
-                    Some(false)
-                } else {
-                    None
-                }
-            }
-            CheckKind::Acyclic => {
-                if hi.is_acyclic_with(&mut colour, &mut stack) {
-                    Some(true)
-                } else if !lo.is_acyclic_with(&mut colour, &mut stack) {
-                    Some(false)
-                } else {
-                    None
-                }
-            }
-        };
-        ctx.colour = colour;
-        ctx.stack = stack;
-        verdict
-    }
-
-    // -------------------------------------------------- incremental eval
-    //
-    // The path-delta variant of `check_partial_view`. The pruned walk
-    // asks for a verdict at every tree node; consecutive nodes share
-    // all but the deepest committed axis, so instead of refilling the
-    // whole overlay register tier the evaluator keeps the interval
-    // relations of the *path* alive in `IncState` and moves between
-    // nodes by popping to the divergence level (word-level undo
-    // journal) and pushing the newly committed axes (O(delta) edge
-    // updates, row-local register recomputes, Pearce–Kelly order
-    // maintenance for acyclicity). Along a path `lo` only grows and
-    // `hi` only shrinks — every verdict memo below leans on that
-    // monotonicity. Verdicts are bit-identical to the from-scratch
-    // partial evaluation; `incremental_diff.rs` proves it differentially.
-
-    /// The incremental body of [`Plan::check_partial_view`]
-    /// (`ctx.incremental && self.incremental_ok` only).
-    fn check_partial_incremental(
-        &self,
-        ctx: &mut EvalContext,
-        partial: &PartialView<'_>,
-        view: &ExecutionView<'_>,
-    ) -> Result<Option<bool>, CatError> {
         // Skeleton-derived operands first: epoch-gated, so once warm
         // this is a few integer compares per node. (The maintained
         // relations read scalar rows of non-overlay operands during row
@@ -1748,7 +1446,7 @@ impl Plan {
             || ctx.inc.ensured_skel != view.skeleton_id()
             || ctx.inc.ensured_epoch != ctx.skel_epoch
         {
-            let env = EnvSource::View(view);
+            let env = EnvSource::View(&view);
             for check in &self.checks {
                 for &op in &check.deps {
                     if self.op_overlay[op] {
@@ -1781,13 +1479,27 @@ impl Plan {
             || ctx.inc.skel_id != view.skeleton_id()
             || ctx.inc.combo_id != partial.combination_id()
         {
-            self.inc_reset(ctx, partial, view)?;
+            self.inc_reset(ctx, partial, &view)?;
         }
         let full = partial.rf_depth() == partial.reads_list().len()
             && partial.co_depth() == partial.skel().writes_per_loc().len();
-        self.inc_sync(ctx, partial, view, full);
+        self.inc_sync(ctx, partial, &view, full);
         Ok(self.inc_verdict(ctx, full))
     }
+
+    /// `true` iff every overlay-dependent operator the checks reach is
+    /// row-local (`|`, `&`, `\`, `?` and the sort filters) — the plans
+    /// [`Plan::check_partial_view`] can bound.
+    pub fn is_row_local(&self) -> bool {
+        self.row_local
+    }
+
+    // -------------------------------------------------- path state
+    //
+    // The maintained path of `check_partial_view`: `inc_reset` rebuilds
+    // it at a combination's root, `inc_sync` pops and pushes it to the
+    // asked node, `inc_verdict` reads the verdict off it. `walk_diff.rs`
+    // checks the walk built on it against the exhaustive oracle.
 
     /// Rebuilds the maintained state at the root of a new (plan,
     /// skeleton, combination): baseline interval fills at depths
@@ -1813,12 +1525,20 @@ impl Plan {
                 inc.rels.fam_hi.resize_with(3, Relation::default);
             }
             if inc.rels.var_lo.len() < self.base_names.len() {
-                inc.rels.var_lo.resize_with(self.base_names.len(), Relation::default);
-                inc.rels.var_hi.resize_with(self.base_names.len(), Relation::default);
+                inc.rels
+                    .var_lo
+                    .resize_with(self.base_names.len(), Relation::default);
+                inc.rels
+                    .var_hi
+                    .resize_with(self.base_names.len(), Relation::default);
             }
             if inc.rels.reg_lo.len() < self.ops.len() {
-                inc.rels.reg_lo.resize_with(self.ops.len(), Relation::default);
-                inc.rels.reg_hi.resize_with(self.ops.len(), Relation::default);
+                inc.rels
+                    .reg_lo
+                    .resize_with(self.ops.len(), Relation::default);
+                inc.rels
+                    .reg_hi
+                    .resize_with(self.ops.len(), Relation::default);
             }
             if inc.checks.len() < self.checks.len() {
                 inc.checks.resize_with(self.checks.len(), IncCheck::default);
@@ -1830,15 +1550,12 @@ impl Plan {
             let inc = &mut ctx.inc;
             if self.fam_used & FAM_RF_M != 0 {
                 root.fill_rf_bounds(&mut inc.rels.fam_lo[FAM_RF], &mut inc.rels.fam_hi[FAM_RF]);
-                ctx.registers_refilled += 1;
             }
             if self.fam_used & FAM_CO_M != 0 {
-                root.fill_co_bounds(&mut ctx.inc.rels.fam_lo[FAM_CO], &mut ctx.inc.rels.fam_hi[FAM_CO]);
-                ctx.registers_refilled += 1;
+                root.fill_co_bounds(&mut inc.rels.fam_lo[FAM_CO], &mut inc.rels.fam_hi[FAM_CO]);
             }
             if self.fam_used & FAM_FR_M != 0 {
-                root.fill_fr_bounds(&mut ctx.inc.rels.fam_lo[FAM_FR], &mut ctx.inc.rels.fam_hi[FAM_FR]);
-                ctx.registers_refilled += 1;
+                root.fill_fr_bounds(&mut inc.rels.fam_lo[FAM_FR], &mut inc.rels.fam_hi[FAM_FR]);
             }
         }
         // Variant bounds: `fam ∩ ext/int`, componentwise.
@@ -1860,7 +1577,6 @@ impl Plan {
             hi.inter_from(&rels.fam_hi[f], other);
             rels.var_lo[slot] = lo;
             rels.var_hi[slot] = hi;
-            ctx.registers_refilled += 1;
         }
         // Overlay registers: full row-by-row compute through the same
         // row kernel the pushes use.
@@ -1872,7 +1588,6 @@ impl Plan {
                 regs,
                 reads,
                 writes,
-                registers_refilled,
                 ..
             } = ctx;
             let IncState {
@@ -1895,8 +1610,7 @@ impl Plan {
                 rows_buf.clear();
                 rows_buf.extend(0..n as u32);
                 self.inc_op_rows_1(
-                    rels, bases, regs, reads, writes, i, rows_buf, journal, &mut lo, &mut hi,
-                    false,
+                    rels, bases, regs, reads, writes, i, rows_buf, journal, &mut lo, &mut hi, false,
                 );
             } else {
                 for row in 0..n {
@@ -1909,7 +1623,6 @@ impl Plan {
             }
             rels.reg_lo[i] = lo;
             rels.reg_hi[i] = hi;
-            *registers_refilled += 1;
         }
         // Checks: skeleton-derived ones get one scalar verdict for the
         // whole combination; overlay acyclicity checks get a maintained
@@ -2363,8 +2076,8 @@ impl Plan {
                         &mut hi, skip_hi,
                     );
                 } else {
-                    for ri in 0..rows_buf.len() {
-                        let row = rows_buf[ri] as usize;
+                    for &row in rows_buf.iter() {
+                        let row = row as usize;
                         self.inc_op_row(
                             rels, bases, regs, read_set, write_set, i, row, words, row_lo, row_hi,
                         );
@@ -2486,9 +2199,7 @@ impl Plan {
                                     .witness
                                     .iter()
                                     .all(|&(a, b)| hi.contains(a as usize, b as usize));
-                            if witness_holds {
-                                None
-                            } else if hi.find_cycle_with(colour, stack, &mut st.witness) {
+                            if witness_holds || hi.find_cycle_with(colour, stack, &mut st.witness) {
                                 None
                             } else {
                                 st.pass_since = depth;
@@ -2630,9 +2341,8 @@ impl Plan {
 
     /// Recomputes one row of overlay op `i`'s `[lo, hi]` interval into
     /// `out_lo`/`out_hi`. Every op here is row-local (guaranteed by
-    /// `incremental_ok`): the row depends only on the same row of the
-    /// operands, with `Diff` swapping bounds on its antitone side —
-    /// exactly the componentwise formulas of `run_op_partial`.
+    /// `row_local`): the row depends only on the same row of the
+    /// operands, with `Diff` swapping bounds on its antitone side.
     #[allow(clippy::too_many_arguments)]
     fn inc_op_row(
         &self,
@@ -2783,7 +2493,6 @@ impl Plan {
                     }
                     Op::Opt(a) => {
                         each(a);
-                        drop(each);
                         for (k, &row) in rows.iter().enumerate() {
                             let bit = 1u64 << row;
                             acc_lo[k] |= bit;
@@ -2889,9 +2598,6 @@ impl Plan {
         if ctx.lane_base_epoch[slot] >= required {
             return Ok(());
         }
-        if self.base_overlay[slot] {
-            ctx.registers_refilled += 1;
-        }
         let name = self.base_names[slot].as_str();
         let mut dst = mem::take(&mut ctx.lane_bases[slot]);
         if self.base_overlay[slot] {
@@ -2966,7 +2672,6 @@ impl Plan {
         if ctx.lane_reg_epoch[i] >= ctx.epoch {
             return Ok(());
         }
-        ctx.registers_refilled += 1;
         let op = self.ops[i];
         let mut src_err = Ok(());
         op.for_each_src(&self.operands, |s| {
@@ -3024,40 +2729,32 @@ impl Plan {
     fn check_passes_batch(&self, ctx: &mut EvalContext, ci: usize, live: u64) -> u64 {
         let check = &self.checks[ci];
         match check.kind {
-            CheckKind::Empty => !self.lane_src_ctx(ctx, check.src).nonempty_lanes(),
-            CheckKind::Irreflexive => !self.lane_src_ctx(ctx, check.src).reflexive_lanes(),
+            CheckKind::Empty => !ctx.lane_src(check.src).nonempty_lanes(),
+            CheckKind::Irreflexive => !ctx.lane_src(check.src).reflexive_lanes(),
             CheckKind::Acyclic => {
                 let mut active = mem::take(&mut ctx.lane_active);
-                // When the incremental walk already maintains a
+                // When the walk's path state already maintains a
                 // topological order for this check at this skeleton,
                 // seed the per-lane elimination sweep with it — the
                 // fixpoint converges in one pass on the (common) lanes
                 // whose extra edges respect the maintained order. The
                 // fixpoint itself is order-independent, so the verdict
                 // is identical either way.
-                let seeded = ctx.incremental
-                    && ctx.inc.plan_id == self.id
+                let seeded = ctx.inc.plan_id == self.id
                     && ctx.inc.skel_id == ctx.skel_id
                     && ci < ctx.inc.checks.len()
                     && ctx.inc.checks[ci].order.len() == ctx.n;
                 let cyclic = if seeded {
-                    let lanes = self.lane_src_ctx(ctx, check.src);
+                    let lanes = ctx.lane_src(check.src);
                     let order = &ctx.inc.checks[ci].order;
                     lanes.cyclic_lanes_seeded(live, &mut active, order)
                 } else {
-                    self.lane_src_ctx(ctx, check.src)
-                        .cyclic_lanes(live, &mut active)
+                    ctx.lane_src(check.src).cyclic_lanes(live, &mut active)
                 };
                 ctx.lane_active = active;
                 !cyclic
             }
         }
-    }
-
-    /// [`EvalContext::lane_src`] spelled as a plan method (keeps the
-    /// call sites symmetric with `src_rel`/`src_hi`).
-    fn lane_src_ctx<'c>(&self, ctx: &'c EvalContext, s: Src) -> &'c LaneRel {
-        ctx.lane_src(s)
     }
 
     /// Prologue of the batch entry point, mirroring [`Plan::begin_view`]:

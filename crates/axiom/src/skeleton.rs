@@ -1038,7 +1038,7 @@ impl<'a> ExecutionView<'a> {
 
 /// A *partially* assigned candidate: the first `rf_depth` read slots and
 /// the first `co_depth` coherence axes of the overlay are committed, the
-/// rest are still open. This is the node type of the pruned enumerator's
+/// rest are still open. This is the node type of the verdict walk's
 /// decision tree ([`crate::enumerate::for_each_execution_pruned`]): rf
 /// slots form the outer tree levels (in ascending read-event order),
 /// coherence axes the inner ones (in sorted location order), matching

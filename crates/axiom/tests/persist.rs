@@ -115,15 +115,17 @@ fn damaged_files_are_rejected_with_diagnostics() {
     save(&path, &judged(&family)).unwrap();
     let good = std::fs::read_to_string(&path).unwrap();
 
-    // Wrong version: a format-2 file must not be half-read by a
-    // format-1 loader.
-    let future = good.replacen(SCHEMA, "weakgpu-cache/2", 1);
-    std::fs::write(&path, &future).unwrap();
-    let err = load(&path).unwrap_err();
-    assert!(matches!(err, PersistError::Version(_)), "{err}");
-    // The human-facing diagnostic names both tags.
-    assert!(err.to_string().contains("weakgpu-cache/2"), "{err}");
-    assert!(err.to_string().contains(SCHEMA), "{err}");
+    // Wrong version: neither an older format-1 file nor a future
+    // format-3 file may be half-read by this loader.
+    for other in ["weakgpu-cache/1", "weakgpu-cache/3"] {
+        let foreign = good.replacen(SCHEMA, other, 1);
+        std::fs::write(&path, &foreign).unwrap();
+        let err = load(&path).unwrap_err();
+        assert!(matches!(err, PersistError::Version(_)), "{err}");
+        // The human-facing diagnostic names both tags.
+        assert!(err.to_string().contains(other), "{err}");
+        assert!(err.to_string().contains(SCHEMA), "{err}");
+    }
 
     // Truncation mid-record: the damaged line is named, 1-based,
     // counting the header.

@@ -12,13 +12,12 @@
 //! `--test`).
 
 use std::io::Cursor;
-use std::sync::Mutex;
 use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 
-use weakgpu_axiom::cache::VerdictCache;
+use weakgpu_axiom::cache::{SharedCache, VerdictCache};
 use weakgpu_axiom::enumerate::EnumConfig;
 use weakgpu_axiom::persist;
 use weakgpu_axiom::plan::EvalContext;
@@ -88,7 +87,7 @@ fn request_batch(tests: &[LitmusTest], requests: usize) -> String {
 
 /// Answers `batch` through a serve session over a warm cache; returns
 /// the number of responses written.
-fn serve_batch(batch: &str, cache: &Mutex<VerdictCache>) -> usize {
+fn serve_batch(batch: &str, cache: &SharedCache) -> usize {
     let mut out = Vec::new();
     let summary = serve(Cursor::new(batch), &mut out, &ServeConfig::default(), cache).unwrap();
     assert_eq!(summary.errors, 0);
@@ -144,7 +143,7 @@ fn write_bench_json() {
     let corpus = weakgpu_litmus::corpus::all();
     let requests = 2_000;
     let batch = request_batch(&corpus, requests);
-    let cache = Mutex::new(VerdictCache::new());
+    let cache = SharedCache::default();
     serve_batch(&batch, &cache); // warm the shared cache
     let t0 = Instant::now();
     let answered = black_box(serve_batch(&batch, &cache));

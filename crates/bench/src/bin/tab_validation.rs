@@ -36,9 +36,6 @@ fn main() {
         iterations,
         seed: args.seed,
         parallelism: args.parallelism,
-        pruning: false,
-        batching: false,
-        incremental: false,
         cache_file: None,
         cache_readonly: false,
     };

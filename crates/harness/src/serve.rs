@@ -2,8 +2,8 @@
 //!
 //! The axiomatic verdict of a litmus shape never changes, the models are
 //! compiled once per process ([`weakgpu_models`]'s lazy registry), and
-//! the [`VerdictCache`] answers repeats in a hash lookup — everything a
-//! stateless checker-as-a-service needs. This module is the serving
+//! the verdict cache ([`SharedCache`]) answers repeats in a hash lookup
+//! — everything a stateless checker-as-a-service needs. This module is the serving
 //! loop: each input line is one JSON request, each output line one JSON
 //! response, so a client can stream arbitrarily large batches through a
 //! pipe without framing beyond newlines.
@@ -19,8 +19,9 @@
 //! | `test`    | corpus test name, or inline litmus source if it has a `\n` |
 //! | `litmus`  | inline litmus source (always parsed, never name-looked-up) |
 //! | `model`   | model name (default from [`ServeConfig::default_model`])   |
-//! | `pruning` | judge via the rf-class pruned enumerator (default config)  |
-//! | `incremental` | judge the tree walk by overlay delta (implies pruning) |
+//!
+//! Unknown fields are ignored, so requests written for older versions
+//! (which could carry `pruning` or `incremental` flags) are still served.
 //!
 //! A `verdict` response carries `ok`, the resolved `test`/`model` names,
 //! `num_candidates`, `num_allowed`, `condition_witnessed`, the rendered
@@ -33,14 +34,13 @@
 //! afterwards ([`weakgpu_axiom::persist`]) — that is the flush-on-
 //! graceful-shutdown contract the CLI front end implements.
 //!
-//! The cache sits behind the same probe/publish lock discipline the
-//! sweep workers use, so a future socket front end can serve concurrent
+//! The cache is the same single-flight [`SharedCache`] the sweep
+//! workers use, so a future socket front end can serve concurrent
 //! connections from one cache without changing this module.
 
 use std::io::{BufRead, Write};
-use std::sync::Mutex;
 
-use weakgpu_axiom::cache::VerdictCache;
+use weakgpu_axiom::cache::SharedCache;
 use weakgpu_axiom::enumerate::{model_outcomes_with, EnumConfig};
 use weakgpu_axiom::plan::EvalContext;
 use weakgpu_axiom::{CatModel, Model};
@@ -58,16 +58,12 @@ pub struct ServeConfig {
     /// Model judging requests that name none (`"ptx"` for the paper's
     /// validation semantics).
     pub default_model: String,
-    /// Judge through the rf-class pruned enumerator when the request
-    /// does not choose (verdicts are bit-identical either way).
-    pub pruning: bool,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             default_model: "ptx".to_owned(),
-            pruning: false,
         }
     }
 }
@@ -123,7 +119,7 @@ pub fn serve<R: BufRead, W: Write>(
     input: R,
     mut output: W,
     cfg: &ServeConfig,
-    cache: &Mutex<VerdictCache>,
+    cache: &SharedCache,
 ) -> std::io::Result<ServeSummary> {
     let mut summary = ServeSummary::default();
     let mut ctx = EvalContext::new();
@@ -157,7 +153,7 @@ type CorpusIndex = std::cell::OnceCell<std::collections::HashMap<String, LitmusT
 fn answer(
     line: &str,
     cfg: &ServeConfig,
-    cache: &Mutex<VerdictCache>,
+    cache: &SharedCache,
     ctx: &mut EvalContext,
     corpus_index: &CorpusIndex,
 ) -> (String, bool) {
@@ -194,9 +190,8 @@ fn answer(
             verdict_response(&id, &request, cfg, cache, ctx, corpus_index),
             false,
         ),
-        "stats" => {
-            let c = cache.lock().expect("no poisoned locks");
-            (
+        "stats" => (
+            cache.read(|c| {
                 format!(
                     "{{\"id\": {id}, \"ok\": true, \"protocol\": {}, \"entries\": {}, \"hits\": {}, \"misses\": {}, \"warm_entries\": {}, \"warm_hits\": {}}}",
                     json::escape(PROTOCOL),
@@ -205,10 +200,10 @@ fn answer(
                     c.misses(),
                     c.warm_entries(),
                     c.warm_hits()
-                ),
-                false,
-            )
-        }
+                )
+            }),
+            false,
+        ),
         "shutdown" => (
             format!("{{\"id\": {id}, \"ok\": true, \"shutting_down\": true}}"),
             true,
@@ -234,7 +229,7 @@ fn verdict_response(
     id: &str,
     request: &Json,
     cfg: &ServeConfig,
-    cache: &Mutex<VerdictCache>,
+    cache: &SharedCache,
     ctx: &mut EvalContext,
     corpus_index: &CorpusIndex,
 ) -> String {
@@ -250,43 +245,13 @@ fn verdict_response(
         Ok(m) => m,
         Err(msg) => return error_response(id, &msg),
     };
-    let pruning = match request.get("pruning") {
-        None => cfg.pruning,
-        Some(Json::Bool(b)) => *b,
-        Some(_) => return error_response(id, "pruning must be a boolean"),
-    };
-    let incremental = match request.get("incremental") {
-        None => false,
-        Some(Json::Bool(b)) => *b,
-        Some(_) => return error_response(id, "incremental must be a boolean"),
-    };
-    let enum_cfg = EnumConfig {
-        // Incremental evaluation only exists on the tree walk, so it
-        // drags pruning in with it. Verdict-cache keys cover the whole
-        // config, so the two request shapes cache separately.
-        pruning: pruning || incremental,
-        incremental,
-        ..EnumConfig::default()
-    };
-    // Probe under the lock, enumerate outside it, publish the result —
-    // the sweep workers' discipline, so concurrent front ends can share
-    // this cache unchanged.
-    let probed = cache
-        .lock()
-        .expect("no poisoned locks")
-        .lookup(&test, &model, &enum_cfg);
-    let (verdict, cached) = match probed {
-        Some(v) => (v, true),
-        None => match model_outcomes_with(&test, &model, &enum_cfg, ctx) {
-            Ok(v) => (
-                cache
-                    .lock()
-                    .expect("no poisoned locks")
-                    .publish(&test, &model, &enum_cfg, v),
-                false,
-            ),
-            Err(e) => return error_response(id, &format!("enumeration failed: {e}")),
-        },
+    let enum_cfg = EnumConfig::default();
+    let lookup = cache.get_or_judge(&test, &model, &enum_cfg, || {
+        model_outcomes_with(&test, &model, &enum_cfg, ctx)
+    });
+    let (verdict, cached) = match lookup {
+        Ok(lookup) => (lookup.verdict, !lookup.judged),
+        Err(e) => return error_response(id, &format!("enumeration failed: {e}")),
     };
     let outcomes = verdict
         .allowed_outcomes
@@ -344,14 +309,13 @@ mod tests {
     use std::io::Cursor;
 
     fn run(lines: &str, cfg: &ServeConfig) -> (ServeSummary, Vec<Json>) {
-        let cache = Mutex::new(VerdictCache::new());
-        run_with_cache(lines, cfg, &cache)
+        run_with_cache(lines, cfg, &SharedCache::default())
     }
 
     fn run_with_cache(
         lines: &str,
         cfg: &ServeConfig,
-        cache: &Mutex<VerdictCache>,
+        cache: &SharedCache,
     ) -> (ServeSummary, Vec<Json>) {
         let mut out = Vec::new();
         let summary = serve(Cursor::new(lines), &mut out, cfg, cache).unwrap();
@@ -367,7 +331,7 @@ mod tests {
     fn answers_a_batch_of_verdict_requests() {
         let batch = r#"{"id": 1, "test": "mp+inter-CTA"}
 {"id": 2, "test": "sb+inter-CTA", "model": "sc"}
-{"id": 3, "test": "mp+inter-CTA", "pruning": true}
+{"id": 3, "test": "mp+inter-CTA", "pruning": true, "incremental": true}
 "#;
         let (summary, rs) = run(batch, &ServeConfig::default());
         assert_eq!((summary.requests, summary.errors), (3, 0));
@@ -380,12 +344,10 @@ mod tests {
         assert_eq!(rs[0].get("cached"), Some(&Json::Bool(false)));
         assert_eq!(rs[1].get("condition_witnessed"), Some(&Json::Bool(false)));
         assert_eq!(rs[1].get("model").unwrap().as_str(), Some("sc"));
-        // Pruned and exhaustive agree (different cache entries).
-        assert_eq!(
-            rs[2].get("num_candidates"),
-            rs[0].get("num_candidates"),
-            "pruned verdict must match"
-        );
+        // Retired walk flags are ignored: the same verdict, from the
+        // cache.
+        assert_eq!(rs[2].get("num_candidates"), rs[0].get("num_candidates"));
+        assert_eq!(rs[2].get("cached"), Some(&Json::Bool(true)));
         assert!(
             !rs[0]
                 .get("allowed_outcomes")
@@ -454,15 +416,15 @@ mod tests {
     fn warm_cache_answers_without_enumerating() {
         // Session 1 judges and its cache is persisted; session 2 starts
         // from the restored cache and its first lookup is a warm hit.
-        let cache = Mutex::new(VerdictCache::new());
+        let cache = SharedCache::default();
         let (_, rs) = run_with_cache(
             "{\"id\": 1, \"test\": \"mp+inter-CTA\"}\n",
             &ServeConfig::default(),
             &cache,
         );
         assert_eq!(rs[0].get("cached"), Some(&Json::Bool(false)));
-        let rendered = weakgpu_axiom::persist::render(&cache.lock().unwrap());
-        let warm = Mutex::new(weakgpu_axiom::persist::parse(&rendered).unwrap());
+        let rendered = cache.read(weakgpu_axiom::persist::render);
+        let warm = SharedCache::new(weakgpu_axiom::persist::parse(&rendered).unwrap());
         let (_, rs) = run_with_cache(
             "{\"id\": 1, \"test\": \"mp+inter-CTA\"}\n{\"op\": \"stats\", \"id\": 2}\n",
             &ServeConfig::default(),

@@ -49,10 +49,8 @@ pub fn check_soundness(
 /// of soundness checks (one per sweep cell, say) reuses one arena for
 /// every model verdict. The verdict streams the candidate space through
 /// the skeleton/overlay visitor (one skeleton per trace combination, an
-/// in-place rf/co overlay per candidate) rather than materialising it.
-/// With [`EnumConfig::pruning`] set, the verdict comes from the rf-class
-/// pruned walk instead — bit-identical by construction, so the report is
-/// the same either way.
+/// in-place rf/co overlay per candidate) rather than materialising it,
+/// judged by the verdict walk ([`model_outcomes_with`]).
 ///
 /// # Errors
 ///
@@ -147,16 +145,13 @@ mod tests {
     }
 
     #[test]
-    fn pruned_soundness_report_matches_exhaustive() {
+    fn soundness_report_matches_the_exhaustive_oracle() {
         let cfg = RunConfig {
             iterations: 10_000,
             incantations: Incantations::best_inter_cta(),
             ..RunConfig::default()
         };
-        let pruned_cfg = EnumConfig {
-            pruning: true,
-            ..EnumConfig::default()
-        };
+        let enum_cfg = EnumConfig::default();
         let mut ctx = EvalContext::new();
         for model in [ptx_model(), operational_baseline()] {
             for test in [
@@ -165,18 +160,25 @@ mod tests {
                 corpus::dlb_lb(false),
             ] {
                 let report = run_test(&test, Chip::GtxTitan, &cfg).unwrap();
-                let exhaustive = check_soundness_with(
-                    &test,
-                    &report.histogram,
-                    &model,
-                    &EnumConfig::default(),
-                    &mut ctx,
-                )
-                .unwrap();
-                let pruned =
-                    check_soundness_with(&test, &report.histogram, &model, &pruned_cfg, &mut ctx)
+                let sound =
+                    check_soundness_with(&test, &report.histogram, &model, &enum_cfg, &mut ctx)
                         .unwrap();
-                assert_eq!(pruned, exhaustive, "{}", test.name());
+                let oracle =
+                    weakgpu_axiom::model_outcomes_exhaustive(&test, &model, &enum_cfg, &mut ctx)
+                        .unwrap();
+                let violations: Vec<Outcome> = report
+                    .histogram
+                    .outcomes()
+                    .filter(|o| !oracle.allowed_outcomes.contains(*o))
+                    .cloned()
+                    .collect();
+                assert_eq!(sound.violations, violations, "{}", test.name());
+                assert_eq!(
+                    sound.allowed,
+                    oracle.allowed_outcomes.len(),
+                    "{}",
+                    test.name()
+                );
             }
         }
     }

@@ -12,10 +12,10 @@
 //!   bit-identical to the same cells of an unsharded run.
 //! * **Model-verdict caching** — soundness is checked per cell against
 //!   the model, but the axiomatic verdict depends only on the test's
-//!   shape, so a [`VerdictCache`] enumerates each shape once (cells of
-//!   one test racing on first completion may enumerate twice; the first
-//!   publish wins) and answers the other chips' cells from the cache
-//!   (the hot path measured in `BENCH_sweep.json`). Cache misses are
+//!   shape, so a [`SharedCache`] judges each shape exactly once (a cell
+//!   racing another cell of the same shape waits for its judgement) and
+//!   answers the other chips' cells from the cache (the hot path
+//!   measured in `BENCH_sweep.json`). Cache misses are
 //!   judged through the model's compiled plan with one
 //!   [`EvalContext`] per worker thread (the cache-miss hot path measured
 //!   in `BENCH_model.json`), composing the two optimisations: the cache
@@ -31,8 +31,8 @@ use std::fmt;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use weakgpu_axiom::cache::VerdictCache;
-use weakgpu_axiom::enumerate::{EnumConfig, EnumError};
+use weakgpu_axiom::cache::{SharedCache, VerdictCache};
+use weakgpu_axiom::enumerate::{model_outcomes_counted, EnumConfig, EnumError, PruneStats};
 use weakgpu_axiom::persist;
 use weakgpu_axiom::plan::EvalContext;
 use weakgpu_litmus::LitmusTest;
@@ -120,30 +120,7 @@ pub struct SweepConfig {
     pub seed: u64,
     /// Worker threads (`None` = all cores). Wall-clock only.
     pub parallelism: Option<usize>,
-    /// Judge cache-miss cells through the rf-class pruned enumerator
-    /// ([`weakgpu_axiom::enumerate::EnumConfig::pruning`]) instead of
-    /// the exhaustive stream. Verdicts are bit-identical; the pruned
-    /// and exhaustive arms keep separate verdict-cache entries (the
-    /// cache key covers the enumeration config).
-    pub pruning: bool,
-    /// Judge cache-miss cells with bit-plane batch evaluation
-    /// ([`weakgpu_axiom::enumerate::EnumConfig::batching`]): trailing
-    /// sibling groups of 2–64 candidates share one lane-parallel plan
-    /// pass. Composes with [`SweepConfig::pruning`]. Verdicts are
-    /// bit-identical; the batched arms keep their own verdict-cache
-    /// entries.
-    pub batching: bool,
-    /// Judge cache-miss cells with incremental overlay-delta evaluation
-    /// ([`weakgpu_axiom::enumerate::EnumConfig::incremental`]): plan
-    /// register state and the per-acyclicity-check topological order
-    /// are pushed and popped along the decision-tree path instead of
-    /// being refilled from scratch at every cut attempt. Implies
-    /// [`SweepConfig::pruning`] (the delta journal only exists on the
-    /// tree walk) and composes with [`SweepConfig::batching`]. Verdicts
-    /// are bit-identical; the incremental arms keep their own
-    /// verdict-cache entries.
-    pub incremental: bool,
-    /// Warm-start the verdict cache from this `weakgpu-cache/1` file
+    /// Warm-start the verdict cache from this `weakgpu-cache/2` file
     /// ([`weakgpu_axiom::persist`]) before the run, and write the
     /// updated cache back after it. A missing file starts the run cold
     /// and is created at the end (unless [`SweepConfig::cache_readonly`]
@@ -224,40 +201,20 @@ pub struct CellRecord {
     /// through the model on a verdict-cache miss, in microseconds (0 on
     /// a hit) — attributes sweep wins to skeleton sharing vs caching.
     pub enum_micros: u64,
-    /// Enumeration-tree nodes visited while judging this cell's shape
-    /// on a verdict-cache miss (0 on a hit). Under the exhaustive
-    /// stream this equals the candidate count; under pruning it is the
-    /// forced-class + leaf count.
+    /// Classes the verdict walk visited while judging this cell's shape
+    /// (forced-cut classes plus judged leaves; 0 when the cache
+    /// answered). See [`PruneStats`].
     pub classes_visited: u64,
-    /// Candidate executions skipped by forced-verdict subtree cuts on a
-    /// verdict-cache miss (always 0 without `SweepConfig::pruning`).
+    /// Candidate executions skipped by forced-verdict subtree cuts while
+    /// judging this cell's shape (0 when the cache answered).
     pub candidates_pruned: u64,
-    /// Bit-plane batches formed while judging this cell's shape on a
-    /// verdict-cache miss (always 0 without `SweepConfig::batching`).
-    pub batches_formed: u64,
-    /// Lanes occupied across those batches — `lanes_filled /
-    /// batches_formed` is the cell's mean lane occupancy, the number CI
-    /// artifacts watch to judge how well sibling candidates pack.
-    pub lanes_filled: u64,
-    /// Wall-clock microseconds spent inside the walk's forced-verdict
-    /// cut attempts on a verdict-cache miss (always 0 without
-    /// `SweepConfig::pruning`) — the denominator the incremental delta
-    /// journal attacks.
-    pub cut_attempt_micros: u64,
-    /// Overlay-dependent plan registers filled from scratch while
-    /// judging this cell's shape on a verdict-cache miss. Without
-    /// `SweepConfig::incremental` every cut attempt and leaf refills;
-    /// with it only per-combination baselines count, so this
-    /// counter's collapse is the direct witness that the delta
-    /// journal is engaged.
-    pub registers_refilled: u64,
 }
 
 impl CellRecord {
     /// One JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
         format!(
-            "{{\"test\": {}, \"index\": {}, \"chip\": {}, \"runs\": {}, \"witnesses\": {}, \"distinct\": {}, \"unsound\": [{}], \"cache_hits\": {}, \"cache_misses\": {}, \"enum_micros\": {}, \"classes_visited\": {}, \"candidates_pruned\": {}, \"batches_formed\": {}, \"lanes_filled\": {}, \"cut_attempt_micros\": {}, \"registers_refilled\": {}}}",
+            "{{\"test\": {}, \"index\": {}, \"chip\": {}, \"runs\": {}, \"witnesses\": {}, \"distinct\": {}, \"unsound\": [{}], \"cache_hits\": {}, \"cache_misses\": {}, \"enum_micros\": {}, \"classes_visited\": {}, \"candidates_pruned\": {}}}",
             json::escape(&self.test),
             self.index,
             json::escape(&self.chip),
@@ -274,10 +231,6 @@ impl CellRecord {
             self.enum_micros,
             self.classes_visited,
             self.candidates_pruned,
-            self.batches_formed,
-            self.lanes_filled,
-            self.cut_attempt_micros,
-            self.registers_refilled,
         )
     }
 }
@@ -332,16 +285,6 @@ pub struct CacheStats {
     /// shard handed a warm cache artifact must record a nonzero count
     /// here, or the artifact did nothing.
     pub warm_hits: u64,
-    /// Total wall-clock microseconds the miss path spent inside
-    /// forced-verdict cut attempts (this shard; merge sums shards).
-    /// Always 0 without [`SweepConfig::pruning`].
-    pub cut_attempt_micros: u64,
-    /// Total plan registers refilled from scratch on the miss path
-    /// (this shard; merge sums shards). Compared against a
-    /// non-incremental run of the same family, the collapse of this
-    /// total is the sweep-level witness that
-    /// [`SweepConfig::incremental`] is doing delta work.
-    pub registers_refilled: u64,
 }
 
 /// The aggregate result of one sweep (or of merging shard sweeps).
@@ -489,15 +432,13 @@ impl SweepReport {
         }
         s.push_str("],\n");
         s.push_str(&format!(
-            "  \"cache\": {{\"entries\": {}, \"hits\": {}, \"misses\": {}, \"enum_micros\": {}, \"warm_entries\": {}, \"warm_hits\": {}, \"cut_attempt_micros\": {}, \"registers_refilled\": {}}}\n",
+            "  \"cache\": {{\"entries\": {}, \"hits\": {}, \"misses\": {}, \"enum_micros\": {}, \"warm_entries\": {}, \"warm_hits\": {}}}\n",
             self.cache.entries,
             self.cache.hits,
             self.cache.misses,
             self.cache.enum_micros,
             self.cache.warm_entries,
-            self.cache.warm_hits,
-            self.cache.cut_attempt_micros,
-            self.cache.registers_refilled
+            self.cache.warm_hits
         ));
         s.push_str("}\n");
         s
@@ -560,15 +501,9 @@ impl SweepReport {
                 // Absent in pre-persistence reports, same treatment.
                 warm_entries: c.get("warm_entries").and_then(Json::as_u64).unwrap_or(0),
                 warm_hits: c.get("warm_hits").and_then(Json::as_u64).unwrap_or(0),
-                // Absent in pre-incremental reports, same treatment.
-                cut_attempt_micros: c
-                    .get("cut_attempt_micros")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                registers_refilled: c
-                    .get("registers_refilled")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
+                // Counters of retired walk flags in older reports
+                // (`cut_attempt_micros`, `registers_refilled`) are
+                // ignored like any other unknown field.
             },
             None => CacheStats::default(),
         };
@@ -725,8 +660,6 @@ impl SweepReport {
             out.cache.enum_micros += r.cache.enum_micros;
             out.cache.warm_entries += r.cache.warm_entries;
             out.cache.warm_hits += r.cache.warm_hits;
-            out.cache.cut_attempt_micros += r.cache.cut_attempt_micros;
-            out.cache.registers_refilled += r.cache.registers_refilled;
         }
         if out.tests_run != out.family_size {
             return Err(SweepError::Merge(format!(
@@ -840,14 +773,7 @@ where
     }
 
     let model = ptx_model();
-    let enum_cfg = EnumConfig {
-        // Incremental evaluation only exists on the tree walk, so it
-        // drags pruning in with it.
-        pruning: cfg.pruning || cfg.incremental,
-        batching: cfg.batching,
-        incremental: cfg.incremental,
-        ..EnumConfig::default()
-    };
+    let enum_cfg = EnumConfig::default();
     let initial_cache = match &cfg.cache_file {
         Some(path) if path.exists() => {
             persist::load(path).map_err(|e| SweepError::Cache(e.to_string()))?
@@ -860,7 +786,7 @@ where
         }
         _ => VerdictCache::new(),
     };
-    let cache = Mutex::new(initial_cache);
+    let cache = SharedCache::new(initial_cache);
     let enum_err: Mutex<Option<(String, EnumError)>> = Mutex::new(None);
     let records: Vec<Mutex<Option<CellRecord>>> = cells.iter().map(|_| Mutex::new(None)).collect();
 
@@ -871,63 +797,36 @@ where
         },
         |ci, report| {
             let (gi, test) = selected[ci / num_chips];
-            // Probe under a short lock; on a miss, enumerate with no lock
-            // held (distinct shapes judge concurrently) and publish the
-            // result. Two chips of one test racing may both enumerate —
-            // first write wins, so `cache.misses >= cache.entries`.
             // Each campaign worker thread keeps its own evaluation
             // context, so every miss it judges reuses one relation arena
             // instead of reallocating per candidate execution.
             thread_local! {
                 static EVAL_CTX: RefCell<EvalContext> = RefCell::new(EvalContext::new());
             }
-            let (probed, mut cache_hits, mut cache_misses) = {
-                let mut c = cache.lock().expect("no poisoned locks");
-                (c.lookup(test, &model, &enum_cfg), c.hits(), c.misses())
-            };
             let mut enum_micros = 0u64;
-            let mut classes_visited = 0u64;
-            let mut candidates_pruned = 0u64;
-            let mut batches_formed = 0u64;
-            let mut lanes_filled = 0u64;
-            let mut cut_attempt_micros = 0u64;
-            let mut registers_refilled = 0u64;
-            let verdict = match probed {
-                Some(v) => v,
-                None => {
-                    let t0 = Instant::now();
-                    let judged = EVAL_CTX.with(|ctx| {
-                        weakgpu_axiom::model_outcomes_counted(
-                            test,
-                            &model,
-                            &enum_cfg,
-                            &mut ctx.borrow_mut(),
-                        )
-                    });
-                    enum_micros = t0.elapsed().as_micros() as u64;
-                    match judged {
-                        Ok((v, stats)) => {
-                            (classes_visited, candidates_pruned) =
-                                (stats.classes_visited, stats.candidates_pruned);
-                            (batches_formed, lanes_filled) =
-                                (stats.batches_formed, stats.lanes_filled);
-                            (cut_attempt_micros, registers_refilled) =
-                                (stats.cut_attempt_micros, stats.registers_refilled);
-                            let mut c = cache.lock().expect("no poisoned locks");
-                            let published = c.publish(test, &model, &enum_cfg, v);
-                            (cache_hits, cache_misses) = (c.hits(), c.misses());
-                            published
-                        }
-                        Err(e) => {
-                            enum_err
-                                .lock()
-                                .expect("no poisoned locks")
-                                .get_or_insert((test.name().to_owned(), e));
-                            return;
-                        }
-                    }
+            let mut stats = PruneStats::default();
+            let lookup = cache.get_or_judge(test, &model, &enum_cfg, || {
+                let t0 = Instant::now();
+                let judged = EVAL_CTX.with(|ctx| {
+                    model_outcomes_counted(test, &model, &enum_cfg, &mut ctx.borrow_mut())
+                });
+                enum_micros = t0.elapsed().as_micros() as u64;
+                judged.map(|(verdict, walk)| {
+                    stats = walk;
+                    verdict
+                })
+            });
+            let lookup = match lookup {
+                Ok(lookup) => lookup,
+                Err(e) => {
+                    enum_err
+                        .lock()
+                        .expect("no poisoned locks")
+                        .get_or_insert((test.name().to_owned(), e));
+                    return;
                 }
             };
+            let verdict = lookup.verdict;
             let unsound: Vec<String> = report
                 .histogram
                 .outcomes()
@@ -942,15 +841,11 @@ where
                 witnesses: report.witnesses,
                 distinct: report.histogram.distinct(),
                 unsound,
-                cache_hits,
-                cache_misses,
+                cache_hits: lookup.hits,
+                cache_misses: lookup.misses,
                 enum_micros,
-                classes_visited,
-                candidates_pruned,
-                batches_formed,
-                lanes_filled,
-                cut_attempt_micros,
-                registers_refilled,
+                classes_visited: stats.classes_visited,
+                candidates_pruned: stats.candidates_pruned,
             };
             on_cell(&record);
             *records[ci].lock().expect("no poisoned locks") = Some(record);
@@ -1014,9 +909,7 @@ where
     }
 
     let enum_micros: u64 = records.iter().map(|r| r.enum_micros).sum();
-    let cut_attempt_micros: u64 = records.iter().map(|r| r.cut_attempt_micros).sum();
-    let registers_refilled: u64 = records.iter().map(|r| r.registers_refilled).sum();
-    let cache = cache.into_inner().expect("no poisoned locks");
+    let cache = cache.into_inner();
     if let Some(path) = &cfg.cache_file {
         if !cfg.cache_readonly {
             persist::save(path, &cache).map_err(|e| SweepError::Cache(e.to_string()))?;
@@ -1045,8 +938,6 @@ where
             enum_micros,
             warm_entries: cache.warm_entries(),
             warm_hits: cache.warm_hits(),
-            cut_attempt_micros,
-            registers_refilled,
         },
     })
 }
@@ -1110,8 +1001,6 @@ mod tests {
                 enum_micros: 120,
                 warm_entries: 2,
                 warm_hits: 1,
-                cut_attempt_micros: 30,
-                registers_refilled: 9,
             },
         }
     }
@@ -1191,8 +1080,6 @@ mod tests {
         assert_eq!(merged.cache.enum_micros, 240);
         assert_eq!(merged.cache.warm_entries, 4);
         assert_eq!(merged.cache.warm_hits, 2);
-        assert_eq!(merged.cache.cut_attempt_micros, 60);
-        assert_eq!(merged.cache.registers_refilled, 18);
         assert!(merged.is_sound());
     }
 
@@ -1211,10 +1098,6 @@ mod tests {
             enum_micros: 42,
             classes_visited: 17,
             candidates_pruned: 5,
-            batches_formed: 2,
-            lanes_filled: 48,
-            cut_attempt_micros: 7,
-            registers_refilled: 21,
         };
         let v = json::parse(&rec.to_jsonl()).unwrap();
         assert_eq!(v.get("index").unwrap().as_u64(), Some(12));
@@ -1225,10 +1108,7 @@ mod tests {
         assert_eq!(v.get("enum_micros").unwrap().as_u64(), Some(42));
         assert_eq!(v.get("classes_visited").unwrap().as_u64(), Some(17));
         assert_eq!(v.get("candidates_pruned").unwrap().as_u64(), Some(5));
-        assert_eq!(v.get("batches_formed").unwrap().as_u64(), Some(2));
-        assert_eq!(v.get("lanes_filled").unwrap().as_u64(), Some(48));
-        assert_eq!(v.get("cut_attempt_micros").unwrap().as_u64(), Some(7));
-        assert_eq!(v.get("registers_refilled").unwrap().as_u64(), Some(21));
+        assert!(v.get("registers_refilled").is_none());
     }
 
     #[test]
@@ -1238,21 +1118,24 @@ mod tests {
         assert_eq!(parsed.cache.enum_micros, 120);
         assert_eq!(parsed.cache.warm_entries, 2);
         assert_eq!(parsed.cache.warm_hits, 1);
-        assert_eq!(parsed.cache.cut_attempt_micros, 30);
-        assert_eq!(parsed.cache.registers_refilled, 9);
-        // A pre-streaming report without the timing, warm, or
-        // incremental fields still parses.
+        // A pre-streaming report without the timing or warm fields
+        // still parses.
         let legacy = r
             .to_json()
             .replace(", \"enum_micros\": 120", "")
-            .replace(", \"warm_entries\": 2, \"warm_hits\": 1", "")
-            .replace(", \"cut_attempt_micros\": 30, \"registers_refilled\": 9", "");
+            .replace(", \"warm_entries\": 2, \"warm_hits\": 1", "");
         let parsed = SweepReport::from_json(&legacy).unwrap();
         assert_eq!(parsed.cache.enum_micros, 0);
         assert_eq!(parsed.cache.warm_entries, 0);
         assert_eq!(parsed.cache.warm_hits, 0);
-        assert_eq!(parsed.cache.cut_attempt_micros, 0);
-        assert_eq!(parsed.cache.registers_refilled, 0);
         assert_eq!(parsed.cache.misses, 5);
+        // So does a report that still carries the counters of the
+        // retired walk flags.
+        let old = r.to_json().replace(
+            "\"warm_hits\": 1}",
+            "\"warm_hits\": 1, \"cut_attempt_micros\": 30, \"registers_refilled\": 9}",
+        );
+        assert_ne!(old, r.to_json());
+        assert_eq!(SweepReport::from_json(&old).unwrap(), r);
     }
 }

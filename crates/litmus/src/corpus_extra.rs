@@ -214,8 +214,8 @@ pub fn r_shape(scope: ThreadScope, fence: Option<FenceScope>) -> LitmusTest {
 /// `reads` back-to-back loads of `x`. The candidate space is
 /// `(writers+1)^reads · writers!` — exponential in the reader length —
 /// but under a coherent model almost all value patterns embed the
-/// forbidden new-then-old pair, so the pruned enumerator
-/// (`EnumConfig::pruning`) collapses the space by orders of magnitude
+/// forbidden new-then-old pair, so the axiomatic engine's verdict walk
+/// cuts the space by orders of magnitude
 /// while the exhaustive stream blows the candidate budget. The weak
 /// condition is the long-distance coRR pattern: the first load sees a
 /// write, the last load sees the initial state.

@@ -43,9 +43,6 @@ use crate::program::{LitmusTest, ValidateError};
 use crate::scope::ScopeTree;
 use crate::value::{Loc, Value};
 
-#[doc(hidden)]
-pub mod legacy;
-
 /// A parse failure, with a human-readable message and (1-based) line number
 /// where available.
 ///
@@ -1295,12 +1292,5 @@ exists (1:r1=1 /\\ 2:r1=0)
         let printed = t.to_string();
         let t2 = parse(&printed).unwrap_or_else(|e| panic!("reparse failed: {e}\n{printed}"));
         assert_eq!(t, t2);
-    }
-
-    #[test]
-    fn agrees_with_legacy_on_sb() {
-        let new = parse(SB).unwrap();
-        let old = legacy::parse(SB).unwrap();
-        assert_eq!(new, old);
     }
 }

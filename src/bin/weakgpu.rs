@@ -7,7 +7,7 @@
 //! weakgpu campaign [NAME|FILE ...] [--chips SHORT,..] [--iterations N] [--seed N] [--parallelism N]
 //! weakgpu sweep [--family small|paper] [--shard K/N] [--out FILE.json] [--chips ..] [..]
 //! weakgpu sweep --merge a.json b.json ... [--out FILE.json]
-//! weakgpu serve [--cache-file FILE.wgc] [--cache-readonly] [--model NAME] [--pruned]
+//! weakgpu serve [--cache-file FILE.wgc] [--cache-readonly] [--model NAME]
 //! weakgpu check <file.litmus> [--model ptx|sc|tso|rmo|operational]
 //! weakgpu check <file ...> [--builtin]
 //! weakgpu show <file.litmus> [--dot]
@@ -41,10 +41,9 @@ const USAGE: &str = "usage:
   weakgpu campaign [NAME|FILE ...] [--chips SHORT[,SHORT...]] [--iterations N] [--seed N] [--parallelism N]
   weakgpu sweep [--family small|paper] [--shard K/N] [--out FILE.json]
                 [--chips SHORT[,SHORT...]] [--iterations N] [--seed N] [--parallelism N]
-                [--pruned] [--batched] [--incremental]
                 [--cache-file FILE.wgc] [--cache-readonly]
   weakgpu sweep --merge FILE.json FILE.json ... [--out FILE.json]
-  weakgpu serve [--cache-file FILE.wgc] [--cache-readonly] [--model NAME] [--pruned]
+  weakgpu serve [--cache-file FILE.wgc] [--cache-readonly] [--model NAME]
   weakgpu check <file.litmus> [--model ptx|sc|tso|rmo|operational]
   weakgpu check <file ...> [--builtin]
   weakgpu show <file.litmus> [--dot]
@@ -61,17 +60,13 @@ of N deterministic, disjoint slices of the family (per-test seeds depend
 only on the test's canonical index, so shards recombine exactly);
 --out FILE.json writes the aggregate report there and streams one JSONL
 record per cell to FILE.jsonl. --merge recombines shard reports, failing
-on a missing shard or any model-forbidden observation. --pruned judges
-cache-miss cells through the rf-class pruned enumerator (bit-identical
-verdicts; the per-cell JSONL records the classes visited and candidates
-cut). --batched additionally packs up to 64 sibling candidates into one
-bit-plane plan pass (composes with --pruned; the JSONL records the
-batches formed and lanes filled). --incremental maintains plan registers
-and cycle detection as push/pop deltas along the walk instead of
-refilling per cut attempt (implies --pruned, composes with --batched;
-the JSONL records the cut-attempt time and register refills).
+on a missing shard or any model-forbidden observation. Each test shape
+is judged once, by a decision-tree walk over its candidate executions
+that cuts subtrees whose verdict is already forced and judges up to 64
+sibling candidates in one bit-plane pass; the per-cell JSONL records the
+classes the walk visited and the candidates its cuts skipped.
 --cache-file FILE.wgc warm-starts the verdict cache from a
-persisted `weakgpu-cache/1` file (created by an earlier sweep or serve)
+persisted `weakgpu-cache/2` file (created by an earlier sweep or serve)
 and writes the updated cache back afterwards; --cache-readonly loads
 without writing back, and fails if the file is missing rather than
 silently running cold. Exit status is non-zero if any observation is
@@ -79,11 +74,10 @@ unsound.
 
 `serve` is a long-running verdict daemon: each stdin line is one JSON
 request ({\"op\": \"verdict\"|\"stats\"|\"shutdown\", \"id\": .., \"test\":
-NAME, \"litmus\": SOURCE, \"model\": NAME, \"pruning\": BOOL}), each
-stdout line the matching JSON response. All requests share one verdict
-cache; --cache-file warm-starts it and persists it on shutdown/EOF
-(unless --cache-readonly). --model picks the default model (ptx);
---pruned judges through the pruned enumerator by default.
+NAME, \"litmus\": SOURCE, \"model\": NAME}), each stdout line the
+matching JSON response. All requests share one verdict cache;
+--cache-file warm-starts it and persists it on shutdown/EOF (unless
+--cache-readonly). --model picks the default model (ptx).
 
 `check` with one .litmus file judges its condition against a model.
 With several files, any .cat file, or --builtin it is a linter instead:
@@ -378,9 +372,6 @@ const SWEEP_FLAGS: &[&str] = &[
     "--iterations",
     "--seed",
     "--parallelism",
-    "--pruned",
-    "--batched",
-    "--incremental",
     "--cache-file",
     "--cache-readonly",
     "--merge",
@@ -420,9 +411,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let parallelism = take_opt(&mut args, "--parallelism")
         .map(|s| s.parse::<usize>().map_err(|e| e.to_string()))
         .transpose()?;
-    let pruning = take_flag(&mut args, "--pruned");
-    let batching = take_flag(&mut args, "--batched");
-    let incremental = take_flag(&mut args, "--incremental");
     let cache_file = take_opt(&mut args, "--cache-file").map(std::path::PathBuf::from);
     let cache_readonly = take_flag(&mut args, "--cache-readonly");
     if let Some(extra) = args.first() {
@@ -437,9 +425,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         iterations,
         seed,
         parallelism,
-        pruning,
-        batching,
-        incremental,
         cache_file,
         cache_readonly,
     };
@@ -539,10 +524,10 @@ fn cmd_sweep_merge(args: Vec<String>) -> Result<(), String> {
 }
 
 /// The flag vocabulary of `serve`, for "did you mean" hints.
-const SERVE_FLAGS: &[&str] = &["--cache-file", "--cache-readonly", "--model", "--pruned"];
+const SERVE_FLAGS: &[&str] = &["--cache-file", "--cache-readonly", "--model"];
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use weakgpu::axiom::cache::VerdictCache;
+    use weakgpu::axiom::cache::{SharedCache, VerdictCache};
     use weakgpu::axiom::persist;
     use weakgpu::harness::serve::{model_by_name as serve_model, serve, ServeConfig};
 
@@ -550,7 +535,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let cache_file = take_opt(&mut args, "--cache-file").map(std::path::PathBuf::from);
     let cache_readonly = take_flag(&mut args, "--cache-readonly");
     let default_model = take_opt(&mut args, "--model").unwrap_or_else(|| "ptx".into());
-    let pruning = take_flag(&mut args, "--pruned");
     if let Some(extra) = args.first() {
         return Err(unexpected_arg("serve", extra, SERVE_FLAGS));
     }
@@ -573,16 +557,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         "serve: ready ({} cached verdicts, default model {default_model}); one JSON request per line",
         initial.len()
     );
-    let cache = Mutex::new(initial);
-    let cfg = ServeConfig {
-        default_model,
-        pruning,
-    };
+    let cache = SharedCache::new(initial);
+    let cfg = ServeConfig { default_model };
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let summary =
         serve(stdin.lock(), stdout.lock(), &cfg, &cache).map_err(|e| format!("serve: {e}"))?;
-    let cache = cache.into_inner().expect("no poisoned locks");
+    let cache = cache.into_inner();
     // Graceful shutdown flushes the cache for the next warm start.
     if let Some(path) = &cache_file {
         if !cache_readonly {

@@ -1,13 +1,12 @@
 //! Integration suite for the shared diagnostics frontend
 //! (`weakgpu::front`): caret diagnostics with `path:line:col`,
-//! multi-error recovery, differential equivalence between the new packrat
-//! parsers and the legacy single-error parsers, printer/parser
-//! round-trips over the corpora and generated families, and no-panic
-//! fuzzing of both grammars.
+//! multi-error recovery, golden parses of every shipped input,
+//! printer/parser round-trips over the corpora and generated families,
+//! and no-panic fuzzing of both grammars.
 
 use proptest::prelude::*;
 
-use weakgpu::axiom::cat::{self, CatProgram};
+use weakgpu::axiom::cat::CatProgram;
 use weakgpu::diy::{generate, GenConfig};
 use weakgpu::front::{render_all, SourceFile};
 use weakgpu::litmus::{corpus, corpus_extra, parser, LitmusTest};
@@ -87,26 +86,88 @@ fn multi_error_files_report_every_problem_in_one_pass() {
     assert!(errors.len() >= 2, "{:?}", parsed.diagnostics);
 }
 
-// ------------------------------------------------ differential suite
+// ------------------------------------------------ golden parses
 
-#[test]
-fn new_litmus_parser_matches_legacy_on_all_corpora() {
+/// The committed parse of every built-in test, every shipped `.litmus`
+/// file and every shipped `.cat` model: one `== kind name` header and
+/// one `Debug` line per input. The file was recorded from the original
+/// single-error parsers before they were retired, so matching it proves
+/// the unified parser still builds the ASTs they built. Regenerate with
+/// `WEAKGPU_BLESS=1 cargo test --test frontend_diagnostics` after an
+/// intended AST change, and review the diff.
+const GOLDEN: &str = "tests/golden/parse.txt";
+
+fn golden_section(kind: &str, name: &str, ast: &dyn std::fmt::Debug, out: &mut String) {
+    out.push_str(&format!("== {kind} {name}\n{ast:?}\n"));
+}
+
+fn golden_litmus() -> String {
     let mut texts = corpus_texts();
-    texts.extend(litmus_files());
+    let mut files: Vec<(String, String)> = litmus_files()
+        .into_iter()
+        .map(|(path, text)| {
+            let file = std::path::Path::new(&path).file_name().unwrap();
+            (format!("litmus/{}", file.to_string_lossy()), text)
+        })
+        .collect();
+    files.sort();
+    texts.extend(files);
+    let mut out = String::new();
     for (name, text) in &texts {
-        let new = parser::parse(text).unwrap_or_else(|e| panic!("{name} (new): {e}"));
-        let old = parser::legacy::parse(text).unwrap_or_else(|e| panic!("{name} (legacy): {e}"));
-        assert_eq!(new, old, "{name}: ASTs diverge");
+        let test = parser::parse(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        golden_section("litmus", name, &test, &mut out);
+    }
+    out
+}
+
+fn golden_cat() -> String {
+    let mut out = String::new();
+    for &(name, src) in sources::ALL {
+        let program = CatProgram::parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        golden_section("cat", name, &program, &mut out);
+    }
+    out
+}
+
+/// Checks the `kind` entries of the golden file against today's
+/// parses, or rewrites the whole file under `WEAKGPU_BLESS=1`.
+fn check_golden(kind: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
+    let got = golden_litmus() + &golden_cat();
+    if std::env::var_os("WEAKGPU_BLESS").is_some() {
+        std::fs::write(&path, &got).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{GOLDEN}: {e}"));
+    let header = format!("== {kind} ");
+    let entries = |text: &str| -> Vec<(String, String)> {
+        let lines: Vec<&str> = text.lines().collect();
+        lines
+            .chunks(2)
+            .filter(|e| e[0].starts_with(&header))
+            .map(|e| (e[0].to_owned(), e.get(1).copied().unwrap_or("").to_owned()))
+            .collect()
+    };
+    let (want, got) = (entries(&want), entries(&got));
+    assert_eq!(
+        want.len(),
+        got.len(),
+        "{GOLDEN}: {kind} entry count differs"
+    );
+    for ((wh, w), (gh, g)) in want.iter().zip(&got) {
+        assert_eq!(wh, gh, "{GOLDEN}: entries out of order");
+        assert_eq!(w, g, "{GOLDEN}: {wh}: parse differs");
     }
 }
 
 #[test]
+fn new_litmus_parser_matches_legacy_on_all_corpora() {
+    check_golden("litmus");
+}
+
+#[test]
 fn new_cat_parser_matches_legacy_on_shipped_models() {
-    for &(name, src) in sources::ALL {
-        let new = CatProgram::parse(src).unwrap_or_else(|e| panic!("{name} (new): {e}"));
-        let old = cat::legacy::parse(src).unwrap_or_else(|e| panic!("{name} (legacy): {e}"));
-        assert_eq!(new, old, "{name}: ASTs diverge");
-    }
+    check_golden("cat");
 }
 
 // ------------------------------------------------ round-trips
@@ -179,11 +240,9 @@ proptest! {
         let _ = CatProgram::parse(&text);
     }
 
-    /// Mutated corpus text never panics the new parser, and whenever the
-    /// new parser accepts a mutation the legacy parser agrees exactly.
-    /// (The direction matters: legacy aborts on some malformed names that
-    /// the new frontend reports as diagnostics, so legacy is only run on
-    /// inputs the new parser accepted.)
+    /// Mutated corpus text never panics the parser, and whenever the
+    /// parser accepts a mutation, printing and re-parsing it gives the
+    /// same test.
     #[test]
     fn mutated_corpus_never_panics_and_stays_equivalent(
         which in 0usize..6,
@@ -199,16 +258,15 @@ proptest! {
         let text = String::from_utf8_lossy(&bytes).into_owned();
         let file = SourceFile::new("<mutated>", &text);
         let _ = parser::parse_with_diagnostics(&file);
-        if let Ok(new) = parser::parse(&text) {
-            let old = parser::legacy::parse(&text);
-            prop_assert!(old.is_ok(), "new accepts, legacy rejects: {:?}\n{text}", old.err());
-            prop_assert_eq!(new, old.unwrap());
+        if let Ok(test) = parser::parse(&text) {
+            let reparsed = parser::parse(&test.to_string());
+            prop_assert!(reparsed.is_ok(), "printed mutation rejects: {:?}\n{text}", reparsed.err());
+            prop_assert_eq!(test, reparsed.unwrap());
         }
     }
 
     /// Same property for the `.cat` grammar: mutations never panic, and
-    /// legacy-accepted mutations parse identically under the new frontend
-    /// (which accepts a superset, so only the legacy-Ok direction holds).
+    /// accepted mutations survive a print/parse round trip unchanged.
     #[test]
     fn mutated_cat_sources_never_panic_and_stay_equivalent(
         which in 0usize..6,
@@ -223,10 +281,10 @@ proptest! {
         let text = String::from_utf8_lossy(&bytes).into_owned();
         let file = SourceFile::new("<mutated>", &text);
         let _ = CatProgram::parse_with_diagnostics(&file);
-        if let Ok(old) = cat::legacy::parse(&text) {
-            let new = CatProgram::parse(&text);
-            prop_assert!(new.is_ok(), "legacy accepts, new rejects: {:?}\n{text}", new.err());
-            prop_assert_eq!(new.unwrap(), old);
+        if let Ok(program) = CatProgram::parse(&text) {
+            let reparsed = CatProgram::parse(&program.to_string());
+            prop_assert!(reparsed.is_ok(), "printed mutation rejects: {:?}\n{text}", reparsed.err());
+            prop_assert_eq!(program, reparsed.unwrap());
         }
     }
 }

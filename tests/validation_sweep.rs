@@ -27,9 +27,6 @@ fn generated_family_observations_are_model_sound() {
         iterations: 1_000,
         seed: 0x7a11,
         parallelism: None,
-        pruning: false,
-        batching: false,
-        incremental: false,
         cache_file: None,
         cache_readonly: false,
     };
@@ -48,11 +45,10 @@ fn generated_family_observations_are_model_sound() {
         "only {} tests showed their weak outcome",
         report.weak_tests
     );
-    // The verdict cache collapsed the four chip columns into (roughly —
-    // racing cells of one test may both enumerate) one enumeration per
-    // test shape.
+    // The verdict cache collapsed the four chip columns into exactly
+    // one judgement per test shape.
     assert_eq!(report.cache.entries as usize, tests.len());
-    assert!(report.cache.misses as usize >= tests.len());
+    assert_eq!(report.cache.misses as usize, tests.len());
     assert_eq!(
         (report.cache.hits + report.cache.misses) as usize,
         tests.len() * 4
@@ -62,11 +58,6 @@ fn generated_family_observations_are_model_sound() {
 #[test]
 fn strong_chip_never_witnesses_any_generated_cycle() {
     let tests = generate(&GenConfig::small());
-    // This sweep judges its cells through the pruned enumerator — the
-    // verdicts are bit-identical to the exhaustive arm (proven by the
-    // differential battery in `crates/axiom/tests/pruning_diff.rs`), so
-    // the soundness claim is unchanged while the integration path gets
-    // exercised end to end.
     let cfg = SweepConfig {
         family: "small".to_owned(),
         shard: None,
@@ -74,9 +65,6 @@ fn strong_chip_never_witnesses_any_generated_cycle() {
         iterations: 800,
         seed: 0x57,
         parallelism: None,
-        pruning: true,
-        batching: false,
-        incremental: false,
         cache_file: None,
         cache_readonly: false,
     };
@@ -100,9 +88,6 @@ fn sharded_validation_recombines_exactly() {
         iterations: 250,
         seed: 0xc1,
         parallelism: None,
-        pruning: false,
-        batching: false,
-        incremental: false,
         cache_file: None,
         cache_readonly: false,
     };
