@@ -2,19 +2,32 @@
 //! paper's unit of measurement, one `obs/100k` number each — scheduled
 //! over a single shared worker pool.
 //!
-//! Where [`run_test`](crate::runner::run_test) spawns a thread scope per
-//! cell, a campaign compiles every distinct `(test, chip)` pair once,
-//! splits each cell into the same machine-independent seed-derived chunks
-//! `run_test` uses (see [`runner::STREAM_CHUNKS`](crate::runner)), and
-//! lets one pool of workers drain the whole chunk queue. Workers keep a
-//! reusable [`MachineState`] per simulator, so iterations are amortised:
-//! no per-run allocation, no per-run `FinalExpr` cloning.
+//! Two units divide a cell's iterations, and only the first is
+//! observable:
 //!
-//! Determinism: each chunk's RNG stream is a pure function of the cell's
-//! seed and the chunk index, and chunk histograms are merged by
-//! commutative addition — so a campaign's reports are bit-identical for a
-//! fixed seed regardless of worker count, scheduling, or host machine,
-//! and identical to running each cell alone through `run_test`.
+//! * **Chunks** fix the histogram. A cell is split into the same
+//!   machine-independent, seed-derived chunks
+//!   [`run_test`](crate::runner::run_test) uses (see
+//!   [`runner::STREAM_CHUNKS`](crate::runner::STREAM_CHUNKS)): each
+//!   chunk's RNG stream is a pure function of the cell's seed and the
+//!   chunk index, and chunk counts merge by commutative addition.
+//! * **Work items** are what the pool schedules, and fix nothing
+//!   observable. An item is the shortest run of consecutive chunks of one
+//!   cell that holds at least 1024 runs, or the rest of the cell: a
+//!   100k-iteration cell is 64 items that workers share, a 40- or
+//!   1000-iteration cell is one. A worker runs an item's chunks into one
+//!   outcome count and converts it to a [`Histogram`] once.
+//!
+//! So a campaign's reports are bit-identical for a fixed seed regardless
+//! of worker count, scheduling, or host machine, and identical to running
+//! each cell alone through `run_test`.
+//!
+//! Nothing is materialised ahead of the workers or kept behind them. Each
+//! distinct `(test, chip)` simulator is compiled on the worker that first
+//! claims one of its items and freed when its last item completes; a
+//! worker keeps one [`MachineState`], refitted in place as it moves
+//! between simulators, so runs allocate nothing; and each finished cell's
+//! [`TestReport`] is handed to the caller by value.
 //!
 //! Progress callbacks run on the worker threads. A callback that judges
 //! cells against an axiomatic model (as the sweep's does) should keep
@@ -37,17 +50,24 @@
 //! ```
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use weakgpu_litmus::{LitmusTest, ThreadScope};
-use weakgpu_sim::chip::{Chip, Incantations, RunWeights};
+use weakgpu_sim::chip::{Chip, Incantations};
 use weakgpu_sim::machine::{MachineState, ObsCounts, Simulator};
 
 use crate::histogram::Histogram;
 use crate::runner::{chunk_seed, chunk_sizes, HarnessError, RunConfig, TestReport};
+
+/// Fewest runs a work item holds unless it is the rest of its cell:
+/// enough to amortise the per-item claim, seeding and histogram merge,
+/// small enough that a 100k-iteration cell still splits into one item
+/// per chunk.
+const ITEM_RUNS: usize = 1024;
 
 /// The paper's "most effective incantations" for a test's placement:
 /// the best inter-CTA column for inter-CTA tests, everything on for
@@ -121,6 +141,16 @@ impl CellSpec {
         self.seed = seed;
         self
     }
+
+    fn cell(&self) -> Cell<'_> {
+        Cell {
+            test: &self.test,
+            chip: self.chip,
+            incantations: self.incantations,
+            iterations: self.iterations,
+            seed: self.seed,
+        }
+    }
 }
 
 /// Campaign-wide knobs.
@@ -140,17 +170,36 @@ impl CampaignConfig {
     }
 }
 
-/// A chunk of one cell's iterations: the scheduling unit of the pool.
-struct WorkItem {
-    cell: usize,
-    len: usize,
-    seed: u64,
+/// A cell as the engine reads it. The test is borrowed, so a caller that
+/// derives its cells from a test family (the sweep) runs them without
+/// cloning a test per cell.
+#[derive(Clone, Copy)]
+pub(crate) struct Cell<'a> {
+    pub(crate) test: &'a LitmusTest,
+    pub(crate) chip: Chip,
+    pub(crate) incantations: Incantations,
+    pub(crate) iterations: usize,
+    pub(crate) seed: u64,
 }
 
-/// Per-cell accumulation shared between workers.
+/// The scheduling unit of the pool: consecutive chunks of one cell.
+struct WorkItem {
+    cell: usize,
+    sim: usize,
+    chunks: Range<usize>,
+}
+
+/// One distinct `(test, chip)` simulator, compiled while some item still
+/// needs it.
+struct SimSlot {
+    sim: Option<Arc<Simulator>>,
+    items_left: usize,
+}
+
+/// A cell's histogram so far.
 struct CellAcc {
-    histogram: Mutex<Histogram>,
-    remaining: AtomicUsize,
+    histogram: Histogram,
+    items_left: usize,
 }
 
 /// Runs every cell and returns one [`TestReport`] per cell, in cell
@@ -159,94 +208,176 @@ struct CellAcc {
 ///
 /// # Errors
 ///
-/// Returns the first compile or run error encountered; remaining work is
-/// abandoned.
+/// See [`run_campaign_with`].
 pub fn run_campaign(
     cells: &[CellSpec],
     cfg: &CampaignConfig,
 ) -> Result<Vec<TestReport>, HarnessError> {
-    run_campaign_with(cells, cfg, |_, _| {})
+    let reports = Mutex::new(vec![None; cells.len()]);
+    run_campaign_with(cells, cfg, |ci, report| {
+        reports.lock().expect("no poisoned locks")[ci] = Some(report);
+        Ok(())
+    })?;
+    Ok(reports
+        .into_inner()
+        .expect("no poisoned locks")
+        .into_iter()
+        .map(|r| r.expect("every cell completed"))
+        .collect())
 }
 
-/// Like [`run_campaign`], additionally invoking `progress(cell_index,
-/// report)` as each cell completes — cells finish out of order, so the
-/// callback must be thread-safe. The callback sees each cell exactly
-/// once, before the final result vector is assembled.
+/// Runs every cell, handing each cell's report to `on_cell(cell_index,
+/// report)` as the cell completes. Cells finish out of order on the
+/// worker threads, so the callback must be thread-safe; it sees each cell
+/// exactly once, and the engine keeps nothing of a cell after it.
 ///
 /// # Errors
 ///
-/// See [`run_campaign`].
+/// Returns the error of the lowest failing cell, in cell order and at
+/// any parallelism: a compile or run error, or an error the callback
+/// returned. Remaining work is abandoned.
 pub fn run_campaign_with<F>(
     cells: &[CellSpec],
     cfg: &CampaignConfig,
-    progress: F,
-) -> Result<Vec<TestReport>, HarnessError>
+    on_cell: F,
+) -> Result<(), HarnessError>
 where
-    F: Fn(usize, &TestReport) + Sync,
+    F: Fn(usize, TestReport) -> Result<(), HarnessError> + Sync,
 {
-    // Compile each distinct (test, chip) pair once. Cells referencing the
-    // same pair (e.g. the same test at several incantation columns) share
-    // one Simulator. Buckets are keyed by (name, chip) for O(cells)
-    // lookup, with a structural-equality check inside the bucket so two
-    // different tests that happen to share a name never share a sim.
-    let mut sims: Vec<Simulator> = Vec::new();
-    let mut sim_rep: Vec<usize> = Vec::new(); // cell that compiled sims[i]
+    run_cells(cells.len(), |ci| cells[ci].cell(), cfg, on_cell)
+}
+
+/// The engine behind [`run_campaign_with`], over the `n` cells
+/// `cell_at(0..n)` and any error type a compile or run error converts
+/// into.
+pub(crate) fn run_cells<'a, C, F, E>(
+    n: usize,
+    cell_at: C,
+    cfg: &CampaignConfig,
+    on_cell: F,
+) -> Result<(), E>
+where
+    C: Fn(usize) -> Cell<'a> + Sync,
+    F: Fn(usize, TestReport) -> Result<(), E> + Sync,
+    E: From<HarnessError> + Send,
+{
+    // Plan the items, cell-major, and give each distinct (test, chip)
+    // pair one simulator slot. Cells referencing the same pair (e.g. the
+    // same test at several incantation columns) share it. Buckets are
+    // keyed by (name, chip) for O(cells) lookup, with a structural
+    // equality check inside the bucket so two different tests that
+    // happen to share a name never share a simulator.
+    let mut items: Vec<WorkItem> = Vec::new();
+    let mut accs: Vec<Mutex<CellAcc>> = Vec::with_capacity(n);
+    let mut slots: Vec<Mutex<SimSlot>> = Vec::new();
+    let mut slot_rep: Vec<&LitmusTest> = Vec::new();
     let mut by_key: HashMap<(&str, Chip), Vec<usize>> = HashMap::new();
-    let mut sim_of_cell: Vec<usize> = Vec::with_capacity(cells.len());
-    for (i, cell) in cells.iter().enumerate() {
+    for ci in 0..n {
+        let cell = cell_at(ci);
         let bucket = by_key.entry((cell.test.name(), cell.chip)).or_default();
-        let idx = match bucket
-            .iter()
-            .copied()
-            .find(|&s| cells[sim_rep[s]].test == cell.test)
-        {
+        let sim = match bucket.iter().copied().find(|&s| *slot_rep[s] == *cell.test) {
             Some(s) => s,
             None => {
-                sims.push(Simulator::compile(&cell.test, cell.chip)?);
-                sim_rep.push(i);
-                bucket.push(sims.len() - 1);
-                sims.len() - 1
+                slots.push(Mutex::new(SimSlot {
+                    sim: None,
+                    items_left: 0,
+                }));
+                slot_rep.push(cell.test);
+                bucket.push(slots.len() - 1);
+                slots.len() - 1
             }
         };
-        sim_of_cell.push(idx);
-    }
-    let weights: Vec<RunWeights> = cells
-        .iter()
-        .map(|c| c.chip.profile().weights(&c.incantations))
-        .collect();
-
-    // Flatten every cell into seed-derived chunks (cell-major, so a
-    // worker's cached MachineState stays hot across consecutive items).
-    let mut items: Vec<WorkItem> = Vec::new();
-    let accs: Vec<CellAcc> = cells
-        .iter()
-        .enumerate()
-        .map(|(ci, cell)| {
-            let sizes = chunk_sizes(cell.iterations);
-            for (k, len) in sizes.iter().copied().enumerate() {
+        let first = items.len();
+        let (mut start, mut runs, mut end) = (0, 0, 0);
+        for len in chunk_sizes(cell.iterations) {
+            (runs, end) = (runs + len, end + 1);
+            if runs >= ITEM_RUNS {
                 items.push(WorkItem {
                     cell: ci,
-                    len,
-                    seed: chunk_seed(cell.seed, k),
+                    sim,
+                    chunks: start..end,
                 });
+                (start, runs) = (end, 0);
             }
-            CellAcc {
-                histogram: Mutex::new(Histogram::new()),
-                remaining: AtomicUsize::new(sizes.len()),
-            }
-        })
-        .collect();
-
-    let results: Vec<Mutex<Option<TestReport>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-
-    // Zero-iteration cells have no chunks; complete them up front.
-    for (ci, cell) in cells.iter().enumerate() {
-        if cell.iterations == 0 {
-            let report = finish_cell(cell, Histogram::new());
-            progress(ci, &report);
-            *results[ci].lock().expect("no poisoned locks") = Some(report);
         }
+        // The rest of the cell; a zero-iteration cell is one empty item,
+        // so it completes (and compiles) like any other.
+        if start < end || end == 0 {
+            items.push(WorkItem {
+                cell: ci,
+                sim,
+                chunks: start..end,
+            });
+        }
+        let cell_items = items.len() - first;
+        slots[sim].get_mut().expect("no poisoned locks").items_left += cell_items;
+        accs.push(Mutex::new(CellAcc {
+            histogram: Histogram::new(),
+            items_left: cell_items,
+        }));
     }
+    drop(by_key);
+
+    // Runs one item and, if it completes its cell, reports the cell.
+    let run_item = |item: &WorkItem,
+                    state: &mut Option<MachineState>,
+                    counts: &mut ObsCounts|
+     -> Result<(), E> {
+        let cell = cell_at(item.cell);
+        let slot = &slots[item.sim];
+        let sim = {
+            let mut slot = slot.lock().expect("no poisoned locks");
+            match &slot.sim {
+                Some(sim) => Arc::clone(sim),
+                None => {
+                    let sim = Simulator::compile(cell.test, cell.chip)
+                        .map_err(|e| E::from(HarnessError::Compile(e)))?;
+                    Arc::clone(slot.sim.insert(Arc::new(sim)))
+                }
+            }
+        };
+        let st = state.get_or_insert_with(|| sim.new_state());
+        sim.fit_state(st);
+        let weights = cell.chip.profile().weights(&cell.incantations);
+        counts.clear();
+        let chunks = chunk_sizes(cell.iterations).enumerate();
+        for (k, len) in chunks.take(item.chunks.end).skip(item.chunks.start) {
+            let mut rng = SmallRng::seed_from_u64(chunk_seed(cell.seed, k));
+            sim.run_batch(
+                len,
+                &weights,
+                cell.incantations.thread_rand,
+                &mut rng,
+                st,
+                counts,
+            )
+            .map_err(|e| E::from(HarnessError::Run(e)))?;
+        }
+        let mut histogram = Histogram::new();
+        for (obs, n) in counts.iter() {
+            histogram.add(sim.outcome_from_obs(obs), n);
+        }
+        // The last item of a simulator frees it.
+        drop(sim);
+        {
+            let mut slot = slot.lock().expect("no poisoned locks");
+            slot.items_left -= 1;
+            if slot.items_left == 0 {
+                slot.sim = None;
+            }
+        }
+
+        let finished = {
+            let mut acc = accs[item.cell].lock().expect("no poisoned locks");
+            acc.histogram.merge(histogram);
+            acc.items_left -= 1;
+            (acc.items_left == 0).then(|| std::mem::take(&mut acc.histogram))
+        };
+        match finished {
+            Some(histogram) => on_cell(item.cell, finish_cell(cell, histogram)),
+            None => Ok(()),
+        }
+    };
 
     let workers = cfg
         .parallelism
@@ -255,84 +386,46 @@ where
                 .map(|n| n.get())
                 .unwrap_or(1)
         })
-        .max(1)
-        .min(items.len().max(1));
+        .clamp(1, items.len().max(1));
 
     let cursor = AtomicUsize::new(0);
+    // Publishes nothing: the error itself is under its mutex.
     let abort = AtomicBool::new(false);
-    let error: Mutex<Option<HarnessError>> = Mutex::new(None);
+    let error: Mutex<Option<(usize, E)>> = Mutex::new(None);
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                // The worker's reusable run state, tagged with the
-                // simulator it was sized for. Chunks are cell-major, so
-                // this almost always hits.
-                let mut cached: Option<(usize, MachineState)> = None;
+                let mut state = None;
                 let mut counts = ObsCounts::new();
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
+                // Abort is honoured only before claiming: a claimed item
+                // is always compiled and run to its end. Items are
+                // claimed in order, so when an item fails every lower
+                // item has been claimed and will finish, and the lowest
+                // failure is the same at any parallelism.
+                while !abort.load(Ordering::Relaxed) {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(item) = items.get(i) else { break };
-                    let cell = &cells[item.cell];
-                    let si = sim_of_cell[item.cell];
-                    let sim = &sims[si];
-                    if !matches!(&cached, Some((idx, _)) if *idx == si) {
-                        cached = Some((si, sim.new_state()));
-                    }
-                    let (_, state) = cached.as_mut().expect("just ensured");
-
-                    let mut rng = SmallRng::seed_from_u64(item.seed);
-                    counts.clear();
-                    if let Err(e) = sim.run_batch(
-                        item.len,
-                        &weights[item.cell],
-                        cell.incantations.thread_rand,
-                        &mut rng,
-                        state,
-                        &mut counts,
-                    ) {
+                    if let Err(e) = run_item(item, &mut state, &mut counts) {
                         let mut slot = error.lock().expect("no poisoned locks");
-                        slot.get_or_insert(HarnessError::Run(e));
+                        if slot.as_ref().is_none_or(|(j, _)| i < *j) {
+                            *slot = Some((i, e));
+                        }
                         abort.store(true, Ordering::Relaxed);
                         break;
-                    }
-
-                    let acc = &accs[item.cell];
-                    {
-                        let mut h = acc.histogram.lock().expect("no poisoned locks");
-                        for (obs, n) in counts.iter() {
-                            h.add(sim.outcome_from_obs(obs), n);
-                        }
-                    }
-                    if acc.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                        let histogram =
-                            std::mem::take(&mut *acc.histogram.lock().expect("no poisoned locks"));
-                        let report = finish_cell(cell, histogram);
-                        progress(item.cell, &report);
-                        *results[item.cell].lock().expect("no poisoned locks") = Some(report);
                     }
                 }
             });
         }
     });
 
-    if let Some(e) = error.into_inner().expect("no poisoned locks") {
-        return Err(e);
+    match error.into_inner().expect("no poisoned locks") {
+        Some((_, e)) => Err(e),
+        None => Ok(()),
     }
-    Ok(results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("no poisoned locks")
-                .expect("every cell completed")
-        })
-        .collect())
 }
 
-fn finish_cell(cell: &CellSpec, histogram: Histogram) -> TestReport {
+fn finish_cell(cell: Cell<'_>, histogram: Histogram) -> TestReport {
     let witnesses = histogram.witnesses(cell.test.cond());
     TestReport {
         test: cell.test.name().to_owned(),

@@ -5,10 +5,11 @@
 //!
 //! A run's iterations are split into [`STREAM_CHUNKS`] logical chunks
 //! whose RNG streams derive purely from the base seed and the chunk
-//! index. Worker threads pick chunks up in any order, and chunk
-//! histograms merge commutatively — so the full histogram is a pure
-//! function of `(test, chip, incantations, iterations, seed)`:
-//! bit-identical on any machine, at any `parallelism` setting.
+//! index. Worker threads run groups of chunks (work items, see
+//! [`crate::campaign`]) in any order, and chunk counts merge
+//! commutatively — so the full histogram is a pure function of
+//! `(test, chip, incantations, iterations, seed)`: bit-identical on any
+//! machine, at any `parallelism` setting.
 
 use std::fmt;
 
@@ -29,14 +30,13 @@ pub const STREAM_CHUNKS: usize = 64;
 /// The per-chunk iteration counts for a run of `iterations`: at most
 /// [`STREAM_CHUNKS`] chunks, sizes differing by at most one, depending
 /// only on `iterations`.
-pub(crate) fn chunk_sizes(iterations: usize) -> Vec<usize> {
+pub(crate) fn chunk_sizes(iterations: usize) -> impl Iterator<Item = usize> {
     let n = iterations.min(STREAM_CHUNKS);
-    if n == 0 {
-        return Vec::new();
-    }
-    let base = iterations / n;
-    let rem = iterations % n;
-    (0..n).map(|i| base + usize::from(i < rem)).collect()
+    let (base, rem) = match n {
+        0 => (0, 0),
+        n => (iterations / n, iterations % n),
+    };
+    (0..n).map(move |i| base + usize::from(i < rem))
 }
 
 /// The RNG seed of logical chunk `idx` for base seed `seed` (a golden-ratio
@@ -152,9 +152,10 @@ impl TestReport {
 /// outcomes.
 ///
 /// A single-cell campaign (see [`crate::campaign`]): the iterations are
-/// split into [`STREAM_CHUNKS`] seed-derived logical chunks drained by a
-/// worker pool, so the histogram is bit-identical for a fixed seed on any
-/// machine and at any `parallelism`.
+/// split into [`STREAM_CHUNKS`] seed-derived logical chunks, grouped into
+/// work items that a worker pool drains, so the histogram is
+/// bit-identical for a fixed seed on any machine and at any
+/// `parallelism`.
 ///
 /// # Errors
 ///
@@ -244,7 +245,7 @@ mod tests {
     #[test]
     fn chunk_sizes_partition_iterations() {
         for iterations in [0usize, 1, 7, 63, 64, 65, 1000, 100_000] {
-            let sizes = chunk_sizes(iterations);
+            let sizes: Vec<usize> = chunk_sizes(iterations).collect();
             assert_eq!(sizes.iter().sum::<usize>(), iterations);
             assert!(sizes.len() <= STREAM_CHUNKS);
             if iterations > 0 {

@@ -39,7 +39,7 @@ use weakgpu_litmus::LitmusTest;
 use weakgpu_models::ptx_model;
 use weakgpu_sim::chip::Chip;
 
-use crate::campaign::{default_incantations, run_campaign_with, CampaignConfig, CellSpec};
+use crate::campaign::{default_incantations, run_cells, CampaignConfig, Cell};
 use crate::json::{self, Json};
 use crate::runner::HarnessError;
 
@@ -191,8 +191,12 @@ pub struct CellRecord {
     pub distinct: usize,
     /// Observed outcomes the model forbids (rendered; empty = sound).
     pub unsound: Vec<String>,
-    /// Cumulative verdict-cache hits at the moment this cell completed
-    /// (bookkeeping, not semantic: depends on completion order).
+    /// Cumulative verdict-cache hits at the moment this cell completed.
+    ///
+    /// This field and the four after it are bookkeeping, not results:
+    /// they depend on completion order (which cell of a shape completes
+    /// first and judges it), so they legitimately differ between runs at
+    /// different `--parallelism`, and between runs at the same one.
     pub cache_hits: u64,
     /// Cumulative verdict-cache misses at the moment this cell
     /// completed.
@@ -729,7 +733,9 @@ pub fn run_sweep(family: &[LitmusTest], cfg: &SweepConfig) -> Result<SweepReport
 ///
 /// # Errors
 ///
-/// Returns the first configuration, compile/run, or enumeration error.
+/// Returns a configuration error, or else the compile, run or
+/// enumeration error of the lowest failing cell (see
+/// [`run_campaign_with`](crate::campaign::run_campaign_with)).
 pub fn run_sweep_with<F>(
     family: &[LitmusTest],
     cfg: &SweepConfig,
@@ -759,19 +765,6 @@ where
         .collect();
 
     let num_chips = cfg.chips.len();
-    let mut cells = Vec::with_capacity(selected.len() * num_chips);
-    for &(i, test) in &selected {
-        let inc = default_incantations(test);
-        for &chip in &cfg.chips {
-            cells.push(
-                CellSpec::new(test.clone(), chip)
-                    .incantations(inc)
-                    .iterations(cfg.iterations)
-                    .seed(cfg.seed ^ (i as u64)),
-            );
-        }
-    }
-
     let model = ptx_model();
     let enum_cfg = EnumConfig::default();
     let initial_cache = match &cfg.cache_file {
@@ -787,15 +780,42 @@ where
         _ => VerdictCache::new(),
     };
     let cache = SharedCache::new(initial_cache);
-    let enum_err: Mutex<Option<(String, EnumError)>> = Mutex::new(None);
-    let records: Vec<Mutex<Option<CellRecord>>> = cells.iter().map(|_| Mutex::new(None)).collect();
+    let tally = Mutex::new(Tally {
+        per_chip: cfg
+            .chips
+            .iter()
+            .map(|c| ChipTotals {
+                chip: c.short().to_owned(),
+                cells: 0,
+                runs: 0,
+                witnessed_cells: 0,
+                witnesses: 0,
+                unsound_cells: 0,
+            })
+            .collect(),
+        weak: vec![false; selected.len()],
+        unsound: Vec::new(),
+        enum_micros: 0,
+    });
 
-    run_campaign_with(
-        &cells,
+    // Cell `ci` is test `ci / num_chips` of the selection on chip
+    // `ci % num_chips` (test-major); cells borrow the family's tests.
+    run_cells(
+        selected.len() * num_chips,
+        |ci| {
+            let (gi, test) = selected[ci / num_chips];
+            Cell {
+                test,
+                chip: cfg.chips[ci % num_chips],
+                incantations: default_incantations(test),
+                iterations: cfg.iterations,
+                seed: cfg.seed ^ (gi as u64),
+            }
+        },
         &CampaignConfig {
             parallelism: cfg.parallelism,
         },
-        |ci, report| {
+        |ci, report| -> Result<(), SweepError> {
             let (gi, test) = selected[ci / num_chips];
             // Each campaign worker thread keeps its own evaluation
             // context, so every miss it judges reuses one relation arena
@@ -816,16 +836,7 @@ where
                     verdict
                 })
             });
-            let lookup = match lookup {
-                Ok(lookup) => lookup,
-                Err(e) => {
-                    enum_err
-                        .lock()
-                        .expect("no poisoned locks")
-                        .get_or_insert((test.name().to_owned(), e));
-                    return;
-                }
-            };
+            let lookup = lookup.map_err(|e| SweepError::Enum(test.name().to_owned(), e))?;
             let verdict = lookup.verdict;
             let unsound: Vec<String> = report
                 .histogram
@@ -848,67 +859,22 @@ where
                 candidates_pruned: stats.candidates_pruned,
             };
             on_cell(&record);
-            *records[ci].lock().expect("no poisoned locks") = Some(record);
+            tally
+                .lock()
+                .expect("no poisoned locks")
+                .add(ci, num_chips, record);
+            Ok(())
         },
     )?;
-    if let Some((test, e)) = enum_err.into_inner().expect("no poisoned locks") {
-        return Err(SweepError::Enum(test, e));
-    }
 
-    let records: Vec<CellRecord> = records
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("no poisoned locks")
-                .expect("every cell produced a record")
-        })
-        .collect();
-
-    let mut per_chip: Vec<ChipTotals> = cfg
-        .chips
-        .iter()
-        .map(|c| ChipTotals {
-            chip: c.short().to_owned(),
-            cells: 0,
-            runs: 0,
-            witnessed_cells: 0,
-            witnesses: 0,
-            unsound_cells: 0,
-        })
-        .collect();
-    let mut unsound = Vec::new();
-    let mut weak_tests = 0u64;
-    let mut witnessed_cells = 0u64;
-    let mut total_runs = 0u64;
-    let mut total_witnesses = 0u64;
-    for chunk in records.chunks(num_chips) {
-        if chunk.iter().any(|r| r.witnesses > 0) {
-            weak_tests += 1;
-        }
-        for (r, totals) in chunk.iter().zip(per_chip.iter_mut()) {
-            debug_assert_eq!(r.chip, totals.chip);
-            totals.cells += 1;
-            totals.runs += r.runs;
-            totals.witnesses += r.witnesses;
-            total_runs += r.runs;
-            total_witnesses += r.witnesses;
-            if r.witnesses > 0 {
-                totals.witnessed_cells += 1;
-                witnessed_cells += 1;
-            }
-            if !r.unsound.is_empty() {
-                totals.unsound_cells += 1;
-                unsound.push(UnsoundCell {
-                    index: r.index,
-                    test: r.test.clone(),
-                    chip: r.chip.clone(),
-                    outcomes: r.unsound.clone(),
-                });
-            }
-        }
-    }
-
-    let enum_micros: u64 = records.iter().map(|r| r.enum_micros).sum();
+    let Tally {
+        per_chip,
+        weak,
+        mut unsound,
+        enum_micros,
+    } = tally.into_inner().expect("no poisoned locks");
+    unsound.sort_unstable_by_key(|(ci, _)| *ci);
+    let unsound: Vec<UnsoundCell> = unsound.into_iter().map(|(_, u)| u).collect();
     let cache = cache.into_inner();
     if let Some(path) = &cfg.cache_file {
         if !cfg.cache_readonly {
@@ -923,11 +889,11 @@ where
         iterations: cfg.iterations as u64,
         chips: cfg.chips.iter().map(|c| c.short().to_owned()).collect(),
         tests_run: selected.len() as u64,
-        weak_tests,
-        cells: records.len() as u64,
-        witnessed_cells,
-        total_runs,
-        total_witnesses,
+        weak_tests: weak.iter().filter(|&&w| w).count() as u64,
+        cells: per_chip.iter().map(|c| c.cells).sum(),
+        witnessed_cells: per_chip.iter().map(|c| c.witnessed_cells).sum(),
+        total_runs: per_chip.iter().map(|c| c.runs).sum(),
+        total_witnesses: per_chip.iter().map(|c| c.witnesses).sum(),
         unsound_cells: unsound.len() as u64,
         unsound,
         per_chip,
@@ -940,6 +906,47 @@ where
             warm_hits: cache.warm_hits(),
         },
     })
+}
+
+/// The aggregate of the cells completed so far. Each cell's record is
+/// folded in as it completes and then dropped.
+struct Tally {
+    /// Per-chip totals, in chip column order.
+    per_chip: Vec<ChipTotals>,
+    /// Whether each selected test witnessed its condition on some chip.
+    weak: Vec<bool>,
+    /// Unsound cells tagged with their cell index (canonical order once
+    /// sorted).
+    unsound: Vec<(usize, UnsoundCell)>,
+    /// Summed miss-path enumeration time.
+    enum_micros: u64,
+}
+
+impl Tally {
+    fn add(&mut self, ci: usize, num_chips: usize, record: CellRecord) {
+        let totals = &mut self.per_chip[ci % num_chips];
+        debug_assert_eq!(record.chip, totals.chip);
+        totals.cells += 1;
+        totals.runs += record.runs;
+        totals.witnesses += record.witnesses;
+        if record.witnesses > 0 {
+            totals.witnessed_cells += 1;
+            self.weak[ci / num_chips] = true;
+        }
+        if !record.unsound.is_empty() {
+            totals.unsound_cells += 1;
+            self.unsound.push((
+                ci,
+                UnsoundCell {
+                    index: record.index,
+                    test: record.test,
+                    chip: record.chip,
+                    outcomes: record.unsound,
+                },
+            ));
+        }
+        self.enum_micros += record.enum_micros;
+    }
 }
 
 #[cfg(test)]

@@ -1,15 +1,26 @@
 //! Integration tests for the campaign engine and the harness's
 //! machine-independence guarantee: for a fixed seed, histograms are a
 //! pure function of the cell spec — independent of worker count, host
-//! core count, and whether cells run alone or batched in a campaign.
+//! core count, and whether cells run alone or batched in a campaign —
+//! and equal to an independent record of them (a golden file and a
+//! chunk-by-chunk oracle).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use weakgpu_harness::campaign::{run_campaign, run_campaign_with, CampaignConfig, CellSpec};
-use weakgpu_harness::runner::{run_test, RunConfig};
-use weakgpu_litmus::{corpus, LitmusTest, ThreadScope};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use weakgpu_diy::{generate, GenConfig};
+use weakgpu_harness::campaign::{
+    default_incantations, run_campaign, run_campaign_with, CampaignConfig, CellSpec,
+};
+use weakgpu_harness::runner::{run_test, HarnessError, RunConfig, TestReport};
+use weakgpu_harness::{Histogram, STREAM_CHUNKS};
+use weakgpu_litmus::build::{ld, st};
+use weakgpu_litmus::{corpus, LitmusTest, Predicate, ThreadScope};
 use weakgpu_sim::chip::{Chip, Incantations};
+use weakgpu_sim::machine::{ObsCounts, Simulator};
+use weakgpu_sim::program::CompileError;
 
 fn config(parallelism: Option<usize>) -> RunConfig {
     RunConfig {
@@ -103,9 +114,10 @@ fn progress_streams_each_cell_exactly_once() {
         .collect();
     let seen = Mutex::new(Vec::new());
     let calls = AtomicUsize::new(0);
-    let reports = run_campaign_with(&cells, &CampaignConfig::default(), |idx, report| {
+    run_campaign_with(&cells, &CampaignConfig::default(), |idx, report| {
         calls.fetch_add(1, Ordering::Relaxed);
         seen.lock().unwrap().push((idx, report.histogram.total()));
+        Ok(())
     })
     .unwrap();
     assert_eq!(calls.load(Ordering::Relaxed), cells.len());
@@ -113,7 +125,31 @@ fn progress_streams_each_cell_exactly_once() {
     seen.sort_unstable();
     let expected: Vec<(usize, u64)> = (0..cells.len()).map(|i| (i, 500)).collect();
     assert_eq!(seen, expected);
-    assert_eq!(reports.len(), cells.len());
+}
+
+#[test]
+fn lowest_callback_error_wins_at_any_parallelism() {
+    // A callback error aborts the campaign like a compile error; the
+    // payload carries the failing cell's index.
+    let cells: Vec<CellSpec> = (0..6)
+        .map(|i| {
+            CellSpec::new(corpus::corr(), Chip::GtxTitan)
+                .iterations(40)
+                .seed(i)
+        })
+        .collect();
+    let refusal =
+        |ci: usize| HarnessError::Compile(CompileError::UnknownObservedReg(ci, "r".into()));
+    for par in [1, 4] {
+        let got = run_campaign_with(&cells, &CampaignConfig::with_parallelism(par), |ci, _| {
+            if ci >= 2 {
+                Err(refusal(ci))
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(got, Err(refusal(2)), "parallelism {par}");
+    }
 }
 
 #[test]
@@ -142,4 +178,166 @@ fn shared_simulator_cache_keeps_cells_independent() {
     let reports = run_campaign(&[weak, strong], &CampaignConfig::default()).unwrap();
     assert!(reports[0].witnesses > 0, "incantations must provoke mp");
     assert_eq!(reports[1].witnesses, 0, "no incantations, no weakness");
+}
+
+/// The RNG-stream contract, restated independently of the engine:
+/// `min(iterations, STREAM_CHUNKS)` chunks whose sizes differ by at most
+/// one (the larger ones first), chunk `k` seeded with
+/// `seed + 0x9e37_79b9_7f4a_7c15 * (k + 1)` and run one after another
+/// through `Simulator::run_batch`.
+fn chunk_by_chunk_oracle(cell: &CellSpec) -> Histogram {
+    let sim = Simulator::compile(&cell.test, cell.chip).unwrap();
+    let weights = cell.chip.profile().weights(&cell.incantations);
+    let mut state = sim.new_state();
+    let mut counts = ObsCounts::new();
+    let n = cell.iterations.min(STREAM_CHUNKS);
+    for k in 0..n {
+        let len = cell.iterations / n + usize::from(k < cell.iterations % n);
+        let seed = cell
+            .seed
+            .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(k as u64 + 1));
+        let mut rng = SmallRng::seed_from_u64(seed);
+        sim.run_batch(
+            len,
+            &weights,
+            cell.incantations.thread_rand,
+            &mut rng,
+            &mut state,
+            &mut counts,
+        )
+        .unwrap();
+    }
+    let mut histogram = Histogram::new();
+    for (obs, n) in counts.iter() {
+        histogram.add(sim.outcome_from_obs(obs), n);
+    }
+    histogram
+}
+
+#[test]
+fn campaign_matches_chunk_by_chunk_oracle() {
+    // Around the chunk-count boundary (63/64/65 runs: fewer runs than
+    // chunks, one run each, one chunk of two) and across the work-item
+    // boundary (2049 runs: two items of 32 chunks).
+    for iterations in [1, 63, 64, 65, 2049] {
+        let cell = CellSpec::new(corpus::mp(ThreadScope::InterCta, None), Chip::GtxTitan)
+            .incantations(Incantations::best_inter_cta())
+            .iterations(iterations)
+            .seed(0xc0ffee);
+        let want = chunk_by_chunk_oracle(&cell);
+        assert_eq!(want.total(), iterations as u64);
+        for par in [1, 3] {
+            let got = run_campaign(
+                std::slice::from_ref(&cell),
+                &CampaignConfig::with_parallelism(par),
+            )
+            .unwrap();
+            assert_eq!(
+                got[0].histogram, want,
+                "{iterations} iterations at parallelism {par}"
+            );
+        }
+    }
+}
+
+/// `corr` with its condition on a register thread 1 never writes, which
+/// builds but does not compile.
+fn uncompilable(reg: &str) -> LitmusTest {
+    LitmusTest::builder(format!("coRR-bad-{reg}"))
+        .global("x", 0)
+        .thread([st("x", 1)])
+        .thread([ld("r1", "x"), ld("r2", "x")])
+        .exists(Predicate::reg_eq(1, reg, 1))
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn lowest_compile_error_wins_at_any_parallelism() {
+    // Simulators compile lazily on the workers, yet the reported error
+    // is the first failing cell in cell order, as when everything
+    // compiled up front.
+    let mut cells: Vec<CellSpec> = (0..12)
+        .map(|i| {
+            CellSpec::new(corpus::sb(ThreadScope::InterCta, None), Chip::GtxTitan)
+                .iterations(2_500)
+                .seed(i)
+        })
+        .collect();
+    cells[5] = CellSpec::new(uncompilable("r8"), Chip::GtxTitan).iterations(2_500);
+    cells[9] = CellSpec::new(uncompilable("r9"), Chip::Gtx280).iterations(10);
+    let want = HarnessError::Compile(CompileError::UnknownObservedReg(1, "r8".into()));
+    for par in [1, 4] {
+        let got = run_campaign(&cells, &CampaignConfig::with_parallelism(par));
+        assert_eq!(got, Err(want.clone()), "parallelism {par}");
+    }
+}
+
+// ------------------------------------------------ golden histograms
+
+/// Every per-cell histogram of the `small` family (one cell per test ×
+/// tabled Nvidia chip, 40 iterations, the sweep's cell seeds for base
+/// seed 1), recorded from the campaign engine that split every cell
+/// into one work item per RNG chunk. Matching it pins the chunk-seed
+/// contract to an independent record, not to another path through the
+/// same engine. Regenerate with
+/// `WEAKGPU_BLESS=1 cargo test -p weakgpu-harness --test campaign` only
+/// after an intended change to the simulator or the seeding, and review
+/// the diff.
+const GOLDEN: &str = "../../tests/golden/campaign_small.txt";
+
+fn small_family_cells() -> Vec<CellSpec> {
+    let family = generate(&GenConfig::small());
+    family
+        .iter()
+        .enumerate()
+        .flat_map(|(i, test)| {
+            let inc = default_incantations(test);
+            Chip::NVIDIA_TABLED.into_iter().map(move |chip| {
+                CellSpec::new(test.clone(), chip)
+                    .incantations(inc)
+                    .iterations(40)
+                    .seed(1 ^ i as u64)
+            })
+        })
+        .collect()
+}
+
+fn golden_lines(reports: &[TestReport]) -> String {
+    let mut out = String::new();
+    for r in reports {
+        out.push_str(&format!(
+            "{} {} {} {} {}",
+            r.test,
+            r.chip.short(),
+            r.histogram.total(),
+            r.witnesses,
+            r.histogram.distinct()
+        ));
+        for (outcome, n) in r.histogram.iter() {
+            out.push_str(&format!(" [{}]:{n}", outcome.to_string().trim_end()));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn small_family_histograms_match_golden() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
+    let cells = small_family_cells();
+    if std::env::var_os("WEAKGPU_BLESS").is_some() {
+        let reports = run_campaign(&cells, &CampaignConfig::with_parallelism(1)).unwrap();
+        std::fs::write(&path, golden_lines(&reports)).unwrap();
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{GOLDEN}: {e}"));
+    for par in [1, 3] {
+        let reports = run_campaign(&cells, &CampaignConfig::with_parallelism(par)).unwrap();
+        let got = golden_lines(&reports);
+        assert_eq!(want.lines().count(), got.lines().count(), "cell count");
+        for (w, g) in want.lines().zip(got.lines()) {
+            assert_eq!(w, g, "parallelism {par}: cell differs from {GOLDEN}");
+        }
+    }
 }

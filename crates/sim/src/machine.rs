@@ -125,7 +125,8 @@ impl ThreadCtx {
 /// Reusable per-worker run state: every buffer a run needs, allocated once
 /// and reset in place, so batched runs ([`Simulator::run_batch`]) pay no
 /// per-iteration allocation. Obtain one from [`Simulator::new_state`]; a
-/// state is only valid for the simulator that created it.
+/// state is only valid for the simulator that created it or last fitted
+/// it ([`Simulator::fit_state`]).
 #[derive(Clone, Debug)]
 pub struct MachineState {
     /// Location count — the stride of the flattened `shared`/`l1` planes.
@@ -273,27 +274,31 @@ impl Simulator {
 
     /// A reusable run state sized for this simulator's program and chip.
     pub fn new_state(&self) -> MachineState {
-        let p = &self.program;
-        let nlocs = p.locs.len();
-        let num_sms = self.chip.profile().num_sms;
-        MachineState {
-            nlocs,
-            sm_of_cta: Vec::with_capacity(p.num_ctas),
-            l2: Vec::with_capacity(nlocs),
-            shared: Vec::with_capacity(p.num_ctas * nlocs),
-            l1: Vec::with_capacity(num_sms * nlocs),
-            threads: p
-                .reg_init
-                .iter()
-                .map(|inits| ThreadCtx {
-                    pc: 0,
-                    regs: inits.iter().map(|v| Some(*v)).collect(),
-                    queue: VecDeque::with_capacity(WINDOW),
-                })
-                .collect(),
-            active: Vec::with_capacity(p.threads.len()),
-            obs: Vec::with_capacity(p.observed.len()),
-        }
+        let mut st = MachineState {
+            nlocs: 0,
+            sm_of_cta: Vec::new(),
+            l2: Vec::new(),
+            shared: Vec::new(),
+            l1: Vec::new(),
+            threads: Vec::new(),
+            active: Vec::new(),
+            obs: Vec::new(),
+        };
+        self.fit_state(&mut st);
+        st
+    }
+
+    /// Re-sizes a state made for any simulator to fit this one, keeping
+    /// its buffers: a worker that moves between simulators reuses one
+    /// state instead of allocating a fresh one per simulator.
+    pub fn fit_state(&self, st: &mut MachineState) {
+        st.nlocs = self.program.locs.len();
+        st.threads
+            .resize_with(self.program.threads.len(), || ThreadCtx {
+                pc: 0,
+                regs: Vec::new(),
+                queue: VecDeque::with_capacity(WINDOW),
+            });
     }
 
     /// Resets `st` to a fresh run: SM placement, memory images, L1

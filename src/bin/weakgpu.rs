@@ -19,7 +19,7 @@
 
 use std::io::Write as _;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use weakgpu::axiom::cat::CatProgram;
@@ -337,7 +337,8 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         cells.len(),
         iterations
     );
-    let reports = run_campaign_with(&cells, &CampaignConfig { parallelism }, |_, report| {
+    let obs: Vec<AtomicU64> = cells.iter().map(|_| AtomicU64::new(0)).collect();
+    run_campaign_with(&cells, &CampaignConfig { parallelism }, |ci, report| {
         // Streamed as cells complete (possibly out of order).
         println!(
             "  done {:<28} {:<8} {:>8} witnesses ({}/100k)",
@@ -346,6 +347,8 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             report.witnesses,
             report.obs_per_100k()
         );
+        obs[ci].store(report.obs_per_100k(), Ordering::Relaxed);
+        Ok(())
     })
     .map_err(|e| e.to_string())?;
 
@@ -354,9 +357,9 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     for (t, test) in tests.iter().enumerate() {
         table.row(
             test.name().to_owned(),
-            reports[t * chips.len()..(t + 1) * chips.len()]
+            obs[t * chips.len()..(t + 1) * chips.len()]
                 .iter()
-                .map(|r| r.obs_per_100k()),
+                .map(|o| o.load(Ordering::Relaxed)),
         );
     }
     println!("\n{table}");
