@@ -74,7 +74,7 @@ pub fn shape_key(test: &LitmusTest) -> String {
 ///
 /// The key covers the whole [`EnumConfig`] debug form. Every field of
 /// it is a bound that can change a verdict (or turn it into a budget
-/// error); there is only one verdict walk, so nothing in the key names
+/// error); there is only one verdict path, so nothing in the key names
 /// how the verdict was computed.
 ///
 /// The model contributes only its **name** to the key: the cache assumes

@@ -22,31 +22,15 @@
 //! [`enumerate_executions`] is a thin materialising wrapper over that
 //! stream for rendering and diagnostics.
 //!
-//! Verdicts ([`model_outcomes_with`], [`model_outcomes_counted`],
-//! [`condition_witnessed_with`]) come from one production path, the
-//! decision-tree walk [`for_each_execution_pruned`]. Its rf slots and
-//! coherence axes are the levels of a tree, and three mechanisms are
-//! always on:
-//!
-//! * **Interval cuts.** A subtree is cut whenever the partially-filled
-//!   overlay already forces the model's verdict
-//!   ([`crate::model::Model::partial_verdict`], a three-valued interval
-//!   evaluation over the compiled plan). A cut subtree is reported as one
-//!   [`PrunedClass`] spanning all its candidates.
-//! * **Push/pop delta evaluation.** The interval state is kept along the
-//!   tree path and moved between nodes by word-level undo and row-local
-//!   updates, never refilled from scratch.
-//! * **64-lane leaf batches.** A trailing subtree of 2–64 sibling
-//!   candidates is judged in one bit-plane pass: each sibling becomes a
-//!   lane of an [`OverlayBatch`] and every relational operation of the
-//!   compiled plan covers all lanes per machine word
-//!   ([`crate::plan::Plan::allows_batch`]).
-//!
-//! Plans that are not row-local (`;`, `^-1`, `+` or `*` over an rf/co/fr
-//! operand) never cut: they walk with batched leaves only.
-//! [`model_outcomes_exhaustive`] — every candidate of the scalar stream
-//! judged one at a time — is the test oracle the walk is checked against;
-//! verdicts are bit-identical.
+//! Verdicts ([`model_outcomes_with`], [`condition_witnessed_with`]) come
+//! from that same stream: every candidate is judged on its own by
+//! [`crate::model::Model::allows_view`] (for `.cat` models, the compiled
+//! plan over the view) and folded into a [`ModelOutcomes`]. Candidates
+//! are judged one at a time; what they share is shared through the
+//! skeleton and the evaluation context's skeleton-derived registers.
+//! Litmus shapes are small (the largest shipped test has 120 candidates,
+//! the paper family's median is 6), so no work is shared across
+//! candidates beyond that.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -57,9 +41,7 @@ use weakgpu_litmus::{FinalExpr, Instr, LitmusTest, Loc, Operand, Outcome, Reg};
 use crate::exec::Execution;
 use crate::model::Model;
 use crate::plan::EvalContext;
-use crate::skeleton::{
-    ExecutionSkeleton, ExecutionView, LaneMask, Overlay, OverlayBatch, PartialView,
-};
+use crate::skeleton::{ExecutionSkeleton, ExecutionView, Overlay};
 use crate::symbolic::{enumerate_thread_traces, SymError, ThreadTrace};
 
 /// Bounds for the enumeration.
@@ -72,13 +54,11 @@ pub struct EnumConfig {
     pub domain_iters: usize,
     /// Bound on the traces enumerated per thread.
     pub max_traces_per_thread: usize,
-    /// Bound on the number of classes **visited**: the verdict walk
-    /// ([`for_each_execution_pruned`]) charges one visit per
-    /// [`PrunedClass`] it hands to its visitor — a forced-cut class, a
-    /// uniform batch or a single leaf — so a budget that the exhaustive
-    /// stream exceeds can still complete when cuts and batches collapse
-    /// the space. The scalar stream ([`for_each_execution`]) charges one
-    /// visit per candidate handed to its callback. A visitor that exits
+    /// Bound on the number of candidates handed to the visitor of
+    /// [`for_each_execution`], and so on the candidates a verdict judges:
+    /// a test with more candidates fails with
+    /// [`EnumError::TooManyExecutions`]. The default (1M) is far above
+    /// any shipped test (the largest has 120). A visitor that exits
     /// early (via [`ControlFlow::Break`]) before the limit never trips
     /// it.
     pub max_executions: usize,
@@ -324,11 +304,7 @@ pub fn for_each_execution<B, F>(
 where
     F: FnMut(&ExecutionView<'_>) -> ControlFlow<B>,
 {
-    with_scratch(|scratch| {
-        for_each_combination(test, cfg, scratch, |scratch, visited| {
-            visit_combination(cfg, scratch, visited, &mut f)
-        })
-    })
+    with_scratch(|scratch| for_each_combination(test, cfg, scratch, &mut f))
 }
 
 // The enumeration scratch (skeleton, overlay, rf/co working set) is
@@ -351,7 +327,7 @@ fn with_scratch<R>(f: impl FnOnce(&mut EnumScratch) -> R) -> R {
 /// depends only on the test and the enumeration caps, yet every
 /// judgement pass re-derived it from scratch — in a sweep each
 /// (test, model) cell pays it again, and on small-tree workloads it
-/// rivals the walk itself. A single-entry cache keyed by test equality
+/// rivals judging itself. A single-entry cache keyed by test equality
 /// covers the hot pattern (consecutive passes over one test) without
 /// growing per extra test.
 struct TraceCache {
@@ -409,16 +385,19 @@ fn fixed_point_traces_cached(
     })
 }
 
-/// Drives `visit` over every realisable trace combination of `test`,
-/// with the combination's skeleton and working set prepared in
-/// `scratch` (see [`prepare_combination`]). `visit` also gets the
-/// running visit count that [`EnumConfig::max_executions`] bounds.
-fn for_each_combination<B>(
+/// Streams the candidates of every realisable trace combination of
+/// `test` through `f`, preparing each combination's skeleton and working
+/// set in `scratch` (see [`prepare_combination`]) and counting visits
+/// against [`EnumConfig::max_executions`].
+fn for_each_combination<B, F>(
     test: &LitmusTest,
     cfg: &EnumConfig,
     scratch: &mut EnumScratch,
-    mut visit: impl FnMut(&mut EnumScratch, &mut usize) -> Result<ControlFlow<B>, EnumError>,
-) -> Result<Option<B>, EnumError> {
+    f: &mut F,
+) -> Result<Option<B>, EnumError>
+where
+    F: FnMut(&ExecutionView<'_>) -> ControlFlow<B>,
+{
     let (_domains, per_thread) = fixed_point_traces_cached(test, cfg)?;
 
     let thread_cta: Vec<usize> = (0..test.num_threads())
@@ -438,7 +417,7 @@ fn for_each_combination<B>(
         traces.clear();
         traces.extend(combo.iter().zip(&*per_thread).map(|(&i, ts)| &ts[i]));
         if prepare_combination(&traces, &thread_cta, &init_mem, &observed, scratch) {
-            if let ControlFlow::Break(b) = visit(scratch, &mut visited)? {
+            if let ControlFlow::Break(b) = visit_combination(cfg, scratch, &mut visited, f)? {
                 return Ok(Some(b));
             }
         }
@@ -478,13 +457,6 @@ struct EnumScratch {
     perm_used: Vec<bool>,
     rf_idx: Vec<usize>,
     co_idx: Vec<usize>,
-    /// Pruned-walk scratch: `suffix[d]` = candidates spanned by the
-    /// subtree below tree level `d` (product of the branch factors at
-    /// levels `>= d`).
-    suffix: Vec<usize>,
-    /// Bit-plane batch buffer of the verdict walk; grow-only lane
-    /// planes reused across batches and combinations.
-    batch: OverlayBatch,
     /// Skeleton stamp for which `co_perms` and the overlay sizing were
     /// last built (0 = never).
     working_set_skel: u64,
@@ -503,8 +475,6 @@ impl EnumScratch {
             perm_used: Vec::new(),
             rf_idx: Vec::new(),
             co_idx: Vec::new(),
-            suffix: Vec::new(),
-            batch: OverlayBatch::new(),
             working_set_skel: 0,
         }
     }
@@ -564,8 +534,7 @@ fn emit_permutations(
 /// Returns `false` when the combination is unrealisable — some read's
 /// value matches neither the initial state nor any same-location write —
 /// in which case the working set is left untouched and the combination
-/// contributes no candidates. Shared prologue of the scalar stream and
-/// the verdict walk.
+/// contributes no candidates.
 fn prepare_combination(
     traces: &[&ThreadTrace],
     thread_cta: &[usize],
@@ -705,141 +674,6 @@ where
     Ok(ControlFlow::Continue(()))
 }
 
-/// Minimum subtree size (in candidates spanned) for which a tree node
-/// attempts the three-valued partial check. Below this the check costs
-/// more than the candidates it could skip: a partial evaluation is
-/// roughly as expensive as one concrete evaluation, so cutting must
-/// save at least a few leaves to pay for itself (and for the wasted
-/// checks at nodes whose verdict is not yet forced).
-const CUT_MIN: usize = 4;
-
-/// Counters reported by the verdict walk: how many candidates it
-/// judged and how many forced-verdict cuts skipped.
-/// `classes_visited + candidates_pruned` equals the exhaustive candidate
-/// count — cut classes and judged leaves partition the candidate space
-/// exactly.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct PruneStats {
-    /// Forced-cut classes plus judged leaves; a leaf counts once whether
-    /// it was judged alone or as a lane of a batch. (The walk's budget,
-    /// [`EnumConfig::max_executions`], counts a uniform batch once.)
-    pub classes_visited: u64,
-    /// Candidates subsumed by forced-cut classes beyond the one
-    /// evaluation each cut performed.
-    pub candidates_pruned: u64,
-}
-
-/// One class of the verdict walk handed to the visitor: a **leaf** (a
-/// single fully-assigned candidate), a **uniform batch** (a trailing
-/// subtree of 2–64 leaves judged in one bit-plane pass, every lane with
-/// the same verdict) or a **forced class** (a subtree whose verdict the
-/// three-valued partial check already decided for *every* extension).
-/// Either way the class spans [`PrunedClass::size`] candidates, all
-/// sharing the verdict [`PrunedClass::allowed`], and its observable
-/// outcomes are spanned exactly by [`PrunedClass::observed_combos`] /
-/// [`PrunedClass::fill_observed`] — which is why folding classes
-/// reproduces the exhaustive [`ModelOutcomes`] bit for bit.
-pub struct PrunedClass<'a> {
-    partial: PartialView<'a>,
-    size: usize,
-    allowed: bool,
-    forced: bool,
-}
-
-impl<'a> PrunedClass<'a> {
-    /// Number of candidate executions this class spans (1 for a leaf).
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// The model's verdict, shared by every candidate in the class.
-    pub fn allowed(&self) -> bool {
-        self.allowed
-    }
-
-    /// `true` when the verdict was forced by the partial check (the
-    /// subtree was cut); `false` for judged leaves and uniform batches.
-    pub fn is_forced(&self) -> bool {
-        self.forced
-    }
-
-    /// The underlying partially-assigned view.
-    pub fn partial(&self) -> &PartialView<'a> {
-        &self.partial
-    }
-
-    /// The trace combination's stamp (see
-    /// [`ExecutionView::combination_id`]).
-    pub fn combination_id(&self) -> u64 {
-        self.partial.combination_id()
-    }
-
-    /// How many distinct observed-value vectors the class spans.
-    pub fn observed_combos(&self) -> usize {
-        self.partial.observed_combos()
-    }
-
-    /// Fills `out` with observed combination `combo`
-    /// (`0..observed_combos()`), in `LitmusTest::observed` order.
-    pub fn fill_observed(&self, combo: usize, out: &mut Vec<i64>) {
-        self.partial.fill_observed_combo(combo, out);
-    }
-
-    /// Zips a value vector from [`PrunedClass::fill_observed`] with the
-    /// observed expressions into an [`Outcome`].
-    pub fn outcome_from_vals(&self, vals: &[i64]) -> Outcome {
-        self.partial.outcome_from_vals(vals)
-    }
-}
-
-/// Streams `test`'s candidate space through `f` as a sequence of
-/// [`PrunedClass`]es — the verdict walk behind every production verdict.
-///
-/// The rf slots and coherence axes of each skeleton become the levels
-/// of a decision tree (rf outer, co inner, matching the exhaustive
-/// stream's lexicographic order). At each node spanning at least a few
-/// candidates the model's three-valued partial verdict
-/// ([`crate::model::Model::partial_verdict`]) is consulted: `Some(v)`
-/// means *every* extension of the node's partially-filled overlay gets
-/// verdict `v`, so the subtree is emitted as one forced class and never
-/// descended. A trailing subtree of 2–64 leaves is judged in one
-/// bit-plane pass ([`crate::model::Model::allows_batch`]) and emitted
-/// as one class when every lane agrees, leaf by leaf otherwise; the
-/// remaining leaves are judged one at a time. Models without a partial
-/// check or a batched evaluator (the trait defaults return `None`)
-/// degrade to per-leaf evaluation with identical results.
-///
-/// Classes partition the candidate space: summing [`PrunedClass::size`]
-/// over all visited classes reproduces the exhaustive candidate count,
-/// and folding each class's spanned outcomes reproduces the exhaustive
-/// outcome sets — [`model_outcomes_counted`] relies on exactly this.
-///
-/// `stats` accumulates the visited-class / pruned-candidate counters.
-/// Returning [`ControlFlow::Break`] from `f` stops the walk; the break
-/// value comes back as `Ok(Some(value))`.
-///
-/// # Errors
-///
-/// Fails if symbolic execution fails or the walk hands more than
-/// [`EnumConfig::max_executions`] classes to the visitor.
-pub fn for_each_execution_pruned<B, F>(
-    test: &LitmusTest,
-    model: &dyn Model,
-    cfg: &EnumConfig,
-    ctx: &mut EvalContext,
-    stats: &mut PruneStats,
-    mut f: F,
-) -> Result<Option<B>, EnumError>
-where
-    F: FnMut(&PrunedClass<'_>) -> ControlFlow<B>,
-{
-    with_scratch(|scratch| {
-        for_each_combination(test, cfg, scratch, |scratch, visited| {
-            visit_combination_pruned(model, ctx, cfg, scratch, visited, stats, &mut f)
-        })
-    })
-}
-
 /// Charges one visit against [`EnumConfig::max_executions`].
 fn charge(visited: &mut usize, cfg: &EnumConfig) -> Result<(), EnumError> {
     *visited += 1;
@@ -848,512 +682,6 @@ fn charge(visited: &mut usize, cfg: &EnumConfig) -> Result<(), EnumError> {
     } else {
         Ok(())
     }
-}
-
-/// Adds read `r`'s fr edges for one (rf source, coherence order)
-/// combination to `batch` under `mask`: with no source (reading the
-/// initial state) the read precedes every write of the order; with a
-/// source it precedes exactly the writes after it.
-fn add_fr_axis(batch: &mut OverlayBatch, src: Option<usize>, order: &[usize], r: usize, mask: u64) {
-    if mask == 0 {
-        return;
-    }
-    match src {
-        None => {
-            for &w in order {
-                batch.add_fr_masked(r, w, mask);
-            }
-        }
-        Some(s) => {
-            let pos = order
-                .iter()
-                .position(|&w| w == s)
-                .expect("rf source is in co");
-            for &w in &order[pos + 1..] {
-                batch.add_fr_masked(r, w, mask);
-            }
-        }
-    }
-}
-
-/// Borrowed working set of one combination's walk — the immutable
-/// slices [`PruneWalk::descend`] threads through the recursion, leaving
-/// only the overlay and contexts mutable.
-struct PruneWalk<'a, 'm> {
-    skel: &'a ExecutionSkeleton,
-    reads: &'a [usize],
-    rf_choices: &'a [Vec<Option<usize>>],
-    co_perms: &'a [Vec<Vec<usize>>],
-    co_perm_counts: &'a [usize],
-    /// `suffix[d]` = candidates spanned below tree level `d`.
-    suffix: &'a [usize],
-    model: &'m dyn Model,
-    cfg: &'m EnumConfig,
-}
-
-impl PruneWalk<'_, '_> {
-    /// Number of tree levels: one per rf slot, then one per coherence
-    /// axis.
-    fn levels(&self) -> usize {
-        self.reads.len() + self.co_perms.len()
-    }
-
-    /// The partial view of the node at tree level `depth` (all slots
-    /// above it committed).
-    fn partial_at<'v>(&'v self, overlay: &'v Overlay, depth: usize) -> PartialView<'v> {
-        let num_reads = self.reads.len();
-        PartialView::new(
-            self.skel,
-            overlay,
-            self.reads,
-            self.rf_choices,
-            depth.min(num_reads),
-            depth.saturating_sub(num_reads),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn descend<B, F>(
-        &self,
-        overlay: &mut Overlay,
-        batch: &mut OverlayBatch,
-        ctx: &mut EvalContext,
-        depth: usize,
-        visited: &mut usize,
-        stats: &mut PruneStats,
-        f: &mut F,
-    ) -> Result<ControlFlow<B>, EnumError>
-    where
-        F: FnMut(&PrunedClass<'_>) -> ControlFlow<B>,
-    {
-        let num_reads = self.reads.len();
-        if depth == self.levels() {
-            // Leaf: every slot committed. Once the combination has
-            // attempted a cut (its root spans at least CUT_MIN
-            // candidates), the maintained path state already holds the
-            // leaf, so a plan-backed model's partial verdict is definite
-            // and costs one level delta. A smaller combination has no
-            // path state, and building it would cost more than judging
-            // the view concretely, as models without a partial path do.
-            overlay.stamp();
-            charge(visited, self.cfg)?;
-            stats.classes_visited += 1;
-            let partial = self.partial_at(overlay, depth);
-            let allowed = (self.suffix[0] >= CUT_MIN)
-                .then(|| self.model.partial_verdict(ctx, &partial))
-                .flatten()
-                .unwrap_or_else(|| {
-                    let view = ExecutionView::new(self.skel, overlay);
-                    self.model.allows_view(ctx, &view)
-                });
-            let class = PrunedClass {
-                partial,
-                size: 1,
-                allowed,
-                forced: false,
-            };
-            return Ok(f(&class));
-        }
-
-        if (2..=64).contains(&self.suffix[depth]) {
-            // The trailing subtree fits the lane budget: judge all of
-            // its leaves in one bit-plane pass. The parent's cut already
-            // had its chance (cuts fire before descending), so batches
-            // only see subtrees the cuts kept.
-            return self.batch_subtree(overlay, batch, ctx, depth, visited, stats, f);
-        }
-
-        for choice in 0..self.branch_count(depth) {
-            if depth < num_reads {
-                overlay.set_rf(self.reads[depth], self.rf_choices[depth][choice]);
-            } else {
-                let li = depth - num_reads;
-                overlay.set_co(li, &self.co_perms[li][choice]);
-            }
-            let remaining = self.suffix[depth + 1];
-            if remaining >= CUT_MIN {
-                overlay.stamp();
-                let partial = self.partial_at(overlay, depth + 1);
-                if let Some(allowed) = self.model.partial_verdict(ctx, &partial) {
-                    // Forced: no extension can change the verdict — cut
-                    // the subtree and report it as one class.
-                    charge(visited, self.cfg)?;
-                    stats.classes_visited += 1;
-                    stats.candidates_pruned += (remaining - 1) as u64;
-                    let class = PrunedClass {
-                        partial,
-                        size: remaining,
-                        allowed,
-                        forced: true,
-                    };
-                    if let ControlFlow::Break(b) = f(&class) {
-                        return Ok(ControlFlow::Break(b));
-                    }
-                    continue;
-                }
-            }
-            if let ControlFlow::Break(b) =
-                self.descend(overlay, batch, ctx, depth + 1, visited, stats, f)?
-            {
-                return Ok(ControlFlow::Break(b));
-            }
-        }
-        Ok(ControlFlow::Continue(()))
-    }
-
-    /// Walks every leaf of the subtree rooted at tree level `depth` in
-    /// lexicographic order — the exhaustive stream's order — rewriting
-    /// `overlay`'s trailing slots in place and calling `g` at each
-    /// leaf. Both passes of the batch protocol use this walker, so the
-    /// lane order of pass 1 provably matches the report order of
-    /// pass 2.
-    fn for_each_leaf<T>(
-        &self,
-        overlay: &mut Overlay,
-        depth: usize,
-        g: &mut impl FnMut(&mut Overlay) -> ControlFlow<T>,
-    ) -> ControlFlow<T> {
-        let num_reads = self.reads.len();
-        if depth == self.levels() {
-            return g(overlay);
-        }
-        for choice in 0..self.branch_count(depth) {
-            if depth < num_reads {
-                overlay.set_rf(self.reads[depth], self.rf_choices[depth][choice]);
-            } else {
-                let li = depth - num_reads;
-                overlay.set_co(li, &self.co_perms[li][choice]);
-            }
-            if let ControlFlow::Break(b) = self.for_each_leaf(overlay, depth + 1, g) {
-                return ControlFlow::Break(b);
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    /// Branching factor of tree level `level` (rf choices for read
-    /// axes, permutation count for coherence axes).
-    fn branch_count(&self, level: usize) -> usize {
-        if level < self.reads.len() {
-            self.rf_choices[level].len()
-        } else {
-            self.co_perm_counts[level - self.reads.len()]
-        }
-    }
-
-    /// Axis-masked packing: fills `batch` with every leaf of the
-    /// subtree rooted at tree level `depth` without walking the leaves.
-    ///
-    /// Lane `j` is the subtree's `j`-th leaf in lexicographic order —
-    /// exactly [`PruneWalk::for_each_leaf`]'s order, so pass 2's lane
-    /// counter still lines up. Because that order is a mixed-radix
-    /// count over the trailing axes, the leaves sharing choice `c` of
-    /// an axis form a periodic lane mask (`stride` = product of the
-    /// later axes' spans): each trailing edge is added **once per
-    /// (axis, choice)** under that mask, and each committed prefix edge
-    /// once under the all-lanes mask, instead of once per lane. Packing
-    /// cost drops from O(lanes × edges) scalar adds to O(choices ×
-    /// edges) word ORs — on read-fan shapes this is the difference
-    /// between packing dominating the batch pass and packing being
-    /// noise.
-    fn pack_axes(&self, overlay: &Overlay, batch: &mut OverlayBatch, depth: usize) {
-        let span = self.suffix[depth];
-        let num_reads = self.reads.len();
-        debug_assert!((2..=64).contains(&span));
-        debug_assert_eq!(self.suffix.len(), num_reads + self.co_perms.len() + 1);
-        batch.set_lane_count(span);
-        let live = LaneMask::all(span).bits();
-        // The lanes taking choice `choice` at `level`: a `stride`-wide
-        // block repeating with the axis's period. Both divide `span`,
-        // so the blocks tile the live lanes exactly.
-        let axis_mask = |level: usize, choice: usize| -> u64 {
-            let stride = self.suffix[level + 1];
-            let period = stride * self.branch_count(level);
-            let block = if stride >= 64 {
-                !0u64
-            } else {
-                (1u64 << stride) - 1
-            };
-            let mut mask = 0u64;
-            let mut start = choice * stride;
-            while start < span {
-                mask |= block << start;
-                start += period;
-            }
-            mask
-        };
-        // rf planes: prefix reads carry the overlay's committed source
-        // in every lane; trailing reads one masked edge per choice.
-        for (k, &r) in self.reads.iter().enumerate() {
-            if k < depth {
-                if let Some(w) = overlay.rf_of(r) {
-                    batch.add_rf_masked(w, r, live);
-                }
-            } else {
-                for (c, &src) in self.rf_choices[k].iter().enumerate() {
-                    if let Some(w) = src {
-                        batch.add_rf_masked(w, r, axis_mask(k, c));
-                    }
-                }
-            }
-        }
-        // co planes: transitive pairs of the committed order (prefix
-        // axes) or of each permutation (trailing axes).
-        for li in 0..self.co_perms.len() {
-            let level = num_reads + li;
-            if level < depth {
-                let order = overlay.co_order(li);
-                for i in 0..order.len() {
-                    for j in (i + 1)..order.len() {
-                        batch.add_co_pair_masked(order[i], order[j], live);
-                    }
-                }
-            } else {
-                for p in 0..self.co_perm_counts[li] {
-                    let order: &[usize] = &self.co_perms[li][p];
-                    let mask = axis_mask(level, p);
-                    for i in 0..order.len() {
-                        for j in (i + 1)..order.len() {
-                            batch.add_co_pair_masked(order[i], order[j], mask);
-                        }
-                    }
-                }
-            }
-        }
-        // fr planes: a read's fr edges depend on its rf choice and its
-        // location's coherence order — each may be committed (prefix)
-        // or a trailing axis, giving four mask combinations.
-        for (k, &r) in self.reads.iter().enumerate() {
-            let li = self.skel.loc_index(r);
-            if li == usize::MAX {
-                continue; // the location is never written: no fr edges
-            }
-            let lc = num_reads + li;
-            match (k < depth, lc < depth) {
-                (true, true) => {
-                    add_fr_axis(batch, overlay.rf_of(r), overlay.co_order(li), r, live);
-                }
-                (true, false) => {
-                    let src = overlay.rf_of(r);
-                    for p in 0..self.co_perm_counts[li] {
-                        add_fr_axis(batch, src, &self.co_perms[li][p], r, axis_mask(lc, p));
-                    }
-                }
-                (false, true) => {
-                    let order = overlay.co_order(li);
-                    for (c, &src) in self.rf_choices[k].iter().enumerate() {
-                        add_fr_axis(batch, src, order, r, axis_mask(k, c));
-                    }
-                }
-                (false, false) => {
-                    for (c, &src) in self.rf_choices[k].iter().enumerate() {
-                        let rf_mask = axis_mask(k, c);
-                        for p in 0..self.co_perm_counts[li] {
-                            add_fr_axis(
-                                batch,
-                                src,
-                                &self.co_perms[li][p],
-                                r,
-                                rf_mask & axis_mask(lc, p),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Pass 1 of the two-pass batch protocol: packs every leaf of the
-    /// subtree rooted at `depth` into `batch` (lexicographic order, one
-    /// lane per leaf) and evaluates the model once over all lanes.
-    /// Returns the per-lane verdict mask, or `None` when the model has
-    /// no batched evaluator — pass 2 then judges each leaf scalar.
-    fn batch_verdicts(
-        &self,
-        overlay: &mut Overlay,
-        batch: &mut OverlayBatch,
-        ctx: &mut EvalContext,
-        depth: usize,
-    ) -> Option<LaneMask> {
-        batch.begin(self.skel);
-        if batch.needs_lane_walk() {
-            // RMW exclusivity is a per-lane verdict: pack by walking
-            // the leaves (the closure always continues, so the walk
-            // never breaks).
-            let _ = self.for_each_leaf(overlay, depth, &mut |ov: &mut Overlay| {
-                let view = ExecutionView::new(self.skel, ov);
-                batch.push_lane(&view);
-                ControlFlow::<()>::Continue(())
-            });
-        } else {
-            self.pack_axes(overlay, batch, depth);
-        }
-        // The view only feeds skeleton-derived queries in the batched
-        // evaluator; its overlay (left at the last leaf's state) is
-        // never read — lanes carry the per-leaf rf/co planes.
-        let view = ExecutionView::new(self.skel, overlay);
-        self.model.allows_batch(ctx, &view, batch)
-    }
-
-    /// Judges the whole subtree rooted at `depth` as one bit-plane
-    /// batch. When every lane agrees the subtree is reported as a
-    /// single multi-candidate [`PrunedClass`]; a mixed batch reports
-    /// each leaf as a size-1 class in the exact order the scalar walk
-    /// would have produced, with per-leaf budget accounting.
-    #[allow(clippy::too_many_arguments)]
-    fn batch_subtree<B, F>(
-        &self,
-        overlay: &mut Overlay,
-        batch: &mut OverlayBatch,
-        ctx: &mut EvalContext,
-        depth: usize,
-        visited: &mut usize,
-        stats: &mut PruneStats,
-        f: &mut F,
-    ) -> Result<ControlFlow<B>, EnumError>
-    where
-        F: FnMut(&PrunedClass<'_>) -> ControlFlow<B>,
-    {
-        let mask = self.batch_verdicts(overlay, batch, ctx, depth);
-        let span = self.suffix[depth];
-        if let Some(m) = mask {
-            let live = LaneMask::all(span).bits();
-            let bits = m.bits() & live;
-            if bits == live || bits == 0 {
-                // Every lane agrees: report the subtree as one class —
-                // the fold expands a class's observed combinations
-                // without per-candidate views, so a uniform batch skips
-                // the whole per-leaf report walk.
-                overlay.stamp();
-                charge(visited, self.cfg)?;
-                stats.classes_visited += span as u64;
-                let class = PrunedClass {
-                    partial: self.partial_at(overlay, depth),
-                    size: span,
-                    allowed: bits == live,
-                    forced: false,
-                };
-                return Ok(f(&class));
-            }
-        }
-        let mut lane = 0usize;
-        let mut err = None;
-        let flow = self.for_each_leaf(overlay, depth, &mut |ov: &mut Overlay| {
-            ov.stamp();
-            if let Err(e) = charge(visited, self.cfg) {
-                err = Some(e);
-                return ControlFlow::Break(None);
-            }
-            stats.classes_visited += 1;
-            let allowed = match mask {
-                Some(m) => m.contains(lane),
-                None => {
-                    let view = ExecutionView::new(self.skel, ov);
-                    self.model.allows_view(ctx, &view)
-                }
-            };
-            lane += 1;
-            let class = PrunedClass {
-                partial: self.partial_at(ov, self.levels()),
-                size: 1,
-                allowed,
-                forced: false,
-            };
-            match f(&class) {
-                ControlFlow::Break(b) => ControlFlow::Break(Some(b)),
-                ControlFlow::Continue(()) => ControlFlow::Continue(()),
-            }
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
-        Ok(match flow {
-            ControlFlow::Break(Some(b)) => ControlFlow::Break(b),
-            _ => ControlFlow::Continue(()),
-        })
-    }
-}
-
-/// Runs the verdict walk over one prepared combination (see
-/// [`prepare_combination`]).
-#[allow(clippy::too_many_arguments)]
-fn visit_combination_pruned<B, F>(
-    model: &dyn Model,
-    ctx: &mut EvalContext,
-    cfg: &EnumConfig,
-    scratch: &mut EnumScratch,
-    visited: &mut usize,
-    stats: &mut PruneStats,
-    f: &mut F,
-) -> Result<ControlFlow<B>, EnumError>
-where
-    F: FnMut(&PrunedClass<'_>) -> ControlFlow<B>,
-{
-    let (num_reads, num_locs) = fill_suffix(scratch);
-
-    let EnumScratch {
-        skel,
-        overlay,
-        reads,
-        rf_choices,
-        co_perms,
-        co_perm_counts,
-        suffix,
-        batch,
-        ..
-    } = scratch;
-    let walk = PruneWalk {
-        skel,
-        reads,
-        rf_choices: &rf_choices[..num_reads],
-        co_perms: &co_perms[..num_locs],
-        co_perm_counts: &co_perm_counts[..num_locs],
-        suffix,
-        model,
-        cfg,
-    };
-
-    // Root check: the combination may be forced before anything is
-    // committed (e.g. single-candidate rf slots inducing a definite
-    // conflict) — then the whole combination is one class.
-    if walk.suffix[0] >= CUT_MIN {
-        overlay.stamp();
-        let partial = walk.partial_at(overlay, 0);
-        if let Some(allowed) = model.partial_verdict(ctx, &partial) {
-            charge(visited, cfg)?;
-            stats.classes_visited += 1;
-            stats.candidates_pruned += (walk.suffix[0] - 1) as u64;
-            let class = PrunedClass {
-                partial,
-                size: walk.suffix[0],
-                allowed,
-                forced: true,
-            };
-            return Ok(f(&class));
-        }
-    }
-    walk.descend(overlay, batch, ctx, 0, visited, stats, f)
-}
-
-/// Computes `scratch.suffix` — subtree sizes per tree level, saturating
-/// (only compared against thresholds and added into u64 counters after
-/// subtraction of the one candidate actually evaluated) — for the
-/// prepared combination. Returns `(num_reads, num_locs)`.
-fn fill_suffix(scratch: &mut EnumScratch) -> (usize, usize) {
-    let num_reads = scratch.reads.len();
-    let num_locs = scratch.skel.writes_per_loc().len();
-    let num_levels = num_reads + num_locs;
-    scratch.suffix.clear();
-    scratch.suffix.resize(num_levels + 1, 1);
-    for d in (0..num_levels).rev() {
-        let branch = if d < num_reads {
-            scratch.rf_choices[d].len()
-        } else {
-            scratch.co_perm_counts[d - num_reads]
-        };
-        scratch.suffix[d] = scratch.suffix[d + 1].saturating_mul(branch);
-    }
-    (num_reads, num_locs)
 }
 
 /// Materialises all candidate executions of `test` — a thin wrapper over
@@ -1417,13 +745,12 @@ pub fn model_outcomes(
     model_outcomes_with(test, model, cfg, &mut EvalContext::new())
 }
 
-/// [`model_outcomes`] with a caller-owned [`EvalContext`], judged by the
-/// verdict walk ([`for_each_execution_pruned`]): forced subtrees and
-/// uniform batches fold in as classes, and for plan-backed models the
-/// judgement loop performs no heap allocation per candidate. Sweep
-/// workers hold one context each and pass it here on verdict-cache
-/// misses. Callers that want the walk counters use
-/// [`model_outcomes_counted`].
+/// [`model_outcomes`] with a caller-owned [`EvalContext`]: streams every
+/// candidate through [`for_each_execution`], judges each one with
+/// [`crate::model::Model::allows_view`] and folds the verdicts into a
+/// [`ModelOutcomes`]. For plan-backed models the loop performs no heap
+/// allocation per candidate. Sweep workers hold one context each and
+/// pass it here on verdict-cache misses.
 ///
 /// # Errors
 ///
@@ -1437,7 +764,8 @@ pub fn model_outcomes_with(
     model_outcomes_counted(test, model, cfg, ctx).map(|(outcomes, _)| outcomes)
 }
 
-/// [`model_outcomes_with`] plus the [`PruneStats`] of the walk.
+/// [`model_outcomes_with`] plus the number of trace combinations the
+/// stream visited (each contributes at least one candidate).
 ///
 /// # Errors
 ///
@@ -1447,92 +775,22 @@ pub fn model_outcomes_counted(
     model: &dyn Model,
     cfg: &EnumConfig,
     ctx: &mut EvalContext,
-) -> Result<(ModelOutcomes, PruneStats), EnumError> {
-    let cond = test.cond();
-    let mut all = BTreeSet::new();
-    let mut allowed: BTreeSet<Outcome> = BTreeSet::new();
-    let mut num_candidates = 0usize;
-    let mut num_allowed = 0usize;
-    let mut witnessed = false;
-    let mut vals: Vec<i64> = Vec::new();
-    let mut seen = SeenOutcomes::new();
-    let mut allowed_seen: Vec<bool> = Vec::new();
-    let mut stats = PruneStats::default();
-    for_each_execution_pruned(test, model, cfg, ctx, &mut stats, |class| {
-        num_candidates += class.size();
-        if class.allowed() {
-            num_allowed += class.size();
-        }
-        // Fold the class's spanned outcomes: each observed combination
-        // occurs in at least one candidate of the class, and candidates
-        // outside the class contribute their outcomes via their own
-        // classes — the union over classes is exactly the exhaustive
-        // outcome set.
-        for combo in 0..class.observed_combos() {
-            class.fill_observed(combo, &mut vals);
-            let idx = match seen.find(&vals) {
-                Some(i) => i,
-                None => {
-                    let outcome = class.outcome_from_vals(&vals);
-                    let witnesses = cond.witnessed_by(&outcome);
-                    all.insert(outcome.clone());
-                    allowed_seen.push(false);
-                    seen.insert(&vals, outcome, witnesses)
-                }
-            };
-            if class.allowed() {
-                if seen.witnesses(idx) {
-                    witnessed = true;
-                }
-                if !allowed_seen[idx] {
-                    allowed_seen[idx] = true;
-                    allowed.insert(seen.get(idx).0.clone());
-                }
-            }
-        }
-        ControlFlow::<()>::Continue(())
-    })?;
-    Ok((
-        ModelOutcomes {
-            all_outcomes: all,
-            allowed_outcomes: allowed,
-            num_candidates,
-            num_allowed,
-            condition_witnessed: witnessed,
-        },
-        stats,
-    ))
-}
-
-/// The test oracle for the verdict walk: streams every candidate of
-/// `test` through [`for_each_execution`] and judges each one alone with
-/// [`crate::model::Model::allows_view`] — no cuts, no batches, no delta
-/// state. Production code uses [`model_outcomes_with`]; the
-/// differential suites assert that both return the same
-/// [`ModelOutcomes`], bit for bit (its
-/// [`ModelOutcomes::condition_witnessed`] is also the oracle for
-/// [`condition_witnessed_with`]).
-///
-/// # Errors
-///
-/// Propagates [`EnumError`]s from the enumeration; here
-/// [`EnumConfig::max_executions`] bounds the candidate count.
-pub fn model_outcomes_exhaustive(
-    test: &LitmusTest,
-    model: &dyn Model,
-    cfg: &EnumConfig,
-    ctx: &mut EvalContext,
-) -> Result<ModelOutcomes, EnumError> {
+) -> Result<(ModelOutcomes, usize), EnumError> {
     let mut fold = OutcomeFold::new(test.cond());
+    let (mut combinations, mut last_combination) = (0usize, 0u64);
     for_each_execution(test, cfg, |view| {
+        if view.combination_id() != last_combination {
+            last_combination = view.combination_id();
+            combinations += 1;
+        }
         let allowed = model.allows_view(ctx, view);
         fold.candidate(view, allowed);
         ControlFlow::<()>::Continue(())
     })?;
-    Ok(fold.finish())
+    Ok((fold.finish(), combinations))
 }
 
-/// The fold of [`model_outcomes_exhaustive`]: accumulates a
+/// The fold of [`model_outcomes_counted`]: accumulates a
 /// [`ModelOutcomes`] one `(candidate, verdict)` pair at a time.
 ///
 /// Dedup is by observed-value vector: `vals` is refilled per candidate
@@ -1676,17 +934,13 @@ impl SeenOutcomes {
         let (outcome, witnesses) = &self.entries[idx];
         (outcome, *witnesses)
     }
-
-    fn witnesses(&self, idx: usize) -> bool {
-        self.entries[idx].1
-    }
 }
 
 /// `true` iff some model-allowed candidate witnesses the test's final
 /// condition — the early-exit form of
-/// [`ModelOutcomes::condition_witnessed`]: the walk stops at the first
-/// allowed class that spans a witnessing outcome instead of covering
-/// the full candidate space.
+/// [`ModelOutcomes::condition_witnessed`]: the stream stops at the first
+/// allowed witnessing candidate instead of covering the full candidate
+/// space.
 ///
 /// # Errors
 ///
@@ -1700,18 +954,12 @@ pub fn condition_witnessed_with(
     ctx: &mut EvalContext,
 ) -> Result<bool, EnumError> {
     let cond = test.cond();
-    let mut vals: Vec<i64> = Vec::new();
-    let mut stats = PruneStats::default();
-    let hit = for_each_execution_pruned(test, model, cfg, ctx, &mut stats, |class| {
-        if class.allowed() {
-            for combo in 0..class.observed_combos() {
-                class.fill_observed(combo, &mut vals);
-                if cond.witnessed_by(&class.outcome_from_vals(&vals)) {
-                    return ControlFlow::Break(());
-                }
-            }
+    let hit = for_each_execution(test, cfg, |view| {
+        if cond.witnessed_by(&view.outcome()) && model.allows_view(ctx, view) {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
         }
-        ControlFlow::Continue(())
     })?;
     Ok(hit.is_some())
 }
@@ -1880,248 +1128,5 @@ mod tests {
         })
         .unwrap();
         assert!(broke.is_some() && visits == 2);
-    }
-
-    #[test]
-    fn pruned_classes_partition_the_candidate_space() {
-        let model = crate::model::sc_model();
-        for test in [
-            corpus::corr(),
-            corpus::mp(ThreadScope::InterCta, None),
-            corpus::sb(ThreadScope::IntraCta, None),
-            corpus::dlb_lb(false),
-            weakgpu_litmus::corpus_extra::corr_fan(2, 4),
-        ] {
-            let cfg = EnumConfig::default();
-            let exhaustive = enumerate_executions(&test, &cfg).unwrap().len();
-            let mut ctx = EvalContext::new();
-            let mut stats = PruneStats::default();
-            let mut spanned = 0usize;
-            let mut charged = 0u64;
-            for_each_execution_pruned(&test, &model, &cfg, &mut ctx, &mut stats, |class| {
-                spanned += class.size();
-                // Cuts only fire on subtrees of at least CUT_MIN
-                // candidates and count once; judged classes (leaves and
-                // uniform batches of at most 64 lanes) count per leaf.
-                if class.is_forced() {
-                    assert!(class.size() >= CUT_MIN);
-                    charged += 1;
-                } else {
-                    assert!((1..=64).contains(&class.size()));
-                    charged += class.size() as u64;
-                }
-                ControlFlow::<()>::Continue(())
-            })
-            .unwrap();
-            assert_eq!(
-                spanned,
-                exhaustive,
-                "{}: classes must partition",
-                test.name()
-            );
-            assert_eq!(charged, stats.classes_visited, "{}", test.name());
-            assert_eq!(
-                stats.classes_visited + stats.candidates_pruned,
-                exhaustive as u64,
-                "{}: counters must account for every candidate",
-                test.name()
-            );
-        }
-    }
-
-    #[test]
-    fn pruned_outcomes_match_exhaustive() {
-        let model = crate::model::sc_model();
-        let cfg = EnumConfig::default();
-        for test in [
-            corpus::corr(),
-            corpus::mp(ThreadScope::InterCta, None),
-            corpus::dlb_mp(false),
-        ] {
-            let mut ctx = EvalContext::new();
-            let exhaustive = model_outcomes_exhaustive(&test, &model, &cfg, &mut ctx).unwrap();
-            let (walked, stats) = model_outcomes_counted(&test, &model, &cfg, &mut ctx).unwrap();
-            assert_eq!(walked, exhaustive, "{}", test.name());
-            assert_eq!(
-                stats.classes_visited + stats.candidates_pruned,
-                exhaustive.num_candidates as u64,
-                "{}",
-                test.name()
-            );
-            assert_eq!(
-                condition_witnessed_with(&test, &model, &cfg, &mut ctx).unwrap(),
-                exhaustive.condition_witnessed,
-                "{}",
-                test.name()
-            );
-        }
-    }
-
-    #[test]
-    fn pruned_limit_counts_classes_not_candidates() {
-        // The read-fan shape under SC prunes heavily: most value
-        // patterns embed a forbidden new-then-old read pair, so the
-        // class count falls far below the candidate count and a budget
-        // the exhaustive stream exceeds still completes on the walk.
-        // (Eight reads: with six, every value pattern spans at most 64
-        // candidates and goes straight to a batch, with no cut.)
-        let model = crate::model::sc_model();
-        let test = weakgpu_litmus::corpus_extra::corr_fan(2, 8);
-        let candidates = enumerate_executions(&test, &EnumConfig::default())
-            .unwrap()
-            .len();
-        let mut ctx = EvalContext::new();
-        let walk = |cfg: &EnumConfig, ctx: &mut EvalContext| {
-            let mut stats = PruneStats::default();
-            let mut classes = 0u64;
-            for_each_execution_pruned(&test, &model, cfg, ctx, &mut stats, |_| {
-                classes += 1;
-                ControlFlow::<()>::Continue(())
-            })
-            .map(|_| classes)
-        };
-        let classes = walk(&EnumConfig::default(), &mut ctx).unwrap();
-        assert!(
-            (classes as usize) < candidates,
-            "cuts must collapse the fan's candidate space ({classes} vs {candidates})"
-        );
-        // A budget of exactly the class count completes on the walk but
-        // trips the exhaustive stream.
-        let between = EnumConfig {
-            max_executions: classes as usize,
-            ..EnumConfig::default()
-        };
-        assert_eq!(walk(&between, &mut ctx), Ok(classes));
-        assert_eq!(
-            for_each_execution(&test, &between, |_| ControlFlow::<()>::Continue(())).unwrap_err(),
-            EnumError::TooManyExecutions
-        );
-        // One class fewer trips the walk too …
-        let tight = EnumConfig {
-            max_executions: classes as usize - 1,
-            ..EnumConfig::default()
-        };
-        assert_eq!(
-            walk(&tight, &mut ctx).unwrap_err(),
-            EnumError::TooManyExecutions
-        );
-        // … unless the visitor exits before reaching it.
-        let mut stats = PruneStats::default();
-        let broke = for_each_execution_pruned(&test, &model, &tight, &mut ctx, &mut stats, |_| {
-            ControlFlow::Break(7)
-        })
-        .unwrap();
-        assert_eq!(broke, Some(7));
-    }
-
-    /// SC spelled with a transitive closure over the communication
-    /// relations: not row-local, so the walk never cuts and every
-    /// subtree of at most 64 leaves goes through a batch.
-    fn sc_closure_model() -> crate::CatModel {
-        crate::CatModel::new("sc+", "acyclic (po | rf | co | fr)+ as sc")
-            .unwrap()
-            .with_rmw_atomicity(crate::RmwAtomicity::Full)
-    }
-
-    #[test]
-    fn batched_outcomes_match_exhaustive() {
-        let cfg = EnumConfig::default();
-        for model in [crate::model::sc_model(), sc_closure_model()] {
-            for test in [
-                corpus::corr(),
-                corpus::mp(ThreadScope::InterCta, None),
-                corpus::dlb_mp(false),
-                weakgpu_litmus::corpus_extra::corr_fan(2, 4),
-            ] {
-                let name = format!("{} under {}", test.name(), crate::Model::name(&model));
-                let mut ctx = EvalContext::new();
-                let exhaustive = model_outcomes_exhaustive(&test, &model, &cfg, &mut ctx).unwrap();
-                let (got, stats) = model_outcomes_counted(&test, &model, &cfg, &mut ctx).unwrap();
-                assert_eq!(got, exhaustive, "{name}");
-                assert_eq!(
-                    stats.classes_visited + stats.candidates_pruned,
-                    exhaustive.num_candidates as u64,
-                    "{name}"
-                );
-                assert_eq!(
-                    condition_witnessed_with(&test, &model, &cfg, &mut ctx).unwrap(),
-                    exhaustive.condition_witnessed,
-                    "{name}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_limit_counts_visits_including_mid_batch() {
-        // With no cuts every candidate is a judged leaf; a uniform batch
-        // is one visit, a mixed batch one visit per leaf, so a budget
-        // one short of the visit count errs mid-walk.
-        let model = sc_closure_model();
-        let test = weakgpu_litmus::corpus_extra::corr_fan(2, 6);
-        let candidates = enumerate_executions(&test, &EnumConfig::default())
-            .unwrap()
-            .len();
-        let mut ctx = EvalContext::new();
-        let mut stats = PruneStats::default();
-        let (mut classes, mut uniform, mut leaves) = (0usize, 0usize, 0usize);
-        for_each_execution_pruned(
-            &test,
-            &model,
-            &EnumConfig::default(),
-            &mut ctx,
-            &mut stats,
-            |class| {
-                assert!(!class.is_forced(), "non-row-local plans never cut");
-                classes += 1;
-                uniform += usize::from(class.size() > 1);
-                leaves += usize::from(class.size() == 1);
-                ControlFlow::<()>::Continue(())
-            },
-        )
-        .unwrap();
-        assert_eq!(stats.classes_visited, candidates as u64);
-        assert_eq!(stats.candidates_pruned, 0);
-        assert!(uniform > 0, "fan tests must form uniform batches");
-        assert!(leaves > 0, "fan tests must form mixed batches");
-        assert!(classes < candidates);
-
-        let exact = EnumConfig {
-            max_executions: classes,
-            ..EnumConfig::default()
-        };
-        let mut stats = PruneStats::default();
-        assert!(
-            for_each_execution_pruned(&test, &model, &exact, &mut ctx, &mut stats, |_| {
-                ControlFlow::<()>::Continue(())
-            })
-            .is_ok()
-        );
-        let tight = EnumConfig {
-            max_executions: classes - 1,
-            ..EnumConfig::default()
-        };
-        let mut stats = PruneStats::default();
-        assert_eq!(
-            for_each_execution_pruned(&test, &model, &tight, &mut ctx, &mut stats, |_| {
-                ControlFlow::<()>::Continue(())
-            })
-            .unwrap_err(),
-            EnumError::TooManyExecutions
-        );
-        // … unless the visitor breaks first.
-        let mut stats = PruneStats::default();
-        let mut visits = 0usize;
-        let broke = for_each_execution_pruned(&test, &model, &tight, &mut ctx, &mut stats, |_| {
-            visits += 1;
-            if visits == 3 {
-                ControlFlow::Break(9)
-            } else {
-                ControlFlow::Continue(())
-            }
-        })
-        .unwrap();
-        assert_eq!(broke, Some(9));
-        assert_eq!(visits, 3);
     }
 }

@@ -50,15 +50,12 @@ pub mod symbolic;
 
 pub use cache::{shape_key, VerdictCache};
 pub use enumerate::{
-    condition_witnessed_with, enumerate_executions, for_each_execution, for_each_execution_pruned,
-    model_outcomes, model_outcomes_counted, model_outcomes_exhaustive, model_outcomes_with,
-    EnumConfig, ModelOutcomes, PruneStats, PrunedClass,
+    condition_witnessed_with, enumerate_executions, for_each_execution, model_outcomes,
+    model_outcomes_counted, model_outcomes_with, EnumConfig, ModelOutcomes,
 };
 pub use event::{Event, EventKind};
 pub use exec::Execution;
 pub use model::{CatModel, Model, RmwAtomicity};
 pub use plan::{EvalContext, Plan};
-pub use relation::{EdgeJournal, EventSet, LaneRel, Relation};
-pub use skeleton::{
-    ExecutionSkeleton, ExecutionView, LaneMask, Overlay, OverlayBatch, PartialView,
-};
+pub use relation::{EventSet, Relation};
+pub use skeleton::{ExecutionSkeleton, ExecutionView, Overlay};

@@ -15,7 +15,7 @@ use crate::cat::{CatError, CatProgram, CheckOutcome};
 use crate::exec::Execution;
 pub use crate::exec::RmwAtomicity;
 use crate::plan::{EvalContext, Plan};
-use crate::skeleton::{ExecutionView, LaneMask, OverlayBatch, PartialView};
+use crate::skeleton::ExecutionView;
 
 /// A memory consistency model: a predicate on candidate executions
 /// (paper Sec. 5.2).
@@ -44,38 +44,6 @@ pub trait Model {
     fn allows_view(&self, ctx: &mut EvalContext, view: &ExecutionView<'_>) -> bool {
         self.allows_with(ctx, &view.to_execution())
     }
-
-    /// Three-valued verdict on a *partially* committed candidate: the
-    /// conflict-driven cutoff of the verdict walk
-    /// ([`crate::enumerate::for_each_execution_pruned`]). `Some(v)`
-    /// asserts that **every** concrete extension of `partial`'s open rf
-    /// slots and coherence axes gets verdict `v`; `None` means "cannot
-    /// tell, keep descending". The default returns `None` — always
-    /// sound, never prunes — so third-party models degrade to per-leaf
-    /// evaluation; plan-backed models override it with the interval
-    /// evaluation of [`Plan::check_partial_view`].
-    fn partial_verdict(&self, ctx: &mut EvalContext, partial: &PartialView<'_>) -> Option<bool> {
-        let _ = (ctx, partial);
-        None
-    }
-
-    /// Judges up to 64 sibling candidates packed into an
-    /// [`OverlayBatch`] in one pass: `Some(mask)` with bit `i` set iff
-    /// lane `i`'s candidate is allowed. The default returns `None` —
-    /// "no batched path, judge each lane individually" — so third-party
-    /// models degrade gracefully to per-leaf [`Model::allows_view`]
-    /// calls; plan-backed models override it with the bit-plane
-    /// evaluation of [`Plan::allows_batch`]. `view` borrows the batch's
-    /// skeleton (its overlay contents are unspecified).
-    fn allows_batch(
-        &self,
-        ctx: &mut EvalContext,
-        view: &ExecutionView<'_>,
-        batch: &OverlayBatch,
-    ) -> Option<LaneMask> {
-        let _ = (ctx, view, batch);
-        None
-    }
 }
 
 /// Models pass through [`std::sync::Arc`], so registry-shared models
@@ -96,19 +64,6 @@ impl<M: Model + ?Sized> Model for std::sync::Arc<M> {
 
     fn allows_view(&self, ctx: &mut EvalContext, view: &ExecutionView<'_>) -> bool {
         (**self).allows_view(ctx, view)
-    }
-
-    fn partial_verdict(&self, ctx: &mut EvalContext, partial: &PartialView<'_>) -> Option<bool> {
-        (**self).partial_verdict(ctx, partial)
-    }
-
-    fn allows_batch(
-        &self,
-        ctx: &mut EvalContext,
-        view: &ExecutionView<'_>,
-        batch: &OverlayBatch,
-    ) -> Option<LaneMask> {
-        (**self).allows_batch(ctx, view, batch)
     }
 }
 
@@ -230,68 +185,6 @@ impl CatModel {
             .unwrap_or_else(|e| panic!("model {:?} failed to evaluate: {e}", self.name))
     }
 
-    /// Three-valued verdict on a partially committed candidate: the RMW
-    /// side condition and the compiled plan's interval evaluation
-    /// ([`Plan::check_partial_view`]), combined as a three-valued AND —
-    /// a definite failure of either forces `Some(false)` for the whole
-    /// subtree, `Some(true)` needs both definitely passing. Always
-    /// `None` for plans that are not row-local ([`Plan::is_row_local`]),
-    /// so the walk judges their leaves concretely and never cuts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the `.cat` program references relations the execution
-    /// layer does not define — a defect in the model source.
-    pub fn partial_verdict(
-        &self,
-        ctx: &mut EvalContext,
-        partial: &PartialView<'_>,
-    ) -> Option<bool> {
-        if !self.plan.is_row_local() {
-            return None;
-        }
-        let rmw = partial.rmw_atomicity_partial(self.rmw);
-        if rmw == Some(false) {
-            return Some(false);
-        }
-        let plan = self
-            .plan
-            .check_partial_view(ctx, partial)
-            .unwrap_or_else(|e| panic!("model {:?} failed to evaluate: {e}", self.name));
-        match (rmw, plan) {
-            (_, Some(false)) => Some(false),
-            (Some(true), Some(true)) => Some(true),
-            _ => None,
-        }
-    }
-
-    /// The batched form of [`CatModel::allows_view`]: the RMW side
-    /// condition (precomputed per lane by the batch at pack time) ANDed
-    /// with the compiled plan's bit-plane evaluation
-    /// ([`Plan::allows_batch`]). When every lane already fails the RMW
-    /// condition the plan is not evaluated at all.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the `.cat` program references relations the execution
-    /// layer does not define — a defect in the model source.
-    pub fn allows_batch(
-        &self,
-        ctx: &mut EvalContext,
-        view: &ExecutionView<'_>,
-        batch: &OverlayBatch,
-    ) -> LaneMask {
-        let rmw = batch.rmw_mask(self.rmw).bits() & batch.live_mask().bits();
-        if rmw == 0 {
-            return LaneMask::EMPTY;
-        }
-        let plan = self
-            .plan
-            .allows_batch(ctx, view, batch)
-            .unwrap_or_else(|e| panic!("model {:?} failed to evaluate: {e}", self.name));
-        LaneMask::from_bits(rmw & plan.bits())
-    }
-
     /// The legacy tree-walking evaluation of the same verdict (RMW side
     /// condition plus [`CatProgram::allows`] over
     /// [`Execution::base_relations`]). Retained purely as the
@@ -343,19 +236,6 @@ impl Model for CatModel {
 
     fn allows_view(&self, ctx: &mut EvalContext, view: &ExecutionView<'_>) -> bool {
         CatModel::allows_view(self, ctx, view)
-    }
-
-    fn partial_verdict(&self, ctx: &mut EvalContext, partial: &PartialView<'_>) -> Option<bool> {
-        CatModel::partial_verdict(self, ctx, partial)
-    }
-
-    fn allows_batch(
-        &self,
-        ctx: &mut EvalContext,
-        view: &ExecutionView<'_>,
-        batch: &OverlayBatch,
-    ) -> Option<LaneMask> {
-        Some(CatModel::allows_batch(self, ctx, view, batch))
     }
 }
 

@@ -11,8 +11,8 @@
 //! variant writing into an existing buffer (`union_from`, `seq_from`, …).
 //! The in-place forms reuse the destination's allocation whenever the
 //! universe fits its capacity, which is what lets the compiled-plan
-//! evaluator ([`crate::plan`]) judge thousands of candidate executions
-//! without touching the heap.
+//! evaluator ([`crate::plan`]) judge thousands of candidate executions,
+//! one at a time, without touching the heap.
 
 use std::fmt;
 
@@ -111,68 +111,6 @@ impl EventSet {
     /// The `w`-th 64-bit word of the membership mask (0 past the end).
     pub(crate) fn word(&self, w: usize) -> u64 {
         self.bits.get(w).copied().unwrap_or(0)
-    }
-}
-
-/// A word-level undo log shared by any number of relations: before a
-/// journaled mutation overwrites a 64-bit word, the word's previous
-/// value is recorded together with a caller-chosen `tag` identifying
-/// which relation it belongs to. Popping to a [`EdgeJournal::mark`]
-/// replays the records in reverse, restoring every touched relation to
-/// its state at the mark in O(words actually changed) — the delta
-/// journal the incremental decision-tree walk pushes and pops along
-/// the path (one mark per tree level).
-///
-/// The journal never dedupes: the same word may be recorded several
-/// times between two marks, and reversed replay still restores the
-/// oldest value last. Entries are `(tag, flat word index, old value)`.
-#[derive(Clone, Default, Debug)]
-pub struct EdgeJournal {
-    entries: Vec<(u32, u32, u64)>,
-}
-
-impl EdgeJournal {
-    /// A fresh, empty journal.
-    pub fn new() -> Self {
-        EdgeJournal::default()
-    }
-
-    /// The current position — pass it back to `pop_to` to undo
-    /// everything recorded after this call.
-    pub fn mark(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Number of records currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Forgets every record, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Records that word `word` of the relation labelled `tag` held
-    /// `old` before the mutation about to happen.
-    pub(crate) fn record(&mut self, tag: u32, word: u32, old: u64) {
-        self.entries.push((tag, word, old));
-    }
-
-    /// The records from `mark` onward, oldest first (callers replay
-    /// them reversed).
-    pub(crate) fn entries_from(&self, mark: usize) -> &[(u32, u32, u64)] {
-        &self.entries[mark..]
-    }
-
-    /// Drops every record from `mark` onward (after replaying them).
-    pub(crate) fn truncate(&mut self, mark: usize) {
-        self.entries.truncate(mark);
     }
 }
 
@@ -375,110 +313,6 @@ impl Relation {
                 }
             }
         }
-    }
-
-    /// Words per row segment.
-    pub(crate) fn words_per_row(&self) -> usize {
-        self.words
-    }
-
-    /// Row `a` as its word slice.
-    pub(crate) fn row(&self, a: usize) -> &[u64] {
-        &self.rows[a * self.words..(a + 1) * self.words]
-    }
-
-    /// The word at flat index `idx` (`row * words_per_row + word`).
-    pub(crate) fn word_at(&self, idx: usize) -> u64 {
-        self.rows[idx]
-    }
-
-    /// Overwrites the word at flat index `idx` — the undo primitive
-    /// [`EdgeJournal`] replay dispatches to.
-    pub(crate) fn set_word(&mut self, idx: usize, val: u64) {
-        self.rows[idx] = val;
-    }
-
-    /// Adds `pairs`, journaling each changed word under `tag` so
-    /// [`Relation::pop_to`] (or a caller-side tag dispatch) can undo the
-    /// delta exactly. Pairs already present record nothing.
-    pub fn push_edges(
-        &mut self,
-        journal: &mut EdgeJournal,
-        tag: u32,
-        pairs: impl IntoIterator<Item = (usize, usize)>,
-    ) {
-        for (a, b) in pairs {
-            debug_assert!(a < self.n && b < self.n, "pair ({a},{b}) out of universe");
-            let idx = a * self.words + b / 64;
-            let old = self.rows[idx];
-            let new = old | 1 << (b % 64);
-            if new != old {
-                journal.record(tag, idx as u32, old);
-                self.rows[idx] = new;
-            }
-        }
-    }
-
-    /// Removes `pairs`, journaling each changed word under `tag` — the
-    /// complement of [`Relation::push_edges`], used to shrink an upper
-    /// bound when a tree level commits a choice.
-    pub fn clear_edges(
-        &mut self,
-        journal: &mut EdgeJournal,
-        tag: u32,
-        pairs: impl IntoIterator<Item = (usize, usize)>,
-    ) {
-        for (a, b) in pairs {
-            debug_assert!(a < self.n && b < self.n, "pair ({a},{b}) out of universe");
-            let idx = a * self.words + b / 64;
-            let old = self.rows[idx];
-            let new = old & !(1 << (b % 64));
-            if new != old {
-                journal.record(tag, idx as u32, old);
-                self.rows[idx] = new;
-            }
-        }
-    }
-
-    /// Replaces row `a` with `new_row`, no journaling — the incremental
-    /// evaluator's baseline (root) fills, which are never popped.
-    pub(crate) fn set_row(&mut self, a: usize, new_row: &[u64]) {
-        debug_assert_eq!(new_row.len(), self.words);
-        self.rows[a * self.words..(a + 1) * self.words].copy_from_slice(new_row);
-    }
-
-    /// Replaces row `a` with `new_row`, journaling only the words that
-    /// actually differ. Returns `true` when the row changed.
-    pub(crate) fn set_row_journaled(
-        &mut self,
-        journal: &mut EdgeJournal,
-        tag: u32,
-        a: usize,
-        new_row: &[u64],
-    ) -> bool {
-        debug_assert_eq!(new_row.len(), self.words);
-        let base = a * self.words;
-        let mut changed = false;
-        for (w, &val) in new_row.iter().enumerate() {
-            let old = self.rows[base + w];
-            if old != val {
-                journal.record(tag, (base + w) as u32, old);
-                self.rows[base + w] = val;
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    /// Undoes every record after `mark`, restoring this relation to its
-    /// state when the mark was taken. Only valid when the journal was
-    /// used for this relation alone — multi-relation journals dispatch
-    /// on the tag at the call site instead.
-    pub fn pop_to(&mut self, journal: &mut EdgeJournal, mark: usize) {
-        for &(_tag, idx, old) in journal.entries_from(mark).iter().rev() {
-            self.rows[idx as usize] = old;
-        }
-        journal.truncate(mark);
     }
 
     /// The smallest successor of `node` that is `>= from`, scanning words.
@@ -791,9 +625,7 @@ impl Relation {
     /// Like [`Relation::find_cycle`] but iterative and allocation-free
     /// in steady state: scratch buffers are caller-owned and the cycle
     /// comes back as its **edge list** in `out_edges` (cleared first).
-    /// Returns `true` iff a cycle was found. The incremental evaluator
-    /// caches the witness edges so the next node can confirm "still
-    /// cyclic" by membership probes instead of a fresh search.
+    /// Returns `true` iff a cycle was found.
     pub fn find_cycle_with(
         &self,
         colour: &mut Vec<u8>,
@@ -861,402 +693,6 @@ impl fmt::Debug for Relation {
             self.n,
             self.iter_pairs().collect::<Vec<_>>()
         )
-    }
-}
-
-/// Up to 64 same-universe relations evaluated together, one **bit-plane
-/// lane** per relation.
-///
-/// Where [`Relation`] stores one bit per pair, `LaneRel` stores a `u64`
-/// per pair: bit `l` of `planes[a * n + b]` says whether lane `l`'s
-/// relation contains `(a, b)`. Every word operation below therefore
-/// covers all 64 lanes at once — union, intersection, difference,
-/// composition, closures and restriction cost the same word traffic as
-/// 64 scalar evaluations would cost for *one*. This is the bit-plane
-/// half of the batched evaluator ([`crate::plan::Plan::allows_batch`]):
-/// sibling candidate executions that differ only in trailing rf/co
-/// choices become lanes, and one plan pass judges them all.
-///
-/// Lanes past the batch's live count hold garbage (broadcast fills set
-/// all 64 lanes); consumers mask verdicts with the live lane mask.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct LaneRel {
-    n: usize,
-    planes: Vec<u64>,
-}
-
-impl LaneRel {
-    /// The empty lane relation (all lanes empty) over `n` events.
-    pub fn empty(n: usize) -> Self {
-        LaneRel {
-            n,
-            planes: vec![0; n * n],
-        }
-    }
-
-    /// Universe size.
-    pub fn universe(&self) -> usize {
-        self.n
-    }
-
-    /// Reinitialises to all-lanes-empty over `n` events, reusing the
-    /// allocation when the capacity suffices.
-    pub fn reset(&mut self, n: usize) {
-        self.n = n;
-        self.planes.clear();
-        self.planes.resize(n * n, 0);
-    }
-
-    /// Adds the pair `(a, b)` in lane `lane`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pair is outside the universe or `lane >= 64`.
-    pub fn add(&mut self, a: usize, b: usize, lane: usize) {
-        assert!(
-            a < self.n && b < self.n,
-            "pair ({a},{b}) out of universe {}",
-            self.n
-        );
-        assert!(lane < 64, "lane {lane} out of range");
-        self.planes[a * self.n + b] |= 1 << lane;
-    }
-
-    /// ORs a whole lane mask into pair `(a, b)` — the bulk form of
-    /// [`LaneRel::add`] used by axis-masked batch packing, where one
-    /// edge is shared by every lane in `mask` and adding it per lane
-    /// would cost a multiply and a bounds check each.
-    pub fn or_pair(&mut self, a: usize, b: usize, mask: u64) {
-        debug_assert!(
-            a < self.n && b < self.n,
-            "pair ({a}, {b}) out of universe {}",
-            self.n
-        );
-        self.planes[a * self.n + b] |= mask;
-    }
-
-    /// The lane mask of pair `(a, b)`: which lanes contain it.
-    pub fn lanes_of(&self, a: usize, b: usize) -> u64 {
-        self.planes[a * self.n + b]
-    }
-
-    /// Membership test for one lane.
-    pub fn contains(&self, a: usize, b: usize, lane: usize) -> bool {
-        a < self.n && b < self.n && self.planes[a * self.n + b] & (1 << lane) != 0
-    }
-
-    /// Extracts lane `lane` as a scalar [`Relation`] (test/debug aid).
-    pub fn lane(&self, lane: usize) -> Relation {
-        let mut r = Relation::empty(self.n);
-        for a in 0..self.n {
-            for b in 0..self.n {
-                if self.contains(a, b, lane) {
-                    r.add(a, b);
-                }
-            }
-        }
-        r
-    }
-
-    /// Becomes a copy of `src`, reusing the allocation.
-    pub fn copy_from(&mut self, src: &LaneRel) {
-        self.n = src.n;
-        self.planes.clear();
-        self.planes.extend_from_slice(&src.planes);
-    }
-
-    /// Broadcasts a scalar relation into **all 64 lanes**: each pair of
-    /// `src` gets the all-ones lane mask. Skeleton-derived relations are
-    /// identical across a batch's candidates, so they are broadcast once
-    /// per skeleton and shared by every batch.
-    pub fn broadcast_from(&mut self, src: &Relation) {
-        self.reset(src.universe());
-        src.for_each_pair(|a, b| {
-            self.planes[a * self.n + b] = !0;
-        });
-    }
-
-    fn zip_from(&mut self, a: &LaneRel, b: &LaneRel, f: impl Fn(u64, u64) -> u64) {
-        assert_eq!(a.n, b.n, "lane-relation universes differ");
-        self.n = a.n;
-        self.planes.clear();
-        self.planes
-            .extend(a.planes.iter().zip(&b.planes).map(|(&x, &y)| f(x, y)));
-    }
-
-    /// In-place lane union: `self = a ∪ b` in every lane.
-    pub fn union_from(&mut self, a: &LaneRel, b: &LaneRel) {
-        self.zip_from(a, b, |x, y| x | y);
-    }
-
-    /// In-place lane intersection: `self = a ∩ b` in every lane.
-    pub fn inter_from(&mut self, a: &LaneRel, b: &LaneRel) {
-        self.zip_from(a, b, |x, y| x & y);
-    }
-
-    /// In-place lane difference: `self = a \ b` in every lane.
-    pub fn diff_from(&mut self, a: &LaneRel, b: &LaneRel) {
-        self.zip_from(a, b, |x, y| x & !y);
-    }
-
-    /// In-place intersection with a scalar relation, lane-wise: keeps a
-    /// pair's lane mask where `b` has the pair, zeroes it elsewhere. Used
-    /// to derive `rfe`/`rfi`-style variants (overlay plane ∩ skeleton
-    /// `ext`/`int`) without broadcasting `b` first.
-    pub fn inter_rel_from(&mut self, a: &LaneRel, b: &Relation) {
-        assert_eq!(a.n, b.universe(), "universes differ");
-        self.reset(a.n);
-        for x in 0..self.n {
-            for y in 0..self.n {
-                if b.contains(x, y) {
-                    self.planes[x * self.n + y] = a.planes[x * self.n + y];
-                }
-            }
-        }
-    }
-
-    /// ORs `rhs` into `self` lane-wise, reporting whether any lane gained
-    /// a pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn or_in_place(&mut self, rhs: &LaneRel) -> bool {
-        assert_eq!(self.n, rhs.n, "lane-relation universes differ");
-        let mut changed = false;
-        for (d, &s) in self.planes.iter_mut().zip(&rhs.planes) {
-            let next = *d | s;
-            changed |= next != *d;
-            *d = next;
-        }
-        changed
-    }
-
-    /// In-place lane composition: `self = a ; b` in every lane. The
-    /// sparse middle scan skips pairs dead in all lanes, so the cost
-    /// tracks the populated pairs, not `n³`.
-    pub fn seq_from(&mut self, a: &LaneRel, b: &LaneRel) {
-        assert_eq!(a.n, b.n, "lane-relation universes differ");
-        self.reset(a.n);
-        let n = self.n;
-        for x in 0..n {
-            for y in 0..n {
-                let m = a.planes[x * n + y];
-                if m == 0 {
-                    continue;
-                }
-                // (x,z) joins lane l iff (x,y) and (y,z) are both in l.
-                let (dst, src) = (x * n, y * n);
-                for z in 0..n {
-                    self.planes[dst + z] |= m & b.planes[src + z];
-                }
-            }
-        }
-    }
-
-    /// In-place lane inverse: `self = a⁻¹` in every lane.
-    pub fn inverse_from(&mut self, a: &LaneRel) {
-        self.reset(a.n);
-        for x in 0..self.n {
-            for y in 0..self.n {
-                self.planes[y * self.n + x] = a.planes[x * self.n + y];
-            }
-        }
-    }
-
-    /// Adds the pair `(i, i)` in **every** lane, for the reflexive
-    /// closures.
-    pub fn add_identity(&mut self) {
-        for i in 0..self.n {
-            self.planes[i * self.n + i] = !0;
-        }
-    }
-
-    /// In-place lane transitive closure: `self = a⁺` in every lane, by
-    /// repeated squaring to a simultaneous fixpoint.
-    pub fn plus_from(&mut self, a: &LaneRel, scratch: &mut LaneRel) {
-        self.copy_from(a);
-        loop {
-            scratch.seq_from(self, self);
-            if !self.or_in_place(scratch) {
-                return;
-            }
-        }
-    }
-
-    /// In-place lane reflexive-transitive closure: `self = a*`.
-    pub fn star_from(&mut self, a: &LaneRel, scratch: &mut LaneRel) {
-        self.plus_from(a, scratch);
-        self.add_identity();
-    }
-
-    /// In-place lane optional closure: `self = a ∪ id` in every lane.
-    pub fn opt_from(&mut self, a: &LaneRel) {
-        self.copy_from(a);
-        self.add_identity();
-    }
-
-    /// In-place lane restriction to `dom × rng` (both scalar sets — sort
-    /// filters are skeleton-derived and shared by all lanes).
-    pub fn restrict_from(&mut self, src: &LaneRel, dom: &EventSet, rng: &EventSet) {
-        self.reset(src.n);
-        for a in 0..self.n {
-            if !dom.contains(a) {
-                continue;
-            }
-            let base = a * self.n;
-            for b in 0..self.n {
-                if rng.contains(b) {
-                    self.planes[base + b] = src.planes[base + b];
-                }
-            }
-        }
-    }
-
-    /// The lanes containing at least one pair (the per-lane `empty`
-    /// check, inverted).
-    pub fn nonempty_lanes(&self) -> u64 {
-        self.planes.iter().fold(0, |m, &w| m | w)
-    }
-
-    /// The lanes containing a reflexive pair (the per-lane
-    /// `irreflexive` check, inverted).
-    pub fn reflexive_lanes(&self) -> u64 {
-        (0..self.n).fold(0, |m, i| m | self.planes[i * self.n + i])
-    }
-
-    /// The lanes (among `live`) whose relation contains a cycle — the
-    /// per-lane acyclicity check, all lanes per word op.
-    ///
-    /// Lane-parallel source elimination: `active[v]` holds the lanes in
-    /// which node `v` has not yet been discharged. Each sweep keeps `v`
-    /// active only in lanes where some active predecessor edge reaches it
-    /// (`active[v] &= ⋃ᵤ planes[u→v] & active[u]`); nodes whose incoming
-    /// support vanished are discharged, exactly like peeling sources from
-    /// a topological sort, in every lane at once. At the fixpoint a lane
-    /// retains an active node iff every one of its active nodes has an
-    /// active predecessor — iff the lane contains a cycle (self-loops
-    /// included). Each sweep costs `n²` word ops and the sweep count is
-    /// bounded by the longest path, so the worst case matches 64 scalar
-    /// DFS passes while typical (mostly id-ordered) relations drain in a
-    /// few sweeps.
-    pub fn cyclic_lanes(&self, live: u64, active: &mut Vec<u64>) -> u64 {
-        active.clear();
-        active.resize(self.n, live);
-        loop {
-            let mut changed = false;
-            for v in 0..self.n {
-                let cur = active[v];
-                if cur == 0 {
-                    continue;
-                }
-                let mut incoming = 0u64;
-                for (u, &au) in active.iter().enumerate() {
-                    incoming |= self.planes[u * self.n + v] & au;
-                    if incoming == cur {
-                        break;
-                    }
-                }
-                let next = cur & incoming;
-                if next != cur {
-                    active[v] = next;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return active.iter().fold(0, |m, &a| m | a);
-            }
-        }
-    }
-
-    /// [`LaneRel::cyclic_lanes`] sweeping nodes in `order` instead of id
-    /// order. The result is identical — chaotic descending iteration of
-    /// a monotone operator from the top reaches the same greatest
-    /// fixpoint in any order — but seeding with a maintained
-    /// topological order of the definite-edge bound discharges long
-    /// chains in one sweep instead of one node per sweep, which is how
-    /// the lane verdicts share the incremental walk's cycle state.
-    ///
-    /// `order` must be a permutation of `0..universe()`.
-    pub fn cyclic_lanes_seeded(&self, live: u64, active: &mut Vec<u64>, order: &[u32]) -> u64 {
-        debug_assert_eq!(order.len(), self.n);
-        active.clear();
-        active.resize(self.n, live);
-        loop {
-            let mut changed = false;
-            for &v32 in order {
-                let v = v32 as usize;
-                let cur = active[v];
-                if cur == 0 {
-                    continue;
-                }
-                let mut incoming = 0u64;
-                for (u, &au) in active.iter().enumerate() {
-                    incoming |= self.planes[u * self.n + v] & au;
-                    if incoming == cur {
-                        break;
-                    }
-                }
-                let next = cur & incoming;
-                if next != cur {
-                    active[v] = next;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return active.iter().fold(0, |m, &a| m | a);
-            }
-        }
-    }
-
-    /// ORs lane-mask edges `(a, b, mask)` into the planes, journaling
-    /// each changed plane word under `tag` — [`Relation::push_edges`]'s
-    /// lane-parallel analog.
-    pub fn push_edges(
-        &mut self,
-        journal: &mut EdgeJournal,
-        tag: u32,
-        edges: impl IntoIterator<Item = (usize, usize, u64)>,
-    ) {
-        for (a, b, mask) in edges {
-            debug_assert!(a < self.n && b < self.n, "pair ({a},{b}) out of universe");
-            let idx = a * self.n + b;
-            let old = self.planes[idx];
-            let new = old | mask;
-            if new != old {
-                journal.record(tag, idx as u32, old);
-                self.planes[idx] = new;
-            }
-        }
-    }
-
-    /// Clears lane-mask edges `(a, b, mask)` from the planes,
-    /// journaling each changed plane word under `tag`.
-    pub fn clear_edges(
-        &mut self,
-        journal: &mut EdgeJournal,
-        tag: u32,
-        edges: impl IntoIterator<Item = (usize, usize, u64)>,
-    ) {
-        for (a, b, mask) in edges {
-            debug_assert!(a < self.n && b < self.n, "pair ({a},{b}) out of universe");
-            let idx = a * self.n + b;
-            let old = self.planes[idx];
-            let new = old & !mask;
-            if new != old {
-                journal.record(tag, idx as u32, old);
-                self.planes[idx] = new;
-            }
-        }
-    }
-
-    /// Undoes every record after `mark` — see [`Relation::pop_to`];
-    /// the same single-relation-journal caveat applies.
-    pub fn pop_to(&mut self, journal: &mut EdgeJournal, mark: usize) {
-        for &(_tag, idx, old) in journal.entries_from(mark).iter().rev() {
-            self.planes[idx as usize] = old;
-        }
-        journal.truncate(mark);
     }
 }
 
@@ -1433,263 +869,6 @@ mod tests {
         let rng = EventSet::from_iter_n(3, [1, 2]);
         let s = r.restrict(&dom, &rng);
         assert_eq!(s.iter_pairs().collect::<Vec<_>>(), vec![(0, 1), (0, 2)]);
-    }
-
-    /// A deterministic little family of lane relations: lane `l` of the
-    /// result holds pairs `(a, b)` with `(a * 7 + b * 13 + l * seed) % m
-    /// == 0` — enough variety to exercise every word path.
-    fn lane_family(n: usize, lanes: usize, seed: usize, m: usize) -> (LaneRel, Vec<Relation>) {
-        let mut lr = LaneRel::empty(n);
-        let mut scalars = vec![Relation::empty(n); lanes];
-        for (l, sc) in scalars.iter_mut().enumerate() {
-            for a in 0..n {
-                for b in 0..n {
-                    if (a * 7 + b * 13 + l * seed).is_multiple_of(m) {
-                        lr.add(a, b, l);
-                        sc.add(a, b);
-                    }
-                }
-            }
-        }
-        (lr, scalars)
-    }
-
-    #[test]
-    fn lane_ops_match_scalar_ops_per_lane() {
-        let n = 9;
-        let lanes = 64;
-        let (la, sa) = lane_family(n, lanes, 3, 5);
-        let (lb, sb) = lane_family(n, lanes, 11, 4);
-        let dom = EventSet::from_iter_n(n, (0..n).filter(|i| i % 2 == 0));
-        let rng = EventSet::from_iter_n(n, (0..n).filter(|i| i % 3 != 0));
-        let mut out = LaneRel::empty(1);
-        let mut scratch = LaneRel::default();
-        let mut scalar = Relation::default();
-        let mut scalar_scratch = Relation::default();
-        type LaneOp = fn(&mut LaneRel, &LaneRel, &LaneRel);
-        type ScalarOp = fn(&mut Relation, &Relation, &Relation);
-        let cases: &[(&str, LaneOp, ScalarOp)] = &[
-            (
-                "union",
-                |o, a, b| o.union_from(a, b),
-                |o, a, b| {
-                    o.union_from(a, b);
-                },
-            ),
-            (
-                "inter",
-                |o, a, b| o.inter_from(a, b),
-                |o, a, b| {
-                    o.inter_from(a, b);
-                },
-            ),
-            (
-                "diff",
-                |o, a, b| o.diff_from(a, b),
-                |o, a, b| {
-                    o.diff_from(a, b);
-                },
-            ),
-            (
-                "seq",
-                |o, a, b| o.seq_from(a, b),
-                |o, a, b| {
-                    o.seq_from(a, b);
-                },
-            ),
-        ];
-        for (name, lane_op, scalar_op) in cases {
-            lane_op(&mut out, &la, &lb);
-            for (l, (s_a, s_b)) in sa.iter().zip(&sb).enumerate() {
-                scalar_op(&mut scalar, s_a, s_b);
-                assert_eq!(out.lane(l), scalar, "{name}, lane {l}");
-            }
-        }
-        out.inverse_from(&la);
-        for (l, s) in sa.iter().enumerate() {
-            assert_eq!(out.lane(l), s.inverse(), "inverse, lane {l}");
-        }
-        out.plus_from(&la, &mut scratch);
-        for (l, s) in sa.iter().enumerate() {
-            scalar.plus_from(s, &mut scalar_scratch);
-            assert_eq!(out.lane(l), scalar, "plus, lane {l}");
-        }
-        out.star_from(&la, &mut scratch);
-        for (l, s) in sa.iter().enumerate() {
-            scalar.star_from(s, &mut scalar_scratch);
-            assert_eq!(out.lane(l), scalar, "star, lane {l}");
-        }
-        out.opt_from(&la);
-        for (l, s) in sa.iter().enumerate() {
-            assert_eq!(out.lane(l), s.optional(), "opt, lane {l}");
-        }
-        out.restrict_from(&la, &dom, &rng);
-        for (l, s) in sa.iter().enumerate() {
-            assert_eq!(out.lane(l), s.restrict(&dom, &rng), "restrict, lane {l}");
-        }
-        out.inter_rel_from(&la, &sb[0]);
-        for (l, s) in sa.iter().enumerate() {
-            assert_eq!(out.lane(l), s.inter(&sb[0]), "inter_rel, lane {l}");
-        }
-    }
-
-    #[test]
-    fn lane_checks_match_scalar_checks_per_lane() {
-        let n = 8;
-        let lanes = 64;
-        let (la, sa) = lane_family(n, lanes, 5, 6);
-        let live = !0u64;
-        let mut active = Vec::new();
-        let cyclic = la.cyclic_lanes(live, &mut active);
-        let nonempty = la.nonempty_lanes();
-        let reflexive = la.reflexive_lanes();
-        for (l, s) in sa.iter().enumerate() {
-            assert_eq!(
-                cyclic >> l & 1 == 1,
-                !s.is_acyclic(),
-                "cyclic verdict, lane {l}: {s:?}"
-            );
-            assert_eq!(nonempty >> l & 1 == 1, !s.is_empty(), "empty, lane {l}");
-            assert_eq!(
-                reflexive >> l & 1 == 1,
-                !s.is_irreflexive(),
-                "irreflexive, lane {l}"
-            );
-        }
-    }
-
-    #[test]
-    fn cyclic_lanes_respects_liveness_and_mixed_lanes() {
-        // Lane 0 a chain, lane 1 a 3-cycle, lane 2 a self-loop, lane 3
-        // empty; lanes 4+ dead garbage (full graph — certainly cyclic).
-        let mut lr = LaneRel::empty(4);
-        for (a, b) in [(0, 1), (1, 2), (2, 3)] {
-            lr.add(a, b, 0);
-        }
-        for (a, b) in [(0, 1), (1, 2), (2, 0)] {
-            lr.add(a, b, 1);
-        }
-        lr.add(3, 3, 2);
-        for a in 0..4 {
-            for b in 0..4 {
-                for l in 4..64 {
-                    lr.add(a, b, l);
-                }
-            }
-        }
-        let mut active = Vec::new();
-        let live = 0b1111;
-        assert_eq!(lr.cyclic_lanes(live, &mut active) & live, 0b0110);
-        // Dead lanes never resurface even though their planes are full.
-        assert_eq!(lr.cyclic_lanes(0b0001, &mut active), 0);
-    }
-
-    #[test]
-    fn broadcast_fills_all_lanes() {
-        let r = Relation::from_pairs(5, [(0, 1), (4, 2)]);
-        let mut lr = LaneRel::default();
-        lr.broadcast_from(&r);
-        for l in [0usize, 17, 63] {
-            assert_eq!(lr.lane(l), r, "lane {l}");
-        }
-        assert_eq!(lr.nonempty_lanes(), !0);
-    }
-
-    #[test]
-    fn lane_rel_reset_reuses_and_clears() {
-        let mut lr = LaneRel::empty(3);
-        lr.add(0, 1, 5);
-        lr.reset(4);
-        assert_eq!(lr.universe(), 4);
-        assert_eq!(lr.nonempty_lanes(), 0);
-        lr.add(3, 3, 63);
-        assert!(lr.contains(3, 3, 63));
-    }
-
-    #[test]
-    fn journal_push_pop_restores_relation() {
-        let mut r = Relation::from_pairs(70, [(0, 1), (65, 2)]);
-        let snapshot = r.clone();
-        let mut j = EdgeJournal::new();
-        let m0 = j.mark();
-        r.push_edges(&mut j, 7, [(1, 65), (69, 69), (0, 1)]);
-        assert!(r.contains(1, 65) && r.contains(69, 69));
-        // Re-adding (0,1) recorded nothing: only two words changed.
-        assert_eq!(j.len(), 2);
-        let m1 = j.mark();
-        r.clear_edges(&mut j, 7, [(0, 1), (2, 3)]);
-        assert!(!r.contains(0, 1));
-        r.pop_to(&mut j, m1);
-        assert!(r.contains(0, 1), "inner pop restores the cleared edge");
-        assert!(r.contains(1, 65), "inner pop keeps the outer push");
-        r.pop_to(&mut j, m0);
-        assert_eq!(r, snapshot, "outer pop restores the snapshot");
-        assert!(j.is_empty());
-    }
-
-    #[test]
-    fn journal_same_word_twice_restores_oldest() {
-        // Two mutations of one word between marks: reversed replay must
-        // land on the original value, not the intermediate one.
-        let mut r = Relation::empty(4);
-        let mut j = EdgeJournal::new();
-        let m = j.mark();
-        r.push_edges(&mut j, 0, [(1, 2)]);
-        r.clear_edges(&mut j, 0, [(1, 2)]);
-        r.push_edges(&mut j, 0, [(1, 3)]);
-        r.pop_to(&mut j, m);
-        assert_eq!(r, Relation::empty(4));
-    }
-
-    #[test]
-    fn set_row_journaled_roundtrip() {
-        let mut r = Relation::from_pairs(70, [(3, 0), (3, 69)]);
-        let snapshot = r.clone();
-        let mut j = EdgeJournal::new();
-        let m = j.mark();
-        let new_row = vec![0b1010u64, 0];
-        r.set_row_journaled(&mut j, 1, 3, &new_row);
-        assert!(r.contains(3, 1) && r.contains(3, 3));
-        assert!(!r.contains(3, 0) && !r.contains(3, 69));
-        r.pop_to(&mut j, m);
-        assert_eq!(r, snapshot);
-    }
-
-    #[test]
-    fn lane_rel_journal_push_pop_restores() {
-        let (mut lr, _) = lane_family(6, 8, 3, 4);
-        let snapshot = lr.clone();
-        let mut j = EdgeJournal::new();
-        let m = j.mark();
-        lr.push_edges(&mut j, 2, [(0, 5, 0xff00), (5, 0, !0)]);
-        lr.clear_edges(&mut j, 2, [(0, 0, 0xf)]);
-        assert_eq!(lr.lanes_of(0, 5) & 0xff00, 0xff00);
-        lr.pop_to(&mut j, m);
-        assert_eq!(lr, snapshot);
-    }
-
-    #[test]
-    fn seeded_cyclic_lanes_matches_unseeded() {
-        let n = 8;
-        let (la, _) = lane_family(n, 64, 5, 6);
-        let mut active = Vec::new();
-        let want = la.cyclic_lanes(!0, &mut active);
-        let orders: Vec<Vec<u32>> = vec![
-            (0..n as u32).collect(),
-            (0..n as u32).rev().collect(),
-            vec![3, 1, 4, 0, 5, 2, 7, 6],
-        ];
-        for order in orders {
-            assert_eq!(
-                la.cyclic_lanes_seeded(!0, &mut active, &order),
-                want,
-                "order {order:?}"
-            );
-        }
-        assert_eq!(
-            la.cyclic_lanes_seeded(0b101, &mut active, &[3, 1, 4, 0, 5, 2, 7, 6]),
-            la.cyclic_lanes(0b101, &mut active)
-        );
     }
 
     #[test]

@@ -24,7 +24,12 @@
 //! Views are identified by process-unique stamps ([`ExecutionView::skeleton_id`],
 //! [`ExecutionView::overlay_gen`]) so an [`crate::plan::EvalContext`] can
 //! tell "same skeleton, new overlay" from "new skeleton" and invalidate
-//! the minimum.
+//! the minimum. [`ExecutionView::combination_id`] changes with every
+//! trace combination, so value-sensitive caches (the observed outcome of
+//! register-only tests) can key on it.
+//!
+//! A view always describes one complete candidate: every read has its rf
+//! source and every written location its coherence order.
 
 use std::collections::BTreeMap;
 use std::mem;
@@ -34,7 +39,7 @@ use weakgpu_litmus::{FenceScope, FinalExpr, Loc, Outcome};
 
 use crate::event::Event;
 use crate::exec::{self, Execution, RmwAtomicity};
-use crate::relation::{EventSet, LaneRel, Relation};
+use crate::relation::{EventSet, Relation};
 use crate::symbolic::ThreadTrace;
 
 /// Process-unique stamps for skeletons, overlays and compiled plans.
@@ -492,269 +497,6 @@ impl Overlay {
     pub(crate) fn stamp(&mut self) {
         self.gen = next_stamp();
     }
-
-    /// Read `r`'s current rf source (`None` = initial state).
-    pub(crate) fn rf_of(&self, r: usize) -> Option<usize> {
-        self.rf[r]
-    }
-
-    /// Location `loc_idx`'s current coherence order.
-    pub(crate) fn co_order(&self, loc_idx: usize) -> &[usize] {
-        &self.co[loc_idx]
-    }
-}
-
-/// A set of lanes in a candidate batch: one bit per lane, lane `i` at
-/// bit `i`. Lanes index the up-to-64 sibling candidates packed into an
-/// [`OverlayBatch`]; masks flow through the bit-plane evaluation path
-/// ([`crate::plan::Plan::allows_batch`]) as plain `u64` words, with this
-/// newtype marking the API boundaries.
-#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
-pub struct LaneMask(u64);
-
-impl LaneMask {
-    /// The empty lane set.
-    pub const EMPTY: LaneMask = LaneMask(0);
-
-    /// The mask with the low `lanes` bits set (`lanes <= 64`).
-    pub fn all(lanes: usize) -> LaneMask {
-        debug_assert!(lanes <= 64);
-        if lanes >= 64 {
-            LaneMask(!0)
-        } else {
-            LaneMask((1u64 << lanes) - 1)
-        }
-    }
-
-    /// Wraps a raw bit mask.
-    pub fn from_bits(bits: u64) -> LaneMask {
-        LaneMask(bits)
-    }
-
-    /// The raw bit mask.
-    pub fn bits(self) -> u64 {
-        self.0
-    }
-
-    /// `true` iff lane `lane` is in the set.
-    pub fn contains(self, lane: usize) -> bool {
-        lane < 64 && (self.0 >> lane) & 1 != 0
-    }
-
-    /// Number of lanes in the set.
-    pub fn count(self) -> u32 {
-        self.0.count_ones()
-    }
-
-    /// `true` when no lane is set.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-}
-
-/// Up to 64 sibling candidates of one skeleton packed as bit-planes:
-/// lane `i` of every [`LaneRel`] plane holds candidate `i`'s edge bit.
-/// The batched enumeration driver fills one lane per surviving leaf of
-/// a subtree (candidates that share an rf/co prefix and differ only in
-/// the trailing choices), then judges all of them in one
-/// [`crate::plan::Plan::allows_batch`] pass — skeleton-derived
-/// registers are shared across lanes as broadcasts, and every word-level
-/// relational op covers all 64 lanes at once.
-///
-/// Like [`Overlay`], one batch buffer is rewritten in place for every
-/// batch ([`OverlayBatch::begin`] + [`OverlayBatch::push_lane`]); after
-/// the first batch has sized the planes, refills allocate nothing.
-#[derive(Debug, Default)]
-pub struct OverlayBatch {
-    gen: u64,
-    n: usize,
-    lanes: usize,
-    rf: LaneRel,
-    co: LaneRel,
-    fr: LaneRel,
-    /// Per-lane RMW exclusivity verdicts, precomputed at
-    /// [`OverlayBatch::push_lane`] time for both checking modes (the
-    /// batch former does not know which model will judge the batch).
-    rmw_full: u64,
-    rmw_atomics: u64,
-    has_rmw: bool,
-}
-
-impl OverlayBatch {
-    /// A fresh batch buffer with empty planes.
-    pub fn new() -> OverlayBatch {
-        OverlayBatch::default()
-    }
-
-    /// Re-arms the buffer for a new batch of candidates of `skel`:
-    /// clears every plane, resets the lane count and stamps a fresh
-    /// batch generation (shared stamp space with overlays and
-    /// skeletons, so evaluation contexts can key cached lane planes on
-    /// it without colliding with per-candidate stamps).
-    pub fn begin(&mut self, skel: &ExecutionSkeleton) {
-        self.gen = next_stamp();
-        self.n = skel.len();
-        self.lanes = 0;
-        self.rf.reset(self.n);
-        self.co.reset(self.n);
-        self.fr.reset(self.n);
-        self.has_rmw = !skel.rmw.is_empty();
-        self.rmw_full = 0;
-        self.rmw_atomics = 0;
-    }
-
-    /// Packs the candidate currently described by `view` into the next
-    /// free lane: its rf edges, transitive coherence edges and from-read
-    /// edges land in lane `i` of the respective planes, and its RMW
-    /// exclusivity verdicts (when the skeleton has RMW pairs at all) in
-    /// bit `i` of the per-mode masks. Returns the lane index.
-    ///
-    /// Panics when the batch is full (64 lanes) or `view` belongs to a
-    /// different skeleton than [`OverlayBatch::begin`] saw.
-    pub fn push_lane(&mut self, view: &ExecutionView<'_>) -> usize {
-        assert!(self.lanes < 64, "OverlayBatch is full");
-        assert_eq!(view.len(), self.n, "view belongs to a different skeleton");
-        let lane = self.lanes;
-        self.lanes += 1;
-        let skel = view.skel;
-        let overlay = view.overlay;
-        for (read, src) in overlay.rf.iter().enumerate() {
-            if let Some(w) = src {
-                self.rf.add(*w, read, lane);
-            }
-        }
-        for order in &overlay.co[..overlay.co_active] {
-            for i in 0..order.len() {
-                for j in (i + 1)..order.len() {
-                    self.co.add(order[i], order[j], lane);
-                }
-            }
-        }
-        for e in &skel.events {
-            if !e.is_read() {
-                continue;
-            }
-            let li = skel.loc_idx[e.id];
-            if li == usize::MAX {
-                continue; // the location is never written: no fr edges
-            }
-            let order = &overlay.co[li];
-            match overlay.rf[e.id] {
-                None => {
-                    for &w in order {
-                        self.fr.add(e.id, w, lane);
-                    }
-                }
-                Some(src) => {
-                    let pos = order
-                        .iter()
-                        .position(|&w| w == src)
-                        .expect("rf source is in co");
-                    for &w in &order[pos + 1..] {
-                        self.fr.add(e.id, w, lane);
-                    }
-                }
-            }
-        }
-        if self.has_rmw {
-            if view.rmw_atomicity_holds(RmwAtomicity::Full) {
-                self.rmw_full |= 1 << lane;
-            }
-            if view.rmw_atomicity_holds(RmwAtomicity::AmongAtomics) {
-                self.rmw_atomics |= 1 << lane;
-            }
-        }
-        lane
-    }
-
-    /// `true` when batches of this skeleton must be packed by walking
-    /// leaves ([`OverlayBatch::push_lane`]): RMW exclusivity is a
-    /// per-lane verdict the axis-masked packing path cannot derive from
-    /// edge masks alone.
-    pub(crate) fn needs_lane_walk(&self) -> bool {
-        self.has_rmw
-    }
-
-    /// Declares the batch's lane count without per-lane pushes. The
-    /// axis-masked packing path fills whole planes with
-    /// [`OverlayBatch::add_rf_masked`]-family bulk ORs and then claims
-    /// all `lanes` lanes at once.
-    pub(crate) fn set_lane_count(&mut self, lanes: usize) {
-        debug_assert!(lanes <= 64, "OverlayBatch holds at most 64 lanes");
-        self.lanes = lanes;
-    }
-
-    /// ORs `mask` into the rf plane at `(w, r)`: read `r` takes write
-    /// `w` as its source in every lane of `mask`.
-    pub(crate) fn add_rf_masked(&mut self, w: usize, r: usize, mask: u64) {
-        self.rf.or_pair(w, r, mask);
-    }
-
-    /// ORs `mask` into the coherence plane at `(a, b)` (`a` before `b`
-    /// in their location's order, transitively).
-    pub(crate) fn add_co_pair_masked(&mut self, a: usize, b: usize, mask: u64) {
-        self.co.or_pair(a, b, mask);
-    }
-
-    /// ORs `mask` into the from-read plane at `(r, w)`: read `r`
-    /// precedes write `w` in coherence in every lane of `mask`.
-    pub(crate) fn add_fr_masked(&mut self, r: usize, w: usize, mask: u64) {
-        self.fr.or_pair(r, w, mask);
-    }
-
-    /// The batch's stamp: changes on every [`OverlayBatch::begin`].
-    pub fn gen(&self) -> u64 {
-        self.gen
-    }
-
-    /// Number of events of the batched skeleton.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` when no lane has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.lanes == 0
-    }
-
-    /// Number of filled lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// The filled lanes as a mask (lanes `0..lanes()`).
-    pub fn live_mask(&self) -> LaneMask {
-        LaneMask::all(self.lanes)
-    }
-
-    /// The lanes whose candidate satisfies RMW exclusivity under
-    /// `mode`. All-ones (every lane passes) when the skeleton has no
-    /// RMW pairs or the mode never fails.
-    pub fn rmw_mask(&self, mode: RmwAtomicity) -> LaneMask {
-        if !self.has_rmw || mode == RmwAtomicity::None {
-            return LaneMask::from_bits(!0);
-        }
-        match mode {
-            RmwAtomicity::Full => LaneMask::from_bits(self.rmw_full),
-            RmwAtomicity::AmongAtomics => LaneMask::from_bits(self.rmw_atomics),
-            RmwAtomicity::None => unreachable!(),
-        }
-    }
-
-    /// The read-from planes (lane `i` = lane `i`'s rf edges).
-    pub(crate) fn rf_planes(&self) -> &LaneRel {
-        &self.rf
-    }
-
-    /// The coherence planes (transitive per-location orders).
-    pub(crate) fn co_planes(&self) -> &LaneRel {
-        &self.co
-    }
-
-    /// The from-read planes.
-    pub(crate) fn fr_planes(&self) -> &LaneRel {
-        &self.fr
-    }
 }
 
 /// A borrowed candidate execution: a skeleton plus the overlay currently
@@ -1033,426 +775,5 @@ impl<'a> ExecutionView<'a> {
             ctrl: self.skel.ctrl.clone(),
             rmw: self.skel.rmw.clone(),
         }
-    }
-}
-
-/// A *partially* assigned candidate: the first `rf_depth` read slots and
-/// the first `co_depth` coherence axes of the overlay are committed, the
-/// rest are still open. This is the node type of the verdict walk's
-/// decision tree ([`crate::enumerate::for_each_execution_pruned`]): rf
-/// slots form the outer tree levels (in ascending read-event order),
-/// coherence axes the inner ones (in sorted location order), matching
-/// the exhaustive stream's lexicographic candidate order exactly.
-///
-/// The partial view answers *interval* questions — for each overlay
-/// base relation it can produce a lower bound (pairs present in every
-/// extension) and an upper bound (pairs present in some extension),
-/// which [`crate::plan::Plan::check_partial_view`] turns into a
-/// three-valued verdict. It also spans the observable outcomes of the
-/// subtree ([`PartialView::observed_combos`]): outcomes depend only on
-/// fixed register values and the last write of each observed location,
-/// so the open axes contribute a mixed-radix product of "which write is
-/// last", independent of the open rf slots.
-#[derive(Clone, Copy, Debug)]
-pub struct PartialView<'a> {
-    skel: &'a ExecutionSkeleton,
-    overlay: &'a Overlay,
-    /// Read event ids with at least one rf candidate, ascending — the
-    /// tree's rf levels.
-    reads: &'a [usize],
-    /// Per read slot: its value-consistent rf candidates.
-    rf_choices: &'a [Vec<Option<usize>>],
-    rf_depth: usize,
-    co_depth: usize,
-}
-
-impl<'a> PartialView<'a> {
-    /// Pairs a skeleton/overlay with a committed prefix: the first
-    /// `rf_depth` reads and `co_depth` coherence axes of the overlay are
-    /// live, everything beyond may hold stale data and is never read.
-    pub(crate) fn new(
-        skel: &'a ExecutionSkeleton,
-        overlay: &'a Overlay,
-        reads: &'a [usize],
-        rf_choices: &'a [Vec<Option<usize>>],
-        rf_depth: usize,
-        co_depth: usize,
-    ) -> Self {
-        PartialView {
-            skel,
-            overlay,
-            reads,
-            rf_choices,
-            rf_depth,
-            co_depth,
-        }
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.skel.len()
-    }
-
-    /// `true` when there are no events.
-    pub fn is_empty(&self) -> bool {
-        self.skel.is_empty()
-    }
-
-    /// The skeleton's process-unique stamp.
-    pub fn skeleton_id(&self) -> u64 {
-        self.skel.id
-    }
-
-    /// The trace combination's stamp (see
-    /// [`ExecutionView::combination_id`]).
-    pub fn combination_id(&self) -> u64 {
-        self.skel.combo_gen
-    }
-
-    /// The overlay's candidate stamp: every tree node is stamped before
-    /// evaluation, so partial and concrete evaluations never share one.
-    pub fn overlay_gen(&self) -> u64 {
-        self.overlay.gen
-    }
-
-    /// How many read slots are committed.
-    pub fn rf_depth(&self) -> usize {
-        self.rf_depth
-    }
-
-    /// How many coherence axes are committed.
-    pub fn co_depth(&self) -> usize {
-        self.co_depth
-    }
-
-    /// `true` when every slot is committed — the node is a leaf and the
-    /// view describes exactly one candidate.
-    pub fn is_complete(&self) -> bool {
-        self.rf_depth == self.reads.len() && self.co_depth == self.skel.locs.len()
-    }
-
-    /// The same skeleton/overlay pair as a concrete view — only valid
-    /// for skeleton-derived (communication-independent) queries unless
-    /// [`PartialView::is_complete`].
-    pub(crate) fn as_view(&self) -> ExecutionView<'a> {
-        ExecutionView::new(self.skel, self.overlay)
-    }
-
-    /// The underlying skeleton.
-    pub(crate) fn skel(&self) -> &'a ExecutionSkeleton {
-        self.skel
-    }
-
-    /// The underlying overlay.
-    pub(crate) fn overlay(&self) -> &'a Overlay {
-        self.overlay
-    }
-
-    /// The tree's read slots (ascending read-event order).
-    pub(crate) fn reads_list(&self) -> &'a [usize] {
-        self.reads
-    }
-
-    /// Read slot `k`'s value-consistent rf candidates.
-    pub(crate) fn rf_candidates(&self, k: usize) -> &'a [Option<usize>] {
-        &self.rf_choices[k]
-    }
-
-    /// A copy of this view re-rooted at explicit depths — how the
-    /// incremental evaluator replays fills for intermediate tree levels
-    /// while syncing its maintained state to a deeper node.
-    pub(crate) fn at_depth(&self, rf_depth: usize, co_depth: usize) -> PartialView<'a> {
-        PartialView {
-            rf_depth,
-            co_depth,
-            ..*self
-        }
-    }
-
-    /// Bounds on the read-from relation: `lo` holds edges of committed
-    /// slots (plus forced single-candidate open slots), `hi` adds every
-    /// candidate edge of the open slots.
-    pub(crate) fn fill_rf_bounds(&self, lo: &mut Relation, hi: &mut Relation) {
-        let n = self.skel.len();
-        lo.reset(n);
-        hi.reset(n);
-        for (k, &r) in self.reads.iter().enumerate() {
-            if k < self.rf_depth {
-                if let Some(w) = self.overlay.rf[r] {
-                    lo.add(w, r);
-                    hi.add(w, r);
-                }
-            } else {
-                let cands = &self.rf_choices[k];
-                for w in cands.iter().flatten() {
-                    hi.add(*w, r);
-                }
-                if cands.len() == 1 {
-                    if let Some(w) = cands[0] {
-                        lo.add(w, r);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Bounds on coherence: committed axes contribute their transitive
-    /// order to both bounds; open axes contribute every ordered pair of
-    /// same-location writes (both directions) to `hi` only.
-    pub(crate) fn fill_co_bounds(&self, lo: &mut Relation, hi: &mut Relation) {
-        let n = self.skel.len();
-        lo.reset(n);
-        hi.reset(n);
-        for li in 0..self.skel.locs.len() {
-            if li < self.co_depth {
-                let order = &self.overlay.co[li];
-                for i in 0..order.len() {
-                    for j in (i + 1)..order.len() {
-                        lo.add(order[i], order[j]);
-                        hi.add(order[i], order[j]);
-                    }
-                }
-            } else {
-                let ws = &self.skel.writes_by_loc[li];
-                for &a in ws {
-                    for &b in ws {
-                        if a != b {
-                            hi.add(a, b);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Bounds on from-read. A committed init read precedes every write
-    /// of its location under *any* coherence order — those edges are
-    /// definite even while the axis is open, which is the main source of
-    /// early conflict cuts. Open rf slots contribute an edge to `lo`
-    /// only when every candidate source implies it.
-    pub(crate) fn fill_fr_bounds(&self, lo: &mut Relation, hi: &mut Relation) {
-        let n = self.skel.len();
-        lo.reset(n);
-        hi.reset(n);
-        for (k, &r) in self.reads.iter().enumerate() {
-            self.fr_slot_each(k, self.rf_depth, self.co_depth, |w, definite| {
-                if definite {
-                    lo.add(r, w);
-                }
-                hi.add(r, w);
-            });
-        }
-    }
-
-    /// Read slot `k`'s contribution to the from-read bounds at explicit
-    /// depths: calls `edge(w, definite)` for every write `w` the slot's
-    /// read may precede — `definite` when the edge is in every extension
-    /// (the `lo` bound), otherwise `hi`-only. All of a slot's fr edges
-    /// share the read as source, so one callback sweep rebuilds exactly
-    /// one row — which is how the incremental evaluator recomputes only
-    /// the rows an axis commit touched while [`fill_fr_bounds`] (the
-    /// full fill, looping this helper over every slot) stays the single
-    /// source of the fr semantics.
-    ///
-    /// [`fill_fr_bounds`]: PartialView::fill_fr_bounds
-    pub(crate) fn fr_slot_each(
-        &self,
-        k: usize,
-        rf_depth: usize,
-        co_depth: usize,
-        mut edge: impl FnMut(usize, bool),
-    ) {
-        let r = self.reads[k];
-        let li = self.skel.loc_idx[r];
-        if li == usize::MAX {
-            return; // the location is never written: no fr edges
-        }
-        let ws = &self.skel.writes_by_loc[li];
-        if k < rf_depth {
-            match self.overlay.rf[r] {
-                None => {
-                    for &w in ws {
-                        edge(w, true);
-                    }
-                }
-                Some(src) => {
-                    if li < co_depth {
-                        let order = &self.overlay.co[li];
-                        let pos = order
-                            .iter()
-                            .position(|&w| w == src)
-                            .expect("rf source is in co");
-                        for &w in &order[pos + 1..] {
-                            edge(w, true);
-                        }
-                    } else {
-                        for &w in ws {
-                            if w != src {
-                                edge(w, false);
-                            }
-                        }
-                    }
-                }
-            }
-        } else {
-            let cands = &self.rf_choices[k];
-            for &w in ws {
-                let mut in_all = true;
-                let mut in_any = false;
-                for c in cands {
-                    let (all, any) = match c {
-                        None => (true, true),
-                        Some(src) if *src == w => (false, false),
-                        Some(src) => {
-                            if li < co_depth {
-                                let order = &self.overlay.co[li];
-                                let spos = order
-                                    .iter()
-                                    .position(|&x| x == *src)
-                                    .expect("rf source is in co");
-                                let wpos =
-                                    order.iter().position(|&x| x == w).expect("write is in co");
-                                let after = spos < wpos;
-                                (after, after)
-                            } else {
-                                (false, true)
-                            }
-                        }
-                    };
-                    in_all &= all;
-                    in_any |= any;
-                }
-                if in_any {
-                    edge(w, in_all);
-                }
-            }
-        }
-    }
-
-    /// Three-valued RMW exclusivity: `Some(v)` when every extension
-    /// agrees on `v`, `None` otherwise. A pair is only judged once both
-    /// its read's rf slot and its location's coherence axis are
-    /// committed; a committed violation forces `Some(false)` regardless
-    /// of other pairs.
-    pub fn rmw_atomicity_partial(&self, mode: RmwAtomicity) -> Option<bool> {
-        if mode == RmwAtomicity::None || self.skel.rmw.is_empty() {
-            return Some(true);
-        }
-        let mut definite = true;
-        for (r, w) in self.skel.rmw.iter_pairs() {
-            let li = self.skel.loc_idx[r];
-            if li == usize::MAX {
-                continue;
-            }
-            let k = match self.reads.binary_search(&r) {
-                Ok(k) => k,
-                Err(_) => continue, // no rf candidate: the slot never opens
-            };
-            if k >= self.rf_depth || li >= self.co_depth {
-                definite = false;
-                continue;
-            }
-            let order = &self.overlay.co[li];
-            let wpos = order
-                .iter()
-                .position(|&x| x == w)
-                .expect("rmw write is in co");
-            let start = match self.overlay.rf[r] {
-                None => 0,
-                Some(src) => match order.iter().position(|&x| x == src) {
-                    Some(p) => p + 1,
-                    None => continue,
-                },
-            };
-            if start >= wpos {
-                continue;
-            }
-            for &mid in &order[start..wpos] {
-                let interferes = match mode {
-                    RmwAtomicity::Full => true,
-                    RmwAtomicity::AmongAtomics => self.skel.events[mid].atomic,
-                    RmwAtomicity::None => false,
-                };
-                if interferes {
-                    return Some(false);
-                }
-            }
-        }
-        if definite {
-            Some(true)
-        } else {
-            None
-        }
-    }
-
-    /// How many distinct observed-value vectors the subtree under this
-    /// node spans: a mixed-radix product over the *open* observed memory
-    /// locations (each contributes "which write lands last"), saturating
-    /// on overflow. Duplicate observations of one location share an
-    /// axis; committed axes and fixed slots contribute nothing. The open
-    /// rf slots contribute nothing either — rf choices never change an
-    /// observed value.
-    pub fn observed_combos(&self) -> usize {
-        let mut combos = 1usize;
-        for (j, slot) in self.skel.observed_slots.iter().enumerate() {
-            if let ObservedSlot::Mem(li) = *slot {
-                if li >= self.co_depth && self.first_mem_occurrence(li) == j {
-                    combos = combos.saturating_mul(self.skel.writes_by_loc[li].len());
-                }
-            }
-        }
-        combos
-    }
-
-    /// Index of the first observed slot naming location `li`.
-    fn first_mem_occurrence(&self, li: usize) -> usize {
-        self.skel
-            .observed_slots
-            .iter()
-            .position(|s| matches!(s, ObservedSlot::Mem(l) if *l == li))
-            .expect("li comes from an observed slot")
-    }
-
-    /// Fills `out` with the observed values of combination `combo`
-    /// (`0..observed_combos()`), in `LitmusTest::observed` order. Each
-    /// open observed location decodes one mixed-radix digit of `combo`
-    /// selecting which of its writes lands last.
-    pub fn fill_observed_combo(&self, mut combo: usize, out: &mut Vec<i64>) {
-        out.clear();
-        for (j, slot) in self.skel.observed_slots.iter().enumerate() {
-            let v = match *slot {
-                ObservedSlot::Fixed(v) => v,
-                ObservedSlot::Mem(li) => {
-                    if li < self.co_depth {
-                        let w = *self.overlay.co[li]
-                            .last()
-                            .expect("written locations have non-empty coherence orders");
-                        self.skel.events[w].value
-                    } else {
-                        let fj = self.first_mem_occurrence(li);
-                        if fj == j {
-                            let ws = &self.skel.writes_by_loc[li];
-                            let d = combo % ws.len();
-                            combo /= ws.len();
-                            self.skel.events[ws[d]].value
-                        } else {
-                            out[fj] // one `out` entry per slot: already decoded
-                        }
-                    }
-                }
-            };
-            out.push(v);
-        }
-    }
-
-    /// Zips a value vector (from [`PartialView::fill_observed_combo`])
-    /// with the observed expressions into an [`Outcome`].
-    pub fn outcome_from_vals(&self, vals: &[i64]) -> Outcome {
-        self.skel
-            .observed_exprs
-            .iter()
-            .cloned()
-            .zip(vals.iter().copied())
-            .collect()
     }
 }

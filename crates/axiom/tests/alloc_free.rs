@@ -1,8 +1,7 @@
-//! Proves the allocation bounds of the two enumeration loops: the
+//! Proves the allocation bounds of the two production loops: the
 //! steady-state streaming visitor loop performs **zero heap allocation
-//! per candidate**, and the verdict walk performs **zero heap
-//! allocation per visited class** — interval cuts, delta-state pushes
-//! and pops, and 64-lane batches included.
+//! per candidate**, and so does the verdict loop, which judges each
+//! streamed candidate with the model's compiled plan.
 //!
 //! A counting global allocator wraps the system allocator and counts
 //! into a per-thread counter, so allocations of tests running on other
@@ -10,8 +9,7 @@
 //! has warmed, the measuring thread reads its counter inside the
 //! visitor at the first and at the last visit: every inter-visit step
 //! (overlay rewrites, skeleton refills for later trace combinations,
-//! rf/co advancement, partial checks, batch packing and evaluation)
-//! lies between those two reads, so their equality is exactly the
+//! rf/co advancement and plan evaluation) lies between those two reads, so their equality is exactly the
 //! claim. The measurement harness is shared by both tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -56,15 +54,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
-use weakgpu_axiom::enumerate::{
-    for_each_execution, for_each_execution_pruned, EnumConfig, PruneStats,
-};
+use weakgpu_axiom::enumerate::{for_each_execution, EnumConfig};
 use weakgpu_axiom::model::sc_model;
 use weakgpu_axiom::plan::EvalContext;
-use weakgpu_litmus::{corpus, corpus_extra, ThreadScope};
+use weakgpu_axiom::Model;
+use weakgpu_diy::{synthesise, Cycle, Dir, Edge};
+use weakgpu_litmus::{corpus, LitmusTest, ThreadScope};
 
 /// The shared measurement harness: `enumerate` must invoke the passed
-/// hook once per visited node (candidate or class). Returns the visit
+/// hook once per candidate. Returns the visit
 /// count and the allocations this thread made between the first and the
 /// last visit — zero is the steady-state claim both tests assert.
 fn allocs_across_visits(enumerate: impl FnOnce(&mut dyn FnMut())) -> (usize, u64) {
@@ -120,45 +118,61 @@ fn steady_state_visitor_loop_is_allocation_free() {
     }
 }
 
-/// The production verdict walk. (Named for the walk's interval cuts;
-/// it batches and evaluates by path delta as well.)
-#[test]
-fn steady_state_pruned_walk_is_allocation_free() {
-    let model = sc_model();
-    let cfg = EnumConfig::default();
-    let mut ctx = EvalContext::new();
-    for test in [
-        // Eight reads give real subtree cuts plus batches below them;
-        // six reads go straight to dense batches; the corpus tests cover
-        // small batches mixed with single leaves.
-        corpus_extra::corr_fan(2, 8),
-        corpus_extra::corr_fan(2, 6),
-        corpus::corr(),
-        corpus::mp(ThreadScope::InterCta, None),
-        corpus::dlb_lb(false),
-    ] {
-        // Warm the enumeration scratch, the trace cache, the lane planes
-        // and the path-delta journal.
-        let walk = |ctx: &mut EvalContext, visit: &mut dyn FnMut()| {
-            let mut stats = PruneStats::default();
-            for_each_execution_pruned(&test, &model, &cfg, ctx, &mut stats, |_| {
-                visit();
-                ControlFlow::<()>::Continue(())
-            })
-            .unwrap();
-        };
-        for _ in 0..2 {
-            walk(&mut ctx, &mut || {});
-        }
+/// The paper family's largest shape: `PosWW-Coe-PosWW-PosWW-Coe+intra`,
+/// 120 candidates (five writes to one location).
+fn largest_paper_test() -> LitmusTest {
+    let pos_ww = Edge::Po {
+        same_loc: true,
+        from: Dir::W,
+        to: Dir::W,
+    };
+    let cycle = Cycle::new(vec![pos_ww, Edge::Coe, pos_ww, pos_ww, Edge::Coe]).unwrap();
+    let test = synthesise(&cycle, ThreadScope::IntraCta, false).unwrap();
+    assert_eq!(test.name(), "PosWW-Coe-PosWW-PosWW-Coe+intra");
+    test
+}
 
-        let (classes, allocs) = allocs_across_visits(|visit| walk(&mut ctx, visit));
-        assert!(classes > 1, "{} must visit several classes", test.name());
-        assert_eq!(
-            allocs,
-            0,
-            "{}: {allocs} heap allocations across {classes} classes \
-             in the steady-state walk",
-            test.name()
-        );
+/// The production verdict loop: every streamed candidate judged by
+/// [`Model::allows_view`], as `model_outcomes_with` does.
+#[test]
+fn steady_state_verdict_loop_is_allocation_free() {
+    let cfg = EnumConfig::default();
+    for model in [sc_model(), (*weakgpu_models::ptx_model()).clone()] {
+        let mut ctx = EvalContext::new();
+        for test in [
+            corpus::corr(),
+            corpus::mp(ThreadScope::InterCta, None),
+            corpus::dlb_lb(false),
+            largest_paper_test(),
+        ] {
+            let judge = |ctx: &mut EvalContext, visit: &mut dyn FnMut()| {
+                for_each_execution(&test, &cfg, |view| {
+                    std::hint::black_box(model.allows_view(ctx, view));
+                    visit();
+                    ControlFlow::<()>::Continue(())
+                })
+                .unwrap();
+            };
+            // Warm the enumeration scratch, the trace cache and the
+            // evaluation arena for this test's shapes.
+            for _ in 0..2 {
+                judge(&mut ctx, &mut || {});
+            }
+
+            let (candidates, allocs) = allocs_across_visits(|visit| judge(&mut ctx, visit));
+            assert!(
+                candidates > 1,
+                "{} must have several candidates",
+                test.name()
+            );
+            assert_eq!(
+                allocs,
+                0,
+                "{} under {}: {allocs} heap allocations across {candidates} \
+                 candidates in the steady-state verdict loop",
+                test.name(),
+                model.name()
+            );
+        }
     }
 }

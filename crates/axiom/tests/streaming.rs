@@ -5,18 +5,28 @@
 //! fast path must agree with judging the materialised [`Execution`],
 //! early exit must stop the stream, and the candidate limit must count
 //! visits rather than materialisations.
+//!
+//! The verdict functions ([`model_outcomes_with`],
+//! [`condition_witnessed_with`]) are checked against the
+//! materialise-then-judge oracle for every shipped model (the
+//! natively implemented PTX model included) over the hand-written
+//! corpus, `corpus_extra` and the whole generated `small` family.
 
 use std::ops::ControlFlow;
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+
 use weakgpu_axiom::enumerate::{
-    condition_witnessed_with, enumerate_executions, for_each_execution, model_outcomes, EnumConfig,
-    EnumError,
+    condition_witnessed_with, enumerate_executions, for_each_execution, model_outcomes,
+    model_outcomes_with, EnumConfig, EnumError, ModelOutcomes,
 };
 use weakgpu_axiom::model::sc_model;
 use weakgpu_axiom::plan::{EvalContext, Plan};
 use weakgpu_axiom::{CatModel, Model, RmwAtomicity};
-use weakgpu_litmus::{corpus, FenceScope, LitmusTest, ThreadScope};
+use weakgpu_diy::{generate, GenConfig};
+use weakgpu_litmus::{corpus, corpus_extra, FenceScope, LitmusTest, ThreadScope};
+use weakgpu_models::{all_models, native::NativePtxModel, ptx_model_without_llh};
 
 /// A PTX-shaped scoped model exercising every overlay-dependent base
 /// relation class (rf/co/fr and their internal/external splits).
@@ -35,6 +45,33 @@ fn scoped_model() -> CatModel {
     )
     .unwrap()
     .with_rmw_atomicity(RmwAtomicity::AmongAtomics)
+}
+
+/// The oracle: materialise every candidate as an owned [`Execution`]
+/// and judge it with [`Model::allows_with`].
+fn materialised_outcomes(
+    test: &LitmusTest,
+    model: &dyn Model,
+    cfg: &EnumConfig,
+    ctx: &mut EvalContext,
+) -> ModelOutcomes {
+    let cands = enumerate_executions(test, cfg).unwrap();
+    let mut out = ModelOutcomes {
+        all_outcomes: BTreeSet::new(),
+        allowed_outcomes: BTreeSet::new(),
+        num_candidates: cands.len(),
+        num_allowed: 0,
+        condition_witnessed: false,
+    };
+    for c in &cands {
+        out.all_outcomes.insert(c.outcome.clone());
+        if model.allows_with(ctx, &c.execution) {
+            out.num_allowed += 1;
+            out.condition_witnessed |= test.cond().witnessed_by(&c.outcome);
+            out.allowed_outcomes.insert(c.outcome.clone());
+        }
+    }
+    out
 }
 
 fn test_suite() -> Vec<LitmusTest> {
@@ -241,6 +278,72 @@ fn condition_witnessed_with_agrees_and_exits_early() {
     );
 }
 
+/// Every shipped model, over every shipped hand-written test and the
+/// whole `small` family: [`model_outcomes_with`] equals the oracle bit
+/// for bit, and [`condition_witnessed_with`] equals its witness flag.
+/// One context serves every (test, model) pair, interleaving models on
+/// each test, so no evaluation state may leak between them.
+#[test]
+fn stream_verdicts_match_the_materialised_oracle_for_every_model() {
+    let cfg = EnumConfig::default();
+    let mut models: Vec<Box<dyn Model>> = all_models()
+        .into_iter()
+        .map(|m| Box::new(m) as Box<dyn Model>)
+        .collect();
+    models.push(Box::new(ptx_model_without_llh()));
+    models.push(Box::new(NativePtxModel::new()));
+    let mut tests = corpus::all();
+    tests.extend(corpus_extra::all_extra());
+    tests.extend(generate(&GenConfig::small()));
+    let mut shared = EvalContext::new();
+    let mut oracle_ctx = EvalContext::new();
+    for test in &tests {
+        for model in &models {
+            let name = format!("{} under {}", test.name(), model.name());
+            let oracle = materialised_outcomes(test, &**model, &cfg, &mut oracle_ctx);
+            let streamed = model_outcomes_with(test, &**model, &cfg, &mut shared)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(streamed, oracle, "{name}");
+            assert_eq!(
+                condition_witnessed_with(test, &**model, &cfg, &mut shared).unwrap(),
+                oracle.condition_witnessed,
+                "{name}: witness query"
+            );
+        }
+    }
+}
+
+/// A stream that runs past [`EnumConfig::max_executions`] fails with
+/// [`EnumError::TooManyExecutions`], for verdicts and witness queries
+/// alike: the budget counts every candidate handed to the visitor.
+#[test]
+fn a_stream_over_budget_is_an_error() {
+    let test = corpus_extra::corr_fan(2, 8);
+    let budget = EnumConfig {
+        max_executions: 10_000,
+        ..EnumConfig::default()
+    };
+    let mut candidates = 0usize;
+    for_each_execution(&test, &EnumConfig::default(), |_| {
+        candidates += 1;
+        ControlFlow::<()>::Continue(())
+    })
+    .unwrap();
+    assert!(candidates > budget.max_executions, "{candidates}");
+    let sc = sc_model();
+    let mut ctx = EvalContext::new();
+    assert_eq!(
+        model_outcomes_with(&test, &sc, &budget, &mut ctx).unwrap_err(),
+        EnumError::TooManyExecutions
+    );
+    // SC forbids the fan's new-then-old read pattern, so the witness
+    // query finds nothing to stop at and runs into the budget too.
+    assert_eq!(
+        condition_witnessed_with(&test, &sc, &budget, &mut ctx).unwrap_err(),
+        EnumError::TooManyExecutions
+    );
+}
+
 /// Random corpus variant: idiom × scope × fence.
 fn arb_corpus_test() -> impl Strategy<Value = LitmusTest> {
     let scopes = [ThreadScope::IntraCta, ThreadScope::InterCta];
@@ -250,7 +353,7 @@ fn arb_corpus_test() -> impl Strategy<Value = LitmusTest> {
         Some(FenceScope::Gl),
         Some(FenceScope::Sys),
     ];
-    (0..5usize, 0..2usize, 0..4usize).prop_map(move |(idiom, s, f)| {
+    (0..6usize, 0..2usize, 0..4usize).prop_map(move |(idiom, s, f)| {
         let (scope, fence) = (scopes[s], fences[f]);
         match idiom {
             0 => corpus::mp(scope, fence),
@@ -260,13 +363,15 @@ fn arb_corpus_test() -> impl Strategy<Value = LitmusTest> {
                 Some(fs) => corpus::corr_fenced(fs),
                 None => corpus::corr(),
             },
+            4 => corpus_extra::corr_fan(2, 3 + f),
             _ => corpus::dlb_mp(f % 2 == 0),
         }
     })
 }
 
 /// A random scoped `.cat` model over overlay- and skeleton-derived
-/// bases alike.
+/// bases alike, including a difference and sequences and closures over
+/// communication relations.
 fn arb_model() -> impl Strategy<Value = CatModel> {
     let axioms = [
         "acyclic (po | rf | co | fr) as sc",
@@ -274,6 +379,8 @@ fn arb_model() -> impl Strategy<Value = CatModel> {
         "irreflexive (fre ; coe ; rfi?) as obs",
         "acyclic ((addr | data | ctrl) | rfe | membar.gl) & cta as scoped",
         "empty rmw \\ rmw as trivial",
+        "irreflexive ((rf | co) \\ po) ; fr as mixed",
+        "acyclic (po-loc | fr)+ | rf as closure",
     ];
     prop::collection::vec(0..axioms.len(), 1..3).prop_map(move |picks| {
         let src: Vec<&str> = picks.iter().map(|&i| axioms[i]).collect();
@@ -302,27 +409,8 @@ proptest! {
         let cfg = EnumConfig::default();
         let streamed = model_outcomes(&test, &model, &cfg).unwrap();
 
-        let cands = enumerate_executions(&test, &cfg).unwrap();
-        let mut ctx = EvalContext::new();
-        let mut all = std::collections::BTreeSet::new();
-        let mut allowed = std::collections::BTreeSet::new();
-        let mut num_allowed = 0usize;
-        let mut witnessed = false;
-        for c in &cands {
-            all.insert(c.outcome.clone());
-            if model.allows_with(&mut ctx, &c.execution) {
-                num_allowed += 1;
-                if test.cond().witnessed_by(&c.outcome) {
-                    witnessed = true;
-                }
-                allowed.insert(c.outcome.clone());
-            }
-        }
-        prop_assert_eq!(streamed.num_candidates, cands.len());
-        prop_assert_eq!(streamed.num_allowed, num_allowed);
-        prop_assert_eq!(streamed.condition_witnessed, witnessed);
-        prop_assert_eq!(&streamed.all_outcomes, &all);
-        prop_assert_eq!(&streamed.allowed_outcomes, &allowed);
+        let oracle = materialised_outcomes(&test, &model, &cfg, &mut EvalContext::new());
+        prop_assert_eq!(streamed, oracle);
     }
 
     /// One shared context across interleaved tests must never leak

@@ -50,7 +50,7 @@ pub fn check_soundness(
 /// every model verdict. The verdict streams the candidate space through
 /// the skeleton/overlay visitor (one skeleton per trace combination, an
 /// in-place rf/co overlay per candidate) rather than materialising it,
-/// judged by the verdict walk ([`model_outcomes_with`]).
+/// and judges each candidate as it streams by ([`model_outcomes_with`]).
 ///
 /// # Errors
 ///
@@ -164,8 +164,7 @@ mod tests {
                     check_soundness_with(&test, &report.histogram, &model, &enum_cfg, &mut ctx)
                         .unwrap();
                 let oracle =
-                    weakgpu_axiom::model_outcomes_exhaustive(&test, &model, &enum_cfg, &mut ctx)
-                        .unwrap();
+                    weakgpu_axiom::model_outcomes_with(&test, &model, &enum_cfg, &mut ctx).unwrap();
                 let violations: Vec<Outcome> = report
                     .histogram
                     .outcomes()

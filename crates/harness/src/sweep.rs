@@ -32,7 +32,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use weakgpu_axiom::cache::{SharedCache, VerdictCache};
-use weakgpu_axiom::enumerate::{model_outcomes_counted, EnumConfig, EnumError, PruneStats};
+use weakgpu_axiom::enumerate::{model_outcomes_with, EnumConfig, EnumError};
 use weakgpu_axiom::persist;
 use weakgpu_axiom::plan::EvalContext;
 use weakgpu_litmus::LitmusTest;
@@ -193,7 +193,7 @@ pub struct CellRecord {
     pub unsound: Vec<String>,
     /// Cumulative verdict-cache hits at the moment this cell completed.
     ///
-    /// This field and the four after it are bookkeeping, not results:
+    /// This field and the two after it are bookkeeping, not results:
     /// they depend on completion order (which cell of a shape completes
     /// first and judges it), so they legitimately differ between runs at
     /// different `--parallelism`, and between runs at the same one.
@@ -205,20 +205,13 @@ pub struct CellRecord {
     /// through the model on a verdict-cache miss, in microseconds (0 on
     /// a hit) — attributes sweep wins to skeleton sharing vs caching.
     pub enum_micros: u64,
-    /// Classes the verdict walk visited while judging this cell's shape
-    /// (forced-cut classes plus judged leaves; 0 when the cache
-    /// answered). See [`PruneStats`].
-    pub classes_visited: u64,
-    /// Candidate executions skipped by forced-verdict subtree cuts while
-    /// judging this cell's shape (0 when the cache answered).
-    pub candidates_pruned: u64,
 }
 
 impl CellRecord {
     /// One JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
         format!(
-            "{{\"test\": {}, \"index\": {}, \"chip\": {}, \"runs\": {}, \"witnesses\": {}, \"distinct\": {}, \"unsound\": [{}], \"cache_hits\": {}, \"cache_misses\": {}, \"enum_micros\": {}, \"classes_visited\": {}, \"candidates_pruned\": {}}}",
+            "{{\"test\": {}, \"index\": {}, \"chip\": {}, \"runs\": {}, \"witnesses\": {}, \"distinct\": {}, \"unsound\": [{}], \"cache_hits\": {}, \"cache_misses\": {}, \"enum_micros\": {}}}",
             json::escape(&self.test),
             self.index,
             json::escape(&self.chip),
@@ -233,8 +226,6 @@ impl CellRecord {
             self.cache_hits,
             self.cache_misses,
             self.enum_micros,
-            self.classes_visited,
-            self.candidates_pruned,
         )
     }
 }
@@ -824,17 +815,13 @@ where
                 static EVAL_CTX: RefCell<EvalContext> = RefCell::new(EvalContext::new());
             }
             let mut enum_micros = 0u64;
-            let mut stats = PruneStats::default();
             let lookup = cache.get_or_judge(test, &model, &enum_cfg, || {
                 let t0 = Instant::now();
                 let judged = EVAL_CTX.with(|ctx| {
-                    model_outcomes_counted(test, &model, &enum_cfg, &mut ctx.borrow_mut())
+                    model_outcomes_with(test, &model, &enum_cfg, &mut ctx.borrow_mut())
                 });
                 enum_micros = t0.elapsed().as_micros() as u64;
-                judged.map(|(verdict, walk)| {
-                    stats = walk;
-                    verdict
-                })
+                judged
             });
             let lookup = lookup.map_err(|e| SweepError::Enum(test.name().to_owned(), e))?;
             let verdict = lookup.verdict;
@@ -855,8 +842,6 @@ where
                 cache_hits: lookup.hits,
                 cache_misses: lookup.misses,
                 enum_micros,
-                classes_visited: stats.classes_visited,
-                candidates_pruned: stats.candidates_pruned,
             };
             on_cell(&record);
             tally
@@ -1103,8 +1088,6 @@ mod tests {
             cache_hits: 3,
             cache_misses: 9,
             enum_micros: 42,
-            classes_visited: 17,
-            candidates_pruned: 5,
         };
         let v = json::parse(&rec.to_jsonl()).unwrap();
         assert_eq!(v.get("index").unwrap().as_u64(), Some(12));
@@ -1113,8 +1096,8 @@ mod tests {
         assert_eq!(v.get("cache_hits").unwrap().as_u64(), Some(3));
         assert_eq!(v.get("cache_misses").unwrap().as_u64(), Some(9));
         assert_eq!(v.get("enum_micros").unwrap().as_u64(), Some(42));
-        assert_eq!(v.get("classes_visited").unwrap().as_u64(), Some(17));
-        assert_eq!(v.get("candidates_pruned").unwrap().as_u64(), Some(5));
+        assert!(v.get("classes_visited").is_none());
+        assert!(v.get("candidates_pruned").is_none());
         assert!(v.get("registers_refilled").is_none());
     }
 

@@ -4,8 +4,6 @@
 
 use std::sync::Mutex;
 
-use weakgpu_axiom::enumerate::{model_outcomes_exhaustive, EnumConfig};
-use weakgpu_axiom::plan::EvalContext;
 use weakgpu_diy::{generate, GenConfig};
 use weakgpu_harness::sweep::{run_sweep, run_sweep_with, Shard, SweepConfig, SweepReport};
 use weakgpu_sim::chip::Chip;
@@ -169,36 +167,6 @@ fn strong_chip_never_witnesses_any_generated_cycle() {
 }
 
 #[test]
-fn sweep_walk_counters_match_the_exhaustive_oracle() {
-    // Every shape is judged exactly once by the verdict walk, and the
-    // judging cell's counters account for exactly the candidates the
-    // exhaustive oracle enumerates for that shape.
-    let family: Vec<_> = generate(&GenConfig::small()).into_iter().take(30).collect();
-    let records = Mutex::new(Vec::new());
-    let report = run_sweep_with(&family, &small_cfg(None), |rec| {
-        records.lock().unwrap().push(rec.clone());
-    })
-    .unwrap();
-    assert_eq!(report.cache.misses, report.cache.entries);
-    let records = records.into_inner().unwrap();
-    let judged: Vec<_> = records.iter().filter(|r| r.classes_visited > 0).collect();
-    assert_eq!(judged.len() as u64, report.cache.misses);
-    let model = weakgpu_models::ptx_model();
-    let mut ctx = EvalContext::new();
-    for r in judged {
-        let oracle =
-            model_outcomes_exhaustive(&family[r.index], &*model, &EnumConfig::default(), &mut ctx)
-                .unwrap();
-        assert_eq!(
-            r.classes_visited + r.candidates_pruned,
-            oracle.num_candidates as u64,
-            "{}",
-            r.test
-        );
-    }
-}
-
-#[test]
 fn unsorted_family_is_rejected() {
     let mut family = generate(&GenConfig::small());
     family.swap(0, 1);
@@ -226,8 +194,6 @@ fn sharded_cells_equal_their_unsharded_counterparts() {
             r.cache_hits = 0;
             r.cache_misses = 0;
             r.enum_micros = 0;
-            r.classes_visited = 0;
-            r.candidates_pruned = 0;
         }
         recs.sort_by_key(|a| (a.index, a.chip.clone()));
         recs

@@ -213,16 +213,14 @@ pub fn r_shape(scope: ThreadScope, fence: Option<FenceScope>) -> LitmusTest {
 /// `writers` threads each store 1 to `x`, and one reader thread issues
 /// `reads` back-to-back loads of `x`. The candidate space is
 /// `(writers+1)^reads · writers!` — exponential in the reader length —
-/// but under a coherent model almost all value patterns embed the
-/// forbidden new-then-old pair, so the axiomatic engine's verdict walk
-/// cuts the space by orders of magnitude
-/// while the exhaustive stream blows the candidate budget. The weak
+/// so a short fan already outgrows any shipped test and a longer one
+/// outgrows the axiomatic engine's candidate budget. The weak
 /// condition is the long-distance coRR pattern: the first load sees a
 /// write, the last load sees the initial state.
 pub fn corr_fan(writers: usize, reads: usize) -> LitmusTest {
     assert!(writers >= 1 && reads >= 2, "corr-fan needs a fan");
     let mut b = LitmusTest::builder(format!("corr-fan-{writers}w{reads}r"))
-        .doc("oversized read-fan coherence shape (equivalence-pruning showcase)")
+        .doc("oversized read-fan coherence shape (candidate-budget stress)")
         .global("x", 0);
     for _ in 0..writers {
         b = b.thread([st("x", 1)]);

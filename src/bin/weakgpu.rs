@@ -61,10 +61,8 @@ only on the test's canonical index, so shards recombine exactly);
 --out FILE.json writes the aggregate report there and streams one JSONL
 record per cell to FILE.jsonl. --merge recombines shard reports, failing
 on a missing shard or any model-forbidden observation. Each test shape
-is judged once, by a decision-tree walk over its candidate executions
-that cuts subtrees whose verdict is already forced and judges up to 64
-sibling candidates in one bit-plane pass; the per-cell JSONL records the
-classes the walk visited and the candidates its cuts skipped.
+is judged once: its candidate executions are streamed one at a time,
+and each candidate is judged by the model's compiled plan.
 --cache-file FILE.wgc warm-starts the verdict cache from a
 persisted `weakgpu-cache/2` file (created by an earlier sweep or serve)
 and writes the updated cache back afterwards; --cache-readonly loads

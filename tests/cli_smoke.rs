@@ -17,12 +17,13 @@ fn help_exits_zero() {
 
 #[test]
 fn help_documents_the_verdict_walk() {
-    // One verdict walk, no arms to choose: the help text describes it
+    // One verdict path, no arms to choose: the help text describes it
     // and the retired walk flags are unknown arguments.
     let out = weakgpu().arg("--help").output().unwrap();
     assert!(out.status.success(), "--help exited {:?}", out.status);
     let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("decision-tree walk"), "{text}");
+    assert!(text.contains("candidate executions are streamed"), "{text}");
+    assert!(text.contains("compiled plan"), "{text}");
     for flag in ["--pruned", "--batched", "--incremental"] {
         assert!(
             !text.contains(flag),
@@ -36,12 +37,12 @@ fn help_documents_the_verdict_walk() {
 }
 
 #[test]
-fn sweep_streams_walk_counters() {
-    // One tiny shard: exits 0, every streamed JSONL record carries the
-    // walk counters, and the report holds none of the retired ones.
-    let dir = std::env::temp_dir().join(format!("weakgpu-walk-sweep-{}", std::process::id()));
+fn sweep_jsonl_has_no_walk_counters() {
+    // One tiny shard: exits 0, streams one JSONL record per cell, and
+    // neither the records nor the report carry retired walk counters.
+    let dir = std::env::temp_dir().join(format!("weakgpu-jsonl-sweep-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let out_path = dir.join("walk.json");
+    let out_path = dir.join("sweep.json");
     let out = weakgpu()
         .args([
             "sweep",
@@ -58,9 +59,11 @@ fn sweep_streams_walk_counters() {
         .unwrap();
     assert!(out.status.success(), "sweep exited {:?}", out.status);
     let jsonl = std::fs::read_to_string(out_path.with_extension("jsonl")).unwrap();
+    assert!(jsonl.lines().count() > 0);
     for line in jsonl.lines() {
-        assert!(line.contains("\"classes_visited\""), "{line}");
-        assert!(line.contains("\"candidates_pruned\""), "{line}");
+        assert!(line.contains("\"enum_micros\""), "{line}");
+        assert!(!line.contains("\"classes_visited\""), "{line}");
+        assert!(!line.contains("\"candidates_pruned\""), "{line}");
     }
     let report = std::fs::read_to_string(&out_path).unwrap();
     assert!(!report.contains("\"registers_refilled\""), "{report}");
