@@ -123,25 +123,35 @@ impl VerdictCache {
         format!("{}\u{0}{cfg:?}\u{0}{}", model.name(), shape_key(test))
     }
 
-    /// The verdict under `key`, counting a hit (and a warm hit when the
-    /// entry was restored from a file).
-    fn get(&mut self, key: &str) -> Option<Arc<ModelOutcomes>> {
+    /// The verdict under `key`, counting `lookups` hits (and as many
+    /// warm hits when the entry was restored from a file).
+    fn get(&mut self, key: &str, lookups: u64) -> Option<Arc<ModelOutcomes>> {
         let entry = self.map.get(key)?;
-        self.hits += 1;
+        self.hits += lookups;
         if entry.warm {
-            self.warm_hits += 1;
+            self.warm_hits += lookups;
         }
         Some(Arc::clone(&entry.verdict))
     }
 
-    /// Stores a fresh verdict under `key` and counts a miss; an entry
-    /// already present wins and is returned.
-    fn publish_key(&mut self, key: String, verdict: ModelOutcomes) -> Arc<ModelOutcomes> {
+    /// Stores a fresh verdict under `key` and counts a miss, plus
+    /// `repeats` hits on the stored entry; an entry already present wins
+    /// and is returned.
+    fn publish_key(
+        &mut self,
+        key: String,
+        verdict: ModelOutcomes,
+        repeats: u64,
+    ) -> Arc<ModelOutcomes> {
         self.misses += 1;
         let entry = self.map.entry(key).or_insert_with(|| Entry {
             verdict: Arc::new(verdict),
             warm: false,
         });
+        self.hits += repeats;
+        if entry.warm {
+            self.warm_hits += repeats;
+        }
         Arc::clone(&entry.verdict)
     }
 
@@ -179,11 +189,11 @@ impl VerdictCache {
         ctx: &mut EvalContext,
     ) -> Result<Arc<ModelOutcomes>, EnumError> {
         let key = Self::entry_key(test, model, cfg);
-        if let Some(hit) = self.get(&key) {
+        if let Some(hit) = self.get(&key, 1) {
             return Ok(hit);
         }
         let verdict = model_outcomes_with(test, model, cfg, ctx)?;
-        Ok(self.publish_key(key, verdict))
+        Ok(self.publish_key(key, verdict, 0))
     }
 
     /// The cached verdict, if this shape has been judged (counts a hit).
@@ -194,7 +204,7 @@ impl VerdictCache {
         model: &dyn Model,
         cfg: &EnumConfig,
     ) -> Option<Arc<ModelOutcomes>> {
-        self.get(&Self::entry_key(test, model, cfg))
+        self.get(&Self::entry_key(test, model, cfg), 1)
     }
 
     /// Stores `verdict` for this shape and counts a miss (the caller did
@@ -207,7 +217,7 @@ impl VerdictCache {
         cfg: &EnumConfig,
         verdict: ModelOutcomes,
     ) -> Arc<ModelOutcomes> {
-        self.publish_key(Self::entry_key(test, model, cfg), verdict)
+        self.publish_key(Self::entry_key(test, model, cfg), verdict, 0)
     }
 
     /// Installs a verdict restored from a persisted cache
@@ -375,10 +385,33 @@ impl SharedCache {
         cfg: &EnumConfig,
         judge: impl FnOnce() -> Result<ModelOutcomes, E>,
     ) -> Result<Lookup, E> {
+        self.get_or_judge_for(1, test, model, cfg, judge)
+    }
+
+    /// [`SharedCache::get_or_judge`] on behalf of `lookups` (at least 1)
+    /// lookups of the same shape, such as the cells of one test on
+    /// several chips. The first counts as a hit or a miss, as a lone
+    /// lookup would; every other one counts as a hit on the entry the
+    /// first resolved (a warm hit when that entry was restored from a
+    /// file), as if it had been made afterwards. A failed judgement
+    /// counts nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`SharedCache::get_or_judge`].
+    pub fn get_or_judge_for<E>(
+        &self,
+        lookups: u64,
+        test: &LitmusTest,
+        model: &dyn Model,
+        cfg: &EnumConfig,
+        judge: impl FnOnce() -> Result<ModelOutcomes, E>,
+    ) -> Result<Lookup, E> {
+        debug_assert!(lookups >= 1, "a lookup stands for at least itself");
         let key = VerdictCache::entry_key(test, model, cfg);
         let mut state = self.state();
         loop {
-            if let Some(verdict) = state.cache.get(&key) {
+            if let Some(verdict) = state.cache.get(&key, lookups) {
                 return Ok(Lookup {
                     verdict,
                     judged: false,
@@ -411,7 +444,7 @@ impl SharedCache {
         let key = flight.key.take().expect("the key is still in flight");
         let mut state = self.state();
         state.in_flight.remove(&key);
-        let verdict = state.cache.publish_key(key, verdict);
+        let verdict = state.cache.publish_key(key, verdict, lookups - 1);
         let lookup = Lookup {
             verdict,
             judged: true,
@@ -581,6 +614,45 @@ mod tests {
         });
         let counts = shared.read(|c| (c.hits(), c.misses(), c.len()));
         assert_eq!(counts, (3, 1, 1));
+    }
+
+    #[test]
+    fn one_lookup_for_several_cells_counts_each_cell() {
+        let t = corpus::mp(ThreadScope::InterCta, None);
+        let model = sc();
+        let cfg = EnumConfig::default();
+        let shared = SharedCache::default();
+        let failed = shared.get_or_judge_for(5, &t, &model, &cfg, || Err("budget"));
+        assert_eq!(failed.unwrap_err(), "budget");
+        assert_eq!(shared.read(|c| (c.hits(), c.misses())), (0, 0));
+        // A miss and four sibling hits on the fresh entry.
+        let first = shared
+            .get_or_judge_for(5, &t, &model, &cfg, || model_outcomes(&t, &model, &cfg))
+            .unwrap();
+        assert!(first.judged);
+        assert_eq!((first.hits, first.misses), (4, 1));
+        let again = shared
+            .get_or_judge_for(3, &t, &model, &cfg, || -> Result<_, ()> {
+                unreachable!("cached")
+            })
+            .unwrap();
+        assert!(!again.judged && Arc::ptr_eq(&first.verdict, &again.verdict));
+        assert_eq!((again.hits, again.misses), (7, 1));
+        assert_eq!(shared.read(VerdictCache::warm_hits), 0);
+        // Every sibling of a restored entry is a warm hit.
+        let mut restored = VerdictCache::new();
+        restored.insert_warm(
+            VerdictCache::entry_key(&t, &model, &cfg),
+            model_outcomes(&t, &model, &cfg).unwrap(),
+        );
+        let warm = SharedCache::new(restored);
+        let lookup = warm
+            .get_or_judge_for(5, &t, &model, &cfg, || -> Result<_, ()> {
+                unreachable!("restored")
+            })
+            .unwrap();
+        assert_eq!((lookup.hits, lookup.misses), (5, 0));
+        assert_eq!(warm.read(VerdictCache::warm_hits), 5);
     }
 
     #[test]

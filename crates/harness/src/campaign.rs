@@ -23,17 +23,18 @@
 //! each cell alone through `run_test`.
 //!
 //! Nothing is materialised ahead of the workers or kept behind them. Each
-//! distinct `(test, chip)` simulator is compiled on the worker that first
-//! claims one of its items and freed when its last item completes; a
-//! worker keeps one [`MachineState`], refitted in place as it moves
-//! between simulators, so runs allocate nothing; and each finished cell's
-//! [`TestReport`] is handed to the caller by value.
+//! distinct test is compiled once, on the worker that first claims one
+//! of its items, and the program is shared by the test's cells on every
+//! chip and freed when its last item completes; a worker keeps one
+//! [`MachineState`], refitted in place as it moves between simulators,
+//! so runs allocate nothing; and each finished cell's [`TestReport`] is
+//! handed to the caller by value.
 //!
-//! Progress callbacks run on the worker threads. A callback that judges
-//! cells against an axiomatic model (as the sweep's does) should keep
-//! one `weakgpu_axiom::plan::EvalContext` per worker — e.g. in a
-//! `thread_local!` — so repeated verdicts reuse one evaluation arena;
-//! see `crate::sweep` for the pattern.
+//! Progress callbacks run on the worker threads, and a worker runs no
+//! other item while its callback runs. A callback should therefore do
+//! little and never wait: the sweep resolves every verdict before its
+//! campaign starts, so its callback only compares a histogram with a
+//! verdict it already holds (see `crate::sweep`).
 //!
 //! ```
 //! use weakgpu_harness::campaign::{run_campaign, CampaignConfig, CellSpec};
@@ -59,6 +60,7 @@ use rand::SeedableRng;
 use weakgpu_litmus::{LitmusTest, ThreadScope};
 use weakgpu_sim::chip::{Chip, Incantations};
 use weakgpu_sim::machine::{MachineState, ObsCounts, Simulator};
+use weakgpu_sim::program::SimProgram;
 
 use crate::histogram::Histogram;
 use crate::runner::{chunk_seed, chunk_sizes, HarnessError, RunConfig, TestReport};
@@ -185,14 +187,15 @@ pub(crate) struct Cell<'a> {
 /// The scheduling unit of the pool: consecutive chunks of one cell.
 struct WorkItem {
     cell: usize,
-    sim: usize,
+    /// The index of the cell's test in the program slots.
+    slot: usize,
     chunks: Range<usize>,
 }
 
-/// One distinct `(test, chip)` simulator, compiled while some item still
+/// One distinct test's compiled program, kept while some item still
 /// needs it.
-struct SimSlot {
-    sim: Option<Arc<Simulator>>,
+struct ProgramSlot {
+    program: Option<Arc<SimProgram>>,
     items_left: usize,
 }
 
@@ -261,25 +264,25 @@ where
     F: Fn(usize, TestReport) -> Result<(), E> + Sync,
     E: From<HarnessError> + Send,
 {
-    // Plan the items, cell-major, and give each distinct (test, chip)
-    // pair one simulator slot. Cells referencing the same pair (e.g. the
-    // same test at several incantation columns) share it. Buckets are
-    // keyed by (name, chip) for O(cells) lookup, with a structural
-    // equality check inside the bucket so two different tests that
-    // happen to share a name never share a simulator.
+    // Plan the items, cell-major, and give each distinct test one
+    // program slot. Cells of the same test (on several chips, or at
+    // several incantation columns) share it. Buckets are keyed by name
+    // for O(cells) lookup, with a structural equality check inside the
+    // bucket so two different tests that happen to share a name never
+    // share a program.
     let mut items: Vec<WorkItem> = Vec::new();
     let mut accs: Vec<Mutex<CellAcc>> = Vec::with_capacity(n);
-    let mut slots: Vec<Mutex<SimSlot>> = Vec::new();
+    let mut slots: Vec<Mutex<ProgramSlot>> = Vec::new();
     let mut slot_rep: Vec<&LitmusTest> = Vec::new();
-    let mut by_key: HashMap<(&str, Chip), Vec<usize>> = HashMap::new();
+    let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
     for ci in 0..n {
         let cell = cell_at(ci);
-        let bucket = by_key.entry((cell.test.name(), cell.chip)).or_default();
-        let sim = match bucket.iter().copied().find(|&s| *slot_rep[s] == *cell.test) {
+        let bucket = by_name.entry(cell.test.name()).or_default();
+        let slot = match bucket.iter().copied().find(|&s| *slot_rep[s] == *cell.test) {
             Some(s) => s,
             None => {
-                slots.push(Mutex::new(SimSlot {
-                    sim: None,
+                slots.push(Mutex::new(ProgramSlot {
+                    program: None,
                     items_left: 0,
                 }));
                 slot_rep.push(cell.test);
@@ -294,7 +297,7 @@ where
             if runs >= ITEM_RUNS {
                 items.push(WorkItem {
                     cell: ci,
-                    sim,
+                    slot,
                     chunks: start..end,
                 });
                 (start, runs) = (end, 0);
@@ -305,18 +308,18 @@ where
         if start < end || end == 0 {
             items.push(WorkItem {
                 cell: ci,
-                sim,
+                slot,
                 chunks: start..end,
             });
         }
         let cell_items = items.len() - first;
-        slots[sim].get_mut().expect("no poisoned locks").items_left += cell_items;
+        slots[slot].get_mut().expect("no poisoned locks").items_left += cell_items;
         accs.push(Mutex::new(CellAcc {
             histogram: Histogram::new(),
             items_left: cell_items,
         }));
     }
-    drop(by_key);
+    drop(by_name);
 
     // Runs one item and, if it completes its cell, reports the cell.
     let run_item = |item: &WorkItem,
@@ -324,18 +327,19 @@ where
                     counts: &mut ObsCounts|
      -> Result<(), E> {
         let cell = cell_at(item.cell);
-        let slot = &slots[item.sim];
-        let sim = {
+        let slot = &slots[item.slot];
+        let program = {
             let mut slot = slot.lock().expect("no poisoned locks");
-            match &slot.sim {
-                Some(sim) => Arc::clone(sim),
+            match &slot.program {
+                Some(program) => Arc::clone(program),
                 None => {
-                    let sim = Simulator::compile(cell.test, cell.chip)
+                    let program = SimProgram::compile(cell.test)
                         .map_err(|e| E::from(HarnessError::Compile(e)))?;
-                    Arc::clone(slot.sim.insert(Arc::new(sim)))
+                    Arc::clone(slot.program.insert(Arc::new(program)))
                 }
             }
         };
+        let sim = Simulator::from_program(program, cell.chip);
         let st = state.get_or_insert_with(|| sim.new_state());
         sim.fit_state(st);
         let weights = cell.chip.profile().weights(&cell.incantations);
@@ -357,13 +361,13 @@ where
         for (obs, n) in counts.iter() {
             histogram.add(sim.outcome_from_obs(obs), n);
         }
-        // The last item of a simulator frees it.
+        // The last item of a test frees its program.
         drop(sim);
         {
             let mut slot = slot.lock().expect("no poisoned locks");
             slot.items_left -= 1;
             if slot.items_left == 0 {
-                slot.sim = None;
+                slot.program = None;
             }
         }
 
@@ -379,15 +383,7 @@ where
         }
     };
 
-    let workers = cfg
-        .parallelism
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, items.len().max(1));
-
+    let workers = worker_count(cfg.parallelism, items.len());
     let cursor = AtomicUsize::new(0);
     // Publishes nothing: the error itself is under its mutex.
     let abort = AtomicBool::new(false);
@@ -423,6 +419,18 @@ where
         Some((_, e)) => Err(e),
         None => Ok(()),
     }
+}
+
+/// The threads to run `jobs` independent jobs on: `parallelism` (`None`
+/// = all available cores), but at least 1 and no more than the jobs.
+pub(crate) fn worker_count(parallelism: Option<usize>, jobs: usize) -> usize {
+    parallelism
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+        .clamp(1, jobs.max(1))
 }
 
 fn finish_cell(cell: Cell<'_>, histogram: Histogram) -> TestReport {

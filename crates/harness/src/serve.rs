@@ -34,8 +34,9 @@
 //! afterwards ([`weakgpu_axiom::persist`]) — that is the flush-on-
 //! graceful-shutdown contract the CLI front end implements.
 //!
-//! The cache is the same single-flight [`SharedCache`] the sweep
-//! workers use, so a future socket front end can serve concurrent
+//! The cache is the same single-flight [`SharedCache`] the sweep's
+//! judge pass uses: concurrent lookups of one shape share a single
+//! judgement, so a future socket front end can serve concurrent
 //! connections from one cache without changing this module.
 
 use std::io::{BufRead, Write};

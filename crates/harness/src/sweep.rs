@@ -10,28 +10,29 @@
 //!   are disjoint, exhaustive, and identical on every machine. Per-test
 //!   seeds derive from the *global* index, so a sharded run's cells are
 //!   bit-identical to the same cells of an unsharded run.
-//! * **Model-verdict caching** — soundness is checked per cell against
-//!   the model, but the axiomatic verdict depends only on the test's
-//!   shape, so a [`SharedCache`] judges each shape exactly once (a cell
-//!   racing another cell of the same shape waits for its judgement) and
-//!   answers the other chips' cells from the cache (the hot path
-//!   measured in `BENCH_sweep.json`). Cache misses are
-//!   judged through the model's compiled plan with one
-//!   [`EvalContext`] per worker thread (the cache-miss hot path measured
-//!   in `BENCH_model.json`), composing the two optimisations: the cache
-//!   removes repeat enumerations, the plan makes the remaining ones
-//!   cheap.
+//! * **Judge, then run** — soundness is checked per cell against the
+//!   model, but the axiomatic verdict depends only on the test's shape.
+//!   So a sweep runs in two passes. The judge pass resolves every
+//!   selected test's verdict once, on the sweep's worker count, through
+//!   a [`SharedCache`] that judges each shape exactly once (two tests of
+//!   one shape judged at the same moment share one judgement) and counts
+//!   the test's other chip cells as hits. Misses are judged through the
+//!   model's compiled plan with one [`EvalContext`] per worker (the
+//!   cache-miss hot path measured in `BENCH_model.json`). The run pass
+//!   then runs the campaign; a finished cell only compares its histogram
+//!   with its test's resolved verdict, so no worker ever waits on
+//!   another's judgement.
 //! * **Machine-readable reports** — each completed cell streams a JSONL
 //!   [`CellRecord`]; the aggregate [`SweepReport`] serialises to JSON,
 //!   parses back, and [`SweepReport::merge`]s across shards into totals
 //!   identical to an unsharded run at the same seed.
 
-use std::cell::RefCell;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use weakgpu_axiom::cache::{SharedCache, VerdictCache};
+use weakgpu_axiom::cache::{Lookup, SharedCache, VerdictCache};
 use weakgpu_axiom::enumerate::{model_outcomes_with, EnumConfig, EnumError};
 use weakgpu_axiom::persist;
 use weakgpu_axiom::plan::EvalContext;
@@ -39,7 +40,7 @@ use weakgpu_litmus::LitmusTest;
 use weakgpu_models::ptx_model;
 use weakgpu_sim::chip::Chip;
 
-use crate::campaign::{default_incantations, run_cells, CampaignConfig, Cell};
+use crate::campaign::{default_incantations, run_cells, worker_count, CampaignConfig, Cell};
 use crate::json::{self, Json};
 use crate::runner::HarnessError;
 
@@ -191,19 +192,24 @@ pub struct CellRecord {
     pub distinct: usize,
     /// Observed outcomes the model forbids (rendered; empty = sound).
     pub unsound: Vec<String>,
-    /// Cumulative verdict-cache hits at the moment this cell completed.
+    /// Cumulative verdict-cache hits right after this cell's test was
+    /// looked up. Each test is looked up once, on behalf of all its
+    /// cells, before any cell runs.
     ///
     /// This field and the two after it are bookkeeping, not results:
-    /// they depend on completion order (which cell of a shape completes
-    /// first and judges it), so they legitimately differ between runs at
-    /// different `--parallelism`, and between runs at the same one.
+    /// they depend on the order in which the judging workers reach the
+    /// tests (which test of a shape judges it), so they legitimately
+    /// differ between runs at different `--parallelism`, and between
+    /// runs at the same one above 1.
     pub cache_hits: u64,
-    /// Cumulative verdict-cache misses at the moment this cell
-    /// completed.
+    /// Cumulative verdict-cache misses right after this cell's test was
+    /// looked up.
     pub cache_misses: u64,
-    /// Wall-clock time this cell spent streaming candidate executions
-    /// through the model on a verdict-cache miss, in microseconds (0 on
-    /// a hit) — attributes sweep wins to skeleton sharing vs caching.
+    /// Wall-clock time the judgement of this cell's test took, streaming
+    /// candidate executions through the model, in microseconds. It is
+    /// reported on the test's first chip cell only; the others, and every
+    /// cell of a test the cache answered, carry 0, so the records sum to
+    /// [`CacheStats::enum_micros`].
     pub enum_micros: u64,
 }
 
@@ -756,8 +762,6 @@ where
         .collect();
 
     let num_chips = cfg.chips.len();
-    let model = ptx_model();
-    let enum_cfg = EnumConfig::default();
     let initial_cache = match &cfg.cache_file {
         Some(path) if path.exists() => {
             persist::load(path).map_err(|e| SweepError::Cache(e.to_string()))?
@@ -771,6 +775,9 @@ where
         _ => VerdictCache::new(),
     };
     let cache = SharedCache::new(initial_cache);
+    let judged = judge_all(&selected, num_chips, &cache, cfg.parallelism);
+    let cache = cache.into_inner();
+
     let tally = Mutex::new(Tally {
         per_chip: cfg
             .chips
@@ -786,7 +793,6 @@ where
             .collect(),
         weak: vec![false; selected.len()],
         unsound: Vec::new(),
-        enum_micros: 0,
     });
 
     // Cell `ci` is test `ci / num_chips` of the selection on chip
@@ -808,23 +814,15 @@ where
         },
         |ci, report| -> Result<(), SweepError> {
             let (gi, test) = selected[ci / num_chips];
-            // Each campaign worker thread keeps its own evaluation
-            // context, so every miss it judges reuses one relation arena
-            // instead of reallocating per candidate execution.
-            thread_local! {
-                static EVAL_CTX: RefCell<EvalContext> = RefCell::new(EvalContext::new());
-            }
-            let mut enum_micros = 0u64;
-            let lookup = cache.get_or_judge(test, &model, &enum_cfg, || {
-                let t0 = Instant::now();
-                let judged = EVAL_CTX.with(|ctx| {
-                    model_outcomes_with(test, &model, &enum_cfg, &mut ctx.borrow_mut())
-                });
-                enum_micros = t0.elapsed().as_micros() as u64;
-                judged
-            });
-            let lookup = lookup.map_err(|e| SweepError::Enum(test.name().to_owned(), e))?;
-            let verdict = lookup.verdict;
+            let judged = &judged[ci / num_chips];
+            // A cell whose test failed judgement fails here, after its
+            // compile and runs succeeded, so the campaign reports the
+            // lowest failing cell whatever made it fail.
+            let lookup = judged
+                .lookup
+                .as_ref()
+                .map_err(|e| SweepError::Enum(test.name().to_owned(), e.clone()))?;
+            let verdict = &lookup.verdict;
             let unsound: Vec<String> = report
                 .histogram
                 .outcomes()
@@ -841,7 +839,11 @@ where
                 unsound,
                 cache_hits: lookup.hits,
                 cache_misses: lookup.misses,
-                enum_micros,
+                enum_micros: if ci % num_chips == 0 {
+                    judged.enum_micros
+                } else {
+                    0
+                },
             };
             on_cell(&record);
             tally
@@ -856,11 +858,9 @@ where
         per_chip,
         weak,
         mut unsound,
-        enum_micros,
     } = tally.into_inner().expect("no poisoned locks");
     unsound.sort_unstable_by_key(|(ci, _)| *ci);
     let unsound: Vec<UnsoundCell> = unsound.into_iter().map(|(_, u)| u).collect();
-    let cache = cache.into_inner();
     if let Some(path) = &cfg.cache_file {
         if !cfg.cache_readonly {
             persist::save(path, &cache).map_err(|e| SweepError::Cache(e.to_string()))?;
@@ -886,11 +886,68 @@ where
             entries: cache.len() as u64,
             hits: cache.hits(),
             misses: cache.misses(),
-            enum_micros,
+            enum_micros: judged.iter().map(|j| j.enum_micros).sum(),
             warm_entries: cache.warm_entries(),
             warm_hits: cache.warm_hits(),
         },
     })
+}
+
+/// One selected test's verdict, resolved before any of its cells runs.
+struct Judged {
+    /// The lookup, or the judgement's error, which the test's cells
+    /// report in cell order.
+    lookup: Result<Lookup, EnumError>,
+    /// Time the judgement took (0 when the cache answered).
+    enum_micros: u64,
+}
+
+/// The judge pass: resolves the verdict of every test in `selected`
+/// once, on `parallelism` workers, each lookup standing for the test's
+/// `num_chips` cells. A failed judgement is kept with its test, not
+/// returned, so that the run pass can report it in cell order.
+fn judge_all(
+    selected: &[(usize, &LitmusTest)],
+    num_chips: usize,
+    cache: &SharedCache,
+    parallelism: Option<usize>,
+) -> Vec<Judged> {
+    let model = ptx_model();
+    let enum_cfg = EnumConfig::default();
+    let judged: Vec<OnceLock<Judged>> = selected.iter().map(|_| OnceLock::new()).collect();
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..worker_count(parallelism, selected.len()) {
+            scope.spawn(|| {
+                // One evaluation arena per worker, reused by every miss
+                // it judges.
+                let mut ctx = EvalContext::new();
+                loop {
+                    let t = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(&(_, test)) = selected.get(t) else {
+                        break;
+                    };
+                    let mut enum_micros = 0;
+                    let lookup =
+                        cache.get_or_judge_for(num_chips as u64, test, &model, &enum_cfg, || {
+                            let t0 = Instant::now();
+                            let verdict = model_outcomes_with(test, &model, &enum_cfg, &mut ctx);
+                            enum_micros = t0.elapsed().as_micros() as u64;
+                            verdict
+                        });
+                    let entry = Judged {
+                        lookup,
+                        enum_micros,
+                    };
+                    assert!(judged[t].set(entry).is_ok(), "each test is claimed once");
+                }
+            });
+        }
+    });
+    judged
+        .into_iter()
+        .map(|j| j.into_inner().expect("every test was judged"))
+        .collect()
 }
 
 /// The aggregate of the cells completed so far. Each cell's record is
@@ -903,8 +960,6 @@ struct Tally {
     /// Unsound cells tagged with their cell index (canonical order once
     /// sorted).
     unsound: Vec<(usize, UnsoundCell)>,
-    /// Summed miss-path enumeration time.
-    enum_micros: u64,
 }
 
 impl Tally {
@@ -930,7 +985,6 @@ impl Tally {
                 },
             ));
         }
-        self.enum_micros += record.enum_micros;
     }
 }
 

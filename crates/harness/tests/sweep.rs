@@ -4,9 +4,17 @@
 
 use std::sync::Mutex;
 
+use weakgpu_axiom::enumerate::EnumError;
+use weakgpu_axiom::symbolic::SymError;
 use weakgpu_diy::{generate, GenConfig};
-use weakgpu_harness::sweep::{run_sweep, run_sweep_with, Shard, SweepConfig, SweepReport};
+use weakgpu_harness::runner::HarnessError;
+use weakgpu_harness::sweep::{
+    run_sweep, run_sweep_with, Shard, SweepConfig, SweepError, SweepReport,
+};
+use weakgpu_litmus::build::{bra, imm, label, ld, reg, setp_eq, st};
+use weakgpu_litmus::{corpus, LitmusTest, Predicate, ThreadScope};
 use weakgpu_sim::chip::Chip;
+use weakgpu_sim::program::CompileError;
 
 fn small_cfg(shard: Option<Shard>) -> SweepConfig {
     SweepConfig {
@@ -248,4 +256,79 @@ fn warm_cache_run_is_bit_identical_to_cold() {
     let err = run_sweep(&family, &warm_cfg).unwrap_err();
     assert!(err.to_string().contains("read-only cache file"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spin-wait on `x`: the simulator runs it to completion, but judging
+/// it unrolls the loop on the path that always reads 0 and exceeds the
+/// per-thread step budget. With `observe` naming a register thread 1
+/// never writes, it also fails to compile.
+fn spin(name: &str, observe: &str) -> LitmusTest {
+    LitmusTest::builder(name)
+        .global("x", 0)
+        .thread([st("x", 1)])
+        .thread([
+            label("L"),
+            ld("r1", "x"),
+            setp_eq("p", reg("r1"), imm(0)),
+            bra("L").guarded("p", true),
+        ])
+        .exists(Predicate::reg_eq(1, observe, 1))
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn lowest_failing_cell_wins_whatever_failed() {
+    // A cell fails on compile, then run, then its test's judgement, and
+    // the sweep reports the lowest failing cell, in cell order, at any
+    // parallelism, although every judgement precedes every run.
+    let ok = |name: &str| corpus::sb(ThreadScope::InterCta, None).with_name(name);
+    let unjudgeable = || spin("c-spin", "r1");
+    let uncompilable = || spin("c-spin", "r8");
+    let judge_err = SweepError::Enum(
+        "c-spin".to_owned(),
+        EnumError::Sym(SymError::StepLimit { tid: 1 }),
+    );
+    let compile_err = SweepError::Harness(HarnessError::Compile(CompileError::UnknownObservedReg(
+        1,
+        "r8".into(),
+    )));
+    let cases = [
+        // Judgement fails before a later test fails to compile.
+        (
+            vec![
+                ok("a"),
+                ok("b"),
+                unjudgeable(),
+                ok("d"),
+                spin("e-bad", "r8"),
+            ],
+            judge_err.clone(),
+        ),
+        // A compile failure before a later test fails judgement.
+        (
+            vec![
+                ok("a"),
+                ok("b"),
+                uncompilable(),
+                ok("d"),
+                spin("e-spin", "r1"),
+            ],
+            compile_err.clone(),
+        ),
+        // One test failing both: the compile failure is its cells'.
+        (vec![ok("a"), uncompilable(), ok("d")], compile_err),
+    ];
+    for (family, want) in cases {
+        for par in [1, 3] {
+            let cfg = SweepConfig {
+                family: "errors".to_owned(),
+                iterations: 40,
+                parallelism: Some(par),
+                ..small_cfg(None)
+            };
+            let got = run_sweep(&family, &cfg).unwrap_err();
+            assert_eq!(got, want, "parallelism {par}");
+        }
+    }
 }

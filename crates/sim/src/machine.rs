@@ -21,6 +21,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -133,15 +134,20 @@ pub struct MachineState {
     nlocs: usize,
     /// SM hosting each CTA this run.
     sm_of_cta: Vec<usize>,
+    /// The `l1` row of each CTA this run: the row of the lowest CTA on
+    /// the same SM, so CTAs sharing an SM share its L1.
+    l1_row: Vec<usize>,
     /// The L2 point of coherence, indexed by location.
     l2: Vec<i64>,
     /// Per-CTA shared memory, flattened `cta * nlocs + loc`.
     shared: Vec<i64>,
-    /// Per-SM L1 lines, flattened `sm * nlocs + loc`.
+    /// The L1 lines of the SMs hosting the test, one row per CTA (only
+    /// the rows named in `l1_row` are used), flattened `row * nlocs +
+    /// loc`. An SM hosting no CTA is never read, so it has no row.
     l1: Vec<Option<L1Line>>,
     /// Per-thread execution contexts.
     threads: Vec<ThreadCtx>,
-    /// Scheduler scratch: indices of unfinished threads.
+    /// Indices of the unfinished threads, in increasing order.
     active: Vec<usize>,
     /// Observed values of the last completed run, in the compiled
     /// program's `observed` order.
@@ -206,7 +212,7 @@ impl ObsCounts {
 /// A compiled litmus test bound to a chip, ready to run.
 #[derive(Clone, Debug)]
 pub struct Simulator {
-    program: SimProgram,
+    program: Arc<SimProgram>,
     chip: Chip,
     /// Owning CTA of each location's shared-memory instance (meaningful
     /// for `Region::Shared` locations only), precomputed at compile time.
@@ -220,15 +226,24 @@ impl Simulator {
     ///
     /// Propagates [`CompileError`]s from [`SimProgram::compile`].
     pub fn compile(test: &LitmusTest, chip: Chip) -> Result<Self, CompileError> {
-        let program = SimProgram::compile(test)?;
+        Ok(Simulator::from_program(
+            Arc::new(SimProgram::compile(test)?),
+            chip,
+        ))
+    }
+
+    /// Binds an already compiled program to `chip`. Compilation does not
+    /// depend on the chip, so one program can back the simulators of a
+    /// test on every chip.
+    pub fn from_program(program: Arc<SimProgram>, chip: Chip) -> Self {
         let shared_owner = (0..program.locs.len() as u32)
             .map(|l| shared_owner_cta(&program, l))
             .collect();
-        Ok(Simulator {
+        Simulator {
             program,
             chip,
             shared_owner,
-        })
+        }
     }
 
     /// The compiled program.
@@ -277,6 +292,7 @@ impl Simulator {
         let mut st = MachineState {
             nlocs: 0,
             sm_of_cta: Vec::new(),
+            l1_row: Vec::new(),
             l2: Vec::new(),
             shared: Vec::new(),
             l1: Vec::new(),
@@ -321,6 +337,13 @@ impl Simulator {
                 c % profile.num_sms
             }
         }));
+        st.l1_row.clear();
+        st.l1_row.extend(st.sm_of_cta.iter().map(|sm| {
+            st.sm_of_cta
+                .iter()
+                .position(|s| s == sm)
+                .expect("the CTA's own SM is in the list")
+        }));
 
         // Memory.
         st.l2.clear();
@@ -330,12 +353,12 @@ impl Simulator {
             st.shared.extend(p.locs.iter().map(|l| l.init));
         }
         st.l1.clear();
-        st.l1.resize(profile.num_sms * nlocs, None);
+        st.l1.resize(p.num_ctas * nlocs, None);
         if w.l1_preload > 0.0 {
-            for sm in st.sm_of_cta.iter().copied() {
+            for row in st.l1_row.iter().copied() {
                 for (i, loc) in p.locs.iter().enumerate() {
                     if loc.region == Region::Global && rng.random_bool(w.l1_preload) {
-                        st.l1[sm * nlocs + i] = Some(L1Line {
+                        st.l1[row * nlocs + i] = Some(L1Line {
                             value: loc.init,
                             stale: false,
                             sticky: false,
@@ -369,22 +392,19 @@ impl Simulator {
         let p = &self.program;
         self.reset(w, thread_rand, rng, st);
 
+        // Only the thread that acts in a step can finish in it, so the
+        // list is built once and a thread leaves it when it finishes.
+        st.active.clear();
+        st.active
+            .extend((0..st.threads.len()).filter(|&t| !st.threads[t].done(p.threads[t].len())));
         let mut steps = 0usize;
-        loop {
-            st.active.clear();
-            for t in 0..st.threads.len() {
-                if !st.threads[t].done(p.threads[t].len()) {
-                    st.active.push(t);
-                }
-            }
-            if st.active.is_empty() {
-                break;
-            }
+        while !st.active.is_empty() {
             steps += 1;
             if steps > MAX_STEPS {
                 return Err(RunError::StepLimit);
             }
-            let t = st.active[rng.random_range(0..st.active.len())];
+            let a = rng.random_range(0..st.active.len());
+            let t = st.active[a];
             let (can_issue, stalled) = self.issue_status(t, &st.threads[t]);
             let can_perform = !st.threads[t].queue.is_empty();
             let do_issue = match (can_issue, can_perform) {
@@ -403,6 +423,9 @@ impl Simulator {
                 self.issue(t, &mut st.threads, w, rng)?;
             } else {
                 self.perform(t, st, w, rng);
+            }
+            if st.threads[t].done(p.threads[t].len()) {
+                st.active.remove(a);
             }
         }
 
@@ -733,7 +756,7 @@ impl Simulator {
     fn perform(&self, t: usize, st: &mut MachineState, w: &RunWeights, rng: &mut SmallRng) {
         let nlocs = st.nlocs;
         let cta = self.program.thread_cta[t];
-        let sm = st.sm_of_cta[cta];
+        let row = st.l1_row[cta];
 
         // Choose which queue entry performs.
         let idx = {
@@ -798,7 +821,7 @@ impl Simulator {
                 if !leaked {
                     if let Some(min) = w.l1_invalidate_scope {
                         if scope.at_least(min) {
-                            for line in st.l1[sm * nlocs..(sm + 1) * nlocs].iter_mut() {
+                            for line in st.l1[row * nlocs..(row + 1) * nlocs].iter_mut() {
                                 *line = None;
                             }
                         }
@@ -835,22 +858,22 @@ impl Simulator {
                                 // `.cg` evicts a matching L1 line — except
                                 // with the keep-stale quirk, which leaves a
                                 // sticky stale line behind (Fig. 4).
-                                if let Some(line) = st.l1[sm * nlocs + li] {
+                                if let Some(line) = st.l1[row * nlocs + li] {
                                     if line.stale
                                         && w.keep_stale_after_cg > 0.0
                                         && rng.random_bool(w.keep_stale_after_cg)
                                     {
-                                        st.l1[sm * nlocs + li] = Some(L1Line {
+                                        st.l1[row * nlocs + li] = Some(L1Line {
                                             sticky: true,
                                             ..line
                                         });
                                     } else {
-                                        st.l1[sm * nlocs + li] = None;
+                                        st.l1[row * nlocs + li] = None;
                                     }
                                 }
                                 v
                             }
-                            CacheOp::Ca => match st.l1[sm * nlocs + li] {
+                            CacheOp::Ca => match st.l1[row * nlocs + li] {
                                 Some(line) if line.sticky => line.value,
                                 Some(line)
                                     if line.stale
@@ -862,7 +885,7 @@ impl Simulator {
                                 Some(line) => line.value,
                                 None => {
                                     let v = st.l2[li];
-                                    st.l1[sm * nlocs + li] = Some(L1Line {
+                                    st.l1[row * nlocs + li] = Some(L1Line {
                                         value: v,
                                         stale: false,
                                         sticky: false,
