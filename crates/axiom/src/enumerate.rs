@@ -101,6 +101,15 @@ impl From<SymError> for EnumError {
     }
 }
 
+/// Each location's initial value: the read-value domains before any
+/// write is taken into account.
+fn initial_domains(test: &LitmusTest) -> BTreeMap<Loc, BTreeSet<i64>> {
+    test.memory()
+        .iter()
+        .map(|(l, mi)| (l.clone(), [mi.init].into_iter().collect()))
+        .collect()
+}
+
 /// Collects the statically known write-value domains: when every store
 /// in `test` writes an immediate constant to a named location
 /// *unconditionally* (no read-modify-writes, no predicated stores), the
@@ -134,11 +143,7 @@ fn static_domains(test: &LitmusTest) -> Option<BTreeMap<Loc, BTreeSet<i64>>> {
             _ => true,
         }
     }
-    let mut domains: BTreeMap<Loc, BTreeSet<i64>> = test
-        .memory()
-        .iter()
-        .map(|(l, mi)| (l.clone(), [mi.init].into_iter().collect()))
-        .collect();
+    let mut domains = initial_domains(test);
     for thread in test.threads() {
         for instr in thread {
             if !collect(instr, &mut domains) {
@@ -168,11 +173,6 @@ fn fixed_point_traces(
     test: &LitmusTest,
     cfg: &EnumConfig,
 ) -> Result<(BTreeMap<Loc, BTreeSet<i64>>, Vec<Vec<ThreadTrace>>), EnumError> {
-    let mut domains: BTreeMap<Loc, BTreeSet<i64>> = test
-        .memory()
-        .iter()
-        .map(|(l, mi)| (l.clone(), [mi.init].into_iter().collect()))
-        .collect();
     let enumerate_all = |domains: &BTreeMap<Loc, BTreeSet<i64>>| {
         test.threads()
             .iter()
@@ -191,6 +191,7 @@ fn fixed_point_traces(
             .collect::<Result<Vec<_>, _>>()
     };
     if cfg.domain_iters == 0 {
+        let domains = initial_domains(test);
         let per_thread = enumerate_all(&domains)?;
         return Ok((domains, per_thread));
     }
@@ -198,6 +199,7 @@ fn fixed_point_traces(
         let per_thread = enumerate_all(&domains)?;
         return Ok((domains, per_thread));
     }
+    let mut domains = initial_domains(test);
     let mut iterations = 0usize;
     loop {
         // One fixed-point iteration, updating the domains thread by
@@ -323,68 +325,6 @@ fn with_scratch<R>(f: impl FnOnce(&mut EnumScratch) -> R) -> R {
     })
 }
 
-/// One memoised [`fixed_point_traces`] result. Trace enumeration
-/// depends only on the test and the enumeration caps, yet every
-/// judgement pass re-derived it from scratch — in a sweep each
-/// (test, model) cell pays it again, and on small-tree workloads it
-/// rivals judging itself. A single-entry cache keyed by test equality
-/// covers the hot pattern (consecutive passes over one test) without
-/// growing per extra test.
-struct TraceCache {
-    test: LitmusTest,
-    max_steps: usize,
-    max_traces: usize,
-    domain_iters: usize,
-    domains: std::rc::Rc<BTreeMap<Loc, BTreeSet<i64>>>,
-    per_thread: std::rc::Rc<Vec<Vec<ThreadTrace>>>,
-}
-
-thread_local! {
-    static TRACE_CACHE: std::cell::RefCell<Option<TraceCache>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// [`fixed_point_traces`] behind the thread-local single-entry cache:
-/// a hit is one `LitmusTest` equality check instead of a full
-/// enumeration. The caps are part of the key — a budget change must
-/// re-enumerate (and re-raise any budget error).
-#[allow(clippy::type_complexity)]
-fn fixed_point_traces_cached(
-    test: &LitmusTest,
-    cfg: &EnumConfig,
-) -> Result<
-    (
-        std::rc::Rc<BTreeMap<Loc, BTreeSet<i64>>>,
-        std::rc::Rc<Vec<Vec<ThreadTrace>>>,
-    ),
-    EnumError,
-> {
-    TRACE_CACHE.with(|cell| {
-        let mut cached = cell.borrow_mut();
-        if let Some(e) = cached.as_ref() {
-            if e.max_steps == cfg.max_steps_per_thread
-                && e.max_traces == cfg.max_traces_per_thread
-                && e.domain_iters == cfg.domain_iters
-                && e.test == *test
-            {
-                return Ok((e.domains.clone(), e.per_thread.clone()));
-            }
-        }
-        let (domains, per_thread) = fixed_point_traces(test, cfg)?;
-        let domains = std::rc::Rc::new(domains);
-        let per_thread = std::rc::Rc::new(per_thread);
-        *cached = Some(TraceCache {
-            test: test.clone(),
-            max_steps: cfg.max_steps_per_thread,
-            max_traces: cfg.max_traces_per_thread,
-            domain_iters: cfg.domain_iters,
-            domains: domains.clone(),
-            per_thread: per_thread.clone(),
-        });
-        Ok((domains, per_thread))
-    })
-}
-
 /// Streams the candidates of every realisable trace combination of
 /// `test` through `f`, preparing each combination's skeleton and working
 /// set in `scratch` (see [`prepare_combination`]) and counting visits
@@ -398,7 +338,7 @@ fn for_each_combination<B, F>(
 where
     F: FnMut(&ExecutionView<'_>) -> ControlFlow<B>,
 {
-    let (_domains, per_thread) = fixed_point_traces_cached(test, cfg)?;
+    let (_domains, per_thread) = fixed_point_traces(test, cfg)?;
 
     let thread_cta: Vec<usize> = (0..test.num_threads())
         .map(|t| test.scope_tree().placement(t).cta)

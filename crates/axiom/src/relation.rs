@@ -621,68 +621,6 @@ impl Relation {
         }
         None
     }
-
-    /// Like [`Relation::find_cycle`] but iterative and allocation-free
-    /// in steady state: scratch buffers are caller-owned and the cycle
-    /// comes back as its **edge list** in `out_edges` (cleared first).
-    /// Returns `true` iff a cycle was found.
-    pub fn find_cycle_with(
-        &self,
-        colour: &mut Vec<u8>,
-        stack: &mut Vec<(usize, usize)>,
-        out_edges: &mut Vec<(u32, u32)>,
-    ) -> bool {
-        const WHITE: u8 = 0;
-        const GREY: u8 = 1;
-        const BLACK: u8 = 2;
-        out_edges.clear();
-        colour.clear();
-        colour.resize(self.n, WHITE);
-        stack.clear();
-        for start in 0..self.n {
-            if colour[start] != WHITE {
-                continue;
-            }
-            colour[start] = GREY;
-            stack.push((start, 0));
-            while let Some(&(node, frame_next)) = stack.last() {
-                let mut next = frame_next;
-                let mut pushed = false;
-                while let Some(succ) = self.next_succ(node, next) {
-                    next = succ + 1;
-                    match colour[succ] {
-                        GREY => {
-                            // The stack *is* the grey path: the cycle
-                            // runs from succ's frame to the top, plus
-                            // the closing edge just probed.
-                            let at = stack
-                                .iter()
-                                .position(|&(x, _)| x == succ)
-                                .expect("grey nodes are on the stack");
-                            for w in stack[at..].windows(2) {
-                                out_edges.push((w[0].0 as u32, w[1].0 as u32));
-                            }
-                            out_edges.push((node as u32, succ as u32));
-                            return true;
-                        }
-                        WHITE => {
-                            colour[succ] = GREY;
-                            stack.last_mut().expect("frame exists").1 = next;
-                            stack.push((succ, 0));
-                            pushed = true;
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-                if !pushed {
-                    colour[node] = BLACK;
-                    stack.pop();
-                }
-            }
-        }
-        false
-    }
 }
 
 impl fmt::Debug for Relation {
@@ -869,38 +807,6 @@ mod tests {
         let rng = EventSet::from_iter_n(3, [1, 2]);
         let s = r.restrict(&dom, &rng);
         assert_eq!(s.iter_pairs().collect::<Vec<_>>(), vec![(0, 1), (0, 2)]);
-    }
-
-    #[test]
-    fn find_cycle_with_returns_real_edges() {
-        let mut colour = Vec::new();
-        let mut stack = Vec::new();
-        let mut edges = Vec::new();
-        let acyclic = Relation::from_pairs(70, [(0, 69), (69, 65)]);
-        assert!(!acyclic.find_cycle_with(&mut colour, &mut stack, &mut edges));
-        assert!(edges.is_empty());
-        let cases = [
-            Relation::from_pairs(70, [(0, 69), (69, 0)]),
-            Relation::from_pairs(5, [(2, 2)]),
-            Relation::from_pairs(6, [(0, 1), (1, 2), (2, 3), (3, 1), (4, 5)]),
-        ];
-        for rel in &cases {
-            assert!(rel.find_cycle_with(&mut colour, &mut stack, &mut edges));
-            assert!(!edges.is_empty());
-            // Every reported edge is in the relation, and the edges
-            // chain into a closed walk.
-            for w in edges.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "edges chain");
-            }
-            assert_eq!(
-                edges.last().unwrap().1,
-                edges[0].0,
-                "the walk closes: {edges:?}"
-            );
-            for &(a, b) in &edges {
-                assert!(rel.contains(a as usize, b as usize), "({a},{b}) is real");
-            }
-        }
     }
 
     #[test]

@@ -6,15 +6,19 @@
 //! oracle, execution is deterministic, so enumerating oracles enumerates the
 //! thread's possible event sequences — including which predicated
 //! instructions execute and whether a CAS succeeds.
+//! [`enumerate_thread_traces`] walks those oracles depth-first in one
+//! pass: it checkpoints the thread at each pending read and runs each
+//! candidate value on from the checkpoint, so a prefix that many oracles
+//! share executes once.
 //!
 //! During execution we track, per register, the set of load events whose
 //! values flowed into it; this yields the address (`addr`), data (`data`)
 //! and control (`ctrl`) dependency edges of the paper's model (Sec. 5.1.1).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_set, BTreeMap, BTreeSet};
 use std::fmt;
 
-use weakgpu_litmus::{CacheOp, Instr, Label, Loc, Operand, Reg, Value};
+use weakgpu_litmus::{CacheOp, FenceScope, Instr, Label, Loc, Operand, Reg, Value};
 
 use crate::event::EventKind;
 
@@ -138,7 +142,7 @@ pub enum SymResult {
     /// The thread ran to completion.
     Complete(ThreadTrace),
     /// The oracle is too short: the next read (of the given location) needs
-    /// a value. Extend the oracle and re-run.
+    /// a value.
     NeedValue {
         /// Location the pending read accesses.
         loc: Loc,
@@ -147,125 +151,680 @@ pub enum SymResult {
     Error(SymError),
 }
 
-/// A value plus the sorted, deduplicated read events it derives from.
-/// Taint sets hold at most a handful of indices, so a sorted `Vec`
-/// (cloned per operand read) is much cheaper than a tree set.
+/// A set of read-event indices: the loads a value derives from. Bit `i`
+/// of `lo` is event `i`; indices from 64 up (only long loops reach
+/// them) spill into `hi`, so the common set is one word and cloning it
+/// never allocates.
 #[derive(Clone, Default)]
+struct Taint {
+    lo: u64,
+    hi: Vec<u64>,
+}
+
+impl Taint {
+    fn single(i: usize) -> Self {
+        let mut t = Taint::default();
+        t.insert(i);
+        t
+    }
+
+    fn insert(&mut self, i: usize) {
+        match i / 64 {
+            0 => self.lo |= 1 << i,
+            w => {
+                if self.hi.len() < w {
+                    self.hi.resize(w, 0);
+                }
+                self.hi[w - 1] |= 1 << (i % 64);
+            }
+        }
+    }
+
+    fn union(&mut self, other: &Taint) {
+        self.lo |= other.lo;
+        if self.hi.len() < other.hi.len() {
+            self.hi.resize(other.hi.len(), 0);
+        }
+        for (a, b) in self.hi.iter_mut().zip(&other.hi) {
+            *a |= b;
+        }
+    }
+
+    /// The indices in ascending order, as [`ThreadEvent`] lists them.
+    fn to_vec(&self) -> Vec<usize> {
+        let mut v = Vec::new();
+        for (w, &word) in std::iter::once(&self.lo).chain(&self.hi).enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                v.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        v
+    }
+}
+
+/// A register's value plus the read events it derives from.
+#[derive(Clone)]
 struct Tainted {
     value: Value,
-    taint: Vec<usize>,
+    taint: Taint,
 }
 
-/// Inserts `v` into a sorted, deduplicated vector.
-fn taint_insert(taint: &mut Vec<usize>, v: usize) {
-    if let Err(pos) = taint.binary_search(&v) {
-        taint.insert(pos, v);
-    }
+/// An operand with its register resolved to a dense index and its
+/// symbol to a ready-made pointer.
+enum Src {
+    Reg(usize),
+    Imm(i64),
+    Ptr(Value),
 }
 
-/// Merges `src` into the sorted, deduplicated `dst`.
-fn taint_union(dst: &mut Vec<usize>, src: &[usize]) {
-    for &v in src {
-        taint_insert(dst, v);
-    }
+/// One instruction compiled for the interpreter (see [`Program`]).
+enum Op {
+    /// A label definition.
+    Nop,
+    /// `bra`; `None` for an undefined label, which only a hand-built
+    /// instruction list can contain.
+    Jump(Option<usize>),
+    Ld {
+        dst: usize,
+        addr: Src,
+        cache: CacheOp,
+        volatile: bool,
+    },
+    St {
+        addr: Src,
+        src: Src,
+        cache: CacheOp,
+        volatile: bool,
+    },
+    Cas {
+        dst: usize,
+        addr: Src,
+        expected: Src,
+        desired: Src,
+    },
+    Exch {
+        dst: usize,
+        addr: Src,
+        src: Src,
+    },
+    Inc {
+        dst: usize,
+        addr: Src,
+    },
+    Fence(FenceScope),
+    /// `mov` and `cvt`.
+    Mov {
+        dst: usize,
+        src: Src,
+    },
+    /// `add`, `and` and `xor`.
+    Alu {
+        dst: usize,
+        a: Src,
+        b: Src,
+        f: fn(&Value, &Value) -> Value,
+    },
+    Setp {
+        dst: usize,
+        a: Src,
+        b: Src,
+        eq: bool,
+    },
+    Guard {
+        pred: usize,
+        expect: bool,
+        inner: Box<Op>,
+    },
 }
 
-struct ThreadState<'a> {
-    tid: usize,
-    /// The register file, sorted by register name — a thread touches a
-    /// handful of registers, so a sorted vector beats a tree map for
-    /// the per-oracle clone and per-instruction lookups.
-    regs: Vec<(Reg, Tainted)>,
-    events: Vec<ThreadEvent>,
-    rmw_pairs: Vec<(usize, usize)>,
-    oracle: &'a [i64],
-    oracle_pos: usize,
-    /// Reads that every subsequent event control-depends on (conditional
-    /// branches taken so far), sorted and deduplicated.
-    path_taint: Vec<usize>,
+/// One thread's code compiled once per enumeration: registers become
+/// dense indices, labels become instruction indices and symbols become
+/// pointer values, so the interpreter never compares or allocates a
+/// name.
+struct Program {
+    ops: Vec<Op>,
+    /// Every register the code mentions, in order of first mention (the
+    /// dense index order).
+    regs: Vec<Reg>,
+    /// Dense indices sorted by register name: the order of
+    /// [`ThreadTrace::final_regs`].
+    by_name: Vec<usize>,
 }
 
-impl ThreadState<'_> {
-    fn eval(&self, op: &Operand) -> Tainted {
-        match op {
-            Operand::Reg(r) => self
-                .regs
-                .binary_search_by(|e| e.0.cmp(r))
-                .map(|i| self.regs[i].1.clone())
-                .unwrap_or_default(),
-            Operand::Imm(n) => Tainted {
-                value: Value::Int(*n),
-                taint: Vec::new(),
-            },
-            Operand::Sym(l) => Tainted {
-                value: Value::ptr(l.as_str()),
-                taint: Vec::new(),
-            },
-        }
+/// Builds a [`Program`], numbering registers as it meets them.
+struct Compiler<'a> {
+    labels: BTreeMap<&'a Label, usize>,
+    regs: Vec<Reg>,
+}
+
+impl Compiler<'_> {
+    fn reg(&mut self, r: &Reg) -> usize {
+        self.regs.iter().position(|x| x == r).unwrap_or_else(|| {
+            self.regs.push(r.clone());
+            self.regs.len() - 1
+        })
     }
 
-    fn set(&mut self, reg: &Reg, t: Tainted) {
-        match self.regs.binary_search_by(|e| e.0.cmp(reg)) {
-            Ok(i) => self.regs[i].1 = t,
-            Err(i) => self.regs.insert(i, (reg.clone(), t)),
-        }
-    }
-
-    fn resolve_addr(&self, op: &Operand, instr_idx: usize) -> Result<(Loc, Vec<usize>), SymError> {
-        let t = self.eval(op);
-        match t.value {
-            Value::Ptr { loc, offset: 0 } => Ok((loc, t.taint)),
-            _ => Err(SymError::BadAddress {
-                tid: self.tid,
-                instr_idx,
+    fn src(&mut self, o: &Operand) -> Src {
+        match o {
+            Operand::Reg(r) => Src::Reg(self.reg(r)),
+            Operand::Imm(n) => Src::Imm(*n),
+            Operand::Sym(l) => Src::Ptr(Value::Ptr {
+                loc: l.clone(),
+                offset: 0,
             }),
         }
     }
-}
 
-/// The oracle-independent setup of one thread's symbolic execution:
-/// resolved branch labels plus the pre-seeded initial register file.
-/// Computing this once per thread (instead of once per oracle attempt)
-/// is what keeps depth-first oracle enumeration cheap — the per-oracle
-/// restart then only clones the register map.
-struct ThreadSetup<'a> {
-    labels: BTreeMap<&'a Label, usize>,
-    init_regs: Vec<(Reg, Tainted)>,
-}
-
-impl<'a> ThreadSetup<'a> {
-    fn new(instrs: &'a [Instr], reg_init: &dyn Fn(&Reg) -> Value) -> Self {
-        let mut labels: BTreeMap<&Label, usize> = BTreeMap::new();
-        for (i, instr) in instrs.iter().enumerate() {
-            if let Instr::LabelDef(l) = instr {
-                labels.insert(l, i);
-            }
-        }
-        // Pre-seed registers mentioned by instructions with their
-        // initial values so `final_regs` is total over used registers.
-        let mut init_regs: Vec<(Reg, Tainted)> = Vec::new();
-        for instr in instrs {
-            for r in instr
-                .read_regs()
-                .into_iter()
-                .chain(instr.written_reg().cloned())
-            {
-                if let Err(i) = init_regs.binary_search_by(|e| e.0.cmp(&r)) {
-                    let value = reg_init(&r);
-                    init_regs.insert(
-                        i,
-                        (
-                            r,
-                            Tainted {
-                                value,
-                                taint: Vec::new(),
-                            },
-                        ),
-                    );
+    fn op(&mut self, instr: &Instr) -> Op {
+        match instr {
+            Instr::LabelDef(_) => Op::Nop,
+            Instr::Bra { target } => Op::Jump(self.labels.get(target).copied()),
+            Instr::Ld {
+                dst,
+                addr,
+                cache,
+                volatile,
+            } => Op::Ld {
+                dst: self.reg(dst),
+                addr: self.src(addr),
+                cache: *cache,
+                volatile: *volatile,
+            },
+            Instr::St {
+                addr,
+                src,
+                cache,
+                volatile,
+            } => Op::St {
+                addr: self.src(addr),
+                src: self.src(src),
+                cache: *cache,
+                volatile: *volatile,
+            },
+            Instr::Cas {
+                dst,
+                addr,
+                expected,
+                desired,
+            } => Op::Cas {
+                dst: self.reg(dst),
+                addr: self.src(addr),
+                expected: self.src(expected),
+                desired: self.src(desired),
+            },
+            Instr::Exch { dst, addr, src } => Op::Exch {
+                dst: self.reg(dst),
+                addr: self.src(addr),
+                src: self.src(src),
+            },
+            Instr::Inc { dst, addr } => Op::Inc {
+                dst: self.reg(dst),
+                addr: self.src(addr),
+            },
+            Instr::Membar { scope } => Op::Fence(*scope),
+            Instr::Mov { dst, src } | Instr::Cvt { dst, src } => Op::Mov {
+                dst: self.reg(dst),
+                src: self.src(src),
+            },
+            Instr::Add { dst, a, b } | Instr::And { dst, a, b } | Instr::Xor { dst, a, b } => {
+                Op::Alu {
+                    dst: self.reg(dst),
+                    a: self.src(a),
+                    b: self.src(b),
+                    f: match instr {
+                        Instr::Add { .. } => Value::wrapping_add,
+                        Instr::And { .. } => Value::bitand,
+                        _ => Value::bitxor,
+                    },
                 }
             }
+            Instr::SetpEq { dst, a, b } | Instr::SetpNe { dst, a, b } => Op::Setp {
+                dst: self.reg(dst),
+                a: self.src(a),
+                b: self.src(b),
+                eq: matches!(instr, Instr::SetpEq { .. }),
+            },
+            Instr::Guard {
+                pred,
+                expect,
+                inner,
+            } => Op::Guard {
+                pred: self.reg(pred),
+                expect: *expect,
+                inner: Box::new(self.op(inner)),
+            },
         }
-        ThreadSetup { labels, init_regs }
+    }
+}
+
+impl Program {
+    fn new(instrs: &[Instr]) -> Self {
+        let mut c = Compiler {
+            labels: BTreeMap::new(),
+            regs: Vec::new(),
+        };
+        for (i, instr) in instrs.iter().enumerate() {
+            if let Instr::LabelDef(l) = instr {
+                c.labels.insert(l, i);
+            }
+        }
+        let ops = instrs.iter().map(|i| c.op(i)).collect();
+        let regs = c.regs;
+        let mut by_name: Vec<usize> = (0..regs.len()).collect();
+        by_name.sort_unstable_by(|&a, &b| regs[a].cmp(&regs[b]));
+        Program { ops, regs, by_name }
+    }
+
+    /// A thread about to run from pc 0 under `oracle`. Every register
+    /// the code mentions starts at its initial value, so `final_regs` is
+    /// total over them.
+    fn start(&self, reg_init: &dyn Fn(&Reg) -> Value, oracle: Vec<i64>) -> ThreadState {
+        ThreadState {
+            pc: 0,
+            steps: 0,
+            regs: self
+                .regs
+                .iter()
+                .map(|r| Tainted {
+                    value: reg_init(r),
+                    taint: Taint::default(),
+                })
+                .collect(),
+            path_taint: Taint::default(),
+            events: Vec::new(),
+            rmw_pairs: Vec::new(),
+            oracle,
+            oracle_pos: 0,
+        }
+    }
+
+    /// The trace of a thread that ran to completion.
+    fn trace(&self, tid: usize, st: &ThreadState) -> ThreadTrace {
+        ThreadTrace {
+            tid,
+            events: st.events.clone(),
+            rmw_pairs: st.rmw_pairs.clone(),
+            final_regs: self
+                .by_name
+                .iter()
+                .map(|&r| (self.regs[r].clone(), st.regs[r].value.clone()))
+                .collect(),
+            oracle: st.oracle[..st.oracle_pos].to_vec(),
+        }
+    }
+
+    /// Runs `st` until it completes, fails, or reaches a read the oracle
+    /// has no value for. A pending read leaves `st` exactly as it was
+    /// before that read: supplying a value and calling `run` again
+    /// continues the thread as a run from pc 0 under the longer oracle
+    /// would, step count included.
+    fn run(&self, tid: usize, st: &mut ThreadState, max_steps: usize) -> Result<(), StepFail> {
+        while st.pc < self.ops.len() {
+            if st.steps >= max_steps {
+                return Err(SymError::StepLimit { tid }.into());
+            }
+            let flow = st.step(tid, &self.ops[st.pc], st.pc, &Taint::default())?;
+            st.steps += 1;
+            match flow {
+                Flow::Next => st.pc += 1,
+                Flow::Jump(target) => st.pc = target,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The interpreter state of one thread.
+struct ThreadState {
+    pc: usize,
+    /// Instructions executed so far.
+    steps: usize,
+    /// The register file, by dense index.
+    regs: Vec<Tainted>,
+    /// Reads that every subsequent event control-depends on (conditional
+    /// branches taken so far).
+    path_taint: Taint,
+    events: Vec<ThreadEvent>,
+    rmw_pairs: Vec<(usize, usize)>,
+    oracle: Vec<i64>,
+    oracle_pos: usize,
+}
+
+/// The fields an atomic instruction's read and write events share.
+struct Atomic {
+    loc: Loc,
+    instr_idx: usize,
+    addr_deps: Vec<usize>,
+    ctrl_deps: Vec<usize>,
+}
+
+/// Where a [`ThreadState`] stood at a pending read, minus its register
+/// file (which [`enumerate_thread_traces`] keeps in one stack for all
+/// checkpoints). Events, RMW pairs and oracle only grow along a path, so
+/// their lengths suffice to restore them.
+struct Checkpoint {
+    pc: usize,
+    steps: usize,
+    path_taint: Taint,
+    events: usize,
+    rmw_pairs: usize,
+    oracle: usize,
+}
+
+impl ThreadState {
+    fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            pc: self.pc,
+            steps: self.steps,
+            path_taint: self.path_taint.clone(),
+            events: self.events.len(),
+            rmw_pairs: self.rmw_pairs.len(),
+            oracle: self.oracle.len(),
+        }
+    }
+
+    fn restore(&mut self, cp: &Checkpoint, regs: &[Tainted]) {
+        self.pc = cp.pc;
+        self.steps = cp.steps;
+        self.path_taint.clone_from(&cp.path_taint);
+        self.events.truncate(cp.events);
+        self.rmw_pairs.truncate(cp.rmw_pairs);
+        self.oracle.truncate(cp.oracle);
+        self.oracle_pos = cp.oracle;
+        self.regs.clone_from_slice(regs);
+    }
+
+    fn eval(&self, src: &Src) -> Tainted {
+        match src {
+            Src::Reg(r) => self.regs[*r].clone(),
+            Src::Imm(n) => Tainted {
+                value: Value::Int(*n),
+                taint: Taint::default(),
+            },
+            Src::Ptr(p) => Tainted {
+                value: p.clone(),
+                taint: Taint::default(),
+            },
+        }
+    }
+
+    fn resolve_addr(
+        &self,
+        src: &Src,
+        tid: usize,
+        instr_idx: usize,
+    ) -> Result<(Loc, Taint), SymError> {
+        let t = self.eval(src);
+        match t.value {
+            Value::Ptr { loc, offset: 0 } => Ok((loc, t.taint)),
+            _ => Err(SymError::BadAddress { tid, instr_idx }),
+        }
+    }
+
+    /// The oracle's value for the next read of `loc`.
+    fn next_value(&mut self, loc: &Loc) -> Result<i64, StepFail> {
+        let v = *self
+            .oracle
+            .get(self.oracle_pos)
+            .ok_or_else(|| StepFail::NeedValue(loc.clone()))?;
+        self.oracle_pos += 1;
+        Ok(v)
+    }
+
+    /// The reads the next event control-depends on.
+    fn ctrl_now(&self, guard_taint: &Taint) -> Taint {
+        let mut t = self.path_taint.clone();
+        t.union(guard_taint);
+        t
+    }
+
+    fn int_operand(
+        &self,
+        src: &Src,
+        tid: usize,
+        instr_idx: usize,
+    ) -> Result<(i64, Taint), SymError> {
+        let t = self.eval(src);
+        match t.value {
+            Value::Int(n) => Ok((n, t.taint)),
+            Value::Ptr { .. } => Err(SymError::StoreOfPointer { tid, instr_idx }),
+        }
+    }
+
+    /// The fields an atomic's read and write events share.
+    fn atomic(
+        &self,
+        loc: Loc,
+        addr_taint: &Taint,
+        instr_idx: usize,
+        guard_taint: &Taint,
+    ) -> Atomic {
+        Atomic {
+            loc,
+            instr_idx,
+            addr_deps: addr_taint.to_vec(),
+            ctrl_deps: self.ctrl_now(guard_taint).to_vec(),
+        }
+    }
+
+    /// Appends one event of an atomic; returns its local index.
+    fn push_atomic(
+        &mut self,
+        a: &Atomic,
+        kind: EventKind,
+        value: i64,
+        data_deps: Vec<usize>,
+    ) -> usize {
+        self.events.push(ThreadEvent {
+            kind,
+            loc: Some(a.loc.clone()),
+            value,
+            cache: CacheOp::Cg,
+            volatile: false,
+            atomic: true,
+            instr_idx: a.instr_idx,
+            addr_deps: a.addr_deps.clone(),
+            data_deps,
+            ctrl_deps: a.ctrl_deps.clone(),
+        });
+        self.events.len() - 1
+    }
+
+    /// Sets `dst` to the old value an atomic's read event `ridx` returned.
+    fn set_old(&mut self, dst: usize, old: i64, ridx: usize) {
+        self.regs[dst] = Tainted {
+            value: Value::Int(old),
+            taint: Taint::single(ridx),
+        };
+    }
+
+    fn step(
+        &mut self,
+        tid: usize,
+        op: &Op,
+        pc: usize,
+        guard_taint: &Taint,
+    ) -> Result<Flow, StepFail> {
+        match op {
+            Op::Guard {
+                pred,
+                expect,
+                inner,
+            } => {
+                let p = self.regs[*pred].clone();
+                // A conditional *branch* taints the suffix whether or
+                // not it is taken (the decision was made either way).
+                if matches!(**inner, Op::Jump(_)) {
+                    self.path_taint.union(&p.taint);
+                }
+                let truth = matches!(p.value, Value::Int(n) if n != 0);
+                if truth != *expect {
+                    return Ok(Flow::Next);
+                }
+                let mut gt = guard_taint.clone();
+                gt.union(&p.taint);
+                self.step(tid, inner, pc, &gt)
+            }
+            Op::Nop => Ok(Flow::Next),
+            Op::Jump(target) => Ok(Flow::Jump(target.expect("labels validated at build time"))),
+            Op::Ld {
+                dst,
+                addr,
+                cache,
+                volatile,
+            } => {
+                let (loc, addr_taint) = self.resolve_addr(addr, tid, pc)?;
+                let v = self.next_value(&loc)?;
+                let idx = self.events.len();
+                self.events.push(ThreadEvent {
+                    kind: EventKind::Read,
+                    loc: Some(loc),
+                    value: v,
+                    cache: *cache,
+                    volatile: *volatile,
+                    atomic: false,
+                    instr_idx: pc,
+                    addr_deps: addr_taint.to_vec(),
+                    data_deps: Vec::new(),
+                    ctrl_deps: self.ctrl_now(guard_taint).to_vec(),
+                });
+                self.regs[*dst] = Tainted {
+                    value: Value::Int(v),
+                    taint: Taint::single(idx),
+                };
+                Ok(Flow::Next)
+            }
+            Op::St {
+                addr,
+                src,
+                cache,
+                volatile,
+            } => {
+                let (loc, addr_taint) = self.resolve_addr(addr, tid, pc)?;
+                let (n, data) = self.int_operand(src, tid, pc)?;
+                self.events.push(ThreadEvent {
+                    kind: EventKind::Write,
+                    loc: Some(loc),
+                    value: n,
+                    cache: *cache,
+                    volatile: *volatile,
+                    atomic: false,
+                    instr_idx: pc,
+                    addr_deps: addr_taint.to_vec(),
+                    data_deps: data.to_vec(),
+                    ctrl_deps: self.ctrl_now(guard_taint).to_vec(),
+                });
+                Ok(Flow::Next)
+            }
+            Op::Cas {
+                dst,
+                addr,
+                expected,
+                desired,
+            } => {
+                let (loc, addr_taint) = self.resolve_addr(addr, tid, pc)?;
+                let old = self.next_value(&loc)?;
+                let (exp_n, exp_taint) = self.int_operand(expected, tid, pc)?;
+                let (des_n, des_taint) = self.int_operand(desired, tid, pc)?;
+                let mut a = self.atomic(loc, &addr_taint, pc, guard_taint);
+                let ridx = self.push_atomic(&a, EventKind::Read, old, Vec::new());
+                if old == exp_n {
+                    // The write is conditional on the read's value, the
+                    // latest read so far.
+                    a.ctrl_deps.push(ridx);
+                    let mut data = des_taint.to_vec();
+                    data.extend(exp_taint.to_vec());
+                    let widx = self.push_atomic(&a, EventKind::Write, des_n, data);
+                    self.rmw_pairs.push((ridx, widx));
+                }
+                self.set_old(*dst, old, ridx);
+                Ok(Flow::Next)
+            }
+            Op::Exch { dst, addr, src } => {
+                let (loc, addr_taint) = self.resolve_addr(addr, tid, pc)?;
+                let old = self.next_value(&loc)?;
+                let (n, data) = self.int_operand(src, tid, pc)?;
+                let a = self.atomic(loc, &addr_taint, pc, guard_taint);
+                let ridx = self.push_atomic(&a, EventKind::Read, old, Vec::new());
+                let widx = self.push_atomic(&a, EventKind::Write, n, data.to_vec());
+                self.rmw_pairs.push((ridx, widx));
+                self.set_old(*dst, old, ridx);
+                Ok(Flow::Next)
+            }
+            Op::Inc { dst, addr } => {
+                let (loc, addr_taint) = self.resolve_addr(addr, tid, pc)?;
+                let old = self.next_value(&loc)?;
+                let a = self.atomic(loc, &addr_taint, pc, guard_taint);
+                let ridx = self.push_atomic(&a, EventKind::Read, old, Vec::new());
+                // The written value is derived from the read.
+                let widx = self.push_atomic(&a, EventKind::Write, old.wrapping_add(1), vec![ridx]);
+                self.rmw_pairs.push((ridx, widx));
+                self.set_old(*dst, old, ridx);
+                Ok(Flow::Next)
+            }
+            Op::Fence(scope) => {
+                self.events.push(ThreadEvent {
+                    kind: EventKind::Fence(*scope),
+                    loc: None,
+                    value: 0,
+                    cache: CacheOp::Cg,
+                    volatile: false,
+                    atomic: false,
+                    instr_idx: pc,
+                    addr_deps: Vec::new(),
+                    data_deps: Vec::new(),
+                    ctrl_deps: self.ctrl_now(guard_taint).to_vec(),
+                });
+                Ok(Flow::Next)
+            }
+            Op::Mov { dst, src } => {
+                self.regs[*dst] = self.eval(src);
+                Ok(Flow::Next)
+            }
+            Op::Alu { dst, a, b, f } => {
+                let ta = self.eval(a);
+                let tb = self.eval(b);
+                let mut taint = ta.taint;
+                taint.union(&tb.taint);
+                self.regs[*dst] = Tainted {
+                    value: f(&ta.value, &tb.value),
+                    taint,
+                };
+                Ok(Flow::Next)
+            }
+            Op::Setp { dst, a, b, eq } => {
+                let ta = self.eval(a);
+                let tb = self.eval(b);
+                let truth = (ta.value == tb.value) == *eq;
+                let mut taint = ta.taint;
+                taint.union(&tb.taint);
+                self.regs[*dst] = Tainted {
+                    value: Value::Int(truth as i64),
+                    taint,
+                };
+                Ok(Flow::Next)
+            }
+        }
+    }
+}
+
+enum Flow {
+    Next,
+    Jump(usize),
+}
+
+enum StepFail {
+    /// The oracle has no value for the pending read of this location.
+    NeedValue(Loc),
+    Error(SymError),
+}
+
+impl From<SymError> for StepFail {
+    fn from(e: SymError) -> Self {
+        StepFail::Error(e)
     }
 }
 
@@ -281,438 +840,27 @@ pub fn run_thread(
     oracle: &[i64],
     max_steps: usize,
 ) -> SymResult {
-    run_thread_prepared(
-        tid,
-        instrs,
-        &ThreadSetup::new(instrs, reg_init),
-        oracle,
-        max_steps,
-    )
-}
-
-/// [`run_thread`] against a precomputed [`ThreadSetup`].
-fn run_thread_prepared(
-    tid: usize,
-    instrs: &[Instr],
-    setup: &ThreadSetup<'_>,
-    oracle: &[i64],
-    max_steps: usize,
-) -> SymResult {
-    let mut st = ThreadState {
-        tid,
-        regs: setup.init_regs.clone(),
-        events: Vec::new(),
-        rmw_pairs: Vec::new(),
-        oracle,
-        oracle_pos: 0,
-        path_taint: Vec::new(),
-    };
-
-    let mut pc = 0usize;
-    let mut steps = 0usize;
-    while pc < instrs.len() {
-        steps += 1;
-        if steps > max_steps {
-            return SymResult::Error(SymError::StepLimit { tid });
-        }
-        let instr = &instrs[pc];
-        match step(&mut st, instr, pc, &setup.labels) {
-            Ok(Flow::Next) => pc += 1,
-            Ok(Flow::Jump(target)) => pc = target,
-            Err(StepFail::NeedValue(loc)) => return SymResult::NeedValue { loc },
-            Err(StepFail::Error(e)) => return SymResult::Error(e),
-        }
-    }
-
-    SymResult::Complete(ThreadTrace {
-        tid,
-        events: st.events,
-        rmw_pairs: st.rmw_pairs,
-        final_regs: st.regs.into_iter().map(|(r, t)| (r, t.value)).collect(),
-        oracle: oracle[..st.oracle_pos].to_vec(),
-    })
-}
-
-enum Flow {
-    Next,
-    Jump(usize),
-}
-
-enum StepFail {
-    NeedValue(Loc),
-    Error(SymError),
-}
-
-impl From<SymError> for StepFail {
-    fn from(e: SymError) -> Self {
-        StepFail::Error(e)
+    let prog = Program::new(instrs);
+    let mut st = prog.start(reg_init, oracle.to_vec());
+    match prog.run(tid, &mut st, max_steps) {
+        Ok(()) => SymResult::Complete(prog.trace(tid, &st)),
+        Err(StepFail::NeedValue(loc)) => SymResult::NeedValue { loc },
+        Err(StepFail::Error(e)) => SymResult::Error(e),
     }
 }
 
-fn step(
-    st: &mut ThreadState<'_>,
-    instr: &Instr,
-    pc: usize,
-    labels: &BTreeMap<&Label, usize>,
-) -> Result<Flow, StepFail> {
-    step_guarded(st, instr, pc, labels, &[])
-}
-
-fn step_guarded(
-    st: &mut ThreadState<'_>,
-    instr: &Instr,
-    pc: usize,
-    labels: &BTreeMap<&Label, usize>,
-    guard_taint: &[usize],
-) -> Result<Flow, StepFail> {
-    let ctrl_now = |st: &ThreadState<'_>| -> Vec<usize> {
-        let mut v = st.path_taint.clone();
-        taint_union(&mut v, guard_taint);
-        v
-    };
-    match instr {
-        Instr::Guard {
-            pred,
-            expect,
-            inner,
-        } => {
-            let p = st.eval(&Operand::Reg(pred.clone()));
-            let truth = matches!(p.value, Value::Int(n) if n != 0);
-            if truth != *expect {
-                // Skipped; a conditional *branch* not taken still taints the
-                // suffix (the decision was made either way).
-                if matches!(**inner, Instr::Bra { .. }) {
-                    taint_union(&mut st.path_taint, &p.taint);
-                }
-                return Ok(Flow::Next);
-            }
-            if matches!(**inner, Instr::Bra { .. }) {
-                taint_union(&mut st.path_taint, &p.taint);
-            }
-            let mut gt = guard_taint.to_vec();
-            taint_union(&mut gt, &p.taint);
-            step_guarded(st, inner, pc, labels, &gt)
-        }
-        Instr::LabelDef(_) => Ok(Flow::Next),
-        Instr::Bra { target } => {
-            let dst = labels
-                .get(target)
-                .copied()
-                .expect("labels validated at build time");
-            Ok(Flow::Jump(dst))
-        }
-        Instr::Ld {
-            dst,
-            addr,
-            cache,
-            volatile,
-        } => {
-            let (loc, addr_deps) = st.resolve_addr(addr, pc)?;
-            if st.oracle_pos >= st.oracle.len() {
-                return Err(StepFail::NeedValue(loc));
-            }
-            let v = st.oracle[st.oracle_pos];
-            st.oracle_pos += 1;
-            let idx = st.events.len();
-            st.events.push(ThreadEvent {
-                kind: EventKind::Read,
-                loc: Some(loc),
-                value: v,
-                cache: *cache,
-                volatile: *volatile,
-                atomic: false,
-                instr_idx: pc,
-                addr_deps,
-                data_deps: Vec::new(),
-                ctrl_deps: ctrl_now(st),
-            });
-            st.set(
-                dst,
-                Tainted {
-                    value: Value::Int(v),
-                    taint: vec![idx],
-                },
-            );
-            Ok(Flow::Next)
-        }
-        Instr::St {
-            addr,
-            src,
-            cache,
-            volatile,
-        } => {
-            let (loc, addr_deps) = st.resolve_addr(addr, pc)?;
-            let sv = st.eval(src);
-            let n = match sv.value {
-                Value::Int(n) => n,
-                Value::Ptr { .. } => {
-                    return Err(SymError::StoreOfPointer {
-                        tid: st.tid,
-                        instr_idx: pc,
-                    }
-                    .into())
-                }
-            };
-            st.events.push(ThreadEvent {
-                kind: EventKind::Write,
-                loc: Some(loc),
-                value: n,
-                cache: *cache,
-                volatile: *volatile,
-                atomic: false,
-                instr_idx: pc,
-                addr_deps,
-                data_deps: sv.taint.clone(),
-                ctrl_deps: ctrl_now(st),
-            });
-            Ok(Flow::Next)
-        }
-        Instr::Cas {
-            dst,
-            addr,
-            expected,
-            desired,
-        } => {
-            let (loc, addr_deps) = st.resolve_addr(addr, pc)?;
-            if st.oracle_pos >= st.oracle.len() {
-                return Err(StepFail::NeedValue(loc));
-            }
-            let old = st.oracle[st.oracle_pos];
-            st.oracle_pos += 1;
-            let exp = st.eval(expected);
-            let des = st.eval(desired);
-            let (exp_n, des_n) = match (exp.value, des.value) {
-                (Value::Int(a), Value::Int(b)) => (a, b),
-                _ => {
-                    return Err(SymError::StoreOfPointer {
-                        tid: st.tid,
-                        instr_idx: pc,
-                    }
-                    .into())
-                }
-            };
-            let ridx = st.events.len();
-            st.events.push(ThreadEvent {
-                kind: EventKind::Read,
-                loc: Some(loc.clone()),
-                value: old,
-                cache: CacheOp::Cg,
-                volatile: false,
-                atomic: true,
-                instr_idx: pc,
-                addr_deps: addr_deps.clone(),
-                data_deps: Vec::new(),
-                ctrl_deps: ctrl_now(st),
-            });
-            if old == exp_n {
-                let widx = st.events.len();
-                let mut ctrl: Vec<usize> = ctrl_now(st);
-                // The write is conditional on the read's value.
-                if !ctrl.contains(&ridx) {
-                    ctrl.push(ridx);
-                }
-                let mut data: Vec<usize> = des.taint.clone();
-                data.extend(exp.taint.iter().copied());
-                st.events.push(ThreadEvent {
-                    kind: EventKind::Write,
-                    loc: Some(loc),
-                    value: des_n,
-                    cache: CacheOp::Cg,
-                    volatile: false,
-                    atomic: true,
-                    instr_idx: pc,
-                    addr_deps,
-                    data_deps: data,
-                    ctrl_deps: ctrl,
-                });
-                st.rmw_pairs.push((ridx, widx));
-            }
-            st.set(
-                dst,
-                Tainted {
-                    value: Value::Int(old),
-                    taint: vec![ridx],
-                },
-            );
-            Ok(Flow::Next)
-        }
-        Instr::Exch { dst, addr, src } => {
-            let (loc, addr_deps) = st.resolve_addr(addr, pc)?;
-            if st.oracle_pos >= st.oracle.len() {
-                return Err(StepFail::NeedValue(loc));
-            }
-            let old = st.oracle[st.oracle_pos];
-            st.oracle_pos += 1;
-            let sv = st.eval(src);
-            let n = match sv.value {
-                Value::Int(n) => n,
-                Value::Ptr { .. } => {
-                    return Err(SymError::StoreOfPointer {
-                        tid: st.tid,
-                        instr_idx: pc,
-                    }
-                    .into())
-                }
-            };
-            let ridx = st.events.len();
-            st.events.push(ThreadEvent {
-                kind: EventKind::Read,
-                loc: Some(loc.clone()),
-                value: old,
-                cache: CacheOp::Cg,
-                volatile: false,
-                atomic: true,
-                instr_idx: pc,
-                addr_deps: addr_deps.clone(),
-                data_deps: Vec::new(),
-                ctrl_deps: ctrl_now(st),
-            });
-            let widx = st.events.len();
-            st.events.push(ThreadEvent {
-                kind: EventKind::Write,
-                loc: Some(loc),
-                value: n,
-                cache: CacheOp::Cg,
-                volatile: false,
-                atomic: true,
-                instr_idx: pc,
-                addr_deps,
-                data_deps: sv.taint.clone(),
-                ctrl_deps: ctrl_now(st),
-            });
-            st.rmw_pairs.push((ridx, widx));
-            st.set(
-                dst,
-                Tainted {
-                    value: Value::Int(old),
-                    taint: vec![ridx],
-                },
-            );
-            Ok(Flow::Next)
-        }
-        Instr::Inc { dst, addr } => {
-            let (loc, addr_deps) = st.resolve_addr(addr, pc)?;
-            if st.oracle_pos >= st.oracle.len() {
-                return Err(StepFail::NeedValue(loc));
-            }
-            let old = st.oracle[st.oracle_pos];
-            st.oracle_pos += 1;
-            let ridx = st.events.len();
-            st.events.push(ThreadEvent {
-                kind: EventKind::Read,
-                loc: Some(loc.clone()),
-                value: old,
-                cache: CacheOp::Cg,
-                volatile: false,
-                atomic: true,
-                instr_idx: pc,
-                addr_deps: addr_deps.clone(),
-                data_deps: Vec::new(),
-                ctrl_deps: ctrl_now(st),
-            });
-            let widx = st.events.len();
-            st.events.push(ThreadEvent {
-                kind: EventKind::Write,
-                loc: Some(loc),
-                value: old.wrapping_add(1),
-                cache: CacheOp::Cg,
-                volatile: false,
-                atomic: true,
-                instr_idx: pc,
-                addr_deps,
-                // The written value is derived from the read.
-                data_deps: vec![ridx],
-                ctrl_deps: ctrl_now(st),
-            });
-            st.rmw_pairs.push((ridx, widx));
-            st.set(
-                dst,
-                Tainted {
-                    value: Value::Int(old),
-                    taint: vec![ridx],
-                },
-            );
-            Ok(Flow::Next)
-        }
-        Instr::Membar { scope } => {
-            st.events.push(ThreadEvent {
-                kind: EventKind::Fence(*scope),
-                loc: None,
-                value: 0,
-                cache: CacheOp::Cg,
-                volatile: false,
-                atomic: false,
-                instr_idx: pc,
-                addr_deps: Vec::new(),
-                data_deps: Vec::new(),
-                ctrl_deps: ctrl_now(st),
-            });
-            Ok(Flow::Next)
-        }
-        Instr::Mov { dst, src } | Instr::Cvt { dst, src } => {
-            let t = st.eval(src);
-            st.set(dst, t);
-            Ok(Flow::Next)
-        }
-        Instr::Add { dst, a, b } => {
-            alu(st, dst, a, b, |x, y| x.wrapping_add(y));
-            Ok(Flow::Next)
-        }
-        Instr::And { dst, a, b } => {
-            alu(st, dst, a, b, |x, y| x.bitand(y));
-            Ok(Flow::Next)
-        }
-        Instr::Xor { dst, a, b } => {
-            alu(st, dst, a, b, |x, y| x.bitxor(y));
-            Ok(Flow::Next)
-        }
-        Instr::SetpEq { dst, a, b } => {
-            setp(st, dst, a, b, true);
-            Ok(Flow::Next)
-        }
-        Instr::SetpNe { dst, a, b } => {
-            setp(st, dst, a, b, false);
-            Ok(Flow::Next)
-        }
-    }
-}
-
-fn alu(
-    st: &mut ThreadState<'_>,
-    dst: &Reg,
-    a: &Operand,
-    b: &Operand,
-    f: impl Fn(&Value, &Value) -> Value,
-) {
-    let ta = st.eval(a);
-    let tb = st.eval(b);
-    let value = f(&ta.value, &tb.value);
-    let mut taint = ta.taint;
-    taint_union(&mut taint, &tb.taint);
-    st.set(dst, Tainted { value, taint });
-}
-
-fn setp(st: &mut ThreadState<'_>, dst: &Reg, a: &Operand, b: &Operand, eq: bool) {
-    let ta = st.eval(a);
-    let tb = st.eval(b);
-    let same = ta.value == tb.value;
-    let truth = if eq { same } else { !same };
-    let mut taint = ta.taint;
-    taint_union(&mut taint, &tb.taint);
-    st.set(
-        dst,
-        Tainted {
-            value: Value::Int(truth as i64),
-            taint,
-        },
-    );
-}
-
-/// Enumerates every trace of a thread by extending oracles depth-first.
+/// Enumerates every trace of a thread in one depth-first walk over its
+/// oracles.
 ///
 /// `domains` gives, per location, the candidate values a read of that
 /// location may return (the enumerator computes these from the test's
-/// writes; see [`crate::enumerate`]).
+/// writes; see [`crate::enumerate`]); a location without a domain ends
+/// the path with no trace. At each pending read the walk checkpoints the
+/// thread and runs it on once per domain value, smallest first, so the
+/// traces come out in lexicographic oracle order and each shared prefix
+/// executes once. The result equals running [`run_thread`] from pc 0 on
+/// every oracle in that order: the same traces, the same step counts
+/// against `max_steps`, the same first error.
 ///
 /// # Errors
 ///
@@ -726,30 +874,46 @@ pub fn enumerate_thread_traces(
     max_steps: usize,
     max_traces: usize,
 ) -> Result<Vec<ThreadTrace>, SymError> {
-    let setup = ThreadSetup::new(instrs, reg_init);
+    let prog = Program::new(instrs);
+    let nregs = prog.regs.len();
+    let mut st = prog.start(reg_init, Vec::new());
     let mut traces = Vec::new();
-    let mut stack: Vec<Vec<i64>> = vec![Vec::new()];
-    while let Some(oracle) = stack.pop() {
-        match run_thread_prepared(tid, instrs, &setup, &oracle, max_steps) {
-            SymResult::Complete(tr) => {
-                traces.push(tr);
+    // One frame per pending read on the current path, deepest last: the
+    // checkpoint and the domain values still to try there. Frame `k`'s
+    // register file is `saved_regs[k * nregs..][..nregs]`.
+    let mut frames: Vec<(Checkpoint, btree_set::Iter<'_, i64>)> = Vec::new();
+    let mut saved_regs: Vec<Tainted> = Vec::new();
+    loop {
+        match prog.run(tid, &mut st, max_steps) {
+            Ok(()) => {
+                traces.push(prog.trace(tid, &st));
                 if traces.len() > max_traces {
                     return Err(SymError::TooManyTraces);
                 }
             }
-            SymResult::NeedValue { loc } => {
-                let dom = domains.get(&loc).cloned().unwrap_or_default();
-                // Push in reverse so smaller values explore first.
-                for v in dom.into_iter().rev() {
-                    let mut ext = oracle.clone();
-                    ext.push(v);
-                    stack.push(ext);
+            Err(StepFail::NeedValue(loc)) => {
+                if let Some(dom) = domains.get(&loc) {
+                    saved_regs.extend_from_slice(&st.regs);
+                    frames.push((st.checkpoint(), dom.iter()));
                 }
             }
-            SymResult::Error(e) => return Err(e),
+            Err(StepFail::Error(e)) => return Err(e),
+        }
+        // Resume the deepest pending read with its next value.
+        loop {
+            let depth = frames.len();
+            let Some((cp, values)) = frames.last_mut() else {
+                return Ok(traces);
+            };
+            if let Some(&v) = values.next() {
+                st.restore(cp, &saved_regs[(depth - 1) * nregs..][..nregs]);
+                st.oracle.push(v);
+                break;
+            }
+            frames.pop();
+            saved_regs.truncate(frames.len() * nregs);
         }
     }
-    Ok(traces)
 }
 
 #[cfg(test)]

@@ -153,8 +153,9 @@ fn steady_state_verdict_loop_is_allocation_free() {
                 })
                 .unwrap();
             };
-            // Warm the enumeration scratch, the trace cache and the
-            // evaluation arena for this test's shapes.
+            // Warm the enumeration scratch and the evaluation arena for
+            // this test's shapes. Each judgement enumerates its traces
+            // afresh, all before the first visit, so they never count.
             for _ in 0..2 {
                 judge(&mut ctx, &mut || {});
             }

@@ -7,12 +7,15 @@
 //! that the walk starts at the beginning of a thread (i.e. the final edge
 //! is external).
 
-use crate::edge::Edge;
+use std::collections::HashSet;
+
+use crate::edge::{Dir, Edge};
 
 /// A well-formed relaxation cycle.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Cycle {
     edges: Vec<Edge>,
+    name: String,
 }
 
 impl Cycle {
@@ -21,30 +24,24 @@ impl Cycle {
     /// Returns `None` if directions do not chain, no edge is external, or
     /// the location constraints are contradictory.
     pub fn new(edges: Vec<Edge>) -> Option<Cycle> {
-        if edges.is_empty() || !directions_chain(&edges) {
-            return None;
-        }
-        // At least two external edges: communication must leave the first
-        // thread and come back, otherwise the "external" edge would relate
-        // events of a single thread.
-        if edges.iter().filter(|e| e.is_external()).count() < 2 {
-            return None;
-        }
-        if !locations_consistent(&edges) {
-            return None;
-        }
-        // Rotate so the final edge is external: the walk then starts at a
-        // thread boundary. Prefer ending on a read-from/from-read edge —
-        // a trailing Coe wraps a coherence constraint around the cycle,
-        // which the synthesiser pins less directly.
+        is_valid(&edges).then(|| Cycle::rotated(edges))
+    }
+
+    /// Rotates a valid edge sequence so the final edge is external: the
+    /// walk then starts at a thread boundary. Prefers ending on a
+    /// read-from/from-read edge — a trailing Coe wraps a coherence
+    /// constraint around the cycle, which the synthesiser pins less
+    /// directly.
+    fn rotated(mut edges: Vec<Edge>) -> Cycle {
         let last_ext = edges
             .iter()
             .rposition(|e| matches!(e, Edge::Rfe | Edge::Fre))
-            .or_else(|| edges.iter().rposition(|e| e.is_external()))?;
-        let mut rotated = edges;
-        let shift = (last_ext + 1) % rotated.len();
-        rotated.rotate_left(shift);
-        Some(Cycle { edges: rotated })
+            .or_else(|| edges.iter().rposition(|e| e.is_external()))
+            .expect("valid cycles contain an external edge");
+        let shift = (last_ext + 1) % edges.len();
+        edges.rotate_left(shift);
+        let name = canonical_name(&edges);
+        Cycle { edges, name }
     }
 
     /// The edges in walk order (final edge external).
@@ -69,20 +66,34 @@ impl Cycle {
 
     /// The canonical name: edge names joined by `-` over the
     /// lexicographically-least rotation that ends in an external edge.
-    pub fn name(&self) -> String {
-        let n = self.edges.len();
-        let mut best: Option<Vec<String>> = None;
-        for r in 0..n {
-            if !self.edges[(r + n - 1) % n].is_external() {
-                continue;
-            }
-            let names: Vec<String> = (0..n).map(|i| self.edges[(r + i) % n].name()).collect();
-            if best.as_ref().is_none_or(|b| names < *b) {
-                best = Some(names);
-            }
-        }
-        best.expect("cycles contain an external edge").join("-")
+    pub fn name(&self) -> &str {
+        &self.name
     }
+}
+
+/// See [`Cycle::name`].
+fn canonical_name(edges: &[Edge]) -> String {
+    let n = edges.len();
+    let names: Vec<String> = edges.iter().map(|e| e.name()).collect();
+    let names = &names;
+    let rotation = move |r: usize| (0..n).map(move |i| &names[(r + i) % n]);
+    let best = (0..n)
+        .filter(|&r| edges[(r + n - 1) % n].is_external())
+        .min_by(|&a, &b| rotation(a).cmp(rotation(b)))
+        .expect("cycles contain an external edge");
+    let parts: Vec<&str> = rotation(best).map(String::as_str).collect();
+    parts.join("-")
+}
+
+/// Whether `edges` form a well-formed cycle (see [`Cycle::new`]).
+fn is_valid(edges: &[Edge]) -> bool {
+    // At least two external edges: communication must leave the first
+    // thread and come back, otherwise the "external" edge would relate
+    // events of a single thread.
+    !edges.is_empty()
+        && directions_chain(edges)
+        && edges.iter().filter(|e| e.is_external()).count() >= 2
+        && locations_consistent(edges)
 }
 
 fn directions_chain(edges: &[Edge]) -> bool {
@@ -118,43 +129,89 @@ fn locations_consistent(edges: &[Edge]) -> bool {
     true
 }
 
-/// Enumerates all cycles over `alphabet` with between 2 and `max_edges`
-/// edges, deduplicated up to rotation.
-pub fn enumerate_cycles(alphabet: &[Edge], max_edges: usize) -> Vec<Cycle> {
-    let mut out = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
-    let mut stack: Vec<Edge> = Vec::new();
-    for len in 2..=max_edges {
-        extend(alphabet, len, &mut stack, &mut seen, &mut out);
-    }
-    out
+/// The least rotation of `edges` under the edge order: equal for two
+/// sequences exactly when they are rotations of each other.
+fn least_rotation(edges: &[Edge]) -> Vec<Edge> {
+    let n = edges.len();
+    let rotation = move |r: usize| (0..n).map(move |i| edges[(r + i) % n]);
+    let best = (0..n)
+        .min_by(|&a, &b| rotation(a).cmp(rotation(b)))
+        .expect("cycles are non-empty");
+    rotation(best).collect()
 }
 
-fn extend(
-    alphabet: &[Edge],
-    target_len: usize,
-    stack: &mut Vec<Edge>,
-    seen: &mut std::collections::BTreeSet<String>,
-    out: &mut Vec<Cycle>,
-) {
-    if stack.len() == target_len {
-        if let Some(cycle) = Cycle::new(stack.clone()) {
-            if seen.insert(cycle.name()) {
-                out.push(cycle);
-            }
-        }
-        return;
+/// Enumerates all cycles over `alphabet` with between 2 and `max_edges`
+/// edges, deduplicated up to rotation: of each rotation class, the first
+/// sequence the walk meets is kept.
+pub fn enumerate_cycles(alphabet: &[Edge], max_edges: usize) -> Vec<Cycle> {
+    let walk = Walk {
+        alphabet,
+        // The alphabet split by source direction, in alphabet order: the
+        // edges that may follow an edge ending in that direction.
+        successors: [Dir::R, Dir::W].map(|d| {
+            alphabet
+                .iter()
+                .copied()
+                .filter(|e| e.from_dir() == d)
+                .collect()
+        }),
+    };
+    let mut found = Found {
+        stack: Vec::with_capacity(max_edges),
+        seen: HashSet::new(),
+        cycles: Vec::new(),
+    };
+    for len in 2..=max_edges {
+        walk.extend(len, &mut found);
     }
-    for &e in alphabet {
-        // Prune: directions must chain with the previous edge.
-        if let Some(&prev) = stack.last() {
-            if prev.to_dir() != e.from_dir() {
+    found.cycles
+}
+
+/// The edges the depth-first walk behind [`enumerate_cycles`] may take.
+struct Walk<'a> {
+    alphabet: &'a [Edge],
+    successors: [Vec<Edge>; 2],
+}
+
+/// The walk's current edge sequence and what it has kept so far.
+struct Found {
+    stack: Vec<Edge>,
+    /// Least rotations of the cycles kept so far.
+    seen: HashSet<Vec<Edge>>,
+    cycles: Vec<Cycle>,
+}
+
+impl Walk<'_> {
+    /// Extends `found.stack` to every sequence of `target_len` chained
+    /// edges, keeping each new valid cycle.
+    fn extend(&self, target_len: usize, found: &mut Found) {
+        let candidates = match found.stack.last() {
+            Some(last) => &self.successors[last.to_dir() as usize][..],
+            None => self.alphabet,
+        };
+        // The closing edge must also chain back into the first edge and
+        // leave at least two external edges; a sequence that passes
+        // needs only the location check to be a valid cycle.
+        let closing = found.stack.len() + 1 == target_len;
+        let externals = found.stack.iter().filter(|e| e.is_external()).count();
+        for &e in candidates {
+            if closing
+                && (e.to_dir() != found.stack[0].from_dir()
+                    || externals + usize::from(e.is_external()) < 2)
+            {
                 continue;
             }
+            found.stack.push(e);
+            if !closing {
+                self.extend(target_len, found);
+            } else if locations_consistent(&found.stack)
+                && found.seen.insert(least_rotation(&found.stack))
+            {
+                debug_assert!(is_valid(&found.stack));
+                found.cycles.push(Cycle::rotated(found.stack.clone()));
+            }
+            found.stack.pop();
         }
-        stack.push(e);
-        extend(alphabet, target_len, stack, seen, out);
-        stack.pop();
     }
 }
 
@@ -239,7 +296,7 @@ mod tests {
         assert!(!c3.is_empty());
         assert!(c4.len() > c3.len());
         // All enumerated cycles are valid and distinct by name.
-        let mut names: Vec<String> = c4.iter().map(Cycle::name).collect();
+        let mut names: Vec<&str> = c4.iter().map(Cycle::name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), c4.len());

@@ -16,6 +16,13 @@
 //!   condition characterising the cycle's non-SC execution, and the
 //!   GPU dimensions: scope-tree placement and memory region.
 //!
+//! Every sweep (and every shard of one) generates its whole family, so
+//! generation handles no strings until it names a test: cycles are
+//! validated on the walk's edge stack and deduplicated on their least
+//! rotation, a cycle's name is built once when it is kept, each cycle is
+//! analysed once for all its placements, and synthesised tests share
+//! one set of pre-made register and location names.
+//!
 //! ```
 //! use weakgpu_diy::{generate, GenConfig};
 //!
@@ -50,7 +57,7 @@ pub fn generate(cfg: &GenConfig) -> Vec<LitmusTest> {
     for cycle in &cycles {
         tests.extend(synth::expand(cycle, cfg));
     }
-    tests.sort_by(|a, b| a.name().cmp(b.name()));
+    tests.sort_unstable_by(|a, b| a.name().cmp(b.name()));
     tests
 }
 

@@ -8,9 +8,13 @@
 //! and-high-bit instruction chains of the paper's Fig. 13b.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use weakgpu_litmus::build;
-use weakgpu_litmus::{FinalExpr, Instr, LitmusTest, Predicate, ScopeTree, ThreadScope, Value};
+use weakgpu_litmus::{
+    CacheOp, FinalExpr, Instr, LitmusTest, Loc, Operand, Predicate, Reg, ScopeTree, ThreadScope,
+    Value,
+};
 
 use crate::cycle::{enumerate_cycles, Cycle};
 use crate::edge::{DepKind, Dir, Edge};
@@ -105,6 +109,79 @@ impl std::error::Error for SynthError {}
 
 const LOC_NAMES: [&str; 8] = ["x", "y", "z", "w", "a", "b", "c", "d"];
 
+/// The register families of a synthesised thread, each numbered by the
+/// thread's register counter.
+#[derive(Clone, Copy)]
+enum Prefix {
+    /// Read results.
+    R,
+    /// And-high-bit temporaries.
+    T,
+    /// Converted temporaries (address dependencies).
+    U,
+    /// Pointer registers (address dependencies).
+    A,
+    /// Store values (data and address dependencies).
+    V,
+    /// Predicates (control dependencies).
+    P,
+}
+
+const PREFIX_NAMES: [char; 6] = ['r', 't', 'u', 'a', 'v', 'p'];
+
+/// Registers made up front per prefix; a thread's counter stays below
+/// twice its event count, so only cycles far longer than the paper's
+/// ever name one on the fly.
+const PREMADE_REGS: usize = 16;
+
+/// The locations and registers every synthesised test is built from,
+/// made once per process so synthesis clones names instead of
+/// formatting and validating them per test.
+struct Names {
+    locs: Vec<Loc>,
+    regs: Vec<Vec<Reg>>,
+}
+
+impl Names {
+    fn reg(&self, prefix: Prefix, k: usize) -> Reg {
+        match self.regs[prefix as usize].get(k) {
+            Some(r) => r.clone(),
+            None => Reg::new(format!("{}{k}", PREFIX_NAMES[prefix as usize])),
+        }
+    }
+}
+
+fn names() -> &'static Names {
+    static NAMES: OnceLock<Names> = OnceLock::new();
+    NAMES.get_or_init(|| Names {
+        locs: LOC_NAMES.iter().map(Loc::new).collect(),
+        regs: PREFIX_NAMES
+            .iter()
+            .map(|p| {
+                (0..PREMADE_REGS)
+                    .map(|k| Reg::new(format!("{p}{k}")))
+                    .collect()
+            })
+            .collect(),
+    })
+}
+
+/// Post-increments a register counter.
+fn bump(counter: &mut usize) -> usize {
+    *counter += 1;
+    *counter - 1
+}
+
+/// A plain `.cg` store.
+fn store(addr: Operand, src: Operand) -> Instr {
+    Instr::St {
+        addr,
+        src,
+        cache: CacheOp::Cg,
+        volatile: false,
+    }
+}
+
 /// Synthesises one litmus test from `cycle` at the given placement.
 ///
 /// # Errors
@@ -118,6 +195,21 @@ pub fn synthesise(
     if shared && placement != ThreadScope::IntraCta {
         return Err(SynthError::SharedNeedsIntraCta);
     }
+    Ok(analyse(cycle)?.place(cycle, placement, shared))
+}
+
+/// What a cycle synthesises to before it is placed: threads, register
+/// initialisation and final condition, which no placement or region
+/// changes.
+struct Unplaced {
+    num_locs: usize,
+    threads: Vec<Vec<Instr>>,
+    reg_inits: Vec<(usize, Reg, Value)>,
+    cond: Predicate,
+}
+
+/// Analyses `cycle` into its [`Unplaced`] test.
+fn analyse(cycle: &Cycle) -> Result<Unplaced, SynthError> {
     let edges = cycle.edges();
     let n = edges.len();
 
@@ -243,58 +335,83 @@ pub fn synthesise(
     }
 
     // Emit instructions.
+    let names = names();
     let mut threads: Vec<Vec<Instr>> = vec![Vec::new(); num_threads];
     let mut reg_counter = vec![0usize; num_threads];
-    let mut read_reg: Vec<Option<String>> = vec![None; n];
-    let mut reg_inits: Vec<(usize, String, Value)> = Vec::new();
+    let mut read_reg: Vec<Option<Reg>> = vec![None; n];
+    let mut reg_inits: Vec<(usize, Reg, Value)> = Vec::new();
 
     for i in 0..n {
         let tid = thread_of[i];
-        let loc = LOC_NAMES[loc_of[i]];
+        let loc = &names.locs[loc_of[i]];
         let code = &mut threads[tid];
 
         // The incoming edge, when internal, may add fences or dependency
         // chains before this event.
         let incoming = edges[(i + n - 1) % n];
-        let mut dep_addr_reg: Option<String> = None;
-        let mut dep_data_reg: Option<String> = None;
-        let mut dep_pred: Option<String> = None;
+        let mut dep_addr_reg: Option<Reg> = None;
+        let mut dep_data_reg: Option<Reg> = None;
+        let mut dep_pred: Option<Reg> = None;
         match incoming {
             Edge::Fenced { scope, .. } if thread_of[(i + n - 1) % n] == tid => {
                 code.push(build::membar(scope));
             }
             Edge::Dp { dep, .. } if thread_of[(i + n - 1) % n] == tid => {
-                let src = read_reg[(i + n - 1) % n]
-                    .clone()
-                    .expect("dependency source is a read");
-                let k = reg_counter[tid];
-                reg_counter[tid] += 1;
+                let src = Operand::Reg(
+                    read_reg[(i + n - 1) % n]
+                        .clone()
+                        .expect("dependency source is a read"),
+                );
+                let k = bump(&mut reg_counter[tid]);
                 match dep {
                     DepKind::Addr => {
                         // Fig. 13b: and-high-bit, convert, add into a
                         // pointer register initialised to the target.
-                        let (tmp, cvt, areg) = (format!("t{k}"), format!("u{k}"), format!("a{k}"));
-                        code.push(build::and(&tmp, build::reg(&src), build::imm(0x8000_0000)));
-                        code.push(build::cvt(&cvt, build::reg(&tmp)));
-                        code.push(build::add(&areg, build::reg(&areg), build::reg(&cvt)));
-                        reg_inits.push((tid, areg.clone(), Value::ptr(loc)));
+                        let (tmp, cvt, areg) = (
+                            names.reg(Prefix::T, k),
+                            names.reg(Prefix::U, k),
+                            names.reg(Prefix::A, k),
+                        );
+                        code.push(Instr::And {
+                            dst: tmp.clone(),
+                            a: src,
+                            b: Operand::Imm(0x8000_0000),
+                        });
+                        code.push(Instr::Cvt {
+                            dst: cvt.clone(),
+                            src: Operand::Reg(tmp),
+                        });
+                        code.push(Instr::Add {
+                            dst: areg.clone(),
+                            a: Operand::Reg(areg.clone()),
+                            b: Operand::Reg(cvt),
+                        });
+                        reg_inits.push((tid, areg.clone(), Value::ptr(loc.clone())));
                         dep_addr_reg = Some(areg);
                     }
                     DepKind::Data => {
-                        let (tmp, vreg) = (format!("t{k}"), format!("v{k}"));
-                        code.push(build::and(&tmp, build::reg(&src), build::imm(0x8000_0000)));
-                        code.push(build::add(&vreg, build::reg(&tmp), build::imm(value_of[i])));
+                        let (tmp, vreg) = (names.reg(Prefix::T, k), names.reg(Prefix::V, k));
+                        code.push(Instr::And {
+                            dst: tmp.clone(),
+                            a: src,
+                            b: Operand::Imm(0x8000_0000),
+                        });
+                        code.push(Instr::Add {
+                            dst: vreg.clone(),
+                            a: Operand::Reg(tmp),
+                            b: Operand::Imm(value_of[i]),
+                        });
                         dep_data_reg = Some(vreg);
                     }
                     DepKind::Ctrl => {
                         // A predicate that is always true but carries the
                         // read's taint: values never reach i32::MAX.
-                        let p = format!("p{k}");
-                        code.push(build::setp_ne(
-                            &p,
-                            build::reg(&src),
-                            build::imm(0x7fff_ffff),
-                        ));
+                        let p = names.reg(Prefix::P, k);
+                        code.push(Instr::SetpNe {
+                            dst: p.clone(),
+                            a: src,
+                            b: Operand::Imm(0x7fff_ffff),
+                        });
                         dep_pred = Some(p);
                     }
                 }
@@ -304,32 +421,37 @@ pub fn synthesise(
 
         let instr = match dirs[i] {
             Dir::W => {
-                if let Some(a) = &dep_addr_reg {
+                if let Some(a) = dep_addr_reg {
                     // Address-dependent stores need the value in a register.
-                    let k = reg_counter[tid];
-                    reg_counter[tid] += 1;
-                    let vreg = format!("v{k}");
-                    code.push(build::mov(&vreg, value_of[i]));
-                    build::st_reg(build::reg(a), &vreg)
-                } else if let Some(v) = &dep_data_reg {
-                    build::st_reg(loc, v)
+                    let vreg = names.reg(Prefix::V, bump(&mut reg_counter[tid]));
+                    code.push(Instr::Mov {
+                        dst: vreg.clone(),
+                        src: Operand::Imm(value_of[i]),
+                    });
+                    store(Operand::Reg(a), Operand::Reg(vreg))
+                } else if let Some(v) = dep_data_reg {
+                    store(Operand::Sym(loc.clone()), Operand::Reg(v))
                 } else {
-                    build::st(loc, value_of[i])
+                    store(Operand::Sym(loc.clone()), Operand::Imm(value_of[i]))
                 }
             }
             Dir::R => {
-                let k = reg_counter[tid];
-                reg_counter[tid] += 1;
-                let r = format!("r{k}");
+                let r = names.reg(Prefix::R, bump(&mut reg_counter[tid]));
                 read_reg[i] = Some(r.clone());
-                match &dep_addr_reg {
-                    Some(a) => build::ld(&r, build::reg(a)),
-                    None => build::ld(&r, loc),
+                let addr = match dep_addr_reg {
+                    Some(a) => Operand::Reg(a),
+                    None => Operand::Sym(loc.clone()),
+                };
+                Instr::Ld {
+                    dst: r,
+                    addr,
+                    cache: CacheOp::Cg,
+                    volatile: false,
                 }
             }
         };
         let instr = match dep_pred {
-            Some(p) => instr.guarded(p.as_str(), true),
+            Some(p) => instr.guarded(p, true),
             None => instr,
         };
         code.push(instr);
@@ -339,59 +461,70 @@ pub fn synthesise(
     let mut terms: Vec<Predicate> = Vec::new();
     for i in 0..n {
         if let (Some(v), Some(r)) = (read_value[i], &read_reg[i]) {
-            terms.push(Predicate::Eq(FinalExpr::reg(thread_of[i], r.as_str()), v));
+            terms.push(Predicate::Eq(FinalExpr::Reg(thread_of[i], r.clone()), v));
         }
     }
     for (l, order) in co_order.iter().enumerate() {
         if order.len() > 1 {
             // Pin the coherence-last write via the final memory value.
             let last = *order.last().expect("non-empty order");
-            terms.push(Predicate::mem_eq(LOC_NAMES[l], value_of[last]));
+            terms.push(Predicate::mem_eq(names.locs[l].clone(), value_of[last]));
         }
     }
     let cond = Predicate::all(terms);
+    Ok(Unplaced {
+        num_locs,
+        threads,
+        reg_inits,
+        cond,
+    })
+}
 
-    // Assemble.
-    let suffix = match (placement, shared) {
-        (ThreadScope::InterCta, _) => "+inter",
-        (ThreadScope::IntraCta, false) => "+intra",
-        (ThreadScope::IntraCta, true) => "+intra+shared",
-        (ThreadScope::IntraWarp, _) => "+warp",
-    };
-    let mut builder = LitmusTest::builder(format!("{}{suffix}", cycle.name()))
-        .doc(format!("diy-generated from cycle {}", cycle.name()));
-    for &name in LOC_NAMES.iter().take(num_locs) {
-        builder = if shared {
-            builder.shared(name, 0)
-        } else {
-            builder.global(name, 0)
+impl Unplaced {
+    /// The test at `placement`, in global or (for `shared`) shared
+    /// memory.
+    fn place(&self, cycle: &Cycle, placement: ThreadScope, shared: bool) -> LitmusTest {
+        let suffix = match (placement, shared) {
+            (ThreadScope::InterCta, _) => "+inter",
+            (ThreadScope::IntraCta, false) => "+intra",
+            (ThreadScope::IntraCta, true) => "+intra+shared",
+            (ThreadScope::IntraWarp, _) => "+warp",
         };
+        let mut builder = LitmusTest::builder(format!("{}{suffix}", cycle.name()))
+            .doc(format!("diy-generated from cycle {}", cycle.name()));
+        for loc in &names().locs[..self.num_locs] {
+            builder = if shared {
+                builder.shared(loc.clone(), 0)
+            } else {
+                builder.global(loc.clone(), 0)
+            };
+        }
+        for code in &self.threads {
+            builder = builder.thread(code.iter().cloned());
+        }
+        for (tid, reg, v) in &self.reg_inits {
+            builder = builder.reg_init(*tid, reg.clone(), v.clone());
+        }
+        builder
+            .scope_tree(ScopeTree::for_scope(placement, self.threads.len()))
+            .exists(self.cond.clone())
+            .build()
+            .expect("synthesised tests are structurally valid")
     }
-    for code in threads {
-        builder = builder.thread(code);
-    }
-    for (tid, reg, v) in reg_inits {
-        builder = builder.reg_init(tid, reg.as_str(), v);
-    }
-    builder = builder.scope_tree(ScopeTree::for_scope(placement, num_threads));
-    builder = builder.exists(cond);
-    Ok(builder
-        .build()
-        .expect("synthesised tests are structurally valid"))
 }
 
 /// Expands a cycle over every placement/region in the configuration,
 /// silently skipping infeasible combinations.
 pub fn expand(cycle: &Cycle, cfg: &GenConfig) -> Vec<LitmusTest> {
+    // A cycle that fails to synthesise fails at every placement.
+    let Ok(unplaced) = analyse(cycle) else {
+        return Vec::new();
+    };
     let mut out = Vec::new();
     for &placement in &cfg.placements {
-        if let Ok(t) = synthesise(cycle, placement, false) {
-            out.push(t);
-        }
+        out.push(unplaced.place(cycle, placement, false));
         if cfg.shared_variants && placement == ThreadScope::IntraCta {
-            if let Ok(t) = synthesise(cycle, placement, true) {
-                out.push(t);
-            }
+            out.push(unplaced.place(cycle, placement, true));
         }
     }
     out

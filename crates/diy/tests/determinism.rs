@@ -81,3 +81,40 @@ fn family_lookup_by_name() {
     let small = generate(&GenConfig::named("small").unwrap());
     assert!(paper_family().len() > small.len());
 }
+
+/// FNV-1a (64-bit) over every test's printed form, in canonical order.
+fn family_digest(tests: &[LitmusTest]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for t in tests {
+        for b in t.to_string().bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Pins both named families to their printed form: a change that
+/// renames, reorders or rewrites any generated test shifts every
+/// per-test seed and shard, so it must show up here (and, if intended,
+/// update these constants).
+#[test]
+fn generated_families_match_their_recorded_digests() {
+    let small = generate(&GenConfig::small());
+    assert_eq!(
+        (small.len(), family_digest(&small)),
+        (SMALL_COUNT, SMALL_DIGEST),
+        "small family changed"
+    );
+    let paper = paper_family();
+    assert_eq!(
+        (paper.len(), family_digest(paper)),
+        (PAPER_COUNT, PAPER_DIGEST),
+        "paper family changed"
+    );
+}
+
+const SMALL_COUNT: usize = 112;
+const SMALL_DIGEST: u64 = 16_097_358_439_293_305_742;
+const PAPER_COUNT: usize = 16_632;
+const PAPER_DIGEST: u64 = 2_313_359_946_700_436_094;
