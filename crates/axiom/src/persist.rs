@@ -1,4 +1,4 @@
-//! Persistent, shareable verdict caches (the `weakgpu-cache/2` format).
+//! Persistent, shareable verdict caches (the `weakgpu-cache/3` format).
 //!
 //! A [`VerdictCache`] pays the cache-miss
 //! enumeration cost once per process — and then throws the result away
@@ -7,10 +7,14 @@
 //! long-running `weakgpu serve` daemon) starts warm:
 //!
 //! * **Versioned** — the first line is the schema tag
-//!   [`SCHEMA`] (`weakgpu-cache/2`); a loader that meets any other tag
-//!   refuses with a diagnostic instead of misreading the records. Version
-//!   2 dropped the walk flags from the record keys; `/1` files are
-//!   rejected the same way and must be regenerated.
+//!   [`SCHEMA`] (`weakgpu-cache/3`); a loader that meets any other tag
+//!   refuses with a diagnostic instead of misreading the records.
+//!   Version 3 keys records by [`Fingerprint`] instead of the key text of
+//!   version 2 (which in turn dropped the walk flags of version 1). A
+//!   text key is a rendering, not the test it was rendered from, so it
+//!   cannot be turned into a fingerprint: `/1` and `/2` files are
+//!   rejected, not converted. Rerun the sweep or serve session that
+//!   wrote them.
 //! * **Line-oriented and append-friendly** — after the header, each
 //!   line is one complete `key → ModelOutcomes` record, so a writer can
 //!   append new judgements to an existing file ([`CacheWriter`]) and a
@@ -21,13 +25,12 @@
 //!   [`merge`] unions caches with a first-wins rule that does not depend
 //!   on hash order.
 //!
-//! Records are keyed by the full
-//! [`VerdictCache::entry_key`](crate::cache::VerdictCache::entry_key)
-//! (model name, enumeration bounds, test shape), so one file can hold
-//! verdicts for several models and bounds side by side. The key is an
-//! opaque string to this module: a format change upstream (say a new
-//! `EnumConfig` field) simply stops old entries from being hit — it can
-//! never make them answer the wrong question.
+//! Records are keyed by the [`Fingerprint`] of model name, enumeration
+//! bounds and test shape, written as 32 lowercase hex digits, so one file
+//! can hold verdicts for several models and bounds side by side. The key
+//! is opaque to this module: a change upstream (say a new `EnumConfig`
+//! field) simply stops old entries from being hit — it can never make
+//! them answer the wrong question.
 //!
 //! ```
 //! use weakgpu_axiom::cache::VerdictCache;
@@ -58,11 +61,11 @@ use std::path::Path;
 
 use weakgpu_litmus::{FinalExpr, Outcome};
 
-use crate::cache::VerdictCache;
+use crate::cache::{Fingerprint, VerdictCache};
 use crate::enumerate::ModelOutcomes;
 
 /// Version tag of the on-disk cache format; the file's first line.
-pub const SCHEMA: &str = "weakgpu-cache/2";
+pub const SCHEMA: &str = "weakgpu-cache/3";
 
 /// Why a cache file could not be written or restored.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -182,13 +185,13 @@ fn parse_outcome(s: &str, line: usize) -> Result<Outcome, PersistError> {
 }
 
 /// Renders one `key → verdict` record as a single line (no trailing
-/// newline): tab-separated `key`, `num_candidates`, `num_allowed`,
-/// `condition_witnessed`, `outcome count`, then one field per outcome in
-/// `all_outcomes` order, `*`-prefixed when the outcome is also allowed.
-pub fn render_record(key: &str, v: &ModelOutcomes) -> String {
+/// newline): tab-separated `key` (32 hex digits), `num_candidates`,
+/// `num_allowed`, `condition_witnessed`, `outcome count`, then one field
+/// per outcome in `all_outcomes` order, `*`-prefixed when the outcome is
+/// also allowed.
+pub fn render_record(key: Fingerprint, v: &ModelOutcomes) -> String {
     let mut line = format!(
-        "{}\t{}\t{}\t{}\t{}",
-        esc(key),
+        "{key}\t{}\t{}\t{}\t{}",
         v.num_candidates,
         v.num_allowed,
         u8::from(v.condition_witnessed),
@@ -204,7 +207,7 @@ pub fn render_record(key: &str, v: &ModelOutcomes) -> String {
     line
 }
 
-fn parse_record(text: &str, line: usize) -> Result<(String, ModelOutcomes), PersistError> {
+fn parse_record(text: &str, line: usize) -> Result<(Fingerprint, ModelOutcomes), PersistError> {
     let fields: Vec<&str> = text.split('\t').collect();
     if fields.len() < 5 {
         return Err(PersistError::Format(
@@ -215,7 +218,9 @@ fn parse_record(text: &str, line: usize) -> Result<(String, ModelOutcomes), Pers
             ),
         ));
     }
-    let key = unesc(fields[0], line)?;
+    let key: Fingerprint = fields[0]
+        .parse()
+        .map_err(|e| PersistError::Format(line, format!("key {e}")))?;
     let parse_count = |s: &str, what: &str| -> Result<usize, PersistError> {
         s.parse().map_err(|_| {
             PersistError::Format(line, format!("{what} {s:?} is not a non-negative integer"))
@@ -234,7 +239,8 @@ fn parse_record(text: &str, line: usize) -> Result<(String, ModelOutcomes), Pers
         }
     };
     let n_outcomes = parse_count(fields[4], "outcome count")?;
-    if fields.len() != 5 + n_outcomes {
+    // `fields.len() >= 5`, and a corrupt count may be near `usize::MAX`.
+    if fields.len() - 5 != n_outcomes {
         return Err(PersistError::Format(
             line,
             format!(
@@ -268,11 +274,11 @@ fn parse_record(text: &str, line: usize) -> Result<(String, ModelOutcomes), Pers
     ))
 }
 
-/// Serialises `cache` to the `weakgpu-cache/2` text format: the schema
+/// Serialises `cache` to the `weakgpu-cache/3` text format: the schema
 /// header, then one record per entry, sorted by key so equal caches
 /// render byte-identically.
 pub fn render(cache: &VerdictCache) -> String {
-    let mut entries: Vec<(&str, &ModelOutcomes)> = cache.entries().collect();
+    let mut entries: Vec<(Fingerprint, &ModelOutcomes)> = cache.entries().collect();
     entries.sort_by_key(|(k, _)| *k);
     let mut out = String::with_capacity(64 * (entries.len() + 1));
     out.push_str(SCHEMA);
@@ -284,7 +290,7 @@ pub fn render(cache: &VerdictCache) -> String {
     out
 }
 
-/// Parses a `weakgpu-cache/2` document into a cache of warm entries.
+/// Parses a `weakgpu-cache/3` document into a cache of warm entries.
 ///
 /// Duplicate keys are allowed (they arise from appending): the **last**
 /// record wins, matching append semantics. Restored entries count as
@@ -305,7 +311,7 @@ pub fn parse(src: &str) -> Result<VerdictCache, PersistError> {
     }
     // Later duplicates must win, but `insert_warm` keeps the first
     // occupant — so collect last-wins into a map first.
-    let mut records: std::collections::BTreeMap<String, ModelOutcomes> = Default::default();
+    let mut records: std::collections::BTreeMap<Fingerprint, ModelOutcomes> = Default::default();
     for (i, text) in lines.enumerate() {
         if text.is_empty() {
             continue;
@@ -417,7 +423,11 @@ impl CacheWriter {
     /// # Errors
     ///
     /// [`PersistError::Io`] on write failure.
-    pub fn write_entry(&mut self, key: &str, verdict: &ModelOutcomes) -> Result<(), PersistError> {
+    pub fn write_entry(
+        &mut self,
+        key: Fingerprint,
+        verdict: &ModelOutcomes,
+    ) -> Result<(), PersistError> {
         writeln!(self.out, "{}", render_record(key, verdict))
             .map_err(|e| PersistError::Io(e.to_string()))
     }
@@ -485,10 +495,12 @@ mod tests {
     fn wrong_version_is_rejected() {
         let err = parse("weakgpu-cache/9\n").unwrap_err();
         assert!(matches!(err, PersistError::Version(_)), "{err}");
-        assert!(err.to_string().contains("weakgpu-cache/2"), "{err}");
-        // Version 1 keys carried the walk flags; they are not read.
-        let err = parse("weakgpu-cache/1\n").unwrap_err();
-        assert!(matches!(err, PersistError::Version(_)), "{err}");
+        assert!(err.to_string().contains("weakgpu-cache/3"), "{err}");
+        // Version 1 and 2 records are keyed by text; they are not read.
+        for old in ["weakgpu-cache/1\n", "weakgpu-cache/2\n"] {
+            let err = parse(old).unwrap_err();
+            assert!(matches!(err, PersistError::Version(_)), "{err}");
+        }
         assert!(parse("").is_err());
         assert!(parse("garbage").is_err());
     }
@@ -507,10 +519,19 @@ mod tests {
             other => panic!("expected Format, got {other:?}"),
         }
         // A record claiming more outcomes than it carries is caught.
-        let lying = format!("{SCHEMA}\nkey\t4\t2\t1\t3\t*0:r1=1; \n");
+        let key = Fingerprint(7);
+        let lying = format!("{SCHEMA}\n{key}\t4\t2\t1\t3\t*0:r1=1; \n");
         let err = parse(&lying).unwrap_err();
         assert!(err.to_string().contains("declares 3 outcomes"), "{err}");
+        // So is a text key, such as a version 2 record's.
+        let text_key = format!("{SCHEMA}\nkey\t4\t2\t1\t1\t*0:r1=1; \n");
+        let err = parse(&text_key).unwrap_err();
+        assert!(err.to_string().contains("hex digits"), "{err}");
     }
+
+    const SHARED: Fingerprint = Fingerprint(1);
+    const ONLY_A: Fingerprint = Fingerprint(2);
+    const ONLY_B: Fingerprint = Fingerprint(3);
 
     #[test]
     fn merge_is_deterministic_first_wins() {
@@ -527,29 +548,31 @@ mod tests {
             num_candidates: 2,
             ..v1.clone()
         };
-        a.insert_warm("shared".into(), v1.clone());
-        a.insert_warm("only-a".into(), v1.clone());
-        b.insert_warm("shared".into(), v2.clone());
-        b.insert_warm("only-b".into(), v2.clone());
+        a.insert_warm(SHARED, v1.clone());
+        a.insert_warm(ONLY_A, v1.clone());
+        b.insert_warm(SHARED, v2.clone());
+        b.insert_warm(ONLY_B, v2.clone());
         let ab = merge([a, b]);
         assert_eq!(ab.len(), 3);
         let shared = ab
             .entries()
-            .find(|(k, _)| *k == "shared")
+            .find(|(k, _)| *k == SHARED)
             .map(|(_, v)| v.num_candidates);
         assert_eq!(shared, Some(1), "first cache must win on conflicts");
         // Determinism: same inputs, same render.
         let mut a2 = VerdictCache::new();
         let mut b2 = VerdictCache::new();
-        a2.insert_warm("shared".into(), v1.clone());
-        a2.insert_warm("only-a".into(), v1);
-        b2.insert_warm("shared".into(), v2.clone());
-        b2.insert_warm("only-b".into(), v2);
+        a2.insert_warm(SHARED, v1.clone());
+        a2.insert_warm(ONLY_A, v1);
+        b2.insert_warm(SHARED, v2.clone());
+        b2.insert_warm(ONLY_B, v2);
         assert_eq!(render(&ab), render(&merge([a2, b2])));
     }
 
     #[test]
     fn appended_records_load_and_last_wins() {
+        const K1: Fingerprint = Fingerprint(0x11);
+        const K2: Fingerprint = Fingerprint(0x22);
         let dir = std::env::temp_dir().join(format!("weakgpu-persist-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("append.wgc");
@@ -565,19 +588,19 @@ mod tests {
             ..v1.clone()
         };
         let mut w = CacheWriter::create(&path).unwrap();
-        w.write_entry("k1", &v1).unwrap();
+        w.write_entry(K1, &v1).unwrap();
         w.flush().unwrap();
         drop(w);
         let mut w = CacheWriter::append(&path).unwrap();
-        w.write_entry("k2", &v1).unwrap();
-        w.write_entry("k1", &v2).unwrap();
+        w.write_entry(K2, &v1).unwrap();
+        w.write_entry(K1, &v2).unwrap();
         w.flush().unwrap();
         drop(w);
         let cache = load(&path).unwrap();
         assert_eq!(cache.len(), 2);
         let k1 = cache
             .entries()
-            .find(|(k, _)| *k == "k1")
+            .find(|(k, _)| *k == K1)
             .map(|(_, v)| v.num_candidates);
         assert_eq!(k1, Some(9), "later appended record must win");
         // Appending to a foreign file is refused.

@@ -42,12 +42,10 @@ fn real_family_survives_a_disk_roundtrip_bit_identically() {
 
     assert_eq!(restored.len(), cache.len());
     assert_eq!(restored.warm_entries() as usize, cache.len());
-    let originals: std::collections::BTreeMap<_, _> = cache
-        .entries()
-        .map(|(k, v)| (k.to_owned(), v.clone()))
-        .collect();
+    let originals: std::collections::BTreeMap<_, _> =
+        cache.entries().map(|(k, v)| (k, v.clone())).collect();
     for (key, verdict) in restored.entries() {
-        let original = &originals[key];
+        let original = &originals[&key];
         assert_eq!(verdict.all_outcomes, original.all_outcomes, "{key}");
         assert_eq!(verdict.allowed_outcomes, original.allowed_outcomes);
         assert_eq!(verdict.num_candidates, original.num_candidates);
@@ -90,13 +88,13 @@ fn incremental_writer_agrees_with_one_shot_save() {
     let entries: Vec<_> = cache.entries().collect();
     let mut w = CacheWriter::create(&incremental).unwrap();
     for (k, v) in &entries[..5] {
-        w.write_entry(k, v).unwrap();
+        w.write_entry(*k, v).unwrap();
     }
     w.flush().unwrap();
     drop(w);
     let mut w = CacheWriter::append(&incremental).unwrap();
     for (k, v) in &entries[5..] {
-        w.write_entry(k, v).unwrap();
+        w.write_entry(*k, v).unwrap();
     }
     w.flush().unwrap();
     drop(w);
@@ -115,9 +113,9 @@ fn damaged_files_are_rejected_with_diagnostics() {
     save(&path, &judged(&family)).unwrap();
     let good = std::fs::read_to_string(&path).unwrap();
 
-    // Wrong version: neither an older format-1 file nor a future
-    // format-3 file may be half-read by this loader.
-    for other in ["weakgpu-cache/1", "weakgpu-cache/3"] {
+    // Wrong version: neither an older format-1 or format-2 file nor a
+    // future format-4 file may be half-read by this loader.
+    for other in ["weakgpu-cache/1", "weakgpu-cache/2", "weakgpu-cache/4"] {
         let foreign = good.replacen(SCHEMA, other, 1);
         std::fs::write(&path, &foreign).unwrap();
         let err = load(&path).unwrap_err();
@@ -133,6 +131,24 @@ fn damaged_files_are_rejected_with_diagnostics() {
     std::fs::write(&path, &good[..good.len() - cut]).unwrap();
     match load(&path).unwrap_err() {
         PersistError::Format(line, _) => assert_eq!(line, 1 + family.len()),
+        other => panic!("expected Format error, got {other}"),
+    }
+
+    // An outcome count near `usize::MAX` is a Format error, not an
+    // overflow in the field-count check.
+    let huge = format!(
+        "{SCHEMA}\n{}\t1\t1\t0\t18446744073709551615\n",
+        "0".repeat(32)
+    );
+    std::fs::write(&path, huge).unwrap();
+    match load(&path).unwrap_err() {
+        PersistError::Format(line, msg) => {
+            assert_eq!(line, 2, "{msg}");
+            assert!(
+                msg.contains("declares 18446744073709551615 outcomes"),
+                "{msg}"
+            );
+        }
         other => panic!("expected Format error, got {other}"),
     }
 

@@ -121,9 +121,11 @@ pub struct SweepConfig {
     pub seed: u64,
     /// Worker threads (`None` = all cores). Wall-clock only.
     pub parallelism: Option<usize>,
-    /// Warm-start the verdict cache from this `weakgpu-cache/2` file
+    /// Warm-start the verdict cache from this `weakgpu-cache/3` file
     /// ([`weakgpu_axiom::persist`]) before the run, and write the
-    /// updated cache back after it. A missing file starts the run cold
+    /// updated cache back after it. Files of an older schema (`/1`,
+    /// `/2`) fail the run with a diagnostic naming both tags; they are
+    /// never converted. A missing file starts the run cold
     /// and is created at the end (unless [`SweepConfig::cache_readonly`]
     /// is set, in which case a missing file is an error — a warm-start
     /// contract that silently ran cold would hide a broken pipeline).

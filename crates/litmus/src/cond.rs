@@ -6,7 +6,6 @@
 //! the inspected registers/locations — and the harness counts how often the
 //! condition's body holds.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::instr::Reg;
@@ -227,10 +226,13 @@ impl fmt::Display for FinalCond {
 /// One observed final state: values of the inspected registers/locations.
 ///
 /// Outcomes order and render canonically (`0:r1=1; 1:r2=0;`), so they can
-/// key histograms.
+/// key histograms. The bindings are a slice sorted by expression with
+/// unique keys: an outcome binds a handful of values, so a binary search
+/// beats a map, and the derived `Ord`, `Eq` and `Hash` compare the sorted
+/// pairs lexicographically, as they would over a `BTreeMap`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Outcome {
-    values: BTreeMap<FinalExpr, i64>,
+    values: Vec<(FinalExpr, i64)>,
 }
 
 impl Outcome {
@@ -239,15 +241,22 @@ impl Outcome {
         Outcome::default()
     }
 
+    fn find(&self, expr: &FinalExpr) -> Result<usize, usize> {
+        self.values.binary_search_by(|(e, _)| e.cmp(expr))
+    }
+
     /// Records `expr = value`, replacing any previous binding.
     pub fn set(&mut self, expr: FinalExpr, value: i64) -> &mut Self {
-        self.values.insert(expr, value);
+        match self.find(&expr) {
+            Ok(i) => self.values[i].1 = value,
+            Err(i) => self.values.insert(i, (expr, value)),
+        }
         self
     }
 
     /// The recorded value of `expr`, if present.
     pub fn get(&self, expr: &FinalExpr) -> Option<i64> {
-        self.values.get(expr).copied()
+        self.find(expr).ok().map(|i| self.values[i].1)
     }
 
     /// Number of recorded bindings.
@@ -267,10 +276,20 @@ impl Outcome {
 }
 
 impl FromIterator<(FinalExpr, i64)> for Outcome {
+    /// Collects bindings; of duplicate expressions the last one wins.
     fn from_iter<I: IntoIterator<Item = (FinalExpr, i64)>>(iter: I) -> Self {
-        Outcome {
-            values: iter.into_iter().collect(),
-        }
+        let mut values: Vec<(FinalExpr, i64)> = iter.into_iter().collect();
+        // A stable sort keeps duplicates in input order; each later one
+        // hands its value to the first of its run and is dropped.
+        values.sort_by(|(a, _), (b, _)| a.cmp(b));
+        values.dedup_by(|(e, v), (kept, kept_v)| {
+            let dup = e == kept;
+            if dup {
+                *kept_v = *v;
+            }
+            dup
+        });
+        Outcome { values }
     }
 }
 

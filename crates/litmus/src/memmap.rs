@@ -46,7 +46,7 @@ pub struct MemInit {
 /// assert_eq!(m.region(&"x".into()), Some(Region::Global));
 /// assert_eq!(m.init(&"y".into()), Some(1));
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct MemMap {
     entries: BTreeMap<Loc, MemInit>,
 }

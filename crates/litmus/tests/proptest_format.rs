@@ -1,6 +1,10 @@
 //! Property tests for the litmus representation layer: the textual format
-//! round-trips, predicates behave like boolean algebra, and scope trees
-//! classify consistently.
+//! round-trips, predicates behave like boolean algebra, scope trees
+//! classify consistently, and outcomes behave as the `BTreeMap` they
+//! replace.
+
+use std::collections::BTreeMap;
+use std::hash::BuildHasher;
 
 use proptest::prelude::*;
 use weakgpu_litmus::{
@@ -74,6 +78,35 @@ fn arb_program() -> impl Strategy<Value = LitmusTest> {
                 .build()
                 .expect("generated programs are structurally valid")
         })
+}
+
+/// The expressions outcome bindings are drawn from: registers of two
+/// threads (one with a two-digit id) and two locations.
+fn expr_pool() -> Vec<FinalExpr> {
+    vec![
+        FinalExpr::reg(0, "r0"),
+        FinalExpr::reg(0, "r1"),
+        FinalExpr::reg(1, "r0"),
+        FinalExpr::reg(10, "r2"),
+        FinalExpr::mem("x"),
+        FinalExpr::mem("y"),
+    ]
+}
+
+/// A binding sequence over [`expr_pool`], duplicate expressions likely.
+fn arb_bindings() -> impl Strategy<Value = Vec<(FinalExpr, i64)>> {
+    prop::collection::vec((0..6usize, -3i64..4), 0..9).prop_map(|picks| {
+        let pool = expr_pool();
+        picks
+            .into_iter()
+            .map(|(i, v)| (pool[i].clone(), v))
+            .collect()
+    })
+}
+
+/// The reference: a map fed the same sequence, so later bindings win.
+fn reference(bindings: &[(FinalExpr, i64)]) -> BTreeMap<FinalExpr, i64> {
+    bindings.iter().cloned().collect()
 }
 
 proptest! {
@@ -172,5 +205,36 @@ proptest! {
         if eq {
             prop_assert_eq!(oa.to_string(), ob.to_string());
         }
+    }
+    #[test]
+    fn outcomes_agree_with_a_btree_map_reference(a in arb_bindings(), b in arb_bindings()) {
+        let (ma, mb) = (reference(&a), reference(&b));
+        let collected: Outcome = a.iter().cloned().collect();
+        let mut set = Outcome::new();
+        for (e, v) in &a {
+            set.set(e.clone(), *v);
+        }
+        prop_assert_eq!(&collected, &set);
+        let oa = collected;
+        let ob: Outcome = b.iter().cloned().collect();
+
+        for e in expr_pool() {
+            prop_assert_eq!(oa.get(&e), ma.get(&e).copied());
+        }
+        prop_assert_eq!(oa.len(), ma.len());
+        prop_assert_eq!(oa.is_empty(), ma.is_empty());
+        let pairs: Vec<(FinalExpr, i64)> = oa.iter().map(|(e, v)| (e.clone(), v)).collect();
+        let want: Vec<(FinalExpr, i64)> = ma.iter().map(|(e, v)| (e.clone(), *v)).collect();
+        prop_assert_eq!(pairs, want);
+        let rendered: String = ma.iter().map(|(e, v)| format!("{e}={v}; ")).collect();
+        prop_assert_eq!(oa.to_string(), rendered);
+
+        // Pairwise: equality and order are the map's, and so is the hash.
+        prop_assert_eq!(oa == ob, ma == mb);
+        prop_assert_eq!(oa.cmp(&ob), ma.cmp(&mb));
+        prop_assert_eq!(oa.partial_cmp(&ob), ma.partial_cmp(&mb));
+        let state = std::collections::hash_map::RandomState::new();
+        prop_assert_eq!(state.hash_one(&oa), state.hash_one(&ma));
+        prop_assert_eq!(state.hash_one(&ob), state.hash_one(&mb));
     }
 }

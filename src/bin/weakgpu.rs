@@ -64,11 +64,11 @@ on a missing shard or any model-forbidden observation. Each test shape
 is judged once: its candidate executions are streamed one at a time,
 and each candidate is judged by the model's compiled plan.
 --cache-file FILE.wgc warm-starts the verdict cache from a
-persisted `weakgpu-cache/2` file (created by an earlier sweep or serve)
-and writes the updated cache back afterwards; --cache-readonly loads
-without writing back, and fails if the file is missing rather than
-silently running cold. Exit status is non-zero if any observation is
-unsound.
+persisted `weakgpu-cache/3` file (created by an earlier sweep or serve;
+older `/1` and `/2` files are rejected, not converted) and writes the
+updated cache back afterwards; --cache-readonly loads without writing
+back, and fails if the file is missing rather than silently running
+cold. Exit status is non-zero if any observation is unsound.
 
 `serve` is a long-running verdict daemon: each stdin line is one JSON
 request ({\"op\": \"verdict\"|\"stats\"|\"shutdown\", \"id\": .., \"test\":

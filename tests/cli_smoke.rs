@@ -268,7 +268,7 @@ fn serve_answers_a_jsonl_batch_and_persists_its_cache() {
     assert!(
         std::fs::read_to_string(&cache)
             .unwrap()
-            .starts_with("weakgpu-cache/2"),
+            .starts_with("weakgpu-cache/3"),
         "shutdown must flush a versioned cache file"
     );
     // Second daemon warm-starts from the flushed file: same verdicts,
