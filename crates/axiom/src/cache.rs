@@ -38,15 +38,18 @@
 //! assert!(std::sync::Arc::ptr_eq(&a, &b));
 //! ```
 //!
-//! Concurrent workers share one [`SharedCache`], whose
-//! [`SharedCache::get_or_judge`] judges every shape exactly once.
+//! A caller that judges many tests at once (the sweep's judge pass)
+//! works on fingerprints: it probes with [`VerdictCache::contains`],
+//! judges each distinct unknown shape once, and then counts each test
+//! with [`VerdictCache::get`] or [`VerdictCache::publish_key`], both of
+//! which stand for any number of lookups of one shape.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 use std::mem;
 use std::str::FromStr;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use weakgpu_litmus::{printer, CacheOp, Instr, LitmusTest, Predicate};
 
@@ -395,11 +398,7 @@ impl Hasher for Sip128 {
 /// models that answer to the same name — they would share verdicts.
 ///
 /// Verdicts are returned as [`Arc`]s so callers can hold them without
-/// cloning the (potentially large) allowed-outcome sets, and so the cache
-/// can be used behind a short-lived lock: clone the `Arc` out, drop the
-/// lock, then inspect the verdict. For concurrent fill, use
-/// [`SharedCache`], which judges outside its lock and never judges one
-/// shape twice.
+/// cloning the (potentially large) allowed-outcome sets.
 #[derive(Default, Debug)]
 pub struct VerdictCache {
     map: HashMap<Fingerprint, Entry>,
@@ -426,9 +425,16 @@ impl VerdictCache {
         VerdictCache::default()
     }
 
+    /// `true` if a verdict is stored under `key`. Counts nothing.
+    pub fn contains(&self, key: Fingerprint) -> bool {
+        self.map.contains_key(&key)
+    }
+
     /// The verdict under `key`, counting `lookups` hits (and as many
-    /// warm hits when the entry was restored from a file).
-    fn get(&mut self, key: Fingerprint, lookups: u64) -> Option<Arc<ModelOutcomes>> {
+    /// warm hits when the entry was restored from a file), such as one
+    /// per chip cell of a test. A miss counts nothing;
+    /// [`VerdictCache::publish_key`] records it.
+    pub fn get(&mut self, key: Fingerprint, lookups: u64) -> Option<Arc<ModelOutcomes>> {
         let entry = self.map.get(&key)?;
         self.hits += lookups;
         if entry.warm {
@@ -438,9 +444,10 @@ impl VerdictCache {
     }
 
     /// Stores a fresh verdict under `key` and counts a miss, plus
-    /// `repeats` hits on the stored entry; an entry already present wins
-    /// and is returned.
-    fn publish_key(
+    /// `repeats` hits on the stored entry (lookups of the same shape made
+    /// on behalf of the judging one, such as a test's other chip cells);
+    /// an entry already present wins and is returned.
+    pub fn publish_key(
         &mut self,
         key: Fingerprint,
         verdict: ModelOutcomes,
@@ -595,181 +602,6 @@ impl VerdictCache {
                 slot.insert(entry);
             }
         }
-    }
-}
-
-/// A [`VerdictCache`] shared by concurrent workers, with single-flight
-/// judgement.
-///
-/// [`SharedCache::get_or_judge`] probes under the lock and, on a miss,
-/// judges with no lock held, so distinct shapes are judged in parallel.
-/// A worker that asks for a shape another worker is judging waits for
-/// that judgement instead of repeating it. Every shape is therefore
-/// judged at most once per successful judgement, and a cold cache ends
-/// with `misses() == len()`.
-#[derive(Debug, Default)]
-pub struct SharedCache {
-    state: Mutex<Shared>,
-    published: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct Shared {
-    cache: VerdictCache,
-    /// Keys some worker is judging right now.
-    in_flight: HashSet<Fingerprint>,
-    /// Workers blocked on an in-flight key, so tests can wait for them.
-    #[cfg(test)]
-    waiting: usize,
-}
-
-/// The answer of [`SharedCache::get_or_judge`].
-#[derive(Clone, Debug)]
-pub struct Lookup {
-    /// The verdict.
-    pub verdict: Arc<ModelOutcomes>,
-    /// `true` when this call ran the judgement; `false` when the cache
-    /// (possibly after waiting for another worker) answered.
-    pub judged: bool,
-    /// The cache's hit counter right after this lookup.
-    pub hits: u64,
-    /// The cache's miss counter right after this lookup.
-    pub misses: u64,
-}
-
-/// Clears an in-flight key and wakes its waiters when the judging
-/// worker leaves [`SharedCache::get_or_judge`] by any path, a panic
-/// included, so no waiter can block forever.
-struct InFlight<'a> {
-    shared: &'a SharedCache,
-    key: Option<Fingerprint>,
-}
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        if let Some(key) = self.key.take() {
-            self.shared.state().in_flight.remove(&key);
-            self.shared.published.notify_all();
-        }
-    }
-}
-
-impl SharedCache {
-    /// Shares `cache` (for example one restored by [`crate::persist`]).
-    pub fn new(cache: VerdictCache) -> Self {
-        SharedCache {
-            state: Mutex::new(Shared {
-                cache,
-                ..Shared::default()
-            }),
-            published: Condvar::new(),
-        }
-    }
-
-    fn state(&self) -> MutexGuard<'_, Shared> {
-        // A panicking judge holds no lock, so the state is never left
-        // half-updated.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The verdict of `model` on `test`: from the cache when the shape
-    /// is known, from another worker's judgement when one is running,
-    /// and otherwise from `judge`, which runs with no lock held and
-    /// whose result is published.
-    ///
-    /// # Errors
-    ///
-    /// Returns `judge`'s error. Errors are not cached: the key is
-    /// released and waiting workers wake up and judge it themselves.
-    pub fn get_or_judge<E>(
-        &self,
-        test: &LitmusTest,
-        model: &dyn Model,
-        cfg: &EnumConfig,
-        judge: impl FnOnce() -> Result<ModelOutcomes, E>,
-    ) -> Result<Lookup, E> {
-        self.get_or_judge_for(1, test, model, cfg, judge)
-    }
-
-    /// [`SharedCache::get_or_judge`] on behalf of `lookups` (at least 1)
-    /// lookups of the same shape, such as the cells of one test on
-    /// several chips. The first counts as a hit or a miss, as a lone
-    /// lookup would; every other one counts as a hit on the entry the
-    /// first resolved (a warm hit when that entry was restored from a
-    /// file), as if it had been made afterwards. A failed judgement
-    /// counts nothing.
-    ///
-    /// # Errors
-    ///
-    /// As [`SharedCache::get_or_judge`].
-    pub fn get_or_judge_for<E>(
-        &self,
-        lookups: u64,
-        test: &LitmusTest,
-        model: &dyn Model,
-        cfg: &EnumConfig,
-        judge: impl FnOnce() -> Result<ModelOutcomes, E>,
-    ) -> Result<Lookup, E> {
-        debug_assert!(lookups >= 1, "a lookup stands for at least itself");
-        let key = Fingerprint::of(test, model, cfg);
-        let mut state = self.state();
-        loop {
-            if let Some(verdict) = state.cache.get(key, lookups) {
-                return Ok(Lookup {
-                    verdict,
-                    judged: false,
-                    hits: state.cache.hits(),
-                    misses: state.cache.misses(),
-                });
-            }
-            if state.in_flight.insert(key) {
-                break;
-            }
-            #[cfg(test)]
-            {
-                state.waiting += 1;
-            }
-            state = self
-                .published
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-            #[cfg(test)]
-            {
-                state.waiting -= 1;
-            }
-        }
-        drop(state);
-        let mut flight = InFlight {
-            shared: self,
-            key: Some(key),
-        };
-        let verdict = judge()?;
-        let key = flight.key.take().expect("the key is still in flight");
-        let mut state = self.state();
-        state.in_flight.remove(&key);
-        let verdict = state.cache.publish_key(key, verdict, lookups - 1);
-        let lookup = Lookup {
-            verdict,
-            judged: true,
-            hits: state.cache.hits(),
-            misses: state.cache.misses(),
-        };
-        drop(state);
-        self.published.notify_all();
-        Ok(lookup)
-    }
-
-    /// Runs `f` on the cache under the lock (counters, persistence).
-    pub fn read<R>(&self, f: impl FnOnce(&VerdictCache) -> R) -> R {
-        f(&self.state().cache)
-    }
-
-    /// The cache, for persisting after the workers are done.
-    pub fn into_inner(self) -> VerdictCache {
-        self.state
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .cache
     }
 }
 
@@ -978,111 +810,28 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_judges_each_shape_once() {
-        let t = corpus::mp(ThreadScope::InterCta, None);
-        let model = sc();
-        let cfg = EnumConfig::default();
-        let shared = SharedCache::default();
-        let (shared, t, model, cfg) = (&shared, &t, &model, &cfg);
-        let (started_tx, started_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-        std::thread::scope(|s| {
-            // The first worker takes the key and holds it until released.
-            let first = s.spawn(move || {
-                shared
-                    .get_or_judge(t, model, cfg, || {
-                        started_tx.send(()).unwrap();
-                        release_rx.recv().unwrap();
-                        model_outcomes(t, model, cfg)
-                    })
-                    .unwrap()
-            });
-            started_rx.recv().unwrap();
-            // Three more ask for the same shape while it is in flight.
-            let racers: Vec<_> = (0..3)
-                .map(|_| {
-                    s.spawn(move || {
-                        shared
-                            .get_or_judge(t, model, cfg, || -> Result<_, EnumError> {
-                                unreachable!("the first worker judges this shape")
-                            })
-                            .unwrap()
-                    })
-                })
-                .collect();
-            while shared.state().waiting < 3 {
-                std::thread::yield_now();
-            }
-            release_tx.send(()).unwrap();
-            let first = first.join().unwrap();
-            assert!(first.judged);
-            for racer in racers {
-                let lookup = racer.join().unwrap();
-                assert!(!lookup.judged);
-                assert!(Arc::ptr_eq(&lookup.verdict, &first.verdict));
-            }
-        });
-        let counts = shared.read(|c| (c.hits(), c.misses(), c.len()));
-        assert_eq!(counts, (3, 1, 1));
-    }
-
-    #[test]
     fn one_lookup_for_several_cells_counts_each_cell() {
         let t = corpus::mp(ThreadScope::InterCta, None);
         let model = sc();
         let cfg = EnumConfig::default();
-        let shared = SharedCache::default();
-        let failed = shared.get_or_judge_for(5, &t, &model, &cfg, || Err("budget"));
-        assert_eq!(failed.unwrap_err(), "budget");
-        assert_eq!(shared.read(|c| (c.hits(), c.misses())), (0, 0));
+        let key = Fingerprint::of(&t, &model, &cfg);
+        let mut cache = VerdictCache::new();
+        assert!(cache.get(key, 5).is_none());
+        assert!(!cache.contains(key));
+        assert_eq!((cache.hits(), cache.misses()), (0, 0), "a miss is free");
         // A miss and four sibling hits on the fresh entry.
-        let first = shared
-            .get_or_judge_for(5, &t, &model, &cfg, || model_outcomes(&t, &model, &cfg))
-            .unwrap();
-        assert!(first.judged);
-        assert_eq!((first.hits, first.misses), (4, 1));
-        let again = shared
-            .get_or_judge_for(3, &t, &model, &cfg, || -> Result<_, ()> {
-                unreachable!("cached")
-            })
-            .unwrap();
-        assert!(!again.judged && Arc::ptr_eq(&first.verdict, &again.verdict));
-        assert_eq!((again.hits, again.misses), (7, 1));
-        assert_eq!(shared.read(VerdictCache::warm_hits), 0);
+        let first = cache.publish_key(key, model_outcomes(&t, &model, &cfg).unwrap(), 4);
+        assert_eq!((cache.hits(), cache.misses()), (4, 1));
+        assert!(cache.contains(key));
+        assert_eq!((cache.hits(), cache.misses()), (4, 1), "probes are free");
+        let again = cache.get(key, 3).expect("published");
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!((cache.hits(), cache.misses()), (7, 1));
+        assert_eq!(cache.warm_hits(), 0);
         // Every sibling of a restored entry is a warm hit.
-        let mut restored = VerdictCache::new();
-        restored.insert_warm(
-            Fingerprint::of(&t, &model, &cfg),
-            model_outcomes(&t, &model, &cfg).unwrap(),
-        );
-        let warm = SharedCache::new(restored);
-        let lookup = warm
-            .get_or_judge_for(5, &t, &model, &cfg, || -> Result<_, ()> {
-                unreachable!("restored")
-            })
-            .unwrap();
-        assert_eq!((lookup.hits, lookup.misses), (5, 0));
-        assert_eq!(warm.read(VerdictCache::warm_hits), 5);
-    }
-
-    #[test]
-    fn shared_cache_does_not_cache_errors() {
-        let t = corpus::mp(ThreadScope::InterCta, None);
-        let model = sc();
-        let cfg = EnumConfig::default();
-        let shared = SharedCache::default();
-        let failed = shared.get_or_judge(&t, &model, &cfg, || Err("budget"));
-        assert_eq!(failed.unwrap_err(), "budget");
-        let lookup = shared
-            .get_or_judge(&t, &model, &cfg, || model_outcomes(&t, &model, &cfg))
-            .unwrap();
-        assert!(lookup.judged, "a failed judgement leaves the key free");
-        assert_eq!((lookup.hits, lookup.misses), (0, 1));
-        let again = shared
-            .get_or_judge(&t, &model, &cfg, || -> Result<_, ()> {
-                unreachable!("cached")
-            })
-            .unwrap();
-        assert!(!again.judged && Arc::ptr_eq(&lookup.verdict, &again.verdict));
+        let mut warm = VerdictCache::new();
+        warm.insert_warm(key, model_outcomes(&t, &model, &cfg).unwrap());
+        assert!(warm.get(key, 5).is_some());
+        assert_eq!((warm.hits(), warm.misses(), warm.warm_hits()), (5, 0, 5));
     }
 }

@@ -2,9 +2,8 @@
 //! steady-state streaming visitor loop performs **zero heap allocation
 //! per candidate**, and so does the verdict loop, which judges each
 //! streamed candidate with the model's compiled plan. A verdict-cache
-//! hit, through [`VerdictCache::lookup`] or
-//! [`SharedCache::get_or_judge`], allocates nothing either: its key is a
-//! fingerprint hashed from the test's structure.
+//! hit through [`VerdictCache::lookup`] allocates nothing either: its
+//! key is a fingerprint hashed from the test's structure.
 //!
 //! A counting global allocator wraps the system allocator and counts
 //! into a per-thread counter, so allocations of tests running on other
@@ -57,8 +56,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
-use weakgpu_axiom::cache::{SharedCache, VerdictCache};
-use weakgpu_axiom::enumerate::{for_each_execution, model_outcomes, EnumConfig, EnumError};
+use weakgpu_axiom::cache::VerdictCache;
+use weakgpu_axiom::enumerate::{for_each_execution, EnumConfig};
 use weakgpu_axiom::model::sc_model;
 use weakgpu_axiom::plan::EvalContext;
 use weakgpu_axiom::Model;
@@ -196,27 +195,11 @@ fn verdict_cache_hits_are_allocation_free() {
     for test in &tests {
         cache.outcomes(test, &model, &cfg).unwrap();
     }
-    let shared = SharedCache::new(VerdictCache::new());
-    for test in &tests {
-        shared
-            .get_or_judge(test, &model, &cfg, || model_outcomes(test, &model, &cfg))
-            .unwrap();
-    }
     for test in &tests {
         let before = allocs_so_far();
         let hit = cache.lookup(test, &model, &cfg);
         let allocs = allocs_so_far() - before;
         assert!(hit.is_some(), "{}", test.name());
         assert_eq!(allocs, 0, "{}: VerdictCache::lookup hit", test.name());
-
-        let before = allocs_so_far();
-        let lookup = shared
-            .get_or_judge(test, &model, &cfg, || -> Result<_, EnumError> {
-                unreachable!("cached")
-            })
-            .unwrap();
-        let allocs = allocs_so_far() - before;
-        assert!(!lookup.judged, "{}", test.name());
-        assert_eq!(allocs, 0, "{}: SharedCache::get_or_judge hit", test.name());
     }
 }

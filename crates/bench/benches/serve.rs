@@ -17,7 +17,7 @@ use std::time::Instant;
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 
-use weakgpu_axiom::cache::{SharedCache, VerdictCache};
+use weakgpu_axiom::cache::VerdictCache;
 use weakgpu_axiom::enumerate::EnumConfig;
 use weakgpu_axiom::persist;
 use weakgpu_axiom::plan::EvalContext;
@@ -87,7 +87,7 @@ fn request_batch(tests: &[LitmusTest], requests: usize) -> String {
 
 /// Answers `batch` through a serve session over a warm cache; returns
 /// the number of responses written.
-fn serve_batch(batch: &str, cache: &SharedCache) -> usize {
+fn serve_batch(batch: &str, cache: &mut VerdictCache) -> usize {
     let mut out = Vec::new();
     let summary = serve(Cursor::new(batch), &mut out, &ServeConfig::default(), cache).unwrap();
     assert_eq!(summary.errors, 0);
@@ -143,10 +143,10 @@ fn write_bench_json() {
     let corpus = weakgpu_litmus::corpus::all();
     let requests = 2_000;
     let batch = request_batch(&corpus, requests);
-    let cache = SharedCache::default();
-    serve_batch(&batch, &cache); // warm the shared cache
+    let mut cache = VerdictCache::new();
+    serve_batch(&batch, &mut cache); // warm the cache
     let t0 = Instant::now();
-    let answered = black_box(serve_batch(&batch, &cache));
+    let answered = black_box(serve_batch(&batch, &mut cache));
     let rps = answered as f64 / t0.elapsed().as_secs_f64();
 
     let json = format!(

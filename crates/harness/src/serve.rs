@@ -2,7 +2,7 @@
 //!
 //! The axiomatic verdict of a litmus shape never changes, the models are
 //! compiled once per process ([`weakgpu_models`]'s lazy registry), and
-//! the verdict cache ([`SharedCache`]) answers repeats in a hash lookup
+//! the verdict cache ([`VerdictCache`]) answers repeats in a hash lookup
 //! — everything a stateless checker-as-a-service needs. This module is the serving
 //! loop: each input line is one JSON request, each output line one JSON
 //! response, so a client can stream arbitrarily large batches through a
@@ -28,20 +28,19 @@
 //! `allowed_outcomes`, and `cached` (whether the cache answered without
 //! enumerating). Malformed lines and unknown names produce
 //! `{"ok": false, "error": …}` responses — the daemon itself keeps
-//! serving; only I/O failure stops it. `stats` reports the shared
+//! serving; only I/O failure stops it. `stats` reports the session
 //! cache's counters; `shutdown` answers then ends the loop, and EOF on
 //! the input is an implicit shutdown. The caller persists the cache
 //! afterwards ([`weakgpu_axiom::persist`]) — that is the flush-on-
 //! graceful-shutdown contract the CLI front end implements.
 //!
-//! The cache is the same single-flight [`SharedCache`] the sweep's
-//! judge pass uses: concurrent lookups of one shape share a single
-//! judgement, so a future socket front end can serve concurrent
-//! connections from one cache without changing this module.
+//! Requests are answered one at a time: each one is a
+//! [`VerdictCache::lookup`], or on a miss a judgement that
+//! [`VerdictCache::publish`] stores for the requests after it.
 
 use std::io::{BufRead, Write};
 
-use weakgpu_axiom::cache::SharedCache;
+use weakgpu_axiom::cache::VerdictCache;
 use weakgpu_axiom::enumerate::{model_outcomes_with, EnumConfig};
 use weakgpu_axiom::plan::EvalContext;
 use weakgpu_axiom::{CatModel, Model};
@@ -106,7 +105,7 @@ pub fn model_by_name(name: &str) -> Result<std::sync::Arc<CatModel>, String> {
     })
 }
 
-/// Runs the serving loop over `input`/`output` with one shared cache.
+/// Runs the serving loop over `input`/`output` with one cache.
 ///
 /// Every request is answered on its own line, in request order. The
 /// function returns at EOF or after answering a `shutdown` request; the
@@ -120,7 +119,7 @@ pub fn serve<R: BufRead, W: Write>(
     input: R,
     mut output: W,
     cfg: &ServeConfig,
-    cache: &SharedCache,
+    cache: &mut VerdictCache,
 ) -> std::io::Result<ServeSummary> {
     let mut summary = ServeSummary::default();
     let mut ctx = EvalContext::new();
@@ -154,7 +153,7 @@ type CorpusIndex = std::cell::OnceCell<std::collections::HashMap<String, LitmusT
 fn answer(
     line: &str,
     cfg: &ServeConfig,
-    cache: &SharedCache,
+    cache: &mut VerdictCache,
     ctx: &mut EvalContext,
     corpus_index: &CorpusIndex,
 ) -> (String, bool) {
@@ -192,17 +191,15 @@ fn answer(
             false,
         ),
         "stats" => (
-            cache.read(|c| {
-                format!(
-                    "{{\"id\": {id}, \"ok\": true, \"protocol\": {}, \"entries\": {}, \"hits\": {}, \"misses\": {}, \"warm_entries\": {}, \"warm_hits\": {}}}",
-                    json::escape(PROTOCOL),
-                    c.len(),
-                    c.hits(),
-                    c.misses(),
-                    c.warm_entries(),
-                    c.warm_hits()
-                )
-            }),
+            format!(
+                "{{\"id\": {id}, \"ok\": true, \"protocol\": {}, \"entries\": {}, \"hits\": {}, \"misses\": {}, \"warm_entries\": {}, \"warm_hits\": {}}}",
+                json::escape(PROTOCOL),
+                cache.len(),
+                cache.hits(),
+                cache.misses(),
+                cache.warm_entries(),
+                cache.warm_hits()
+            ),
             false,
         ),
         "shutdown" => (
@@ -230,7 +227,7 @@ fn verdict_response(
     id: &str,
     request: &Json,
     cfg: &ServeConfig,
-    cache: &SharedCache,
+    cache: &mut VerdictCache,
     ctx: &mut EvalContext,
     corpus_index: &CorpusIndex,
 ) -> String {
@@ -247,12 +244,12 @@ fn verdict_response(
         Err(msg) => return error_response(id, &msg),
     };
     let enum_cfg = EnumConfig::default();
-    let lookup = cache.get_or_judge(&test, &model, &enum_cfg, || {
-        model_outcomes_with(&test, &model, &enum_cfg, ctx)
-    });
-    let (verdict, cached) = match lookup {
-        Ok(lookup) => (lookup.verdict, !lookup.judged),
-        Err(e) => return error_response(id, &format!("enumeration failed: {e}")),
+    let (verdict, cached) = match cache.lookup(&test, &model, &enum_cfg) {
+        Some(hit) => (hit, true),
+        None => match model_outcomes_with(&test, &model, &enum_cfg, ctx) {
+            Ok(fresh) => (cache.publish(&test, &model, &enum_cfg, fresh), false),
+            Err(e) => return error_response(id, &format!("enumeration failed: {e}")),
+        },
     };
     let outcomes = verdict
         .allowed_outcomes
@@ -310,13 +307,13 @@ mod tests {
     use std::io::Cursor;
 
     fn run(lines: &str, cfg: &ServeConfig) -> (ServeSummary, Vec<Json>) {
-        run_with_cache(lines, cfg, &SharedCache::default())
+        run_with_cache(lines, cfg, &mut VerdictCache::new())
     }
 
     fn run_with_cache(
         lines: &str,
         cfg: &ServeConfig,
-        cache: &SharedCache,
+        cache: &mut VerdictCache,
     ) -> (ServeSummary, Vec<Json>) {
         let mut out = Vec::new();
         let summary = serve(Cursor::new(lines), &mut out, cfg, cache).unwrap();
@@ -417,19 +414,19 @@ mod tests {
     fn warm_cache_answers_without_enumerating() {
         // Session 1 judges and its cache is persisted; session 2 starts
         // from the restored cache and its first lookup is a warm hit.
-        let cache = SharedCache::default();
+        let mut cache = VerdictCache::new();
         let (_, rs) = run_with_cache(
             "{\"id\": 1, \"test\": \"mp+inter-CTA\"}\n",
             &ServeConfig::default(),
-            &cache,
+            &mut cache,
         );
         assert_eq!(rs[0].get("cached"), Some(&Json::Bool(false)));
-        let rendered = cache.read(weakgpu_axiom::persist::render);
-        let warm = SharedCache::new(weakgpu_axiom::persist::parse(&rendered).unwrap());
+        let rendered = weakgpu_axiom::persist::render(&cache);
+        let mut warm = weakgpu_axiom::persist::parse(&rendered).unwrap();
         let (_, rs) = run_with_cache(
             "{\"id\": 1, \"test\": \"mp+inter-CTA\"}\n{\"op\": \"stats\", \"id\": 2}\n",
             &ServeConfig::default(),
-            &warm,
+            &mut warm,
         );
         assert_eq!(rs[0].get("cached"), Some(&Json::Bool(true)));
         assert_eq!(rs[1].get("warm_hits").unwrap().as_u64(), Some(1));

@@ -63,11 +63,7 @@ pub fn check_soundness_with(
     ctx: &mut EvalContext,
 ) -> Result<SoundnessReport, EnumError> {
     let verdict = model_outcomes_with(test, model, cfg, ctx)?;
-    let violations: Vec<Outcome> = observations
-        .outcomes()
-        .filter(|o| !verdict.allowed_outcomes.contains(*o))
-        .cloned()
-        .collect();
+    let violations: Vec<Outcome> = observations.forbidden_by(&verdict).cloned().collect();
     Ok(SoundnessReport {
         test: test.name().to_owned(),
         model: model.name().to_owned(),

@@ -12,28 +12,29 @@
 //!   bit-identical to the same cells of an unsharded run.
 //! * **Judge, then run** — soundness is checked per cell against the
 //!   model, but the axiomatic verdict depends only on the test's shape.
-//!   So a sweep runs in two passes. The judge pass resolves every
-//!   selected test's verdict once, on the sweep's worker count, through
-//!   a [`SharedCache`] that judges each shape exactly once (two tests of
-//!   one shape judged at the same moment share one judgement) and counts
-//!   the test's other chip cells as hits. Misses are judged through the
-//!   model's compiled plan with one [`EvalContext`] per worker (the
-//!   cache-miss hot path measured in `BENCH_model.json`). The run pass
-//!   then runs the campaign; a finished cell only compares its histogram
-//!   with its test's resolved verdict, so no worker ever waits on
-//!   another's judgement.
+//!   So a sweep runs in two passes. The judge pass fingerprints every
+//!   selected test, judges each distinct shape the [`VerdictCache`] does
+//!   not know exactly once, on the sweep's worker count, and then counts
+//!   every test in selection order, the test's other chip cells as hits.
+//!   Shapes are judged through the model's compiled plan with one
+//!   [`EvalContext`] per worker (the cache-miss hot path measured in
+//!   `BENCH_model.json`). The run pass then runs the campaign; a
+//!   finished cell only compares its histogram with its test's resolved
+//!   verdict, so no worker ever waits on another's judgement.
 //! * **Machine-readable reports** — each completed cell streams a JSONL
 //!   [`CellRecord`]; the aggregate [`SweepReport`] serialises to JSON,
 //!   parses back, and [`SweepReport::merge`]s across shards into totals
 //!   identical to an unsharded run at the same seed.
 
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::mem;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use weakgpu_axiom::cache::{Lookup, SharedCache, VerdictCache};
-use weakgpu_axiom::enumerate::{model_outcomes_with, EnumConfig, EnumError};
+use weakgpu_axiom::cache::{Fingerprint, VerdictCache};
+use weakgpu_axiom::enumerate::{model_outcomes_with, EnumConfig, EnumError, ModelOutcomes};
 use weakgpu_axiom::persist;
 use weakgpu_axiom::plan::EvalContext;
 use weakgpu_litmus::LitmusTest;
@@ -195,17 +196,16 @@ pub struct CellRecord {
     /// Observed outcomes the model forbids (rendered; empty = sound).
     pub unsound: Vec<String>,
     /// Cumulative verdict-cache hits right after this cell's test was
-    /// looked up. Each test is looked up once, on behalf of all its
-    /// cells, before any cell runs.
+    /// counted. The judge pass counts each test once, on behalf of all
+    /// its cells, in selection order, before any cell runs.
     ///
     /// This field and the two after it are bookkeeping, not results:
-    /// they depend on the order in which the judging workers reach the
-    /// tests (which test of a shape judges it), so they legitimately
-    /// differ between runs at different `--parallelism`, and between
-    /// runs at the same one above 1.
+    /// they depend on which tests a run covers (a shard counts only its
+    /// own) and on what a preloaded cache file already holds, but not on
+    /// `--parallelism`.
     pub cache_hits: u64,
     /// Cumulative verdict-cache misses right after this cell's test was
-    /// looked up.
+    /// counted.
     pub cache_misses: u64,
     /// Wall-clock time the judgement of this cell's test took, streaming
     /// candidate executions through the model, in microseconds. It is
@@ -552,11 +552,15 @@ impl SweepReport {
                 ))
             }
         };
-        let mut seen = vec![false; count];
+        // The declared count comes from the input: track only the
+        // indices present, at most one per report.
+        let mut seen = BTreeSet::new();
         for (i, r) in reports.iter().enumerate() {
             let sh = r.shard.ok_or_else(|| {
                 SweepError::Merge(format!("report {} is not a shard (shard: null)", i + 1))
             })?;
+            sh.validate()
+                .map_err(|e| SweepError::Merge(format!("report {}: {e}", i + 1)))?;
             if sh.count != count {
                 return Err(SweepError::Merge(format!(
                     "report {} has shard count {}, expected {count}",
@@ -594,21 +598,27 @@ impl SweepReport {
                     i + 1
                 )));
             }
-            if seen[sh.index - 1] {
+            if !seen.insert(sh.index) {
                 return Err(SweepError::Merge(format!("duplicate shard {sh}")));
             }
-            seen[sh.index - 1] = true;
         }
-        let missing: Vec<String> = seen
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| !s)
-            .map(|(i, _)| format!("{}/{count}", i + 1))
-            .collect();
-        if !missing.is_empty() {
+        let missing = count - seen.len();
+        if missing > 0 {
+            // Name the first few; within the first `seen.len() + LISTED`
+            // indices at least that many are missing, so the scan stays
+            // bounded by the number of reports.
+            const LISTED: usize = 8;
+            let mut names: Vec<String> = (1..=count)
+                .filter(|k| !seen.contains(k))
+                .take(LISTED)
+                .map(|k| format!("{k}/{count}"))
+                .collect();
+            if missing > LISTED {
+                names.push(format!("and {} more", missing - LISTED));
+            }
             return Err(SweepError::Merge(format!(
                 "missing shard(s) {}",
-                missing.join(", ")
+                names.join(", ")
             )));
         }
 
@@ -764,7 +774,7 @@ where
         .collect();
 
     let num_chips = cfg.chips.len();
-    let initial_cache = match &cfg.cache_file {
+    let mut cache = match &cfg.cache_file {
         Some(path) if path.exists() => {
             persist::load(path).map_err(|e| SweepError::Cache(e.to_string()))?
         }
@@ -776,9 +786,7 @@ where
         }
         _ => VerdictCache::new(),
     };
-    let cache = SharedCache::new(initial_cache);
-    let judged = judge_all(&selected, num_chips, &cache, cfg.parallelism);
-    let cache = cache.into_inner();
+    let judged = judge_all(&selected, num_chips, &mut cache, cfg.parallelism);
 
     let tally = Mutex::new(Tally {
         per_chip: cfg
@@ -820,15 +828,13 @@ where
             // A cell whose test failed judgement fails here, after its
             // compile and runs succeeded, so the campaign reports the
             // lowest failing cell whatever made it fail.
-            let lookup = judged
-                .lookup
+            let verdict = judged
+                .verdict
                 .as_ref()
                 .map_err(|e| SweepError::Enum(test.name().to_owned(), e.clone()))?;
-            let verdict = &lookup.verdict;
             let unsound: Vec<String> = report
                 .histogram
-                .outcomes()
-                .filter(|o| !verdict.allowed_outcomes.contains(*o))
+                .forbidden_by(verdict)
                 .map(|o| o.to_string())
                 .collect();
             let record = CellRecord {
@@ -839,8 +845,8 @@ where
                 witnesses: report.witnesses,
                 distinct: report.histogram.distinct(),
                 unsound,
-                cache_hits: lookup.hits,
-                cache_misses: lookup.misses,
+                cache_hits: judged.hits,
+                cache_misses: judged.misses,
                 enum_micros: if ci % num_chips == 0 {
                     judged.enum_micros
                 } else {
@@ -897,59 +903,121 @@ where
 
 /// One selected test's verdict, resolved before any of its cells runs.
 struct Judged {
-    /// The lookup, or the judgement's error, which the test's cells
+    /// The verdict, or the judgement's error, which the test's cells
     /// report in cell order.
-    lookup: Result<Lookup, EnumError>,
-    /// Time the judgement took (0 when the cache answered).
+    verdict: Result<Arc<ModelOutcomes>, EnumError>,
+    /// The cache's hit counter right after this test was counted.
+    hits: u64,
+    /// The cache's miss counter right after this test was counted.
+    misses: u64,
+    /// Time the judgement took, on the first test of a shape judged in
+    /// this run; 0 on every other test.
     enum_micros: u64,
 }
 
-/// The judge pass: resolves the verdict of every test in `selected`
-/// once, on `parallelism` workers, each lookup standing for the test's
-/// `num_chips` cells. A failed judgement is kept with its test, not
-/// returned, so that the run pass can report it in cell order.
+/// The judge pass: resolves the verdict of every test in `selected`,
+/// each test standing for its `num_chips` cells, in three passes.
+///
+/// 1. The calling thread fingerprints every test and collects the
+///    distinct shapes `cache` does not know, in selection order.
+/// 2. `parallelism` workers judge each of those shapes once.
+/// 3. The calling thread counts every test in selection order: the
+///    first test of a freshly judged shape publishes it (a miss plus
+///    `num_chips - 1` hits), every other test counts `num_chips` hits.
+///    A shape whose judgement failed counts nothing, and each of its
+///    tests keeps the error, so that the run pass can report it in cell
+///    order.
+///
+/// All counting is serial, so the counters are the same at every
+/// parallelism.
 fn judge_all(
     selected: &[(usize, &LitmusTest)],
     num_chips: usize,
-    cache: &SharedCache,
+    cache: &mut VerdictCache,
     parallelism: Option<usize>,
 ) -> Vec<Judged> {
     let model = ptx_model();
     let enum_cfg = EnumConfig::default();
-    let judged: Vec<OnceLock<Judged>> = selected.iter().map(|_| OnceLock::new()).collect();
+    let keys: Vec<Fingerprint> = selected
+        .iter()
+        .map(|&(_, test)| Fingerprint::of(test, &model, &enum_cfg))
+        .collect();
+    // The selection index of each unknown shape's first test, and the
+    // shape of each unknown key.
+    let mut shapes = Vec::new();
+    let mut shape_of = HashMap::new();
+    for (t, &key) in keys.iter().enumerate() {
+        if !cache.contains(key) {
+            shape_of.entry(key).or_insert_with(|| {
+                shapes.push(t);
+                shapes.len() - 1
+            });
+        }
+    }
+
+    let slots: Vec<OnceLock<Judgement>> = shapes.iter().map(|_| OnceLock::new()).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..worker_count(parallelism, selected.len()) {
+        for _ in 0..worker_count(parallelism, shapes.len()) {
             scope.spawn(|| {
-                // One evaluation arena per worker, reused by every miss
+                // One evaluation arena per worker, reused by every shape
                 // it judges.
                 let mut ctx = EvalContext::new();
                 loop {
-                    let t = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(_, test)) = selected.get(t) else {
+                    let s = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(&t) = shapes.get(s) else {
                         break;
                     };
-                    let mut enum_micros = 0;
-                    let lookup =
-                        cache.get_or_judge_for(num_chips as u64, test, &model, &enum_cfg, || {
-                            let t0 = Instant::now();
-                            let verdict = model_outcomes_with(test, &model, &enum_cfg, &mut ctx);
-                            enum_micros = t0.elapsed().as_micros() as u64;
-                            verdict
-                        });
-                    let entry = Judged {
-                        lookup,
-                        enum_micros,
+                    let t0 = Instant::now();
+                    let verdict = model_outcomes_with(selected[t].1, &model, &enum_cfg, &mut ctx);
+                    let judgement = Judgement {
+                        verdict: verdict.map(Some),
+                        micros: t0.elapsed().as_micros() as u64,
                     };
-                    assert!(judged[t].set(entry).is_ok(), "each test is claimed once");
+                    assert!(slots[s].set(judgement).is_ok(), "claimed once");
                 }
             });
         }
     });
-    judged
+    let mut judgements: Vec<Judgement> = slots
         .into_iter()
-        .map(|j| j.into_inner().expect("every test was judged"))
+        .map(|j| j.into_inner().expect("every shape was judged"))
+        .collect();
+
+    let lookups = num_chips as u64;
+    keys.into_iter()
+        .map(|key| {
+            let (verdict, enum_micros) = match cache.get(key, lookups) {
+                Some(hit) => (Ok(hit), 0),
+                None => {
+                    let judgement = &mut judgements[shape_of[&key]];
+                    let verdict = match &mut judgement.verdict {
+                        Ok(fresh) => Ok(cache.publish_key(
+                            key,
+                            fresh.take().expect("a published shape hits"),
+                            lookups - 1,
+                        )),
+                        Err(e) => Err(e.clone()),
+                    };
+                    (verdict, mem::take(&mut judgement.micros))
+                }
+            };
+            Judged {
+                verdict,
+                hits: cache.hits(),
+                misses: cache.misses(),
+                enum_micros,
+            }
+        })
         .collect()
+}
+
+/// The judgement of one shape, until its first test publishes it.
+struct Judgement {
+    /// `Ok(None)` once published.
+    verdict: Result<Option<ModelOutcomes>, EnumError>,
+    /// Time the judgement took; taken by the shape's first test.
+    micros: u64,
 }
 
 /// The aggregate of the cells completed so far. Each cell's record is
@@ -1091,6 +1159,27 @@ mod tests {
         let mut unsharded = r1.clone();
         unsharded.shard = None;
         assert!(SweepReport::merge(&[unsharded]).is_err());
+    }
+
+    #[test]
+    fn merge_bounds_its_work_by_the_reports_given() {
+        // A declared shard count far beyond the reports given is a
+        // missing-shard error, found without a slot per declared shard.
+        let count = 1_000_000_000_000_000_000;
+        let huge = tiny_report(1, count);
+        let parsed = SweepReport::from_json(&huge.to_json()).unwrap();
+        let err = SweepReport::merge(&[parsed]).unwrap_err();
+        let msg = err.to_string();
+        assert!(matches!(err, SweepError::Merge(_)), "{err}");
+        assert!(
+            msg.contains(&format!("missing shard(s) 2/{count}, 3/{count}")),
+            "{msg}"
+        );
+        assert!(msg.contains(&format!("and {} more", count - 9)), "{msg}");
+        // A shard index beyond its count is rejected, not indexed.
+        let bad = tiny_report(3, 2);
+        let err = SweepReport::merge(&[tiny_report(1, 2), bad]).unwrap_err();
+        assert!(err.to_string().contains("shard index"), "{err}");
     }
 
     #[test]

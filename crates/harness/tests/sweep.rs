@@ -2,9 +2,11 @@
 //! correctness over the real generated families, shard/merge identity
 //! with an unsharded run, and the model-verdict cache's bookkeeping.
 
+use std::collections::HashSet;
 use std::sync::Mutex;
 
-use weakgpu_axiom::enumerate::EnumError;
+use weakgpu_axiom::cache::Fingerprint;
+use weakgpu_axiom::enumerate::{EnumConfig, EnumError};
 use weakgpu_axiom::symbolic::SymError;
 use weakgpu_diy::{generate, GenConfig};
 use weakgpu_harness::runner::HarnessError;
@@ -13,6 +15,7 @@ use weakgpu_harness::sweep::{
 };
 use weakgpu_litmus::build::{bra, imm, label, ld, reg, setp_eq, st};
 use weakgpu_litmus::{corpus, LitmusTest, Predicate, ThreadScope};
+use weakgpu_models::ptx_model;
 use weakgpu_sim::chip::Chip;
 use weakgpu_sim::program::CompileError;
 
@@ -129,8 +132,7 @@ fn sweep_reports_are_model_sound_and_witness_weak_behaviour() {
 
 #[test]
 fn verdict_cache_collapses_chip_columns() {
-    // With C chips, each test shape is judged exactly once — a chip
-    // racing the first judgement of its shape waits for it — and the
+    // With C chips, each test shape is judged exactly once and the
     // remaining cells hit the cache.
     let family: Vec<_> = generate(&GenConfig::small()).into_iter().take(24).collect();
     let cfg = SweepConfig {
@@ -148,6 +150,63 @@ fn verdict_cache_collapses_chip_columns() {
     assert_eq!(report.cache.entries, 24);
     assert_eq!(report.cache.misses, 24, "{:?}", report.cache);
     assert_eq!(report.cache.hits, 24 * (chips - 1), "{:?}", report.cache);
+}
+
+#[test]
+fn cache_counters_are_exact_at_every_parallelism() {
+    // Renamed copies share their originals' shapes, so some shapes are
+    // looked up by several tests. The judge pass judges each shape once
+    // and counts every test in selection order, so each cell's counters
+    // are the same at any worker count.
+    let small = generate(&GenConfig::small());
+    let mut family: Vec<LitmusTest> = small.iter().take(20).cloned().collect();
+    family.extend(
+        small
+            .iter()
+            .take(20)
+            .step_by(2)
+            .map(|t| t.clone().with_name(format!("{}-copy", t.name()))),
+    );
+    family.sort_by(|a, b| a.name().cmp(b.name()));
+    let model = ptx_model();
+    let distinct: HashSet<Fingerprint> = family
+        .iter()
+        .map(|t| Fingerprint::of(t, &model, &EnumConfig::default()))
+        .collect();
+    assert!(distinct.len() < family.len());
+    let run = |par: usize| {
+        let cfg = SweepConfig {
+            family: "small-copies".to_owned(),
+            shard: None,
+            chips: Chip::NVIDIA_TABLED.to_vec(),
+            iterations: 20,
+            seed: 3,
+            parallelism: Some(par),
+            cache_file: None,
+            cache_readonly: false,
+        };
+        let records = Mutex::new(Vec::new());
+        let report = run_sweep_with(&family, &cfg, |rec| {
+            records.lock().unwrap().push(rec.clone());
+        })
+        .unwrap();
+        let cache = report.cache;
+        assert_eq!(cache.misses, distinct.len() as u64, "parallelism {par}");
+        assert_eq!(cache.entries, cache.misses, "parallelism {par}");
+        assert_eq!(cache.hits + cache.misses, report.cells, "parallelism {par}");
+        let mut recs = records.into_inner().unwrap();
+        // Only the timing depends on the wall clock.
+        for r in &mut recs {
+            r.enum_micros = 0;
+        }
+        recs.sort_by_key(|r| (r.index, r.chip.clone()));
+        recs
+    };
+    let serial = run(1);
+    assert_eq!(serial.len(), family.len() * Chip::NVIDIA_TABLED.len());
+    for par in [2, 4] {
+        assert_eq!(run(par), serial, "parallelism {par}");
+    }
 }
 
 #[test]
@@ -196,8 +255,9 @@ fn sharded_cells_equal_their_unsharded_counterparts() {
         .unwrap();
         let mut recs = records.into_inner().unwrap();
         // Cache counters and enumeration timing are bookkeeping, not
-        // semantics: they depend on completion order and wall clock, so
-        // normalise them before the bit-identity comparison.
+        // semantics: the counters depend on which tests a run covers
+        // (a shard counts only its own) and the timing on the wall
+        // clock, so normalise them before the bit-identity comparison.
         for r in &mut recs {
             r.cache_hits = 0;
             r.cache_misses = 0;

@@ -528,7 +528,7 @@ fn cmd_sweep_merge(args: Vec<String>) -> Result<(), String> {
 const SERVE_FLAGS: &[&str] = &["--cache-file", "--cache-readonly", "--model"];
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    use weakgpu::axiom::cache::{SharedCache, VerdictCache};
+    use weakgpu::axiom::cache::VerdictCache;
     use weakgpu::axiom::persist;
     use weakgpu::harness::serve::{model_by_name as serve_model, serve, ServeConfig};
 
@@ -542,7 +542,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // Fail on a bad default model before reading any requests.
     serve_model(&default_model).map_err(|e| format!("serve: {e}"))?;
 
-    let initial = match &cache_file {
+    let mut cache = match &cache_file {
         Some(path) if path.exists() => {
             persist::load(path).map_err(|e| format!("serve: verdict cache: {e}"))?
         }
@@ -556,15 +556,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     };
     eprintln!(
         "serve: ready ({} cached verdicts, default model {default_model}); one JSON request per line",
-        initial.len()
+        cache.len()
     );
-    let cache = SharedCache::new(initial);
     let cfg = ServeConfig { default_model };
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     let summary =
-        serve(stdin.lock(), stdout.lock(), &cfg, &cache).map_err(|e| format!("serve: {e}"))?;
-    let cache = cache.into_inner();
+        serve(stdin.lock(), stdout.lock(), &cfg, &mut cache).map_err(|e| format!("serve: {e}"))?;
     // Graceful shutdown flushes the cache for the next warm start.
     if let Some(path) = &cache_file {
         if !cache_readonly {
