@@ -1,12 +1,18 @@
 //! Enumeration of candidate executions (paper Sec. 5.1.2).
 //!
-//! A litmus test's candidate executions are generated in three stages:
+//! A litmus test's candidate executions are generated in three stages,
+//! all on dense ids. The test is first loaded into reusable scratch:
+//! its locations become ids (memory-map locations in name order), its
+//! threads compiled programs, and its initial memory, thread placement
+//! and observed expressions id-indexed vectors.
 //!
-//! 1. **Value domains** — a small fixed point computes, per location, the
-//!    values a read could possibly return (the initial value plus every
-//!    value any write could produce, iterated to cover value-chained RMWs).
+//! 1. **Value domains** — a small fixed point computes, per location id,
+//!    the values a read could possibly return (the initial value plus
+//!    every value any write could produce, iterated to cover
+//!    value-chained RMWs), as a sorted vector.
 //! 2. **Thread traces** — each thread is unwound symbolically under every
-//!    oracle drawn from the domains ([`crate::symbolic`]).
+//!    oracle drawn from the domains, into one flat trace arena
+//!    ([`crate::symbolic`]).
 //! 3. **Communication** — for every combination of traces, every consistent
 //!    read-from assignment (each read sourced from a same-location,
 //!    same-value write, or the initial state) and every coherence order per
@@ -16,8 +22,9 @@
 //! [`ExecutionSkeleton`] and each rf×co
 //! choice a lightweight in-place [`Overlay`];
 //! [`for_each_execution`] visits every candidate as a borrowed
-//! [`ExecutionView`] without materialising a `Vec<Candidate>` — no heap
-//! allocation per candidate, and visitors can stop early (first witness
+//! [`ExecutionView`] without materialising a `Vec<Candidate>` — once the
+//! per-thread scratch is warm, no heap allocation per candidate nor per
+//! test, and visitors can stop early (first witness
 //! found, forbidden outcome observed) via [`ControlFlow::Break`].
 //! [`enumerate_executions`] is a thin materialising wrapper over that
 //! stream for rendering and diagnostics.
@@ -25,24 +32,25 @@
 //! Verdicts ([`model_outcomes_with`], [`condition_witnessed_with`]) come
 //! from that same stream: every candidate is judged on its own by
 //! [`crate::model::Model::allows_view`] (for `.cat` models, the compiled
-//! plan over the view) and folded into a [`ModelOutcomes`]. Candidates
+//! plan over the view) and folded into a [`ModelOutcomes`], which builds
+//! each distinct [`Outcome`] once. Candidates
 //! are judged one at a time; what they share is shared through the
 //! skeleton and the evaluation context's skeleton-derived registers.
 //! Litmus shapes are small (the largest shipped test has 120 candidates,
 //! the paper family's median is 6), so no work is shared across
 //! candidates beyond that.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::ControlFlow;
 
-use weakgpu_litmus::{FinalExpr, Instr, LitmusTest, Loc, Operand, Outcome, Reg};
+use weakgpu_litmus::{FinalExpr, Instr, LitmusTest, Operand, Outcome, Reg};
 
 use crate::exec::Execution;
 use crate::model::Model;
 use crate::plan::EvalContext;
-use crate::skeleton::{ExecutionSkeleton, ExecutionView, Overlay};
-use crate::symbolic::{enumerate_thread_traces, SymError, ThreadTrace};
+use crate::skeleton::{ExecutionSkeleton, ExecutionView, ObservedSrc, Overlay, TestTables};
+use crate::symbolic::{walk_thread, Program, SymError, TraceArena, Walker};
 
 /// Bounds for the enumeration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -101,146 +109,188 @@ impl From<SymError> for EnumError {
     }
 }
 
-/// Each location's initial value: the read-value domains before any
-/// write is taken into account.
-fn initial_domains(test: &LitmusTest) -> BTreeMap<Loc, BTreeSet<i64>> {
-    test.memory()
-        .iter()
-        .map(|(l, mi)| (l.clone(), [mi.init].into_iter().collect()))
-        .collect()
-}
-
-/// Collects the statically known write-value domains: when every store
-/// in `test` writes an immediate constant to a named location
-/// *unconditionally* (no read-modify-writes, no predicated stores), the
-/// values memory can ever hold are the initial values plus those
-/// constants — no symbolic iteration needed. Returns `None` when any
-/// write's value, address or *execution* is data-dependent: a guarded
-/// store only contributes its value in traces where the guard fires, a
-/// reachability question only the iterated fixed point answers (adding
-/// it unconditionally would let such a store justify its own guard —
-/// out-of-thin-air candidates).
-fn static_domains(test: &LitmusTest) -> Option<BTreeMap<Loc, BTreeSet<i64>>> {
-    fn collect(instr: &Instr, domains: &mut BTreeMap<Loc, BTreeSet<i64>>) -> bool {
-        match instr {
-            // A guard is fine around anything that writes nothing; a
-            // guarded write bails to the fixed point.
-            Instr::Guard { inner, .. } => match &**inner {
-                Instr::St { .. } | Instr::Cas { .. } | Instr::Exch { .. } | Instr::Inc { .. } => {
-                    false
-                }
-                other => collect(other, domains),
-            },
-            Instr::St {
-                addr: Operand::Sym(loc),
-                src: Operand::Imm(n),
-                ..
-            } => {
-                domains.entry(loc.clone()).or_default().insert(*n);
-                true
-            }
-            Instr::St { .. } | Instr::Cas { .. } | Instr::Exch { .. } | Instr::Inc { .. } => false,
-            _ => true,
+/// Inserts `v` into the ascending, duplicate-free `domain`; returns
+/// whether it was new.
+fn insert_value(domain: &mut Vec<i64>, v: i64) -> bool {
+    match domain.binary_search(&v) {
+        Ok(_) => false,
+        Err(pos) => {
+            domain.insert(pos, v);
+            true
         }
     }
-    let mut domains = initial_domains(test);
-    for thread in test.threads() {
-        for instr in thread {
-            if !collect(instr, &mut domains) {
-                return None;
-            }
-        }
-    }
-    Some(domains)
 }
 
-/// Enumerates every thread's traces at the read-value fixed point.
-///
-/// Immediate-store tests (the whole generated paper family) take the
-/// static fast path: their domains are closed under
-/// [`static_domains`], so a single enumeration pass suffices. The
-/// static set can exceed the iterated one only by values of stores that
-/// never execute — reads of such values have no matching write event,
-/// so the candidate set is unchanged.
-///
-/// Otherwise the per-location read-value domains are iterated to a
-/// fixed point (at most [`EnumConfig::domain_iters`] updates); the
-/// traces of the first iteration that adds nothing new are already the
-/// fixed-point traces, so they are returned directly instead of being
-/// re-enumerated. Returns the final domains alongside for inspection.
-#[allow(clippy::type_complexity)]
-fn fixed_point_traces(
-    test: &LitmusTest,
-    cfg: &EnumConfig,
-) -> Result<(BTreeMap<Loc, BTreeSet<i64>>, Vec<Vec<ThreadTrace>>), EnumError> {
-    let enumerate_all = |domains: &BTreeMap<Loc, BTreeSet<i64>>| {
-        test.threads()
-            .iter()
-            .enumerate()
-            .map(|(tid, code)| {
-                let init = |r: &Reg| test.reg_init_value(tid, r);
-                enumerate_thread_traces(
-                    tid,
-                    code,
-                    &init,
-                    domains,
-                    cfg.max_steps_per_thread,
-                    cfg.max_traces_per_thread,
-                )
-            })
-            .collect::<Result<Vec<_>, _>>()
-    };
-    if cfg.domain_iters == 0 {
-        let domains = initial_domains(test);
-        let per_thread = enumerate_all(&domains)?;
-        return Ok((domains, per_thread));
-    }
-    if let Some(domains) = static_domains(test) {
-        let per_thread = enumerate_all(&domains)?;
-        return Ok((domains, per_thread));
-    }
-    let mut domains = initial_domains(test);
-    let mut iterations = 0usize;
-    loop {
-        // One fixed-point iteration, updating the domains thread by
-        // thread (later threads see earlier threads' new writes, exactly
-        // like the original two-phase computation).
-        let mut per_thread = Vec::with_capacity(test.num_threads());
-        let mut changed = false;
+impl EnumScratch {
+    /// Loads `test`'s tables and compiles its threads: location ids
+    /// (memory-map locations first, in name order), initial memory,
+    /// thread placement, the observed expressions resolved to register
+    /// indices and location ids, and one [`Program`] per thread.
+    fn load_test(&mut self, test: &LitmusTest) {
+        let t = &mut self.tables;
+        t.locs.clear();
+        t.init.clear();
+        for (loc, mi) in test.memory().iter() {
+            t.locs.id(loc);
+            t.init.push(mi.init);
+        }
+        t.memory_locs = t.init.len();
+        let nthreads = test.num_threads();
+        if self.programs.len() < nthreads {
+            self.programs.resize_with(nthreads, Program::default);
+        }
         for (tid, code) in test.threads().iter().enumerate() {
             let init = |r: &Reg| test.reg_init_value(tid, r);
-            let traces = enumerate_thread_traces(
+            self.programs[tid].compile(code, &init, &mut t.locs);
+        }
+        t.observed.clear();
+        test.cond().pred.exprs_into(&mut t.observed);
+        t.observed_src.clear();
+        for expr in &t.observed {
+            t.observed_src.push(match expr {
+                FinalExpr::Reg(tid, reg) => ObservedSrc::Reg {
+                    tid: *tid,
+                    reg: self.programs[..nthreads]
+                        .get(*tid)
+                        .and_then(|p| p.reg_index(reg)),
+                },
+                FinalExpr::Mem(loc) => ObservedSrc::Mem(t.locs.id(loc)),
+            });
+        }
+        let nlocs = t.locs.len();
+        t.init.resize(nlocs, 0);
+        t.thread_cta.clear();
+        t.thread_cta
+            .extend((0..nthreads).map(|tid| test.scope_tree().placement(tid).cta));
+        if self.domains.len() < nlocs {
+            self.domains.resize(nlocs, Vec::new());
+        }
+    }
+
+    /// Resets the read-value domains to each location's initial value:
+    /// the domains before any write is taken into account.
+    fn initial_domains(&mut self) {
+        let t = &self.tables;
+        for (l, d) in self.domains[..t.locs.len()].iter_mut().enumerate() {
+            d.clear();
+            if l < t.memory_locs {
+                d.push(t.init[l]);
+            }
+        }
+    }
+
+    /// Adds the statically known write values to the domains: when every
+    /// store in `test` writes an immediate constant to a named location
+    /// *unconditionally* (no read-modify-writes, no predicated stores),
+    /// the values memory can ever hold are the initial values plus those
+    /// constants — no symbolic iteration needed. Returns `false` (with
+    /// the domains half-updated) when any write's value, address or
+    /// *execution* is data-dependent: a guarded store only contributes
+    /// its value in traces where the guard fires, a reachability
+    /// question only the iterated fixed point answers (adding it
+    /// unconditionally would let such a store justify its own guard —
+    /// out-of-thin-air candidates).
+    fn static_domains(&mut self, test: &LitmusTest) -> bool {
+        for instr in test.threads().iter().flatten() {
+            // A guard is fine around anything that writes nothing; a
+            // guarded write bails to the fixed point.
+            let guarded = matches!(instr, Instr::Guard { .. });
+            match instr.unguarded() {
+                Instr::St {
+                    addr: Operand::Sym(loc),
+                    src: Operand::Imm(n),
+                    ..
+                } if !guarded => {
+                    let l = self.tables.locs.find(loc).expect("symbols are loaded");
+                    insert_value(&mut self.domains[l as usize], *n);
+                }
+                Instr::St { .. } | Instr::Cas { .. } | Instr::Exch { .. } | Instr::Inc { .. } => {
+                    return false
+                }
+                _ => {}
+            }
+        }
+        true
+    }
+
+    /// Walks every thread at the current domains into a fresh arena.
+    fn walk_all(&mut self, cfg: &EnumConfig) -> Result<(), SymError> {
+        self.arena.clear();
+        for (tid, prog) in self.programs[..self.tables.thread_cta.len()]
+            .iter()
+            .enumerate()
+        {
+            walk_thread(
                 tid,
-                code,
-                &init,
-                &domains,
-                cfg.max_steps_per_thread,
-                cfg.max_traces_per_thread,
+                prog,
+                &self.domains,
+                (cfg.max_steps_per_thread, cfg.max_traces_per_thread),
+                &mut self.walker,
+                &mut self.arena,
             )?;
-            for tr in &traces {
-                for e in &tr.events {
-                    if e.kind.is_write() {
-                        let loc = e.loc.clone().expect("writes have locations");
-                        if domains.entry(loc).or_default().insert(e.value) {
-                            changed = true;
+        }
+        Ok(())
+    }
+
+    /// Fills the arena with every thread's traces at the read-value
+    /// fixed point.
+    ///
+    /// Immediate-store tests (the whole generated paper family) take the
+    /// static fast path: their domains are closed under
+    /// [`EnumScratch::static_domains`], so a single walk suffices. The
+    /// static set can exceed the iterated one only by values of stores
+    /// that never execute — reads of such values have no matching write
+    /// event, so the candidate set is unchanged.
+    ///
+    /// Otherwise the per-location read-value domains are iterated to a
+    /// fixed point (at most [`EnumConfig::domain_iters`] updates); the
+    /// traces of the first iteration that adds nothing new are already
+    /// the fixed-point traces, so they are kept instead of being walked
+    /// again.
+    fn fixed_point(&mut self, test: &LitmusTest, cfg: &EnumConfig) -> Result<(), SymError> {
+        self.initial_domains();
+        if cfg.domain_iters == 0 || self.static_domains(test) {
+            return self.walk_all(cfg);
+        }
+        self.initial_domains();
+        let mut iterations = 0usize;
+        loop {
+            // One fixed-point iteration, updating the domains thread by
+            // thread (later threads see earlier threads' new writes).
+            self.arena.clear();
+            let mut changed = false;
+            for (tid, prog) in self.programs[..self.tables.thread_cta.len()]
+                .iter()
+                .enumerate()
+            {
+                walk_thread(
+                    tid,
+                    prog,
+                    &self.domains,
+                    (cfg.max_steps_per_thread, cfg.max_traces_per_thread),
+                    &mut self.walker,
+                    &mut self.arena,
+                )?;
+                let (first, end) = self.arena.threads()[tid];
+                for t in first..end {
+                    for e in self.arena.events(t) {
+                        if e.kind.is_write() {
+                            changed |= insert_value(&mut self.domains[e.loc as usize], e.value);
                         }
                     }
                 }
             }
-            per_thread.push(traces);
-        }
-        iterations += 1;
-        if !changed {
-            // Fixed point: nothing moved this iteration, so every
-            // thread's traces were enumerated at the final domains —
-            // reuse them instead of enumerating again.
-            return Ok((domains, per_thread));
-        }
-        if iterations >= cfg.domain_iters {
-            // Budget spent mid-change: the collected traces are stale
-            // mixtures, so enumerate once more at the final domains.
-            let per_thread = enumerate_all(&domains)?;
-            return Ok((domains, per_thread));
+            iterations += 1;
+            if !changed {
+                // Fixed point: nothing moved this iteration, so every
+                // thread's traces were walked at the final domains.
+                return Ok(());
+            }
+            if iterations >= cfg.domain_iters {
+                // Budget spent mid-change: the collected traces are stale
+                // mixtures, so walk once more at the final domains.
+                return self.walk_all(cfg);
+            }
         }
     }
 }
@@ -306,29 +356,37 @@ pub fn for_each_execution<B, F>(
 where
     F: FnMut(&ExecutionView<'_>) -> ControlFlow<B>,
 {
-    with_scratch(|scratch| for_each_combination(test, cfg, scratch, &mut f))
+    with_scratch(|scratch| for_each_combination(test, cfg, &mut scratch.enumeration, &mut f))
 }
 
-// The enumeration scratch (skeleton, overlay, rf/co working set) is
-// kept per thread so consecutive tests reuse one warm buffer set.
+/// Everything a judge pass reuses from one test to the next: the
+/// enumeration buffers and the outcome fold's.
+#[derive(Default)]
+struct Scratch {
+    enumeration: EnumScratch,
+    fold: FoldScratch,
+}
+
+// The scratch is kept per thread so consecutive tests reuse one warm
+// buffer set.
 thread_local! {
-    static ENUM_SCRATCH: std::cell::RefCell<EnumScratch> =
-        std::cell::RefCell::new(EnumScratch::new());
+    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
 }
 
-/// Runs `f` on this thread's enumeration scratch, or on a fresh one
-/// when a visitor enumerates from inside an enumeration.
-fn with_scratch<R>(f: impl FnOnce(&mut EnumScratch) -> R) -> R {
-    ENUM_SCRATCH.with(|cell| match cell.try_borrow_mut() {
+/// Runs `f` on this thread's scratch, or on a fresh one when a visitor
+/// enumerates from inside an enumeration.
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut scratch) => f(&mut scratch),
-        Err(_) => f(&mut EnumScratch::new()),
+        Err(_) => f(&mut Scratch::default()),
     })
 }
 
 /// Streams the candidates of every realisable trace combination of
-/// `test` through `f`, preparing each combination's skeleton and working
-/// set in `scratch` (see [`prepare_combination`]) and counting visits
-/// against [`EnumConfig::max_executions`].
+/// `test` through `f`: loads the test's tables, fills the trace arena at
+/// the read-value fixed point, then prepares each combination's skeleton
+/// and working set in `scratch` (see [`prepare_combination`]) and counts
+/// visits against [`EnumConfig::max_executions`].
 fn for_each_combination<B, F>(
     test: &LitmusTest,
     cfg: &EnumConfig,
@@ -338,49 +396,63 @@ fn for_each_combination<B, F>(
 where
     F: FnMut(&ExecutionView<'_>) -> ControlFlow<B>,
 {
-    let (_domains, per_thread) = fixed_point_traces(test, cfg)?;
+    scratch.load_test(test);
+    scratch.fixed_point(test, cfg)?;
 
-    let thread_cta: Vec<usize> = (0..test.num_threads())
-        .map(|t| test.scope_tree().placement(t).cta)
-        .collect();
-    let init_mem: BTreeMap<Loc, i64> = test
-        .memory()
+    // A thread with no trace at all (every path read a location with no
+    // candidate value) leaves no combination.
+    if scratch
+        .arena
+        .threads()
         .iter()
-        .map(|(l, mi)| (l.clone(), mi.init))
-        .collect();
-    let observed = test.observed();
-
+        .any(|&(first, end)| first == end)
+    {
+        return Ok(None);
+    }
+    scratch.combo.clear();
+    scratch
+        .combo
+        .extend(scratch.arena.threads().iter().map(|&(first, _)| first));
     let mut visited = 0usize;
-    let mut traces: Vec<&ThreadTrace> = Vec::with_capacity(per_thread.len());
-    let mut combo = vec![0usize; per_thread.len()];
     'combos: loop {
-        traces.clear();
-        traces.extend(combo.iter().zip(&*per_thread).map(|(&i, ts)| &ts[i]));
-        if prepare_combination(&traces, &thread_cta, &init_mem, &observed, scratch) {
+        if prepare_combination(scratch) {
             if let ControlFlow::Break(b) = visit_combination(cfg, scratch, &mut visited, f)? {
                 return Ok(Some(b));
             }
         }
 
         // Advance the mixed-radix counter over thread traces.
-        for t in (0..combo.len()).rev() {
-            combo[t] += 1;
-            if combo[t] < per_thread[t].len() {
+        for t in (0..scratch.combo.len()).rev() {
+            let (first, end) = scratch.arena.threads()[t];
+            scratch.combo[t] += 1;
+            if scratch.combo[t] < end {
                 continue 'combos;
             }
-            combo[t] = 0;
+            scratch.combo[t] = first;
         }
         break;
     }
     Ok(None)
 }
 
-/// Buffers reused across a [`for_each_execution`] call's trace
-/// combinations: the skeleton, the overlay, and the rf-choice /
-/// coherence-permutation working set. After the first combination has
-/// sized them, later combinations (and every candidate) allocate
-/// nothing beyond growth to a new high-water mark.
+/// Buffers reused across tests and their trace combinations: the test's
+/// tables and compiled threads, the read-value domains, the trace walk
+/// and its arena, the skeleton, the overlay, and the rf-choice /
+/// coherence-permutation working set. Once warm, a test allocates
+/// nothing here beyond growth to a new high-water mark.
+#[derive(Default)]
 struct EnumScratch {
+    tables: TestTables,
+    /// One compiled program per thread. Grow-only; entries past the
+    /// test's thread count are stale spares.
+    programs: Vec<Program>,
+    /// Read-value domain per location id, ascending. Grow-only; entries
+    /// past the test's location count are stale spares.
+    domains: Vec<Vec<i64>>,
+    walker: Walker,
+    arena: TraceArena,
+    /// The current combination: one arena trace index per thread.
+    combo: Vec<usize>,
     skel: ExecutionSkeleton,
     overlay: Overlay,
     /// Read event ids of the current skeleton.
@@ -400,24 +472,6 @@ struct EnumScratch {
     /// Skeleton stamp for which `co_perms` and the overlay sizing were
     /// last built (0 = never).
     working_set_skel: u64,
-}
-
-impl EnumScratch {
-    fn new() -> Self {
-        EnumScratch {
-            skel: ExecutionSkeleton::empty(),
-            overlay: Overlay::new(),
-            reads: Vec::new(),
-            rf_choices: Vec::new(),
-            co_perms: Vec::new(),
-            co_perm_counts: Vec::new(),
-            perm_scratch: Vec::new(),
-            perm_used: Vec::new(),
-            rf_idx: Vec::new(),
-            co_idx: Vec::new(),
-            working_set_skel: 0,
-        }
-    }
 }
 
 /// Writes every permutation of `items` into `out`, reusing `out`'s
@@ -469,28 +523,28 @@ fn emit_permutations(
     }
 }
 
-/// Fills one trace combination's skeleton and working set (rf-candidate
-/// lists, coherence permutations, overlay sizing) into `scratch`.
-/// Returns `false` when the combination is unrealisable — some read's
-/// value matches neither the initial state nor any same-location write —
-/// in which case the working set is left untouched and the combination
-/// contributes no candidates.
-fn prepare_combination(
-    traces: &[&ThreadTrace],
-    thread_cta: &[usize],
-    init_mem: &BTreeMap<Loc, i64>,
-    observed: &[FinalExpr],
-    scratch: &mut EnumScratch,
-) -> bool {
-    scratch.skel.fill(traces, thread_cta, init_mem, observed);
+/// Fills the current combination's skeleton and working set
+/// (rf-candidate lists, coherence permutations, overlay sizing) in
+/// `scratch`. Returns `false` when the combination is unrealisable —
+/// some read's value matches neither the initial state nor any
+/// same-location write — in which case the working set is left untouched
+/// and the combination contributes no candidates.
+fn prepare_combination(scratch: &mut EnumScratch) -> bool {
+    scratch
+        .skel
+        .fill(&scratch.arena, &scratch.combo, &scratch.tables);
     let skel = &scratch.skel;
     let events = skel.events();
 
     // Read-from candidates per read.
     scratch.reads.clear();
-    scratch
-        .reads
-        .extend(events.iter().filter(|e| e.is_read()).map(|e| e.id));
+    scratch.reads.extend(
+        events
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.kind.is_read())
+            .map(|(id, _)| id),
+    );
     let reads = &scratch.reads;
     if scratch.rf_choices.len() < reads.len() {
         scratch.rf_choices.resize(reads.len(), Vec::new());
@@ -504,8 +558,7 @@ fn prepare_combination(
         let li = skel.loc_index(r);
         if li == usize::MAX {
             // The location is never written: the read can only see init.
-            let loc = events[r].loc.as_ref().expect("reads have locations");
-            if init_mem.get(loc).copied().unwrap_or(0) == v {
+            if scratch.tables.init[events[r].loc as usize] == v {
                 cands.push(None);
             }
         } else {
@@ -582,7 +635,7 @@ where
         'co: loop {
             scratch.overlay.stamp();
             charge(visited, cfg)?;
-            let view = ExecutionView::new(skel, &scratch.overlay);
+            let view = ExecutionView::new(skel, &scratch.overlay, &scratch.tables);
             if let ControlFlow::Break(b) = f(&view) {
                 return Ok(ControlFlow::Break(b));
             }
@@ -716,18 +769,36 @@ pub fn model_outcomes_counted(
     cfg: &EnumConfig,
     ctx: &mut EvalContext,
 ) -> Result<(ModelOutcomes, usize), EnumError> {
-    let mut fold = OutcomeFold::new(test.cond());
-    let (mut combinations, mut last_combination) = (0usize, 0u64);
-    for_each_execution(test, cfg, |view| {
-        if view.combination_id() != last_combination {
-            last_combination = view.combination_id();
-            combinations += 1;
-        }
-        let allowed = model.allows_view(ctx, view);
-        fold.candidate(view, allowed);
-        ControlFlow::<()>::Continue(())
-    })?;
-    Ok((fold.finish(), combinations))
+    with_scratch(|scratch| {
+        let mut fold = OutcomeFold::new(test.cond(), &mut scratch.fold);
+        let (mut combinations, mut last_combination) = (0usize, 0u64);
+        for_each_combination(test, cfg, &mut scratch.enumeration, &mut |view| {
+            if view.combination_id() != last_combination {
+                last_combination = view.combination_id();
+                combinations += 1;
+            }
+            let allowed = model.allows_view(ctx, view);
+            fold.candidate(view, allowed);
+            ControlFlow::<()>::Continue(())
+        })?;
+        Ok((fold.finish(), combinations))
+    })
+}
+
+/// The fold's buffers, reused from one test to the next.
+#[derive(Default)]
+struct FoldScratch {
+    /// The current candidate's observed values.
+    vals: Vec<i64>,
+    /// The distinct observed-value vectors seen so far, `width` values
+    /// each, in first-seen order: entry `i` is
+    /// `seen[i * width..][..width]`.
+    seen: Vec<i64>,
+    /// Entry indices sorted by value vector, for a binary-search probe.
+    order: Vec<usize>,
+    /// Per entry: its outcome, whether it witnesses the final condition,
+    /// and whether some allowed candidate has it.
+    entries: Vec<(Outcome, bool, bool)>,
 }
 
 /// The fold of [`model_outcomes_counted`]: accumulates a
@@ -735,41 +806,45 @@ pub fn model_outcomes_counted(
 ///
 /// Dedup is by observed-value vector: `vals` is refilled per candidate
 /// and matched against the distinct vectors seen so far (a handful per
-/// test, so a sorted probe beats hashing). Two memos keep the
-/// steady-state loop allocation-free: when a test observes only
-/// registers the outcome is fixed per trace combination (`fixed`
-/// answers with one stamp comparison), and for memory-observing tests a
-/// single-entry memo (`last`) still answers most probes — consecutive
-/// candidates usually share their outcome.
+/// test, so a sorted probe beats hashing). Each distinct vector's
+/// [`Outcome`] is built once, when first seen; `finish` moves it into
+/// the all-outcomes set and clones it only into the allowed set. Two
+/// memos answer most probes without a search: when a test observes
+/// only registers the outcome is fixed per trace combination (`fixed`
+/// answers with one stamp comparison), and for memory-observing tests
+/// consecutive candidates usually share their outcome (`last`).
 struct OutcomeFold<'t> {
     cond: &'t weakgpu_litmus::FinalCond,
-    all: BTreeSet<Outcome>,
-    allowed: BTreeSet<Outcome>,
+    buf: &'t mut FoldScratch,
+    /// Observed values per candidate.
+    width: usize,
     num_candidates: usize,
     num_allowed: usize,
     witnessed: bool,
-    vals: Vec<i64>,
-    seen: SeenOutcomes,
-    allowed_seen: Vec<bool>,
     fixed: Option<(u64, usize)>,
-    last: Option<(Vec<i64>, usize)>,
+    last: Option<usize>,
 }
 
 impl<'t> OutcomeFold<'t> {
-    fn new(cond: &'t weakgpu_litmus::FinalCond) -> Self {
+    fn new(cond: &'t weakgpu_litmus::FinalCond, buf: &'t mut FoldScratch) -> Self {
+        buf.seen.clear();
+        buf.order.clear();
+        buf.entries.clear();
         OutcomeFold {
             cond,
-            all: BTreeSet::new(),
-            allowed: BTreeSet::new(),
+            buf,
+            width: 0,
             num_candidates: 0,
             num_allowed: 0,
             witnessed: false,
-            vals: Vec::new(),
-            seen: SeenOutcomes::new(),
-            allowed_seen: Vec::new(),
             fixed: None,
             last: None,
         }
+    }
+
+    /// Entry `i`'s observed values.
+    fn seen(&self, i: usize) -> &[i64] {
+        &self.buf.seen[i * self.width..][..self.width]
     }
 
     /// Folds one candidate with its verdict into the running totals.
@@ -778,28 +853,28 @@ impl<'t> OutcomeFold<'t> {
         let idx = match self.fixed {
             Some((combo, i)) if combo == view.combination_id() => i,
             _ => {
-                view.fill_observed(&mut self.vals);
-                let i = match &self.last {
-                    Some((lv, li)) if *lv == self.vals => *li,
+                view.fill_observed(&mut self.buf.vals);
+                self.width = self.buf.vals.len();
+                let i = match self.last {
+                    Some(i) if self.seen(i) == self.buf.vals => i,
                     _ => {
-                        let i = match self.seen.find(&self.vals) {
-                            Some(i) => i,
-                            None => {
+                        let i = match self
+                            .buf
+                            .order
+                            .binary_search_by(|&k| self.seen(k).cmp(self.buf.vals.as_slice()))
+                        {
+                            Ok(pos) => self.buf.order[pos],
+                            Err(pos) => {
                                 let outcome = view.outcome();
                                 let witnesses = self.cond.witnessed_by(&outcome);
-                                self.all.insert(outcome.clone());
-                                self.allowed_seen.push(false);
-                                self.seen.insert(&self.vals, outcome, witnesses)
+                                let i = self.buf.entries.len();
+                                self.buf.entries.push((outcome, witnesses, false));
+                                self.buf.seen.extend_from_slice(&self.buf.vals);
+                                self.buf.order.insert(pos, i);
+                                i
                             }
                         };
-                        match &mut self.last {
-                            Some((lv, li)) => {
-                                lv.clear();
-                                lv.extend_from_slice(&self.vals);
-                                *li = i;
-                            }
-                            None => self.last = Some((self.vals.clone(), i)),
-                        }
+                        self.last = Some(i);
                         i
                     }
                 };
@@ -811,68 +886,28 @@ impl<'t> OutcomeFold<'t> {
         };
         if is_allowed {
             self.num_allowed += 1;
-            let (outcome, witnesses) = self.seen.get(idx);
-            if witnesses {
-                self.witnessed = true;
-            }
-            if !self.allowed_seen[idx] {
-                self.allowed_seen[idx] = true;
-                let outcome = outcome.clone();
-                self.allowed.insert(outcome);
-            }
+            let (_, witnesses, allowed) = &mut self.buf.entries[idx];
+            self.witnessed |= *witnesses;
+            *allowed = true;
         }
     }
 
     fn finish(self) -> ModelOutcomes {
+        let mut all_outcomes = BTreeSet::new();
+        let mut allowed_outcomes = BTreeSet::new();
+        for (outcome, _, allowed) in self.buf.entries.drain(..) {
+            if allowed {
+                allowed_outcomes.insert(outcome.clone());
+            }
+            all_outcomes.insert(outcome);
+        }
         ModelOutcomes {
-            all_outcomes: self.all,
-            allowed_outcomes: self.allowed,
+            all_outcomes,
+            allowed_outcomes,
             num_candidates: self.num_candidates,
             num_allowed: self.num_allowed,
             condition_witnessed: self.witnessed,
         }
-    }
-}
-
-/// Interner over observed-value vectors: entries are kept sorted by
-/// value vector, so the per-candidate probe is a binary search (a
-/// test's distinct outcomes number at most a few dozen — cheaper than
-/// hashing, log-cost on the RMW-heavy tests with many outcomes).
-struct SeenOutcomes {
-    /// `(values, entry index)` sorted by values.
-    order: Vec<(Vec<i64>, usize)>,
-    entries: Vec<(Outcome, bool)>,
-}
-
-impl SeenOutcomes {
-    fn new() -> Self {
-        SeenOutcomes {
-            order: Vec::new(),
-            entries: Vec::new(),
-        }
-    }
-
-    fn find(&self, vals: &[i64]) -> Option<usize> {
-        self.order
-            .binary_search_by(|(v, _)| v.as_slice().cmp(vals))
-            .ok()
-            .map(|pos| self.order[pos].1)
-    }
-
-    fn insert(&mut self, vals: &[i64], outcome: Outcome, witnesses: bool) -> usize {
-        let idx = self.entries.len();
-        self.entries.push((outcome, witnesses));
-        let pos = self
-            .order
-            .binary_search_by(|(v, _)| v.as_slice().cmp(vals))
-            .unwrap_err();
-        self.order.insert(pos, (vals.to_vec(), idx));
-        idx
-    }
-
-    fn get(&self, idx: usize) -> (&Outcome, bool) {
-        let (outcome, witnesses) = &self.entries[idx];
-        (outcome, *witnesses)
     }
 }
 
@@ -973,11 +1008,75 @@ mod tests {
         // dlb-mp has `t := load t + 1`, needing iterated domains.
         let test = corpus::dlb_mp(false);
         let cfg = EnumConfig::default();
-        let (domains, per_thread) = fixed_point_traces(&test, &cfg).unwrap();
-        let t = domains.get(&Loc::new("t")).unwrap();
+        let mut s = EnumScratch::default();
+        s.load_test(&test);
+        s.fixed_point(&test, &cfg).unwrap();
+        let t = s.tables.locs.find(&weakgpu_litmus::Loc::new("t")).unwrap();
+        let t = &s.domains[t as usize];
         assert!(t.contains(&0) && t.contains(&1));
-        assert_eq!(per_thread.len(), test.num_threads());
-        assert!(per_thread.iter().all(|ts| !ts.is_empty()));
+        assert_eq!(s.arena.threads().len(), test.num_threads());
+        assert!(s.arena.threads().iter().all(|&(first, end)| first < end));
+    }
+
+    #[test]
+    fn reused_skeletons_equal_rebuilt_ones() {
+        // A skeleton keeps its relations when every thread's trace has
+        // the shape of the one it was built from. Threads 1 and 2 each
+        // have two traces of the same length: thread 1's store to
+        // different locations, thread 2's store data-depends on its
+        // read in one trace only. Only a shape comparison tells them
+        // apart.
+        use weakgpu_litmus::build::{imm, ld, mov, reg, setp_eq, st, st_reg};
+        use weakgpu_litmus::{FenceScope, Predicate};
+        let branchy = LitmusTest::builder("branchy")
+            .global("x", 0)
+            .global("y", 0)
+            .global("z", 0)
+            .global("w", 0)
+            .thread([st("x", 1)])
+            .thread([
+                ld("r0", "x"),
+                setp_eq("p", reg("r0"), imm(0)),
+                st("y", 1).guarded("p", true),
+                st("z", 1).guarded("p", false),
+            ])
+            .thread([
+                ld("r0", "x"),
+                setp_eq("p", reg("r0"), imm(0)),
+                mov("r1", reg("r0")).guarded("p", true),
+                mov("r1", imm(1)).guarded("p", false),
+                st_reg("w", "r1"),
+            ])
+            .exists(Predicate::reg_eq(1, "r0", 1))
+            .build()
+            .unwrap();
+        let cfg = EnumConfig::default();
+        let mut tests = corpus::all();
+        tests.push(corpus::mp(ThreadScope::IntraCta, Some(FenceScope::Cta)));
+        tests.push(branchy);
+        let mut s = EnumScratch::default();
+        let mut reuses = 0usize;
+        for test in &tests {
+            s.load_test(test);
+            s.fixed_point(test, &cfg).unwrap();
+            let threads = s.arena.threads().to_vec();
+            let mut combo: Vec<usize> = threads.iter().map(|&(first, _)| first).collect();
+            'combos: loop {
+                reuses += usize::from(s.skel.fill(&s.arena, &combo, &s.tables));
+                let mut fresh = ExecutionSkeleton::default();
+                fresh.fill(&s.arena, &combo, &s.tables);
+                assert_eq!(s.skel.derived(), fresh.derived(), "{}", test.name());
+                for t in (0..combo.len()).rev() {
+                    combo[t] += 1;
+                    if combo[t] < threads[t].1 {
+                        continue 'combos;
+                    }
+                    combo[t] = threads[t].0;
+                }
+                break;
+            }
+        }
+        assert!(reuses > 0, "some combination keeps its skeleton");
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub(crate) fn scope_cta_into(events: &[Event], thread_cta: &[usize], r: &mut Rel
 }
 
 /// Fills `s` with the ids of the read events.
-pub(crate) fn read_set_into(events: &[Event], s: &mut EventSet) {
+fn read_set_into(events: &[Event], s: &mut EventSet) {
     s.reset(events.len());
     for e in events.iter().filter(|e| e.is_read()) {
         s.insert(e.id);
@@ -129,7 +129,7 @@ pub(crate) fn read_set_into(events: &[Event], s: &mut EventSet) {
 }
 
 /// Fills `s` with the ids of the write events.
-pub(crate) fn write_set_into(events: &[Event], s: &mut EventSet) {
+fn write_set_into(events: &[Event], s: &mut EventSet) {
     s.reset(events.len());
     for e in events.iter().filter(|e| e.is_write()) {
         s.insert(e.id);

@@ -11,8 +11,10 @@
 //! once:
 //!
 //! * **Names become slots.** Base relations (`po`, `rf`, …) are interned
-//!   into dense base slots; `let` bindings and subexpressions become
-//!   numbered registers. No string lookup survives to evaluation time.
+//!   into dense base slots, each resolved to the relation of the
+//!   execution it reads; `let` bindings and subexpressions become
+//!   numbered registers. No string lookup survives to evaluation time
+//!   (an unknown base name still fails there, when a check needs it).
 //! * **Bindings are shared.** Every `let` is compiled exactly once, and
 //!   common subexpressions are eliminated across the *whole* program
 //!   (union/intersection operands are order-normalised first), so a
@@ -30,10 +32,10 @@
 //!   statement.
 //!
 //! Evaluation happens inside an [`EvalContext`]: an arena of
-//! [`Relation`]/[`EventSet`] buffers (plus DFS scratch for acyclicity)
-//! that is reused across executions. After the first execution of a given
-//! universe size has warmed the arena, evaluating the next execution
-//! performs **zero heap allocation**.
+//! [`Relation`]/[`EventSet`] buffers (plus DFS scratch for acyclicity
+//! over more than 64 events) that is reused across executions. After the
+//! first execution of a given universe size has warmed the arena,
+//! evaluating the next execution performs **zero heap allocation**.
 //!
 //! Every verdict judges one concrete candidate. On the streaming path
 //! ([`Plan::allows_view`]) the context keys its arena on the view's
@@ -181,16 +183,15 @@ pub struct Plan {
     id: u64,
     /// Interned base-relation names, indexed by slot.
     base_names: Vec<String>,
+    /// What each base slot reads, resolved from its name at compile
+    /// time, so evaluation never matches a string.
+    bases: Vec<BaseRel>,
     ops: Vec<Op>,
     /// Operand table for n-ary instructions ([`Op::UnionN`]).
     operands: Vec<Src>,
     checks: Vec<PlanCheck>,
     /// Check indices in ascending cost order (the `allows` schedule).
     fast_order: Vec<usize>,
-    /// Per base slot: `true` iff the relation depends on the rf/co
-    /// overlay (and must be refilled per candidate); `false` for
-    /// skeleton-derived relations reused across a skeleton's overlays.
-    base_overlay: Vec<bool>,
     /// Per op: `true` iff it transitively reads an overlay base.
     op_overlay: Vec<bool>,
     /// For an `rfe`/`rfi`/`coe`/`coi`/`fre`/`fri` slot: the slot of the
@@ -200,13 +201,82 @@ pub struct Plan {
     plain_slot: Vec<Option<usize>>,
 }
 
-/// `true` for base relations derived from the rf/co overlay, which every
-/// candidate of a skeleton redefines.
-fn is_overlay_base(name: &str) -> bool {
-    matches!(
-        name,
-        "rf" | "rfe" | "rfi" | "co" | "coe" | "coi" | "fr" | "fre" | "fri"
-    )
+/// A communication relation: the rf/co overlay and what derives from it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Comm {
+    Rf,
+    Co,
+    Fr,
+}
+
+/// Where a base relation comes from, resolved from its `.cat` name once
+/// by [`Plan::compile`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum BaseRel {
+    Po,
+    PoLoc,
+    Addr,
+    Data,
+    Ctrl,
+    Rmw,
+    Ext,
+    Int,
+    Loc,
+    Id,
+    Fence(FenceScope),
+    Cta,
+    /// `gl` and `sys`: every pair.
+    Full,
+    /// `rf`, `co` or `fr`.
+    Comm(Comm),
+    /// `rfe`/`coe`/`fre` (`external`) or `rfi`/`coi`/`fri`: a
+    /// communication relation restricted to external or internal pairs.
+    Split {
+        comm: Comm,
+        external: bool,
+    },
+    /// A name the execution layer does not define: evaluating it fails
+    /// with an `unbound identifier` error, as the interpreter's would.
+    Unknown,
+}
+
+impl BaseRel {
+    fn resolve(name: &str) -> BaseRel {
+        let split = |comm, external| BaseRel::Split { comm, external };
+        match name {
+            "po" => BaseRel::Po,
+            "po-loc" => BaseRel::PoLoc,
+            "addr" => BaseRel::Addr,
+            "data" => BaseRel::Data,
+            "ctrl" => BaseRel::Ctrl,
+            "rmw" => BaseRel::Rmw,
+            "ext" => BaseRel::Ext,
+            "int" => BaseRel::Int,
+            "loc" => BaseRel::Loc,
+            "id" => BaseRel::Id,
+            "membar.cta" => BaseRel::Fence(FenceScope::Cta),
+            "membar.gl" => BaseRel::Fence(FenceScope::Gl),
+            "membar.sys" => BaseRel::Fence(FenceScope::Sys),
+            "cta" => BaseRel::Cta,
+            "gl" | "sys" => BaseRel::Full,
+            "rf" => BaseRel::Comm(Comm::Rf),
+            "co" => BaseRel::Comm(Comm::Co),
+            "fr" => BaseRel::Comm(Comm::Fr),
+            "rfe" => split(Comm::Rf, true),
+            "rfi" => split(Comm::Rf, false),
+            "coe" => split(Comm::Co, true),
+            "coi" => split(Comm::Co, false),
+            "fre" => split(Comm::Fr, true),
+            "fri" => split(Comm::Fr, false),
+            _ => BaseRel::Unknown,
+        }
+    }
+
+    /// `true` for base relations derived from the rf/co overlay, which
+    /// every candidate of a skeleton redefines.
+    fn is_overlay(self) -> bool {
+        matches!(self, BaseRel::Comm(_) | BaseRel::Split { .. })
+    }
 }
 
 /// Where base relations come from during one evaluation.
@@ -279,9 +349,8 @@ impl EvalContext {
         self.skel_id = 0;
         self.overlay_gen = 0;
         self.n = n;
-        if self.bases.len() < plan.base_names.len() {
-            self.bases
-                .resize_with(plan.base_names.len(), Relation::default);
+        if self.bases.len() < plan.bases.len() {
+            self.bases.resize_with(plan.bases.len(), Relation::default);
         }
         self.base_epoch.resize(self.bases.len(), 0);
         if self.regs.len() < plan.ops.len() {
@@ -567,13 +636,13 @@ impl Plan {
         // Overlay classification: an op is overlay-dependent iff it
         // transitively reads an rf/co-derived base. Operand registers
         // are always lower-numbered, so one forward sweep suffices.
-        let base_overlay: Vec<bool> = c.base_names.iter().map(|n| is_overlay_base(n)).collect();
+        let bases: Vec<BaseRel> = c.base_names.iter().map(|n| BaseRel::resolve(n)).collect();
         let mut op_overlay = vec![false; c.ops.len()];
         for i in 0..c.ops.len() {
             let mut overlay = false;
             c.ops[i].for_each_src(&c.operands, |s| {
                 overlay |= match s {
-                    Src::Base(b) => base_overlay[b],
+                    Src::Base(b) => bases[b].is_overlay(),
                     Src::Reg(r) => op_overlay[r],
                 };
             });
@@ -582,8 +651,9 @@ impl Plan {
         let plain_slot: Vec<Option<usize>> = c
             .base_names
             .iter()
-            .map(|n| match n.as_str() {
-                "rfe" | "rfi" | "coe" | "coi" | "fre" | "fri" => c.base_slots.get(&n[..2]).copied(),
+            .zip(&bases)
+            .map(|(n, b)| match b {
+                BaseRel::Split { .. } => c.base_slots.get(&n[..2]).copied(),
                 _ => None,
             })
             .collect();
@@ -591,11 +661,11 @@ impl Plan {
         Ok(Plan {
             id: next_stamp(),
             base_names: c.base_names,
+            bases,
             ops: c.ops,
             operands: c.operands,
             checks,
             fast_order,
-            base_overlay,
             op_overlay,
             plain_slot,
         })
@@ -622,7 +692,8 @@ impl Plan {
         slot: usize,
         env: &EnvSource<'_>,
     ) -> Result<(), CatError> {
-        let required = if self.base_overlay[slot] {
+        let base = self.bases[slot];
+        let required = if base.is_overlay() {
             ctx.epoch
         } else {
             ctx.skel_epoch
@@ -630,37 +701,33 @@ impl Plan {
         if ctx.base_epoch[slot] >= required {
             return Ok(());
         }
-        let name = self.base_names[slot].as_str();
         let mut dst = mem::take(&mut ctx.bases[slot]);
         let filled = match env {
-            EnvSource::Map(map) => match map.get(name) {
+            EnvSource::Map(map) => match map.get(&self.base_names[slot]) {
                 Some(r) => {
                     dst.copy_from(r);
                     true
                 }
                 None => false,
             },
-            EnvSource::Exec(exec) => fill_base_from_exec(exec, name, &mut dst, ctx),
+            EnvSource::Exec(exec) => fill_base_from_exec(exec, base, &mut dst, ctx),
             // On the view path (and only there — a map environment may
             // bind `rfe` to anything) an internal/external variant is
             // one intersection off the plain relation, when the plan
             // also reads that plain base.
-            EnvSource::View(view) => match self.plain_slot[slot] {
-                Some(plain) => {
+            EnvSource::View(view) => match (self.plain_slot[slot], base) {
+                (Some(plain), BaseRel::Split { external, .. }) => {
                     self.ensure_base(ctx, plain, env)?;
-                    let other = if name.ends_with('e') {
-                        view.ext()
-                    } else {
-                        view.int()
-                    };
+                    let other = if external { view.ext() } else { view.int() };
                     dst.inter_from(&ctx.bases[plain], other);
                     true
                 }
-                None => fill_base_from_view(view, name, &mut dst, ctx),
+                _ => fill_base_from_view(view, base, &mut dst, ctx),
             },
         };
         ctx.bases[slot] = dst;
         if !filled {
+            let name = &self.base_names[slot];
             return Err(CatError::new(format!("unbound identifier {name:?}")));
         }
         ctx.base_epoch[slot] = ctx.epoch;
@@ -945,106 +1012,97 @@ impl Plan {
     }
 }
 
-/// Fills `dst` with the base relation `name` of `exec`; returns `false`
-/// for names [`Execution::base_relations`] does not define.
+/// Fills `dst` with the base relation `base` of `exec`; returns `false`
+/// for [`BaseRel::Unknown`], a name [`Execution::base_relations`] does
+/// not define.
 fn fill_base_from_exec(
     exec: &Execution,
-    name: &str,
+    base: BaseRel,
     dst: &mut Relation,
     ctx: &mut EvalContext,
 ) -> bool {
-    match name {
-        "po" => exec.fill_po(dst),
-        "po-loc" => exec.fill_po_loc(dst),
-        "addr" => dst.copy_from(&exec.addr),
-        "data" => dst.copy_from(&exec.data),
-        "ctrl" => dst.copy_from(&exec.ctrl),
-        "rmw" => dst.copy_from(&exec.rmw),
-        "rf" => exec.fill_rf_rel(dst),
-        "co" => exec.fill_co_rel(dst),
-        "fr" => exec.fill_fr(dst),
-        "ext" => exec.fill_ext(dst),
-        "int" => exec.fill_int(dst),
-        "loc" => exec.fill_same_loc(dst),
-        "id" => {
+    let fill_comm = |comm, r: &mut Relation| match comm {
+        Comm::Rf => exec.fill_rf_rel(r),
+        Comm::Co => exec.fill_co_rel(r),
+        Comm::Fr => exec.fill_fr(r),
+    };
+    match base {
+        BaseRel::Po => exec.fill_po(dst),
+        BaseRel::PoLoc => exec.fill_po_loc(dst),
+        BaseRel::Addr => dst.copy_from(&exec.addr),
+        BaseRel::Data => dst.copy_from(&exec.data),
+        BaseRel::Ctrl => dst.copy_from(&exec.ctrl),
+        BaseRel::Rmw => dst.copy_from(&exec.rmw),
+        BaseRel::Comm(comm) => fill_comm(comm, dst),
+        BaseRel::Ext => exec.fill_ext(dst),
+        BaseRel::Int => exec.fill_int(dst),
+        BaseRel::Loc => exec.fill_same_loc(dst),
+        BaseRel::Id => {
             dst.reset(exec.len());
             dst.add_identity();
         }
-        "membar.cta" => exec.fill_fence_rel(FenceScope::Cta, dst),
-        "membar.gl" => exec.fill_fence_rel(FenceScope::Gl, dst),
-        "membar.sys" => exec.fill_fence_rel(FenceScope::Sys, dst),
-        "cta" => exec.fill_scope_cta(dst),
-        "gl" | "sys" => {
+        BaseRel::Fence(scope) => exec.fill_fence_rel(scope, dst),
+        BaseRel::Cta => exec.fill_scope_cta(dst),
+        BaseRel::Full => {
             dst.reset(exec.len());
             dst.fill_full();
         }
-        "rfe" | "rfi" | "coe" | "coi" | "fre" | "fri" => {
-            match &name[..2] {
-                "rf" => exec.fill_rf_rel(&mut ctx.scratch_a),
-                "co" => exec.fill_co_rel(&mut ctx.scratch_a),
-                _ => exec.fill_fr(&mut ctx.scratch_a),
-            }
-            if name.ends_with('e') {
+        BaseRel::Split { comm, external } => {
+            fill_comm(comm, &mut ctx.scratch_a);
+            if external {
                 exec.fill_ext(&mut ctx.scratch_b);
             } else {
                 exec.fill_int(&mut ctx.scratch_b);
             }
             dst.inter_from(&ctx.scratch_a, &ctx.scratch_b);
         }
-        _ => return false,
+        BaseRel::Unknown => return false,
     }
     true
 }
 
-/// Fills `dst` with the base relation `name` of a skeleton/overlay
-/// `view`; returns `false` for names the execution layer does not
-/// define. Skeleton-derived relations are copied from the (already
-/// built) skeleton; only rf/co-derived ones compute anything.
+/// Fills `dst` with the base relation `base` of a skeleton/overlay
+/// `view`; returns `false` for [`BaseRel::Unknown`]. Skeleton-derived
+/// relations are copied from the (already built) skeleton; only
+/// rf/co-derived ones compute anything.
 fn fill_base_from_view(
     view: &ExecutionView<'_>,
-    name: &str,
+    base: BaseRel,
     dst: &mut Relation,
     ctx: &mut EvalContext,
 ) -> bool {
-    match name {
-        "po" => dst.copy_from(view.po()),
-        "po-loc" => dst.copy_from(view.po_loc()),
-        "addr" => dst.copy_from(view.addr()),
-        "data" => dst.copy_from(view.data()),
-        "ctrl" => dst.copy_from(view.ctrl()),
-        "rmw" => dst.copy_from(view.rmw()),
-        "rf" => view.fill_rf_rel(dst),
-        "co" => view.fill_co_rel(dst),
-        "fr" => view.fill_fr(dst),
-        "ext" => dst.copy_from(view.ext()),
-        "int" => dst.copy_from(view.int()),
-        "loc" => dst.copy_from(view.same_loc()),
-        "id" => {
+    let fill_comm = |comm, r: &mut Relation| match comm {
+        Comm::Rf => view.fill_rf_rel(r),
+        Comm::Co => view.fill_co_rel(r),
+        Comm::Fr => view.fill_fr(r),
+    };
+    match base {
+        BaseRel::Po => dst.copy_from(view.po()),
+        BaseRel::PoLoc => dst.copy_from(view.po_loc()),
+        BaseRel::Addr => dst.copy_from(view.addr()),
+        BaseRel::Data => dst.copy_from(view.data()),
+        BaseRel::Ctrl => dst.copy_from(view.ctrl()),
+        BaseRel::Rmw => dst.copy_from(view.rmw()),
+        BaseRel::Comm(comm) => fill_comm(comm, dst),
+        BaseRel::Ext => dst.copy_from(view.ext()),
+        BaseRel::Int => dst.copy_from(view.int()),
+        BaseRel::Loc => dst.copy_from(view.same_loc()),
+        BaseRel::Id => {
             dst.reset(view.len());
             dst.add_identity();
         }
-        "membar.cta" => dst.copy_from(view.fence(FenceScope::Cta)),
-        "membar.gl" => dst.copy_from(view.fence(FenceScope::Gl)),
-        "membar.sys" => dst.copy_from(view.fence(FenceScope::Sys)),
-        "cta" => dst.copy_from(view.scope_cta()),
-        "gl" | "sys" => {
+        BaseRel::Fence(scope) => dst.copy_from(view.fence(scope)),
+        BaseRel::Cta => dst.copy_from(view.scope_cta()),
+        BaseRel::Full => {
             dst.reset(view.len());
             dst.fill_full();
         }
-        "rfe" | "rfi" | "coe" | "coi" | "fre" | "fri" => {
-            match &name[..2] {
-                "rf" => view.fill_rf_rel(&mut ctx.scratch_a),
-                "co" => view.fill_co_rel(&mut ctx.scratch_a),
-                _ => view.fill_fr(&mut ctx.scratch_a),
-            }
-            let other = if name.ends_with('e') {
-                view.ext()
-            } else {
-                view.int()
-            };
+        BaseRel::Split { comm, external } => {
+            fill_comm(comm, &mut ctx.scratch_a);
+            let other = if external { view.ext() } else { view.int() };
             dst.inter_from(&ctx.scratch_a, other);
         }
-        _ => return false,
+        BaseRel::Unknown => return false,
     }
     true
 }
@@ -1140,6 +1198,24 @@ mod tests {
         assert!(plan
             .allows_in_env(&mut ctx, &base, &reads, &writes)
             .is_err());
+    }
+
+    #[test]
+    fn unbound_base_fails_on_executions_and_views_alike() {
+        // Names resolve at compile time, but an unknown one still fails
+        // only when a check needs it, with the interpreter's message.
+        let plan = plan_of("empty 0 as fine\nacyclic po | nosuch as c");
+        let test = corpus::corr();
+        let cands = enumerate_executions(&test, &EnumConfig::default()).unwrap();
+        let mut ctx = EvalContext::new();
+        let err = plan.allows_exec(&mut ctx, &cands[0].execution).unwrap_err();
+        assert_eq!(err.message, "unbound identifier \"nosuch\"");
+        crate::enumerate::for_each_execution(&test, &EnumConfig::default(), |view| {
+            let err = plan.allows_view(&mut ctx, view).unwrap_err();
+            assert_eq!(err.message, "unbound identifier \"nosuch\"");
+            std::ops::ControlFlow::Break(())
+        })
+        .unwrap();
     }
 
     #[test]

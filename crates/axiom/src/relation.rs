@@ -517,13 +517,51 @@ impl Relation {
     }
 
     /// [`Relation::is_acyclic`] with caller-owned scratch buffers, so a
-    /// loop over many relations never reallocates. Both buffers are
-    /// cleared and regrown as needed; their previous contents are ignored.
+    /// loop over many relations never reallocates.
     ///
-    /// Uses an iterative depth-first search with white/grey/black
-    /// colouring; `stack` holds `(node, next successor to examine)`
-    /// frames.
+    /// The method is chosen by universe size. When every row is one word
+    /// (`n ≤ 64`, which covers every shipped litmus skeleton), sinks are
+    /// peeled with bitmasks: each round removes every live node with no
+    /// live successor, and the relation is acyclic iff every node peels.
+    /// A self-loop keeps its node from ever being a sink. Wider universes
+    /// use an iterative depth-first search, the only user of the scratch
+    /// buffers: both are cleared and regrown as needed, their previous
+    /// contents ignored.
     pub fn is_acyclic_with(&self, colour: &mut Vec<u8>, stack: &mut Vec<(usize, usize)>) -> bool {
+        if self.words == 1 {
+            self.is_acyclic_peel()
+        } else {
+            self.is_acyclic_dfs(colour, stack)
+        }
+    }
+
+    /// Sink peeling over one-word rows (`n ≤ 64`).
+    fn is_acyclic_peel(&self) -> bool {
+        let mut live = match self.n {
+            0 => return true,
+            n => tail_mask(n),
+        };
+        loop {
+            let mut sinks = 0u64;
+            let mut bits = live;
+            while bits != 0 {
+                let i = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.rows[i] & live == 0 {
+                    sinks |= 1 << i;
+                }
+            }
+            if sinks == 0 {
+                return live == 0;
+            }
+            live &= !sinks;
+        }
+    }
+
+    /// Acyclicity by an iterative depth-first search with
+    /// white/grey/black colouring; `stack` holds `(node, next successor
+    /// to examine)` frames.
+    fn is_acyclic_dfs(&self, colour: &mut Vec<u8>, stack: &mut Vec<(usize, usize)>) -> bool {
         const WHITE: u8 = 0;
         const GREY: u8 = 1;
         const BLACK: u8 = 2;
@@ -637,6 +675,7 @@ impl fmt::Debug for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn set_basics() {
@@ -791,6 +830,63 @@ mod tests {
         for _ in 0..3 {
             assert!(acyclic.is_acyclic_with(&mut colour, &mut stack));
             assert!(!cyclic.is_acyclic_with(&mut colour, &mut stack));
+        }
+    }
+
+    #[test]
+    fn peeling_handles_word_edges() {
+        // A 64-node chain is acyclic; closing it through node 63, or a
+        // self-loop on the last bit, makes it cyclic.
+        let chain = Relation::from_pairs(64, (0..63).map(|i| (i, i + 1)));
+        assert!(chain.is_acyclic());
+        let mut closed = chain.clone();
+        closed.add(63, 0);
+        assert!(!closed.is_acyclic());
+        let mut looped = chain;
+        looped.add(63, 63);
+        assert!(!looped.is_acyclic());
+        assert!(!Relation::full(1).is_acyclic());
+        assert!(Relation::empty(64).is_acyclic());
+    }
+
+    /// A relation over `n` events: `forward` edges oriented low → high
+    /// (acyclic on their own) plus a few unoriented `extra` edges,
+    /// self-loops included, which may close cycles.
+    fn arb_relation() -> impl Strategy<Value = Relation> {
+        (0usize..=130)
+            .prop_flat_map(|n| {
+                let node = 0..n.max(1);
+                (
+                    Just(n),
+                    prop::collection::vec((node.clone(), node.clone()), 0..3 * n + 1),
+                    prop::collection::vec((node.clone(), node), 0..3),
+                )
+            })
+            .prop_map(|(n, forward, extra)| {
+                let mut r = Relation::empty(n);
+                if n > 0 {
+                    for (a, b) in forward {
+                        if a != b {
+                            r.add(a.min(b), a.max(b));
+                        }
+                    }
+                    for (a, b) in extra {
+                        r.add(a, b);
+                    }
+                }
+                r
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn acyclicity_matches_dfs(rel in arb_relation()) {
+            prop_assert_eq!(
+                rel.is_acyclic_with(&mut Vec::new(), &mut Vec::new()),
+                rel.is_acyclic_dfs(&mut Vec::new(), &mut Vec::new())
+            );
         }
     }
 

@@ -11,7 +11,10 @@
 //!
 //! * an immutable [`ExecutionSkeleton`] — events, dependencies and every
 //!   communication-independent relation (`po`, `ext`, fences, scopes, …),
-//!   built **once** per trace combination;
+//!   built **once** per trace combination, straight from the trace
+//!   arena of [`crate::symbolic`] and on dense ids: an event names its
+//!   location by id, and deciding whether a new combination can keep the
+//!   skeleton compares trace shapes, never names;
 //! * a mutable [`Overlay`] — just the rf assignment and the chosen
 //!   coherence orders, rewritten in place for each candidate (no heap
 //!   allocation per candidate after the buffers have warmed);
@@ -29,18 +32,18 @@
 //! register-only tests) can key on it.
 //!
 //! A view always describes one complete candidate: every read has its rf
-//! source and every written location its coherence order.
+//! source and every written location its coherence order. Names come
+//! back only when a view is materialised ([`ExecutionView::outcome`],
+//! [`ExecutionView::to_execution`]), through the test's tables.
 
-use std::collections::BTreeMap;
-use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use weakgpu_litmus::{FenceScope, FinalExpr, Loc, Outcome};
+use weakgpu_litmus::{CacheOp, FenceScope, FinalExpr, Outcome};
 
-use crate::event::Event;
-use crate::exec::{self, Execution, RmwAtomicity};
+use crate::event::{Event, EventKind};
+use crate::exec::{Execution, RmwAtomicity};
 use crate::relation::{EventSet, Relation};
-use crate::symbolic::ThreadTrace;
+use crate::symbolic::{LocTable, TraceArena, NO_LOC};
 
 /// Process-unique stamps for skeletons, overlays and compiled plans.
 static STAMP: AtomicU64 = AtomicU64::new(1);
@@ -50,24 +53,72 @@ pub(crate) fn next_stamp() -> u64 {
     STAMP.fetch_add(1, Ordering::Relaxed)
 }
 
-/// How one observed [`FinalExpr`] resolves for candidates of a skeleton.
+/// Where one observed [`FinalExpr`] takes its value from, on dense ids.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum ObservedSrc {
+    /// A final register of thread `tid`: the dense index in its program,
+    /// `None` when the code never mentions it (it then reads 0).
+    Reg { tid: usize, reg: Option<usize> },
+    /// The final memory value of a location id.
+    Mem(u32),
+}
+
+/// The per-test tables a skeleton and its views read, on dense ids:
+/// location names (id = index; the memory map's locations come first, in
+/// name order, and a validated test has no others), initial memory, thread
+/// placement and the observed expressions. Filled once per test in
+/// place; names are only read to materialise named values
+/// ([`ExecutionView::outcome`], [`ExecutionView::to_execution`]).
+#[derive(Default, Debug)]
+pub(crate) struct TestTables {
+    pub(crate) locs: LocTable,
+    /// How many locations the memory map declares: ids below this.
+    pub(crate) memory_locs: usize,
+    /// Initial value per location id (0 when off the memory map).
+    pub(crate) init: Vec<i64>,
+    /// CTA per thread.
+    pub(crate) thread_cta: Vec<usize>,
+    /// The observed expressions, in `LitmusTest::observed` order.
+    pub(crate) observed: Vec<FinalExpr>,
+    /// Where each observed expression's value comes from, aligned with
+    /// `observed`.
+    pub(crate) observed_src: Vec<ObservedSrc>,
+}
+
+/// How one observed expression resolves for candidates of a skeleton.
 #[derive(Clone, Copy, Debug)]
 enum ObservedSlot {
     /// The value is fixed by the trace combination (final register
     /// values, and locations no candidate writes).
     Fixed(i64),
-    /// The final value of the location with this index in
+    /// The final value of the written location with this index in
     /// `ExecutionSkeleton::locs`: the last write of the overlay's chosen
     /// coherence order.
     Mem(usize),
 }
 
+/// One event of a skeleton, on dense ids; its id is its index.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SkelEvent {
+    pub(crate) tid: u32,
+    /// Position in the thread's events (program order).
+    pub(crate) po_idx: u32,
+    pub(crate) kind: EventKind,
+    /// Location id, [`NO_LOC`] for fences.
+    pub(crate) loc: u32,
+    pub(crate) value: i64,
+    pub(crate) cache: CacheOp,
+    pub(crate) volatile: bool,
+    pub(crate) atomic: bool,
+    pub(crate) instr_idx: u32,
+}
+
 /// The communication-independent part of a candidate execution: built
 /// once per thread-trace combination and shared by every rf×co overlay.
 /// The enumerator keeps **one** skeleton buffer and refills it in place
-/// per combination (`fill`), so after the first
-/// combination has sized the buffers, moving to the next allocates
-/// almost nothing.
+/// per combination (`fill`) straight from the trace arena, comparing
+/// ids, never names; after the first combination has sized the
+/// buffers, moving to the next allocates nothing.
 #[derive(Debug, Default)]
 pub struct ExecutionSkeleton {
     id: u64,
@@ -76,9 +127,11 @@ pub struct ExecutionSkeleton {
     /// this changes on every `fill` — key
     /// value-sensitive caches (observed outcomes) on it.
     combo_gen: u64,
-    events: Vec<Event>,
-    thread_cta: Vec<usize>,
-    init: BTreeMap<Loc, i64>,
+    events: Vec<SkelEvent>,
+    /// The arena generation and per-thread trace indices the relations
+    /// were built from.
+    built_gen: u64,
+    built: Vec<usize>,
     addr: Relation,
     data: Relation,
     ctrl: Relation,
@@ -94,188 +147,124 @@ pub struct ExecutionSkeleton {
     scope_cta: Relation,
     reads: EventSet,
     writes: EventSet,
-    /// Written locations, in `BTreeMap` (sorted) order — the coherence
-    /// axes of every overlay.
-    locs: Vec<Loc>,
-    /// Write event ids per location, aligned with `locs`.
+    /// Written location ids, ascending (name order for a validated
+    /// test) — the coherence axes of every overlay.
+    locs: Vec<u32>,
+    /// Write event ids per written location, aligned with `locs`.
     writes_by_loc: Vec<Vec<usize>>,
     /// Per event id: index into `locs` of its location, or `usize::MAX`
     /// when the event has no location or the location is never written.
     loc_idx: Vec<usize>,
+    /// Per location id: its index into `locs`, or `usize::MAX`.
+    written_of: Vec<usize>,
     /// Initial memory value per written location, aligned with `locs`.
     init_of: Vec<i64>,
-    /// The observed expressions, in `LitmusTest::observed` order.
-    observed_exprs: Vec<FinalExpr>,
     /// How each observed expression resolves, aligned with
-    /// `observed_exprs`.
+    /// [`TestTables::observed`].
     observed_slots: Vec<ObservedSlot>,
-    /// Fill scratch: distinct locations of *any* event (first-seen
-    /// order) and their membership bitmaps, `words` u64s per location.
-    all_locs: Vec<Loc>,
+    /// Fill scratch: per location id, its membership bitmap, `words`
+    /// u64s each.
     loc_mask_buf: Vec<u64>,
     /// Fill scratch: per thread, the `(offset, len)` of its contiguous
     /// event-id block.
     blocks: Vec<(usize, usize)>,
-    /// Fill scratch: the incoming combination's events and dependency
-    /// relations, built here first so they can be compared against the
-    /// buffer's current contents before anything is overwritten.
-    events_tmp: Vec<Event>,
-    addr_tmp: Relation,
-    data_tmp: Relation,
-    ctrl_tmp: Relation,
-    rmw_tmp: Relation,
-}
-
-/// `true` when two event lists agree on everything but the read/write
-/// *values*: same ids, threads, program order, kinds, locations and
-/// attributes. Combinations that differ only in values share every
-/// skeleton relation (none of them reads a value), so the skeleton —
-/// and with it an [`crate::plan::EvalContext`]'s cached
-/// skeleton-derived registers — can be reused wholesale.
-fn same_structure(a: &[Event], b: &[Event]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.id == y.id
-                && x.tid == y.tid
-                && x.po_idx == y.po_idx
-                && x.kind == y.kind
-                && x.loc == y.loc
-                && x.cache == y.cache
-                && x.volatile == y.volatile
-                && x.atomic == y.atomic
-                && x.instr_idx == y.instr_idx
-        })
 }
 
 impl ExecutionSkeleton {
-    /// An empty skeleton buffer, to be [`fill`](ExecutionSkeleton::fill)ed.
-    pub(crate) fn empty() -> ExecutionSkeleton {
-        ExecutionSkeleton::default()
-    }
-
     /// Refills this buffer as the skeleton of one thread-trace
-    /// combination: global event ids, dependency relations, and every
-    /// communication-independent base relation. All buffers are reused.
+    /// combination: `combo[t]` is thread `t`'s trace in `arena`.
     ///
-    /// When the incoming combination differs from the buffered one only
-    /// in event *values* (the common case — trace combinations of a
-    /// branchless test vary read values, never structure), the skeleton
-    /// **keeps its identity stamp**: every relation is value-independent
-    /// and therefore still valid, and evaluation contexts keep their
-    /// cached skeleton-derived registers too. Otherwise the buffer is
-    /// rebuilt under a fresh stamp.
+    /// When every thread's trace has the same shape as the one the
+    /// relations were built from (the common case — trace combinations
+    /// of a branchless test vary read values, never structure), the
+    /// skeleton **keeps its identity stamp**: every relation is
+    /// value-independent and therefore still valid, and evaluation
+    /// contexts keep their cached skeleton-derived registers too. Only
+    /// the events' values and the observed slots are refreshed.
+    /// Otherwise the buffer is rebuilt under a fresh stamp. A new arena
+    /// generation (a new test) always rebuilds.
     /// Returns `true` when the buffer's identity (and with it every
     /// relation, set and table) was reused, `false` when it was rebuilt.
     pub(crate) fn fill(
         &mut self,
-        traces: &[&ThreadTrace],
-        thread_cta: &[usize],
-        init: &BTreeMap<Loc, i64>,
-        observed: &[FinalExpr],
+        arena: &TraceArena,
+        combo: &[usize],
+        tables: &TestTables,
     ) -> bool {
-        self.events_tmp.clear();
-        for tr in traces {
-            for (i, e) in tr.events.iter().enumerate() {
-                self.events_tmp.push(Event {
-                    id: self.events_tmp.len(),
-                    tid: tr.tid,
-                    po_idx: i,
+        self.combo_gen = next_stamp();
+        let reuse = self.id != 0
+            && self.built_gen == arena.gen()
+            && self.built.len() == combo.len()
+            && self
+                .built
+                .iter()
+                .zip(combo)
+                .all(|(&a, &b)| a == b || arena.same_shape(a, b));
+        self.built_gen = arena.gen();
+        self.built.clear();
+        self.built.extend_from_slice(combo);
+        self.events.clear();
+        self.blocks.clear();
+        for (tid, &t) in combo.iter().enumerate() {
+            let trace = arena.events(t);
+            self.blocks.push((self.events.len(), trace.len()));
+            self.events
+                .extend(trace.iter().enumerate().map(|(i, e)| SkelEvent {
+                    tid: tid as u32,
+                    po_idx: i as u32,
                     kind: e.kind,
-                    loc: e.loc.clone(),
+                    loc: e.loc,
                     value: e.value,
                     cache: e.cache,
                     volatile: e.volatile,
                     atomic: e.atomic,
                     instr_idx: e.instr_idx,
-                });
-            }
+                }));
         }
-        let n = self.events_tmp.len();
-        self.addr_tmp.reset(n);
-        self.data_tmp.reset(n);
-        self.ctrl_tmp.reset(n);
-        self.rmw_tmp.reset(n);
-        let mut off = 0usize;
-        for tr in traces {
-            for (i, e) in tr.events.iter().enumerate() {
-                for &d in &e.addr_deps {
-                    self.addr_tmp.add(off + d, off + i);
-                }
-                for &d in &e.data_deps {
-                    self.data_tmp.add(off + d, off + i);
-                }
-                for &d in &e.ctrl_deps {
-                    self.ctrl_tmp.add(off + d, off + i);
-                }
-            }
-            for &(r, w) in &tr.rmw_pairs {
-                self.rmw_tmp.add(off + r, off + w);
-            }
-            off += tr.events.len();
+        if !reuse {
+            self.rebuild(arena, combo, tables);
         }
+        self.refill_observed(arena, combo, tables);
+        reuse
+    }
 
-        self.combo_gen = next_stamp();
-        let structural_match = self.id != 0
-            && self.thread_cta == thread_cta
-            && self.init == *init
-            && same_structure(&self.events, &self.events_tmp)
-            && self.addr == self.addr_tmp
-            && self.data == self.data_tmp
-            && self.ctrl == self.ctrl_tmp
-            && self.rmw == self.rmw_tmp;
-        mem::swap(&mut self.events, &mut self.events_tmp);
-        if structural_match {
-            // Same structure, new values: relations, sets, location and
-            // block tables all still hold; only the observable slots
-            // (recomputed below) depend on values.
-            self.refill_observed(traces, init, observed);
-            return true;
-        }
-
+    /// Rebuilds every relation, set and location table from the
+    /// buffered events, under a fresh stamp.
+    fn rebuild(&mut self, arena: &TraceArena, combo: &[usize], tables: &TestTables) {
         self.id = next_stamp();
-        mem::swap(&mut self.addr, &mut self.addr_tmp);
-        mem::swap(&mut self.data, &mut self.data_tmp);
-        mem::swap(&mut self.ctrl, &mut self.ctrl_tmp);
-        mem::swap(&mut self.rmw, &mut self.rmw_tmp);
-        let events = &self.events;
-
-        self.thread_cta.clear();
-        self.thread_cta.extend_from_slice(thread_cta);
-        if self.init != *init {
-            self.init.clone_from(init);
+        let n = self.events.len();
+        self.addr.reset(n);
+        self.data.reset(n);
+        self.ctrl.reset(n);
+        self.rmw.reset(n);
+        for (&t, &(off, _)) in combo.iter().zip(&self.blocks) {
+            for (i, e) in arena.events(t).iter().enumerate() {
+                for &d in arena.addr(e) {
+                    self.addr.add(off + d as usize, off + i);
+                }
+                for &d in arena.data(e) {
+                    self.data.add(off + d as usize, off + i);
+                }
+                for &d in arena.ctrl(e) {
+                    self.ctrl.add(off + d as usize, off + i);
+                }
+            }
+            for &(r, w) in arena.rmw(t) {
+                self.rmw.add(off + r as usize, off + w as usize);
+            }
         }
+        let events = &self.events;
 
         // A trace combination's event ids are contiguous per thread and
         // po-ordered within each block, so the pair relations reduce to
         // word-level range/mask fills instead of O(n²) pair loops.
-        self.blocks.clear();
-        self.blocks.resize(thread_cta.len(), (0, 0));
-        let mut off = 0usize;
-        for tr in traces {
-            self.blocks[tr.tid] = (off, tr.events.len());
-            off += tr.events.len();
-        }
         let words = n.div_ceil(64).max(1);
-
-        // Location membership bitmaps (all locations, read-only included).
-        self.all_locs.clear();
-        for e in events {
-            if let Some(loc) = &e.loc {
-                if !self.all_locs.contains(loc) {
-                    self.all_locs.push(loc.clone());
-                }
-            }
-        }
+        let nlocs = tables.locs.len();
         self.loc_mask_buf.clear();
-        self.loc_mask_buf.resize(self.all_locs.len() * words, 0);
-        for e in events {
-            if let Some(loc) = &e.loc {
-                let li = self
-                    .all_locs
-                    .iter()
-                    .position(|l| l == loc)
-                    .expect("loc was recorded");
-                self.loc_mask_buf[li * words + e.id / 64] |= 1 << (e.id % 64);
+        self.loc_mask_buf.resize(nlocs * words, 0);
+        for (id, e) in events.iter().enumerate() {
+            if e.loc != NO_LOC {
+                self.loc_mask_buf[e.loc as usize * words + id / 64] |= 1 << (id % 64);
             }
         }
 
@@ -292,59 +281,65 @@ impl ExecutionSkeleton {
                 self.ext.or_range(a, off + len, n);
             }
         }
-        for e in events {
-            if let Some(loc) = &e.loc {
-                let li = self
-                    .all_locs
-                    .iter()
-                    .position(|l| l == loc)
-                    .expect("loc was recorded");
-                let mask = &self.loc_mask_buf[li * words..(li + 1) * words];
-                self.same_loc.or_mask(e.id, mask);
-                let (off, len) = self.blocks[e.tid];
-                self.po_loc.or_mask_range(e.id, mask, e.id + 1, off + len);
+        for (id, e) in events.iter().enumerate() {
+            if e.loc != NO_LOC {
+                let l = e.loc as usize;
+                let mask = &self.loc_mask_buf[l * words..(l + 1) * words];
+                self.same_loc.or_mask(id, mask);
+                let (off, len) = self.blocks[e.tid as usize];
+                self.po_loc.or_mask_range(id, mask, id + 1, off + len);
             }
         }
         self.fence_cta.reset(n);
         self.fence_gl.reset(n);
         self.fence_sys.reset(n);
-        for f in events {
-            if let crate::event::EventKind::Fence(scope) = f.kind {
+        for (id, f) in events.iter().enumerate() {
+            if let EventKind::Fence(scope) = f.kind {
                 let rel = match scope {
                     FenceScope::Cta => &mut self.fence_cta,
                     FenceScope::Gl => &mut self.fence_gl,
                     FenceScope::Sys => &mut self.fence_sys,
                 };
-                let (off, len) = self.blocks[f.tid];
-                for a in off..f.id {
-                    rel.or_range(a, f.id + 1, off + len);
+                let (off, len) = self.blocks[f.tid as usize];
+                for a in off..id {
+                    rel.or_range(a, id + 1, off + len);
                 }
             }
         }
+        let thread_cta = &tables.thread_cta;
         self.scope_cta.reset(n);
         for &(off, len) in &self.blocks {
             for a in off..off + len {
                 for (u, &(uoff, ulen)) in self.blocks.iter().enumerate() {
-                    if thread_cta[events[a].tid] == thread_cta[u] {
+                    if thread_cta[events[a].tid as usize] == thread_cta[u] {
                         self.scope_cta.or_range(a, uoff, uoff + ulen);
                     }
                 }
             }
         }
-        exec::read_set_into(events, &mut self.reads);
-        exec::write_set_into(events, &mut self.writes);
+        self.reads.reset(n);
+        self.writes.reset(n);
+        for (id, e) in events.iter().enumerate() {
+            match e.kind {
+                EventKind::Read => self.reads.insert(id),
+                EventKind::Write => self.writes.insert(id),
+                EventKind::Fence(_) => {}
+            }
+        }
 
-        // Written locations and their writes, in sorted location order,
-        // rebuilt without a temporary map: the distinct locations of a
-        // litmus test are few, so insertion into the sorted `locs` list
-        // is effectively free.
-        self.locs.clear();
+        // Written locations in id (= name) order, and their writes.
+        self.written_of.clear();
+        self.written_of.resize(nlocs, usize::MAX);
         for e in events {
-            if e.is_write() {
-                let loc = e.loc.as_ref().expect("writes have locations");
-                if let Err(pos) = self.locs.binary_search(loc) {
-                    self.locs.insert(pos, loc.clone());
-                }
+            if e.kind.is_write() {
+                self.written_of[e.loc as usize] = 0;
+            }
+        }
+        self.locs.clear();
+        for (l, w) in self.written_of.iter_mut().enumerate() {
+            if *w == 0 {
+                *w = self.locs.len();
+                self.locs.push(l as u32);
             }
         }
         // Grow-only: never drop inner buffers, so refills stay
@@ -356,53 +351,38 @@ impl ExecutionSkeleton {
         for ws in &mut self.writes_by_loc[..self.locs.len()] {
             ws.clear();
         }
-        for e in events {
-            if e.is_write() {
-                let loc = e.loc.as_ref().expect("writes have locations");
-                let li = self.locs.binary_search(loc).expect("loc was inserted");
-                self.writes_by_loc[li].push(e.id);
-            }
-        }
         self.loc_idx.clear();
-        self.loc_idx.resize(n, usize::MAX);
-        for e in events {
-            if let Some(loc) = &e.loc {
-                if let Ok(i) = self.locs.binary_search(loc) {
-                    self.loc_idx[e.id] = i;
-                }
+        for (id, e) in events.iter().enumerate() {
+            let li = match e.loc {
+                NO_LOC => usize::MAX,
+                l => self.written_of[l as usize],
+            };
+            if e.kind.is_write() {
+                self.writes_by_loc[li].push(id);
             }
+            self.loc_idx.push(li);
         }
         self.init_of.clear();
         self.init_of
-            .extend(self.locs.iter().map(|l| init.get(l).copied().unwrap_or(0)));
-
-        self.refill_observed(traces, init, observed);
-        false
+            .extend(self.locs.iter().map(|&l| tables.init[l as usize]));
     }
 
     /// Recomputes the observable slots: the one piece of skeleton data
     /// that depends on trace *values* (final register contents).
-    fn refill_observed(
-        &mut self,
-        traces: &[&ThreadTrace],
-        init: &BTreeMap<Loc, i64>,
-        observed: &[FinalExpr],
-    ) {
-        if self.observed_exprs != observed {
-            self.observed_exprs.clear();
-            self.observed_exprs.extend_from_slice(observed);
-        }
+    fn refill_observed(&mut self, arena: &TraceArena, combo: &[usize], tables: &TestTables) {
         self.observed_slots.clear();
-        self.observed_slots
-            .extend(observed.iter().map(|expr| match expr {
-                FinalExpr::Reg(tid, reg) => {
-                    ObservedSlot::Fixed(traces.get(*tid).map(|tr| tr.final_int(reg)).unwrap_or(0))
-                }
-                FinalExpr::Mem(loc) => match self.locs.binary_search(loc) {
-                    Ok(i) => ObservedSlot::Mem(i),
-                    Err(_) => ObservedSlot::Fixed(init.get(loc).copied().unwrap_or(0)),
+        for &src in &tables.observed_src {
+            self.observed_slots.push(match src {
+                ObservedSrc::Reg { tid, reg } => ObservedSlot::Fixed(match (combo.get(tid), reg) {
+                    (Some(&t), Some(r)) => arena.finals(t)[r].final_int(),
+                    _ => 0,
+                }),
+                ObservedSrc::Mem(l) => match self.written_of[l as usize] {
+                    usize::MAX => ObservedSlot::Fixed(tables.init[l as usize]),
+                    li => ObservedSlot::Mem(li),
                 },
-            }));
+            });
+        }
     }
 
     /// Number of events.
@@ -421,12 +401,12 @@ impl ExecutionSkeleton {
         self.id
     }
 
-    /// The global event list (ids equal indices).
-    pub fn events(&self) -> &[Event] {
+    /// The event list (ids equal indices).
+    pub(crate) fn events(&self) -> &[SkelEvent] {
         &self.events
     }
 
-    /// Write event ids per written location, in sorted location order.
+    /// Write event ids per written location, in location order.
     pub(crate) fn writes_per_loc(&self) -> &[Vec<usize>] {
         &self.writes_by_loc[..self.locs.len()]
     }
@@ -440,6 +420,50 @@ impl ExecutionSkeleton {
     /// Initial value of written location `li`.
     pub(crate) fn init_value(&self, li: usize) -> i64 {
         self.init_of[li]
+    }
+
+    /// Everything a rebuild derives from the combination's shape, so a
+    /// test can compare a reused skeleton with a freshly built one.
+    #[cfg(test)]
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn derived(
+        &self,
+    ) -> (
+        [&Relation; 13],
+        (
+            &EventSet,
+            &EventSet,
+            &[u32],
+            &[Vec<usize>],
+            &[usize],
+            &[i64],
+        ),
+    ) {
+        (
+            [
+                &self.addr,
+                &self.data,
+                &self.ctrl,
+                &self.rmw,
+                &self.po,
+                &self.po_loc,
+                &self.ext,
+                &self.int,
+                &self.same_loc,
+                &self.fence_cta,
+                &self.fence_gl,
+                &self.fence_sys,
+                &self.scope_cta,
+            ],
+            (
+                &self.reads,
+                &self.writes,
+                &self.locs,
+                self.writes_per_loc(),
+                &self.loc_idx,
+                &self.init_of,
+            ),
+        )
     }
 }
 
@@ -506,12 +530,22 @@ impl Overlay {
 pub struct ExecutionView<'a> {
     skel: &'a ExecutionSkeleton,
     overlay: &'a Overlay,
+    tables: &'a TestTables,
 }
 
 impl<'a> ExecutionView<'a> {
-    /// Pairs a skeleton with an overlay.
-    pub(crate) fn new(skel: &'a ExecutionSkeleton, overlay: &'a Overlay) -> Self {
-        ExecutionView { skel, overlay }
+    /// Pairs a skeleton with an overlay; `tables` names the test's
+    /// locations and observed expressions.
+    pub(crate) fn new(
+        skel: &'a ExecutionSkeleton,
+        overlay: &'a Overlay,
+        tables: &'a TestTables,
+    ) -> Self {
+        ExecutionView {
+            skel,
+            overlay,
+            tables,
+        }
     }
 
     /// The shared skeleton.
@@ -640,20 +674,17 @@ impl<'a> ExecutionView<'a> {
     /// coherence-after its source.
     pub fn fill_fr(&self, rel: &mut Relation) {
         rel.reset(self.len());
-        for e in &self.skel.events {
-            if !e.is_read() {
-                continue;
-            }
-            let li = self.skel.loc_idx[e.id];
+        for r in self.skel.reads.iter() {
+            let li = self.skel.loc_idx[r];
             if li == usize::MAX {
                 continue; // the location is never written: no fr edges
             }
             let order = &self.overlay.co[li];
-            match self.overlay.rf[e.id] {
+            match self.overlay.rf[r] {
                 None => {
                     // Reads from init: all writes overwrite it.
                     for &w in order {
-                        rel.add(e.id, w);
+                        rel.add(r, w);
                     }
                 }
                 Some(src) => {
@@ -662,7 +693,7 @@ impl<'a> ExecutionView<'a> {
                         .position(|&w| w == src)
                         .expect("rf source is in co");
                     for &w in &order[pos + 1..] {
-                        rel.add(e.id, w);
+                        rel.add(r, w);
                     }
                 }
             }
@@ -745,8 +776,8 @@ impl<'a> ExecutionView<'a> {
     /// The candidate's observable [`Outcome`] (allocates; prefer
     /// [`ExecutionView::fill_observed`] in per-candidate loops).
     pub fn outcome(&self) -> Outcome {
-        self.skel
-            .observed_exprs
+        self.tables
+            .observed
             .iter()
             .cloned()
             .zip(self.skel.observed_slots.iter().map(|&s| self.slot_value(s)))
@@ -758,18 +789,38 @@ impl<'a> ExecutionView<'a> {
     /// the one place the old per-candidate cloning survives; the
     /// streaming verdict paths never call it.
     pub fn to_execution(&self) -> Execution {
+        let locs = &self.tables.locs;
         Execution {
-            events: self.skel.events.clone(),
-            thread_cta: self.skel.thread_cta.clone(),
+            events: self
+                .skel
+                .events
+                .iter()
+                .enumerate()
+                .map(|(id, e)| Event {
+                    id,
+                    tid: e.tid as usize,
+                    po_idx: e.po_idx as usize,
+                    kind: e.kind,
+                    loc: (e.loc != NO_LOC).then(|| locs.name(e.loc).clone()),
+                    value: e.value,
+                    cache: e.cache,
+                    volatile: e.volatile,
+                    atomic: e.atomic,
+                    instr_idx: e.instr_idx as usize,
+                })
+                .collect(),
+            thread_cta: self.tables.thread_cta.clone(),
             rf: self.overlay.rf.clone(),
             co: self
                 .skel
                 .locs
                 .iter()
-                .cloned()
+                .map(|&l| locs.name(l).clone())
                 .zip(self.overlay.co[..self.overlay.co_active].iter().cloned())
                 .collect(),
-            init: self.skel.init.clone(),
+            init: (0..self.tables.memory_locs)
+                .map(|l| (locs.name(l as u32).clone(), self.tables.init[l]))
+                .collect(),
             addr: self.skel.addr.clone(),
             data: self.skel.data.clone(),
             ctrl: self.skel.ctrl.clone(),

@@ -6,19 +6,31 @@
 //! oracle, execution is deterministic, so enumerating oracles enumerates the
 //! thread's possible event sequences — including which predicated
 //! instructions execute and whether a CAS succeeds.
-//! [`enumerate_thread_traces`] walks those oracles depth-first in one
-//! pass: it checkpoints the thread at each pending read and runs each
-//! candidate value on from the checkpoint, so a prefix that many oracles
-//! share executes once.
+//!
+//! Everything here runs on dense ids. A `Program` numbers a thread's
+//! registers, resolves its labels to instruction indices and its symbols
+//! to location ids (a `LocTable`), so the interpreter never compares,
+//! clones or allocates a name. The enumerator's walk (`walk_thread`)
+//! visits a thread's oracles depth-first in one pass: it checkpoints the
+//! thread at each pending read and runs each candidate value on from the
+//! checkpoint, so a prefix that many oracles share executes once. Every
+//! completed trace lands in one flat `TraceArena`: an event holds its
+//! location id, kind, value and attributes, and its dependencies are
+//! ranges into a shared index pool, so a trace has no width limit and a
+//! warm arena takes new traces without allocating.
 //!
 //! During execution we track, per register, the set of load events whose
 //! values flowed into it; this yields the address (`addr`), data (`data`)
 //! and control (`ctrl`) dependency edges of the paper's model (Sec. 5.1.1).
+//!
+//! [`ThreadTrace`], [`run_thread`] and [`enumerate_thread_traces`] are the
+//! named form of the same interpreter, kept as the test oracle: they run
+//! the dense code and convert its traces back to names.
 
-use std::collections::{btree_set, BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use weakgpu_litmus::{CacheOp, FenceScope, Instr, Label, Loc, Operand, Reg, Value};
+use weakgpu_litmus::{CacheOp, FenceScope, Instr, Loc, Operand, Reg, Value};
 
 use crate::event::EventKind;
 
@@ -151,6 +163,108 @@ pub enum SymResult {
     Error(SymError),
 }
 
+/// The location id of events without a location (fences).
+pub(crate) const NO_LOC: u32 = u32::MAX;
+
+/// Location names by dense id: a location's id is its index.
+#[derive(Default, Debug)]
+pub(crate) struct LocTable {
+    names: Vec<Loc>,
+}
+
+impl LocTable {
+    pub(crate) fn clear(&mut self) {
+        self.names.clear();
+    }
+
+    pub(crate) fn find(&self, loc: &Loc) -> Option<u32> {
+        self.names.iter().position(|l| l == loc).map(|i| i as u32)
+    }
+
+    /// The id of `loc`, appending it when new.
+    pub(crate) fn id(&mut self, loc: &Loc) -> u32 {
+        self.find(loc).unwrap_or_else(|| {
+            self.names.push(loc.clone());
+            self.names.len() as u32 - 1
+        })
+    }
+
+    pub(crate) fn name(&self, id: u32) -> &Loc {
+        &self.names[id as usize]
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.names.len()
+    }
+}
+
+/// A runtime value on dense ids: [`Value`] with its location resolved
+/// through a [`LocTable`]. The arithmetic mirrors [`Value`]'s.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Val {
+    Int(i64),
+    Ptr { loc: u32, offset: i64 },
+}
+
+impl Val {
+    fn of(v: &Value, locs: &mut LocTable) -> Val {
+        match v {
+            Value::Int(n) => Val::Int(*n),
+            Value::Ptr { loc, offset } => Val::Ptr {
+                loc: locs.id(loc),
+                offset: *offset,
+            },
+        }
+    }
+
+    fn to_value(self, locs: &LocTable) -> Value {
+        match self {
+            Val::Int(n) => Value::Int(n),
+            Val::Ptr { loc, offset } => Value::Ptr {
+                loc: locs.name(loc).clone(),
+                offset,
+            },
+        }
+    }
+
+    /// The final integer value of a register holding `self`: pointers
+    /// read as 0, like [`ThreadTrace::final_int`].
+    pub(crate) fn final_int(self) -> i64 {
+        match self {
+            Val::Int(n) => n,
+            Val::Ptr { .. } => 0,
+        }
+    }
+
+    fn wrapping_add(self, rhs: Val) -> Val {
+        match (self, rhs) {
+            (Val::Int(a), Val::Int(b)) => Val::Int(a.wrapping_add(b)),
+            (Val::Ptr { loc, offset }, Val::Int(n)) | (Val::Int(n), Val::Ptr { loc, offset }) => {
+                Val::Ptr {
+                    loc,
+                    offset: offset.wrapping_add(n),
+                }
+            }
+            (Val::Ptr { loc, offset }, Val::Ptr { .. }) => Val::Ptr { loc, offset },
+        }
+    }
+
+    fn bitand(self, rhs: Val) -> Val {
+        Val::Int(self.to_bits() & rhs.to_bits())
+    }
+
+    fn bitxor(self, rhs: Val) -> Val {
+        Val::Int(self.to_bits() ^ rhs.to_bits())
+    }
+
+    fn to_bits(self) -> i64 {
+        match self {
+            Val::Int(n) => n,
+            Val::Ptr { offset, .. } => offset,
+        }
+    }
+}
+
 /// A set of read-event indices: the loads a value derives from. Bit `i`
 /// of `lo` is event `i`; indices from 64 up (only long loops reach
 /// them) spill into `hi`, so the common set is one word and cloning it
@@ -190,36 +304,254 @@ impl Taint {
         }
     }
 
-    /// The indices in ascending order, as [`ThreadEvent`] lists them.
-    fn to_vec(&self) -> Vec<usize> {
-        let mut v = Vec::new();
+    /// Appends the indices in ascending order to `pool`.
+    fn push_into(&self, pool: &mut Vec<u32>) {
         for (w, &word) in std::iter::once(&self.lo).chain(&self.hi).enumerate() {
             let mut bits = word;
             while bits != 0 {
-                v.push(w * 64 + bits.trailing_zeros() as usize);
+                pool.push((w * 64) as u32 + bits.trailing_zeros());
                 bits &= bits - 1;
             }
         }
-        v
+    }
+}
+
+/// A range of one of a [`TraceArena`]'s pools (or of a walker's
+/// dependency pool): the read indices one event depends on, or one
+/// trace's events, RMW pairs or final register values.
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+pub(crate) struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    /// The span of `pool[start..]`, as far as `pool` now reaches.
+    fn since<T>(start: usize, pool: &[T]) -> Span {
+        Span {
+            start: start as u32,
+            len: (pool.len() - start) as u32,
+        }
+    }
+
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+
+    fn shifted(self, by: u32) -> Span {
+        Span {
+            start: self.start + by,
+            len: self.len,
+        }
+    }
+}
+
+/// One event of a thread trace, on dense ids.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct TraceEvent {
+    pub(crate) kind: EventKind,
+    /// Location id, [`NO_LOC`] for fences.
+    pub(crate) loc: u32,
+    pub(crate) value: i64,
+    pub(crate) cache: CacheOp,
+    pub(crate) volatile: bool,
+    pub(crate) atomic: bool,
+    pub(crate) instr_idx: u32,
+    addr: Span,
+    data: Span,
+    ctrl: Span,
+}
+
+impl TraceEvent {
+    /// `true` when `self` and `other` differ at most in their values:
+    /// same kind, location, attributes and dependency ranges' contents.
+    fn same_shape(&self, other: &TraceEvent, pool: &[u32]) -> bool {
+        self.kind == other.kind
+            && self.loc == other.loc
+            && self.cache == other.cache
+            && self.volatile == other.volatile
+            && self.atomic == other.atomic
+            && self.instr_idx == other.instr_idx
+            && pool[self.addr.range()] == pool[other.addr.range()]
+            && pool[self.data.range()] == pool[other.data.range()]
+            && pool[self.ctrl.range()] == pool[other.ctrl.range()]
+    }
+}
+
+/// Where one trace's pieces sit in a [`TraceArena`].
+#[derive(Clone, Copy, Debug)]
+struct TraceSpan {
+    tid: usize,
+    events: Span,
+    rmw: Span,
+    finals: Span,
+}
+
+/// Every trace of every thread of one test, flat: events, a shared
+/// dependency pool, RMW pairs and final register values, each trace a
+/// set of ranges into them. Traces of one thread are contiguous and in
+/// lexicographic oracle order; threads come in the order they were
+/// walked. Cleared and refilled in place, so a warm arena allocates
+/// nothing.
+#[derive(Default, Debug)]
+pub(crate) struct TraceArena {
+    /// Process-unique stamp of the current contents, renewed by
+    /// [`TraceArena::clear`]: trace indices are meaningful only within
+    /// one generation.
+    gen: u64,
+    events: Vec<TraceEvent>,
+    deps: Vec<u32>,
+    rmw: Vec<(u32, u32)>,
+    finals: Vec<Val>,
+    traces: Vec<TraceSpan>,
+    /// Per walked thread, the range of its trace indices.
+    threads: Vec<(usize, usize)>,
+}
+
+impl TraceArena {
+    pub(crate) fn clear(&mut self) {
+        self.gen = crate::skeleton::next_stamp();
+        self.events.clear();
+        self.deps.clear();
+        self.rmw.clear();
+        self.finals.clear();
+        self.traces.clear();
+        self.threads.clear();
+    }
+
+    pub(crate) fn gen(&self) -> u64 {
+        self.gen
+    }
+
+    /// The trace index ranges of the walked threads, in walk order.
+    pub(crate) fn threads(&self) -> &[(usize, usize)] {
+        &self.threads
+    }
+
+    /// Trace `t`'s events, in program order.
+    pub(crate) fn events(&self, t: usize) -> &[TraceEvent] {
+        &self.events[self.traces[t].events.range()]
+    }
+
+    /// Trace `t`'s RMW pairs, as local event indices.
+    pub(crate) fn rmw(&self, t: usize) -> &[(u32, u32)] {
+        &self.rmw[self.traces[t].rmw.range()]
+    }
+
+    /// Trace `t`'s final register values, by dense register index.
+    pub(crate) fn finals(&self, t: usize) -> &[Val] {
+        &self.finals[self.traces[t].finals.range()]
+    }
+
+    /// The local read indices `e` address-depends on.
+    pub(crate) fn addr(&self, e: &TraceEvent) -> &[u32] {
+        &self.deps[e.addr.range()]
+    }
+
+    /// The local read indices `e` data-depends on.
+    pub(crate) fn data(&self, e: &TraceEvent) -> &[u32] {
+        &self.deps[e.data.range()]
+    }
+
+    /// The local read indices `e` control-depends on.
+    pub(crate) fn ctrl(&self, e: &TraceEvent) -> &[u32] {
+        &self.deps[e.ctrl.range()]
+    }
+
+    /// `true` when traces `a` and `b` differ at most in event values:
+    /// then every relation a skeleton derives from them is the same.
+    pub(crate) fn same_shape(&self, a: usize, b: usize) -> bool {
+        let (ea, eb) = (self.events(a), self.events(b));
+        ea.len() == eb.len()
+            && self.rmw(a) == self.rmw(b)
+            && ea.iter().zip(eb).all(|(x, y)| x.same_shape(y, &self.deps))
+    }
+
+    /// Appends the walker's completed trace.
+    fn push(&mut self, tid: usize, w: &Walker) {
+        let shift = self.deps.len() as u32;
+        self.deps.extend_from_slice(&w.deps);
+        let events = self.events.len();
+        self.events.extend(w.events.iter().map(|e| TraceEvent {
+            addr: e.addr.shifted(shift),
+            data: e.data.shifted(shift),
+            ctrl: e.ctrl.shifted(shift),
+            ..*e
+        }));
+        let rmw = self.rmw.len();
+        self.rmw.extend_from_slice(&w.rmw);
+        let finals = self.finals.len();
+        self.finals.extend(w.regs.iter().map(|r| r.value));
+        self.traces.push(TraceSpan {
+            tid,
+            events: Span::since(events, &self.events),
+            rmw: Span::since(rmw, &self.rmw),
+            finals: Span::since(finals, &self.finals),
+        });
+    }
+
+    /// Trace `t` in the named form.
+    fn to_trace(&self, t: usize, prog: &Program, locs: &LocTable) -> ThreadTrace {
+        let idx = |d: &[u32]| d.iter().map(|&i| i as usize).collect();
+        let events = self.events(t);
+        let finals = self.finals(t);
+        let mut by_name: Vec<usize> = (0..prog.regs.len()).collect();
+        by_name.sort_unstable_by(|&a, &b| prog.regs[a].cmp(&prog.regs[b]));
+        ThreadTrace {
+            tid: self.traces[t].tid,
+            events: events
+                .iter()
+                .map(|e| ThreadEvent {
+                    kind: e.kind,
+                    loc: (e.loc != NO_LOC).then(|| locs.name(e.loc).clone()),
+                    value: e.value,
+                    cache: e.cache,
+                    volatile: e.volatile,
+                    atomic: e.atomic,
+                    instr_idx: e.instr_idx as usize,
+                    addr_deps: idx(self.addr(e)),
+                    data_deps: idx(self.data(e)),
+                    ctrl_deps: idx(self.ctrl(e)),
+                })
+                .collect(),
+            rmw_pairs: self
+                .rmw(t)
+                .iter()
+                .map(|&(r, w)| (r as usize, w as usize))
+                .collect(),
+            final_regs: by_name
+                .iter()
+                .map(|&r| (prog.regs[r].clone(), finals[r].to_value(locs)))
+                .collect(),
+            // Every read consumed exactly one oracle value, its own.
+            oracle: events
+                .iter()
+                .filter(|e| e.kind.is_read())
+                .map(|e| e.value)
+                .collect(),
+        }
     }
 }
 
 /// A register's value plus the read events it derives from.
 #[derive(Clone)]
 struct Tainted {
-    value: Value,
+    value: Val,
     taint: Taint,
 }
 
 /// An operand with its register resolved to a dense index and its
-/// symbol to a ready-made pointer.
+/// symbol to a location id.
+#[derive(Clone, Copy)]
 enum Src {
     Reg(usize),
     Imm(i64),
-    Ptr(Value),
+    Ptr(u32),
 }
 
-/// One instruction compiled for the interpreter (see [`Program`]).
+/// One instruction compiled for the interpreter (see [`Program`]),
+/// minus its guards.
+#[derive(Clone, Copy)]
 enum Op {
     /// A label definition.
     Nop,
@@ -264,7 +596,7 @@ enum Op {
         dst: usize,
         a: Src,
         b: Src,
-        f: fn(&Value, &Value) -> Value,
+        f: fn(Val, Val) -> Val,
     },
     Setp {
         dst: usize,
@@ -272,56 +604,98 @@ enum Op {
         b: Src,
         eq: bool,
     },
-    Guard {
-        pred: usize,
-        expect: bool,
-        inner: Box<Op>,
-    },
 }
 
-/// One thread's code compiled once per enumeration: registers become
-/// dense indices, labels become instruction indices and symbols become
-/// pointer values, so the interpreter never compares or allocates a
-/// name.
-struct Program {
-    ops: Vec<Op>,
-    /// Every register the code mentions, in order of first mention (the
-    /// dense index order).
+/// An instruction: its guards (outermost first, a range of
+/// [`Program::guards`]) and the guarded operation.
+#[derive(Clone, Copy)]
+struct Step {
+    guards: Span,
+    op: Op,
+}
+
+/// One thread's code compiled for the interpreter: registers become
+/// dense indices (in order of first mention), labels become instruction
+/// indices and symbols become location ids, so the interpreter never
+/// compares or allocates a name. Recompiled in place for each test, so
+/// a warm program allocates nothing.
+#[derive(Default)]
+pub(crate) struct Program {
+    steps: Vec<Step>,
+    /// `(predicate register, expected truth)` per guard.
+    guards: Vec<(usize, bool)>,
     regs: Vec<Reg>,
-    /// Dense indices sorted by register name: the order of
-    /// [`ThreadTrace::final_regs`].
-    by_name: Vec<usize>,
+    /// Initial value per register.
+    init: Vec<Val>,
 }
 
-/// Builds a [`Program`], numbering registers as it meets them.
-struct Compiler<'a> {
-    labels: BTreeMap<&'a Label, usize>,
-    regs: Vec<Reg>,
-}
+impl Program {
+    /// Compiles `instrs`, resolving symbols (and pointer-valued register
+    /// initialisations) through `locs`.
+    pub(crate) fn compile(
+        &mut self,
+        instrs: &[Instr],
+        reg_init: &dyn Fn(&Reg) -> Value,
+        locs: &mut LocTable,
+    ) {
+        self.steps.clear();
+        self.guards.clear();
+        self.regs.clear();
+        for instr in instrs {
+            let start = self.guards.len();
+            let mut inner = instr;
+            while let Instr::Guard {
+                pred,
+                expect,
+                inner: i,
+            } = inner
+            {
+                let pred = self.reg(pred);
+                self.guards.push((pred, *expect));
+                inner = i;
+            }
+            let op = self.op(inner, instrs, locs);
+            self.steps.push(Step {
+                guards: Span::since(start, &self.guards),
+                op,
+            });
+        }
+        self.init.clear();
+        for r in &self.regs {
+            self.init.push(Val::of(&reg_init(r), locs));
+        }
+    }
 
-impl Compiler<'_> {
+    /// The dense index of `r`, if the code mentions it.
+    pub(crate) fn reg_index(&self, r: &Reg) -> Option<usize> {
+        self.regs.iter().position(|x| x == r)
+    }
+
     fn reg(&mut self, r: &Reg) -> usize {
-        self.regs.iter().position(|x| x == r).unwrap_or_else(|| {
+        self.reg_index(r).unwrap_or_else(|| {
             self.regs.push(r.clone());
             self.regs.len() - 1
         })
     }
 
-    fn src(&mut self, o: &Operand) -> Src {
+    fn src(&mut self, o: &Operand, locs: &mut LocTable) -> Src {
         match o {
             Operand::Reg(r) => Src::Reg(self.reg(r)),
             Operand::Imm(n) => Src::Imm(*n),
-            Operand::Sym(l) => Src::Ptr(Value::Ptr {
-                loc: l.clone(),
-                offset: 0,
-            }),
+            Operand::Sym(l) => Src::Ptr(locs.id(l)),
         }
     }
 
-    fn op(&mut self, instr: &Instr) -> Op {
+    fn op(&mut self, instr: &Instr, instrs: &[Instr], locs: &mut LocTable) -> Op {
         match instr {
-            Instr::LabelDef(_) => Op::Nop,
-            Instr::Bra { target } => Op::Jump(self.labels.get(target).copied()),
+            Instr::LabelDef(_) | Instr::Guard { .. } => Op::Nop,
+            // The last definition of a label wins, as in a map keyed by
+            // label.
+            Instr::Bra { target } => Op::Jump(
+                instrs
+                    .iter()
+                    .rposition(|i| matches!(i, Instr::LabelDef(l) if l == target)),
+            ),
             Instr::Ld {
                 dst,
                 addr,
@@ -329,7 +703,7 @@ impl Compiler<'_> {
                 volatile,
             } => Op::Ld {
                 dst: self.reg(dst),
-                addr: self.src(addr),
+                addr: self.src(addr, locs),
                 cache: *cache,
                 volatile: *volatile,
             },
@@ -339,8 +713,8 @@ impl Compiler<'_> {
                 cache,
                 volatile,
             } => Op::St {
-                addr: self.src(addr),
-                src: self.src(src),
+                addr: self.src(addr, locs),
+                src: self.src(src, locs),
                 cache: *cache,
                 volatile: *volatile,
             },
@@ -351,134 +725,73 @@ impl Compiler<'_> {
                 desired,
             } => Op::Cas {
                 dst: self.reg(dst),
-                addr: self.src(addr),
-                expected: self.src(expected),
-                desired: self.src(desired),
+                addr: self.src(addr, locs),
+                expected: self.src(expected, locs),
+                desired: self.src(desired, locs),
             },
             Instr::Exch { dst, addr, src } => Op::Exch {
                 dst: self.reg(dst),
-                addr: self.src(addr),
-                src: self.src(src),
+                addr: self.src(addr, locs),
+                src: self.src(src, locs),
             },
             Instr::Inc { dst, addr } => Op::Inc {
                 dst: self.reg(dst),
-                addr: self.src(addr),
+                addr: self.src(addr, locs),
             },
             Instr::Membar { scope } => Op::Fence(*scope),
             Instr::Mov { dst, src } | Instr::Cvt { dst, src } => Op::Mov {
                 dst: self.reg(dst),
-                src: self.src(src),
+                src: self.src(src, locs),
             },
             Instr::Add { dst, a, b } | Instr::And { dst, a, b } | Instr::Xor { dst, a, b } => {
                 Op::Alu {
                     dst: self.reg(dst),
-                    a: self.src(a),
-                    b: self.src(b),
+                    a: self.src(a, locs),
+                    b: self.src(b, locs),
                     f: match instr {
-                        Instr::Add { .. } => Value::wrapping_add,
-                        Instr::And { .. } => Value::bitand,
-                        _ => Value::bitxor,
+                        Instr::Add { .. } => Val::wrapping_add,
+                        Instr::And { .. } => Val::bitand,
+                        _ => Val::bitxor,
                     },
                 }
             }
             Instr::SetpEq { dst, a, b } | Instr::SetpNe { dst, a, b } => Op::Setp {
                 dst: self.reg(dst),
-                a: self.src(a),
-                b: self.src(b),
+                a: self.src(a, locs),
+                b: self.src(b, locs),
                 eq: matches!(instr, Instr::SetpEq { .. }),
             },
-            Instr::Guard {
-                pred,
-                expect,
-                inner,
-            } => Op::Guard {
-                pred: self.reg(pred),
-                expect: *expect,
-                inner: Box::new(self.op(inner)),
-            },
         }
     }
 }
 
-impl Program {
-    fn new(instrs: &[Instr]) -> Self {
-        let mut c = Compiler {
-            labels: BTreeMap::new(),
-            regs: Vec::new(),
-        };
-        for (i, instr) in instrs.iter().enumerate() {
-            if let Instr::LabelDef(l) = instr {
-                c.labels.insert(l, i);
-            }
-        }
-        let ops = instrs.iter().map(|i| c.op(i)).collect();
-        let regs = c.regs;
-        let mut by_name: Vec<usize> = (0..regs.len()).collect();
-        by_name.sort_unstable_by(|&a, &b| regs[a].cmp(&regs[b]));
-        Program { ops, regs, by_name }
-    }
-
-    /// A thread about to run from pc 0 under `oracle`. Every register
-    /// the code mentions starts at its initial value, so `final_regs` is
-    /// total over them.
-    fn start(&self, reg_init: &dyn Fn(&Reg) -> Value, oracle: Vec<i64>) -> ThreadState {
-        ThreadState {
-            pc: 0,
-            steps: 0,
-            regs: self
-                .regs
-                .iter()
-                .map(|r| Tainted {
-                    value: reg_init(r),
-                    taint: Taint::default(),
-                })
-                .collect(),
-            path_taint: Taint::default(),
-            events: Vec::new(),
-            rmw_pairs: Vec::new(),
-            oracle,
-            oracle_pos: 0,
-        }
-    }
-
-    /// The trace of a thread that ran to completion.
-    fn trace(&self, tid: usize, st: &ThreadState) -> ThreadTrace {
-        ThreadTrace {
-            tid,
-            events: st.events.clone(),
-            rmw_pairs: st.rmw_pairs.clone(),
-            final_regs: self
-                .by_name
-                .iter()
-                .map(|&r| (self.regs[r].clone(), st.regs[r].value.clone()))
-                .collect(),
-            oracle: st.oracle[..st.oracle_pos].to_vec(),
-        }
-    }
-
-    /// Runs `st` until it completes, fails, or reaches a read the oracle
-    /// has no value for. A pending read leaves `st` exactly as it was
-    /// before that read: supplying a value and calling `run` again
-    /// continues the thread as a run from pc 0 under the longer oracle
-    /// would, step count included.
-    fn run(&self, tid: usize, st: &mut ThreadState, max_steps: usize) -> Result<(), StepFail> {
-        while st.pc < self.ops.len() {
-            if st.steps >= max_steps {
-                return Err(SymError::StepLimit { tid }.into());
-            }
-            let flow = st.step(tid, &self.ops[st.pc], st.pc, &Taint::default())?;
-            st.steps += 1;
-            match flow {
-                Flow::Next => st.pc += 1,
-                Flow::Jump(target) => st.pc = target,
-            }
-        }
-        Ok(())
-    }
+/// Where the walker stood at a pending read, minus its register file
+/// (kept in one stack for all checkpoints). Events, dependencies, RMW
+/// pairs and oracle only grow along a path, so their lengths suffice to
+/// restore them.
+struct Checkpoint {
+    pc: usize,
+    steps: usize,
+    path_taint: Taint,
+    events: usize,
+    deps: usize,
+    rmw: usize,
+    oracle: usize,
 }
 
-/// The interpreter state of one thread.
-struct ThreadState {
+/// A pending read on the current path: its checkpoint, the location it
+/// reads and the index of the next domain value to try.
+struct Frame {
+    cp: Checkpoint,
+    loc: u32,
+    next: usize,
+}
+
+/// The interpreter state of one thread plus the depth-first walk's
+/// frame stack. Reused across threads and tests: once warm, a walk
+/// allocates nothing.
+#[derive(Default)]
+pub(crate) struct Walker {
     pc: usize,
     /// Instructions executed so far.
     steps: usize,
@@ -487,187 +800,223 @@ struct ThreadState {
     /// Reads that every subsequent event control-depends on (conditional
     /// branches taken so far).
     path_taint: Taint,
-    events: Vec<ThreadEvent>,
-    rmw_pairs: Vec<(usize, usize)>,
+    events: Vec<TraceEvent>,
+    /// The dependency pool of `events`.
+    deps: Vec<u32>,
+    rmw: Vec<(u32, u32)>,
     oracle: Vec<i64>,
     oracle_pos: usize,
+    /// One frame per pending read on the current path, deepest last;
+    /// frame `k`'s register file is `saved_regs[k * nregs..][..nregs]`.
+    frames: Vec<Frame>,
+    saved_regs: Vec<Tainted>,
 }
 
-/// The fields an atomic instruction's read and write events share.
+enum Flow {
+    Next,
+    Jump(usize),
+}
+
+enum StepFail {
+    /// The oracle has no value for the pending read of this location.
+    NeedValue(u32),
+    Error(SymError),
+}
+
+impl From<SymError> for StepFail {
+    fn from(e: SymError) -> Self {
+        StepFail::Error(e)
+    }
+}
+
+/// The dependency ranges an atomic's read and write events share.
 struct Atomic {
-    loc: Loc,
-    instr_idx: usize,
-    addr_deps: Vec<usize>,
-    ctrl_deps: Vec<usize>,
+    loc: u32,
+    instr_idx: u32,
+    addr: Span,
+    ctrl: Span,
 }
 
-/// Where a [`ThreadState`] stood at a pending read, minus its register
-/// file (which [`enumerate_thread_traces`] keeps in one stack for all
-/// checkpoints). Events, RMW pairs and oracle only grow along a path, so
-/// their lengths suffice to restore them.
-struct Checkpoint {
-    pc: usize,
-    steps: usize,
-    path_taint: Taint,
-    events: usize,
-    rmw_pairs: usize,
-    oracle: usize,
-}
+impl Walker {
+    /// Resets to pc 0 of `prog` with an empty oracle: every register the
+    /// code mentions starts at its initial value.
+    fn start(&mut self, prog: &Program) {
+        self.pc = 0;
+        self.steps = 0;
+        self.regs.clear();
+        self.regs.extend(prog.init.iter().map(|&value| Tainted {
+            value,
+            taint: Taint::default(),
+        }));
+        self.path_taint = Taint::default();
+        self.events.clear();
+        self.deps.clear();
+        self.rmw.clear();
+        self.oracle.clear();
+        self.oracle_pos = 0;
+        self.frames.clear();
+        self.saved_regs.clear();
+    }
 
-impl ThreadState {
     fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
             pc: self.pc,
             steps: self.steps,
             path_taint: self.path_taint.clone(),
             events: self.events.len(),
-            rmw_pairs: self.rmw_pairs.len(),
+            deps: self.deps.len(),
+            rmw: self.rmw.len(),
             oracle: self.oracle.len(),
         }
     }
 
-    fn restore(&mut self, cp: &Checkpoint, regs: &[Tainted]) {
-        self.pc = cp.pc;
-        self.steps = cp.steps;
-        self.path_taint.clone_from(&cp.path_taint);
-        self.events.truncate(cp.events);
-        self.rmw_pairs.truncate(cp.rmw_pairs);
-        self.oracle.truncate(cp.oracle);
-        self.oracle_pos = cp.oracle;
-        self.regs.clone_from_slice(regs);
+    /// Runs until the thread completes, fails, or reaches a read the
+    /// oracle has no value for. A pending read leaves the state exactly
+    /// as it was before that read: supplying a value and calling `run`
+    /// again continues the thread as a run from pc 0 under the longer
+    /// oracle would, step count included.
+    fn run(&mut self, prog: &Program, tid: usize, max_steps: usize) -> Result<(), StepFail> {
+        while self.pc < prog.steps.len() {
+            if self.steps >= max_steps {
+                return Err(SymError::StepLimit { tid }.into());
+            }
+            let flow = self.step(prog, tid, self.pc)?;
+            self.steps += 1;
+            match flow {
+                Flow::Next => self.pc += 1,
+                Flow::Jump(target) => self.pc = target,
+            }
+        }
+        Ok(())
     }
 
-    fn eval(&self, src: &Src) -> Tainted {
+    fn eval(&self, src: Src) -> Tainted {
         match src {
-            Src::Reg(r) => self.regs[*r].clone(),
+            Src::Reg(r) => self.regs[r].clone(),
             Src::Imm(n) => Tainted {
-                value: Value::Int(*n),
+                value: Val::Int(n),
                 taint: Taint::default(),
             },
-            Src::Ptr(p) => Tainted {
-                value: p.clone(),
+            Src::Ptr(loc) => Tainted {
+                value: Val::Ptr { loc, offset: 0 },
                 taint: Taint::default(),
             },
         }
     }
 
-    fn resolve_addr(
-        &self,
-        src: &Src,
-        tid: usize,
-        instr_idx: usize,
-    ) -> Result<(Loc, Taint), SymError> {
+    fn resolve_addr(&self, src: Src, tid: usize, pc: usize) -> Result<(u32, Taint), SymError> {
         let t = self.eval(src);
         match t.value {
-            Value::Ptr { loc, offset: 0 } => Ok((loc, t.taint)),
-            _ => Err(SymError::BadAddress { tid, instr_idx }),
+            Val::Ptr { loc, offset: 0 } => Ok((loc, t.taint)),
+            _ => Err(SymError::BadAddress { tid, instr_idx: pc }),
+        }
+    }
+
+    fn int_operand(&self, src: Src, tid: usize, pc: usize) -> Result<(i64, Taint), SymError> {
+        let t = self.eval(src);
+        match t.value {
+            Val::Int(n) => Ok((n, t.taint)),
+            Val::Ptr { .. } => Err(SymError::StoreOfPointer { tid, instr_idx: pc }),
         }
     }
 
     /// The oracle's value for the next read of `loc`.
-    fn next_value(&mut self, loc: &Loc) -> Result<i64, StepFail> {
+    fn next_value(&mut self, loc: u32) -> Result<i64, StepFail> {
         let v = *self
             .oracle
             .get(self.oracle_pos)
-            .ok_or_else(|| StepFail::NeedValue(loc.clone()))?;
+            .ok_or(StepFail::NeedValue(loc))?;
         self.oracle_pos += 1;
         Ok(v)
     }
 
+    /// Pushes `t`'s indices to the dependency pool.
+    fn deps_of(&mut self, t: &Taint) -> Span {
+        let start = self.deps.len();
+        t.push_into(&mut self.deps);
+        Span::since(start, &self.deps)
+    }
+
     /// The reads the next event control-depends on.
-    fn ctrl_now(&self, guard_taint: &Taint) -> Taint {
+    fn ctrl_now(&mut self, guard_taint: &Taint) -> Span {
         let mut t = self.path_taint.clone();
         t.union(guard_taint);
-        t
+        self.deps_of(&t)
     }
 
-    fn int_operand(
-        &self,
-        src: &Src,
-        tid: usize,
-        instr_idx: usize,
-    ) -> Result<(i64, Taint), SymError> {
-        let t = self.eval(src);
-        match t.value {
-            Value::Int(n) => Ok((n, t.taint)),
-            Value::Ptr { .. } => Err(SymError::StoreOfPointer { tid, instr_idx }),
-        }
+    /// Appends an event; returns its local index.
+    fn push_event(
+        &mut self,
+        kind: EventKind,
+        loc: u32,
+        value: i64,
+        (cache, volatile, atomic): (CacheOp, bool, bool),
+        instr_idx: u32,
+        (addr, data, ctrl): (Span, Span, Span),
+    ) -> u32 {
+        self.events.push(TraceEvent {
+            kind,
+            loc,
+            value,
+            cache,
+            volatile,
+            atomic,
+            instr_idx,
+            addr,
+            data,
+            ctrl,
+        });
+        self.events.len() as u32 - 1
     }
 
-    /// The fields an atomic's read and write events share.
-    fn atomic(
-        &self,
-        loc: Loc,
-        addr_taint: &Taint,
-        instr_idx: usize,
-        guard_taint: &Taint,
-    ) -> Atomic {
+    fn atomic(&mut self, loc: u32, addr_taint: &Taint, pc: usize, guard_taint: &Taint) -> Atomic {
         Atomic {
             loc,
-            instr_idx,
-            addr_deps: addr_taint.to_vec(),
-            ctrl_deps: self.ctrl_now(guard_taint).to_vec(),
+            instr_idx: pc as u32,
+            addr: self.deps_of(addr_taint),
+            ctrl: self.ctrl_now(guard_taint),
         }
     }
 
     /// Appends one event of an atomic; returns its local index.
-    fn push_atomic(
-        &mut self,
-        a: &Atomic,
-        kind: EventKind,
-        value: i64,
-        data_deps: Vec<usize>,
-    ) -> usize {
-        self.events.push(ThreadEvent {
+    fn push_atomic(&mut self, a: &Atomic, kind: EventKind, value: i64, data: Span) -> u32 {
+        self.push_event(
             kind,
-            loc: Some(a.loc.clone()),
+            a.loc,
             value,
-            cache: CacheOp::Cg,
-            volatile: false,
-            atomic: true,
-            instr_idx: a.instr_idx,
-            addr_deps: a.addr_deps.clone(),
-            data_deps,
-            ctrl_deps: a.ctrl_deps.clone(),
-        });
-        self.events.len() - 1
+            (CacheOp::Cg, false, true),
+            a.instr_idx,
+            (a.addr, data, a.ctrl),
+        )
     }
 
     /// Sets `dst` to the old value an atomic's read event `ridx` returned.
-    fn set_old(&mut self, dst: usize, old: i64, ridx: usize) {
+    fn set_old(&mut self, dst: usize, old: i64, ridx: u32) {
         self.regs[dst] = Tainted {
-            value: Value::Int(old),
-            taint: Taint::single(ridx),
+            value: Val::Int(old),
+            taint: Taint::single(ridx as usize),
         };
     }
 
-    fn step(
-        &mut self,
-        tid: usize,
-        op: &Op,
-        pc: usize,
-        guard_taint: &Taint,
-    ) -> Result<Flow, StepFail> {
-        match op {
-            Op::Guard {
-                pred,
-                expect,
-                inner,
-            } => {
-                let p = self.regs[*pred].clone();
-                // A conditional *branch* taints the suffix whether or
-                // not it is taken (the decision was made either way).
-                if matches!(**inner, Op::Jump(_)) {
-                    self.path_taint.union(&p.taint);
-                }
-                let truth = matches!(p.value, Value::Int(n) if n != 0);
-                if truth != *expect {
-                    return Ok(Flow::Next);
-                }
-                let mut gt = guard_taint.clone();
-                gt.union(&p.taint);
-                self.step(tid, inner, pc, &gt)
+    fn step(&mut self, prog: &Program, tid: usize, pc: usize) -> Result<Flow, StepFail> {
+        let Step { guards, op } = prog.steps[pc];
+        let mut guard_taint = Taint::default();
+        let guards = &prog.guards[guards.range()];
+        for (k, &(pred, expect)) in guards.iter().enumerate() {
+            let p = self.regs[pred].clone();
+            // A conditional *branch* taints the suffix whether or not it
+            // is taken (the decision was made either way).
+            if k + 1 == guards.len() && matches!(op, Op::Jump(_)) {
+                self.path_taint.union(&p.taint);
             }
+            let truth = matches!(p.value, Val::Int(n) if n != 0);
+            if truth != expect {
+                return Ok(Flow::Next);
+            }
+            guard_taint.union(&p.taint);
+        }
+        let none = Span::default();
+        match op {
             Op::Nop => Ok(Flow::Next),
             Op::Jump(target) => Ok(Flow::Jump(target.expect("labels validated at build time"))),
             Op::Ld {
@@ -677,23 +1026,20 @@ impl ThreadState {
                 volatile,
             } => {
                 let (loc, addr_taint) = self.resolve_addr(addr, tid, pc)?;
-                let v = self.next_value(&loc)?;
-                let idx = self.events.len();
-                self.events.push(ThreadEvent {
-                    kind: EventKind::Read,
-                    loc: Some(loc),
-                    value: v,
-                    cache: *cache,
-                    volatile: *volatile,
-                    atomic: false,
-                    instr_idx: pc,
-                    addr_deps: addr_taint.to_vec(),
-                    data_deps: Vec::new(),
-                    ctrl_deps: self.ctrl_now(guard_taint).to_vec(),
-                });
-                self.regs[*dst] = Tainted {
-                    value: Value::Int(v),
-                    taint: Taint::single(idx),
+                let v = self.next_value(loc)?;
+                let addr = self.deps_of(&addr_taint);
+                let ctrl = self.ctrl_now(&guard_taint);
+                let idx = self.push_event(
+                    EventKind::Read,
+                    loc,
+                    v,
+                    (cache, volatile, false),
+                    pc as u32,
+                    (addr, none, ctrl),
+                );
+                self.regs[dst] = Tainted {
+                    value: Val::Int(v),
+                    taint: Taint::single(idx as usize),
                 };
                 Ok(Flow::Next)
             }
@@ -704,19 +1050,18 @@ impl ThreadState {
                 volatile,
             } => {
                 let (loc, addr_taint) = self.resolve_addr(addr, tid, pc)?;
-                let (n, data) = self.int_operand(src, tid, pc)?;
-                self.events.push(ThreadEvent {
-                    kind: EventKind::Write,
-                    loc: Some(loc),
-                    value: n,
-                    cache: *cache,
-                    volatile: *volatile,
-                    atomic: false,
-                    instr_idx: pc,
-                    addr_deps: addr_taint.to_vec(),
-                    data_deps: data.to_vec(),
-                    ctrl_deps: self.ctrl_now(guard_taint).to_vec(),
-                });
+                let (n, data_taint) = self.int_operand(src, tid, pc)?;
+                let addr = self.deps_of(&addr_taint);
+                let data = self.deps_of(&data_taint);
+                let ctrl = self.ctrl_now(&guard_taint);
+                self.push_event(
+                    EventKind::Write,
+                    loc,
+                    n,
+                    (cache, volatile, false),
+                    pc as u32,
+                    (addr, data, ctrl),
+                );
                 Ok(Flow::Next)
             }
             Op::Cas {
@@ -726,62 +1071,68 @@ impl ThreadState {
                 desired,
             } => {
                 let (loc, addr_taint) = self.resolve_addr(addr, tid, pc)?;
-                let old = self.next_value(&loc)?;
+                let old = self.next_value(loc)?;
                 let (exp_n, exp_taint) = self.int_operand(expected, tid, pc)?;
                 let (des_n, des_taint) = self.int_operand(desired, tid, pc)?;
-                let mut a = self.atomic(loc, &addr_taint, pc, guard_taint);
-                let ridx = self.push_atomic(&a, EventKind::Read, old, Vec::new());
+                let mut a = self.atomic(loc, &addr_taint, pc, &guard_taint);
+                let ridx = self.push_atomic(&a, EventKind::Read, old, none);
                 if old == exp_n {
                     // The write is conditional on the read's value, the
                     // latest read so far.
-                    a.ctrl_deps.push(ridx);
-                    let mut data = des_taint.to_vec();
-                    data.extend(exp_taint.to_vec());
+                    let start = self.deps.len();
+                    self.deps.extend_from_within(a.ctrl.range());
+                    self.deps.push(ridx);
+                    a.ctrl = Span::since(start, &self.deps);
+                    // Data: the desired value's reads, then the expected
+                    // value's.
+                    let start = self.deps.len();
+                    des_taint.push_into(&mut self.deps);
+                    exp_taint.push_into(&mut self.deps);
+                    let data = Span::since(start, &self.deps);
                     let widx = self.push_atomic(&a, EventKind::Write, des_n, data);
-                    self.rmw_pairs.push((ridx, widx));
+                    self.rmw.push((ridx, widx));
                 }
-                self.set_old(*dst, old, ridx);
+                self.set_old(dst, old, ridx);
                 Ok(Flow::Next)
             }
             Op::Exch { dst, addr, src } => {
                 let (loc, addr_taint) = self.resolve_addr(addr, tid, pc)?;
-                let old = self.next_value(&loc)?;
-                let (n, data) = self.int_operand(src, tid, pc)?;
-                let a = self.atomic(loc, &addr_taint, pc, guard_taint);
-                let ridx = self.push_atomic(&a, EventKind::Read, old, Vec::new());
-                let widx = self.push_atomic(&a, EventKind::Write, n, data.to_vec());
-                self.rmw_pairs.push((ridx, widx));
-                self.set_old(*dst, old, ridx);
+                let old = self.next_value(loc)?;
+                let (n, data_taint) = self.int_operand(src, tid, pc)?;
+                let a = self.atomic(loc, &addr_taint, pc, &guard_taint);
+                let ridx = self.push_atomic(&a, EventKind::Read, old, none);
+                let data = self.deps_of(&data_taint);
+                let widx = self.push_atomic(&a, EventKind::Write, n, data);
+                self.rmw.push((ridx, widx));
+                self.set_old(dst, old, ridx);
                 Ok(Flow::Next)
             }
             Op::Inc { dst, addr } => {
                 let (loc, addr_taint) = self.resolve_addr(addr, tid, pc)?;
-                let old = self.next_value(&loc)?;
-                let a = self.atomic(loc, &addr_taint, pc, guard_taint);
-                let ridx = self.push_atomic(&a, EventKind::Read, old, Vec::new());
+                let old = self.next_value(loc)?;
+                let a = self.atomic(loc, &addr_taint, pc, &guard_taint);
+                let ridx = self.push_atomic(&a, EventKind::Read, old, none);
                 // The written value is derived from the read.
-                let widx = self.push_atomic(&a, EventKind::Write, old.wrapping_add(1), vec![ridx]);
-                self.rmw_pairs.push((ridx, widx));
-                self.set_old(*dst, old, ridx);
+                let data = self.deps_of(&Taint::single(ridx as usize));
+                let widx = self.push_atomic(&a, EventKind::Write, old.wrapping_add(1), data);
+                self.rmw.push((ridx, widx));
+                self.set_old(dst, old, ridx);
                 Ok(Flow::Next)
             }
             Op::Fence(scope) => {
-                self.events.push(ThreadEvent {
-                    kind: EventKind::Fence(*scope),
-                    loc: None,
-                    value: 0,
-                    cache: CacheOp::Cg,
-                    volatile: false,
-                    atomic: false,
-                    instr_idx: pc,
-                    addr_deps: Vec::new(),
-                    data_deps: Vec::new(),
-                    ctrl_deps: self.ctrl_now(guard_taint).to_vec(),
-                });
+                let ctrl = self.ctrl_now(&guard_taint);
+                self.push_event(
+                    EventKind::Fence(scope),
+                    NO_LOC,
+                    0,
+                    (CacheOp::Cg, false, false),
+                    pc as u32,
+                    (none, none, ctrl),
+                );
                 Ok(Flow::Next)
             }
             Op::Mov { dst, src } => {
-                self.regs[*dst] = self.eval(src);
+                self.regs[dst] = self.eval(src);
                 Ok(Flow::Next)
             }
             Op::Alu { dst, a, b, f } => {
@@ -789,8 +1140,8 @@ impl ThreadState {
                 let tb = self.eval(b);
                 let mut taint = ta.taint;
                 taint.union(&tb.taint);
-                self.regs[*dst] = Tainted {
-                    value: f(&ta.value, &tb.value),
+                self.regs[dst] = Tainted {
+                    value: f(ta.value, tb.value),
                     taint,
                 };
                 Ok(Flow::Next)
@@ -798,11 +1149,11 @@ impl ThreadState {
             Op::Setp { dst, a, b, eq } => {
                 let ta = self.eval(a);
                 let tb = self.eval(b);
-                let truth = (ta.value == tb.value) == *eq;
+                let truth = (ta.value == tb.value) == eq;
                 let mut taint = ta.taint;
                 taint.union(&tb.taint);
-                self.regs[*dst] = Tainted {
-                    value: Value::Int(truth as i64),
+                self.regs[dst] = Tainted {
+                    value: Val::Int(truth as i64),
                     taint,
                 };
                 Ok(Flow::Next)
@@ -811,20 +1162,77 @@ impl ThreadState {
     }
 }
 
-enum Flow {
-    Next,
-    Jump(usize),
-}
-
-enum StepFail {
-    /// The oracle has no value for the pending read of this location.
-    NeedValue(Loc),
-    Error(SymError),
-}
-
-impl From<SymError> for StepFail {
-    fn from(e: SymError) -> Self {
-        StepFail::Error(e)
+/// Appends every trace of thread `tid` to `arena`, in one depth-first
+/// walk over its oracles, and records the thread's trace range.
+///
+/// `domains` gives, per location id, the candidate values a read of that
+/// location may return, ascending (the enumerator computes these from
+/// the test's writes; see [`crate::enumerate`]); a location without
+/// values ends the path with no trace. At each pending read the walk
+/// checkpoints the thread and runs it on once per domain value, smallest
+/// first, so the traces come out in lexicographic oracle order and each
+/// shared prefix executes once. The result equals running the thread
+/// from pc 0 on every oracle in that order: the same traces, the same
+/// step counts against `max_steps`, the same first error.
+///
+/// # Errors
+///
+/// Propagates [`SymError`]s; reports [`SymError::TooManyTraces`] if more
+/// than `max_traces` complete traces arise.
+pub(crate) fn walk_thread(
+    tid: usize,
+    prog: &Program,
+    domains: &[Vec<i64>],
+    (max_steps, max_traces): (usize, usize),
+    w: &mut Walker,
+    arena: &mut TraceArena,
+) -> Result<(), SymError> {
+    let nregs = prog.regs.len();
+    let first = arena.traces.len();
+    w.start(prog);
+    loop {
+        match w.run(prog, tid, max_steps) {
+            Ok(()) => {
+                arena.push(tid, w);
+                if arena.traces.len() - first > max_traces {
+                    return Err(SymError::TooManyTraces);
+                }
+            }
+            Err(StepFail::NeedValue(loc)) => {
+                if domains.get(loc as usize).is_some_and(|d| !d.is_empty()) {
+                    let cp = w.checkpoint();
+                    w.saved_regs.extend_from_slice(&w.regs);
+                    w.frames.push(Frame { cp, loc, next: 0 });
+                }
+            }
+            Err(StepFail::Error(e)) => return Err(e),
+        }
+        // Resume the deepest pending read with its next value.
+        loop {
+            let depth = w.frames.len();
+            let Some(frame) = w.frames.last_mut() else {
+                arena.threads.push((first, arena.traces.len()));
+                return Ok(());
+            };
+            if let Some(&v) = domains[frame.loc as usize].get(frame.next) {
+                frame.next += 1;
+                let cp = &frame.cp;
+                w.pc = cp.pc;
+                w.steps = cp.steps;
+                w.path_taint.clone_from(&cp.path_taint);
+                w.events.truncate(cp.events);
+                w.deps.truncate(cp.deps);
+                w.rmw.truncate(cp.rmw);
+                w.oracle.truncate(cp.oracle);
+                w.oracle_pos = cp.oracle;
+                w.regs
+                    .clone_from_slice(&w.saved_regs[(depth - 1) * nregs..][..nregs]);
+                w.oracle.push(v);
+                break;
+            }
+            w.frames.pop();
+            w.saved_regs.truncate(w.frames.len() * nregs);
+        }
     }
 }
 
@@ -840,27 +1248,30 @@ pub fn run_thread(
     oracle: &[i64],
     max_steps: usize,
 ) -> SymResult {
-    let prog = Program::new(instrs);
-    let mut st = prog.start(reg_init, oracle.to_vec());
-    match prog.run(tid, &mut st, max_steps) {
-        Ok(()) => SymResult::Complete(prog.trace(tid, &st)),
-        Err(StepFail::NeedValue(loc)) => SymResult::NeedValue { loc },
+    let mut locs = LocTable::default();
+    let mut prog = Program::default();
+    prog.compile(instrs, reg_init, &mut locs);
+    let mut w = Walker::default();
+    w.start(&prog);
+    w.oracle.extend_from_slice(oracle);
+    match w.run(&prog, tid, max_steps) {
+        Ok(()) => {
+            let mut arena = TraceArena::default();
+            arena.push(tid, &w);
+            SymResult::Complete(arena.to_trace(0, &prog, &locs))
+        }
+        Err(StepFail::NeedValue(loc)) => SymResult::NeedValue {
+            loc: locs.name(loc).clone(),
+        },
         Err(StepFail::Error(e)) => SymResult::Error(e),
     }
 }
 
-/// Enumerates every trace of a thread in one depth-first walk over its
-/// oracles.
-///
-/// `domains` gives, per location, the candidate values a read of that
-/// location may return (the enumerator computes these from the test's
-/// writes; see [`crate::enumerate`]); a location without a domain ends
-/// the path with no trace. At each pending read the walk checkpoints the
-/// thread and runs it on once per domain value, smallest first, so the
-/// traces come out in lexicographic oracle order and each shared prefix
-/// executes once. The result equals running [`run_thread`] from pc 0 on
-/// every oracle in that order: the same traces, the same step counts
-/// against `max_steps`, the same first error.
+/// Every trace of a thread, in the named form: `walk_thread` over the
+/// given per-location domains (a location without a domain ends the
+/// path with no trace), converted to [`ThreadTrace`]s. The production
+/// enumerator walks into a `TraceArena` directly; this is the test
+/// oracle's view of that walk.
 ///
 /// # Errors
 ///
@@ -874,46 +1285,29 @@ pub fn enumerate_thread_traces(
     max_steps: usize,
     max_traces: usize,
 ) -> Result<Vec<ThreadTrace>, SymError> {
-    let prog = Program::new(instrs);
-    let nregs = prog.regs.len();
-    let mut st = prog.start(reg_init, Vec::new());
-    let mut traces = Vec::new();
-    // One frame per pending read on the current path, deepest last: the
-    // checkpoint and the domain values still to try there. Frame `k`'s
-    // register file is `saved_regs[k * nregs..][..nregs]`.
-    let mut frames: Vec<(Checkpoint, btree_set::Iter<'_, i64>)> = Vec::new();
-    let mut saved_regs: Vec<Tainted> = Vec::new();
-    loop {
-        match prog.run(tid, &mut st, max_steps) {
-            Ok(()) => {
-                traces.push(prog.trace(tid, &st));
-                if traces.len() > max_traces {
-                    return Err(SymError::TooManyTraces);
-                }
-            }
-            Err(StepFail::NeedValue(loc)) => {
-                if let Some(dom) = domains.get(&loc) {
-                    saved_regs.extend_from_slice(&st.regs);
-                    frames.push((st.checkpoint(), dom.iter()));
-                }
-            }
-            Err(StepFail::Error(e)) => return Err(e),
+    let mut locs = LocTable::default();
+    let mut prog = Program::default();
+    prog.compile(instrs, reg_init, &mut locs);
+    let mut dense: Vec<Vec<i64>> = Vec::new();
+    for (loc, values) in domains {
+        let id = locs.id(loc) as usize;
+        if dense.len() <= id {
+            dense.resize(id + 1, Vec::new());
         }
-        // Resume the deepest pending read with its next value.
-        loop {
-            let depth = frames.len();
-            let Some((cp, values)) = frames.last_mut() else {
-                return Ok(traces);
-            };
-            if let Some(&v) = values.next() {
-                st.restore(cp, &saved_regs[(depth - 1) * nregs..][..nregs]);
-                st.oracle.push(v);
-                break;
-            }
-            frames.pop();
-            saved_regs.truncate(frames.len() * nregs);
-        }
+        dense[id].extend(values);
     }
+    let mut arena = TraceArena::default();
+    walk_thread(
+        tid,
+        &prog,
+        &dense,
+        (max_steps, max_traces),
+        &mut Walker::default(),
+        &mut arena,
+    )?;
+    Ok((0..arena.traces.len())
+        .map(|t| arena.to_trace(t, &prog, &locs))
+        .collect())
 }
 
 #[cfg(test)]

@@ -1,9 +1,12 @@
 //! Proves the allocation bounds of the two production loops: the
 //! steady-state streaming visitor loop performs **zero heap allocation
 //! per candidate**, and so does the verdict loop, which judges each
-//! streamed candidate with the model's compiled plan. A verdict-cache
-//! hit through [`VerdictCache::lookup`] allocates nothing either: its
-//! key is a fingerprint hashed from the test's structure.
+//! streamed candidate with the model's compiled plan. Per test, a warm
+//! enumeration (tables, trace walk, arena, skeletons) allocates nothing
+//! at all, and a warm verdict allocates only for the [`ModelOutcomes`]
+//! it returns. A verdict-cache hit through [`VerdictCache::lookup`]
+//! allocates nothing either: its key is a fingerprint hashed from the
+//! test's structure.
 //!
 //! A counting global allocator wraps the system allocator and counts
 //! into a per-thread counter, so allocations of tests running on other
@@ -57,12 +60,12 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTER: Counting = Counting;
 
 use weakgpu_axiom::cache::VerdictCache;
-use weakgpu_axiom::enumerate::{for_each_execution, EnumConfig};
+use weakgpu_axiom::enumerate::{for_each_execution, model_outcomes_with, EnumConfig};
 use weakgpu_axiom::model::sc_model;
 use weakgpu_axiom::plan::EvalContext;
 use weakgpu_axiom::Model;
 use weakgpu_diy::{synthesise, Cycle, Dir, Edge};
-use weakgpu_litmus::{corpus, LitmusTest, ThreadScope};
+use weakgpu_litmus::{corpus, corpus_extra, FenceScope, LitmusTest, ThreadScope};
 
 /// The shared measurement harness: `enumerate` must invoke the passed
 /// hook once per candidate. Returns the visit
@@ -178,6 +181,70 @@ fn steady_state_verdict_loop_is_allocation_free() {
                 model.name()
             );
         }
+    }
+}
+
+/// The paper's shapes the per-test bounds are checked on: the largest
+/// generated test, a four-thread test (`iriw+membar.gls`) and an RMW test
+/// (the compare-and-swap spin lock).
+fn per_test_shapes() -> [LitmusTest; 3] {
+    [
+        largest_paper_test(),
+        corpus_extra::iriw(ThreadScope::InterCta, Some(FenceScope::Gl)),
+        corpus::cas_sl(false),
+    ]
+}
+
+/// Allocations this thread makes during `f`.
+fn allocs_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = allocs_so_far();
+    let r = f();
+    (r, allocs_so_far() - before)
+}
+
+/// A warm enumeration allocates nothing for a whole test: loading its
+/// tables, compiling its threads, the trace walk into the arena, every
+/// skeleton fill and every overlay.
+#[test]
+fn warm_enumeration_of_a_test_is_allocation_free() {
+    let cfg = EnumConfig::default();
+    let tests = per_test_shapes();
+    // Warm on every shape first, so each measured call follows a
+    // different test, as in a sweep.
+    for test in &tests {
+        for_each_execution(test, &cfg, |_| ControlFlow::<()>::Continue(())).unwrap();
+    }
+    for test in &tests {
+        let (_, allocs) = allocs_during(|| {
+            for_each_execution(test, &cfg, |_| ControlFlow::<()>::Continue(())).unwrap()
+        });
+        assert_eq!(allocs, 0, "{}: warm enumeration", test.name());
+    }
+}
+
+/// A warm verdict allocates only for what it returns: one `Vec` per
+/// outcome in each set plus the sets' tree nodes, within
+/// `2·(|all| + |allowed|) + 8`.
+#[test]
+fn warm_verdicts_allocate_only_their_outcomes() {
+    let cfg = EnumConfig::default();
+    let model = weakgpu_models::ptx_model();
+    let mut ctx = EvalContext::new();
+    let tests = per_test_shapes();
+    for test in &tests {
+        model_outcomes_with(test, &model, &cfg, &mut ctx).unwrap();
+    }
+    for test in &tests {
+        let (out, allocs) = allocs_during(|| model_outcomes_with(test, &model, &cfg, &mut ctx));
+        let out = out.unwrap();
+        let bound = 2 * (out.all_outcomes.len() + out.allowed_outcomes.len()) as u64 + 8;
+        assert!(
+            allocs <= bound,
+            "{}: {allocs} allocations for {} + {} outcomes (bound {bound})",
+            test.name(),
+            out.all_outcomes.len(),
+            out.allowed_outcomes.len()
+        );
     }
 }
 

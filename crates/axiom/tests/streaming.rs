@@ -214,6 +214,53 @@ fn guarded_immediate_stores_do_not_self_justify() {
 }
 
 #[test]
+fn wide_tests_stream_like_the_materialised_oracle() {
+    // More than 64 events (multi-word relations, the DFS acyclicity
+    // path) over more than 255 locations (location ids past one byte):
+    // thread 0 stores to 260 locations, thread 1 reads the first and the
+    // last of them.
+    use weakgpu_litmus::build::{ld, st};
+    use weakgpu_litmus::{FinalExpr, Predicate};
+    const LOCS: usize = 260;
+    let name = |i: usize| format!("x{i}");
+    let mut builder = LitmusTest::builder("wide");
+    for i in 0..LOCS {
+        builder = builder.global(name(i).as_str(), 0);
+    }
+    let test = builder
+        .thread((0..LOCS).map(|i| st(name(i).as_str(), 1)))
+        .thread([
+            ld("r0", name(0).as_str()),
+            ld("r1", name(LOCS - 1).as_str()),
+        ])
+        .exists(
+            Predicate::Eq(FinalExpr::reg(1, "r0"), 1)
+                .and(Predicate::Eq(FinalExpr::mem(name(LOCS - 1).as_str()), 1)),
+        )
+        .build()
+        .unwrap();
+    // Thread 0 runs 260 instructions, past the default step budget.
+    let cfg = EnumConfig {
+        max_steps_per_thread: 2 * LOCS,
+        ..EnumConfig::default()
+    };
+    let cands = enumerate_executions(&test, &cfg).unwrap();
+    // Each read sees the initial state or the one store: 2 × 2.
+    assert_eq!(cands.len(), 4);
+    for c in &cands {
+        assert_eq!(c.execution.len(), LOCS + 2);
+        assert_eq!(c.execution.co.len(), LOCS);
+    }
+    for model in [scoped_model(), sc_model()] {
+        let mut ctx = EvalContext::new();
+        let streamed = model_outcomes_with(&test, &model, &cfg, &mut ctx).unwrap();
+        let oracle = materialised_outcomes(&test, &model, &cfg, &mut EvalContext::new());
+        assert_eq!(streamed, oracle, "{}", Model::name(&model));
+        assert_eq!(streamed.num_candidates, 4);
+    }
+}
+
+#[test]
 fn early_exit_stops_the_stream() {
     let test = corpus::corr();
     let cfg = EnumConfig::default();

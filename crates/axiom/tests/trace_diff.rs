@@ -1,9 +1,10 @@
-//! Differential oracle for trace enumeration: the depth-first walk of
-//! [`enumerate_thread_traces`] must return exactly what re-running
+//! Differential oracle for trace enumeration: the depth-first walk that
+//! fills the enumerator's trace arena, read back as named traces through
+//! [`enumerate_thread_traces`], must return exactly what re-running
 //! [`run_thread`] from pc 0 on every oracle returns — the same traces
 //! in the same (lexicographic oracle) order, or the same first error —
-//! on every shipped and generated test and on random programs with
-//! guards, RMWs and loops.
+//! on every shipped and generated test, on random programs with guards,
+//! RMWs and loops, and on dependency sets wider than one word.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -164,6 +165,36 @@ fn walk_matches_replay_on_a_spin_lock() {
             check_thread("spin", 0, &code, &zero, &domains, max_steps, max_traces);
         }
     }
+}
+
+#[test]
+fn walk_matches_replay_past_one_word_of_reads() {
+    // 70 loads feed one accumulator that is stored and branched on: the
+    // store's data and the guarded store's control dependencies span
+    // read indices past 63, where the taint spills into extra words and
+    // the arena's dependency ranges run longer than a word.
+    let mut code = vec![ld("r9", "w")];
+    for _ in 0..70 {
+        code.push(ld("r0", "x"));
+        code.push(add("acc", reg("acc"), reg("r0")));
+    }
+    code.push(st_reg("y", "acc"));
+    code.push(setp_eq("p0", reg("acc"), imm(0)));
+    code.push(st("z", 1).guarded("p0", true));
+    let domains: Domains = [
+        (Loc::new("w"), [0, 1].into_iter().collect()),
+        (Loc::new("x"), [0].into_iter().collect()),
+    ]
+    .into_iter()
+    .collect();
+    let zero = |_: &Reg| Value::Int(0);
+    assert_eq!(
+        check_thread("wide", 0, &code, &zero, &domains, 512, 4096),
+        2
+    );
+    let traces = enumerate_thread_traces(0, &code, &zero, &domains, 512, 4096).unwrap();
+    let last = traces[0].events.last().unwrap();
+    assert_eq!(last.ctrl_deps, (1..=70).collect::<Vec<_>>());
 }
 
 /// Registers, locations and labels the random programs draw from. `a0`

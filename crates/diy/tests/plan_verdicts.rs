@@ -7,7 +7,10 @@
 //! * **streaming vs materialised** — the skeleton/overlay streaming
 //!   enumerator behind [`model_outcomes`] must agree bit-for-bit with
 //!   judging a fully materialised `Vec<Candidate>` candidate by
-//!   candidate.
+//!   candidate;
+//! * **pinned paper verdicts** — every paper-family test's PTX
+//!   [`ModelOutcomes`] hashes to a digest recorded before the judge
+//!   pass moved to dense ids, so any change to a verdict shows.
 
 use std::sync::Arc;
 
@@ -107,4 +110,52 @@ fn small_family_streaming_matches_materialised_enumeration() {
             );
         }
     }
+}
+
+/// FNV-1a, 64-bit: a fixed, dependency-free hash for the digest below.
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// The digest of every paper-family test's PTX verdict, in generation
+/// order: each rendered outcome of both sets, the candidate and allowed
+/// counts and the witness flag. Recorded on the enumerator that built
+/// named per-thread traces; a refactor of the judge pass must reproduce
+/// it exactly.
+const PAPER_FAMILY_VERDICT_DIGEST: u64 = 0xfdbd_1e83_1adf_8d53;
+
+#[test]
+fn paper_family_verdicts_match_recorded_digest() {
+    let family = generate(&GenConfig::paper());
+    assert_eq!(family.len(), 16632);
+    let model = ptx_model();
+    let cfg = EnumConfig::default();
+    let mut ctx = EvalContext::new();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for test in &family {
+        let out = weakgpu_axiom::enumerate::model_outcomes_with(test, &model, &cfg, &mut ctx)
+            .unwrap_or_else(|e| panic!("{}: {e}", test.name()));
+        let mut rendered = format!(
+            "{}|{}|{}|{}|",
+            test.name(),
+            out.num_candidates,
+            out.num_allowed,
+            out.condition_witnessed
+        );
+        for o in &out.all_outcomes {
+            rendered.push_str(&format!("{o}|"));
+        }
+        rendered.push('*');
+        for o in &out.allowed_outcomes {
+            rendered.push_str(&format!("{o}|"));
+        }
+        fnv1a(&mut hash, rendered.as_bytes());
+    }
+    assert_eq!(
+        hash, PAPER_FAMILY_VERDICT_DIGEST,
+        "paper-family verdict digest changed: {hash:#018x}"
+    );
 }

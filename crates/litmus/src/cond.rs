@@ -114,24 +114,27 @@ impl Predicate {
     /// All [`FinalExpr`]s mentioned, in first-mention order without
     /// duplicates. These are the values a harness must record.
     pub fn exprs(&self) -> Vec<FinalExpr> {
-        fn walk(p: &Predicate, out: &mut Vec<FinalExpr>) {
-            match p {
-                Predicate::Eq(e, _) | Predicate::Ne(e, _) => {
-                    if !out.contains(e) {
-                        out.push(e.clone());
-                    }
-                }
-                Predicate::And(a, b) | Predicate::Or(a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                Predicate::Not(p) => walk(p, out),
-                Predicate::True => {}
-            }
-        }
         let mut out = Vec::new();
-        walk(self, &mut out);
+        self.exprs_into(&mut out);
         out
+    }
+
+    /// [`Predicate::exprs`] appended to `out` (skipping any expression
+    /// `out` already holds), so a caller can reuse one buffer.
+    pub fn exprs_into(&self, out: &mut Vec<FinalExpr>) {
+        match self {
+            Predicate::Eq(e, _) | Predicate::Ne(e, _) => {
+                if !out.contains(e) {
+                    out.push(e.clone());
+                }
+            }
+            Predicate::And(a, b) | Predicate::Or(a, b) => {
+                a.exprs_into(out);
+                b.exprs_into(out);
+            }
+            Predicate::Not(p) => p.exprs_into(out),
+            Predicate::True => {}
+        }
     }
 }
 
