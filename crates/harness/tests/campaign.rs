@@ -341,3 +341,48 @@ fn small_family_histograms_match_golden() {
         }
     }
 }
+
+/// FNV-1a, 64-bit: a fixed, dependency-free hash for the digest below.
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// The digest of every per-cell histogram of a sample of the `paper`
+/// family: every 8th test × tabled Nvidia chip, 40 iterations, the
+/// sweep's cell seeds for base seed 11, each cell rendered as a line of
+/// the golden file above. Recorded on the simulator that rebuilt every
+/// run's memory image per location and kept its window in a ring
+/// buffer; a change to the run loop must reproduce it exactly.
+const PAPER_SAMPLE_DIGEST: u64 = 0x8e6f_3bb3_ed8a_69b1;
+
+#[test]
+fn paper_sample_histograms_match_recorded_digest() {
+    let family = generate(&GenConfig::paper());
+    assert_eq!(family.len(), 16632);
+    let cells: Vec<CellSpec> = family
+        .iter()
+        .enumerate()
+        .step_by(8)
+        .flat_map(|(i, test)| {
+            let inc = default_incantations(test);
+            Chip::NVIDIA_TABLED.into_iter().map(move |chip| {
+                CellSpec::new(test.clone(), chip)
+                    .incantations(inc)
+                    .iterations(40)
+                    .seed(11 ^ i as u64)
+            })
+        })
+        .collect();
+    for par in [1, 3] {
+        let reports = run_campaign(&cells, &CampaignConfig::with_parallelism(par)).unwrap();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        fnv1a(&mut hash, golden_lines(&reports).as_bytes());
+        assert_eq!(
+            hash, PAPER_SAMPLE_DIGEST,
+            "parallelism {par}: paper-sample histogram digest changed: {hash:#018x}"
+        );
+    }
+}
