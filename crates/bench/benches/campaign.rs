@@ -18,7 +18,7 @@ use std::hint::black_box;
 use weakgpu_harness::Histogram;
 use weakgpu_litmus::{corpus, ThreadScope};
 use weakgpu_sim::chip::{Chip, Incantations, RunWeights};
-use weakgpu_sim::machine::{ObsCounts, Simulator};
+use weakgpu_sim::machine::{ObsCounts, RunParams, Simulator};
 
 const BATCH: usize = 500;
 
@@ -58,7 +58,8 @@ fn amortised_batch(
 ) -> Histogram {
     let mut state = sim.new_state();
     let mut counts = ObsCounts::new();
-    sim.run_batch(n, w, thread_rand, rng, &mut state, &mut counts)
+    let params = RunParams::new(w, thread_rand);
+    sim.run_batch(n, &params, rng, &mut state, &mut counts)
         .unwrap();
     let mut h = Histogram::new();
     for (obs, c) in counts.iter() {

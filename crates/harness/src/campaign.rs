@@ -16,7 +16,9 @@
 //!   cell that holds at least 1024 runs, or the rest of the cell: a
 //!   100k-iteration cell is 64 items that workers share, a 40- or
 //!   1000-iteration cell is one. A worker runs an item's chunks into one
-//!   outcome count and converts it to a [`Histogram`] once.
+//!   count of observation vectors ([`ObsCounts`]). A one-item cell's
+//!   count is the cell's result as it stands; the items of a larger cell
+//!   add their counts into the cell's.
 //!
 //! So a campaign's reports are bit-identical for a fixed seed regardless
 //! of worker count, scheduling, or host machine, and identical to running
@@ -26,15 +28,20 @@
 //! distinct test is compiled once, on the worker that first claims one
 //! of its items, and the program is shared by the test's cells on every
 //! chip and freed when its last item completes; a worker keeps one
-//! [`MachineState`], refitted in place as it moves between simulators,
-//! so runs allocate nothing; and each finished cell's [`TestReport`] is
-//! handed to the caller by value.
+//! [`MachineState`] and one [`ObsCounts`], refitted in place as it moves
+//! between simulators, so runs allocate nothing. Each finished cell's
+//! [`TestReport`] is handed to the caller by value, its [`Histogram`]
+//! built from the cell's count once, one [`Outcome`] per distinct
+//! observation vector. The sweep takes the count itself instead: a sound
+//! cell's record needs no outcome at all.
 //!
 //! Progress callbacks run on the worker threads, and a worker runs no
 //! other item while its callback runs. A callback should therefore do
 //! little and never wait: the sweep resolves every verdict before its
-//! campaign starts, so its callback only compares a histogram with a
-//! verdict it already holds (see `crate::sweep`).
+//! campaign starts, so its callback only compares a cell's observations
+//! with a verdict it already holds (see `crate::sweep`).
+//!
+//! [`Outcome`]: weakgpu_litmus::Outcome
 //!
 //! ```
 //! use weakgpu_harness::campaign::{run_campaign, CampaignConfig, CellSpec};
@@ -59,7 +66,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use weakgpu_litmus::{LitmusTest, ThreadScope};
 use weakgpu_sim::chip::{Chip, Incantations};
-use weakgpu_sim::machine::{MachineState, ObsCounts, Simulator};
+use weakgpu_sim::machine::{MachineState, ObsCounts, RunParams, Simulator};
 use weakgpu_sim::program::SimProgram;
 
 use crate::histogram::Histogram;
@@ -190,6 +197,12 @@ struct WorkItem {
     /// The index of the cell's test in the program slots.
     slot: usize,
     chunks: Range<usize>,
+    /// The index of the cell's chip and incantations in the run
+    /// parameters.
+    params: usize,
+    /// The accumulator of a cell split into several items; `None` when
+    /// this item is the whole cell.
+    acc: Option<usize>,
 }
 
 /// One distinct test's compiled program, kept while some item still
@@ -199,10 +212,17 @@ struct ProgramSlot {
     items_left: usize,
 }
 
-/// A cell's histogram so far.
+/// The counts so far of a cell split into several items.
 struct CellAcc {
-    histogram: Histogram,
+    counts: ObsCounts,
     items_left: usize,
+}
+
+/// A finished cell as the engine hands it over: the simulator that ran
+/// it and the count of every distinct observation vector its runs made.
+pub(crate) struct CellCounts<'a> {
+    pub(crate) sim: &'a Simulator,
+    pub(crate) counts: &'a ObsCounts,
 }
 
 /// Runs every cell and returns one [`TestReport`] per cell, in cell
@@ -247,12 +267,17 @@ pub fn run_campaign_with<F>(
 where
     F: Fn(usize, TestReport) -> Result<(), HarnessError> + Sync,
 {
-    run_cells(cells.len(), |ci| cells[ci].cell(), cfg, on_cell)
+    run_cells(
+        cells.len(),
+        |ci| cells[ci].cell(),
+        cfg,
+        |ci, done| on_cell(ci, finish_cell(cells[ci].cell(), done)),
+    )
 }
 
 /// The engine behind [`run_campaign_with`], over the `n` cells
 /// `cell_at(0..n)` and any error type a compile or run error converts
-/// into.
+/// into. Each finished cell is handed to `on_cell` as its counts.
 pub(crate) fn run_cells<'a, C, F, E>(
     n: usize,
     cell_at: C,
@@ -261,7 +286,7 @@ pub(crate) fn run_cells<'a, C, F, E>(
 ) -> Result<(), E>
 where
     C: Fn(usize) -> Cell<'a> + Sync,
-    F: Fn(usize, TestReport) -> Result<(), E> + Sync,
+    F: Fn(usize, CellCounts<'_>) -> Result<(), E> + Sync,
     E: From<HarnessError> + Send,
 {
     // Plan the items, cell-major, and give each distinct test one
@@ -271,14 +296,29 @@ where
     // bucket so two different tests that happen to share a name never
     // share a program.
     let mut items: Vec<WorkItem> = Vec::new();
-    let mut accs: Vec<Mutex<CellAcc>> = Vec::with_capacity(n);
+    let mut accs: Vec<Mutex<CellAcc>> = Vec::new();
     let mut slots: Vec<Mutex<ProgramSlot>> = Vec::new();
     let mut slot_rep: Vec<&LitmusTest> = Vec::new();
     let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
+    // One set of run parameters per distinct (chip, incantations): a
+    // sweep has ten, however many cells it runs.
+    let mut params: Vec<(Chip, Incantations, RunParams)> = Vec::new();
     for ci in 0..n {
         let cell = cell_at(ci);
+        let param = match params
+            .iter()
+            .position(|(chip, inc, _)| *chip == cell.chip && *inc == cell.incantations)
+        {
+            Some(i) => i,
+            None => {
+                let p = RunParams::of(cell.chip, &cell.incantations);
+                params.push((cell.chip, cell.incantations, p));
+                params.len() - 1
+            }
+        };
         let bucket = by_name.entry(cell.test.name()).or_default();
-        let slot = match bucket.iter().copied().find(|&s| *slot_rep[s] == *cell.test) {
+        let same = |s: usize| std::ptr::eq(slot_rep[s], cell.test) || *slot_rep[s] == *cell.test;
+        let slot = match bucket.iter().copied().find(|&s| same(s)) {
             Some(s) => s,
             None => {
                 slots.push(Mutex::new(ProgramSlot {
@@ -299,6 +339,8 @@ where
                     cell: ci,
                     slot,
                     chunks: start..end,
+                    params: param,
+                    acc: None,
                 });
                 (start, runs) = (end, 0);
             }
@@ -310,14 +352,21 @@ where
                 cell: ci,
                 slot,
                 chunks: start..end,
+                params: param,
+                acc: None,
             });
         }
         let cell_items = items.len() - first;
         slots[slot].get_mut().expect("no poisoned locks").items_left += cell_items;
-        accs.push(Mutex::new(CellAcc {
-            histogram: Histogram::new(),
-            items_left: cell_items,
-        }));
+        if cell_items > 1 {
+            for item in &mut items[first..] {
+                item.acc = Some(accs.len());
+            }
+            accs.push(Mutex::new(CellAcc {
+                counts: ObsCounts::new(),
+                items_left: cell_items,
+            }));
+        }
     }
     drop(by_name);
 
@@ -342,27 +391,15 @@ where
         let sim = Simulator::from_program(program, cell.chip);
         let st = state.get_or_insert_with(|| sim.new_state());
         sim.fit_state(st);
-        let weights = cell.chip.profile().weights(&cell.incantations);
+        let params = &params[item.params].2;
         counts.clear();
         let chunks = chunk_sizes(cell.iterations).enumerate();
         for (k, len) in chunks.take(item.chunks.end).skip(item.chunks.start) {
             let mut rng = SmallRng::seed_from_u64(chunk_seed(cell.seed, k));
-            sim.run_batch(
-                len,
-                &weights,
-                cell.incantations.thread_rand,
-                &mut rng,
-                st,
-                counts,
-            )
-            .map_err(|e| E::from(HarnessError::Run(e)))?;
+            sim.run_batch(len, params, &mut rng, st, counts)
+                .map_err(|e| E::from(HarnessError::Run(e)))?;
         }
-        let mut histogram = Histogram::new();
-        for (obs, n) in counts.iter() {
-            histogram.add(sim.outcome_from_obs(obs), n);
-        }
-        // The last item of a test frees its program.
-        drop(sim);
+        // The last item of a test frees its program, once `sim` is gone.
         {
             let mut slot = slot.lock().expect("no poisoned locks");
             slot.items_left -= 1;
@@ -371,14 +408,23 @@ where
             }
         }
 
+        let Some(acc) = item.acc else {
+            return on_cell(item.cell, CellCounts { sim: &sim, counts });
+        };
         let finished = {
-            let mut acc = accs[item.cell].lock().expect("no poisoned locks");
-            acc.histogram.merge(histogram);
+            let mut acc = accs[acc].lock().expect("no poisoned locks");
+            acc.counts.merge(counts);
             acc.items_left -= 1;
-            (acc.items_left == 0).then(|| std::mem::take(&mut acc.histogram))
+            (acc.items_left == 0).then(|| std::mem::take(&mut acc.counts))
         };
         match finished {
-            Some(histogram) => on_cell(item.cell, finish_cell(cell, histogram)),
+            Some(counts) => on_cell(
+                item.cell,
+                CellCounts {
+                    sim: &sim,
+                    counts: &counts,
+                },
+            ),
             None => Ok(()),
         }
     };
@@ -433,7 +479,11 @@ pub(crate) fn worker_count(parallelism: Option<usize>, jobs: usize) -> usize {
         .clamp(1, jobs.max(1))
 }
 
-fn finish_cell(cell: Cell<'_>, histogram: Histogram) -> TestReport {
+fn finish_cell(cell: Cell<'_>, done: CellCounts<'_>) -> TestReport {
+    let mut histogram = Histogram::new();
+    for (obs, n) in done.counts.iter_unordered() {
+        histogram.add(done.sim.outcome_from_obs(obs), n);
+    }
     let witnesses = histogram.witnesses(cell.test.cond());
     TestReport {
         test: cell.test.name().to_owned(),

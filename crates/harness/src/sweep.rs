@@ -41,7 +41,9 @@ use weakgpu_litmus::LitmusTest;
 use weakgpu_models::ptx_model;
 use weakgpu_sim::chip::Chip;
 
-use crate::campaign::{default_incantations, run_cells, worker_count, CampaignConfig, Cell};
+use crate::campaign::{
+    default_incantations, run_cells, worker_count, CampaignConfig, Cell, CellCounts,
+};
 use crate::json::{self, Json};
 use crate::runner::HarnessError;
 
@@ -822,7 +824,7 @@ where
         &CampaignConfig {
             parallelism: cfg.parallelism,
         },
-        |ci, report| -> Result<(), SweepError> {
+        |ci, done| -> Result<(), SweepError> {
             let (gi, test) = selected[ci / num_chips];
             let judged = &judged[ci / num_chips];
             // A cell whose test failed judgement fails here, after its
@@ -832,19 +834,14 @@ where
                 .verdict
                 .as_ref()
                 .map_err(|e| SweepError::Enum(test.name().to_owned(), e.clone()))?;
-            let unsound: Vec<String> = report
-                .histogram
-                .forbidden_by(verdict)
-                .map(|o| o.to_string())
-                .collect();
             let record = CellRecord {
                 test: test.name().to_owned(),
                 index: gi,
-                chip: report.chip.short().to_owned(),
-                runs: report.histogram.total(),
-                witnesses: report.witnesses,
-                distinct: report.histogram.distinct(),
-                unsound,
+                chip: done.sim.chip().short().to_owned(),
+                runs: done.counts.total(),
+                witnesses: 0,
+                distinct: done.counts.distinct(),
+                unsound: Vec::new(),
                 cache_hits: judged.hits,
                 cache_misses: judged.misses,
                 enum_micros: if ci % num_chips == 0 {
@@ -853,6 +850,7 @@ where
                     0
                 },
             };
+            let record = judge_cell(record, &done, verdict);
             on_cell(&record);
             tally
                 .lock()
@@ -899,6 +897,34 @@ where
             warm_hits: cache.warm_hits(),
         },
     })
+}
+
+/// Fills in a cell record's witnesses and unsound outcomes from the
+/// cell's distinct observation vectors. Each vector is judged as the
+/// outcome it stands for, without building it; only the outcomes the
+/// model forbids are built, to be rendered, in canonical order.
+fn judge_cell(
+    mut record: CellRecord,
+    done: &CellCounts<'_>,
+    verdict: &ModelOutcomes,
+) -> CellRecord {
+    let program = done.sim.program();
+    let mut forbidden = Vec::new();
+    for (obs, n) in done.counts.iter_unordered() {
+        if program.witnessed_by(obs) {
+            record.witnesses += n;
+        }
+        let allowed = verdict
+            .allowed_outcomes
+            .iter()
+            .any(|o| program.is_outcome_of(obs, o));
+        if !allowed {
+            forbidden.push(done.sim.outcome_from_obs(obs));
+        }
+    }
+    forbidden.sort_unstable();
+    record.unsound = forbidden.iter().map(|o| o.to_string()).collect();
+    record
 }
 
 /// One selected test's verdict, resolved before any of its cells runs.

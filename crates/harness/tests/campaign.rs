@@ -19,7 +19,7 @@ use weakgpu_harness::{Histogram, STREAM_CHUNKS};
 use weakgpu_litmus::build::{ld, st};
 use weakgpu_litmus::{corpus, LitmusTest, Predicate, ThreadScope};
 use weakgpu_sim::chip::{Chip, Incantations};
-use weakgpu_sim::machine::{ObsCounts, Simulator};
+use weakgpu_sim::machine::{ObsCounts, RunParams, Simulator};
 use weakgpu_sim::program::CompileError;
 
 fn config(parallelism: Option<usize>) -> RunConfig {
@@ -187,7 +187,7 @@ fn shared_simulator_cache_keeps_cells_independent() {
 /// through `Simulator::run_batch`.
 fn chunk_by_chunk_oracle(cell: &CellSpec) -> Histogram {
     let sim = Simulator::compile(&cell.test, cell.chip).unwrap();
-    let weights = cell.chip.profile().weights(&cell.incantations);
+    let params = RunParams::of(cell.chip, &cell.incantations);
     let mut state = sim.new_state();
     let mut counts = ObsCounts::new();
     let n = cell.iterations.min(STREAM_CHUNKS);
@@ -197,15 +197,8 @@ fn chunk_by_chunk_oracle(cell: &CellSpec) -> Histogram {
             .seed
             .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(k as u64 + 1));
         let mut rng = SmallRng::seed_from_u64(seed);
-        sim.run_batch(
-            len,
-            &weights,
-            cell.incantations.thread_rand,
-            &mut rng,
-            &mut state,
-            &mut counts,
-        )
-        .unwrap();
+        sim.run_batch(len, &params, &mut rng, &mut state, &mut counts)
+            .unwrap();
     }
     let mut histogram = Histogram::new();
     for (obs, n) in counts.iter() {

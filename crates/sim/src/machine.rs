@@ -18,8 +18,30 @@
 //! `.ca` loads may additionally return stale per-SM L1 values — behaviour
 //! the paper's model deliberately leaves out of scope (Sec. 5.5), matching
 //! the fence-immune `mp-L1`/`coRR-L2-L1` results of Figs. 3 and 4.
+//!
+//! # What a run costs
+//!
+//! A paper-family run is a few dozen scheduler steps, so its fixed costs
+//! matter as much as its steps, and everything that does not change
+//! between runs is computed once:
+//!
+//! * **per test**, by [`SimProgram::compile`]: the L2 and shared-memory
+//!   images a run starts from, the global locations L1 preload draws
+//!   for, the register files as the machine holds them, the owning CTA
+//!   of each shared location, and the final condition resolved to
+//!   positions in the observation vector;
+//! * **per cell**, by [`RunParams::new`]: the bypass probability of every
+//!   pair of pending-op classes, so choosing which op performs is a table
+//!   lookup and a same-location test per pair. Each op is classified once,
+//!   when it issues, by kind, region, cache operator and fence leak.
+//!
+//! A run then resets its [`MachineState`] by copying those images (the
+//! RNG draws of SM placement and L1 preload are made in the historical
+//! order), keeps each thread's pending ops in an inline window of
+//! [`WINDOW`] slots, and records its observation vector into an
+//! [`ObsCounts`] by a linear probe over the few distinct vectors seen so
+//! far. None of it allocates once the state and the counts are warm.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -34,7 +56,7 @@ use crate::program::{CompileError, ObsTarget, SimInstr, SimOp, SimOperand, SimPr
 const MAX_STEPS: usize = 200_000;
 
 /// Maximum pending operations per thread window.
-const WINDOW: usize = 8;
+pub const WINDOW: usize = 8;
 
 /// A run-time failure.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -79,14 +101,116 @@ enum RmwOp {
     Inc,
 }
 
-impl Pending {
-    fn loc(&self) -> Option<u32> {
-        match self {
-            Pending::Store { loc, .. } | Pending::Load { loc, .. } | Pending::Rmw { loc, .. } => {
-                Some(*loc)
+/// The bypass classes of pending ops. An access's class is its kind
+/// (store, `.ca` load, `.cg` load, RMW) plus [`SHARED`] when its location
+/// is in shared memory; fences are leaked or solid.
+const STORE: u8 = 0;
+const LOAD_CA: u8 = 2;
+const LOAD_CG: u8 = 4;
+const RMW: u8 = 6;
+const SHARED: u8 = 1;
+const LEAKED_FENCE: u8 = 8;
+const SOLID_FENCE: u8 = 9;
+const CLASSES: usize = 10;
+
+/// The location of a fence's slot: no access's location.
+const NO_LOC: u32 = u32::MAX;
+
+/// The probability that an op of class `later` may perform before one of
+/// class `earlier` (`None` = never), the two on the same location or not.
+fn class_bypass(earlier: u8, later: u8, same_loc: bool, w: &RunWeights) -> Option<f64> {
+    if earlier >= LEAKED_FENCE {
+        return (earlier == LEAKED_FENCE).then_some(1.0);
+    }
+    if later >= LEAKED_FENCE {
+        return None; // fences retire in order
+    }
+    let (ek, lk) = (earlier & !SHARED, later & !SHARED);
+    let is_load = |k: u8| k == LOAD_CA || k == LOAD_CG;
+    if same_loc {
+        // Same-location load-load hazard (coRR). Mixed cache operators
+        // reorder far more rarely (Fig. 4 vs Fig. 1).
+        if is_load(ek) && is_load(lk) {
+            if earlier & SHARED != 0 {
+                return None;
             }
-            Pending::Fence { .. } => None,
+            let p = if ek == lk { w.rr_same } else { w.rr_same_mixed };
+            return (p > 0.0).then_some(p);
         }
+        // A later load may run ahead of a pending same-location store by
+        // forwarding its value (rfi) — coherence-safe.
+        if ek == STORE && is_load(lk) {
+            return (w.wr > 0.0).then_some(w.wr);
+        }
+        // coWW / coRW / anything through an RMW: never.
+        return None;
+    }
+    // Different locations.
+    let p = if (earlier | later) & SHARED != 0 {
+        w.shared
+    } else {
+        // Plain pairs take their class directly; pairs involving an RMW
+        // take the class of the RMW's *ordering-relevant* aspect (its read
+        // when it is the delayed op — the dlb-lb mechanism; its write when
+        // it is the bypassing op — the cas-sl mechanism), scaled by the
+        // chip's RMW factor. The hardware data forces this asymmetry: on
+        // the HD6570, sb (plain write→read) is unobservable while cas-sl
+        // is frequent.
+        match (ek, lk) {
+            (STORE, LOAD_CA | LOAD_CG) => w.wr,
+            (STORE, STORE) => w.wwrr,
+            (LOAD_CA | LOAD_CG, STORE) => w.rw,
+            (LOAD_CA | LOAD_CG, LOAD_CA | LOAD_CG) => w.wwrr,
+            (STORE, RMW) => w.wwrr * w.rmw_second_factor,
+            (RMW, STORE) => w.rw * w.rmw_first_factor,
+            (RMW, LOAD_CA | LOAD_CG) => w.wr * w.rmw_first_factor,
+            // Acquire-side atomics do not run ahead of earlier loads: no
+            // paper-observed behaviour requires it, and allowing it would
+            // let `dlb-lb` fire from the stealing thread too, far beyond
+            // the observed rates.
+            (LOAD_CA | LOAD_CG, RMW) => 0.0,
+            (RMW, RMW) => w.rw.min(w.wwrr) * w.rmw_first_factor.min(w.rmw_second_factor),
+            _ => unreachable!("access kinds only"),
+        }
+    };
+    (p > 0.0 && p.is_finite()).then_some(p.min(1.0))
+}
+
+/// The constants of a cell's batches of runs: the incantation-scaled
+/// weights, whether thread placement is randomised, and the bypass
+/// probability of every pair of pending-op classes, derived from the
+/// weights once instead of once per pair and step.
+#[derive(Clone, Debug)]
+pub struct RunParams {
+    w: RunWeights,
+    thread_rand: bool,
+    /// `bypass[same_loc][earlier][later]`: [`class_bypass`], with 0 for
+    /// never (every allowed bypass has a positive probability).
+    bypass: [[[f64; CLASSES]; CLASSES]; 2],
+}
+
+impl RunParams {
+    /// The parameters of runs under weights `w`, with thread placement
+    /// randomised when `thread_rand` is set.
+    pub fn new(w: &RunWeights, thread_rand: bool) -> Self {
+        let mut bypass = [[[0.0; CLASSES]; CLASSES]; 2];
+        for (same, table) in bypass.iter_mut().enumerate() {
+            for (earlier, row) in table.iter_mut().enumerate() {
+                for (later, p) in row.iter_mut().enumerate() {
+                    *p = class_bypass(earlier as u8, later as u8, same == 1, w).unwrap_or(0.0);
+                }
+            }
+        }
+        RunParams {
+            w: *w,
+            thread_rand,
+            bypass,
+        }
+    }
+
+    /// The parameters of runs of `chip` under `inc`.
+    pub fn of(chip: Chip, inc: &Incantations) -> Self {
+        RunParams::new(&chip.profile().weights(inc), inc.thread_rand)
     }
 }
 
@@ -99,27 +223,102 @@ struct L1Line {
     sticky: bool,
 }
 
-/// One window slot: the pending op plus a lingering delay. When a younger
-/// op bypasses older ones, the skipped ops are delayed for several of the
-/// thread's subsequent perform attempts, holding the reordering window
-/// open long enough for other threads to observe it (as real store
-/// buffers and in-flight queues do).
+/// One window slot: the pending op, its location and bypass class, plus
+/// a lingering delay. When a younger op bypasses older ones, the skipped
+/// ops are delayed for several of the thread's subsequent perform
+/// attempts, holding the reordering window open long enough for other
+/// threads to observe it (as real store buffers and in-flight queues do).
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     op: Pending,
+    /// The accessed location, or [`NO_LOC`] for a fence.
+    loc: u32,
+    class: u8,
     delay: u8,
+}
+
+/// A thread's pending ops, oldest first, held inline.
+#[derive(Clone, Copy, Debug)]
+struct Window {
+    slots: [Slot; WINDOW],
+    len: usize,
+}
+
+impl Window {
+    const EMPTY: Window = Window {
+        slots: [Slot {
+            op: Pending::Fence {
+                scope: FenceScope::Cta,
+                leaked: false,
+            },
+            loc: NO_LOC,
+            class: SOLID_FENCE,
+            delay: 0,
+        }; WINDOW],
+        len: 0,
+    };
+
+    fn as_slice(&self) -> &[Slot] {
+        &self.slots[..self.len]
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends `slot`; the issue logic never overfills the window.
+    fn push(&mut self, slot: Slot) {
+        self.slots[self.len] = slot;
+        self.len += 1;
+    }
+
+    /// Removes and returns slot `i`, shifting the younger slots down.
+    fn remove(&mut self, i: usize) -> Slot {
+        let slot = self.slots[i];
+        if i + 1 < self.len {
+            self.slots.copy_within(i + 1..self.len, i);
+        }
+        self.len -= 1;
+        slot
+    }
 }
 
 #[derive(Clone, Debug)]
 struct ThreadCtx {
     pc: usize,
+    /// Register values; `None` while an issued load or RMW owes one.
     regs: Vec<Option<SimValue>>,
-    queue: VecDeque<Slot>,
+    /// The registers that are `None`, as [`pending_bit`]s.
+    pending: u64,
+    queue: Window,
+}
+
+/// The bit of register `r` in a thread's pending mask. Registers past 63
+/// share bits, harmlessly: a thread with that many registers tests its
+/// operands one by one (see [`SimProgram`]'s read masks).
+fn pending_bit(r: u32) -> u64 {
+    1 << (r % 64)
 }
 
 impl ThreadCtx {
     fn done(&self, code_len: usize) -> bool {
         self.pc >= code_len && self.queue.is_empty()
+    }
+
+    /// Makes register `r` available, holding `v`.
+    fn set(&mut self, r: u32, v: SimValue) {
+        self.regs[r as usize] = Some(v);
+        self.pending &= !pending_bit(r);
+    }
+
+    /// Makes register `r` await the issued op that writes it.
+    fn owe(&mut self, r: u32) {
+        self.regs[r as usize] = None;
+        self.pending |= pending_bit(r);
     }
 }
 
@@ -139,7 +338,8 @@ pub struct MachineState {
     l1_row: Vec<usize>,
     /// The L2 point of coherence, indexed by location.
     l2: Vec<i64>,
-    /// Per-CTA shared memory, flattened `cta * nlocs + loc`.
+    /// Per-CTA shared memory, flattened `cta * nlocs + loc` (empty when
+    /// the test has no shared location).
     shared: Vec<i64>,
     /// The L1 lines of the SMs hosting the test, one row per CTA (only
     /// the rows named in `l1_row` are used), flattened `row * nlocs +
@@ -166,10 +366,20 @@ impl MachineState {
 /// An indexed outcome collector: counts distinct observation vectors
 /// (`MachineState::observed`) without materialising an [`Outcome`] — and
 /// its per-expression `FinalExpr` clones — per iteration. Convert each
-/// distinct key once at the end via [`Simulator::outcome_from_obs`].
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+/// distinct vector once at the end via [`Simulator::outcome_from_obs`].
+///
+/// A cell sees a handful of distinct vectors, so they are kept flat, in
+/// first-recorded order, and a record is a linear probe over them. All
+/// vectors recorded between two [`ObsCounts::clear`]s have one length:
+/// they come from one simulator.
+#[derive(Clone, Debug, Default)]
 pub struct ObsCounts {
-    counts: std::collections::BTreeMap<Vec<i64>, u64>,
+    /// The length of every recorded vector.
+    width: usize,
+    /// The distinct vectors, `width` values each.
+    values: Vec<i64>,
+    /// The count of each distinct vector.
+    counts: Vec<u64>,
 }
 
 impl ObsCounts {
@@ -178,24 +388,76 @@ impl ObsCounts {
         ObsCounts::default()
     }
 
-    /// Records one observation vector. Allocates only on the first
-    /// occurrence of a distinct vector.
+    /// Records one observation vector. Allocates only when a distinct
+    /// vector outgrows the buffers it had before its last clear.
+    ///
+    /// # Panics
+    ///
+    /// If `obs` is not as long as the vectors already recorded.
     pub fn record(&mut self, obs: &[i64]) {
-        if let Some(n) = self.counts.get_mut(obs) {
-            *n += 1;
+        self.add(obs, 1);
+    }
+
+    /// Records `n` observations of `obs` at once.
+    ///
+    /// # Panics
+    ///
+    /// If `obs` is not as long as the vectors already recorded.
+    pub fn add(&mut self, obs: &[i64], n: u64) {
+        if self.counts.is_empty() {
+            self.width = obs.len();
+        }
+        assert_eq!(
+            obs.len(),
+            self.width,
+            "one collector counts vectors of one length"
+        );
+        let found = if self.width == 0 {
+            (!self.counts.is_empty()).then_some(0)
         } else {
-            self.counts.insert(obs.to_vec(), 1);
+            // Element by element: the vectors are a few values long,
+            // shorter than a call to compare them as bytes.
+            self.values
+                .chunks_exact(self.width)
+                .position(|v| v.iter().zip(obs).all(|(a, b)| a == b))
+        };
+        match found {
+            Some(i) => self.counts[i] += n,
+            None => {
+                self.values.extend_from_slice(obs);
+                self.counts.push(n);
+            }
         }
     }
 
-    /// Iterates `(observation vector, count)` in canonical order.
+    /// Adds every count of `other`.
+    pub fn merge(&mut self, other: &ObsCounts) {
+        for (obs, n) in other.iter_unordered() {
+            self.add(obs, n);
+        }
+    }
+
+    fn vector(&self, i: usize) -> &[i64] {
+        &self.values[i * self.width..(i + 1) * self.width]
+    }
+
+    /// Iterates `(observation vector, count)` in canonical order: the
+    /// vectors ascending, compared element by element.
     pub fn iter(&self) -> impl Iterator<Item = (&[i64], u64)> {
-        self.counts.iter().map(|(k, n)| (k.as_slice(), *n))
+        let mut order: Vec<usize> = (0..self.counts.len()).collect();
+        order.sort_unstable_by(|&a, &b| self.vector(a).cmp(self.vector(b)));
+        order.into_iter().map(|i| (self.vector(i), self.counts[i]))
+    }
+
+    /// Iterates `(observation vector, count)` in first-recorded order,
+    /// for folds that do not depend on the order.
+    pub fn iter_unordered(&self) -> impl Iterator<Item = (&[i64], u64)> {
+        (0..self.counts.len()).map(|i| (self.vector(i), self.counts[i]))
     }
 
     /// Total recorded runs.
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().sum()
     }
 
     /// Number of distinct observation vectors.
@@ -203,20 +465,29 @@ impl ObsCounts {
         self.counts.len()
     }
 
-    /// Drops all recorded counts, keeping the map's allocation strategy.
+    /// Drops all recorded counts, keeping the buffers.
     pub fn clear(&mut self) {
+        self.values.clear();
         self.counts.clear();
     }
 }
+
+impl PartialEq for ObsCounts {
+    /// Equal when they hold the same counts, whatever the recording order.
+    fn eq(&self, other: &Self) -> bool {
+        self.distinct() == other.distinct() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for ObsCounts {}
 
 /// A compiled litmus test bound to a chip, ready to run.
 #[derive(Clone, Debug)]
 pub struct Simulator {
     program: Arc<SimProgram>,
     chip: Chip,
-    /// Owning CTA of each location's shared-memory instance (meaningful
-    /// for `Region::Shared` locations only), precomputed at compile time.
-    shared_owner: Vec<usize>,
+    /// The chip's SM count, over which thread randomisation scatters CTAs.
+    num_sms: usize,
 }
 
 impl Simulator {
@@ -234,15 +505,12 @@ impl Simulator {
 
     /// Binds an already compiled program to `chip`. Compilation does not
     /// depend on the chip, so one program can back the simulators of a
-    /// test on every chip.
+    /// test on every chip, and binding copies nothing.
     pub fn from_program(program: Arc<SimProgram>, chip: Chip) -> Self {
-        let shared_owner = (0..program.locs.len() as u32)
-            .map(|l| shared_owner_cta(&program, l))
-            .collect();
         Simulator {
             program,
             chip,
-            shared_owner,
+            num_sms: chip.profile().num_sms,
         }
     }
 
@@ -266,11 +534,10 @@ impl Simulator {
         self.run_once_with_weights(&weights, inc.thread_rand, rng)
     }
 
-    /// Runs the test once with explicit weights (used by the harness,
-    /// which resolves weights once per batch).
+    /// Runs the test once with explicit weights.
     ///
-    /// Allocates a fresh [`MachineState`] per call; hot loops should hold
-    /// a state and use [`Simulator::run_batch`] (or
+    /// Allocates a fresh [`MachineState`] and [`RunParams`] per call; hot
+    /// loops should hold both and use [`Simulator::run_batch`] (or
     /// [`Simulator::run_once_into`]) instead.
     ///
     /// # Errors
@@ -283,7 +550,7 @@ impl Simulator {
         rng: &mut SmallRng,
     ) -> Result<Outcome, RunError> {
         let mut state = self.new_state();
-        self.run_once_into(w, thread_rand, rng, &mut state)?;
+        self.run_once_into(&RunParams::new(w, thread_rand), rng, &mut state)?;
         Ok(self.outcome_from_obs(state.observed()))
     }
 
@@ -308,58 +575,59 @@ impl Simulator {
     /// its buffers: a worker that moves between simulators reuses one
     /// state instead of allocating a fresh one per simulator.
     pub fn fit_state(&self, st: &mut MachineState) {
-        st.nlocs = self.program.locs.len();
-        st.threads
-            .resize_with(self.program.threads.len(), || ThreadCtx {
-                pc: 0,
-                regs: Vec::new(),
-                queue: VecDeque::with_capacity(WINDOW),
-            });
+        let p = &self.program;
+        st.nlocs = p.locs.len();
+        st.sm_of_cta.resize(p.num_ctas, 0);
+        st.l1_row.resize(p.num_ctas, 0);
+        st.l2.resize(p.mem_init.len(), 0);
+        st.shared.resize(p.shared_init.len(), 0);
+        st.l1.resize(p.num_ctas * st.nlocs, None);
+        st.threads.resize_with(p.threads.len(), || ThreadCtx {
+            pc: 0,
+            regs: Vec::new(),
+            pending: 0,
+            queue: Window::EMPTY,
+        });
+        for (ctx, regs) in st.threads.iter_mut().zip(&p.reg_start) {
+            ctx.regs.resize(regs.len(), None);
+        }
+        st.obs.resize(p.observed.len(), 0);
     }
 
-    /// Resets `st` to a fresh run: SM placement, memory images, L1
-    /// preload and thread contexts. Consumes the same RNG draws, in the
-    /// same order, as the historical allocate-per-run path.
-    fn reset(&self, w: &RunWeights, thread_rand: bool, rng: &mut SmallRng, st: &mut MachineState) {
+    /// Resets a fitted `st` to a fresh run: SM placement, memory images,
+    /// L1 preload and thread contexts. The images are copied from the
+    /// program; the RNG draws are the historical ones, in the historical
+    /// order (one SM per CTA, then one preload draw per CTA and global
+    /// location).
+    fn reset(&self, params: &RunParams, rng: &mut SmallRng, st: &mut MachineState) {
         let p = &self.program;
-        let profile = self.chip.profile();
         let nlocs = st.nlocs;
 
         // SM placement: one SM per CTA by default; thread randomisation
         // scatters CTAs over the chip (they may then collide on an SM,
         // sharing an L1 — which suppresses stale-line effects, as on
-        // hardware).
-        st.sm_of_cta.clear();
-        st.sm_of_cta.extend((0..p.num_ctas).map(|c| {
-            if thread_rand {
-                rng.random_range(0..profile.num_sms)
+        // hardware). A CTA uses the L1 row of the lowest CTA on its SM.
+        for c in 0..p.num_ctas {
+            let sm = if params.thread_rand {
+                rng.random_range(0..self.num_sms)
             } else {
-                c % profile.num_sms
-            }
-        }));
-        st.l1_row.clear();
-        st.l1_row.extend(st.sm_of_cta.iter().map(|sm| {
-            st.sm_of_cta
-                .iter()
-                .position(|s| s == sm)
-                .expect("the CTA's own SM is in the list")
-        }));
+                c % self.num_sms
+            };
+            st.sm_of_cta[c] = sm;
+            st.l1_row[c] = st.sm_of_cta[..c].iter().position(|&s| s == sm).unwrap_or(c);
+        }
 
         // Memory.
-        st.l2.clear();
-        st.l2.extend(p.locs.iter().map(|l| l.init));
-        st.shared.clear();
-        for _ in 0..p.num_ctas {
-            st.shared.extend(p.locs.iter().map(|l| l.init));
-        }
-        st.l1.clear();
-        st.l1.resize(p.num_ctas * nlocs, None);
-        if w.l1_preload > 0.0 {
-            for row in st.l1_row.iter().copied() {
-                for (i, loc) in p.locs.iter().enumerate() {
-                    if loc.region == Region::Global && rng.random_bool(w.l1_preload) {
-                        st.l1[row * nlocs + i] = Some(L1Line {
-                            value: loc.init,
+        st.l2.copy_from_slice(&p.mem_init);
+        st.shared.copy_from_slice(&p.shared_init);
+        st.l1.fill(None);
+        let preload = params.w.l1_preload;
+        if preload > 0.0 {
+            for &row in &st.l1_row {
+                for &l in &p.global_locs {
+                    if rng.random_bool(preload) {
+                        st.l1[row * nlocs + l as usize] = Some(L1Line {
+                            value: p.mem_init[l as usize],
                             stale: false,
                             sticky: false,
                         });
@@ -368,11 +636,11 @@ impl Simulator {
             }
         }
 
-        for (ctx, inits) in st.threads.iter_mut().zip(&p.reg_init) {
+        for (ctx, regs) in st.threads.iter_mut().zip(&p.reg_start) {
             ctx.pc = 0;
-            ctx.queue.clear();
-            ctx.regs.clear();
-            ctx.regs.extend(inits.iter().map(|v| Some(*v)));
+            ctx.queue.len = 0;
+            ctx.regs.copy_from_slice(regs);
+            ctx.pending = 0;
         }
     }
 
@@ -384,13 +652,12 @@ impl Simulator {
     /// See [`RunError`].
     pub fn run_once_into(
         &self,
-        w: &RunWeights,
-        thread_rand: bool,
+        params: &RunParams,
         rng: &mut SmallRng,
         st: &mut MachineState,
     ) -> Result<(), RunError> {
         let p = &self.program;
-        self.reset(w, thread_rand, rng, st);
+        self.reset(params, rng, st);
 
         // Only the thread that acts in a step can finish in it, so the
         // list is built once and a thread leaves it when it finishes.
@@ -420,9 +687,9 @@ impl Simulator {
                 }
             };
             if do_issue {
-                self.issue(t, &mut st.threads, w, rng)?;
+                self.issue(t, &mut st.threads, &params.w, rng)?;
             } else {
-                self.perform(t, st, w, rng);
+                self.perform(t, st, params, rng);
             }
             if st.threads[t].done(p.threads[t].len()) {
                 st.active.remove(a);
@@ -430,28 +697,26 @@ impl Simulator {
         }
 
         // Collect the observed values.
-        st.obs.clear();
-        for (_, target) in &p.observed {
-            let v = match target {
+        for ((_, target), v) in p.observed.iter().zip(&mut st.obs) {
+            *v = match target {
                 ObsTarget::Reg(t, r) => st.threads[*t].regs[*r as usize]
                     .expect("all ops performed at termination")
                     .as_int(),
                 ObsTarget::Mem(l) => match p.locs[*l as usize].region {
                     Region::Global => st.l2[*l as usize],
                     Region::Shared => {
-                        let cta = self.shared_owner[*l as usize];
+                        let cta = p.shared_owner[*l as usize];
                         st.shared[cta * st.nlocs + *l as usize]
                     }
                 },
             };
-            st.obs.push(v);
         }
         Ok(())
     }
 
     /// Runs `n` iterations through a reusable state, recording each
     /// observation vector into `counts`. This is the amortised hot path:
-    /// no per-iteration allocation beyond first-occurrence outcome keys.
+    /// a warm state and warm counts allocate nothing.
     ///
     /// # Errors
     ///
@@ -460,14 +725,13 @@ impl Simulator {
     pub fn run_batch(
         &self,
         n: usize,
-        w: &RunWeights,
-        thread_rand: bool,
+        params: &RunParams,
         rng: &mut SmallRng,
         st: &mut MachineState,
         counts: &mut ObsCounts,
     ) -> Result<(), RunError> {
         for _ in 0..n {
-            self.run_once_into(w, thread_rand, rng, st)?;
+            self.run_once_into(params, rng, st)?;
             counts.record(&st.obs);
         }
         Ok(())
@@ -493,8 +757,10 @@ impl Simulator {
         if ctx.queue.len() >= WINDOW {
             return (false, true);
         }
-        let instr = &code[ctx.pc];
-        let ready = self.operands_ready(instr, ctx);
+        let ready = match self.program.reads[t].get(ctx.pc) {
+            Some(reads) => reads & ctx.pending == 0,
+            None => self.operands_ready(&code[ctx.pc], ctx),
+        };
         (ready, !ready)
     }
 
@@ -548,6 +814,17 @@ impl Simulator {
         }
     }
 
+    /// The window slot of an access `op` to `loc` of bypass kind `kind`.
+    fn access(&self, op: Pending, loc: u32, kind: u8) -> Slot {
+        let shared = self.program.locs[loc as usize].region == Region::Shared;
+        Slot {
+            op,
+            loc,
+            class: if shared { kind | SHARED } else { kind },
+            delay: 0,
+        }
+    }
+
     fn issue(
         &self,
         t: usize,
@@ -572,7 +849,7 @@ impl Simulator {
             SimOp::Bra(target) => ctx.pc = target as usize,
             SimOp::Mov { dst, src } | SimOp::Cvt { dst, src } => {
                 let v = self.eval(src, ctx);
-                ctx.regs[dst as usize] = Some(v);
+                ctx.set(dst, v);
                 ctx.pc += 1;
             }
             SimOp::Add { dst, a, b } => {
@@ -585,27 +862,27 @@ impl Simulator {
                     }
                     (SimValue::Ptr(l), SimValue::Ptr(_)) => SimValue::Ptr(l),
                 };
-                ctx.regs[dst as usize] = Some(v);
+                ctx.set(dst, v);
                 ctx.pc += 1;
             }
             SimOp::And { dst, a, b } => {
                 let v = self.eval_int(a, ctx) & self.eval_int(b, ctx);
-                ctx.regs[dst as usize] = Some(SimValue::Int(v));
+                ctx.set(dst, SimValue::Int(v));
                 ctx.pc += 1;
             }
             SimOp::Xor { dst, a, b } => {
                 let v = self.eval_int(a, ctx) ^ self.eval_int(b, ctx);
-                ctx.regs[dst as usize] = Some(SimValue::Int(v));
+                ctx.set(dst, SimValue::Int(v));
                 ctx.pc += 1;
             }
             SimOp::SetpEq { dst, a, b } => {
                 let v = (self.eval(a, ctx) == self.eval(b, ctx)) as i64;
-                ctx.regs[dst as usize] = Some(SimValue::Int(v));
+                ctx.set(dst, SimValue::Int(v));
                 ctx.pc += 1;
             }
             SimOp::SetpNe { dst, a, b } => {
                 let v = (self.eval(a, ctx) != self.eval(b, ctx)) as i64;
-                ctx.regs[dst as usize] = Some(SimValue::Int(v));
+                ctx.set(dst, SimValue::Int(v));
                 ctx.pc += 1;
             }
             SimOp::Membar(scope) => {
@@ -613,8 +890,10 @@ impl Simulator {
                     && self.program.spans_ctas
                     && w.cta_fence_leak > 0.0
                     && rng.random_bool(w.cta_fence_leak);
-                ctx.queue.push_back(Slot {
+                ctx.queue.push(Slot {
                     op: Pending::Fence { scope, leaked },
+                    loc: NO_LOC,
+                    class: if leaked { LEAKED_FENCE } else { SOLID_FENCE },
                     delay: 0,
                 });
                 ctx.pc += 1;
@@ -623,20 +902,20 @@ impl Simulator {
                 dst, addr, cache, ..
             } => {
                 let loc = self.resolve_loc(addr, ctx, t)?;
-                ctx.queue.push_back(Slot {
-                    op: Pending::Load { loc, dst, cache },
-                    delay: 0,
-                });
-                ctx.regs[dst as usize] = None;
+                let kind = match cache {
+                    CacheOp::Ca => LOAD_CA,
+                    CacheOp::Cg => LOAD_CG,
+                };
+                ctx.queue
+                    .push(self.access(Pending::Load { loc, dst, cache }, loc, kind));
+                ctx.owe(dst);
                 ctx.pc += 1;
             }
             SimOp::St { addr, src, .. } => {
                 let loc = self.resolve_loc(addr, ctx, t)?;
                 let value = self.eval_int(src, ctx);
-                ctx.queue.push_back(Slot {
-                    op: Pending::Store { loc, value },
-                    delay: 0,
-                });
+                ctx.queue
+                    .push(self.access(Pending::Store { loc, value }, loc, STORE));
                 ctx.pc += 1;
             }
             SimOp::Cas {
@@ -650,129 +929,55 @@ impl Simulator {
                     expected: self.eval_int(expected, ctx),
                     desired: self.eval_int(desired, ctx),
                 };
-                ctx.queue.push_back(Slot {
-                    op: Pending::Rmw { loc, dst, rmw },
-                    delay: 0,
-                });
-                ctx.regs[dst as usize] = None;
+                ctx.queue
+                    .push(self.access(Pending::Rmw { loc, dst, rmw }, loc, RMW));
+                ctx.owe(dst);
                 ctx.pc += 1;
             }
             SimOp::Exch { dst, addr, src } => {
                 let loc = self.resolve_loc(addr, ctx, t)?;
                 let rmw = RmwOp::Exch(self.eval_int(src, ctx));
-                ctx.queue.push_back(Slot {
-                    op: Pending::Rmw { loc, dst, rmw },
-                    delay: 0,
-                });
-                ctx.regs[dst as usize] = None;
+                ctx.queue
+                    .push(self.access(Pending::Rmw { loc, dst, rmw }, loc, RMW));
+                ctx.owe(dst);
                 ctx.pc += 1;
             }
             SimOp::Inc { dst, addr } => {
                 let loc = self.resolve_loc(addr, ctx, t)?;
-                ctx.queue.push_back(Slot {
-                    op: Pending::Rmw {
-                        loc,
-                        dst,
-                        rmw: RmwOp::Inc,
-                    },
-                    delay: 0,
-                });
-                ctx.regs[dst as usize] = None;
+                let rmw = RmwOp::Inc;
+                ctx.queue
+                    .push(self.access(Pending::Rmw { loc, dst, rmw }, loc, RMW));
+                ctx.owe(dst);
                 ctx.pc += 1;
             }
         }
         Ok(())
     }
 
-    /// The probability that `later` may perform before `earlier`
-    /// (`None` = never).
-    fn bypass_prob(&self, earlier: &Pending, later: &Pending, w: &RunWeights) -> Option<f64> {
-        if let Pending::Fence { leaked, .. } = earlier {
-            return leaked.then_some(1.0);
-        }
-        if matches!(later, Pending::Fence { .. }) {
-            return None; // fences retire in order
-        }
-        let (le, ll) = (
-            earlier.loc().expect("accesses"),
-            later.loc().expect("accesses"),
-        );
-        if le == ll {
-            return match (earlier, later) {
-                // Same-location load-load hazard (coRR). Mixed cache
-                // operators reorder far more rarely (Fig. 4 vs Fig. 1).
-                (Pending::Load { cache: c1, .. }, Pending::Load { cache: c2, .. }) => {
-                    let region = self.program.locs[le as usize].region;
-                    if region != Region::Global {
-                        return None;
-                    }
-                    let p = if c1 == c2 { w.rr_same } else { w.rr_same_mixed };
-                    (p > 0.0).then_some(p)
-                }
-                // A later load may run ahead of a pending same-location
-                // store by forwarding its value (rfi) — coherence-safe.
-                (Pending::Store { .. }, Pending::Load { .. }) => (w.wr > 0.0).then_some(w.wr),
-                // coWW / coRW / anything through an RMW: never.
-                _ => None,
-            };
-        }
-        // Different locations.
-        let region = self.program.locs[le as usize].region;
-        let lregion = self.program.locs[ll as usize].region;
-        let p = if region == Region::Shared || lregion == Region::Shared {
-            w.shared
-        } else {
-            // Plain pairs take their class directly; pairs involving an
-            // RMW take the class of the RMW's *ordering-relevant* aspect
-            // (its read when it is the delayed op — the dlb-lb mechanism;
-            // its write when it is the bypassing op — the cas-sl
-            // mechanism), scaled by the chip's RMW factor. The hardware
-            // data forces this asymmetry: on the HD6570, sb (plain
-            // write→read) is unobservable while cas-sl is frequent.
-            match (earlier, later) {
-                (Pending::Store { .. }, Pending::Load { .. }) => w.wr,
-                (Pending::Store { .. }, Pending::Store { .. }) => w.wwrr,
-                (Pending::Load { .. }, Pending::Store { .. }) => w.rw,
-                (Pending::Load { .. }, Pending::Load { .. }) => w.wwrr,
-                (Pending::Store { .. }, Pending::Rmw { .. }) => w.wwrr * w.rmw_second_factor,
-                (Pending::Rmw { .. }, Pending::Store { .. }) => w.rw * w.rmw_first_factor,
-                (Pending::Rmw { .. }, Pending::Load { .. }) => w.wr * w.rmw_first_factor,
-                // Acquire-side atomics do not run ahead of earlier loads:
-                // no paper-observed behaviour requires it, and allowing it
-                // would let `dlb-lb` fire from the stealing thread too,
-                // far beyond the observed rates.
-                (Pending::Load { .. }, Pending::Rmw { .. }) => 0.0,
-                (Pending::Rmw { .. }, Pending::Rmw { .. }) => {
-                    w.rw.min(w.wwrr) * w.rmw_first_factor.min(w.rmw_second_factor)
-                }
-                (Pending::Fence { .. }, _) | (_, Pending::Fence { .. }) => {
-                    unreachable!("fences handled above")
-                }
-            }
-        };
-        (p > 0.0 && p.is_finite()).then_some(p.min(1.0))
-    }
-
-    fn perform(&self, t: usize, st: &mut MachineState, w: &RunWeights, rng: &mut SmallRng) {
+    fn perform(&self, t: usize, st: &mut MachineState, params: &RunParams, rng: &mut SmallRng) {
+        let w = &params.w;
         let nlocs = st.nlocs;
         let cta = self.program.thread_cta[t];
         let row = st.l1_row[cta];
 
-        // Choose which queue entry performs.
+        // Choose which queue entry performs: the first younger op that
+        // may bypass every older one and wins the draw of the product of
+        // those pairs' probabilities.
         let idx = {
-            let queue = &st.threads[t].queue;
+            let queue = st.threads[t].queue.as_slice();
             let mut chosen = 0;
-            for j in 1..queue.len() {
+            for (j, later) in queue.iter().enumerate().skip(1) {
                 let mut p = 1.0;
                 let mut ok = true;
-                for i in 0..j {
-                    match self.bypass_prob(&queue[i].op, &queue[j].op, w) {
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                        Some(q) => p *= q,
+                for earlier in &queue[..j] {
+                    let same = usize::from(earlier.loc == later.loc);
+                    let q =
+                        params.bypass[same][usize::from(earlier.class)][usize::from(later.class)];
+                    if q == 0.0 {
+                        ok = false;
+                        break;
                     }
+                    p *= q;
                 }
                 if ok && p > 0.0 && rng.random_bool(p.min(1.0)) {
                     chosen = j;
@@ -782,27 +987,28 @@ impl Simulator {
             chosen
         };
 
+        let queue = &mut st.threads[t].queue;
         if idx > 0 {
             // Hold the bypassed ops back so the reordering window stays
             // open for other threads to observe.
             let extra = rng.random_range(24..=64);
-            for i in 0..idx {
-                let d = &mut st.threads[t].queue[i].delay;
-                *d = (*d).max(extra);
+            for slot in &mut queue.slots[..idx] {
+                slot.delay = slot.delay.max(extra);
             }
-        } else if st.threads[t].queue[0].delay > 0 {
+        } else if queue.slots[0].delay > 0 {
             // A delayed front op skips this perform attempt.
-            st.threads[t].queue[0].delay -= 1;
+            queue.slots[0].delay -= 1;
             return;
         }
 
         // Forwarding source for a bypassing load: the newest earlier
         // pending same-location store.
-        let forward: Option<i64> = match st.threads[t].queue[idx].op {
+        let forward: Option<i64> = match queue.slots[idx].op {
             Pending::Load { loc, .. } => {
-                (0..idx)
+                queue.slots[..idx]
+                    .iter()
                     .rev()
-                    .find_map(|i| match st.threads[t].queue[i].op {
+                    .find_map(|slot| match slot.op {
                         Pending::Store { loc: l, value } if l == loc => Some(value),
                         _ => None,
                     })
@@ -810,11 +1016,7 @@ impl Simulator {
             _ => None,
         };
 
-        let op = st.threads[t]
-            .queue
-            .remove(idx)
-            .expect("index chosen from queue")
-            .op;
+        let op = queue.remove(idx).op;
 
         match op {
             Pending::Fence { scope, leaked } => {
@@ -896,7 +1098,7 @@ impl Simulator {
                         },
                     }
                 };
-                st.threads[t].regs[dst as usize] = Some(SimValue::Int(v));
+                st.threads[t].set(dst, SimValue::Int(v));
             }
             Pending::Rmw { loc, dst, rmw } => {
                 let li = loc as usize;
@@ -924,30 +1126,10 @@ impl Simulator {
                         }
                     }
                 }
-                st.threads[t].regs[dst as usize] = Some(SimValue::Int(old));
+                st.threads[t].set(dst, SimValue::Int(old));
             }
         }
     }
-}
-
-/// The CTA whose shared-memory instance of `loc` the test uses
-/// (validation guarantees a single CTA accesses each shared location).
-fn shared_owner_cta(program: &SimProgram, loc: u32) -> usize {
-    for (tid, code) in program.threads.iter().enumerate() {
-        for instr in code {
-            let addr = match instr.op {
-                SimOp::Ld { addr, .. } | SimOp::St { addr, .. } => Some(addr),
-                SimOp::Cas { addr, .. } | SimOp::Exch { addr, .. } | SimOp::Inc { addr, .. } => {
-                    Some(addr)
-                }
-                _ => None,
-            };
-            if addr == Some(SimOperand::Sym(loc)) {
-                return program.thread_cta[tid];
-            }
-        }
-    }
-    0
 }
 
 /// Convenience: run a test `iterations` times and count how often the
@@ -965,21 +1147,19 @@ pub fn count_witnesses(
     seed: u64,
 ) -> Result<usize, Box<dyn std::error::Error>> {
     let sim = Simulator::compile(test, chip)?;
-    let weights = chip.profile().weights(inc);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut state = sim.new_state();
     let mut counts = ObsCounts::new();
     sim.run_batch(
         iterations,
-        &weights,
-        inc.thread_rand,
+        &RunParams::of(chip, inc),
         &mut rng,
         &mut state,
         &mut counts,
     )?;
     let hits = counts
-        .iter()
-        .filter(|(obs, _)| test.cond().witnessed_by(&sim.outcome_from_obs(obs)))
+        .iter_unordered()
+        .filter(|(obs, _)| sim.program().witnessed_by(obs))
         .map(|(_, n)| n as usize)
         .sum();
     Ok(hits)
@@ -1221,8 +1401,7 @@ mod tests {
         let mut counts = ObsCounts::new();
         sim.run_batch(
             n,
-            &weights,
-            inc.thread_rand,
+            &RunParams::new(&weights, inc.thread_rand),
             &mut batch_rng,
             &mut state,
             &mut counts,
@@ -1252,11 +1431,10 @@ mod tests {
     fn outcome_from_obs_round_trips() {
         let test = corpus::sb(ThreadScope::InterCta, None);
         let sim = Simulator::compile(&test, Chip::GtxTitan).unwrap();
-        let weights = Chip::GtxTitan.profile().weights(&Incantations::all_on());
+        let params = RunParams::of(Chip::GtxTitan, &Incantations::all_on());
         let mut rng = SmallRng::seed_from_u64(7);
         let mut state = sim.new_state();
-        sim.run_once_into(&weights, true, &mut rng, &mut state)
-            .unwrap();
+        sim.run_once_into(&params, &mut rng, &mut state).unwrap();
         // The materialised outcome binds exactly the observed expressions,
         // each to the value the state recorded for it.
         let outcome = sim.outcome_from_obs(state.observed());

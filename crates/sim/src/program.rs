@@ -1,12 +1,14 @@
 //! Compilation of a [`LitmusTest`] into the simulator's internal form:
 //! registers and locations resolved to dense indices, labels resolved to
-//! instruction offsets.
+//! instruction offsets, the final condition resolved to positions in the
+//! observation vector, and the start-of-run images every run copies.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use weakgpu_litmus::{
-    CacheOp, FenceScope, FinalExpr, Instr, Label, LitmusTest, Loc, Operand, Region, Value,
+    CacheOp, FenceScope, FinalExpr, Instr, Label, LitmusTest, Loc, Operand, Outcome, Predicate,
+    Quantifier, Region, Value,
 };
 
 /// A compile-time-resolved value: integer or location pointer. `Copy`, for
@@ -207,6 +209,84 @@ pub struct SimProgram {
     /// `true` when the test's threads span multiple CTAs (controls the
     /// cta-fence leak sampling).
     pub spans_ctas: bool,
+    /// The CTA whose shared-memory instance of each location the test
+    /// uses (meaningful for `Region::Shared` locations only).
+    pub(crate) shared_owner: Vec<usize>,
+    /// Every location's initial value, by location id: the L2 image a run
+    /// starts from.
+    pub(crate) mem_init: Vec<i64>,
+    /// `mem_init` once per CTA: the shared-memory image a run starts
+    /// from. Empty when the test has no shared location, since nothing
+    /// reads the image then.
+    pub(crate) shared_init: Vec<i64>,
+    /// The ids of the global locations, in id order: the candidates for
+    /// L1 preload.
+    pub(crate) global_locs: Vec<u32>,
+    /// `reg_init` as the machine's registers hold it, all available.
+    pub(crate) reg_start: Vec<Vec<Option<SimValue>>>,
+    /// Per thread, the registers each instruction reads (its guard and
+    /// operands) as a bit mask, so the machine tests an instruction's
+    /// readiness against the thread's mask of awaited registers. Empty
+    /// for a thread with more than 64 registers, which tests its
+    /// operands one by one instead.
+    pub(crate) reads: Vec<Vec<u64>>,
+    /// The positions of `observed`, sorted by expression: the order of an
+    /// [`Outcome`]'s bindings.
+    obs_order: Vec<usize>,
+    /// The final condition over observation-vector positions.
+    cond: ObsCond,
+}
+
+/// A final condition whose expressions are resolved to positions in the
+/// observation vector, so it is judged without building an [`Outcome`].
+#[derive(Clone, Debug)]
+struct ObsCond {
+    /// `forall` conditions are witnessed by a run that violates the body.
+    negated: bool,
+    pred: ObsPred,
+}
+
+#[derive(Clone, Debug)]
+enum ObsPred {
+    Eq(usize, i64),
+    Ne(usize, i64),
+    And(Box<ObsPred>, Box<ObsPred>),
+    Or(Box<ObsPred>, Box<ObsPred>),
+    Not(Box<ObsPred>),
+    True,
+}
+
+impl ObsPred {
+    /// `pred` with each expression replaced by its position in `observed`,
+    /// which holds every expression `pred` mentions.
+    fn compile(pred: &Predicate, observed: &[FinalExpr]) -> ObsPred {
+        let pos = |e: &FinalExpr| {
+            observed
+                .iter()
+                .position(|o| o == e)
+                .expect("the condition's expressions are observed")
+        };
+        let sub = |p: &Predicate| Box::new(ObsPred::compile(p, observed));
+        match pred {
+            Predicate::Eq(e, n) => ObsPred::Eq(pos(e), *n),
+            Predicate::Ne(e, n) => ObsPred::Ne(pos(e), *n),
+            Predicate::And(a, b) => ObsPred::And(sub(a), sub(b)),
+            Predicate::Or(a, b) => ObsPred::Or(sub(a), sub(b)),
+            Predicate::Not(p) => ObsPred::Not(sub(p)),
+            Predicate::True => ObsPred::True,
+        }
+    }
+
+    fn eval(&self, obs: &[i64]) -> bool {
+        match self {
+            ObsPred::Eq(k, n) => obs[*k] == *n,
+            ObsPred::Ne(k, n) => obs[*k] != *n,
+            ObsPred::And(a, b) => a.eval(obs) && b.eval(obs),
+            ObsPred::Or(a, b) => a.eval(obs) || b.eval(obs),
+            ObsPred::Not(p) => !p.eval(obs),
+            ObsPred::True => true,
+        }
+    }
 }
 
 /// Compilation failure.
@@ -298,8 +378,9 @@ impl SimProgram {
             .collect();
         let num_ctas = test.scope_tree().num_ctas();
 
+        let exprs = test.observed();
         let mut observed = Vec::new();
-        for expr in test.observed() {
+        for expr in exprs.iter().cloned() {
             let target = match &expr {
                 FinalExpr::Reg(t, r) => {
                     let id = reg_maps
@@ -318,15 +399,53 @@ impl SimProgram {
             observed.push((expr, target));
         }
 
+        let shared_owner = (0..locs.len() as u32)
+            .map(|l| shared_owner_cta(&threads, &thread_cta, l))
+            .collect();
+        let mem_init: Vec<i64> = locs.iter().map(|l| l.init).collect();
+        let global_locs = (0..locs.len() as u32)
+            .filter(|&l| locs[l as usize].region == Region::Global)
+            .collect();
+        let reads = threads
+            .iter()
+            .zip(&reg_init)
+            .map(|(code, regs)| match regs.len() {
+                0..=64 => code.iter().map(read_mask).collect(),
+                _ => Vec::new(),
+            })
+            .collect();
+        let reg_start = reg_init
+            .iter()
+            .map(|inits| inits.iter().map(|&v| Some(v)).collect())
+            .collect();
+        let mut obs_order: Vec<usize> = (0..exprs.len()).collect();
+        obs_order.sort_by(|&a, &b| exprs[a].cmp(&exprs[b]));
+        let cond = ObsCond {
+            negated: test.cond().quantifier == Quantifier::Forall,
+            pred: ObsPred::compile(&test.cond().pred, &exprs),
+        };
+
         Ok(SimProgram {
             name: test.name().to_owned(),
             threads,
             reg_init,
+            shared_init: if locs.iter().any(|l| l.region == Region::Shared) {
+                mem_init.repeat(num_ctas)
+            } else {
+                Vec::new()
+            },
+            mem_init,
             locs,
             spans_ctas: num_ctas > 1,
             thread_cta,
             num_ctas,
             observed,
+            shared_owner,
+            global_locs,
+            reg_start,
+            reads,
+            obs_order,
+            cond,
         })
     }
 
@@ -334,6 +453,74 @@ impl SimProgram {
     pub fn num_threads(&self) -> usize {
         self.threads.len()
     }
+
+    /// Whether a run that observed `obs` (in `observed` order) witnesses
+    /// the test's final condition: `cond().witnessed_by` on the outcome
+    /// the vector stands for, without building it.
+    pub fn witnessed_by(&self, obs: &[i64]) -> bool {
+        debug_assert_eq!(obs.len(), self.observed.len());
+        self.cond.pred.eval(obs) != self.cond.negated
+    }
+
+    /// Whether `outcome` is the outcome `obs` (in `observed` order) stands
+    /// for: it binds exactly the observed expressions, each to the
+    /// vector's value. Compares without building an [`Outcome`].
+    pub fn is_outcome_of(&self, obs: &[i64], outcome: &Outcome) -> bool {
+        debug_assert_eq!(obs.len(), self.observed.len());
+        outcome.len() == obs.len()
+            && outcome
+                .iter()
+                .zip(&self.obs_order)
+                .all(|((e, v), &k)| v == obs[k] && *e == self.observed[k].0)
+    }
+}
+
+/// The registers `instr` reads, as bits `1 << r` (every `r` below 64).
+fn read_mask(instr: &SimInstr) -> u64 {
+    let reg = |r: u32| 1u64 << r;
+    let op = |o: SimOperand| match o {
+        SimOperand::Reg(r) => reg(r),
+        SimOperand::Imm(_) | SimOperand::Sym(_) => 0,
+    };
+    let guard = instr.guard.map_or(0, |(p, _)| reg(p));
+    guard
+        | match instr.op {
+            SimOp::Ld { addr, .. } | SimOp::Inc { addr, .. } => op(addr),
+            SimOp::St { addr, src, .. } | SimOp::Exch { addr, src, .. } => op(addr) | op(src),
+            SimOp::Cas {
+                addr,
+                expected,
+                desired,
+                ..
+            } => op(addr) | op(expected) | op(desired),
+            SimOp::Mov { src, .. } | SimOp::Cvt { src, .. } => op(src),
+            SimOp::Add { a, b, .. }
+            | SimOp::And { a, b, .. }
+            | SimOp::Xor { a, b, .. }
+            | SimOp::SetpEq { a, b, .. }
+            | SimOp::SetpNe { a, b, .. } => op(a) | op(b),
+            SimOp::Membar(_) | SimOp::Bra(_) | SimOp::Nop => 0,
+        }
+}
+
+/// The CTA whose shared-memory instance of `loc` the test uses
+/// (validation guarantees a single CTA accesses each shared location).
+fn shared_owner_cta(threads: &[Vec<SimInstr>], thread_cta: &[usize], loc: u32) -> usize {
+    for (tid, code) in threads.iter().enumerate() {
+        for instr in code {
+            let addr = match instr.op {
+                SimOp::Ld { addr, .. } | SimOp::St { addr, .. } => Some(addr),
+                SimOp::Cas { addr, .. } | SimOp::Exch { addr, .. } | SimOp::Inc { addr, .. } => {
+                    Some(addr)
+                }
+                _ => None,
+            };
+            if addr == Some(SimOperand::Sym(loc)) {
+                return thread_cta[tid];
+            }
+        }
+    }
+    0
 }
 
 fn compile_operand(

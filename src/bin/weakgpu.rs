@@ -15,7 +15,10 @@
 //! ```
 //!
 //! Parse errors are reported as caret diagnostics with the offending
-//! source line, via the shared [`weakgpu::front`] infrastructure.
+//! source line, via the shared [`weakgpu::front`] infrastructure. A
+//! malformed command line prints its error and then the usage; a command
+//! that fails while it runs prints its error alone. Either exits
+//! non-zero.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -87,20 +90,54 @@ any file has errors. --builtin also lints the shipped model sources.
 affects wall-clock time only: for a fixed --seed the full histogram is
 bit-identical on any machine at any parallelism.";
 
+/// Why a command failed.
+enum CliError {
+    /// The command line is malformed: an unknown command, or a flag or
+    /// value that is missing or bad. The usage follows the message.
+    Usage(String),
+    /// The command failed while it ran. The message stands alone.
+    Failed(String),
+}
+
+/// Errors of running a command, which are runtime failures unless the
+/// caller marks them as usage errors.
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Failed(msg)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> Self {
+        CliError::Failed(msg.to_owned())
+    }
+}
+
+type CliResult = Result<(), CliError>;
+
+/// A usage error.
+fn usage<T>(msg: impl Into<String>) -> Result<T, CliError> {
+    Err(CliError::Usage(msg.into()))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
+        Err(CliError::Failed(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-fn dispatch(args: &[String]) -> Result<(), String> {
+fn dispatch(args: &[String]) -> CliResult {
     // `--help` wins anywhere on the line, so `weakgpu run --help` works too.
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!("{USAGE}");
@@ -118,8 +155,8 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             println!("{USAGE}");
             Ok(())
         }
-        Some(other) => Err(format!("unknown command {other:?}")),
-        None => Err("missing command".to_owned()),
+        Some(other) => usage(format!("unknown command {other:?}")),
+        None => usage("missing command"),
     }
 }
 
@@ -155,19 +192,25 @@ fn all_corpus() -> Vec<LitmusTest> {
     v
 }
 
-fn chip_by_short(short: &str) -> Result<Chip, String> {
-    Chip::ALL
+fn chip_by_short(short: &str) -> Result<Chip, CliError> {
+    match Chip::ALL
         .into_iter()
         .find(|c| c.short().eq_ignore_ascii_case(short))
-        .ok_or_else(|| {
-            format!(
-                "unknown chip {short:?} (expected one of {})",
-                Chip::ALL.map(|c| c.short()).join(", ")
-            )
-        })
+    {
+        Some(chip) => Ok(chip),
+        None => usage(format!(
+            "unknown chip {short:?} (expected one of {})",
+            Chip::ALL.map(|c| c.short()).join(", ")
+        )),
+    }
 }
 
-fn model_by_name(name: &str) -> Result<Box<dyn Model>, String> {
+/// The chips of a comma-separated `--chips` value.
+fn chips_by_short(list: &str) -> Result<Vec<Chip>, CliError> {
+    list.split(',').map(chip_by_short).collect()
+}
+
+fn model_by_name(name: &str) -> Result<Box<dyn Model>, CliError> {
     Ok(match name {
         "ptx" => Box::new(models::ptx_model()),
         "ptx-native" => Box::new(models::native::NativePtxModel::new()),
@@ -175,7 +218,7 @@ fn model_by_name(name: &str) -> Result<Box<dyn Model>, String> {
         "tso" => Box::new(models::tso_model()),
         "rmo" => Box::new(models::rmo_model()),
         "operational" => Box::new(models::operational_baseline()),
-        other => return Err(format!("unknown model {other:?}")),
+        other => return usage(format!("unknown model {other:?}")),
     })
 }
 
@@ -187,6 +230,22 @@ fn take_opt(args: &mut Vec<String>, flag: &str) -> Option<String> {
     let value = args.remove(pos + 1);
     args.remove(pos);
     Some(value)
+}
+
+/// Takes `flag`'s value and parses it; a malformed value is a usage
+/// error.
+fn take_parsed<T>(args: &mut Vec<String>, flag: &str) -> Result<Option<T>, CliError>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    match take_opt(args, flag) {
+        Some(s) => match s.parse() {
+            Ok(v) => Ok(Some(v)),
+            Err(e) => usage(format!("{flag} {s:?}: {e}")),
+        },
+        None => Ok(None),
+    }
 }
 
 fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
@@ -215,38 +274,39 @@ fn edit_distance(a: &str, b: &str) -> usize {
     row[b.len()]
 }
 
-/// Error for a leftover argument, naming the closest valid flag when the
-/// argument looks like a misspelt one.
-fn unexpected_arg(cmd: &str, arg: &str, flags: &[&str]) -> String {
+/// Usage error for a leftover argument, naming the closest valid flag
+/// when the argument looks like a misspelt one.
+fn unexpected_arg<T>(cmd: &str, arg: &str, flags: &[&str]) -> Result<T, CliError> {
     let nearest = flags
         .iter()
         .map(|f| (edit_distance(arg, f), *f))
         .min()
         .filter(|&(d, f)| arg.starts_with('-') && d <= f.len() / 2);
-    match nearest {
+    usage(match nearest {
         Some((_, flag)) => format!("{cmd}: unexpected argument {arg:?} (did you mean {flag:?}?)"),
         None => format!("{cmd}: unexpected argument {arg:?}"),
+    })
+}
+
+/// The first positional argument of `cmd`: a missing one is a usage
+/// error.
+fn positional<'a>(cmd: &str, args: &'a [String]) -> Result<&'a String, CliError> {
+    match args.first() {
+        Some(arg) => Ok(arg),
+        None => usage(format!("{cmd}: missing litmus file")),
     }
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
+fn cmd_run(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
     let chip = match take_opt(&mut args, "--chip") {
         Some(s) => Some(chip_by_short(&s)?),
         None => None,
     };
-    let iterations = take_opt(&mut args, "--iterations")
-        .map(|s| s.parse::<usize>().map_err(|e| e.to_string()))
-        .transpose()?
-        .unwrap_or(100_000);
-    let seed = take_opt(&mut args, "--seed")
-        .map(|s| s.parse::<u64>().map_err(|e| e.to_string()))
-        .transpose()?
-        .unwrap_or(0x5eed);
-    let parallelism = take_opt(&mut args, "--parallelism")
-        .map(|s| s.parse::<usize>().map_err(|e| e.to_string()))
-        .transpose()?;
-    let path = args.first().ok_or("run: missing litmus file")?;
+    let iterations = take_parsed(&mut args, "--iterations")?.unwrap_or(100_000);
+    let seed = take_parsed(&mut args, "--seed")?.unwrap_or(0x5eed);
+    let parallelism = take_parsed(&mut args, "--parallelism")?;
+    let path = positional("run", &args)?;
     let test = load(path)?;
     let inc = weakgpu::harness::default_incantations(&test);
     let cfg = RunConfig {
@@ -282,30 +342,19 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// The flag vocabulary of `campaign`, for "did you mean" hints.
 const CAMPAIGN_FLAGS: &[&str] = &["--chips", "--iterations", "--seed", "--parallelism"];
 
-fn cmd_campaign(args: &[String]) -> Result<(), String> {
+fn cmd_campaign(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
     let chips: Vec<Chip> = match take_opt(&mut args, "--chips") {
-        Some(list) => list
-            .split(',')
-            .map(chip_by_short)
-            .collect::<Result<_, _>>()?,
+        Some(list) => chips_by_short(&list)?,
         None => Chip::TABLED.to_vec(),
     };
-    let iterations = take_opt(&mut args, "--iterations")
-        .map(|s| s.parse::<usize>().map_err(|e| e.to_string()))
-        .transpose()?
-        .unwrap_or(10_000);
-    let seed = take_opt(&mut args, "--seed")
-        .map(|s| s.parse::<u64>().map_err(|e| e.to_string()))
-        .transpose()?
-        .unwrap_or(0x5eed);
-    let parallelism = take_opt(&mut args, "--parallelism")
-        .map(|s| s.parse::<usize>().map_err(|e| e.to_string()))
-        .transpose()?;
+    let iterations = take_parsed(&mut args, "--iterations")?.unwrap_or(10_000);
+    let seed = take_parsed(&mut args, "--seed")?.unwrap_or(0x5eed);
+    let parallelism = take_parsed(&mut args, "--parallelism")?;
     // Leftovers are test names/files; anything still dashed is a
     // misspelt flag that would otherwise fail as a missing file.
     if let Some(extra) = args.iter().find(|a| a.starts_with('-')) {
-        return Err(unexpected_arg("campaign", extra, CAMPAIGN_FLAGS));
+        return unexpected_arg("campaign", extra, CAMPAIGN_FLAGS);
     }
 
     let tests: Vec<LitmusTest> = if args.is_empty() {
@@ -378,44 +427,34 @@ const SWEEP_FLAGS: &[&str] = &[
     "--merge",
 ];
 
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
+fn cmd_sweep(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
     if take_flag(&mut args, "--merge") {
         return cmd_sweep_merge(args);
     }
     let family_name = take_opt(&mut args, "--family").unwrap_or_else(|| "small".into());
-    let gen_cfg = GenConfig::named(&family_name).ok_or_else(|| {
-        format!(
+    let Some(gen_cfg) = GenConfig::named(&family_name) else {
+        return usage(format!(
             "unknown family {family_name:?} (expected one of {})",
             GenConfig::FAMILY_NAMES.join(", ")
-        )
-    })?;
-    let shard = take_opt(&mut args, "--shard")
-        .map(|s| Shard::parse(&s))
-        .transpose()?;
+        ));
+    };
+    let shard = match take_opt(&mut args, "--shard") {
+        Some(s) => Some(Shard::parse(&s).map_err(CliError::Usage)?),
+        None => None,
+    };
     let out = take_opt(&mut args, "--out");
     let chips: Vec<Chip> = match take_opt(&mut args, "--chips") {
-        Some(list) => list
-            .split(',')
-            .map(chip_by_short)
-            .collect::<Result<_, _>>()?,
+        Some(list) => chips_by_short(&list)?,
         None => Chip::NVIDIA_TABLED.to_vec(),
     };
-    let iterations = take_opt(&mut args, "--iterations")
-        .map(|s| s.parse::<usize>().map_err(|e| e.to_string()))
-        .transpose()?
-        .unwrap_or(1_000);
-    let seed = take_opt(&mut args, "--seed")
-        .map(|s| s.parse::<u64>().map_err(|e| e.to_string()))
-        .transpose()?
-        .unwrap_or(0x5eed);
-    let parallelism = take_opt(&mut args, "--parallelism")
-        .map(|s| s.parse::<usize>().map_err(|e| e.to_string()))
-        .transpose()?;
+    let iterations = take_parsed(&mut args, "--iterations")?.unwrap_or(1_000);
+    let seed = take_parsed(&mut args, "--seed")?.unwrap_or(0x5eed);
+    let parallelism = take_parsed(&mut args, "--parallelism")?;
     let cache_file = take_opt(&mut args, "--cache-file").map(std::path::PathBuf::from);
     let cache_readonly = take_flag(&mut args, "--cache-readonly");
     if let Some(extra) = args.first() {
-        return Err(unexpected_arg("sweep", extra, SWEEP_FLAGS));
+        return unexpected_arg("sweep", extra, SWEEP_FLAGS);
     }
 
     let tests = generate(&gen_cfg);
@@ -456,8 +495,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let done = AtomicUsize::new(0);
     let report = run_sweep_with(&tests, &cfg, |rec| {
         if let Some(w) = &jsonl {
-            let mut w = w.lock().expect("no poisoned locks");
-            let _ = writeln!(w, "{}", rec.to_jsonl());
+            // Format outside the lock, so workers only queue to write.
+            let line = rec.to_jsonl();
+            let _ = writeln!(w.lock().expect("no poisoned locks"), "{line}");
         }
         let n = done.fetch_add(1, Ordering::Relaxed) + 1;
         if n.is_multiple_of(2_000) {
@@ -476,21 +516,27 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         eprintln!("sweep: wrote aggregate report to {path}");
     }
     print_sweep_summary(&report, false);
-    if !report.is_sound() {
-        eprintln!(
-            "error: {} cells observed model-forbidden outcomes",
-            report.unsound_cells
-        );
-        std::process::exit(1);
-    }
-    Ok(())
+    sound_or_failed(&report)
 }
 
-fn cmd_sweep_merge(args: Vec<String>) -> Result<(), String> {
+/// A runtime failure when any cell of `report` observed an outcome the
+/// model forbids.
+fn sound_or_failed(report: &SweepReport) -> CliResult {
+    if report.is_sound() {
+        Ok(())
+    } else {
+        Err(CliError::Failed(format!(
+            "{} cells observed model-forbidden outcomes",
+            report.unsound_cells
+        )))
+    }
+}
+
+fn cmd_sweep_merge(args: Vec<String>) -> CliResult {
     let mut args = args;
     let out = take_opt(&mut args, "--out");
     if args.is_empty() {
-        return Err("sweep --merge: no report files given".to_owned());
+        return usage("sweep --merge: no report files given");
     }
     let reports: Vec<SweepReport> = args
         .iter()
@@ -514,20 +560,13 @@ fn cmd_sweep_merge(args: Vec<String>) -> Result<(), String> {
             print_sweep_summary(&merged, true);
         }
     }
-    if !merged.is_sound() {
-        eprintln!(
-            "error: {} cells observed model-forbidden outcomes",
-            merged.unsound_cells
-        );
-        std::process::exit(1);
-    }
-    Ok(())
+    sound_or_failed(&merged)
 }
 
 /// The flag vocabulary of `serve`, for "did you mean" hints.
 const SERVE_FLAGS: &[&str] = &["--cache-file", "--cache-readonly", "--model"];
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &[String]) -> CliResult {
     use weakgpu::axiom::cache::VerdictCache;
     use weakgpu::axiom::persist;
     use weakgpu::harness::serve::{model_by_name as serve_model, serve, ServeConfig};
@@ -537,20 +576,22 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let cache_readonly = take_flag(&mut args, "--cache-readonly");
     let default_model = take_opt(&mut args, "--model").unwrap_or_else(|| "ptx".into());
     if let Some(extra) = args.first() {
-        return Err(unexpected_arg("serve", extra, SERVE_FLAGS));
+        return unexpected_arg("serve", extra, SERVE_FLAGS);
     }
     // Fail on a bad default model before reading any requests.
-    serve_model(&default_model).map_err(|e| format!("serve: {e}"))?;
+    if let Err(e) = serve_model(&default_model) {
+        return usage(format!("serve: {e}"));
+    }
 
     let mut cache = match &cache_file {
         Some(path) if path.exists() => {
             persist::load(path).map_err(|e| format!("serve: verdict cache: {e}"))?
         }
         Some(path) if cache_readonly => {
-            return Err(format!(
+            return Err(CliError::Failed(format!(
                 "serve: verdict cache: {}: read-only cache file does not exist",
                 path.display()
-            ))
+            )))
         }
         _ => VerdictCache::new(),
     };
@@ -650,24 +691,24 @@ fn print_sweep_summary(report: &SweepReport, to_stderr: bool) {
 /// The flag vocabulary of `check`, for "did you mean" hints.
 const CHECK_FLAGS: &[&str] = &["--builtin", "--model"];
 
-fn cmd_check(args: &[String]) -> Result<(), String> {
+fn cmd_check(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
     let builtin = take_flag(&mut args, "--builtin");
     let model_opt = take_opt(&mut args, "--model");
     // Leftovers are file paths; anything still dashed is a misspelt
     // flag that would otherwise fail as a missing file.
     if let Some(extra) = args.iter().find(|a| a.starts_with('-')) {
-        return Err(unexpected_arg("check", extra, CHECK_FLAGS));
+        return unexpected_arg("check", extra, CHECK_FLAGS);
     }
     // Lint mode: several files, any .cat file, or --builtin.
     if builtin || args.len() > 1 || args.iter().any(|a| a.ends_with(".cat")) {
         if model_opt.is_some() {
-            return Err("check: --model only applies to a single-file verdict".to_owned());
+            return usage("check: --model only applies to a single-file verdict");
         }
         return lint(&args, builtin);
     }
     let model = model_by_name(&model_opt.unwrap_or_else(|| "ptx".into()))?;
-    let path = args.first().ok_or("check: missing litmus file")?;
+    let path = positional("check", &args)?;
     let test = load(path)?;
     let verdict =
         model_outcomes(&test, model.as_ref(), &EnumConfig::default()).map_err(|e| e.to_string())?;
@@ -700,7 +741,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 /// Diagnostics-only `check`: parses every file (and, with `builtin`, the
 /// shipped model sources), printing caret diagnostics for every problem
 /// found; exits non-zero if any error diagnostic was produced.
-fn lint(paths: &[String], builtin: bool) -> Result<(), String> {
+fn lint(paths: &[String], builtin: bool) -> CliResult {
     let mut sources: Vec<(String, String)> = Vec::new();
     for path in paths {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -712,7 +753,7 @@ fn lint(paths: &[String], builtin: bool) -> Result<(), String> {
         }
     }
     if sources.is_empty() {
-        return Err("check: no files to lint".to_owned());
+        return usage("check: no files to lint");
     }
     let mut errors = 0usize;
     for (name, text) in &sources {
@@ -730,13 +771,12 @@ fn lint(paths: &[String], builtin: bool) -> Result<(), String> {
         errors += diags.iter().filter(|d| d.is_error()).count();
     }
     if errors > 0 {
-        eprintln!(
+        return Err(CliError::Failed(format!(
             "check: {errors} error{} in {} file{}",
             if errors == 1 { "" } else { "s" },
             sources.len(),
             if sources.len() == 1 { "" } else { "s" }
-        );
-        std::process::exit(1);
+        )));
     }
     println!("check: {} file(s) ok", sources.len());
     Ok(())
@@ -757,10 +797,10 @@ fn lint_cat(file: &SourceFile) -> Vec<Diagnostic> {
     diags
 }
 
-fn cmd_show(args: &[String]) -> Result<(), String> {
+fn cmd_show(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
     let want_dot = take_flag(&mut args, "--dot");
-    let path = args.first().ok_or("show: missing litmus file")?;
+    let path = positional("show", &args)?;
     let test = load(path)?;
     let cands = enumerate_executions(&test, &EnumConfig::default()).map_err(|e| e.to_string())?;
     // Show the witnessing execution if one exists, else the first.
@@ -789,7 +829,7 @@ fn cmd_show(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_corpus(args: &[String]) -> Result<(), String> {
+fn cmd_corpus(args: &[String]) -> CliResult {
     match args.first() {
         None => {
             for t in all_corpus() {

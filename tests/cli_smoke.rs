@@ -321,3 +321,58 @@ fn misspelt_flags_get_a_did_you_mean_hint() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("did you mean \"--shard\"?"), "{err}");
 }
+
+#[test]
+fn usage_errors_print_the_usage() {
+    // A malformed command line: an unknown command, a missing or bad
+    // value, a misspelt flag.
+    for args in [
+        &["frobnicate"][..],
+        &["run"],
+        &["sweep", "--iterations", "many"],
+        &["campaign", "--chips", "titan,gtx9000"],
+        &["sweep", "--family", "paper", "--shrad", "1/2"],
+    ] {
+        let out = weakgpu().args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.starts_with("error: "), "{args:?}: {err}");
+        assert!(
+            err.contains("usage:"),
+            "{args:?} must print the usage: {err}"
+        );
+    }
+}
+
+#[test]
+fn runtime_failures_print_the_error_alone() {
+    let dir = std::env::temp_dir().join(format!("weakgpu-fail-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // A thread longer than the enumerator's step bound: judging it fails
+    // after the command line was read correctly.
+    let long = dir.join("long.litmus");
+    let mut src = String::from("GPU_PTX long\n{0:.reg .s32 r0}\nT0 ;\nmov r0,1 ;\n");
+    for _ in 0..140 {
+        src.push_str("st.cg [x],r0 ;\n");
+    }
+    src.push_str("ScopeTree(grid(cta(warp T0)))\nx: global\nexists (x=1)\n");
+    std::fs::write(&long, src).unwrap();
+    let missing = dir.join("missing.litmus");
+    for args in [
+        vec!["run".to_owned(), missing.display().to_string()],
+        vec![
+            "check".to_owned(),
+            long.display().to_string(),
+            "--model".to_owned(),
+            "ptx".to_owned(),
+        ],
+    ] {
+        let out = weakgpu().args(&args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.starts_with("error: "), "{args:?}: {err}");
+        assert!(!err.contains("usage:"), "{args:?} printed the usage: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
