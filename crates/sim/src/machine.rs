@@ -21,26 +21,30 @@
 //!
 //! # What a run costs
 //!
-//! A paper-family run is a few dozen scheduler steps, so its fixed costs
+//! A paper-family run is about 17 scheduler steps, so its fixed costs
 //! matter as much as its steps, and everything that does not change
 //! between runs is computed once:
 //!
 //! * **per test**, by [`SimProgram::compile`]: the L2 and shared-memory
-//!   images a run starts from, the global locations L1 preload draws
-//!   for, the register files as the machine holds them, the owning CTA
-//!   of each shared location, and the final condition resolved to
-//!   positions in the observation vector;
-//! * **per cell**, by [`RunParams::new`]: the bypass probability of every
-//!   pair of pending-op classes, so choosing which op performs is a table
-//!   lookup and a same-location test per pair. Each op is classified once,
-//!   when it issues, by kind, region, cache operator and fence leak.
+//!   images a run starts from (no shared image for a test without shared
+//!   locations), the global locations L1 preload draws for, the register
+//!   files as the machine holds them, the registers each instruction
+//!   reads as a bit mask, the owning CTA of each shared location, and the
+//!   final condition resolved to positions in the observation vector;
+//! * **per chip and incantations**, by [`RunParams::new`]: the bypass
+//!   probability of every pair of pending-op classes, so choosing which
+//!   op performs is a table lookup and a same-location test per pair.
+//!   Each op is classified once, when it issues, by kind, region, cache
+//!   operator and fence leak.
 //!
 //! A run then resets its [`MachineState`] by copying those images (the
-//! RNG draws of SM placement and L1 preload are made in the historical
-//! order), keeps each thread's pending ops in an inline window of
-//! [`WINDOW`] slots, and records its observation vector into an
-//! [`ObsCounts`] by a linear probe over the few distinct vectors seen so
-//! far. None of it allocates once the state and the counts are warm.
+//! RNG draws of SM placement and L1 preload are the historical ones, in
+//! the historical order). An instruction is ready to issue when its read
+//! mask misses the thread's mask of awaited registers. Each thread keeps
+//! its pending ops in an inline window of 8 slots, oldest first, and a
+//! run records its observation vector into an [`ObsCounts`] by a linear
+//! probe over the few distinct vectors seen so far. None of it allocates
+//! once the state and the counts are warm.
 
 use std::fmt;
 use std::sync::Arc;
@@ -50,13 +54,15 @@ use rand::{Rng, SeedableRng};
 use weakgpu_litmus::{CacheOp, FenceScope, LitmusTest, Outcome, Region};
 
 use crate::chip::{Chip, Incantations, RunWeights};
-use crate::program::{CompileError, ObsTarget, SimInstr, SimOp, SimOperand, SimProgram, SimValue};
+use crate::program::{
+    reg_bit, CompileError, ObsTarget, SimInstr, SimOp, SimOperand, SimProgram, SimValue,
+};
 
 /// Maximum scheduler steps per run, against runaway spin loops.
 const MAX_STEPS: usize = 200_000;
 
 /// Maximum pending operations per thread window.
-pub const WINDOW: usize = 8;
+const WINDOW: usize = 8;
 
 /// A run-time failure.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -292,16 +298,9 @@ struct ThreadCtx {
     pc: usize,
     /// Register values; `None` while an issued load or RMW owes one.
     regs: Vec<Option<SimValue>>,
-    /// The registers that are `None`, as [`pending_bit`]s.
+    /// The registers that are `None`, as [`reg_bit`]s.
     pending: u64,
     queue: Window,
-}
-
-/// The bit of register `r` in a thread's pending mask. Registers past 63
-/// share bits, harmlessly: a thread with that many registers tests its
-/// operands one by one (see [`SimProgram`]'s read masks).
-fn pending_bit(r: u32) -> u64 {
-    1 << (r % 64)
 }
 
 impl ThreadCtx {
@@ -312,13 +311,13 @@ impl ThreadCtx {
     /// Makes register `r` available, holding `v`.
     fn set(&mut self, r: u32, v: SimValue) {
         self.regs[r as usize] = Some(v);
-        self.pending &= !pending_bit(r);
+        self.pending &= !reg_bit(r);
     }
 
     /// Makes register `r` await the issued op that writes it.
     fn owe(&mut self, r: u32) {
         self.regs[r as usize] = None;
-        self.pending |= pending_bit(r);
+        self.pending |= reg_bit(r);
     }
 }
 
@@ -580,7 +579,14 @@ impl Simulator {
         st.sm_of_cta.resize(p.num_ctas, 0);
         st.l1_row.resize(p.num_ctas, 0);
         st.l2.resize(p.mem_init.len(), 0);
-        st.shared.resize(p.shared_init.len(), 0);
+        st.shared.resize(
+            if p.has_shared {
+                p.num_ctas * st.nlocs
+            } else {
+                0
+            },
+            0,
+        );
         st.l1.resize(p.num_ctas * st.nlocs, None);
         st.threads.resize_with(p.threads.len(), || ThreadCtx {
             pc: 0,
@@ -588,8 +594,8 @@ impl Simulator {
             pending: 0,
             queue: Window::EMPTY,
         });
-        for (ctx, regs) in st.threads.iter_mut().zip(&p.reg_start) {
-            ctx.regs.resize(regs.len(), None);
+        for (ctx, inits) in st.threads.iter_mut().zip(&p.reg_init) {
+            ctx.regs.resize(inits.len(), None);
         }
         st.obs.resize(p.observed.len(), 0);
     }
@@ -619,7 +625,11 @@ impl Simulator {
 
         // Memory.
         st.l2.copy_from_slice(&p.mem_init);
-        st.shared.copy_from_slice(&p.shared_init);
+        if p.has_shared {
+            for image in st.shared.chunks_exact_mut(nlocs) {
+                image.copy_from_slice(&p.mem_init);
+            }
+        }
         st.l1.fill(None);
         let preload = params.w.l1_preload;
         if preload > 0.0 {
@@ -636,10 +646,12 @@ impl Simulator {
             }
         }
 
-        for (ctx, regs) in st.threads.iter_mut().zip(&p.reg_start) {
+        for (ctx, inits) in st.threads.iter_mut().zip(&p.reg_init) {
             ctx.pc = 0;
             ctx.queue.len = 0;
-            ctx.regs.copy_from_slice(regs);
+            for (reg, &v) in ctx.regs.iter_mut().zip(inits) {
+                *reg = Some(v);
+            }
             ctx.pending = 0;
         }
     }
@@ -757,9 +769,11 @@ impl Simulator {
         if ctx.queue.len() >= WINDOW {
             return (false, true);
         }
-        let ready = match self.program.reads[t].get(ctx.pc) {
-            Some(reads) => reads & ctx.pending == 0,
-            None => self.operands_ready(&code[ctx.pc], ctx),
+        let instr = &code[ctx.pc];
+        let ready = if self.program.narrow {
+            instr.reads & ctx.pending == 0
+        } else {
+            self.operands_ready(instr, ctx)
         };
         (ready, !ready)
     }

@@ -8,7 +8,7 @@ use std::fmt;
 
 use weakgpu_litmus::{
     CacheOp, FenceScope, FinalExpr, Instr, Label, LitmusTest, Loc, Operand, Outcome, Predicate,
-    Quantifier, Region, Value,
+    Quantifier, Reg, Region, Value,
 };
 
 /// A compile-time-resolved value: integer or location pointer. `Copy`, for
@@ -167,6 +167,16 @@ pub struct SimInstr {
     pub op: SimOp,
     /// Guard: `(pred register, expected truth)`.
     pub guard: Option<(u32, bool)>,
+    /// The registers the instruction reads (its guard and operands), as
+    /// [`reg_bit`]s: the machine issues it when none of them awaits a
+    /// value. Exact when the program is [`SimProgram::narrow`].
+    pub(crate) reads: u64,
+}
+
+/// The bit of register `r` in a register mask. Registers past 63 share
+/// bits, so masks are exact only for threads of at most 64 registers.
+pub(crate) fn reg_bit(r: u32) -> u64 {
+    1 << (r % 64)
 }
 
 /// A location's static properties.
@@ -209,83 +219,86 @@ pub struct SimProgram {
     /// `true` when the test's threads span multiple CTAs (controls the
     /// cta-fence leak sampling).
     pub spans_ctas: bool,
+    /// Whether every thread has at most 64 registers, so that
+    /// [`SimInstr`]'s read masks are exact. The machine tests the operands
+    /// of a wider program one by one instead.
+    pub(crate) narrow: bool,
+    /// Whether some location is in shared memory; without one, a run
+    /// keeps no shared-memory image.
+    pub(crate) has_shared: bool,
     /// The CTA whose shared-memory instance of each location the test
     /// uses (meaningful for `Region::Shared` locations only).
     pub(crate) shared_owner: Vec<usize>,
-    /// Every location's initial value, by location id: the L2 image a run
-    /// starts from.
+    /// Every location's initial value, by location id: the memory image
+    /// a run starts from, in the L2 and in each CTA's shared memory.
     pub(crate) mem_init: Vec<i64>,
-    /// `mem_init` once per CTA: the shared-memory image a run starts
-    /// from. Empty when the test has no shared location, since nothing
-    /// reads the image then.
-    pub(crate) shared_init: Vec<i64>,
     /// The ids of the global locations, in id order: the candidates for
     /// L1 preload.
     pub(crate) global_locs: Vec<u32>,
-    /// `reg_init` as the machine's registers hold it, all available.
-    pub(crate) reg_start: Vec<Vec<Option<SimValue>>>,
-    /// Per thread, the registers each instruction reads (its guard and
-    /// operands) as a bit mask, so the machine tests an instruction's
-    /// readiness against the thread's mask of awaited registers. Empty
-    /// for a thread with more than 64 registers, which tests its
-    /// operands one by one instead.
-    pub(crate) reads: Vec<Vec<u64>>,
     /// The positions of `observed`, sorted by expression: the order of an
     /// [`Outcome`]'s bindings.
     obs_order: Vec<usize>,
-    /// The final condition over observation-vector positions.
-    cond: ObsCond,
+    /// The body of the final condition over observation-vector positions.
+    cond: Vec<CondOp>,
+    /// Whether a run witnesses the condition by violating its body
+    /// (`forall`) rather than by satisfying it.
+    cond_negated: bool,
 }
 
-/// A final condition whose expressions are resolved to positions in the
-/// observation vector, so it is judged without building an [`Outcome`].
-#[derive(Clone, Debug)]
-struct ObsCond {
-    /// `forall` conditions are witnessed by a run that violates the body.
-    negated: bool,
-    pred: ObsPred,
-}
-
-#[derive(Clone, Debug)]
-enum ObsPred {
+/// One node of a final-condition body whose expressions are resolved to
+/// positions in the observation vector, so it is judged without building
+/// an [`Outcome`]. The body is flat, in prefix order: an operator comes
+/// before its operands.
+#[derive(Clone, Copy, Debug)]
+enum CondOp {
     Eq(usize, i64),
     Ne(usize, i64),
-    And(Box<ObsPred>, Box<ObsPred>),
-    Or(Box<ObsPred>, Box<ObsPred>),
-    Not(Box<ObsPred>),
+    /// Both operands hold; the first one spans the next `n` nodes.
+    And(usize),
+    /// Either operand holds; the first one spans the next `n` nodes.
+    Or(usize),
+    Not,
     True,
 }
 
-impl ObsPred {
-    /// `pred` with each expression replaced by its position in `observed`,
-    /// which holds every expression `pred` mentions.
-    fn compile(pred: &Predicate, observed: &[FinalExpr]) -> ObsPred {
-        let pos = |e: &FinalExpr| {
-            observed
-                .iter()
-                .position(|o| o == e)
-                .expect("the condition's expressions are observed")
-        };
-        let sub = |p: &Predicate| Box::new(ObsPred::compile(p, observed));
-        match pred {
-            Predicate::Eq(e, n) => ObsPred::Eq(pos(e), *n),
-            Predicate::Ne(e, n) => ObsPred::Ne(pos(e), *n),
-            Predicate::And(a, b) => ObsPred::And(sub(a), sub(b)),
-            Predicate::Or(a, b) => ObsPred::Or(sub(a), sub(b)),
-            Predicate::Not(p) => ObsPred::Not(sub(p)),
-            Predicate::True => ObsPred::True,
+/// Appends `pred` to `ops` with each expression replaced by its position
+/// in `observed`, which holds every expression `pred` mentions.
+fn compile_cond(pred: &Predicate, observed: &[(FinalExpr, ObsTarget)], ops: &mut Vec<CondOp>) {
+    let pos = |e: &FinalExpr| {
+        observed
+            .iter()
+            .position(|(o, _)| o == e)
+            .expect("the condition's expressions are observed")
+    };
+    let mut binary = |a: &Predicate, b: &Predicate, op: fn(usize) -> CondOp| {
+        let at = ops.len();
+        ops.push(op(0));
+        compile_cond(a, observed, ops);
+        ops[at] = op(ops.len() - at - 1);
+        compile_cond(b, observed, ops);
+    };
+    match pred {
+        Predicate::Eq(e, n) => ops.push(CondOp::Eq(pos(e), *n)),
+        Predicate::Ne(e, n) => ops.push(CondOp::Ne(pos(e), *n)),
+        Predicate::And(a, b) => binary(a, b, CondOp::And),
+        Predicate::Or(a, b) => binary(a, b, CondOp::Or),
+        Predicate::Not(p) => {
+            ops.push(CondOp::Not);
+            compile_cond(p, observed, ops);
         }
+        Predicate::True => ops.push(CondOp::True),
     }
+}
 
-    fn eval(&self, obs: &[i64]) -> bool {
-        match self {
-            ObsPred::Eq(k, n) => obs[*k] == *n,
-            ObsPred::Ne(k, n) => obs[*k] != *n,
-            ObsPred::And(a, b) => a.eval(obs) && b.eval(obs),
-            ObsPred::Or(a, b) => a.eval(obs) || b.eval(obs),
-            ObsPred::Not(p) => !p.eval(obs),
-            ObsPred::True => true,
-        }
+/// The value of the condition body starting at `ops[0]`.
+fn eval_cond(ops: &[CondOp], obs: &[i64]) -> bool {
+    match ops[0] {
+        CondOp::Eq(k, n) => obs[k] == n,
+        CondOp::Ne(k, n) => obs[k] != n,
+        CondOp::And(first) => eval_cond(&ops[1..], obs) && eval_cond(&ops[1 + first..], obs),
+        CondOp::Or(first) => eval_cond(&ops[1..], obs) || eval_cond(&ops[1 + first..], obs),
+        CondOp::Not => !eval_cond(&ops[1..], obs),
+        CondOp::True => true,
     }
 }
 
@@ -315,7 +328,7 @@ impl SimProgram {
     ///
     /// Fails if the final condition observes a register its thread never
     /// mentions (the value would be meaningless).
-    pub fn compile(test: &LitmusTest) -> Result<SimProgram, CompileError> {
+    pub fn compile<'a>(test: &'a LitmusTest) -> Result<SimProgram, CompileError> {
         let mut loc_ids: BTreeMap<Loc, u32> = BTreeMap::new();
         let mut locs: Vec<LocInfo> = Vec::new();
         for (loc, mi) in test.memory().iter() {
@@ -329,26 +342,29 @@ impl SimProgram {
 
         let mut threads = Vec::new();
         let mut reg_init = Vec::new();
-        let mut reg_maps: Vec<BTreeMap<String, u32>> = Vec::new();
+        // Registers are keyed by the test's own names, borrowed.
+        let mut reg_maps: Vec<BTreeMap<&str, u32>> = Vec::new();
         for (tid, code) in test.threads().iter().enumerate() {
-            let mut regs: BTreeMap<String, u32> = BTreeMap::new();
+            let mut regs: BTreeMap<&str, u32> = BTreeMap::new();
             let mut inits: Vec<SimValue> = Vec::new();
-            let reg_id =
-                |name: &str, regs: &mut BTreeMap<String, u32>, inits: &mut Vec<SimValue>| -> u32 {
-                    if let Some(&id) = regs.get(name) {
-                        return id;
+            let reg_id = |name: &'a Reg,
+                          regs: &mut BTreeMap<&'a str, u32>,
+                          inits: &mut Vec<SimValue>|
+             -> u32 {
+                if let Some(&id) = regs.get(name.as_str()) {
+                    return id;
+                }
+                let id = inits.len() as u32;
+                regs.insert(name.as_str(), id);
+                let v = test.reg_init_value(tid, name);
+                inits.push(match v {
+                    Value::Int(n) => SimValue::Int(n),
+                    Value::Ptr { loc, .. } => {
+                        SimValue::Ptr(*loc_ids.get(&loc).expect("validated pointer target"))
                     }
-                    let id = inits.len() as u32;
-                    regs.insert(name.to_owned(), id);
-                    let v = test.reg_init_value(tid, &weakgpu_litmus::Reg::new(name));
-                    inits.push(match v {
-                        Value::Int(n) => SimValue::Int(n),
-                        Value::Ptr { loc, .. } => {
-                            SimValue::Ptr(*loc_ids.get(&loc).expect("validated pointer target"))
-                        }
-                    });
-                    id
-                };
+                });
+                id
+            };
 
             // Label offsets (on the original instruction indexing, which we
             // preserve one-to-one with Nop for label defs).
@@ -378,9 +394,8 @@ impl SimProgram {
             .collect();
         let num_ctas = test.scope_tree().num_ctas();
 
-        let exprs = test.observed();
         let mut observed = Vec::new();
-        for expr in exprs.iter().cloned() {
+        for expr in test.observed() {
             let target = match &expr {
                 FinalExpr::Reg(t, r) => {
                     let id = reg_maps
@@ -406,34 +421,17 @@ impl SimProgram {
         let global_locs = (0..locs.len() as u32)
             .filter(|&l| locs[l as usize].region == Region::Global)
             .collect();
-        let reads = threads
-            .iter()
-            .zip(&reg_init)
-            .map(|(code, regs)| match regs.len() {
-                0..=64 => code.iter().map(read_mask).collect(),
-                _ => Vec::new(),
-            })
-            .collect();
-        let reg_start = reg_init
-            .iter()
-            .map(|inits| inits.iter().map(|&v| Some(v)).collect())
-            .collect();
-        let mut obs_order: Vec<usize> = (0..exprs.len()).collect();
-        obs_order.sort_by(|&a, &b| exprs[a].cmp(&exprs[b]));
-        let cond = ObsCond {
-            negated: test.cond().quantifier == Quantifier::Forall,
-            pred: ObsPred::compile(&test.cond().pred, &exprs),
-        };
+        let mut obs_order: Vec<usize> = (0..observed.len()).collect();
+        obs_order.sort_by(|&a, &b| observed[a].0.cmp(&observed[b].0));
+        let mut cond = Vec::new();
+        compile_cond(&test.cond().pred, &observed, &mut cond);
 
         Ok(SimProgram {
             name: test.name().to_owned(),
             threads,
+            narrow: reg_init.iter().all(|regs| regs.len() <= 64),
             reg_init,
-            shared_init: if locs.iter().any(|l| l.region == Region::Shared) {
-                mem_init.repeat(num_ctas)
-            } else {
-                Vec::new()
-            },
+            has_shared: locs.iter().any(|l| l.region == Region::Shared),
             mem_init,
             locs,
             spans_ctas: num_ctas > 1,
@@ -442,10 +440,9 @@ impl SimProgram {
             observed,
             shared_owner,
             global_locs,
-            reg_start,
-            reads,
             obs_order,
             cond,
+            cond_negated: test.cond().quantifier == Quantifier::Forall,
         })
     }
 
@@ -459,7 +456,7 @@ impl SimProgram {
     /// the vector stands for, without building it.
     pub fn witnessed_by(&self, obs: &[i64]) -> bool {
         debug_assert_eq!(obs.len(), self.observed.len());
-        self.cond.pred.eval(obs) != self.cond.negated
+        eval_cond(&self.cond, obs) != self.cond_negated
     }
 
     /// Whether `outcome` is the outcome `obs` (in `observed` order) stands
@@ -475,32 +472,31 @@ impl SimProgram {
     }
 }
 
-/// The registers `instr` reads, as bits `1 << r` (every `r` below 64).
-fn read_mask(instr: &SimInstr) -> u64 {
-    let reg = |r: u32| 1u64 << r;
-    let op = |o: SimOperand| match o {
-        SimOperand::Reg(r) => reg(r),
+/// The registers `op` reads, as [`reg_bit`]s.
+fn read_mask(op: SimOp) -> u64 {
+    let op_reads = |o: SimOperand| match o {
+        SimOperand::Reg(r) => reg_bit(r),
         SimOperand::Imm(_) | SimOperand::Sym(_) => 0,
     };
-    let guard = instr.guard.map_or(0, |(p, _)| reg(p));
-    guard
-        | match instr.op {
-            SimOp::Ld { addr, .. } | SimOp::Inc { addr, .. } => op(addr),
-            SimOp::St { addr, src, .. } | SimOp::Exch { addr, src, .. } => op(addr) | op(src),
-            SimOp::Cas {
-                addr,
-                expected,
-                desired,
-                ..
-            } => op(addr) | op(expected) | op(desired),
-            SimOp::Mov { src, .. } | SimOp::Cvt { src, .. } => op(src),
-            SimOp::Add { a, b, .. }
-            | SimOp::And { a, b, .. }
-            | SimOp::Xor { a, b, .. }
-            | SimOp::SetpEq { a, b, .. }
-            | SimOp::SetpNe { a, b, .. } => op(a) | op(b),
-            SimOp::Membar(_) | SimOp::Bra(_) | SimOp::Nop => 0,
+    match op {
+        SimOp::Ld { addr, .. } | SimOp::Inc { addr, .. } => op_reads(addr),
+        SimOp::St { addr, src, .. } | SimOp::Exch { addr, src, .. } => {
+            op_reads(addr) | op_reads(src)
         }
+        SimOp::Cas {
+            addr,
+            expected,
+            desired,
+            ..
+        } => op_reads(addr) | op_reads(expected) | op_reads(desired),
+        SimOp::Mov { src, .. } | SimOp::Cvt { src, .. } => op_reads(src),
+        SimOp::Add { a, b, .. }
+        | SimOp::And { a, b, .. }
+        | SimOp::Xor { a, b, .. }
+        | SimOp::SetpEq { a, b, .. }
+        | SimOp::SetpNe { a, b, .. } => op_reads(a) | op_reads(b),
+        SimOp::Membar(_) | SimOp::Bra(_) | SimOp::Nop => 0,
+    }
 }
 
 /// The CTA whose shared-memory instance of `loc` the test uses
@@ -523,21 +519,21 @@ fn shared_owner_cta(threads: &[Vec<SimInstr>], thread_cta: &[usize], loc: u32) -
     0
 }
 
-fn compile_operand(
-    op: &Operand,
-    reg: &mut dyn FnMut(&str) -> u32,
+fn compile_operand<'a>(
+    op: &'a Operand,
+    reg: &mut dyn FnMut(&'a Reg) -> u32,
     locs: &BTreeMap<Loc, u32>,
 ) -> SimOperand {
     match op {
-        Operand::Reg(r) => SimOperand::Reg(reg(r.as_str())),
+        Operand::Reg(r) => SimOperand::Reg(reg(r)),
         Operand::Imm(n) => SimOperand::Imm(*n),
         Operand::Sym(l) => SimOperand::Sym(*locs.get(l).expect("validated location")),
     }
 }
 
-fn compile_instr(
-    instr: &Instr,
-    reg: &mut dyn FnMut(&str) -> u32,
+fn compile_instr<'a>(
+    instr: &'a Instr,
+    reg: &mut dyn FnMut(&'a Reg) -> u32,
     locs: &BTreeMap<Loc, u32>,
     labels: &BTreeMap<&Label, u32>,
 ) -> SimInstr {
@@ -548,23 +544,30 @@ fn compile_instr(
             inner,
         } => {
             let mut compiled = compile_instr(inner, reg, locs, labels);
-            compiled.guard = Some((reg(pred.as_str()), *expect));
+            let pred = reg(pred);
+            compiled.guard = Some((pred, *expect));
+            compiled.reads |= reg_bit(pred);
             compiled
         }
-        other => SimInstr {
-            guard: None,
-            op: compile_op(other, reg, locs, labels),
-        },
+        other => {
+            let op = compile_op(other, reg, locs, labels);
+            SimInstr {
+                guard: None,
+                op,
+                reads: read_mask(op),
+            }
+        }
     }
 }
 
-fn compile_op(
-    instr: &Instr,
-    reg: &mut dyn FnMut(&str) -> u32,
+fn compile_op<'a>(
+    instr: &'a Instr,
+    reg: &mut dyn FnMut(&'a Reg) -> u32,
     locs: &BTreeMap<Loc, u32>,
     labels: &BTreeMap<&Label, u32>,
 ) -> SimOp {
-    let operand = |o: &Operand, reg: &mut dyn FnMut(&str) -> u32| compile_operand(o, reg, locs);
+    let operand =
+        |o: &'a Operand, reg: &mut dyn FnMut(&'a Reg) -> u32| compile_operand(o, reg, locs);
     match instr {
         Instr::Ld {
             dst,
@@ -572,7 +575,7 @@ fn compile_op(
             cache,
             volatile,
         } => SimOp::Ld {
-            dst: reg(dst.as_str()),
+            dst: reg(dst),
             addr: operand(addr, reg),
             cache: *cache,
             volatile: *volatile,
@@ -593,51 +596,51 @@ fn compile_op(
             expected,
             desired,
         } => SimOp::Cas {
-            dst: reg(dst.as_str()),
+            dst: reg(dst),
             addr: operand(addr, reg),
             expected: operand(expected, reg),
             desired: operand(desired, reg),
         },
         Instr::Exch { dst, addr, src } => SimOp::Exch {
-            dst: reg(dst.as_str()),
+            dst: reg(dst),
             addr: operand(addr, reg),
             src: operand(src, reg),
         },
         Instr::Inc { dst, addr } => SimOp::Inc {
-            dst: reg(dst.as_str()),
+            dst: reg(dst),
             addr: operand(addr, reg),
         },
         Instr::Membar { scope } => SimOp::Membar(*scope),
         Instr::Mov { dst, src } => SimOp::Mov {
-            dst: reg(dst.as_str()),
+            dst: reg(dst),
             src: operand(src, reg),
         },
         Instr::Add { dst, a, b } => SimOp::Add {
-            dst: reg(dst.as_str()),
+            dst: reg(dst),
             a: operand(a, reg),
             b: operand(b, reg),
         },
         Instr::And { dst, a, b } => SimOp::And {
-            dst: reg(dst.as_str()),
+            dst: reg(dst),
             a: operand(a, reg),
             b: operand(b, reg),
         },
         Instr::Xor { dst, a, b } => SimOp::Xor {
-            dst: reg(dst.as_str()),
+            dst: reg(dst),
             a: operand(a, reg),
             b: operand(b, reg),
         },
         Instr::Cvt { dst, src } => SimOp::Cvt {
-            dst: reg(dst.as_str()),
+            dst: reg(dst),
             src: operand(src, reg),
         },
         Instr::SetpEq { dst, a, b } => SimOp::SetpEq {
-            dst: reg(dst.as_str()),
+            dst: reg(dst),
             a: operand(a, reg),
             b: operand(b, reg),
         },
         Instr::SetpNe { dst, a, b } => SimOp::SetpNe {
-            dst: reg(dst.as_str()),
+            dst: reg(dst),
             a: operand(a, reg),
             b: operand(b, reg),
         },

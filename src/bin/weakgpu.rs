@@ -222,14 +222,18 @@ fn model_by_name(name: &str) -> Result<Box<dyn Model>, CliError> {
     })
 }
 
-fn take_opt(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
+/// Takes `flag` and its value out of `args`; a flag without a value is a
+/// usage error.
+fn take_opt(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, CliError> {
+    let Some(pos) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
     if pos + 1 >= args.len() {
-        return None;
+        return usage(format!("{flag} needs a value"));
     }
     let value = args.remove(pos + 1);
     args.remove(pos);
-    Some(value)
+    Ok(Some(value))
 }
 
 /// Takes `flag`'s value and parses it; a malformed value is a usage
@@ -239,7 +243,7 @@ where
     T: std::str::FromStr,
     T::Err: std::fmt::Display,
 {
-    match take_opt(args, flag) {
+    match take_opt(args, flag)? {
         Some(s) => match s.parse() {
             Ok(v) => Ok(Some(v)),
             Err(e) => usage(format!("{flag} {s:?}: {e}")),
@@ -288,25 +292,32 @@ fn unexpected_arg<T>(cmd: &str, arg: &str, flags: &[&str]) -> Result<T, CliError
     })
 }
 
-/// The first positional argument of `cmd`: a missing one is a usage
-/// error.
-fn positional<'a>(cmd: &str, args: &'a [String]) -> Result<&'a String, CliError> {
-    match args.first() {
-        Some(arg) => Ok(arg),
-        None => usage(format!("{cmd}: missing litmus file")),
+/// The one litmus file `cmd` takes, once its flags are taken: a missing
+/// file, a leftover flag or a second file is a usage error.
+fn sole_file<'a>(cmd: &str, args: &'a [String], flags: &[&str]) -> Result<&'a String, CliError> {
+    if let Some(extra) = args.iter().find(|a| a.starts_with('-')) {
+        return unexpected_arg(cmd, extra, flags);
+    }
+    match args {
+        [path] => Ok(path),
+        [] => usage(format!("{cmd}: missing litmus file")),
+        [_, extra, ..] => unexpected_arg(cmd, extra, flags),
     }
 }
 
+/// The flag vocabulary of `run`, for "did you mean" hints.
+const RUN_FLAGS: &[&str] = &["--chip", "--iterations", "--seed", "--parallelism"];
+
 fn cmd_run(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
-    let chip = match take_opt(&mut args, "--chip") {
+    let chip = match take_opt(&mut args, "--chip")? {
         Some(s) => Some(chip_by_short(&s)?),
         None => None,
     };
     let iterations = take_parsed(&mut args, "--iterations")?.unwrap_or(100_000);
     let seed = take_parsed(&mut args, "--seed")?.unwrap_or(0x5eed);
     let parallelism = take_parsed(&mut args, "--parallelism")?;
-    let path = positional("run", &args)?;
+    let path = sole_file("run", &args, RUN_FLAGS)?;
     let test = load(path)?;
     let inc = weakgpu::harness::default_incantations(&test);
     let cfg = RunConfig {
@@ -344,7 +355,7 @@ const CAMPAIGN_FLAGS: &[&str] = &["--chips", "--iterations", "--seed", "--parall
 
 fn cmd_campaign(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
-    let chips: Vec<Chip> = match take_opt(&mut args, "--chips") {
+    let chips: Vec<Chip> = match take_opt(&mut args, "--chips")? {
         Some(list) => chips_by_short(&list)?,
         None => Chip::TABLED.to_vec(),
     };
@@ -432,26 +443,26 @@ fn cmd_sweep(args: &[String]) -> CliResult {
     if take_flag(&mut args, "--merge") {
         return cmd_sweep_merge(args);
     }
-    let family_name = take_opt(&mut args, "--family").unwrap_or_else(|| "small".into());
+    let family_name = take_opt(&mut args, "--family")?.unwrap_or_else(|| "small".into());
     let Some(gen_cfg) = GenConfig::named(&family_name) else {
         return usage(format!(
             "unknown family {family_name:?} (expected one of {})",
             GenConfig::FAMILY_NAMES.join(", ")
         ));
     };
-    let shard = match take_opt(&mut args, "--shard") {
+    let shard = match take_opt(&mut args, "--shard")? {
         Some(s) => Some(Shard::parse(&s).map_err(CliError::Usage)?),
         None => None,
     };
-    let out = take_opt(&mut args, "--out");
-    let chips: Vec<Chip> = match take_opt(&mut args, "--chips") {
+    let out = take_opt(&mut args, "--out")?;
+    let chips: Vec<Chip> = match take_opt(&mut args, "--chips")? {
         Some(list) => chips_by_short(&list)?,
         None => Chip::NVIDIA_TABLED.to_vec(),
     };
     let iterations = take_parsed(&mut args, "--iterations")?.unwrap_or(1_000);
     let seed = take_parsed(&mut args, "--seed")?.unwrap_or(0x5eed);
     let parallelism = take_parsed(&mut args, "--parallelism")?;
-    let cache_file = take_opt(&mut args, "--cache-file").map(std::path::PathBuf::from);
+    let cache_file = take_opt(&mut args, "--cache-file")?.map(std::path::PathBuf::from);
     let cache_readonly = take_flag(&mut args, "--cache-readonly");
     if let Some(extra) = args.first() {
         return unexpected_arg("sweep", extra, SWEEP_FLAGS);
@@ -534,7 +545,7 @@ fn sound_or_failed(report: &SweepReport) -> CliResult {
 
 fn cmd_sweep_merge(args: Vec<String>) -> CliResult {
     let mut args = args;
-    let out = take_opt(&mut args, "--out");
+    let out = take_opt(&mut args, "--out")?;
     if args.is_empty() {
         return usage("sweep --merge: no report files given");
     }
@@ -572,9 +583,9 @@ fn cmd_serve(args: &[String]) -> CliResult {
     use weakgpu::harness::serve::{model_by_name as serve_model, serve, ServeConfig};
 
     let mut args = args.to_vec();
-    let cache_file = take_opt(&mut args, "--cache-file").map(std::path::PathBuf::from);
+    let cache_file = take_opt(&mut args, "--cache-file")?.map(std::path::PathBuf::from);
     let cache_readonly = take_flag(&mut args, "--cache-readonly");
-    let default_model = take_opt(&mut args, "--model").unwrap_or_else(|| "ptx".into());
+    let default_model = take_opt(&mut args, "--model")?.unwrap_or_else(|| "ptx".into());
     if let Some(extra) = args.first() {
         return unexpected_arg("serve", extra, SERVE_FLAGS);
     }
@@ -694,7 +705,7 @@ const CHECK_FLAGS: &[&str] = &["--builtin", "--model"];
 fn cmd_check(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
     let builtin = take_flag(&mut args, "--builtin");
-    let model_opt = take_opt(&mut args, "--model");
+    let model_opt = take_opt(&mut args, "--model")?;
     // Leftovers are file paths; anything still dashed is a misspelt
     // flag that would otherwise fail as a missing file.
     if let Some(extra) = args.iter().find(|a| a.starts_with('-')) {
@@ -708,7 +719,7 @@ fn cmd_check(args: &[String]) -> CliResult {
         return lint(&args, builtin);
     }
     let model = model_by_name(&model_opt.unwrap_or_else(|| "ptx".into()))?;
-    let path = positional("check", &args)?;
+    let path = sole_file("check", &args, CHECK_FLAGS)?;
     let test = load(path)?;
     let verdict =
         model_outcomes(&test, model.as_ref(), &EnumConfig::default()).map_err(|e| e.to_string())?;
@@ -800,7 +811,7 @@ fn lint_cat(file: &SourceFile) -> Vec<Diagnostic> {
 fn cmd_show(args: &[String]) -> CliResult {
     let mut args = args.to_vec();
     let want_dot = take_flag(&mut args, "--dot");
-    let path = positional("show", &args)?;
+    let path = sole_file("show", &args, &["--dot"])?;
     let test = load(path)?;
     let cands = enumerate_executions(&test, &EnumConfig::default()).map_err(|e| e.to_string())?;
     // Show the witnessing execution if one exists, else the first.

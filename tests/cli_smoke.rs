@@ -325,13 +325,16 @@ fn misspelt_flags_get_a_did_you_mean_hint() {
 #[test]
 fn usage_errors_print_the_usage() {
     // A malformed command line: an unknown command, a missing or bad
-    // value, a misspelt flag.
+    // value, a misspelt or valueless flag.
     for args in [
         &["frobnicate"][..],
         &["run"],
         &["sweep", "--iterations", "many"],
         &["campaign", "--chips", "titan,gtx9000"],
         &["sweep", "--family", "paper", "--shrad", "1/2"],
+        &["run", "coRR", "--iterations", "10", "--chp", "titan"],
+        &["run", "coRR", "--iterations", "10", "--seed"],
+        &["show", "coRR", "--dto"],
     ] {
         let out = weakgpu().args(args).output().unwrap();
         assert!(!out.status.success(), "{args:?} must fail");
