@@ -834,14 +834,15 @@ where
                 .verdict
                 .as_ref()
                 .map_err(|e| SweepError::Enum(test.name().to_owned(), e.clone()))?;
+            let (witnesses, unsound) = judge_cell(&done, verdict);
             let record = CellRecord {
                 test: test.name().to_owned(),
                 index: gi,
                 chip: done.sim.chip().short().to_owned(),
                 runs: done.counts.total(),
-                witnesses: 0,
+                witnesses,
                 distinct: done.counts.distinct(),
-                unsound: Vec::new(),
+                unsound,
                 cache_hits: judged.hits,
                 cache_misses: judged.misses,
                 enum_micros: if ci % num_chips == 0 {
@@ -850,7 +851,6 @@ where
                     0
                 },
             };
-            let record = judge_cell(record, &done, verdict);
             on_cell(&record);
             tally
                 .lock()
@@ -899,20 +899,17 @@ where
     })
 }
 
-/// Fills in a cell record's witnesses and unsound outcomes from the
-/// cell's distinct observation vectors. Each vector is judged as the
-/// outcome it stands for, without building it; only the outcomes the
-/// model forbids are built, to be rendered, in canonical order.
-fn judge_cell(
-    mut record: CellRecord,
-    done: &CellCounts<'_>,
-    verdict: &ModelOutcomes,
-) -> CellRecord {
+/// A cell's witnessing runs and the outcomes it observed that `verdict`
+/// forbids, rendered in canonical order. Each distinct observation vector
+/// is judged as the outcome it stands for, without building it; only
+/// forbidden outcomes are built, to be rendered.
+fn judge_cell(done: &CellCounts<'_>, verdict: &ModelOutcomes) -> (u64, Vec<String>) {
     let program = done.sim.program();
+    let mut witnesses = 0;
     let mut forbidden = Vec::new();
     for (obs, n) in done.counts.iter_unordered() {
         if program.witnessed_by(obs) {
-            record.witnesses += n;
+            witnesses += n;
         }
         let allowed = verdict
             .allowed_outcomes
@@ -923,8 +920,7 @@ fn judge_cell(
         }
     }
     forbidden.sort_unstable();
-    record.unsound = forbidden.iter().map(|o| o.to_string()).collect();
-    record
+    (witnesses, forbidden.iter().map(|o| o.to_string()).collect())
 }
 
 /// One selected test's verdict, resolved before any of its cells runs.

@@ -392,3 +392,73 @@ fn lowest_failing_cell_wins_whatever_failed() {
         }
     }
 }
+
+#[test]
+fn cell_records_match_the_histogram_of_each_cell() {
+    // A sweep judges each cell from its distinct observation vectors,
+    // without building a histogram. Every record must say what the cell's
+    // histogram says: runs, witnesses, distinct outcomes and, in canonical
+    // order, the observed outcomes the model forbids. The `.ca` tests
+    // observe stale L1 values on the Tesla C2075, which the model leaves
+    // out of scope (Sec. 5.5), so some cells are unsound.
+    use weakgpu_axiom::enumerate::model_outcomes;
+    use weakgpu_harness::campaign::{default_incantations, run_campaign, CampaignConfig, CellSpec};
+    use weakgpu_litmus::FenceScope;
+
+    let mut family = vec![
+        corpus::mp_l1(Some(FenceScope::Sys)),
+        corpus::mp_l1(None),
+        corpus::corr_l2_l1(Some(FenceScope::Sys)),
+        corpus::corr(),
+        corpus::mp(ThreadScope::InterCta, None),
+        corpus::sb(ThreadScope::InterCta, None),
+    ];
+    family.sort_by(|a, b| a.name().cmp(b.name()));
+    let cfg = SweepConfig {
+        family: "ca".to_owned(),
+        shard: None,
+        chips: vec![Chip::TeslaC2075, Chip::GtxTitan],
+        iterations: 3_000,
+        seed: 0x11,
+        parallelism: Some(2),
+        cache_file: None,
+        cache_readonly: false,
+    };
+    let records = Mutex::new(Vec::new());
+    let report = run_sweep_with(&family, &cfg, |rec| {
+        records.lock().unwrap().push(rec.clone());
+    })
+    .unwrap();
+    let mut records = records.into_inner().unwrap();
+    records.sort_by_key(|r| (r.index, r.chip != "TesC"));
+    assert!(!report.is_sound(), "stale .ca reads must show");
+
+    let model = ptx_model();
+    let mut unsound = 0;
+    for (rec, (i, chip)) in records
+        .iter()
+        .zip((0..family.len()).flat_map(|i| cfg.chips.iter().map(move |&c| (i, c))))
+    {
+        let test = &family[i];
+        let cell = CellSpec::new(test.clone(), chip)
+            .incantations(default_incantations(test))
+            .iterations(cfg.iterations)
+            .seed(cfg.seed ^ i as u64);
+        let cell_report = run_campaign(&[cell], &CampaignConfig::with_parallelism(1))
+            .unwrap()
+            .remove(0);
+        let histogram = &cell_report.histogram;
+        let verdict = model_outcomes(test, &model, &EnumConfig::default()).unwrap();
+        let forbidden: Vec<String> = histogram
+            .forbidden_by(&verdict)
+            .map(|o| o.to_string())
+            .collect();
+        assert_eq!((rec.index, rec.chip.as_str()), (i, chip.short()));
+        assert_eq!(rec.runs, histogram.total(), "{} on {chip}", test.name());
+        assert_eq!(rec.witnesses, cell_report.witnesses, "{}", test.name());
+        assert_eq!(rec.distinct, histogram.distinct(), "{}", test.name());
+        assert_eq!(rec.unsound, forbidden, "{} on {chip}", test.name());
+        unsound += usize::from(!forbidden.is_empty());
+    }
+    assert_eq!(report.unsound_cells, unsound as u64);
+}

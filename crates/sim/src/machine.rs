@@ -398,11 +398,7 @@ impl ObsCounts {
     }
 
     /// Records `n` observations of `obs` at once.
-    ///
-    /// # Panics
-    ///
-    /// If `obs` is not as long as the vectors already recorded.
-    pub fn add(&mut self, obs: &[i64], n: u64) {
+    fn add(&mut self, obs: &[i64], n: u64) {
         if self.counts.is_empty() {
             self.width = obs.len();
         }
@@ -1455,6 +1451,43 @@ mod tests {
         assert_eq!(outcome.len(), state.observed().len());
         for ((expr, _), v) in sim.program().observed.iter().zip(state.observed()) {
             assert_eq!(outcome.get(expr), Some(*v));
+        }
+    }
+
+    #[test]
+    fn wide_threads_check_their_operands_one_by_one() {
+        use weakgpu_litmus::build::*;
+        use weakgpu_litmus::{LitmusTest, Predicate};
+        // 72 registers in thread 0: too many for exact read masks. After
+        // the load into r70 issues, `mov r6` writes a register whose mask
+        // bit r70 shares, and the add must still wait for the load.
+        let mut t0: Vec<_> = (0..70).map(|i| mov(&format!("r{i}"), imm(i))).collect();
+        t0.extend([
+            ld("r70", "x"),
+            mov("r6", imm(6)),
+            add("r71", reg("r70"), reg("r6")),
+            st_reg("y", "r71"),
+        ]);
+        let test = LitmusTest::builder("wide")
+            .global("x", 0)
+            .global("y", 0)
+            .thread(t0)
+            .thread([st("x", 1)])
+            .scope(ThreadScope::InterCta)
+            .exists(Predicate::mem_eq("y", 7))
+            .build()
+            .unwrap();
+        let sim = Simulator::compile(&test, Chip::GtxTitan).unwrap();
+        assert!(!sim.program().narrow);
+        let mut state = sim.new_state();
+        let mut counts = ObsCounts::new();
+        let params = RunParams::of(Chip::GtxTitan, &Incantations::all_on());
+        let mut rng = SmallRng::seed_from_u64(3);
+        sim.run_batch(2_000, &params, &mut rng, &mut state, &mut counts)
+            .unwrap();
+        assert_eq!(counts.total(), 2_000);
+        for (obs, _) in counts.iter() {
+            assert!(matches!(obs, [6 | 7]), "y is the loaded x plus 6: {obs:?}");
         }
     }
 
