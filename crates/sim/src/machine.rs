@@ -25,21 +25,21 @@
 //! matter as much as its steps, and everything that does not change
 //! between runs is computed once:
 //!
-//! * **per test**, by [`SimProgram::compile`]: the L2 and shared-memory
-//!   images a run starts from (no shared image for a test without shared
-//!   locations), the global locations L1 preload draws for, the register
-//!   files as the machine holds them, the registers each instruction
-//!   reads as a bit mask, the owning CTA of each shared location, and the
-//!   final condition resolved to positions in the observation vector;
+//! * **per test**, by [`SimProgram::compile`]: the memory image a run
+//!   starts from (in the L2 and, when the test has shared locations, in
+//!   each CTA's shared memory), the global locations L1 preload draws
+//!   for, the registers each instruction reads as a bit mask, the owning
+//!   CTA of each shared location, and the final condition resolved to
+//!   positions in the observation vector;
 //! * **per chip and incantations**, by [`RunParams::new`]: the bypass
 //!   probability of every pair of pending-op classes, so choosing which
 //!   op performs is a table lookup and a same-location test per pair.
 //!   Each op is classified once, when it issues, by kind, region, cache
 //!   operator and fence leak.
 //!
-//! A run then resets its [`MachineState`] by copying those images (the
-//! RNG draws of SM placement and L1 preload are the historical ones, in
-//! the historical order). An instruction is ready to issue when its read
+//! A run then resets its [`MachineState`] by copying the image and the
+//! register inits (the RNG draws of SM placement and L1 preload are the
+//! historical ones, in the historical order). An instruction is ready to issue when its read
 //! mask misses the thread's mask of awaited registers. Each thread keeps
 //! its pending ops in an inline window of 8 slots, oldest first, and a
 //! run records its observation vector into an [`ObsCounts`] by a linear
@@ -54,9 +54,7 @@ use rand::{Rng, SeedableRng};
 use weakgpu_litmus::{CacheOp, FenceScope, LitmusTest, Outcome, Region};
 
 use crate::chip::{Chip, Incantations, RunWeights};
-use crate::program::{
-    reg_bit, CompileError, ObsTarget, SimInstr, SimOp, SimOperand, SimProgram, SimValue,
-};
+use crate::program::{reg_bit, CompileError, ObsTarget, SimOp, SimOperand, SimProgram, SimValue};
 
 /// Maximum scheduler steps per run, against runaway spin loops.
 const MAX_STEPS: usize = 200_000;
@@ -769,40 +767,9 @@ impl Simulator {
         let ready = if self.program.narrow {
             instr.reads & ctx.pending == 0
         } else {
-            self.operands_ready(instr, ctx)
+            instr.read_regs().all(|r| ctx.regs[r as usize].is_some())
         };
         (ready, !ready)
-    }
-
-    fn operands_ready(&self, instr: &SimInstr, ctx: &ThreadCtx) -> bool {
-        let reg_ready = |r: u32| ctx.regs[r as usize].is_some();
-        let op_ready = |o: SimOperand| match o {
-            SimOperand::Reg(r) => reg_ready(r),
-            SimOperand::Imm(_) | SimOperand::Sym(_) => true,
-        };
-        if let Some((p, _)) = instr.guard {
-            if !reg_ready(p) {
-                return false;
-            }
-        }
-        match instr.op {
-            SimOp::Ld { addr, .. } | SimOp::Inc { addr, .. } => op_ready(addr),
-            SimOp::St { addr, src, .. } => op_ready(addr) && op_ready(src),
-            SimOp::Cas {
-                addr,
-                expected,
-                desired,
-                ..
-            } => op_ready(addr) && op_ready(expected) && op_ready(desired),
-            SimOp::Exch { addr, src, .. } => op_ready(addr) && op_ready(src),
-            SimOp::Mov { src, .. } | SimOp::Cvt { src, .. } => op_ready(src),
-            SimOp::Add { a, b, .. }
-            | SimOp::And { a, b, .. }
-            | SimOp::Xor { a, b, .. }
-            | SimOp::SetpEq { a, b, .. }
-            | SimOp::SetpNe { a, b, .. } => op_ready(a) && op_ready(b),
-            SimOp::Membar(_) | SimOp::Bra(_) | SimOp::Nop => true,
-        }
     }
 
     fn eval(&self, o: SimOperand, ctx: &ThreadCtx) -> SimValue {

@@ -173,6 +173,39 @@ pub struct SimInstr {
     pub(crate) reads: u64,
 }
 
+impl SimInstr {
+    /// The registers the instruction reads: its guard, then its operands.
+    pub(crate) fn read_regs(&self) -> impl Iterator<Item = u32> {
+        let reg = |o: SimOperand| match o {
+            SimOperand::Reg(r) => Some(r),
+            SimOperand::Imm(_) | SimOperand::Sym(_) => None,
+        };
+        let operands = match self.op {
+            SimOp::Ld { addr, .. } | SimOp::Inc { addr, .. } => [reg(addr), None, None],
+            SimOp::St { addr, src, .. } | SimOp::Exch { addr, src, .. } => {
+                [reg(addr), reg(src), None]
+            }
+            SimOp::Cas {
+                addr,
+                expected,
+                desired,
+                ..
+            } => [reg(addr), reg(expected), reg(desired)],
+            SimOp::Mov { src, .. } | SimOp::Cvt { src, .. } => [reg(src), None, None],
+            SimOp::Add { a, b, .. }
+            | SimOp::And { a, b, .. }
+            | SimOp::Xor { a, b, .. }
+            | SimOp::SetpEq { a, b, .. }
+            | SimOp::SetpNe { a, b, .. } => [reg(a), reg(b), None],
+            SimOp::Membar(_) | SimOp::Bra(_) | SimOp::Nop => [None; 3],
+        };
+        self.guard
+            .map(|(p, _)| p)
+            .into_iter()
+            .chain(operands.into_iter().flatten())
+    }
+}
+
 /// The bit of register `r` in a register mask. Registers past 63 share
 /// bits, so masks are exact only for threads of at most 64 registers.
 pub(crate) fn reg_bit(r: u32) -> u64 {
@@ -377,12 +410,14 @@ impl SimProgram {
 
             let mut compiled = Vec::with_capacity(code.len());
             for instr in code {
-                compiled.push(compile_instr(
+                let mut instr = compile_instr(
                     instr,
                     &mut |n| reg_id(n, &mut regs, &mut inits),
                     &loc_ids,
                     &label_off,
-                ));
+                );
+                instr.reads = instr.read_regs().fold(0, |m, r| m | reg_bit(r));
+                compiled.push(instr);
             }
             threads.push(compiled);
             reg_init.push(inits);
@@ -472,33 +507,6 @@ impl SimProgram {
     }
 }
 
-/// The registers `op` reads, as [`reg_bit`]s.
-fn read_mask(op: SimOp) -> u64 {
-    let op_reads = |o: SimOperand| match o {
-        SimOperand::Reg(r) => reg_bit(r),
-        SimOperand::Imm(_) | SimOperand::Sym(_) => 0,
-    };
-    match op {
-        SimOp::Ld { addr, .. } | SimOp::Inc { addr, .. } => op_reads(addr),
-        SimOp::St { addr, src, .. } | SimOp::Exch { addr, src, .. } => {
-            op_reads(addr) | op_reads(src)
-        }
-        SimOp::Cas {
-            addr,
-            expected,
-            desired,
-            ..
-        } => op_reads(addr) | op_reads(expected) | op_reads(desired),
-        SimOp::Mov { src, .. } | SimOp::Cvt { src, .. } => op_reads(src),
-        SimOp::Add { a, b, .. }
-        | SimOp::And { a, b, .. }
-        | SimOp::Xor { a, b, .. }
-        | SimOp::SetpEq { a, b, .. }
-        | SimOp::SetpNe { a, b, .. } => op_reads(a) | op_reads(b),
-        SimOp::Membar(_) | SimOp::Bra(_) | SimOp::Nop => 0,
-    }
-}
-
 /// The CTA whose shared-memory instance of `loc` the test uses
 /// (validation guarantees a single CTA accesses each shared location).
 fn shared_owner_cta(threads: &[Vec<SimInstr>], thread_cta: &[usize], loc: u32) -> usize {
@@ -544,19 +552,14 @@ fn compile_instr<'a>(
             inner,
         } => {
             let mut compiled = compile_instr(inner, reg, locs, labels);
-            let pred = reg(pred);
-            compiled.guard = Some((pred, *expect));
-            compiled.reads |= reg_bit(pred);
+            compiled.guard = Some((reg(pred), *expect));
             compiled
         }
-        other => {
-            let op = compile_op(other, reg, locs, labels);
-            SimInstr {
-                guard: None,
-                op,
-                reads: read_mask(op),
-            }
-        }
+        other => SimInstr {
+            guard: None,
+            op: compile_op(other, reg, locs, labels),
+            reads: 0,
+        },
     }
 }
 
