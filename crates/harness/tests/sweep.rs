@@ -1,20 +1,22 @@
 //! Integration tests for the sharded validation sweep: partition
 //! correctness over the real generated families, shard/merge identity
-//! with an unsharded run, and the model-verdict cache's bookkeeping.
+//! with an unsharded run, the model-verdict cache's bookkeeping, and
+//! cell records against each cell's histogram.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
 
 use weakgpu_axiom::cache::Fingerprint;
-use weakgpu_axiom::enumerate::{EnumConfig, EnumError};
+use weakgpu_axiom::enumerate::{model_outcomes, EnumConfig, EnumError};
 use weakgpu_axiom::symbolic::SymError;
 use weakgpu_diy::{generate, GenConfig};
+use weakgpu_harness::campaign::{default_incantations, run_campaign, CampaignConfig, CellSpec};
 use weakgpu_harness::runner::HarnessError;
 use weakgpu_harness::sweep::{
     run_sweep, run_sweep_with, Shard, SweepConfig, SweepError, SweepReport,
 };
 use weakgpu_litmus::build::{bra, imm, label, ld, reg, setp_eq, st};
-use weakgpu_litmus::{corpus, LitmusTest, Predicate, ThreadScope};
+use weakgpu_litmus::{corpus, FenceScope, LitmusTest, Predicate, ThreadScope};
 use weakgpu_models::ptx_model;
 use weakgpu_sim::chip::Chip;
 use weakgpu_sim::program::CompileError;
@@ -401,10 +403,6 @@ fn cell_records_match_the_histogram_of_each_cell() {
     // order, the observed outcomes the model forbids. The `.ca` tests
     // observe stale L1 values on the Tesla C2075, which the model leaves
     // out of scope (Sec. 5.5), so some cells are unsound.
-    use weakgpu_axiom::enumerate::model_outcomes;
-    use weakgpu_harness::campaign::{default_incantations, run_campaign, CampaignConfig, CellSpec};
-    use weakgpu_litmus::FenceScope;
-
     let mut family = vec![
         corpus::mp_l1(Some(FenceScope::Sys)),
         corpus::mp_l1(None),
