@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use weakgpu_bench::BenchArgs;
 use weakgpu_diy::{generate, GenConfig};
-use weakgpu_harness::sweep::{run_sweep_with, SweepConfig};
+use weakgpu_harness::sweep::{run_sweep_with, CellRecord, SweepConfig};
 use weakgpu_sim::chip::Chip;
 
 fn main() {
@@ -48,13 +48,14 @@ fn main() {
     );
 
     let done = AtomicUsize::new(0);
-    let report = run_sweep_with(&tests, &cfg, |_| {
+    let report = run_sweep_with(&tests, &cfg, |_: &CellRecord| {
         let n = done.fetch_add(1, Ordering::Relaxed) + 1;
         if n.is_multiple_of(2_000) {
             println!("  … {n}/{total} cells run");
         }
     })
-    .unwrap_or_else(|e| panic!("sweep failed: {e}"));
+    .unwrap_or_else(|e| panic!("sweep failed: {e}"))
+    .report;
 
     let unsound_tests: std::collections::BTreeSet<&str> =
         report.unsound.iter().map(|u| u.test.as_str()).collect();

@@ -3,11 +3,11 @@
 //! A cycle is a sequence of edges where each edge's target direction
 //! matches the next edge's source direction (cyclically), at least one
 //! edge is external (so ≥ 2 threads arise), and location constraints are
-//! satisfiable. Cycles are canonicalised up to rotation, and rotated so
-//! that the walk starts at the beginning of a thread (i.e. the final edge
-//! is external).
-
-use std::collections::HashSet;
+//! satisfiable. Cycles are deduplicated up to rotation without any
+//! record of what has been seen: a closed walk is kept only when it is
+//! its own least rotation in alphabet order (see [`enumerate_cycles`]).
+//! A kept cycle is rotated so that the walk starts at the beginning of a
+//! thread (i.e. the final edge is external).
 
 use crate::edge::{Dir, Edge};
 
@@ -129,90 +129,132 @@ fn locations_consistent(edges: &[Edge]) -> bool {
     true
 }
 
-/// The least rotation of `edges` under the edge order: equal for two
-/// sequences exactly when they are rotations of each other.
-fn least_rotation(edges: &[Edge]) -> Vec<Edge> {
-    let n = edges.len();
-    let rotation = move |r: usize| (0..n).map(move |i| edges[(r + i) % n]);
-    let best = (0..n)
-        .min_by(|&a, &b| rotation(a).cmp(rotation(b)))
-        .expect("cycles are non-empty");
-    rotation(best).collect()
-}
-
 /// Enumerates all cycles over `alphabet` with between 2 and `max_edges`
 /// edges, deduplicated up to rotation: of each rotation class, the first
 /// sequence the walk meets is kept.
+///
+/// The walk meets sequences in lexicographic order of their edges'
+/// alphabet positions, so that first sequence is the class's least
+/// rotation in that order, and whether a sequence is kept depends on the
+/// sequence alone: the walk keeps no set of what it has seen. That makes
+/// every (length, first edge) walk independent of the others:
+/// [`crate::generate_parallel`] splits them over workers, and the cycles
+/// returned here are those of each walk in turn, by length and then by
+/// first edge.
 pub fn enumerate_cycles(alphabet: &[Edge], max_edges: usize) -> Vec<Cycle> {
-    let walk = Walk {
-        alphabet,
-        // The alphabet split by source direction, in alphabet order: the
-        // edges that may follow an edge ending in that direction.
-        successors: [Dir::R, Dir::W].map(|d| {
-            alphabet
-                .iter()
-                .copied()
-                .filter(|e| e.from_dir() == d)
-                .collect()
-        }),
-    };
-    let mut found = Found {
-        stack: Vec::with_capacity(max_edges),
-        seen: HashSet::new(),
-        cycles: Vec::new(),
-    };
-    for len in 2..=max_edges {
-        walk.extend(len, &mut found);
+    let walk = Walk::new(alphabet);
+    let mut cycles = Vec::new();
+    for (len, first) in walk.roots(max_edges) {
+        walk.for_each_cycle(len, first, |c| cycles.push(c));
     }
-    found.cycles
+    cycles
 }
 
 /// The edges the depth-first walk behind [`enumerate_cycles`] may take.
-struct Walk<'a> {
-    alphabet: &'a [Edge],
-    successors: [Vec<Edge>; 2],
+pub(crate) struct Walk {
+    /// The alphabet, each edge once, in order of first occurrence.
+    alphabet: Vec<Edge>,
+    /// The positions of the alphabet's edges split by source direction,
+    /// in alphabet order: the edges that may follow an edge ending in
+    /// that direction.
+    successors: [Vec<usize>; 2],
 }
 
-/// The walk's current edge sequence and what it has kept so far.
-struct Found {
-    stack: Vec<Edge>,
-    /// Least rotations of the cycles kept so far.
-    seen: HashSet<Vec<Edge>>,
-    cycles: Vec<Cycle>,
+/// The walk's current edge sequence, as edges and as alphabet positions.
+struct Stack {
+    edges: Vec<Edge>,
+    at: Vec<usize>,
 }
 
-impl Walk<'_> {
-    /// Extends `found.stack` to every sequence of `target_len` chained
-    /// edges, keeping each new valid cycle.
-    fn extend(&self, target_len: usize, found: &mut Found) {
-        let candidates = match found.stack.last() {
-            Some(last) => &self.successors[last.to_dir() as usize][..],
-            None => self.alphabet,
+impl Walk {
+    pub(crate) fn new(alphabet: &[Edge]) -> Walk {
+        // A repeated edge would only repeat sequences the walk has
+        // already met under its first occurrence.
+        let mut edges: Vec<Edge> = Vec::with_capacity(alphabet.len());
+        for &e in alphabet {
+            if !edges.contains(&e) {
+                edges.push(e);
+            }
+        }
+        let successors = [Dir::R, Dir::W].map(|d| {
+            (0..edges.len())
+                .filter(|&i| edges[i].from_dir() == d)
+                .collect()
+        });
+        Walk {
+            alphabet: edges,
+            successors,
+        }
+    }
+
+    /// The independent walks up to `max_edges` edges, as (length, first
+    /// edge position), in the order [`enumerate_cycles`] concatenates
+    /// them.
+    pub(crate) fn roots(&self, max_edges: usize) -> impl Iterator<Item = (usize, usize)> {
+        let n = self.alphabet.len();
+        (2..=max_edges).flat_map(move |len| (0..n).map(move |first| (len, first)))
+    }
+
+    /// Hands `keep` every cycle of `len` edges whose least rotation
+    /// starts with the edge at position `first`, in walk order.
+    pub(crate) fn for_each_cycle(&self, len: usize, first: usize, mut keep: impl FnMut(Cycle)) {
+        let mut stack = Stack {
+            edges: Vec::with_capacity(len),
+            at: Vec::with_capacity(len),
         };
+        stack.edges.push(self.alphabet[first]);
+        stack.at.push(first);
+        self.extend(len, &mut stack, &mut keep);
+    }
+
+    /// Extends `stack` to every sequence of `target_len` chained edges
+    /// that may be a least rotation, keeping each valid cycle.
+    fn extend(&self, target_len: usize, stack: &mut Stack, keep: &mut impl FnMut(Cycle)) {
+        let last = *stack
+            .edges
+            .last()
+            .expect("walks start from their first edge");
+        // An edge before the first one in the alphabet would start a
+        // smaller rotation, so no sequence through it is kept.
+        let first = stack.at[0];
+        let candidates = &self.successors[last.to_dir() as usize];
+        let candidates = &candidates[candidates.partition_point(|&i| i < first)..];
         // The closing edge must also chain back into the first edge and
         // leave at least two external edges; a sequence that passes
-        // needs only the location check to be a valid cycle.
-        let closing = found.stack.len() + 1 == target_len;
-        let externals = found.stack.iter().filter(|e| e.is_external()).count();
-        for &e in candidates {
+        // needs only the location and rotation checks to be kept.
+        let closing = stack.edges.len() + 1 == target_len;
+        let externals = stack.edges.iter().filter(|e| e.is_external()).count();
+        for &i in candidates {
+            let e = self.alphabet[i];
             if closing
-                && (e.to_dir() != found.stack[0].from_dir()
+                && (e.to_dir() != stack.edges[0].from_dir()
                     || externals + usize::from(e.is_external()) < 2)
             {
                 continue;
             }
-            found.stack.push(e);
+            stack.edges.push(e);
+            stack.at.push(i);
             if !closing {
-                self.extend(target_len, found);
-            } else if locations_consistent(&found.stack)
-                && found.seen.insert(least_rotation(&found.stack))
-            {
-                debug_assert!(is_valid(&found.stack));
-                found.cycles.push(Cycle::rotated(found.stack.clone()));
+                self.extend(target_len, stack, keep);
+            } else if is_least_rotation(&stack.at) && locations_consistent(&stack.edges) {
+                debug_assert!(is_valid(&stack.edges));
+                keep(Cycle::rotated(stack.edges.clone()));
             }
-            found.stack.pop();
+            stack.edges.pop();
+            stack.at.pop();
         }
     }
+}
+
+/// Whether no rotation of `seq` is lexicographically smaller than `seq`.
+fn is_least_rotation(seq: &[usize]) -> bool {
+    let n = seq.len();
+    (1..n).all(|r| {
+        (0..n)
+            .map(|i| seq[(r + i) % n])
+            .cmp(seq.iter().copied())
+            .is_ge()
+    })
 }
 
 #[cfg(test)]
@@ -300,6 +342,52 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), c4.len());
+    }
+
+    /// Every sequence of 2..=`max_edges` alphabet edges, in lexicographic
+    /// order of alphabet positions, keeping each valid (so chained) one
+    /// whose rotation class (by least rotation in the edge order) is new:
+    /// the first-met rotation of each class, found by brute force.
+    fn first_met_rotations(alphabet: &[Edge], max_edges: usize) -> Vec<Cycle> {
+        fn least_rotation(edges: &[Edge]) -> Vec<Edge> {
+            let n = edges.len();
+            (0..n)
+                .map(|r| (0..n).map(|i| edges[(r + i) % n]).collect::<Vec<_>>())
+                .min()
+                .expect("cycles are non-empty")
+        }
+        let mut seen = std::collections::HashSet::new();
+        let mut cycles = Vec::new();
+        for len in 2..=max_edges {
+            let mut at = vec![0; len];
+            loop {
+                let edges: Vec<Edge> = at.iter().map(|&i| alphabet[i]).collect();
+                if is_valid(&edges) && seen.insert(least_rotation(&edges)) {
+                    cycles.push(Cycle::rotated(edges));
+                }
+                // The next sequence in lexicographic order, if any.
+                let Some(k) = at.iter().rposition(|&i| i + 1 < alphabet.len()) else {
+                    break;
+                };
+                at[k] += 1;
+                at[k + 1..].fill(0);
+            }
+        }
+        cycles
+    }
+
+    #[test]
+    fn enumeration_keeps_the_first_met_rotation_of_each_class() {
+        let small = Edge::small_alphabet();
+        for max_edges in 2..=5 {
+            let want = first_met_rotations(&small, max_edges);
+            let got = enumerate_cycles(&small, max_edges);
+            assert!(!want.is_empty());
+            assert_eq!(got, want, "up to {max_edges} edges");
+        }
+        // A repeated edge repeats no cycle.
+        let twice: Vec<Edge> = small.iter().chain(&small).copied().collect();
+        assert_eq!(enumerate_cycles(&twice, 4), first_met_rotations(&small, 4));
     }
 
     #[test]

@@ -18,10 +18,14 @@
 //!
 //! Every sweep (and every shard of one) generates its whole family, so
 //! generation handles no strings until it names a test: cycles are
-//! validated on the walk's edge stack and deduplicated on their least
+//! validated on the walk's edge stack and kept only as their own least
 //! rotation, a cycle's name is built once when it is kept, each cycle is
-//! analysed once for all its placements, and synthesised tests share
-//! one set of pre-made register and location names.
+//! analysed once for all its placements, and the tests of one synthesis
+//! job share one set of pre-made register and location names. The walks
+//! share no state, so [`generate_parallel`] splits them, and then the
+//! synthesis of their cycles, over worker threads; each synthesis job
+//! makes its own names, so the workers do not contend on the names'
+//! reference counts.
 //!
 //! ```
 //! use weakgpu_diy::{generate, GenConfig};
@@ -40,10 +44,14 @@ pub use cycle::{enumerate_cycles, Cycle};
 pub use edge::{DepKind, Dir, Edge};
 pub use synth::{synthesise, GenConfig, SynthError};
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
+
 use weakgpu_litmus::LitmusTest;
 
 /// Generates the full test family for a configuration: every cycle over
 /// the alphabet, synthesised at every requested placement and region.
+/// The same as [`generate_parallel`] on one worker.
 ///
 /// The returned family is in **canonical order** — sorted by test name,
 /// which is unique within a family (cycle names are canonical up to
@@ -52,13 +60,104 @@ use weakgpu_litmus::LitmusTest;
 /// across calls, processes, and machines. Sharded sweeps rely on this to
 /// partition the family deterministically by index.
 pub fn generate(cfg: &GenConfig) -> Vec<LitmusTest> {
-    let cycles = enumerate_cycles(&cfg.alphabet, cfg.max_edges);
+    generate_parallel(cfg, 1)
+}
+
+/// [`generate`] on `workers` threads, with the same result at any worker
+/// count.
+///
+/// The cycle walks, one per (length, first edge), are split over the
+/// workers, the longest first, and their cycles are concatenated in
+/// [`enumerate_cycles`] order. The synthesis of those cycles is then
+/// split into jobs of consecutive cycles, each with its own set of
+/// names, and the jobs' tests are concatenated in order before the name
+/// sort.
+pub fn generate_parallel(cfg: &GenConfig, workers: usize) -> Vec<LitmusTest> {
+    let walk = cycle::Walk::new(&cfg.alphabet);
+    let roots: Vec<(usize, usize)> = walk.roots(cfg.max_edges).collect();
+    let mut cycles = Vec::new();
+    // Roots are ordered by length, and longer walks cost more, so
+    // claiming from the end balances the tail.
+    run_jobs(
+        roots.len(),
+        workers,
+        |k| roots.len() - 1 - k,
+        |j| {
+            let (len, first) = roots[j];
+            let mut cycles = Vec::new();
+            walk.for_each_cycle(len, first, |c| cycles.push(c));
+            cycles
+        },
+        |part| cycles.extend(part),
+    );
+    let slices: Vec<&[Cycle]> = cycles.chunks(EXPAND_SLICE).collect();
     let mut tests = Vec::new();
-    for cycle in &cycles {
-        tests.extend(synth::expand(cycle, cfg));
-    }
+    run_jobs(
+        slices.len(),
+        workers,
+        |k| k,
+        |j| {
+            let names = synth::Names::new();
+            let mut tests = Vec::new();
+            for cycle in slices[j] {
+                synth::expand(cycle, cfg, &names, &mut tests);
+            }
+            tests
+        },
+        |mut part| tests.append(&mut part),
+    );
     tests.sort_unstable_by(|a, b| a.name().cmp(b.name()));
     tests
+}
+
+/// Cycles per synthesis job of [`generate_parallel`]: small enough that
+/// workers finish together, large enough that claiming costs nothing.
+const EXPAND_SLICE: usize = 128;
+
+/// Runs `job(0..jobs)` on up to `workers` threads, which claim job
+/// `claim(k)` as the `k`-th, and hands the results to `take` in job
+/// order on the calling thread. A result is taken as soon as every
+/// earlier one has been, so the jobs' outputs are not all held at once.
+fn run_jobs<T: Send>(
+    jobs: usize,
+    workers: usize,
+    claim: impl Fn(usize) -> usize + Sync,
+    job: impl Fn(usize) -> T + Sync,
+    mut take: impl FnMut(T),
+) {
+    if workers <= 1 {
+        (0..jobs).map(job).for_each(take);
+        return;
+    }
+    let claimed = AtomicUsize::new(0);
+    let (claimed, claim, job) = (&claimed, &claim, &job);
+    let (done, results) = mpsc::channel();
+    std::thread::scope(|scope| {
+        for _ in 0..workers.min(jobs) {
+            let done = done.clone();
+            scope.spawn(move || loop {
+                let k = claimed.fetch_add(1, Ordering::Relaxed);
+                if k >= jobs {
+                    break;
+                }
+                let j = claim(k);
+                if done.send((j, job(j))).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(done);
+        let mut waiting: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
+        let mut next = 0;
+        for (j, result) in results {
+            waiting[j] = Some(result);
+            while let Some(result) = waiting.get_mut(next).and_then(Option::take) {
+                take(result);
+                next += 1;
+            }
+        }
+        assert_eq!(next, jobs, "every job ran");
+    });
 }
 
 #[cfg(test)]

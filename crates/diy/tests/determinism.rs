@@ -5,7 +5,7 @@
 
 use std::sync::OnceLock;
 
-use weakgpu_diy::{generate, GenConfig};
+use weakgpu_diy::{generate, generate_parallel, GenConfig};
 use weakgpu_litmus::LitmusTest;
 
 /// The paper family, generated once per test binary (each generation is
@@ -112,6 +112,26 @@ fn generated_families_match_their_recorded_digests() {
         (PAPER_COUNT, PAPER_DIGEST),
         "paper family changed"
     );
+}
+
+/// Parallel generation splits the cycle walks and their synthesis over
+/// workers; the family must not depend on how many.
+#[test]
+fn parallel_generation_matches_the_recorded_digests() {
+    for workers in [1, 2, 3] {
+        let small = generate_parallel(&GenConfig::small(), workers);
+        assert_eq!(
+            (small.len(), family_digest(&small)),
+            (SMALL_COUNT, SMALL_DIGEST),
+            "small family changed at {workers} workers"
+        );
+        let paper = generate_parallel(&GenConfig::paper(), workers);
+        assert_eq!(
+            (paper.len(), family_digest(&paper)),
+            (PAPER_COUNT, PAPER_DIGEST),
+            "paper family changed at {workers} workers"
+        );
+    }
 }
 
 const SMALL_COUNT: usize = 112;

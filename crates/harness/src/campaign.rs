@@ -12,28 +12,34 @@
 //!   chunk's RNG stream is a pure function of the cell's seed and the
 //!   chunk index, and chunk counts merge by commutative addition.
 //! * **Work items** are what the pool schedules, and fix nothing
-//!   observable. An item is the shortest run of consecutive chunks of one
-//!   cell that holds at least 1024 runs, or the rest of the cell: a
-//!   100k-iteration cell is 64 items that workers share, a 40- or
-//!   1000-iteration cell is one. A worker runs an item's chunks into one
-//!   count of observation vectors ([`ObsCounts`]). A one-item cell's
-//!   count is the cell's result as it stands; the items of a larger cell
-//!   add their counts into the cell's.
+//!   observable. A cell of fewer than 1024 runs is run whole, together
+//!   with the consecutive cells of the same test: a 40-iteration sweep
+//!   over five chips is one item per test. A larger cell is split into
+//!   items of its own, each the shortest run of consecutive chunks that
+//!   holds at least 1024 runs, or the rest of the cell: a 100k-iteration
+//!   cell is 64 items that workers share. A worker runs a cell's chunks
+//!   of an item into one count of observation vectors ([`ObsCounts`]). A
+//!   whole cell's count is the cell's result as it stands; the items of
+//!   a split cell add their counts into the cell's.
 //!
 //! So a campaign's reports are bit-identical for a fixed seed regardless
 //! of worker count, scheduling, or host machine, and identical to running
 //! each cell alone through `run_test`.
 //!
-//! Nothing is materialised ahead of the workers or kept behind them. Each
-//! distinct test is compiled once, on the worker that first claims one
-//! of its items, and the program is shared by the test's cells on every
-//! chip and freed when its last item completes; a worker keeps one
-//! [`MachineState`] and one [`ObsCounts`], refitted in place as it moves
-//! between simulators, so runs allocate nothing. Each finished cell's
-//! [`TestReport`] is handed to the caller by value, its [`Histogram`]
-//! built from the cell's count once, one [`Outcome`] per distinct
-//! observation vector. The sweep takes the count itself instead: a sound
-//! cell's record needs no outcome at all.
+//! Nothing is materialised ahead of the workers or kept behind them, and
+//! workers share nothing per cell. An item compiles its own test, shares
+//! the program among its cells on every chip and frees it when it ends;
+//! a split cell is compiled once per item, which is negligible next to
+//! its 1024 or more runs. A worker keeps one [`MachineState`] and one
+//! [`ObsCounts`], refitted in place as it moves between programs, so runs
+//! allocate nothing, and the run parameters of each chip and incantation
+//! column it meets. Only the items of a split cell meet, under the lock
+//! of the cell's count. Each finished cell's [`TestReport`] is handed to
+//! the caller by value, its [`Histogram`] built from the cell's count
+//! once, one [`Outcome`] per distinct observation vector; `run_campaign`
+//! collects the reports per worker and puts them in cell order at the
+//! end. The sweep takes the count itself instead: a sound cell's record
+//! needs no outcome at all, and each worker tallies its own cells.
 //!
 //! Progress callbacks run on the worker threads, and a worker runs no
 //! other item while its callback runs. A callback should therefore do
@@ -57,7 +63,6 @@
 //! assert_eq!(reports[1].witnesses, 0); // GTX 280 stays strong
 //! ```
 
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -70,10 +75,11 @@ use weakgpu_sim::machine::{MachineState, ObsCounts, RunParams, Simulator};
 use weakgpu_sim::program::SimProgram;
 
 use crate::histogram::Histogram;
-use crate::runner::{chunk_seed, chunk_sizes, HarnessError, RunConfig, TestReport};
+use crate::runner::{chunk_seed, chunk_sizes, HarnessError, RunConfig, TestReport, STREAM_CHUNKS};
 
-/// Fewest runs a work item holds unless it is the rest of its cell:
-/// enough to amortise the per-item claim, seeding and histogram merge,
+/// The fewest runs for which a cell is split into items of its own, and
+/// the fewest a split cell's item holds unless it is the rest of its
+/// cell: enough to amortise the item's claim, compile and count merge,
 /// small enough that a 100k-iteration cell still splits into one item
 /// per chunk.
 const ITEM_RUNS: usize = 1024;
@@ -191,25 +197,24 @@ pub(crate) struct Cell<'a> {
     pub(crate) seed: u64,
 }
 
-/// The scheduling unit of the pool: consecutive chunks of one cell.
+/// The scheduling unit of the pool: consecutive cells of one test, each
+/// run whole, or some consecutive chunks of one cell.
 struct WorkItem {
-    cell: usize,
-    /// The index of the cell's test in the program slots.
-    slot: usize,
-    chunks: Range<usize>,
-    /// The index of the cell's chip and incantations in the run
-    /// parameters.
-    params: usize,
-    /// The accumulator of a cell split into several items; `None` when
-    /// this item is the whole cell.
-    acc: Option<usize>,
+    cells: Range<usize>,
+    /// The chunks this item runs of a cell split into several items, and
+    /// the index of that cell's accumulator; `None` for whole cells.
+    split: Option<(Range<usize>, usize)>,
 }
 
-/// One distinct test's compiled program, kept while some item still
-/// needs it.
-struct ProgramSlot {
-    program: Option<Arc<SimProgram>>,
-    items_left: usize,
+/// What a pool worker keeps from item to item: the caller's state, one
+/// run state and one count, refitted in place, and the run parameters
+/// of each (chip, incantations) it has met: a sweep has ten, however
+/// many cells it runs.
+struct Worker<W> {
+    w: W,
+    state: Option<MachineState>,
+    counts: ObsCounts,
+    params: Vec<(Chip, Incantations, RunParams)>,
 }
 
 /// The counts so far of a cell split into several items.
@@ -236,14 +241,21 @@ pub fn run_campaign(
     cells: &[CellSpec],
     cfg: &CampaignConfig,
 ) -> Result<Vec<TestReport>, HarnessError> {
-    let reports = Mutex::new(vec![None; cells.len()]);
-    run_campaign_with(cells, cfg, |ci, report| {
-        reports.lock().expect("no poisoned locks")[ci] = Some(report);
-        Ok(())
-    })?;
+    let done = run_cells(
+        cells.len(),
+        |ci| cells[ci].cell(),
+        cfg,
+        Vec::new,
+        |reports: &mut Vec<(usize, TestReport)>, ci, done| {
+            reports.push((ci, finish_cell(cells[ci].cell(), done)));
+            Ok::<_, HarnessError>(())
+        },
+    )?;
+    let mut reports = vec![None; cells.len()];
+    for (ci, report) in done.into_iter().flatten() {
+        reports[ci] = Some(report);
+    }
     Ok(reports
-        .into_inner()
-        .expect("no poisoned locks")
         .into_iter()
         .map(|r| r.expect("every cell completed"))
         .collect())
@@ -271,162 +283,158 @@ where
         cells.len(),
         |ci| cells[ci].cell(),
         cfg,
-        |ci, done| on_cell(ci, finish_cell(cells[ci].cell(), done)),
+        || (),
+        |(), ci, done| on_cell(ci, finish_cell(cells[ci].cell(), done)),
     )
+    .map(drop)
 }
 
 /// The engine behind [`run_campaign_with`], over the `n` cells
 /// `cell_at(0..n)` and any error type a compile or run error converts
-/// into. Each finished cell is handed to `on_cell` as its counts.
-pub(crate) fn run_cells<'a, C, F, E>(
+/// into. Each worker starts with its own `worker()` state, and each
+/// finished cell is handed as its counts to `on_cell`, with the state of
+/// the worker that finished it. The worker states are returned, in no
+/// particular order, for the caller to merge.
+pub(crate) fn run_cells<'a, C, W, F, E>(
     n: usize,
     cell_at: C,
     cfg: &CampaignConfig,
+    worker: impl Fn() -> W + Sync,
     on_cell: F,
-) -> Result<(), E>
+) -> Result<Vec<W>, E>
 where
     C: Fn(usize) -> Cell<'a> + Sync,
-    F: Fn(usize, CellCounts<'_>) -> Result<(), E> + Sync,
+    W: Send,
+    F: Fn(&mut W, usize, CellCounts<'_>) -> Result<(), E> + Sync,
     E: From<HarnessError> + Send,
 {
-    // Plan the items, cell-major, and give each distinct test one
-    // program slot. Cells of the same test (on several chips, or at
-    // several incantation columns) share it. Buckets are keyed by name
-    // for O(cells) lookup, with a structural equality check inside the
-    // bucket so two different tests that happen to share a name never
-    // share a program.
+    // Plan the items in cell order. Consecutive cells of one test with
+    // fewer than `ITEM_RUNS` runs each share an item; a larger cell is
+    // split into items of its own. Tests are compared by address first,
+    // so a caller that borrows its cells' tests (the sweep) never
+    // compares two tests deeply.
     let mut items: Vec<WorkItem> = Vec::new();
     let mut accs: Vec<Mutex<CellAcc>> = Vec::new();
-    let mut slots: Vec<Mutex<ProgramSlot>> = Vec::new();
-    let mut slot_rep: Vec<&LitmusTest> = Vec::new();
-    let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
-    // One set of run parameters per distinct (chip, incantations): a
-    // sweep has ten, however many cells it runs.
-    let mut params: Vec<(Chip, Incantations, RunParams)> = Vec::new();
+    // The test of the last item while it may take more whole cells.
+    let mut open: Option<&LitmusTest> = None;
     for ci in 0..n {
         let cell = cell_at(ci);
-        let param = match params
-            .iter()
-            .position(|(chip, inc, _)| *chip == cell.chip && *inc == cell.incantations)
-        {
-            Some(i) => i,
-            None => {
-                let p = RunParams::of(cell.chip, &cell.incantations);
-                params.push((cell.chip, cell.incantations, p));
-                params.len() - 1
+        if cell.iterations < ITEM_RUNS {
+            match (open, items.last_mut()) {
+                (Some(test), Some(item))
+                    if std::ptr::eq(test, cell.test) || *test == *cell.test =>
+                {
+                    item.cells.end = ci + 1;
+                }
+                _ => {
+                    items.push(WorkItem {
+                        cells: ci..ci + 1,
+                        split: None,
+                    });
+                    open = Some(cell.test);
+                }
             }
-        };
-        let bucket = by_name.entry(cell.test.name()).or_default();
-        let same = |s: usize| std::ptr::eq(slot_rep[s], cell.test) || *slot_rep[s] == *cell.test;
-        let slot = match bucket.iter().copied().find(|&s| same(s)) {
-            Some(s) => s,
-            None => {
-                slots.push(Mutex::new(ProgramSlot {
-                    program: None,
-                    items_left: 0,
-                }));
-                slot_rep.push(cell.test);
-                bucket.push(slots.len() - 1);
-                slots.len() - 1
-            }
-        };
+            continue;
+        }
+        open = None;
         let first = items.len();
         let (mut start, mut runs, mut end) = (0, 0, 0);
         for len in chunk_sizes(cell.iterations) {
             (runs, end) = (runs + len, end + 1);
             if runs >= ITEM_RUNS {
                 items.push(WorkItem {
-                    cell: ci,
-                    slot,
-                    chunks: start..end,
-                    params: param,
-                    acc: None,
+                    cells: ci..ci + 1,
+                    split: Some((start..end, accs.len())),
                 });
                 (start, runs) = (end, 0);
             }
         }
-        // The rest of the cell; a zero-iteration cell is one empty item,
-        // so it completes (and compiles) like any other.
-        if start < end || end == 0 {
+        if start < end {
             items.push(WorkItem {
-                cell: ci,
-                slot,
-                chunks: start..end,
-                params: param,
-                acc: None,
+                cells: ci..ci + 1,
+                split: Some((start..end, accs.len())),
             });
         }
-        let cell_items = items.len() - first;
-        slots[slot].get_mut().expect("no poisoned locks").items_left += cell_items;
-        if cell_items > 1 {
-            for item in &mut items[first..] {
-                item.acc = Some(accs.len());
-            }
-            accs.push(Mutex::new(CellAcc {
+        match items.len() - first {
+            1 => items[first].split = None,
+            cell_items => accs.push(Mutex::new(CellAcc {
                 counts: ObsCounts::new(),
                 items_left: cell_items,
-            }));
+            })),
         }
     }
-    drop(by_name);
 
-    // Runs one item and, if it completes its cell, reports the cell.
-    let run_item = |item: &WorkItem,
-                    state: &mut Option<MachineState>,
-                    counts: &mut ObsCounts|
-     -> Result<(), E> {
-        let cell = cell_at(item.cell);
-        let slot = &slots[item.slot];
-        let program = {
-            let mut slot = slot.lock().expect("no poisoned locks");
-            match &slot.program {
-                Some(program) => Arc::clone(program),
+    // Runs one item: compiles its test, runs its chunks of each of its
+    // cells and reports each cell it completes.
+    let run_item = |item: &WorkItem, worker: &mut Worker<W>| -> Result<(), E> {
+        let Worker {
+            w,
+            state,
+            counts,
+            params,
+        } = worker;
+        let first = cell_at(item.cells.start);
+        let program = Arc::new(
+            SimProgram::compile(first.test).map_err(|e| E::from(HarnessError::Compile(e)))?,
+        );
+        // A state's shape depends on the program alone, so one fit
+        // serves every cell of the item.
+        let st = {
+            let sim = Simulator::from_program(Arc::clone(&program), first.chip);
+            let st = state.get_or_insert_with(|| sim.new_state());
+            sim.fit_state(st);
+            st
+        };
+        for ci in item.cells.clone() {
+            let cell = cell_at(ci);
+            let sim = Simulator::from_program(Arc::clone(&program), cell.chip);
+            let params = match params
+                .iter()
+                .position(|(chip, inc, _)| *chip == cell.chip && *inc == cell.incantations)
+            {
+                Some(i) => &params[i].2,
                 None => {
-                    let program = SimProgram::compile(cell.test)
-                        .map_err(|e| E::from(HarnessError::Compile(e)))?;
-                    Arc::clone(slot.program.insert(Arc::new(program)))
+                    let p = RunParams::of(cell.chip, &cell.incantations);
+                    params.push((cell.chip, cell.incantations, p));
+                    &params[params.len() - 1].2
                 }
+            };
+            let chunks = match &item.split {
+                Some((chunks, _)) => chunks.clone(),
+                None => 0..STREAM_CHUNKS,
+            };
+            counts.clear();
+            for (k, len) in chunk_sizes(cell.iterations)
+                .enumerate()
+                .take(chunks.end)
+                .skip(chunks.start)
+            {
+                let mut rng = SmallRng::seed_from_u64(chunk_seed(cell.seed, k));
+                sim.run_batch(len, params, &mut rng, st, counts)
+                    .map_err(|e| E::from(HarnessError::Run(e)))?;
             }
-        };
-        let sim = Simulator::from_program(program, cell.chip);
-        let st = state.get_or_insert_with(|| sim.new_state());
-        sim.fit_state(st);
-        let params = &params[item.params].2;
-        counts.clear();
-        let chunks = chunk_sizes(cell.iterations).enumerate();
-        for (k, len) in chunks.take(item.chunks.end).skip(item.chunks.start) {
-            let mut rng = SmallRng::seed_from_u64(chunk_seed(cell.seed, k));
-            sim.run_batch(len, params, &mut rng, st, counts)
-                .map_err(|e| E::from(HarnessError::Run(e)))?;
-        }
-        // The last item of a test frees its program, once `sim` is gone.
-        {
-            let mut slot = slot.lock().expect("no poisoned locks");
-            slot.items_left -= 1;
-            if slot.items_left == 0 {
-                slot.program = None;
+            let Some((_, acc)) = item.split else {
+                on_cell(w, ci, CellCounts { sim: &sim, counts })?;
+                continue;
+            };
+            let finished = {
+                let mut acc = accs[acc].lock().expect("no poisoned locks");
+                acc.counts.merge(counts);
+                acc.items_left -= 1;
+                (acc.items_left == 0).then(|| std::mem::take(&mut acc.counts))
+            };
+            if let Some(counts) = finished {
+                on_cell(
+                    w,
+                    ci,
+                    CellCounts {
+                        sim: &sim,
+                        counts: &counts,
+                    },
+                )?;
             }
         }
-
-        let Some(acc) = item.acc else {
-            return on_cell(item.cell, CellCounts { sim: &sim, counts });
-        };
-        let finished = {
-            let mut acc = accs[acc].lock().expect("no poisoned locks");
-            acc.counts.merge(counts);
-            acc.items_left -= 1;
-            (acc.items_left == 0).then(|| std::mem::take(&mut acc.counts))
-        };
-        match finished {
-            Some(counts) => on_cell(
-                item.cell,
-                CellCounts {
-                    sim: &sim,
-                    counts: &counts,
-                },
-            ),
-            None => Ok(()),
-        }
+        Ok(())
     };
 
     let workers = worker_count(cfg.parallelism, items.len());
@@ -435,35 +443,47 @@ where
     let abort = AtomicBool::new(false);
     let error: Mutex<Option<(usize, E)>> = Mutex::new(None);
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = None;
-                let mut counts = ObsCounts::new();
-                // Abort is honoured only before claiming: a claimed item
-                // is always compiled and run to its end. Items are
-                // claimed in order, so when an item fails every lower
-                // item has been claimed and will finish, and the lowest
-                // failure is the same at any parallelism.
-                while !abort.load(Ordering::Relaxed) {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    if let Err(e) = run_item(item, &mut state, &mut counts) {
-                        let mut slot = error.lock().expect("no poisoned locks");
-                        if slot.as_ref().is_none_or(|(j, _)| i < *j) {
-                            *slot = Some((i, e));
+    let states = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut worker = Worker {
+                        w: worker(),
+                        state: None,
+                        counts: ObsCounts::new(),
+                        params: Vec::new(),
+                    };
+                    // Abort is honoured only before claiming: a claimed
+                    // item is always compiled and run to its end or its
+                    // first failure. Items are claimed in cell order, so
+                    // when an item fails every lower item has been
+                    // claimed and will finish, and the lowest failure is
+                    // the same at any parallelism.
+                    while !abort.load(Ordering::Relaxed) {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        if let Err(e) = run_item(item, &mut worker) {
+                            let mut slot = error.lock().expect("no poisoned locks");
+                            if slot.as_ref().is_none_or(|(j, _)| i < *j) {
+                                *slot = Some((i, e));
+                            }
+                            abort.store(true, Ordering::Relaxed);
+                            break;
                         }
-                        abort.store(true, Ordering::Relaxed);
-                        break;
                     }
-                }
-            });
-        }
+                    worker.w
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("campaign workers do not panic"))
+            .collect()
     });
 
     match error.into_inner().expect("no poisoned locks") {
         Some((_, e)) => Err(e),
-        None => Ok(()),
+        None => Ok(states),
     }
 }
 

@@ -78,6 +78,12 @@ impl Json {
 /// Escapes `s` as a JSON string literal (including the quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a JSON string literal (including the quotes).
+pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -93,7 +99,6 @@ pub fn escape(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing

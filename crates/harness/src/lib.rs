@@ -38,6 +38,7 @@ pub use runner::{run_test, RunConfig, TestReport, STREAM_CHUNKS};
 pub use serve::{serve, ServeConfig, ServeSummary};
 pub use soundness::{check_soundness, check_soundness_with, SoundnessReport};
 pub use sweep::{
-    run_sweep, run_sweep_with, CellRecord, Shard, SweepConfig, SweepError, SweepReport,
+    run_sweep, run_sweep_with, CellRecord, RecordSink, Shard, SweepConfig, SweepError, SweepPhases,
+    SweepReport, SweepRun,
 };
 pub use tuning::{tune, TuningReport};

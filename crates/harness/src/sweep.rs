@@ -12,34 +12,43 @@
 //!   bit-identical to the same cells of an unsharded run.
 //! * **Judge, then run** — soundness is checked per cell against the
 //!   model, but the axiomatic verdict depends only on the test's shape.
-//!   So a sweep runs in two passes. The judge pass fingerprints every
-//!   selected test, judges each distinct shape the [`VerdictCache`] does
-//!   not know exactly once, on the sweep's worker count, and then counts
-//!   every test in selection order, the test's other chip cells as hits.
-//!   Shapes are judged through the model's compiled plan with one
-//!   [`EvalContext`] per worker (the cache-miss hot path measured in
-//!   `BENCH_model.json`). The run pass then runs the campaign; a
-//!   finished cell only compares its histogram with its test's resolved
-//!   verdict, so no worker ever waits on another's judgement.
+//!   So a sweep runs in two passes, and each spreads its work over the
+//!   sweep's workers. The judge pass fingerprints every selected test on
+//!   the workers, each taking a contiguous slice of the selection. The
+//!   calling thread then collects, in selection order, the distinct
+//!   shapes the [`VerdictCache`] does not know; the workers judge each
+//!   of them exactly once; and the calling thread counts every test in
+//!   selection order, the test's other chip cells as hits. Shapes are
+//!   judged through the model's compiled plan with one [`EvalContext`]
+//!   per worker (the cache-miss hot path measured in `BENCH_model.json`).
+//!   The run pass then runs the campaign; a finished cell only compares
+//!   its observations with its test's resolved verdict, so no worker
+//!   ever waits on another's judgement.
+//! * **Nothing shared per cell** — a run-pass worker tallies the cells
+//!   it finishes itself and hands their records to its own share of the
+//!   [`RecordSink`], so a sound cell's record takes no lock and allocates
+//!   nothing. The tallies are merged once the last cell has run, and
+//!   [`SweepRun::phases`] says how long each phase took.
 //! * **Machine-readable reports** — each completed cell streams a JSONL
 //!   [`CellRecord`]; the aggregate [`SweepReport`] serialises to JSON,
 //!   parses back, and [`SweepReport::merge`]s across shards into totals
 //!   identical to an unsharded run at the same seed.
 
 use std::collections::{BTreeSet, HashMap};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::mem;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use weakgpu_axiom::cache::{Fingerprint, VerdictCache};
 use weakgpu_axiom::enumerate::{model_outcomes_with, EnumConfig, EnumError, ModelOutcomes};
 use weakgpu_axiom::persist;
 use weakgpu_axiom::plan::EvalContext;
+use weakgpu_axiom::CatModel;
 use weakgpu_litmus::LitmusTest;
 use weakgpu_models::ptx_model;
-use weakgpu_sim::chip::Chip;
+use weakgpu_sim::chip::{Chip, Incantations};
 
 use crate::campaign::{
     default_incantations, run_cells, worker_count, CampaignConfig, Cell, CellCounts,
@@ -180,15 +189,16 @@ impl From<HarnessError> for SweepError {
     }
 }
 
-/// One completed cell, as streamed to JSONL.
+/// One completed cell, as streamed to JSONL. A record borrows its test's
+/// name from the family, and a sound cell's record allocates nothing.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct CellRecord {
+pub struct CellRecord<'a> {
     /// Test name.
-    pub test: String,
+    pub test: &'a str,
     /// Global index of the test in the canonical family.
     pub index: usize,
     /// Chip short name.
-    pub chip: String,
+    pub chip: &'static str,
     /// Runs executed.
     pub runs: u64,
     /// Runs witnessing the final condition.
@@ -217,27 +227,58 @@ pub struct CellRecord {
     pub enum_micros: u64,
 }
 
-impl CellRecord {
-    /// One JSONL line (no trailing newline).
-    pub fn to_jsonl(&self) -> String {
-        format!(
-            "{{\"test\": {}, \"index\": {}, \"chip\": {}, \"runs\": {}, \"witnesses\": {}, \"distinct\": {}, \"unsound\": [{}], \"cache_hits\": {}, \"cache_misses\": {}, \"enum_micros\": {}}}",
-            json::escape(&self.test),
-            self.index,
-            json::escape(&self.chip),
-            self.runs,
-            self.witnesses,
-            self.distinct,
-            self.unsound
-                .iter()
-                .map(|o| json::escape(o))
-                .collect::<Vec<_>>()
-                .join(", "),
-            self.cache_hits,
-            self.cache_misses,
-            self.enum_micros,
-        )
+impl CellRecord<'_> {
+    /// Appends this record to `out` as one JSONL line, newline included.
+    pub fn write_jsonl(&self, out: &mut String) {
+        out.push_str("{\"test\": ");
+        json::escape_into(out, self.test);
+        let _ = write!(out, ", \"index\": {}, \"chip\": ", self.index);
+        json::escape_into(out, self.chip);
+        let _ = write!(
+            out,
+            ", \"runs\": {}, \"witnesses\": {}, \"distinct\": {}, \"unsound\": [",
+            self.runs, self.witnesses, self.distinct
+        );
+        for (i, o) in self.unsound.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            json::escape_into(out, o);
+        }
+        let _ = writeln!(
+            out,
+            "], \"cache_hits\": {}, \"cache_misses\": {}, \"enum_micros\": {}}}",
+            self.cache_hits, self.cache_misses, self.enum_micros
+        );
     }
+}
+
+/// Where a sweep hands its cell records. Records arrive on the worker
+/// threads as cells finish, and each worker collects them into its own
+/// [`RecordSink::Buffer`], so a sink needs no lock per record. Once every
+/// cell has run, each worker's buffer is handed back to
+/// [`RecordSink::finish`] on the calling thread; a failed sweep hands
+/// back none.
+///
+/// Any `Fn(&CellRecord)` is a sink without a buffer.
+pub trait RecordSink<'a>: Sync {
+    /// One worker's share of the sink.
+    type Buffer: Send;
+    /// The buffer of a worker that starts.
+    fn buffer(&self) -> Self::Buffer;
+    /// Takes a finished cell's record, on the worker that ran the cell.
+    fn record(&self, buffer: &mut Self::Buffer, record: &CellRecord<'a>);
+    /// Takes back a worker's buffer after the last cell.
+    fn finish(&self, buffer: Self::Buffer);
+}
+
+impl<'a, F: Fn(&CellRecord<'a>) + Sync> RecordSink<'a> for F {
+    type Buffer = ();
+    fn buffer(&self) {}
+    fn record(&self, (): &mut (), record: &CellRecord<'a>) {
+        self(record);
+    }
+    fn finish(&self, (): ()) {}
 }
 
 /// Totals for one chip column (comparable to the paper's validation
@@ -724,6 +765,35 @@ fn u64_field(v: &Json, key: &str) -> Result<u64, SweepError> {
         .ok_or_else(|| SweepError::Json(format!("missing or non-integer field {key}")))
 }
 
+/// A finished sweep: its report, the wall time of each of its phases,
+/// and the verdict cache it ended with (already saved when
+/// [`SweepConfig::cache_file`] names a writable file), which a caller
+/// about to exit may leave unfreed.
+#[derive(Debug)]
+pub struct SweepRun {
+    /// The aggregate report.
+    pub report: SweepReport,
+    /// Where the sweep's wall time went.
+    pub phases: SweepPhases,
+    /// The verdict cache after the judge pass.
+    pub cache: VerdictCache,
+}
+
+/// Wall-clock time of each phase of a sweep, after its family is given.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct SweepPhases {
+    /// Fingerprinting every selected test, on the workers.
+    pub fingerprint: Duration,
+    /// Loading the cache file, if any, and the judge pass: dedupe,
+    /// judging each unknown shape on the workers, and counting.
+    pub judge: Duration,
+    /// The run pass: every cell compiled, run and judged on the workers.
+    pub run: Duration,
+    /// Merging the workers' tallies, saving the cache and building the
+    /// report.
+    pub report: Duration,
+}
+
 /// Runs the sweep. `family` must be the **complete** canonically-ordered
 /// test family (strictly increasing names — `weakgpu_diy::generate`
 /// guarantees this); when `cfg.shard` is set, this function selects the
@@ -734,12 +804,12 @@ fn u64_field(v: &Json, key: &str) -> Result<u64, SweepError> {
 ///
 /// See [`run_sweep_with`].
 pub fn run_sweep(family: &[LitmusTest], cfg: &SweepConfig) -> Result<SweepReport, SweepError> {
-    run_sweep_with(family, cfg, |_| {})
+    run_sweep_with(family, cfg, |_: &CellRecord<'_>| {}).map(|run| run.report)
 }
 
-/// Like [`run_sweep`], invoking `on_cell` as each cell completes —
-/// cells finish out of order, so the callback must be thread-safe. Each
-/// record carries its test's global index; the aggregate report is
+/// Like [`run_sweep`], handing each cell's record to `sink` as the cell
+/// completes, on the worker that ran it. Cells finish out of order; each
+/// record carries its test's global index, and the aggregate report is
 /// always assembled in canonical order regardless of completion order.
 ///
 /// # Errors
@@ -747,13 +817,13 @@ pub fn run_sweep(family: &[LitmusTest], cfg: &SweepConfig) -> Result<SweepReport
 /// Returns a configuration error, or else the compile, run or
 /// enumeration error of the lowest failing cell (see
 /// [`run_campaign_with`](crate::campaign::run_campaign_with)).
-pub fn run_sweep_with<F>(
-    family: &[LitmusTest],
+pub fn run_sweep_with<'a, S>(
+    family: &'a [LitmusTest],
     cfg: &SweepConfig,
-    on_cell: F,
-) -> Result<SweepReport, SweepError>
+    sink: S,
+) -> Result<SweepRun, SweepError>
 where
-    F: Fn(&CellRecord) + Sync,
+    S: RecordSink<'a>,
 {
     if cfg.chips.is_empty() {
         return Err(SweepError::Config("no chips given".to_owned()));
@@ -769,11 +839,19 @@ where
         )));
     }
 
+    let start = Instant::now();
     let selected: Vec<(usize, &LitmusTest)> = family
         .iter()
         .enumerate()
         .filter(|(i, _)| cfg.shard.is_none_or(|sh| sh.selects(*i)))
         .collect();
+    let model = ptx_model();
+    let enum_cfg = EnumConfig::default();
+    let (keys, incantations): (Vec<Fingerprint>, Vec<Incantations>) =
+        fingerprints(&selected, &model, &enum_cfg, cfg.parallelism)
+            .into_iter()
+            .unzip();
+    let fingerprinted = Instant::now();
 
     let num_chips = cfg.chips.len();
     let mut cache = match &cfg.cache_file {
@@ -788,35 +866,26 @@ where
         }
         _ => VerdictCache::new(),
     };
-    let judged = judge_all(&selected, num_chips, &mut cache, cfg.parallelism);
-
-    let tally = Mutex::new(Tally {
-        per_chip: cfg
-            .chips
-            .iter()
-            .map(|c| ChipTotals {
-                chip: c.short().to_owned(),
-                cells: 0,
-                runs: 0,
-                witnessed_cells: 0,
-                witnesses: 0,
-                unsound_cells: 0,
-            })
-            .collect(),
-        weak: vec![false; selected.len()],
-        unsound: Vec::new(),
-    });
+    let judged = judge_all(
+        &selected,
+        keys,
+        num_chips,
+        &mut cache,
+        (&*model, &enum_cfg),
+        cfg.parallelism,
+    );
+    let judged_at = Instant::now();
 
     // Cell `ci` is test `ci / num_chips` of the selection on chip
     // `ci % num_chips` (test-major); cells borrow the family's tests.
-    run_cells(
+    let workers = run_cells(
         selected.len() * num_chips,
         |ci| {
             let (gi, test) = selected[ci / num_chips];
             Cell {
                 test,
                 chip: cfg.chips[ci % num_chips],
-                incantations: default_incantations(test),
+                incantations: incantations[ci / num_chips],
                 iterations: cfg.iterations,
                 seed: cfg.seed ^ (gi as u64),
             }
@@ -824,7 +893,11 @@ where
         &CampaignConfig {
             parallelism: cfg.parallelism,
         },
-        |ci, done| -> Result<(), SweepError> {
+        || SweepWorker {
+            tally: Tally::new(&cfg.chips, selected.len()),
+            buffer: sink.buffer(),
+        },
+        |w: &mut SweepWorker<S::Buffer>, ci, done| -> Result<(), SweepError> {
             let (gi, test) = selected[ci / num_chips];
             let judged = &judged[ci / num_chips];
             // A cell whose test failed judgement fails here, after its
@@ -836,9 +909,9 @@ where
                 .map_err(|e| SweepError::Enum(test.name().to_owned(), e.clone()))?;
             let (witnesses, unsound) = judge_cell(&done, verdict);
             let record = CellRecord {
-                test: test.name().to_owned(),
+                test: test.name(),
                 index: gi,
-                chip: done.sim.chip().short().to_owned(),
+                chip: done.sim.chip().short(),
                 runs: done.counts.total(),
                 witnesses,
                 distinct: done.counts.distinct(),
@@ -851,20 +924,23 @@ where
                     0
                 },
             };
-            on_cell(&record);
-            tally
-                .lock()
-                .expect("no poisoned locks")
-                .add(ci, num_chips, record);
+            sink.record(&mut w.buffer, &record);
+            w.tally.add(ci, num_chips, record);
             Ok(())
         },
     )?;
+    let ran = Instant::now();
 
+    let mut tally = Tally::new(&cfg.chips, selected.len());
+    for w in workers {
+        tally.merge(w.tally);
+        sink.finish(w.buffer);
+    }
     let Tally {
         per_chip,
         weak,
         mut unsound,
-    } = tally.into_inner().expect("no poisoned locks");
+    } = tally;
     unsound.sort_unstable_by_key(|(ci, _)| *ci);
     let unsound: Vec<UnsoundCell> = unsound.into_iter().map(|(_, u)| u).collect();
     if let Some(path) = &cfg.cache_file {
@@ -872,7 +948,7 @@ where
             persist::save(path, &cache).map_err(|e| SweepError::Cache(e.to_string()))?;
         }
     }
-    Ok(SweepReport {
+    let report = SweepReport {
         family: cfg.family.clone(),
         family_size: family.len() as u64,
         shard: cfg.shard,
@@ -896,6 +972,17 @@ where
             warm_entries: cache.warm_entries(),
             warm_hits: cache.warm_hits(),
         },
+    };
+    let phases = SweepPhases {
+        fingerprint: fingerprinted - start,
+        judge: judged_at - fingerprinted,
+        run: ran - judged_at,
+        report: ran.elapsed(),
+    };
+    Ok(SweepRun {
+        report,
+        phases,
+        cache,
     })
 }
 
@@ -923,6 +1010,39 @@ fn judge_cell(done: &CellCounts<'_>, verdict: &ModelOutcomes) -> (u64, Vec<Strin
     (witnesses, forbidden.iter().map(|o| o.to_string()).collect())
 }
 
+/// Every selected test's shape key and default incantations, in
+/// selection order. Each of up to `parallelism` workers takes one
+/// contiguous slice of the selection, and reads each test's placement
+/// while fingerprinting has it in cache, so that the run pass plans its
+/// cells without touching a test.
+fn fingerprints(
+    selected: &[(usize, &LitmusTest)],
+    model: &CatModel,
+    enum_cfg: &EnumConfig,
+    parallelism: Option<usize>,
+) -> Vec<(Fingerprint, Incantations)> {
+    let key = |&(_, test): &(usize, &LitmusTest)| {
+        (
+            Fingerprint::of(test, model, enum_cfg),
+            default_incantations(test),
+        )
+    };
+    let workers = worker_count(parallelism, selected.len());
+    if workers == 1 {
+        return selected.iter().map(key).collect();
+    }
+    std::thread::scope(|scope| {
+        let slices: Vec<_> = selected
+            .chunks(selected.len().div_ceil(workers))
+            .map(|slice| scope.spawn(move || slice.iter().map(key).collect::<Vec<_>>()))
+            .collect();
+        slices
+            .into_iter()
+            .flat_map(|s| s.join().expect("fingerprinting does not panic"))
+            .collect()
+    })
+}
+
 /// One selected test's verdict, resolved before any of its cells runs.
 struct Judged {
     /// The verdict, or the judgement's error, which the test's cells
@@ -937,11 +1057,12 @@ struct Judged {
     enum_micros: u64,
 }
 
-/// The judge pass: resolves the verdict of every test in `selected`,
-/// each test standing for its `num_chips` cells, in three passes.
+/// The judge pass after fingerprinting: resolves the verdict of every
+/// test in `selected`, whose shape keys are `keys`, each test standing
+/// for its `num_chips` cells, in three steps.
 ///
-/// 1. The calling thread fingerprints every test and collects the
-///    distinct shapes `cache` does not know, in selection order.
+/// 1. The calling thread collects the distinct shapes `cache` does not
+///    know, in selection order.
 /// 2. `parallelism` workers judge each of those shapes once.
 /// 3. The calling thread counts every test in selection order: the
 ///    first test of a freshly judged shape publishes it (a miss plus
@@ -954,16 +1075,12 @@ struct Judged {
 /// parallelism.
 fn judge_all(
     selected: &[(usize, &LitmusTest)],
+    keys: Vec<Fingerprint>,
     num_chips: usize,
     cache: &mut VerdictCache,
+    (model, enum_cfg): (&CatModel, &EnumConfig),
     parallelism: Option<usize>,
 ) -> Vec<Judged> {
-    let model = ptx_model();
-    let enum_cfg = EnumConfig::default();
-    let keys: Vec<Fingerprint> = selected
-        .iter()
-        .map(|&(_, test)| Fingerprint::of(test, &model, &enum_cfg))
-        .collect();
     // The selection index of each unknown shape's first test, and the
     // shape of each unknown key.
     let mut shapes = Vec::new();
@@ -991,7 +1108,7 @@ fn judge_all(
                         break;
                     };
                     let t0 = Instant::now();
-                    let verdict = model_outcomes_with(selected[t].1, &model, &enum_cfg, &mut ctx);
+                    let verdict = model_outcomes_with(selected[t].1, model, enum_cfg, &mut ctx);
                     let judgement = Judgement {
                         verdict: verdict.map(Some),
                         micros: t0.elapsed().as_micros() as u64,
@@ -1042,8 +1159,16 @@ struct Judgement {
     micros: u64,
 }
 
-/// The aggregate of the cells completed so far. Each cell's record is
-/// folded in as it completes and then dropped.
+/// What one run-pass worker keeps: its share of the tally and of the
+/// record sink.
+struct SweepWorker<B> {
+    tally: Tally,
+    buffer: B,
+}
+
+/// The aggregate of the cells one worker completed. Each cell's record
+/// is folded in as it completes and then dropped; the workers' tallies
+/// are merged once every cell has run.
 struct Tally {
     /// Per-chip totals, in chip column order.
     per_chip: Vec<ChipTotals>,
@@ -1055,7 +1180,25 @@ struct Tally {
 }
 
 impl Tally {
-    fn add(&mut self, ci: usize, num_chips: usize, record: CellRecord) {
+    fn new(chips: &[Chip], tests: usize) -> Tally {
+        Tally {
+            per_chip: chips
+                .iter()
+                .map(|c| ChipTotals {
+                    chip: c.short().to_owned(),
+                    cells: 0,
+                    runs: 0,
+                    witnessed_cells: 0,
+                    witnesses: 0,
+                    unsound_cells: 0,
+                })
+                .collect(),
+            weak: vec![false; tests],
+            unsound: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, ci: usize, num_chips: usize, record: CellRecord<'_>) {
         let totals = &mut self.per_chip[ci % num_chips];
         debug_assert_eq!(record.chip, totals.chip);
         totals.cells += 1;
@@ -1071,12 +1214,27 @@ impl Tally {
                 ci,
                 UnsoundCell {
                     index: record.index,
-                    test: record.test,
-                    chip: record.chip,
+                    test: record.test.to_owned(),
+                    chip: record.chip.to_owned(),
                     outcomes: record.unsound,
                 },
             ));
         }
+    }
+
+    /// Adds `other`'s counts to these.
+    fn merge(&mut self, other: Tally) {
+        for (totals, o) in self.per_chip.iter_mut().zip(other.per_chip) {
+            totals.cells += o.cells;
+            totals.runs += o.runs;
+            totals.witnessed_cells += o.witnessed_cells;
+            totals.witnesses += o.witnesses;
+            totals.unsound_cells += o.unsound_cells;
+        }
+        for (weak, o) in self.weak.iter_mut().zip(other.weak) {
+            *weak |= o;
+        }
+        self.unsound.extend(other.unsound);
     }
 }
 
@@ -1245,21 +1403,37 @@ mod tests {
     #[test]
     fn cell_record_jsonl_is_valid_json() {
         let rec = CellRecord {
-            test: "Fre-Rfe+inter \"quoted\"".to_owned(),
+            test: "Fre-Rfe+inter \"quoted\"",
             index: 12,
-            chip: "Titan".to_owned(),
+            chip: "Titan",
             runs: 100,
             witnesses: 1,
             distinct: 3,
-            unsound: vec!["1:r1=7; ".to_owned()],
+            unsound: vec!["1:r1=7; ".to_owned(), "1:r1=8; ".to_owned()],
             cache_hits: 3,
             cache_misses: 9,
             enum_micros: 42,
         };
-        let v = json::parse(&rec.to_jsonl()).unwrap();
+        let mut lines = String::new();
+        rec.write_jsonl(&mut lines);
+        let first = lines.clone();
+        rec.write_jsonl(&mut lines);
+        assert_eq!(
+            lines,
+            format!("{first}{first}"),
+            "records append whole lines"
+        );
+        assert_eq!(
+            first,
+            "{\"test\": \"Fre-Rfe+inter \\\"quoted\\\"\", \"index\": 12, \"chip\": \"Titan\", \
+             \"runs\": 100, \"witnesses\": 1, \"distinct\": 3, \
+             \"unsound\": [\"1:r1=7; \", \"1:r1=8; \"], \
+             \"cache_hits\": 3, \"cache_misses\": 9, \"enum_micros\": 42}\n"
+        );
+        let v = json::parse(&first).unwrap();
         assert_eq!(v.get("index").unwrap().as_u64(), Some(12));
-        assert_eq!(v.get("test").unwrap().as_str(), Some(rec.test.as_str()));
-        assert_eq!(v.get("unsound").unwrap().as_arr().unwrap().len(), 1);
+        assert_eq!(v.get("test").unwrap().as_str(), Some(rec.test));
+        assert_eq!(v.get("unsound").unwrap().as_arr().unwrap().len(), 2);
         assert_eq!(v.get("cache_hits").unwrap().as_u64(), Some(3));
         assert_eq!(v.get("cache_misses").unwrap().as_u64(), Some(9));
         assert_eq!(v.get("enum_micros").unwrap().as_u64(), Some(42));

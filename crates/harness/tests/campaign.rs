@@ -231,6 +231,41 @@ fn campaign_matches_chunk_by_chunk_oracle() {
             );
         }
     }
+    // Several cells: a work item takes consecutive small cells of one
+    // test whole and splits a cell of 1024 runs or more. Tests interleave
+    // (A, B, A), small cells sit on both sides of split ones, and one
+    // test runs on several chips and incantation columns.
+    let a = corpus::mp(ThreadScope::InterCta, None);
+    let b = corpus::sb(ThreadScope::InterCta, None);
+    let cell = |test: &LitmusTest, chip, iterations, seed| {
+        CellSpec::new(test.clone(), chip)
+            .incantations(Incantations::best_inter_cta())
+            .iterations(iterations)
+            .seed(seed)
+    };
+    let cells = vec![
+        cell(&a, Chip::GtxTitan, 40, 1),
+        cell(&a, Chip::Gtx660, 40, 1),
+        cell(&b, Chip::GtxTitan, 40, 2),
+        cell(&a, Chip::GtxTitan, 40, 3),
+        cell(&a, Chip::GtxTitan, 1_500, 3),
+        cell(&a, Chip::TeslaC2075, 40, 3),
+        cell(&b, Chip::Gtx660, 5_000, 4),
+        cell(&b, Chip::Gtx660, 40, 4).incantations(Incantations::all_on()),
+        cell(&b, Chip::GtxTitan, 1_500, 4),
+        cell(&a, Chip::Gtx750, 5_000, 5),
+        cell(&a, Chip::Gtx750, 40, 5),
+    ];
+    let want: Vec<Histogram> = cells.iter().map(chunk_by_chunk_oracle).collect();
+    for par in [1, 3] {
+        let got = run_campaign(&cells, &CampaignConfig::with_parallelism(par)).unwrap();
+        assert_eq!(got.len(), cells.len());
+        for (ci, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(got.test, cells[ci].test.name(), "cell {ci}");
+            assert_eq!(got.chip, cells[ci].chip, "cell {ci}");
+            assert_eq!(got.histogram, *want, "cell {ci} at parallelism {par}");
+        }
+    }
 }
 
 /// `corr` with its condition on a register thread 1 never writes, which

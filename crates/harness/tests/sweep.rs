@@ -13,7 +13,7 @@ use weakgpu_diy::{generate, GenConfig};
 use weakgpu_harness::campaign::{default_incantations, run_campaign, CampaignConfig, CellSpec};
 use weakgpu_harness::runner::HarnessError;
 use weakgpu_harness::sweep::{
-    run_sweep, run_sweep_with, Shard, SweepConfig, SweepError, SweepReport,
+    run_sweep, run_sweep_with, CellRecord, Shard, SweepConfig, SweepError, SweepReport,
 };
 use weakgpu_litmus::build::{bra, imm, label, ld, reg, setp_eq, st};
 use weakgpu_litmus::{corpus, FenceScope, LitmusTest, Predicate, ThreadScope};
@@ -32,6 +32,13 @@ fn small_cfg(shard: Option<Shard>) -> SweepConfig {
         cache_file: None,
         cache_readonly: false,
     }
+}
+
+/// A record sink that keeps a copy of every record.
+fn collect<'r, 'a: 'r>(
+    records: &'r Mutex<Vec<CellRecord<'a>>>,
+) -> impl Fn(&CellRecord<'a>) + Sync + 'r {
+    move |rec| records.lock().unwrap().push(rec.clone())
 }
 
 #[test]
@@ -104,10 +111,9 @@ fn sweep_reports_are_model_sound_and_witness_weak_behaviour() {
         cache_readonly: false,
     };
     let records = Mutex::new(Vec::new());
-    let report = run_sweep_with(&family, &cfg, |rec| {
-        records.lock().unwrap().push(rec.clone());
-    })
-    .unwrap();
+    let report = run_sweep_with(&family, &cfg, collect(&records))
+        .unwrap()
+        .report;
     // Sec. 5.4's claim at test scale: every observation is PTX-allowed.
     assert!(report.is_sound(), "unsound cells: {:?}", report.unsound);
     // The family actually exercises weak behaviour on Kepler.
@@ -188,10 +194,9 @@ fn cache_counters_are_exact_at_every_parallelism() {
             cache_readonly: false,
         };
         let records = Mutex::new(Vec::new());
-        let report = run_sweep_with(&family, &cfg, |rec| {
-            records.lock().unwrap().push(rec.clone());
-        })
-        .unwrap();
+        let report = run_sweep_with(&family, &cfg, collect(&records))
+            .unwrap()
+            .report;
         let cache = report.cache;
         assert_eq!(cache.misses, distinct.len() as u64, "parallelism {par}");
         assert_eq!(cache.entries, cache.misses, "parallelism {par}");
@@ -201,7 +206,7 @@ fn cache_counters_are_exact_at_every_parallelism() {
         for r in &mut recs {
             r.enum_micros = 0;
         }
-        recs.sort_by_key(|r| (r.index, r.chip.clone()));
+        recs.sort_by_key(|r| (r.index, r.chip));
         recs
     };
     let serial = run(1);
@@ -251,10 +256,7 @@ fn sharded_cells_equal_their_unsharded_counterparts() {
     let family: Vec<_> = generate(&GenConfig::small()).into_iter().take(30).collect();
     let collect = |shard| {
         let records = Mutex::new(Vec::new());
-        run_sweep_with(&family, &small_cfg(shard), |rec| {
-            records.lock().unwrap().push(rec.clone());
-        })
-        .unwrap();
+        run_sweep_with(&family, &small_cfg(shard), collect(&records)).unwrap();
         let mut recs = records.into_inner().unwrap();
         // Cache counters and enumeration timing are bookkeeping, not
         // semantics: the counters depend on which tests a run covers
@@ -265,7 +267,7 @@ fn sharded_cells_equal_their_unsharded_counterparts() {
             r.cache_misses = 0;
             r.enum_micros = 0;
         }
-        recs.sort_by_key(|a| (a.index, a.chip.clone()));
+        recs.sort_by_key(|a| (a.index, a.chip));
         recs
     };
     let whole = collect(None);
@@ -273,7 +275,7 @@ fn sharded_cells_equal_their_unsharded_counterparts() {
     for index in 1..=3 {
         sharded.extend(collect(Some(Shard { index, count: 3 })));
     }
-    sharded.sort_by_key(|a| (a.index, a.chip.clone()));
+    sharded.sort_by_key(|a| (a.index, a.chip));
     assert_eq!(whole, sharded);
 }
 
@@ -423,10 +425,9 @@ fn cell_records_match_the_histogram_of_each_cell() {
         cache_readonly: false,
     };
     let records = Mutex::new(Vec::new());
-    let report = run_sweep_with(&family, &cfg, |rec| {
-        records.lock().unwrap().push(rec.clone());
-    })
-    .unwrap();
+    let report = run_sweep_with(&family, &cfg, collect(&records))
+        .unwrap()
+        .report;
     let mut records = records.into_inner().unwrap();
     records.sort_by_key(|r| (r.index, r.chip != "TesC"));
     assert!(!report.is_sound(), "stale .ca reads must show");
@@ -451,7 +452,7 @@ fn cell_records_match_the_histogram_of_each_cell() {
             .forbidden_by(&verdict)
             .map(|o| o.to_string())
             .collect();
-        assert_eq!((rec.index, rec.chip.as_str()), (i, chip.short()));
+        assert_eq!((rec.index, rec.chip), (i, chip.short()));
         assert_eq!(rec.runs, histogram.total(), "{} on {chip}", test.name());
         assert_eq!(rec.witnesses, cell_report.witnesses, "{}", test.name());
         assert_eq!(rec.distinct, histogram.distinct(), "{}", test.name());

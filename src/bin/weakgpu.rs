@@ -23,18 +23,21 @@
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 use weakgpu::axiom::cat::CatProgram;
 use weakgpu::axiom::enumerate::{enumerate_executions, model_outcomes, EnumConfig};
 use weakgpu::axiom::render;
 use weakgpu::axiom::{Model, Plan};
-use weakgpu::diy::{generate, GenConfig};
+use weakgpu::diy::{generate_parallel, GenConfig};
 use weakgpu::front::{has_errors, render_all, Diagnostic, SourceFile};
 use weakgpu::harness::campaign::{run_campaign_with, CampaignConfig, CellSpec};
 use weakgpu::harness::report::ObsTable;
 use weakgpu::harness::runner::{run_test, RunConfig};
-use weakgpu::harness::sweep::{run_sweep_with, Shard, SweepConfig, SweepReport};
+use weakgpu::harness::sweep::{
+    run_sweep_with, CellRecord, RecordSink, Shard, SweepConfig, SweepReport,
+};
 use weakgpu::litmus::{corpus, corpus_extra, parser, LitmusTest};
 use weakgpu::models;
 use weakgpu::sim::chip::Chip;
@@ -468,7 +471,14 @@ fn cmd_sweep(args: &[String]) -> CliResult {
         return unexpected_arg("sweep", extra, SWEEP_FLAGS);
     }
 
-    let tests = generate(&gen_cfg);
+    let workers = parallelism.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
+    let started = Instant::now();
+    let tests = generate_parallel(&gen_cfg, workers);
+    let generate_s = started.elapsed().as_secs_f64();
     let cfg = SweepConfig {
         family: family_name.clone(),
         shard,
@@ -499,35 +509,112 @@ fn cmd_sweep(args: &[String]) -> CliResult {
             let file = std::fs::File::create(&jsonl_path)
                 .map_err(|e| format!("{}: {e}", jsonl_path.display()))?;
             eprintln!("sweep: streaming cell records to {}", jsonl_path.display());
-            Some(Mutex::new(std::io::BufWriter::new(file)))
+            Some(Mutex::new(file))
         }
         None => None,
     };
     let done = AtomicUsize::new(0);
-    let report = run_sweep_with(&tests, &cfg, |rec| {
-        if let Some(w) = &jsonl {
-            // Format outside the lock, so workers only queue to write.
-            let line = rec.to_jsonl();
-            let _ = writeln!(w.lock().expect("no poisoned locks"), "{line}");
-        }
-        let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(2_000) {
-            eprintln!("  … {n}/{total_cells} cells");
-        }
-    })
+    let write_error = OnceLock::new();
+    let run = run_sweep_with(
+        &tests,
+        &cfg,
+        CellLines {
+            jsonl: jsonl.as_ref(),
+            done: &done,
+            total: total_cells,
+            error: &write_error,
+        },
+    )
     .map_err(|e| e.to_string())?;
-    if let Some(w) = jsonl {
-        w.into_inner()
-            .expect("no poisoned locks")
-            .flush()
-            .map_err(|e| e.to_string())?;
+    let reported = Instant::now();
+    if let Some(e) = write_error.into_inner() {
+        return Err(CliError::Failed(format!("sweep: cell records: {e}")));
     }
+    let report = &run.report;
     if let Some(path) = &out {
         std::fs::write(path, report.to_json()).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("sweep: wrote aggregate report to {path}");
     }
-    print_sweep_summary(&report, false);
-    sound_or_failed(&report)
+    print_sweep_summary(report, false);
+    let p = &run.phases;
+    eprintln!(
+        "sweep: phases generate {generate_s:.3} fingerprint {:.3} judge {:.3} run {:.3} report {:.3} s ({workers} workers)",
+        p.fingerprint.as_secs_f64(),
+        p.judge.as_secs_f64(),
+        p.run.as_secs_f64(),
+        (p.report + reported.elapsed()).as_secs_f64(),
+    );
+    let result = sound_or_failed(report);
+    // The process exits next: the family and the verdict cache are left
+    // to it, rather than freed one allocation at a time.
+    std::mem::forget(tests);
+    std::mem::forget(run);
+    result
+}
+
+/// Cell records as `weakgpu sweep` takes them: each worker formats its
+/// records as JSONL lines into its own buffer and writes them, and
+/// counts them towards the progress lines, a block of whole lines at a
+/// time.
+struct CellLines<'w> {
+    /// The JSONL file, if the run has `--out`.
+    jsonl: Option<&'w Mutex<std::fs::File>>,
+    /// Cells counted so far.
+    done: &'w AtomicUsize,
+    total: usize,
+    /// The first failed write; later blocks are still attempted.
+    error: &'w OnceLock<std::io::Error>,
+}
+
+/// One worker's records not yet written.
+struct LineBlock {
+    lines: String,
+    cells: usize,
+}
+
+impl CellLines<'_> {
+    /// Cells per block: ~50 KB of JSONL.
+    const BLOCK_CELLS: usize = 256;
+
+    fn write(&self, block: &mut LineBlock) {
+        if let Some(file) = self.jsonl {
+            let mut file = file.lock().expect("no poisoned locks");
+            if let Err(e) = file.write_all(block.lines.as_bytes()) {
+                let _ = self.error.set(e);
+            }
+        }
+        let before = self.done.fetch_add(block.cells, Ordering::Relaxed);
+        for k in before / 2_000 + 1..=(before + block.cells) / 2_000 {
+            eprintln!("  … {}/{} cells", k * 2_000, self.total);
+        }
+        block.lines.clear();
+        block.cells = 0;
+    }
+}
+
+impl<'a> RecordSink<'a> for CellLines<'_> {
+    type Buffer = LineBlock;
+
+    fn buffer(&self) -> LineBlock {
+        LineBlock {
+            lines: String::new(),
+            cells: 0,
+        }
+    }
+
+    fn record(&self, block: &mut LineBlock, record: &CellRecord<'a>) {
+        if self.jsonl.is_some() {
+            record.write_jsonl(&mut block.lines);
+        }
+        block.cells += 1;
+        if block.cells == Self::BLOCK_CELLS {
+            self.write(block);
+        }
+    }
+
+    fn finish(&self, mut block: LineBlock) {
+        self.write(&mut block);
+    }
 }
 
 /// A runtime failure when any cell of `report` observed an outcome the

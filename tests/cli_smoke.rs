@@ -3,6 +3,8 @@
 
 use std::process::Command;
 
+use weakgpu::harness::json::{self, Json};
+
 fn weakgpu() -> Command {
     Command::new(env!("CARGO_BIN_EXE_weakgpu"))
 }
@@ -67,6 +69,95 @@ fn sweep_jsonl_has_no_walk_counters() {
     }
     let report = std::fs::read_to_string(&out_path).unwrap();
     assert!(!report.contains("\"registers_refilled\""), "{report}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `weakgpu sweep` on the small family at 40 iterations over the
+/// default chips with `--parallelism par`, and returns its report, its
+/// JSONL records as parsed, and its stderr.
+fn small_sweep(dir: &std::path::Path, par: usize) -> (Json, Vec<Json>, String) {
+    let out_path = dir.join(format!("par-{par}.json"));
+    let out = weakgpu()
+        .args([
+            "sweep",
+            "--family",
+            "small",
+            "--iterations",
+            "40",
+            "--seed",
+            "1",
+        ])
+        .args(["--parallelism", &par.to_string(), "--out"])
+        .arg(&out_path)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "sweep at {par} exited {:?}",
+        out.status
+    );
+    let report = json::parse(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
+    let jsonl = std::fs::read_to_string(out_path.with_extension("jsonl")).unwrap();
+    assert!(jsonl.ends_with('\n'), "the last record is cut short");
+    let records = jsonl
+        .lines()
+        .map(|line| {
+            let rec = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            assert!(matches!(rec, Json::Obj(_)), "{line}");
+            rec
+        })
+        .collect();
+    (report, records, String::from_utf8(out.stderr).unwrap())
+}
+
+#[test]
+fn parallel_sweep_writes_every_record_once_and_whole() {
+    // Workers format their records into their own buffers and write them
+    // in blocks of whole lines: at 3 workers the JSONL must still hold
+    // one whole record per cell, the same records as at 1 worker (bar
+    // the judgement's wall-clock time).
+    let dir = std::env::temp_dir().join(format!("weakgpu-par-sweep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let key = |rec: &Json| {
+        let field = |k: &str| rec.get(k).unwrap_or_else(|| panic!("no {k}: {rec:?}"));
+        (
+            field("index").as_u64().unwrap(),
+            field("chip").as_str().unwrap().to_owned(),
+        )
+    };
+    let without_timing = |records: Vec<Json>| {
+        let mut records: Vec<Json> = records
+            .into_iter()
+            .map(|rec| match rec {
+                Json::Obj(mut m) => {
+                    assert!(m.remove("enum_micros").is_some());
+                    Json::Obj(m)
+                }
+                other => other,
+            })
+            .collect();
+        records.sort_by_key(key);
+        records
+    };
+    let (report, serial, err) = small_sweep(&dir, 1);
+    let cells = report.get("cells").unwrap().as_u64().unwrap();
+    assert_eq!(serial.len() as u64, cells);
+    assert!(err.contains("sweep: phases generate "), "{err}");
+    let (report, parallel, err) = small_sweep(&dir, 3);
+    assert_eq!(report.get("cells").unwrap().as_u64(), Some(cells));
+    assert_eq!(parallel.len() as u64, cells, "one JSONL line per cell");
+    let phases = err
+        .lines()
+        .find(|l| l.starts_with("sweep: phases"))
+        .unwrap();
+    assert!(phases.ends_with("s (3 workers)"), "{phases}");
+    let family_line = err.find("sweep: family").unwrap();
+    assert!(family_line < err.find("sweep: phases").unwrap(), "{err}");
+    let mut pairs: Vec<(u64, String)> = parallel.iter().map(key).collect();
+    pairs.sort_unstable();
+    pairs.dedup();
+    assert_eq!(pairs.len() as u64, cells, "some (index, chip) pair repeats");
+    assert_eq!(without_timing(parallel), without_timing(serial));
     std::fs::remove_dir_all(&dir).ok();
 }
 
