@@ -53,9 +53,8 @@ use std::sync::Arc;
 
 use weakgpu_litmus::{printer, CacheOp, Instr, LitmusTest, Predicate};
 
-use crate::enumerate::{model_outcomes_with, EnumConfig, EnumError, ModelOutcomes};
+use crate::enumerate::{model_outcomes, EnumConfig, EnumError, ModelOutcomes};
 use crate::model::Model;
-use crate::plan::EvalContext;
 
 /// A canonical serialisation of everything that determines a test's
 /// axiomatic verdict: per-thread instructions, register initialisations,
@@ -384,7 +383,7 @@ impl Hasher for Sip128 {
     }
 }
 
-/// A memoising wrapper around [`model_outcomes`](crate::enumerate::model_outcomes), keyed by
+/// A memoising wrapper around [`model_outcomes`], keyed by
 /// the [`Fingerprint`] of `(model name, enumeration bounds, shape)`.
 ///
 /// The key covers every [`EnumConfig`] field. Each is a bound that can
@@ -478,31 +477,11 @@ impl VerdictCache {
         model: &dyn Model,
         cfg: &EnumConfig,
     ) -> Result<Arc<ModelOutcomes>, EnumError> {
-        self.outcomes_with(test, model, cfg, &mut EvalContext::new())
-    }
-
-    /// [`VerdictCache::outcomes`] with a caller-owned [`EvalContext`] for
-    /// the miss path, so repeated misses (the first judgement of each
-    /// shape in a sweep) reuse one evaluation arena. Misses stream the
-    /// candidate space through the skeleton/overlay visitor — no
-    /// `Vec<Candidate>` is ever materialised.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`EnumError`]s from the enumeration; failures are not
-    /// cached.
-    pub fn outcomes_with(
-        &mut self,
-        test: &LitmusTest,
-        model: &dyn Model,
-        cfg: &EnumConfig,
-        ctx: &mut EvalContext,
-    ) -> Result<Arc<ModelOutcomes>, EnumError> {
         let key = Fingerprint::of(test, model, cfg);
         if let Some(hit) = self.get(key, 1) {
             return Ok(hit);
         }
-        let verdict = model_outcomes_with(test, model, cfg, ctx)?;
+        let verdict = model_outcomes(test, model, cfg)?;
         Ok(self.publish_key(key, verdict, 0))
     }
 
@@ -536,7 +515,7 @@ impl VerdictCache {
     /// lookups that they answer are tallied in
     /// [`VerdictCache::warm_hits`] as well as [`VerdictCache::hits`].
     /// An already-present key is left untouched (a fresh judgement or an
-    /// earlier restore wins), so absorbing the same file twice is
+    /// earlier restore wins), so restoring the same file twice is
     /// idempotent.
     pub fn insert_warm(&mut self, key: Fingerprint, verdict: ModelOutcomes) {
         if let std::collections::hash_map::Entry::Vacant(slot) = self.map.entry(key) {
@@ -587,28 +566,11 @@ impl VerdictCache {
     pub fn warm_hits(&self) -> u64 {
         self.warm_hits
     }
-
-    /// Unions `other` into `self`: entries already present in `self`
-    /// win (for identical keys the verdicts are identical anyway — the
-    /// enumeration is deterministic — so which side wins only matters
-    /// for the warm flag). Counters other than the warm-entry count are
-    /// not transferred: hits and misses describe a run, not a cache.
-    pub fn absorb(&mut self, other: VerdictCache) {
-        for (key, entry) in other.map {
-            if let std::collections::hash_map::Entry::Vacant(slot) = self.map.entry(key) {
-                if entry.warm {
-                    self.warm_entries += 1;
-                }
-                slot.insert(entry);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::model_outcomes;
     use crate::model::sc_model as sc;
     use crate::CatModel;
     use weakgpu_litmus::{corpus, ThreadScope};

@@ -15,15 +15,11 @@
 //!   cannot be turned into a fingerprint: `/1` and `/2` files are
 //!   rejected, not converted. Rerun the sweep or serve session that
 //!   wrote them.
-//! * **Line-oriented and append-friendly** — after the header, each
-//!   line is one complete `key → ModelOutcomes` record, so a writer can
-//!   append new judgements to an existing file ([`CacheWriter`]) and a
-//!   truncated tail invalidates only itself (and is *detected*: every
-//!   record carries its own field and outcome counts).
+//! * **Line-oriented** — after the header, each line is one complete
+//!   `key → ModelOutcomes` record, and a truncated or damaged record is
+//!   *detected*: every record carries its own field and outcome counts.
 //! * **Deterministic** — [`save`] writes records sorted by key, so two
-//!   caches with the same entries produce byte-identical files, and
-//!   [`merge`] unions caches with a first-wins rule that does not depend
-//!   on hash order.
+//!   caches with the same entries produce byte-identical files.
 //!
 //! Records are keyed by the [`Fingerprint`] of model name, enumeration
 //! bounds and test shape, written as 32 lowercase hex digits, so one file
@@ -55,8 +51,8 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read as _, Write as _};
+use std::fs::File;
+use std::io::Read as _;
 use std::path::Path;
 
 use weakgpu_litmus::{FinalExpr, Outcome};
@@ -189,7 +185,7 @@ fn parse_outcome(s: &str, line: usize) -> Result<Outcome, PersistError> {
 /// `num_allowed`, `condition_witnessed`, `outcome count`, then one field
 /// per outcome in `all_outcomes` order, `*`-prefixed when the outcome is
 /// also allowed.
-pub fn render_record(key: Fingerprint, v: &ModelOutcomes) -> String {
+fn render_record(key: Fingerprint, v: &ModelOutcomes) -> String {
     let mut line = format!(
         "{key}\t{}\t{}\t{}\t{}",
         v.num_candidates,
@@ -292,9 +288,9 @@ pub fn render(cache: &VerdictCache) -> String {
 
 /// Parses a `weakgpu-cache/3` document into a cache of warm entries.
 ///
-/// Duplicate keys are allowed (they arise from appending): the **last**
-/// record wins, matching append semantics. Restored entries count as
-/// warm — see [`VerdictCache::warm_hits`](crate::cache::VerdictCache::warm_hits).
+/// Duplicate keys are allowed: the **last** record wins. Restored
+/// entries count as warm — see
+/// [`VerdictCache::warm_hits`](crate::cache::VerdictCache::warm_hits).
 ///
 /// # Errors
 ///
@@ -338,7 +334,7 @@ pub fn save(path: &Path, cache: &VerdictCache) -> Result<(), PersistError> {
     std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
 }
 
-/// Loads a cache file written by [`save`] (or grown by [`CacheWriter`]).
+/// Loads a cache file written by [`save`].
 ///
 /// # Errors
 ///
@@ -350,98 +346,6 @@ pub fn load(path: &Path) -> Result<VerdictCache, PersistError> {
         .and_then(|mut f| f.read_to_string(&mut src))
         .map_err(|e| io_err(path, e))?;
     parse(&src)
-}
-
-/// Unions `caches` into one, deterministically: entries are taken in
-/// argument order and the **first** cache holding a key wins (for equal
-/// keys the verdicts are equal anyway — enumeration is deterministic —
-/// so the rule only fixes which warm flag survives). Merging the same
-/// inputs in the same order always yields the same cache, and
-/// [`render`] of the result is byte-stable.
-pub fn merge(caches: impl IntoIterator<Item = VerdictCache>) -> VerdictCache {
-    let mut out = VerdictCache::new();
-    for cache in caches {
-        out.absorb(cache);
-    }
-    out
-}
-
-/// An append-friendly incremental writer: create (or reopen) a cache
-/// file and stream records to it as judgements complete, without
-/// rewriting earlier entries. A reader sees every fully-written record;
-/// a torn final line is rejected by [`load`] with a line diagnostic
-/// rather than silently dropped.
-pub struct CacheWriter {
-    out: BufWriter<File>,
-}
-
-impl CacheWriter {
-    /// Creates `path` fresh (truncating any previous file) and writes
-    /// the schema header.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] with the failing path.
-    pub fn create(path: &Path) -> Result<CacheWriter, PersistError> {
-        let mut out = BufWriter::new(File::create(path).map_err(|e| io_err(path, e))?);
-        writeln!(out, "{SCHEMA}").map_err(|e| io_err(path, e))?;
-        Ok(CacheWriter { out })
-    }
-
-    /// Reopens an existing cache file for appending, after checking its
-    /// header really is [`SCHEMA`] — appending records to a file some
-    /// other tool owns would corrupt both.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Version`] on a foreign header, [`PersistError::Io`]
-    /// on file errors.
-    pub fn append(path: &Path) -> Result<CacheWriter, PersistError> {
-        let mut header = String::new();
-        File::open(path)
-            .and_then(|f| {
-                let mut r = std::io::BufReader::new(f);
-                std::io::BufRead::read_line(&mut r, &mut header).map(|_| ())
-            })
-            .map_err(|e| io_err(path, e))?;
-        if header.trim_end() != SCHEMA {
-            return Err(PersistError::Version(
-                header.trim_end().chars().take(64).collect(),
-            ));
-        }
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| io_err(path, e))?;
-        Ok(CacheWriter {
-            out: BufWriter::new(file),
-        })
-    }
-
-    /// Appends one record.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] on write failure.
-    pub fn write_entry(
-        &mut self,
-        key: Fingerprint,
-        verdict: &ModelOutcomes,
-    ) -> Result<(), PersistError> {
-        writeln!(self.out, "{}", render_record(key, verdict))
-            .map_err(|e| PersistError::Io(e.to_string()))
-    }
-
-    /// Flushes buffered records to the file.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] on flush failure.
-    pub fn flush(&mut self) -> Result<(), PersistError> {
-        self.out
-            .flush()
-            .map_err(|e| PersistError::Io(e.to_string()))
-    }
 }
 
 #[cfg(test)]
@@ -529,87 +433,25 @@ mod tests {
         assert!(err.to_string().contains("hex digits"), "{err}");
     }
 
-    const SHARED: Fingerprint = Fingerprint(1);
-    const ONLY_A: Fingerprint = Fingerprint(2);
-    const ONLY_B: Fingerprint = Fingerprint(3);
-
-    #[test]
-    fn merge_is_deterministic_first_wins() {
-        let mut a = VerdictCache::new();
-        let mut b = VerdictCache::new();
-        let v1 = ModelOutcomes {
-            all_outcomes: BTreeSet::new(),
-            allowed_outcomes: BTreeSet::new(),
-            num_candidates: 1,
-            num_allowed: 1,
-            condition_witnessed: false,
-        };
-        let v2 = ModelOutcomes {
-            num_candidates: 2,
-            ..v1.clone()
-        };
-        a.insert_warm(SHARED, v1.clone());
-        a.insert_warm(ONLY_A, v1.clone());
-        b.insert_warm(SHARED, v2.clone());
-        b.insert_warm(ONLY_B, v2.clone());
-        let ab = merge([a, b]);
-        assert_eq!(ab.len(), 3);
-        let shared = ab
-            .entries()
-            .find(|(k, _)| *k == SHARED)
-            .map(|(_, v)| v.num_candidates);
-        assert_eq!(shared, Some(1), "first cache must win on conflicts");
-        // Determinism: same inputs, same render.
-        let mut a2 = VerdictCache::new();
-        let mut b2 = VerdictCache::new();
-        a2.insert_warm(SHARED, v1.clone());
-        a2.insert_warm(ONLY_A, v1);
-        b2.insert_warm(SHARED, v2.clone());
-        b2.insert_warm(ONLY_B, v2);
-        assert_eq!(render(&ab), render(&merge([a2, b2])));
-    }
-
     #[test]
     fn appended_records_load_and_last_wins() {
-        const K1: Fingerprint = Fingerprint(0x11);
-        const K2: Fingerprint = Fingerprint(0x22);
+        // A hand-written file records K1 twice; the later record loads.
+        let (k1, k2) = (Fingerprint(0x11), Fingerprint(0x22));
         let dir = std::env::temp_dir().join(format!("weakgpu-persist-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("append.wgc");
-        let v1 = ModelOutcomes {
-            all_outcomes: BTreeSet::new(),
-            allowed_outcomes: BTreeSet::new(),
-            num_candidates: 1,
-            num_allowed: 0,
-            condition_witnessed: false,
-        };
-        let v2 = ModelOutcomes {
-            num_candidates: 9,
-            ..v1.clone()
-        };
-        let mut w = CacheWriter::create(&path).unwrap();
-        w.write_entry(K1, &v1).unwrap();
-        w.flush().unwrap();
-        drop(w);
-        let mut w = CacheWriter::append(&path).unwrap();
-        w.write_entry(K2, &v1).unwrap();
-        w.write_entry(K1, &v2).unwrap();
-        w.flush().unwrap();
-        drop(w);
+        let path = dir.join("duplicate.wgc");
+        std::fs::write(
+            &path,
+            format!("{SCHEMA}\n{k1}\t1\t0\t0\t0\n{k2}\t1\t0\t0\t0\n{k1}\t9\t0\t0\t0\n"),
+        )
+        .unwrap();
         let cache = load(&path).unwrap();
-        assert_eq!(cache.len(), 2);
-        let k1 = cache
+        assert_eq!((cache.len(), cache.warm_entries()), (2, 2));
+        let k1_candidates = cache
             .entries()
-            .find(|(k, _)| *k == K1)
+            .find(|(k, _)| *k == k1)
             .map(|(_, v)| v.num_candidates);
-        assert_eq!(k1, Some(9), "later appended record must win");
-        // Appending to a foreign file is refused.
-        let alien = dir.join("alien.txt");
-        std::fs::write(&alien, "something else\n").unwrap();
-        assert!(matches!(
-            CacheWriter::append(&alien),
-            Err(PersistError::Version(_))
-        ));
+        assert_eq!(k1_candidates, Some(9), "the later record must win");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -3,7 +3,7 @@
 //! Instead of the operational machine, sample each observed register
 //! uniformly from the values any write (or the initial state) could give
 //! its location. This "hardware" is what you would get from a simulator
-//! without a memory-system mechanism — the ablation benches show it
+//! without a memory-system mechanism — the `ablation_naive` binary shows it
 //! immediately violates SC-per-location and the PTX model, which is why
 //! the operational machine exists.
 

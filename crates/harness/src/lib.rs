@@ -36,7 +36,7 @@ pub use histogram::Histogram;
 pub use report::ObsTable;
 pub use runner::{run_test, RunConfig, TestReport, STREAM_CHUNKS};
 pub use serve::{serve, ServeConfig, ServeSummary};
-pub use soundness::{check_soundness, check_soundness_with, SoundnessReport};
+pub use soundness::{check_soundness, SoundnessReport};
 pub use sweep::{
     run_sweep, run_sweep_with, CellRecord, RecordSink, Shard, SweepConfig, SweepError, SweepPhases,
     SweepReport, SweepRun,

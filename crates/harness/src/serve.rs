@@ -20,6 +20,8 @@
 //! | `litmus`  | inline litmus source (always parsed, never name-looked-up) |
 //! | `model`   | model name (default from [`ServeConfig::default_model`])   |
 //!
+//! Model names are those of [`weakgpu_models::NAMES`].
+//!
 //! Unknown fields are ignored, so requests written for older versions
 //! (which could carry `pruning` or `incremental` flags) are still served.
 //!
@@ -43,7 +45,7 @@ use std::io::{BufRead, Write};
 use weakgpu_axiom::cache::VerdictCache;
 use weakgpu_axiom::enumerate::{model_outcomes_with, EnumConfig};
 use weakgpu_axiom::plan::EvalContext;
-use weakgpu_axiom::{CatModel, Model};
+use weakgpu_axiom::Model;
 use weakgpu_front::{render_all, SourceFile};
 use weakgpu_litmus::{corpus, corpus_extra, parser, LitmusTest};
 
@@ -78,31 +80,6 @@ pub struct ServeSummary {
     /// `true` when a `shutdown` request ended the loop (rather than
     /// EOF).
     pub shutdown_requested: bool,
-}
-
-/// The model names `serve` (and `weakgpu check --model`) accept.
-pub const MODEL_NAMES: [&str; 6] = ["ptx", "ptx-no-llh", "sc", "tso", "rmo", "operational"];
-
-/// Looks a registry model up by its serving name.
-///
-/// # Errors
-///
-/// Names the unknown model and the valid vocabulary.
-pub fn model_by_name(name: &str) -> Result<std::sync::Arc<CatModel>, String> {
-    Ok(match name {
-        "ptx" => weakgpu_models::ptx_model(),
-        "ptx-no-llh" => weakgpu_models::ptx_model_without_llh(),
-        "sc" => weakgpu_models::sc_model(),
-        "tso" => weakgpu_models::tso_model(),
-        "rmo" => weakgpu_models::rmo_model(),
-        "operational" => weakgpu_models::operational_baseline(),
-        other => {
-            return Err(format!(
-                "unknown model {other:?} (expected one of {})",
-                MODEL_NAMES.join(", ")
-            ))
-        }
-    })
 }
 
 /// Runs the serving loop over `input`/`output` with one cache.
@@ -239,7 +216,7 @@ fn verdict_response(
         .get("model")
         .and_then(Json::as_str)
         .unwrap_or(&cfg.default_model);
-    let model = match model_by_name(model_name) {
+    let model = match weakgpu_models::by_name(model_name) {
         Ok(m) => m,
         Err(msg) => return error_response(id, &msg),
     };
@@ -429,6 +406,7 @@ mod tests {
             &mut warm,
         );
         assert_eq!(rs[0].get("cached"), Some(&Json::Bool(true)));
+        assert_eq!(rs[1].get("misses").unwrap().as_u64(), Some(0));
         assert_eq!(rs[1].get("warm_hits").unwrap().as_u64(), Some(1));
         assert_eq!(rs[1].get("warm_entries").unwrap().as_u64(), Some(1));
     }

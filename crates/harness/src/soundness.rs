@@ -2,9 +2,8 @@
 //! by a memory model? (Paper Sec. 5.4: "whenever the hardware exhibits a
 //! behaviour, our model allows it".)
 
-use weakgpu_axiom::enumerate::{model_outcomes_with, EnumConfig, EnumError};
+use weakgpu_axiom::enumerate::{model_outcomes, EnumConfig, EnumError};
 use weakgpu_axiom::model::Model;
-use weakgpu_axiom::plan::EvalContext;
 use weakgpu_litmus::{LitmusTest, Outcome};
 
 use crate::histogram::Histogram;
@@ -42,27 +41,7 @@ pub fn check_soundness(
     model: &dyn Model,
     cfg: &EnumConfig,
 ) -> Result<SoundnessReport, EnumError> {
-    check_soundness_with(test, observations, model, cfg, &mut EvalContext::new())
-}
-
-/// [`check_soundness`] with a caller-owned evaluation context, so a loop
-/// of soundness checks (one per sweep cell, say) reuses one arena for
-/// every model verdict. The verdict streams the candidate space through
-/// the skeleton/overlay visitor (one skeleton per trace combination, an
-/// in-place rf/co overlay per candidate) rather than materialising it,
-/// and judges each candidate as it streams by ([`model_outcomes_with`]).
-///
-/// # Errors
-///
-/// Propagates enumeration failures from the axiomatic engine.
-pub fn check_soundness_with(
-    test: &LitmusTest,
-    observations: &Histogram,
-    model: &dyn Model,
-    cfg: &EnumConfig,
-    ctx: &mut EvalContext,
-) -> Result<SoundnessReport, EnumError> {
-    let verdict = model_outcomes_with(test, model, cfg, ctx)?;
+    let verdict = model_outcomes(test, model, cfg)?;
     let violations: Vec<Outcome> = observations.forbidden_by(&verdict).cloned().collect();
     Ok(SoundnessReport {
         test: test.name().to_owned(),
@@ -148,7 +127,6 @@ mod tests {
             ..RunConfig::default()
         };
         let enum_cfg = EnumConfig::default();
-        let mut ctx = EvalContext::new();
         for model in [ptx_model(), operational_baseline()] {
             for test in [
                 corpus::corr(),
@@ -156,11 +134,8 @@ mod tests {
                 corpus::dlb_lb(false),
             ] {
                 let report = run_test(&test, Chip::GtxTitan, &cfg).unwrap();
-                let sound =
-                    check_soundness_with(&test, &report.histogram, &model, &enum_cfg, &mut ctx)
-                        .unwrap();
-                let oracle =
-                    weakgpu_axiom::model_outcomes_with(&test, &model, &enum_cfg, &mut ctx).unwrap();
+                let sound = check_soundness(&test, &report.histogram, &model, &enum_cfg).unwrap();
+                let oracle = model_outcomes(&test, &model, &enum_cfg).unwrap();
                 let violations: Vec<Outcome> = report
                     .histogram
                     .outcomes()

@@ -20,7 +20,7 @@
 //!   of them exactly once; and the calling thread counts every test in
 //!   selection order, the test's other chip cells as hits. Shapes are
 //!   judged through the model's compiled plan with one [`EvalContext`]
-//!   per worker (the cache-miss hot path measured in `BENCH_model.json`).
+//!   per worker.
 //!   The run pass then runs the campaign; a finished cell only compares
 //!   its observations with its test's resolved verdict, so no worker
 //!   ever waits on another's judgement.
@@ -297,6 +297,30 @@ pub struct ChipTotals {
     pub witnesses: u64,
     /// Cells with model-forbidden observations.
     pub unsound_cells: u64,
+}
+
+impl ChipTotals {
+    /// Zero totals for the chip named `chip`.
+    fn new(chip: &str) -> ChipTotals {
+        ChipTotals {
+            chip: chip.to_owned(),
+            cells: 0,
+            runs: 0,
+            witnessed_cells: 0,
+            witnesses: 0,
+            unsound_cells: 0,
+        }
+    }
+
+    /// Adds `other`'s counts to these (same chip).
+    fn add(&mut self, other: &ChipTotals) {
+        debug_assert_eq!(self.chip, other.chip);
+        self.cells += other.cells;
+        self.runs += other.runs;
+        self.witnessed_cells += other.witnessed_cells;
+        self.witnesses += other.witnesses;
+        self.unsound_cells += other.unsound_cells;
+    }
 }
 
 /// One unsound cell in the aggregate report.
@@ -680,18 +704,7 @@ impl SweepReport {
             total_witnesses: 0,
             unsound_cells: 0,
             unsound: Vec::new(),
-            per_chip: first
-                .chips
-                .iter()
-                .map(|chip| ChipTotals {
-                    chip: chip.clone(),
-                    cells: 0,
-                    runs: 0,
-                    witnessed_cells: 0,
-                    witnesses: 0,
-                    unsound_cells: 0,
-                })
-                .collect(),
+            per_chip: first.chips.iter().map(|c| ChipTotals::new(c)).collect(),
             cache: CacheStats::default(),
         };
         for r in reports {
@@ -704,11 +717,7 @@ impl SweepReport {
             out.unsound_cells += r.unsound_cells;
             out.unsound.extend(r.unsound.iter().cloned());
             for (acc, c) in out.per_chip.iter_mut().zip(&r.per_chip) {
-                acc.cells += c.cells;
-                acc.runs += c.runs;
-                acc.witnessed_cells += c.witnessed_cells;
-                acc.witnesses += c.witnesses;
-                acc.unsound_cells += c.unsound_cells;
+                acc.add(c);
             }
             out.cache.entries += r.cache.entries;
             out.cache.hits += r.cache.hits;
@@ -1182,17 +1191,7 @@ struct Tally {
 impl Tally {
     fn new(chips: &[Chip], tests: usize) -> Tally {
         Tally {
-            per_chip: chips
-                .iter()
-                .map(|c| ChipTotals {
-                    chip: c.short().to_owned(),
-                    cells: 0,
-                    runs: 0,
-                    witnessed_cells: 0,
-                    witnesses: 0,
-                    unsound_cells: 0,
-                })
-                .collect(),
+            per_chip: chips.iter().map(|c| ChipTotals::new(c.short())).collect(),
             weak: vec![false; tests],
             unsound: Vec::new(),
         }
@@ -1224,12 +1223,8 @@ impl Tally {
 
     /// Adds `other`'s counts to these.
     fn merge(&mut self, other: Tally) {
-        for (totals, o) in self.per_chip.iter_mut().zip(other.per_chip) {
-            totals.cells += o.cells;
-            totals.runs += o.runs;
-            totals.witnessed_cells += o.witnessed_cells;
-            totals.witnesses += o.witnesses;
-            totals.unsound_cells += o.unsound_cells;
+        for (totals, o) in self.per_chip.iter_mut().zip(&other.per_chip) {
+            totals.add(o);
         }
         for (weak, o) in self.weak.iter_mut().zip(other.weak) {
             *weak |= o;

@@ -14,7 +14,7 @@
 //!   exhibits (Sec. 6);
 //! * [`native::NativePtxModel`] — the PTX model implemented directly
 //!   against the relation algebra (no `.cat` interpretation), used to
-//!   cross-check the interpreter and as a performance-ablation baseline.
+//!   cross-check the interpreter.
 //!
 //! ```
 //! use weakgpu_models::ptx_model;
@@ -103,6 +103,32 @@ pub fn operational_baseline() -> Arc<CatModel> {
             .expect("embedded operational model parses")
             .with_rmw_atomicity(RmwAtomicity::AmongAtomics)
     )
+}
+
+/// The model names [`by_name`] accepts: the vocabulary of `weakgpu check
+/// --model`, `weakgpu serve --model` and a serve request's `model` field.
+pub const NAMES: [&str; 6] = ["ptx", "ptx-no-llh", "sc", "tso", "rmo", "operational"];
+
+/// The registry model called `name`, one of [`NAMES`].
+///
+/// # Errors
+///
+/// Names the unknown model and every accepted name.
+pub fn by_name(name: &str) -> Result<Arc<CatModel>, String> {
+    Ok(match name {
+        "ptx" => ptx_model(),
+        "ptx-no-llh" => ptx_model_without_llh(),
+        "sc" => sc_model(),
+        "tso" => tso_model(),
+        "rmo" => rmo_model(),
+        "operational" => operational_baseline(),
+        other => {
+            return Err(format!(
+                "unknown model {other:?} (expected one of {})",
+                NAMES.join(", ")
+            ))
+        }
+    })
 }
 
 /// Every registry model, for sweeps.

@@ -1,13 +1,9 @@
 //! A native implementation of the paper's PTX model, built directly on the
 //! relation algebra instead of interpreting `.cat` source.
 //!
-//! Exists for two reasons:
-//!
-//! 1. **Cross-validation**: tests assert it agrees with the `.cat`
-//!    interpretation on every candidate execution of the corpus, guarding
-//!    both the interpreter and the transliteration of Figs. 15–16.
-//! 2. **Ablation**: the bench suite compares its evaluation cost against
-//!    the interpreted model (DESIGN.md §5.3).
+//! It exists for cross-validation: tests assert it agrees with the `.cat`
+//! interpretation on every candidate execution of the corpus, guarding
+//! both the interpreter and the transliteration of Figs. 15–16.
 
 use weakgpu_axiom::relation::Relation;
 use weakgpu_axiom::{Execution, Model, RmwAtomicity};

@@ -50,7 +50,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use weakgpu_litmus::{CacheOp, FenceScope, LitmusTest, Outcome, Region};
 
 use crate::chip::{Chip, Incantations, RunWeights};
@@ -1109,51 +1109,32 @@ impl Simulator {
     }
 }
 
-/// Convenience: run a test `iterations` times and count how often the
-/// final condition is witnessed. The harness crate provides the full
-/// histogram machinery; this is the minimal entry point.
-///
-/// # Errors
-///
-/// Propagates compile and run errors.
-pub fn count_witnesses(
-    test: &LitmusTest,
-    chip: Chip,
-    inc: &Incantations,
-    iterations: usize,
-    seed: u64,
-) -> Result<usize, Box<dyn std::error::Error>> {
-    let sim = Simulator::compile(test, chip)?;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut state = sim.new_state();
-    let mut counts = ObsCounts::new();
-    sim.run_batch(
-        iterations,
-        &RunParams::of(chip, inc),
-        &mut rng,
-        &mut state,
-        &mut counts,
-    )?;
-    let hits = counts
-        .iter_unordered()
-        .filter(|(obs, _)| sim.program().witnessed_by(obs))
-        .map(|(_, n)| n as usize)
-        .sum();
-    Ok(hits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
     use weakgpu_litmus::{corpus, ThreadScope};
 
-    fn witnesses(
-        test: &weakgpu_litmus::LitmusTest,
-        chip: Chip,
-        inc: &Incantations,
-        n: usize,
-    ) -> usize {
-        count_witnesses(test, chip, inc, n, 0xfeed).unwrap()
+    /// Runs `test` `n` times and counts how often its final condition is
+    /// witnessed.
+    fn witnesses(test: &LitmusTest, chip: Chip, inc: &Incantations, n: usize) -> usize {
+        let sim = Simulator::compile(test, chip).unwrap();
+        let mut rng = SmallRng::seed_from_u64(0xfeed);
+        let mut state = sim.new_state();
+        let mut counts = ObsCounts::new();
+        sim.run_batch(
+            n,
+            &RunParams::of(chip, inc),
+            &mut rng,
+            &mut state,
+            &mut counts,
+        )
+        .unwrap();
+        counts
+            .iter_unordered()
+            .filter(|(obs, _)| sim.program().witnessed_by(obs))
+            .map(|(_, n)| n as usize)
+            .sum()
     }
 
     #[test]

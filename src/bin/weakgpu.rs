@@ -8,7 +8,7 @@
 //! weakgpu sweep [--family small|paper] [--shard K/N] [--out FILE.json] [--chips ..] [..]
 //! weakgpu sweep --merge a.json b.json ... [--out FILE.json]
 //! weakgpu serve [--cache-file FILE.wgc] [--cache-readonly] [--model NAME]
-//! weakgpu check <file.litmus> [--model ptx|sc|tso|rmo|operational]
+//! weakgpu check <file.litmus> [--model NAME]
 //! weakgpu check <file ...> [--builtin]
 //! weakgpu show <file.litmus> [--dot]
 //! weakgpu corpus [NAME]
@@ -42,6 +42,7 @@ use weakgpu::litmus::{corpus, corpus_extra, parser, LitmusTest};
 use weakgpu::models;
 use weakgpu::sim::chip::Chip;
 
+/// The usage text; `MODELS` stands for the model names.
 const USAGE: &str = "usage:
   weakgpu run <file.litmus> [--chip SHORT] [--iterations N] [--seed N] [--parallelism N]
   weakgpu campaign [NAME|FILE ...] [--chips SHORT[,SHORT...]] [--iterations N] [--seed N] [--parallelism N]
@@ -50,7 +51,7 @@ const USAGE: &str = "usage:
                 [--cache-file FILE.wgc] [--cache-readonly]
   weakgpu sweep --merge FILE.json FILE.json ... [--out FILE.json]
   weakgpu serve [--cache-file FILE.wgc] [--cache-readonly] [--model NAME]
-  weakgpu check <file.litmus> [--model ptx|sc|tso|rmo|operational]
+  weakgpu check <file.litmus> [--model MODELS]
   weakgpu check <file ...> [--builtin]
   weakgpu show <file.litmus> [--dot]
   weakgpu corpus [NAME]
@@ -93,6 +94,11 @@ any file has errors. --builtin also lints the shipped model sources.
 affects wall-clock time only: for a fixed --seed the full histogram is
 bit-identical on any machine at any parallelism.";
 
+/// [`USAGE`] with the model names filled in.
+fn usage_text() -> String {
+    USAGE.replace("MODELS", &models::NAMES.join("|"))
+}
+
 /// Why a command failed.
 enum CliError {
     /// The command line is malformed: an unknown command, or a flag or
@@ -130,7 +136,7 @@ fn main() -> ExitCode {
         Err(CliError::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage_text());
             ExitCode::FAILURE
         }
         Err(CliError::Failed(msg)) => {
@@ -143,7 +149,7 @@ fn main() -> ExitCode {
 fn dispatch(args: &[String]) -> CliResult {
     // `--help` wins anywhere on the line, so `weakgpu run --help` works too.
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
+        println!("{}", usage_text());
         return Ok(());
     }
     match args.first().map(String::as_str) {
@@ -155,7 +161,7 @@ fn dispatch(args: &[String]) -> CliResult {
         Some("show") => cmd_show(&args[1..]),
         Some("corpus") => cmd_corpus(&args[1..]),
         Some("help") => {
-            println!("{USAGE}");
+            println!("{}", usage_text());
             Ok(())
         }
         Some(other) => usage(format!("unknown command {other:?}")),
@@ -211,18 +217,6 @@ fn chip_by_short(short: &str) -> Result<Chip, CliError> {
 /// The chips of a comma-separated `--chips` value.
 fn chips_by_short(list: &str) -> Result<Vec<Chip>, CliError> {
     list.split(',').map(chip_by_short).collect()
-}
-
-fn model_by_name(name: &str) -> Result<Box<dyn Model>, CliError> {
-    Ok(match name {
-        "ptx" => Box::new(models::ptx_model()),
-        "ptx-native" => Box::new(models::native::NativePtxModel::new()),
-        "sc" => Box::new(models::sc_model()),
-        "tso" => Box::new(models::tso_model()),
-        "rmo" => Box::new(models::rmo_model()),
-        "operational" => Box::new(models::operational_baseline()),
-        other => return usage(format!("unknown model {other:?}")),
-    })
 }
 
 /// Takes `flag` and its value out of `args`; a flag without a value is a
@@ -667,7 +661,7 @@ const SERVE_FLAGS: &[&str] = &["--cache-file", "--cache-readonly", "--model"];
 fn cmd_serve(args: &[String]) -> CliResult {
     use weakgpu::axiom::cache::VerdictCache;
     use weakgpu::axiom::persist;
-    use weakgpu::harness::serve::{model_by_name as serve_model, serve, ServeConfig};
+    use weakgpu::harness::serve::{serve, ServeConfig};
 
     let mut args = args.to_vec();
     let cache_file = take_opt(&mut args, "--cache-file")?.map(std::path::PathBuf::from);
@@ -677,7 +671,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
         return unexpected_arg("serve", extra, SERVE_FLAGS);
     }
     // Fail on a bad default model before reading any requests.
-    if let Err(e) = serve_model(&default_model) {
+    if let Err(e) = models::by_name(&default_model) {
         return usage(format!("serve: {e}"));
     }
 
@@ -805,7 +799,7 @@ fn cmd_check(args: &[String]) -> CliResult {
         }
         return lint(&args, builtin);
     }
-    let model = model_by_name(&model_opt.unwrap_or_else(|| "ptx".into()))?;
+    let model = models::by_name(model_opt.as_deref().unwrap_or("ptx")).map_err(CliError::Usage)?;
     let path = sole_file("check", &args, CHECK_FLAGS)?;
     let test = load(path)?;
     let verdict =

@@ -185,6 +185,43 @@ fn check_runs_on_a_corpus_file() {
 }
 
 #[test]
+fn check_accepts_every_listed_model_name() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/litmus/sb.litmus");
+    for name in weakgpu::models::NAMES {
+        let out = weakgpu()
+            .args(["check", path, "--model", name])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "check --model {name} exited {:?}: {}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    // An unknown name is a usage error that lists every accepted name.
+    let out = weakgpu()
+        .args(["check", path, "--model", "ptx-native"])
+        .output()
+        .unwrap();
+    assert!(
+        !out.status.success(),
+        "check --model ptx-native was accepted"
+    );
+    let err = String::from_utf8(out.stderr).unwrap();
+    let first = err.lines().next().unwrap_or_default();
+    assert!(first.contains("unknown model \"ptx-native\""), "{err}");
+    for name in weakgpu::models::NAMES {
+        assert!(first.contains(name), "{name} missing from: {first}");
+    }
+    // The usage lists the same names.
+    assert!(
+        err.contains(&format!("--model {}", weakgpu::models::NAMES.join("|"))),
+        "{err}"
+    );
+}
+
+#[test]
 fn check_lints_every_shipped_source() {
     // Lint mode: every on-disk .litmus file plus (via --builtin) every
     // shipped .cat model source must be diagnostic-free.
