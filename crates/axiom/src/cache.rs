@@ -111,13 +111,13 @@ impl Fingerprint {
         // Destructured, so that a new bound fails to compile here
         // instead of being left out of the key.
         let EnumConfig {
-            max_steps_per_thread,
+            max_backward_jumps_per_thread,
             domain_iters,
             max_traces_per_thread,
             max_executions,
         } = *cfg;
         for bound in [
-            max_steps_per_thread,
+            max_backward_jumps_per_thread,
             domain_iters,
             max_traces_per_thread,
             max_executions,

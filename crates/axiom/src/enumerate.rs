@@ -55,8 +55,13 @@ use crate::symbolic::{walk_thread, Program, SymError, TraceArena, Walker};
 /// Bounds for the enumeration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct EnumConfig {
-    /// Instruction budget per thread (loops unroll up to this).
-    pub max_steps_per_thread: usize,
+    /// Bound on the backward jumps (to the jumping instruction or an
+    /// earlier one) a path through one thread may take, so loops unroll
+    /// this often before [`SymError::StepLimit`]; a loop-free thread of any
+    /// length is never cut off. It once counted instructions, at the same
+    /// default: every verdict that gave is unchanged, and failures are
+    /// never cached, so cache keys and files need no new schema.
+    pub max_backward_jumps_per_thread: usize,
     /// Fixed-point iterations for read-value domains. 3 covers every paper
     /// test (constant stores plus one RMW increment chain).
     pub domain_iters: usize,
@@ -75,7 +80,7 @@ pub struct EnumConfig {
 impl Default for EnumConfig {
     fn default() -> Self {
         EnumConfig {
-            max_steps_per_thread: 128,
+            max_backward_jumps_per_thread: 128,
             domain_iters: 3,
             max_traces_per_thread: 4096,
             max_executions: 1_000_000,
@@ -224,7 +229,7 @@ impl EnumScratch {
                 tid,
                 prog,
                 &self.domains,
-                (cfg.max_steps_per_thread, cfg.max_traces_per_thread),
+                (cfg.max_backward_jumps_per_thread, cfg.max_traces_per_thread),
                 &mut self.walker,
                 &mut self.arena,
             )?;
@@ -267,7 +272,7 @@ impl EnumScratch {
                     tid,
                     prog,
                     &self.domains,
-                    (cfg.max_steps_per_thread, cfg.max_traces_per_thread),
+                    (cfg.max_backward_jumps_per_thread, cfg.max_traces_per_thread),
                     &mut self.walker,
                     &mut self.arena,
                 )?;
@@ -437,9 +442,9 @@ where
 
 /// Buffers reused across tests and their trace combinations: the test's
 /// tables and compiled threads, the read-value domains, the trace walk
-/// and its arena, the skeleton, the overlay, and the rf-choice /
-/// coherence-permutation working set. Once warm, a test allocates
-/// nothing here beyond growth to a new high-water mark.
+/// and its arena, the skeleton, the overlay, and the rf-choice working
+/// set. Once warm, a test allocates nothing here beyond growth to a new
+/// high-water mark.
 #[derive(Default)]
 struct EnumScratch {
     tables: TestTables,
@@ -460,75 +465,38 @@ struct EnumScratch {
     /// Per read: its candidate rf sources. Grow-only; entries past the
     /// current read count are stale spares.
     rf_choices: Vec<Vec<Option<usize>>>,
-    /// Per written location: every permutation of its writes. Grow-only
-    /// nested buffers; `co_perm_counts` holds the live permutation
-    /// count per location.
-    co_perms: Vec<Vec<Vec<usize>>>,
-    co_perm_counts: Vec<usize>,
-    perm_scratch: Vec<usize>,
-    perm_used: Vec<bool>,
     rf_idx: Vec<usize>,
-    co_idx: Vec<usize>,
-    /// Skeleton stamp for which `co_perms` and the overlay sizing were
-    /// last built (0 = never).
+    /// Skeleton stamp for which the overlay was last sized (0 = never).
     working_set_skel: u64,
 }
 
-/// Writes every permutation of `items` into `out`, reusing `out`'s
-/// buffers (`out` is truncated to the permutation count). Emission
-/// order matches the classical recursive formulation: permutations
-/// starting with `items[0]` first, then `items[1]`, and so on.
-/// Returns the permutation count; `out` is grow-only (entries past the
-/// count are stale spares kept for their allocations).
-fn fill_permutations(
-    items: &[usize],
-    out: &mut Vec<Vec<usize>>,
-    scratch: &mut Vec<usize>,
-    used: &mut Vec<bool>,
-) -> usize {
-    scratch.clear();
-    used.clear();
-    used.resize(items.len(), false);
-    let mut count = 0usize;
-    emit_permutations(items, scratch, used, out, &mut count);
-    count
-}
-
-fn emit_permutations(
-    items: &[usize],
-    scratch: &mut Vec<usize>,
-    used: &mut [bool],
-    out: &mut Vec<Vec<usize>>,
-    count: &mut usize,
-) {
-    if scratch.len() == items.len() {
-        if *count < out.len() {
-            out[*count].clear();
-            out[*count].extend_from_slice(scratch);
-        } else {
-            out.push(scratch.clone());
-        }
-        *count += 1;
-        return;
-    }
-    for i in 0..items.len() {
-        if used[i] {
-            continue;
-        }
-        used[i] = true;
-        scratch.push(items[i]);
-        emit_permutations(items, scratch, used, out, count);
-        scratch.pop();
-        used[i] = false;
-    }
+/// Rearranges `order` into the next of its permutations in lexicographic
+/// order and returns `true`; after the last one, rearranges it back into
+/// the first (ascending) and returns `false`. Steps in place, so stepping
+/// through all `n!` orders takes no memory beyond `order` itself.
+fn next_permutation(order: &mut [usize]) -> bool {
+    // The longest descending suffix is already its own last arrangement.
+    let Some(i) = (1..order.len()).rev().find(|&i| order[i - 1] < order[i]) else {
+        order.reverse();
+        return false;
+    };
+    // Swap the element before it with the suffix's smallest larger
+    // element (the suffix stays descending), then make it ascending.
+    let j = (i..order.len())
+        .rev()
+        .find(|&j| order[i - 1] < order[j])
+        .expect("order[i] is larger");
+    order.swap(i - 1, j);
+    order[i..].reverse();
+    true
 }
 
 /// Fills the current combination's skeleton and working set
-/// (rf-candidate lists, coherence permutations, overlay sizing) in
-/// `scratch`. Returns `false` when the combination is unrealisable —
-/// some read's value matches neither the initial state nor any
-/// same-location write — in which case the working set is left untouched
-/// and the combination contributes no candidates.
+/// (rf-candidate lists, overlay sizing) in `scratch`. Returns `false`
+/// when the combination is unrealisable — some read's value matches
+/// neither the initial state nor any same-location write — in which case
+/// the working set is left untouched and the combination contributes no
+/// candidates.
 fn prepare_combination(scratch: &mut EnumScratch) -> bool {
     scratch
         .skel
@@ -576,26 +544,10 @@ fn prepare_combination(scratch: &mut EnumScratch) -> bool {
         }
     }
 
-    // Coherence: permutations of writes per location, aligned with the
-    // skeleton's written-location axes. Both the permutations and the
-    // overlay sizing depend only on the skeleton's structure, so they
-    // are rebuilt only when the skeleton identity changed since they
-    // were last built (value-only combination changes reuse them).
-    let num_locs = skel.writes_per_loc().len();
+    // The overlay sizing depends only on the skeleton's structure, so
+    // it is redone only when the skeleton identity changed since it was
+    // last done (value-only combination changes reuse it).
     if scratch.working_set_skel != skel.id() {
-        if scratch.co_perms.len() < num_locs {
-            scratch.co_perms.resize_with(num_locs, Vec::new);
-        }
-        scratch.co_perm_counts.clear();
-        scratch.co_perm_counts.resize(num_locs, 0);
-        for (li, ws) in skel.writes_per_loc().iter().enumerate() {
-            scratch.co_perm_counts[li] = fill_permutations(
-                ws,
-                &mut scratch.co_perms[li],
-                &mut scratch.perm_scratch,
-                &mut scratch.perm_used,
-            );
-        }
         scratch.overlay.reset(skel);
         scratch.working_set_skel = skel.id();
     }
@@ -615,9 +567,13 @@ where
 {
     let skel = &scratch.skel;
     let reads = &scratch.reads;
-    let num_locs = skel.writes_per_loc().len();
+    let writes_per_loc = skel.writes_per_loc();
 
     // Product: rf assignment × co choice, rewriting the overlay in place.
+    // Each location's coherence order steps through the permutations of
+    // its writes, which are listed by ascending event id, so the orders
+    // come lexicographically by position: permutations starting with the
+    // first write first, then the second, and so on.
     scratch.rf_idx.clear();
     scratch.rf_idx.resize(reads.len(), 0);
     'rf: loop {
@@ -627,10 +583,8 @@ where
                 .set_rf(r, scratch.rf_choices[k][scratch.rf_idx[k]]);
         }
 
-        scratch.co_idx.clear();
-        scratch.co_idx.resize(num_locs, 0);
-        for (li, perms) in scratch.co_perms[..num_locs].iter().enumerate() {
-            scratch.overlay.set_co(li, &perms[0]);
+        for (li, ws) in writes_per_loc.iter().enumerate() {
+            scratch.overlay.set_co(li, ws);
         }
         'co: loop {
             scratch.overlay.stamp();
@@ -640,17 +594,12 @@ where
                 return Ok(ControlFlow::Break(b));
             }
 
-            // Advance, rewriting only the coherence axes that moved.
-            for i in (0..scratch.co_idx.len()).rev() {
-                scratch.co_idx[i] += 1;
-                if scratch.co_idx[i] < scratch.co_perm_counts[i] {
-                    scratch
-                        .overlay
-                        .set_co(i, &scratch.co_perms[i][scratch.co_idx[i]]);
+            // Advance in place, touching only the coherence axes that
+            // move; an axis that wraps is back at its first order.
+            for li in (0..writes_per_loc.len()).rev() {
+                if next_permutation(scratch.overlay.co_mut(li)) {
                     continue 'co;
                 }
-                scratch.co_idx[i] = 0;
-                scratch.overlay.set_co(i, &scratch.co_perms[i][0]);
             }
             break;
         }
@@ -945,10 +894,15 @@ mod tests {
     use weakgpu_litmus::corpus;
     use weakgpu_litmus::ThreadScope;
 
+    /// Every order `next_permutation` steps `items` (ascending) through,
+    /// from `items` until it wraps back to them.
     fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
-        let mut out = Vec::new();
-        let count = fill_permutations(items, &mut out, &mut Vec::new(), &mut Vec::new());
-        out.truncate(count);
+        let mut order = items.to_vec();
+        let mut out = vec![order.clone()];
+        while next_permutation(&mut order) {
+            out.push(order.clone());
+        }
+        assert_eq!(order, items, "a wrap restores the first order");
         out
     }
 
@@ -962,30 +916,19 @@ mod tests {
     }
 
     #[test]
-    fn fill_permutations_reuses_buffers_and_keeps_order() {
-        // Buffer reuse across calls must not leak stale entries into the
-        // live prefix, and the emission order must stay the classical
-        // recursive one (first element varies slowest).
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        let mut used = Vec::new();
-        assert_eq!(
-            fill_permutations(&[1, 2, 3], &mut out, &mut scratch, &mut used),
-            6
-        );
-        assert_eq!(out[0], vec![1, 2, 3]);
-        assert_eq!(out[1], vec![1, 3, 2]);
-        assert_eq!(out[5], vec![3, 2, 1]);
-        // A smaller follow-up call reports a smaller live count while
-        // keeping the spare buffers (and their allocations) behind it.
-        assert_eq!(
-            fill_permutations(&[7], &mut out, &mut scratch, &mut used),
-            1
-        );
-        assert_eq!(out[0], vec![7]);
-        assert_eq!(out.len(), 6, "spares are kept, not dropped");
-        assert_eq!(fill_permutations(&[], &mut out, &mut scratch, &mut used), 1);
-        assert_eq!(out[0], Vec::<usize>::new());
+    fn next_permutation_keeps_the_recursive_order() {
+        // The recursive emission it replaces put the permutations that
+        // start with the first write first, then the second, and so on:
+        // all n! orders, lexicographically by position. Event ids ascend
+        // with position, so the stepper must emit every order once, in
+        // ascending order, for candidate order and verdicts to stay put.
+        for n in 0..=6 {
+            let items: Vec<usize> = (0..n).map(|i| 3 * i + 1).collect();
+            let orders = permutations(&items);
+            assert_eq!(orders.len(), (1..=n).product::<usize>(), "{n} writes");
+            assert!(orders.windows(2).all(|w| w[0] < w[1]), "{n} writes");
+        }
+        assert_eq!(permutations(&[1, 2, 3])[1], vec![1, 3, 2]);
     }
 
     #[test]

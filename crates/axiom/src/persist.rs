@@ -348,6 +348,25 @@ pub fn load(path: &Path) -> Result<VerdictCache, PersistError> {
     parse(&src)
 }
 
+/// The cache a run keeping its verdicts in `path`, if any, starts from:
+/// the file's contents when it exists, else an empty cache, unless the
+/// run only reads the file (`readonly`).
+///
+/// # Errors
+///
+/// [`PersistError::Io`] for a missing read-only file, otherwise as
+/// [`load`].
+pub fn open(path: Option<&Path>, readonly: bool) -> Result<VerdictCache, PersistError> {
+    match path {
+        Some(path) if path.exists() => load(path),
+        Some(path) if readonly => Err(PersistError::Io(format!(
+            "{}: read-only cache file does not exist (a warm-start run must not silently go cold)",
+            path.display()
+        ))),
+        _ => Ok(VerdictCache::new()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

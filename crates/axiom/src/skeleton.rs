@@ -516,6 +516,11 @@ impl Overlay {
         self.co[loc_idx].extend_from_slice(order);
     }
 
+    /// Location `loc_idx`'s coherence order, to rewrite in place.
+    pub(crate) fn co_mut(&mut self, loc_idx: usize) -> &mut [usize] {
+        &mut self.co[loc_idx]
+    }
+
     /// Stamps this overlay as a new candidate, invalidating any cached
     /// rf/co-derived state in evaluation contexts.
     pub(crate) fn stamp(&mut self) {

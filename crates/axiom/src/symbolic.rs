@@ -116,7 +116,8 @@ pub enum SymError {
         /// Offending instruction index.
         instr_idx: usize,
     },
-    /// The step limit was exceeded (unbounded loop).
+    /// A path took more backward jumps than its bound allows (an
+    /// unbounded loop).
     StepLimit {
         /// Thread id.
         tid: usize,
@@ -140,7 +141,7 @@ impl fmt::Display for SymError {
                     "thread {tid}, instruction {instr_idx}: cannot store a pointer"
                 )
             }
-            SymError::StepLimit { tid } => write!(f, "thread {tid}: step limit exceeded"),
+            SymError::StepLimit { tid } => write!(f, "thread {tid}: loop bound exceeded"),
             SymError::TooManyTraces => write!(f, "trace enumeration limit exceeded"),
         }
     }
@@ -771,7 +772,7 @@ impl Program {
 /// restore them.
 struct Checkpoint {
     pc: usize,
-    steps: usize,
+    back_jumps: usize,
     path_taint: Taint,
     events: usize,
     deps: usize,
@@ -793,8 +794,9 @@ struct Frame {
 #[derive(Default)]
 pub(crate) struct Walker {
     pc: usize,
-    /// Instructions executed so far.
-    steps: usize,
+    /// Backward jumps taken so far: jumps to the instruction that jumps
+    /// or an earlier one.
+    back_jumps: usize,
     /// The register file, by dense index.
     regs: Vec<Tainted>,
     /// Reads that every subsequent event control-depends on (conditional
@@ -842,7 +844,7 @@ impl Walker {
     /// code mentions starts at its initial value.
     fn start(&mut self, prog: &Program) {
         self.pc = 0;
-        self.steps = 0;
+        self.back_jumps = 0;
         self.regs.clear();
         self.regs.extend(prog.init.iter().map(|&value| Tainted {
             value,
@@ -861,7 +863,7 @@ impl Walker {
     fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
             pc: self.pc,
-            steps: self.steps,
+            back_jumps: self.back_jumps,
             path_taint: self.path_taint.clone(),
             events: self.events.len(),
             deps: self.deps.len(),
@@ -874,17 +876,21 @@ impl Walker {
     /// oracle has no value for. A pending read leaves the state exactly
     /// as it was before that read: supplying a value and calling `run`
     /// again continues the thread as a run from pc 0 under the longer
-    /// oracle would, step count included.
-    fn run(&mut self, prog: &Program, tid: usize, max_steps: usize) -> Result<(), StepFail> {
+    /// oracle would, backward-jump count included. A path runs at most
+    /// `max_back_jumps + 1` times the thread's length.
+    fn run(&mut self, prog: &Program, tid: usize, max_back_jumps: usize) -> Result<(), StepFail> {
         while self.pc < prog.steps.len() {
-            if self.steps >= max_steps {
-                return Err(SymError::StepLimit { tid }.into());
-            }
-            let flow = self.step(prog, tid, self.pc)?;
-            self.steps += 1;
-            match flow {
+            match self.step(prog, tid, self.pc)? {
                 Flow::Next => self.pc += 1,
-                Flow::Jump(target) => self.pc = target,
+                Flow::Jump(target) => {
+                    if target <= self.pc {
+                        if self.back_jumps == max_back_jumps {
+                            return Err(SymError::StepLimit { tid }.into());
+                        }
+                        self.back_jumps += 1;
+                    }
+                    self.pc = target;
+                }
             }
         }
         Ok(())
@@ -1173,7 +1179,7 @@ impl Walker {
 /// first, so the traces come out in lexicographic oracle order and each
 /// shared prefix executes once. The result equals running the thread
 /// from pc 0 on every oracle in that order: the same traces, the same
-/// step counts against `max_steps`, the same first error.
+/// backward-jump counts against `max_back_jumps`, the same first error.
 ///
 /// # Errors
 ///
@@ -1183,7 +1189,7 @@ pub(crate) fn walk_thread(
     tid: usize,
     prog: &Program,
     domains: &[Vec<i64>],
-    (max_steps, max_traces): (usize, usize),
+    (max_back_jumps, max_traces): (usize, usize),
     w: &mut Walker,
     arena: &mut TraceArena,
 ) -> Result<(), SymError> {
@@ -1191,7 +1197,7 @@ pub(crate) fn walk_thread(
     let first = arena.traces.len();
     w.start(prog);
     loop {
-        match w.run(prog, tid, max_steps) {
+        match w.run(prog, tid, max_back_jumps) {
             Ok(()) => {
                 arena.push(tid, w);
                 if arena.traces.len() - first > max_traces {
@@ -1218,7 +1224,7 @@ pub(crate) fn walk_thread(
                 frame.next += 1;
                 let cp = &frame.cp;
                 w.pc = cp.pc;
-                w.steps = cp.steps;
+                w.back_jumps = cp.back_jumps;
                 w.path_taint.clone_from(&cp.path_taint);
                 w.events.truncate(cp.events);
                 w.deps.truncate(cp.deps);
@@ -1239,14 +1245,15 @@ pub(crate) fn walk_thread(
 /// Unwinds thread `tid` under the given oracle.
 ///
 /// `reg_init` supplies initial register values (default integer 0);
-/// `max_steps` bounds the number of executed instructions (loops unroll up
-/// to this bound, after which [`SymError::StepLimit`] is reported).
+/// `max_back_jumps` bounds the backward jumps taken (loops unroll up to
+/// this many iterations, after which [`SymError::StepLimit`] is
+/// reported).
 pub fn run_thread(
     tid: usize,
     instrs: &[Instr],
     reg_init: &dyn Fn(&Reg) -> Value,
     oracle: &[i64],
-    max_steps: usize,
+    max_back_jumps: usize,
 ) -> SymResult {
     let mut locs = LocTable::default();
     let mut prog = Program::default();
@@ -1254,7 +1261,7 @@ pub fn run_thread(
     let mut w = Walker::default();
     w.start(&prog);
     w.oracle.extend_from_slice(oracle);
-    match w.run(&prog, tid, max_steps) {
+    match w.run(&prog, tid, max_back_jumps) {
         Ok(()) => {
             let mut arena = TraceArena::default();
             arena.push(tid, &w);
@@ -1282,7 +1289,7 @@ pub fn enumerate_thread_traces(
     instrs: &[Instr],
     reg_init: &dyn Fn(&Reg) -> Value,
     domains: &BTreeMap<Loc, BTreeSet<i64>>,
-    max_steps: usize,
+    max_back_jumps: usize,
     max_traces: usize,
 ) -> Result<Vec<ThreadTrace>, SymError> {
     let mut locs = LocTable::default();
@@ -1301,7 +1308,7 @@ pub fn enumerate_thread_traces(
         tid,
         &prog,
         &dense,
-        (max_steps, max_traces),
+        (max_back_jumps, max_traces),
         &mut Walker::default(),
         &mut arena,
     )?;

@@ -60,12 +60,13 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTER: Counting = Counting;
 
 use weakgpu_axiom::cache::VerdictCache;
-use weakgpu_axiom::enumerate::{for_each_execution, model_outcomes_with, EnumConfig};
+use weakgpu_axiom::enumerate::{for_each_execution, model_outcomes_with, EnumConfig, EnumError};
 use weakgpu_axiom::model::sc_model;
 use weakgpu_axiom::plan::EvalContext;
 use weakgpu_axiom::Model;
 use weakgpu_diy::{synthesise, Cycle, Dir, Edge};
-use weakgpu_litmus::{corpus, corpus_extra, FenceScope, LitmusTest, ThreadScope};
+use weakgpu_litmus::build::st;
+use weakgpu_litmus::{corpus, corpus_extra, FenceScope, LitmusTest, Predicate, ThreadScope};
 
 /// The shared measurement harness: `enumerate` must invoke the passed
 /// hook once per candidate. Returns the visit
@@ -248,8 +249,34 @@ fn warm_verdicts_allocate_only_their_outcomes() {
     }
 }
 
+/// A location's coherence orders are stepped through in place, never
+/// materialised: ten stores to one location have 10! = 3,628,800 orders,
+/// and a cold enumeration that gives up after 1,000 candidates allocates
+/// a bounded working set, not one buffer per order.
 #[test]
-fn verdict_cache_hits_are_allocation_free() {
+fn coherence_orders_are_stepped_not_materialised() {
+    let test = LitmusTest::builder("ten-stores")
+        .global("x", 0)
+        .thread((1..=10).map(|v| st("x", v)))
+        .exists(Predicate::mem_eq("x", 1))
+        .build()
+        .unwrap();
+    let cfg = EnumConfig {
+        max_executions: 1_000,
+        ..EnumConfig::default()
+    };
+    // A fresh thread, so that the enumeration's scratch starts cold.
+    let (result, allocs) = std::thread::spawn(move || {
+        allocs_during(|| for_each_execution(&test, &cfg, |_| ControlFlow::<()>::Continue(())))
+    })
+    .join()
+    .unwrap();
+    assert_eq!(result, Err(EnumError::TooManyExecutions));
+    assert!(allocs < 10_000, "{allocs} allocations");
+}
+
+#[test]
+fn verdict_cache_lookups_are_allocation_free() {
     let cfg = EnumConfig::default();
     let model = (*weakgpu_models::ptx_model()).clone();
     let tests = [

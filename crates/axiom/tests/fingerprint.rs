@@ -101,7 +101,7 @@ fn model_name_and_every_bound_are_part_of_the_fingerprint() {
         Fingerprint::of(&test, &a, &changed)
     };
     let bumped = [
-        bump(|c| &mut c.max_steps_per_thread),
+        bump(|c| &mut c.max_backward_jumps_per_thread),
         bump(|c| &mut c.domain_iters),
         bump(|c| &mut c.max_traces_per_thread),
         bump(|c| &mut c.max_executions),

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use weakgpu_axiom::cache::VerdictCache;
 use weakgpu_axiom::enumerate::EnumConfig;
-use weakgpu_axiom::persist::{load, parse, render, save, PersistError, SCHEMA};
+use weakgpu_axiom::persist::{load, open, parse, render, save, PersistError, SCHEMA};
 use weakgpu_diy::{generate, GenConfig};
 use weakgpu_litmus::LitmusTest;
 
@@ -126,4 +126,21 @@ fn parse_never_panics_on_mutilated_input() {
             let _ = parse(&s);
         }
     }
+}
+
+#[test]
+fn open_starts_empty_only_when_it_may_write() {
+    let path = scratch("opened.wgc");
+    let _ = std::fs::remove_file(&path);
+    assert!(open(None, true).unwrap().is_empty());
+    assert!(open(Some(&path), false).unwrap().is_empty());
+    let err = open(Some(&path), true).unwrap_err();
+    assert!(err.to_string().contains("read-only cache file"), "{err}");
+    let family: Vec<_> = generate(&GenConfig::small()).into_iter().take(3).collect();
+    let cache = judged(&family);
+    save(&path, &cache).unwrap();
+    for readonly in [false, true] {
+        assert_eq!(open(Some(&path), readonly).unwrap().len(), cache.len());
+    }
+    std::fs::remove_file(&path).ok();
 }

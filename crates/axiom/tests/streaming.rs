@@ -214,6 +214,25 @@ fn guarded_immediate_stores_do_not_self_justify() {
 }
 
 #[test]
+fn long_loop_free_threads_are_not_cut_off() {
+    // 299 moves and a store: 300 instructions, no backward jump, so the
+    // default bound on backward jumps never fails them.
+    use weakgpu_litmus::build::{imm, mov, st_reg};
+    use weakgpu_litmus::Predicate;
+    let mut code = vec![mov("r0", imm(1)); 299];
+    code.push(st_reg("x", "r0"));
+    let test = LitmusTest::builder("long")
+        .global("x", 0)
+        .thread(code)
+        .exists(Predicate::mem_eq("x", 1))
+        .build()
+        .unwrap();
+    let verdict = model_outcomes(&test, &sc_model(), &EnumConfig::default()).unwrap();
+    assert_eq!(verdict.num_candidates, 1);
+    assert!(verdict.condition_witnessed);
+}
+
+#[test]
 fn wide_tests_stream_like_the_materialised_oracle() {
     // More than 64 events (multi-word relations, the DFS acyclicity
     // path) over more than 255 locations (location ids past one byte):
@@ -239,11 +258,9 @@ fn wide_tests_stream_like_the_materialised_oracle() {
         )
         .build()
         .unwrap();
-    // Thread 0 runs 260 instructions, past the default step budget.
-    let cfg = EnumConfig {
-        max_steps_per_thread: 2 * LOCS,
-        ..EnumConfig::default()
-    };
+    // Thread 0 runs 260 instructions and no loop: the default bound on
+    // backward jumps does not cut it off.
+    let cfg = EnumConfig::default();
     let cands = enumerate_executions(&test, &cfg).unwrap();
     // Each read sees the initial state or the one store: 2 × 2.
     assert_eq!(cands.len(), 4);

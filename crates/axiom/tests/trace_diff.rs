@@ -28,13 +28,13 @@ fn replay(
     instrs: &[Instr],
     reg_init: &dyn Fn(&Reg) -> Value,
     domains: &Domains,
-    max_steps: usize,
+    max_jumps: usize,
     max_traces: usize,
 ) -> Result<Vec<ThreadTrace>, SymError> {
     let mut traces = Vec::new();
     let mut stack: Vec<Vec<i64>> = vec![Vec::new()];
     while let Some(oracle) = stack.pop() {
-        match run_thread(tid, instrs, reg_init, &oracle, max_steps) {
+        match run_thread(tid, instrs, reg_init, &oracle, max_jumps) {
             SymResult::Complete(tr) => {
                 traces.push(tr);
                 if traces.len() > max_traces {
@@ -62,14 +62,14 @@ fn check_thread(
     instrs: &[Instr],
     reg_init: &dyn Fn(&Reg) -> Value,
     domains: &Domains,
-    max_steps: usize,
+    max_jumps: usize,
     max_traces: usize,
 ) -> usize {
-    let walked = enumerate_thread_traces(tid, instrs, reg_init, domains, max_steps, max_traces);
-    let replayed = replay(tid, instrs, reg_init, domains, max_steps, max_traces);
+    let walked = enumerate_thread_traces(tid, instrs, reg_init, domains, max_jumps, max_traces);
+    let replayed = replay(tid, instrs, reg_init, domains, max_jumps, max_traces);
     assert_eq!(
         walked, replayed,
-        "{what}, thread {tid}, max_steps {max_steps}, max_traces {max_traces}"
+        "{what}, thread {tid}, max_jumps {max_jumps}, max_traces {max_traces}"
     );
     walked.map_or(0, |t| t.len())
 }
@@ -98,21 +98,22 @@ fn test_domains(test: &LitmusTest) -> Domains {
 }
 
 /// Checks every thread of every test under the default caps and under
-/// caps tight enough to raise `StepLimit` and `TooManyTraces`.
+/// caps tight enough to raise `StepLimit` (on the tests that loop) and
+/// `TooManyTraces`.
 fn check_tests<'a>(tests: impl IntoIterator<Item = &'a LitmusTest>) -> usize {
     let mut traces = 0;
     for test in tests {
         let domains = test_domains(test);
         for (tid, code) in test.threads().iter().enumerate() {
             let init = |r: &Reg| test.reg_init_value(tid, r);
-            for (max_steps, max_traces) in [(128, 4096), (3, 4096), (128, 2)] {
+            for (max_jumps, max_traces) in [(128, 4096), (3, 4096), (128, 2)] {
                 traces += check_thread(
                     test.name(),
                     tid,
                     code,
                     &init,
                     &domains,
-                    max_steps,
+                    max_jumps,
                     max_traces,
                 );
             }
@@ -144,7 +145,7 @@ fn walk_matches_replay_on_the_paper_family() {
 #[test]
 fn walk_matches_replay_on_a_spin_lock() {
     // while (CAS(m, 0, 1) != 0) {} with a guarded critical section: one
-    // trace per number of failed attempts until the step budget runs out.
+    // trace per number of failed attempts until the backward-jump bound runs out.
     let code = vec![
         label("SPIN"),
         cas("r0", "m", 0, 1),
@@ -160,9 +161,9 @@ fn walk_matches_replay_on_a_spin_lock() {
     .into_iter()
     .collect();
     let zero = |_: &Reg| Value::Int(0);
-    for max_steps in [1, 4, 9, 16, 64] {
+    for max_jumps in [1, 4, 9, 16, 64] {
         for max_traces in [1, 3, 4096] {
-            check_thread("spin", 0, &code, &zero, &domains, max_steps, max_traces);
+            check_thread("spin", 0, &code, &zero, &domains, max_jumps, max_traces);
         }
     }
 }
@@ -293,7 +294,7 @@ proptest! {
     #[test]
     fn walk_matches_replay_on_random_programs(
         code in arb_program(),
-        max_steps in 1usize..40,
+        max_jumps in 1usize..40,
         max_traces in 1usize..40,
     ) {
         // `z` has no domain: a read of it ends its path without a trace.
@@ -310,8 +311,8 @@ proptest! {
                 Value::Int(0)
             }
         };
-        let walked = enumerate_thread_traces(3, &code, &init, &domains, max_steps, max_traces);
-        let replayed = replay(3, &code, &init, &domains, max_steps, max_traces);
+        let walked = enumerate_thread_traces(3, &code, &init, &domains, max_jumps, max_traces);
+        let replayed = replay(3, &code, &init, &domains, max_jumps, max_traces);
         prop_assert_eq!(walked, replayed);
     }
 }

@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md §5) — which of the PTX model's relaxations are
+//! Ablation (paper Secs. 5.2 and 6) — which of the PTX model's relaxations are
 //! *forced* by hardware observations?
 //!
 //! Three variants of the model face the simulated-chip observations:

@@ -1,4 +1,5 @@
-//! Ablation (DESIGN.md §5.1) — mechanism vs naive outcome sampling.
+//! Ablation — mechanism vs naive outcome sampling (README, "Reproduce the
+//! paper").
 //!
 //! Replacing the operational machine with a uniform sampler over value
 //! domains produces outcomes the PTX model forbids (it knows nothing of

@@ -1,6 +1,6 @@
 //! Runs every experiment binary's logic in sequence (at reduced default
 //! iteration counts unless `--full`), regenerating all the paper's tables
-//! and figures in one go. Used to produce `EXPERIMENTS.md`.
+//! and figures in one go (README, "Reproduce the paper").
 //!
 //! All common flags (`--iterations`/`-n`, `--seed`, `--parallelism`,
 //! `--full` — see `weakgpu_bench::cli::USAGE`) are forwarded verbatim to

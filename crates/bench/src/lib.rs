@@ -4,7 +4,8 @@
 //! Every binary regenerates one table or figure of the paper. Absolute
 //! counts come from the simulator's calibrated chip profiles; the claims
 //! to check are the *shapes* — which chips exhibit a behaviour, which
-//! fences suppress it, and rough orders of magnitude (DESIGN.md §3).
+//! fences suppress it, and rough orders of magnitude (README, "Reproduce
+//! the paper").
 
 pub mod cli;
 pub mod naive;

@@ -1,4 +1,4 @@
-//! The naive-sampler ablation baseline (DESIGN.md §5.1).
+//! The naive-sampler ablation baseline (the `ablation_naive` binary).
 //!
 //! Instead of the operational machine, sample each observed register
 //! uniformly from the values any write (or the initial state) could give

@@ -437,32 +437,58 @@ where
         Ok(())
     };
 
-    let workers = worker_count(cfg.parallelism, items.len());
+    let workers = run_pool(
+        items.len(),
+        cfg.parallelism,
+        || Worker {
+            w: worker(),
+            state: None,
+            counts: ObsCounts::new(),
+            params: Vec::new(),
+        },
+        |worker, i| run_item(&items[i], worker),
+    )?;
+    Ok(workers.into_iter().map(|worker| worker.w).collect())
+}
+
+/// Runs `job(state, i)` for every job `i` in `0..jobs` on up to
+/// [`worker_count`]`(parallelism, jobs)` scoped threads, which claim the
+/// jobs in index order from one shared cursor. Each worker starts from
+/// its own `init()` state, and the states are returned, in no particular
+/// order, for the caller to merge.
+///
+/// # Errors
+///
+/// Once a job fails no job is claimed, and the error returned is that of
+/// the lowest failing job, the same at any parallelism: a claimed job
+/// always runs to its end, and when a job fails every lower job has been
+/// claimed.
+pub(crate) fn run_pool<W, E>(
+    jobs: usize,
+    parallelism: Option<usize>,
+    init: impl Fn() -> W + Sync,
+    job: impl Fn(&mut W, usize) -> Result<(), E> + Sync,
+) -> Result<Vec<W>, E>
+where
+    W: Send,
+    E: Send,
+{
     let cursor = AtomicUsize::new(0);
     // Publishes nothing: the error itself is under its mutex.
     let abort = AtomicBool::new(false);
     let error: Mutex<Option<(usize, E)>> = Mutex::new(None);
 
     let states = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (0..worker_count(parallelism, jobs))
             .map(|_| {
                 scope.spawn(|| {
-                    let mut worker = Worker {
-                        w: worker(),
-                        state: None,
-                        counts: ObsCounts::new(),
-                        params: Vec::new(),
-                    };
-                    // Abort is honoured only before claiming: a claimed
-                    // item is always compiled and run to its end or its
-                    // first failure. Items are claimed in cell order, so
-                    // when an item fails every lower item has been
-                    // claimed and will finish, and the lowest failure is
-                    // the same at any parallelism.
+                    let mut state = init();
                     while !abort.load(Ordering::Relaxed) {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        if let Err(e) = run_item(item, &mut worker) {
+                        if i >= jobs {
+                            break;
+                        }
+                        if let Err(e) = job(&mut state, i) {
                             let mut slot = error.lock().expect("no poisoned locks");
                             if slot.as_ref().is_none_or(|(j, _)| i < *j) {
                                 *slot = Some((i, e));
@@ -471,13 +497,13 @@ where
                             break;
                         }
                     }
-                    worker.w
+                    state
                 })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("campaign workers do not panic"))
+            .map(|h| h.join().expect("pool workers do not panic"))
             .collect()
     });
 
@@ -489,7 +515,7 @@ where
 
 /// The threads to run `jobs` independent jobs on: `parallelism` (`None`
 /// = all available cores), but at least 1 and no more than the jobs.
-pub(crate) fn worker_count(parallelism: Option<usize>, jobs: usize) -> usize {
+pub fn worker_count(parallelism: Option<usize>, jobs: usize) -> usize {
     parallelism
         .unwrap_or_else(|| {
             std::thread::available_parallelism()

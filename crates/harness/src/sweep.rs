@@ -12,33 +12,30 @@
 //!   bit-identical to the same cells of an unsharded run.
 //! * **Judge, then run** — soundness is checked per cell against the
 //!   model, but the axiomatic verdict depends only on the test's shape.
-//!   So a sweep runs in two passes, and each spreads its work over the
-//!   sweep's workers. The judge pass fingerprints every selected test on
-//!   the workers, each taking a contiguous slice of the selection. The
-//!   calling thread then collects, in selection order, the distinct
-//!   shapes the [`VerdictCache`] does not know; the workers judge each
-//!   of them exactly once; and the calling thread counts every test in
-//!   selection order, the test's other chip cells as hits. Shapes are
-//!   judged through the model's compiled plan with one [`EvalContext`]
-//!   per worker.
-//!   The run pass then runs the campaign; a finished cell only compares
-//!   its observations with its test's resolved verdict, so no worker
-//!   ever waits on another's judgement.
+//!   So a sweep runs in two passes, and every phase spreads its jobs over
+//!   one worker pool. The judge pass fingerprints every selected test on
+//!   the pool and maps each test to its shape, in selection order. The
+//!   pool judges each shape the [`VerdictCache`] does not know exactly
+//!   once, through the model's compiled plan with one [`EvalContext`]
+//!   per worker; then the calling thread counts each shape once, on
+//!   behalf of all its tests' chip cells. The run pass then runs the
+//!   campaign; a finished cell only compares its observations with its
+//!   shape's verdict, so no worker ever waits on another's judgement.
 //! * **Nothing shared per cell** — a run-pass worker tallies the cells
 //!   it finishes itself and hands their records to its own share of the
 //!   [`RecordSink`], so a sound cell's record takes no lock and allocates
 //!   nothing. The tallies are merged once the last cell has run, and
 //!   [`SweepRun::phases`] says how long each phase took.
 //! * **Machine-readable reports** — each completed cell streams a JSONL
-//!   [`CellRecord`]; the aggregate [`SweepReport`] serialises to JSON,
+//!   [`CellRecord`] of its results alone, the same at any parallelism and
+//!   in any shard; the aggregate [`SweepReport`] serialises to JSON,
 //!   parses back, and [`SweepReport::merge`]s across shards into totals
 //!   identical to an unsharded run at the same seed.
 
 use std::collections::{BTreeSet, HashMap};
+use std::convert::Infallible;
 use std::fmt::{self, Write as _};
-use std::mem;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use weakgpu_axiom::cache::{Fingerprint, VerdictCache};
@@ -51,7 +48,7 @@ use weakgpu_models::ptx_model;
 use weakgpu_sim::chip::{Chip, Incantations};
 
 use crate::campaign::{
-    default_incantations, run_cells, worker_count, CampaignConfig, Cell, CellCounts,
+    default_incantations, run_cells, run_pool, CampaignConfig, Cell, CellCounts,
 };
 use crate::json::{self, Json};
 use crate::runner::HarnessError;
@@ -207,24 +204,6 @@ pub struct CellRecord<'a> {
     pub distinct: usize,
     /// Observed outcomes the model forbids (rendered; empty = sound).
     pub unsound: Vec<String>,
-    /// Cumulative verdict-cache hits right after this cell's test was
-    /// counted. The judge pass counts each test once, on behalf of all
-    /// its cells, in selection order, before any cell runs.
-    ///
-    /// This field and the two after it are bookkeeping, not results:
-    /// they depend on which tests a run covers (a shard counts only its
-    /// own) and on what a preloaded cache file already holds, but not on
-    /// `--parallelism`.
-    pub cache_hits: u64,
-    /// Cumulative verdict-cache misses right after this cell's test was
-    /// counted.
-    pub cache_misses: u64,
-    /// Wall-clock time the judgement of this cell's test took, streaming
-    /// candidate executions through the model, in microseconds. It is
-    /// reported on the test's first chip cell only; the others, and every
-    /// cell of a test the cache answered, carry 0, so the records sum to
-    /// [`CacheStats::enum_micros`].
-    pub enum_micros: u64,
 }
 
 impl CellRecord<'_> {
@@ -245,11 +224,7 @@ impl CellRecord<'_> {
             }
             json::escape_into(out, o);
         }
-        let _ = writeln!(
-            out,
-            "], \"cache_hits\": {}, \"cache_misses\": {}, \"enum_micros\": {}}}",
-            self.cache_hits, self.cache_misses, self.enum_micros
-        );
+        out.push_str("]}\n");
     }
 }
 
@@ -345,8 +320,9 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that enumerated.
     pub misses: u64,
-    /// Total wall-clock microseconds spent streaming candidates through
-    /// the model on the miss path (this shard; merge sums shards).
+    /// Wall-clock microseconds spent streaming candidates through the
+    /// model, summed over the shapes judged (this shard; merge sums
+    /// shards).
     pub enum_micros: u64,
     /// Entries preloaded from a persistent cache file
     /// ([`SweepConfig::cache_file`]) rather than judged in this run.
@@ -793,8 +769,9 @@ pub struct SweepRun {
 pub struct SweepPhases {
     /// Fingerprinting every selected test, on the workers.
     pub fingerprint: Duration,
-    /// Loading the cache file, if any, and the judge pass: dedupe,
-    /// judging each unknown shape on the workers, and counting.
+    /// Loading the cache file, if any, and the judge pass: mapping tests
+    /// to shapes, judging each unknown shape on the workers, and
+    /// counting each shape.
     pub judge: Duration,
     /// The run pass: every cell compiled, run and judged on the workers.
     pub run: Duration,
@@ -856,28 +833,30 @@ where
         .collect();
     let model = ptx_model();
     let enum_cfg = EnumConfig::default();
-    let (keys, incantations): (Vec<Fingerprint>, Vec<Incantations>) =
-        fingerprints(&selected, &model, &enum_cfg, cfg.parallelism)
-            .into_iter()
-            .unzip();
+    // Each test's shape key and placement, one test per job, so that the
+    // run pass plans its cells without touching a test.
+    let (keys, incantations): (Vec<Fingerprint>, Vec<Incantations>) = map_on_pool(
+        selected.len(),
+        cfg.parallelism,
+        || (),
+        |(), t| {
+            let test = selected[t].1;
+            (
+                Fingerprint::of(test, &*model, &enum_cfg),
+                default_incantations(test),
+            )
+        },
+    )
+    .into_iter()
+    .unzip();
     let fingerprinted = Instant::now();
 
     let num_chips = cfg.chips.len();
-    let mut cache = match &cfg.cache_file {
-        Some(path) if path.exists() => {
-            persist::load(path).map_err(|e| SweepError::Cache(e.to_string()))?
-        }
-        Some(path) if cfg.cache_readonly => {
-            return Err(SweepError::Cache(format!(
-                "{}: read-only cache file does not exist (a warm-start run must not silently go cold)",
-                path.display()
-            )));
-        }
-        _ => VerdictCache::new(),
-    };
-    let judged = judge_all(
+    let mut cache = persist::open(cfg.cache_file.as_deref(), cfg.cache_readonly)
+        .map_err(|e| SweepError::Cache(e.to_string()))?;
+    let (shape_of, verdicts, enum_micros) = judge_all(
         &selected,
-        keys,
+        &keys,
         num_chips,
         &mut cache,
         (&*model, &enum_cfg),
@@ -908,12 +887,10 @@ where
         },
         |w: &mut SweepWorker<S::Buffer>, ci, done| -> Result<(), SweepError> {
             let (gi, test) = selected[ci / num_chips];
-            let judged = &judged[ci / num_chips];
-            // A cell whose test failed judgement fails here, after its
+            // A cell whose shape failed judgement fails here, after its
             // compile and runs succeeded, so the campaign reports the
             // lowest failing cell whatever made it fail.
-            let verdict = judged
-                .verdict
+            let verdict = verdicts[shape_of[ci / num_chips]]
                 .as_ref()
                 .map_err(|e| SweepError::Enum(test.name().to_owned(), e.clone()))?;
             let (witnesses, unsound) = judge_cell(&done, verdict);
@@ -925,13 +902,6 @@ where
                 witnesses,
                 distinct: done.counts.distinct(),
                 unsound,
-                cache_hits: judged.hits,
-                cache_misses: judged.misses,
-                enum_micros: if ci % num_chips == 0 {
-                    judged.enum_micros
-                } else {
-                    0
-                },
             };
             sink.record(&mut w.buffer, &record);
             w.tally.add(ci, num_chips, record);
@@ -977,7 +947,7 @@ where
             entries: cache.len() as u64,
             hits: cache.hits(),
             misses: cache.misses(),
-            enum_micros: judged.iter().map(|j| j.enum_micros).sum(),
+            enum_micros,
             warm_entries: cache.warm_entries(),
             warm_hits: cache.warm_hits(),
         },
@@ -1019,153 +989,95 @@ fn judge_cell(done: &CellCounts<'_>, verdict: &ModelOutcomes) -> (u64, Vec<Strin
     (witnesses, forbidden.iter().map(|o| o.to_string()).collect())
 }
 
-/// Every selected test's shape key and default incantations, in
-/// selection order. Each of up to `parallelism` workers takes one
-/// contiguous slice of the selection, and reads each test's placement
-/// while fingerprinting has it in cache, so that the run pass plans its
-/// cells without touching a test.
-fn fingerprints(
-    selected: &[(usize, &LitmusTest)],
-    model: &CatModel,
-    enum_cfg: &EnumConfig,
+/// `f(state, i)` for every `i` in `0..n`, in index order, computed on
+/// the worker pool with one `init()` state per worker.
+fn map_on_pool<S: Send, T: Send>(
+    n: usize,
     parallelism: Option<usize>,
-) -> Vec<(Fingerprint, Incantations)> {
-    let key = |&(_, test): &(usize, &LitmusTest)| {
-        (
-            Fingerprint::of(test, model, enum_cfg),
-            default_incantations(test),
-        )
-    };
-    let workers = worker_count(parallelism, selected.len());
-    if workers == 1 {
-        return selected.iter().map(key).collect();
-    }
-    std::thread::scope(|scope| {
-        let slices: Vec<_> = selected
-            .chunks(selected.len().div_ceil(workers))
-            .map(|slice| scope.spawn(move || slice.iter().map(key).collect::<Vec<_>>()))
-            .collect();
-        slices
-            .into_iter()
-            .flat_map(|s| s.join().expect("fingerprinting does not panic"))
-            .collect()
-    })
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
+    let workers = run_pool(
+        n,
+        parallelism,
+        || (init(), Vec::new()),
+        |(state, out): &mut (S, Vec<(usize, T)>), i| {
+            out.push((i, f(state, i)));
+            Ok::<_, Infallible>(())
+        },
+    )
+    .unwrap_or_else(|never| match never {});
+    // Each worker's share is in index order already: the sort merges
+    // one run per worker.
+    let mut done: Vec<(usize, T)> = workers.into_iter().flat_map(|(_, out)| out).collect();
+    done.sort_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, t)| t).collect()
 }
 
-/// One selected test's verdict, resolved before any of its cells runs.
-struct Judged {
-    /// The verdict, or the judgement's error, which the test's cells
-    /// report in cell order.
-    verdict: Result<Arc<ModelOutcomes>, EnumError>,
-    /// The cache's hit counter right after this test was counted.
-    hits: u64,
-    /// The cache's miss counter right after this test was counted.
-    misses: u64,
-    /// Time the judgement took, on the first test of a shape judged in
-    /// this run; 0 on every other test.
-    enum_micros: u64,
-}
+/// A shape's verdict, or the error of its judgement, which the cells of
+/// its tests report in cell order.
+type Verdict = Result<Arc<ModelOutcomes>, EnumError>;
 
-/// The judge pass after fingerprinting: resolves the verdict of every
-/// test in `selected`, whose shape keys are `keys`, each test standing
-/// for its `num_chips` cells, in three steps.
+/// The judge pass after fingerprinting: returns the shape of each test
+/// in `selected` (whose shape keys are `keys`), the verdict of each shape
+/// and the microseconds the judgements took.
 ///
-/// 1. The calling thread collects the distinct shapes `cache` does not
-///    know, in selection order.
-/// 2. `parallelism` workers judge each of those shapes once.
-/// 3. The calling thread counts every test in selection order: the
-///    first test of a freshly judged shape publishes it (a miss plus
-///    `num_chips - 1` hits), every other test counts `num_chips` hits.
-///    A shape whose judgement failed counts nothing, and each of its
-///    tests keeps the error, so that the run pass can report it in cell
-///    order.
-///
-/// All counting is serial, so the counters are the same at every
-/// parallelism.
+/// The pool judges each shape `cache` does not know once; then the
+/// calling thread counts each shape once, serially, for the `k ·
+/// num_chips` cells of its `k` tests: a known shape counts that many
+/// hits, a fresh one is published as one miss and one hit fewer, and a
+/// failed one counts nothing.
 fn judge_all(
     selected: &[(usize, &LitmusTest)],
-    keys: Vec<Fingerprint>,
+    keys: &[Fingerprint],
     num_chips: usize,
     cache: &mut VerdictCache,
     (model, enum_cfg): (&CatModel, &EnumConfig),
     parallelism: Option<usize>,
-) -> Vec<Judged> {
-    // The selection index of each unknown shape's first test, and the
-    // shape of each unknown key.
-    let mut shapes = Vec::new();
-    let mut shape_of = HashMap::new();
-    for (t, &key) in keys.iter().enumerate() {
-        if !cache.contains(key) {
-            shape_of.entry(key).or_insert_with(|| {
-                shapes.push(t);
+) -> (Vec<usize>, Vec<Verdict>, u64) {
+    // Each shape's key, first test and number of tests, in order of
+    // first appearance.
+    let mut shapes: Vec<(Fingerprint, usize, u64)> = Vec::new();
+    let mut index = HashMap::with_capacity(keys.len());
+    let shape_of: Vec<usize> = keys
+        .iter()
+        .enumerate()
+        .map(|(t, &key)| {
+            let s = *index.entry(key).or_insert_with(|| {
+                shapes.push((key, t, 0));
                 shapes.len() - 1
             });
-        }
-    }
-
-    let slots: Vec<OnceLock<Judgement>> = shapes.iter().map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..worker_count(parallelism, shapes.len()) {
-            scope.spawn(|| {
-                // One evaluation arena per worker, reused by every shape
-                // it judges.
-                let mut ctx = EvalContext::new();
-                loop {
-                    let s = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&t) = shapes.get(s) else {
-                        break;
-                    };
-                    let t0 = Instant::now();
-                    let verdict = model_outcomes_with(selected[t].1, model, enum_cfg, &mut ctx);
-                    let judgement = Judgement {
-                        verdict: verdict.map(Some),
-                        micros: t0.elapsed().as_micros() as u64,
-                    };
-                    assert!(slots[s].set(judgement).is_ok(), "claimed once");
-                }
-            });
-        }
-    });
-    let mut judgements: Vec<Judgement> = slots
-        .into_iter()
-        .map(|j| j.into_inner().expect("every shape was judged"))
+            shapes[s].2 += 1;
+            s
+        })
         .collect();
 
-    let lookups = num_chips as u64;
-    keys.into_iter()
-        .map(|key| {
-            let (verdict, enum_micros) = match cache.get(key, lookups) {
-                Some(hit) => (Ok(hit), 0),
-                None => {
-                    let judgement = &mut judgements[shape_of[&key]];
-                    let verdict = match &mut judgement.verdict {
-                        Ok(fresh) => Ok(cache.publish_key(
-                            key,
-                            fresh.take().expect("a published shape hits"),
-                            lookups - 1,
-                        )),
-                        Err(e) => Err(e.clone()),
-                    };
-                    (verdict, mem::take(&mut judgement.micros))
+    // Judge and time each shape `cache` does not know.
+    let known = &*cache;
+    let judged = map_on_pool(shapes.len(), parallelism, EvalContext::new, |ctx, s| {
+        let (key, t, _) = shapes[s];
+        (!known.contains(key)).then(|| {
+            let t0 = Instant::now();
+            let verdict = model_outcomes_with(selected[t].1, model, enum_cfg, ctx);
+            (verdict, t0.elapsed().as_micros() as u64)
+        })
+    });
+    let enum_micros = judged.iter().flatten().map(|(_, micros)| micros).sum();
+
+    let verdicts = shapes
+        .iter()
+        .zip(judged)
+        .map(|(&(key, _, tests), judged)| {
+            let lookups = tests * num_chips as u64;
+            match judged {
+                Some((verdict, _)) => {
+                    verdict.map(|fresh| cache.publish_key(key, fresh, lookups - 1))
                 }
-            };
-            Judged {
-                verdict,
-                hits: cache.hits(),
-                misses: cache.misses(),
-                enum_micros,
+                None => Ok(cache.get(key, lookups).expect("a known shape hits")),
             }
         })
-        .collect()
-}
-
-/// The judgement of one shape, until its first test publishes it.
-struct Judgement {
-    /// `Ok(None)` once published.
-    verdict: Result<Option<ModelOutcomes>, EnumError>,
-    /// Time the judgement took; taken by the shape's first test.
-    micros: u64,
+        .collect();
+    (shape_of, verdicts, enum_micros)
 }
 
 /// What one run-pass worker keeps: its share of the tally and of the
@@ -1405,9 +1317,6 @@ mod tests {
             witnesses: 1,
             distinct: 3,
             unsound: vec!["1:r1=7; ".to_owned(), "1:r1=8; ".to_owned()],
-            cache_hits: 3,
-            cache_misses: 9,
-            enum_micros: 42,
         };
         let mut lines = String::new();
         rec.write_jsonl(&mut lines);
@@ -1422,16 +1331,13 @@ mod tests {
             first,
             "{\"test\": \"Fre-Rfe+inter \\\"quoted\\\"\", \"index\": 12, \"chip\": \"Titan\", \
              \"runs\": 100, \"witnesses\": 1, \"distinct\": 3, \
-             \"unsound\": [\"1:r1=7; \", \"1:r1=8; \"], \
-             \"cache_hits\": 3, \"cache_misses\": 9, \"enum_micros\": 42}\n"
+             \"unsound\": [\"1:r1=7; \", \"1:r1=8; \"]}\n"
         );
         let v = json::parse(&first).unwrap();
         assert_eq!(v.get("index").unwrap().as_u64(), Some(12));
         assert_eq!(v.get("test").unwrap().as_str(), Some(rec.test));
         assert_eq!(v.get("unsound").unwrap().as_arr().unwrap().len(), 2);
-        assert_eq!(v.get("cache_hits").unwrap().as_u64(), Some(3));
-        assert_eq!(v.get("cache_misses").unwrap().as_u64(), Some(9));
-        assert_eq!(v.get("enum_micros").unwrap().as_u64(), Some(42));
+        assert!(v.get("enum_micros").is_none());
         assert!(v.get("classes_visited").is_none());
         assert!(v.get("candidates_pruned").is_none());
         assert!(v.get("registers_refilled").is_none());

@@ -164,8 +164,8 @@ fn verdict_cache_collapses_chip_columns() {
 fn cache_counters_are_exact_at_every_parallelism() {
     // Renamed copies share their originals' shapes, so some shapes are
     // looked up by several tests. The judge pass judges each shape once
-    // and counts every test in selection order, so each cell's counters
-    // are the same at any worker count.
+    // and counts each shape once for all its tests' cells, so the
+    // counters, and every cell record, are the same at any worker count.
     let small = generate(&GenConfig::small());
     let mut family: Vec<LitmusTest> = small.iter().take(20).cloned().collect();
     family.extend(
@@ -202,10 +202,6 @@ fn cache_counters_are_exact_at_every_parallelism() {
         assert_eq!(cache.entries, cache.misses, "parallelism {par}");
         assert_eq!(cache.hits + cache.misses, report.cells, "parallelism {par}");
         let mut recs = records.into_inner().unwrap();
-        // Only the timing depends on the wall clock.
-        for r in &mut recs {
-            r.enum_micros = 0;
-        }
         recs.sort_by_key(|r| (r.index, r.chip));
         recs
     };
@@ -258,15 +254,6 @@ fn sharded_cells_equal_their_unsharded_counterparts() {
         let records = Mutex::new(Vec::new());
         run_sweep_with(&family, &small_cfg(shard), collect(&records)).unwrap();
         let mut recs = records.into_inner().unwrap();
-        // Cache counters and enumeration timing are bookkeeping, not
-        // semantics: the counters depend on which tests a run covers
-        // (a shard counts only its own) and the timing on the wall
-        // clock, so normalise them before the bit-identity comparison.
-        for r in &mut recs {
-            r.cache_hits = 0;
-            r.cache_misses = 0;
-            r.enum_micros = 0;
-        }
         recs.sort_by_key(|a| (a.index, a.chip));
         recs
     };
@@ -324,7 +311,7 @@ fn warm_cache_run_is_bit_identical_to_cold() {
 
 /// A spin-wait on `x`: the simulator runs it to completion, but judging
 /// it unrolls the loop on the path that always reads 0 and exceeds the
-/// per-thread step budget. With `observe` naming a register thread 1
+/// per-thread bound on backward jumps. With `observe` naming a register thread 1
 /// never writes, it also fails to compile.
 fn spin(name: &str, observe: &str) -> LitmusTest {
     LitmusTest::builder(name)

@@ -5,7 +5,7 @@
 //! calibrated so that running the paper's figures at the most effective
 //! incantations lands in the same `obs/100k` decade as the paper reports
 //! (exact counts are silicon-specific; shape is the reproduction target —
-//! DESIGN.md §4).
+//! README, "Reproduce the paper").
 
 use weakgpu_litmus::FenceScope;
 

@@ -32,7 +32,7 @@ use weakgpu::axiom::render;
 use weakgpu::axiom::{Model, Plan};
 use weakgpu::diy::{generate_parallel, GenConfig};
 use weakgpu::front::{has_errors, render_all, Diagnostic, SourceFile};
-use weakgpu::harness::campaign::{run_campaign_with, CampaignConfig, CellSpec};
+use weakgpu::harness::campaign::{run_campaign_with, worker_count, CampaignConfig, CellSpec};
 use weakgpu::harness::report::ObsTable;
 use weakgpu::harness::runner::{run_test, RunConfig};
 use weakgpu::harness::sweep::{
@@ -465,11 +465,7 @@ fn cmd_sweep(args: &[String]) -> CliResult {
         return unexpected_arg("sweep", extra, SWEEP_FLAGS);
     }
 
-    let workers = parallelism.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
+    let workers = worker_count(parallelism, usize::MAX);
     let started = Instant::now();
     let tests = generate_parallel(&gen_cfg, workers);
     let generate_s = started.elapsed().as_secs_f64();
@@ -659,7 +655,6 @@ fn cmd_sweep_merge(args: Vec<String>) -> CliResult {
 const SERVE_FLAGS: &[&str] = &["--cache-file", "--cache-readonly", "--model"];
 
 fn cmd_serve(args: &[String]) -> CliResult {
-    use weakgpu::axiom::cache::VerdictCache;
     use weakgpu::axiom::persist;
     use weakgpu::harness::serve::{serve, ServeConfig};
 
@@ -675,18 +670,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
         return usage(format!("serve: {e}"));
     }
 
-    let mut cache = match &cache_file {
-        Some(path) if path.exists() => {
-            persist::load(path).map_err(|e| format!("serve: verdict cache: {e}"))?
-        }
-        Some(path) if cache_readonly => {
-            return Err(CliError::Failed(format!(
-                "serve: verdict cache: {}: read-only cache file does not exist",
-                path.display()
-            )))
-        }
-        _ => VerdictCache::new(),
-    };
+    let mut cache = persist::open(cache_file.as_deref(), cache_readonly)
+        .map_err(|e| format!("serve: verdict cache: {e}"))?;
     eprintln!(
         "serve: ready ({} cached verdicts, default model {default_model}); one JSON request per line",
         cache.len()
