@@ -424,6 +424,12 @@ impl VerdictCache {
         VerdictCache::default()
     }
 
+    /// Makes room for `additional` more entries, such as the fresh shapes
+    /// a judge pass is about to publish.
+    pub fn reserve(&mut self, additional: usize) {
+        self.map.reserve(additional);
+    }
+
     /// `true` if a verdict is stored under `key`. Counts nothing.
     pub fn contains(&self, key: Fingerprint) -> bool {
         self.map.contains_key(&key)
@@ -445,16 +451,18 @@ impl VerdictCache {
     /// Stores a fresh verdict under `key` and counts a miss, plus
     /// `repeats` hits on the stored entry (lookups of the same shape made
     /// on behalf of the judging one, such as a test's other chip cells);
-    /// an entry already present wins and is returned.
+    /// an entry already present wins and is returned. The verdict comes
+    /// shared already, so a pool of judges can wrap it off the thread
+    /// that publishes.
     pub fn publish_key(
         &mut self,
         key: Fingerprint,
-        verdict: ModelOutcomes,
+        verdict: Arc<ModelOutcomes>,
         repeats: u64,
     ) -> Arc<ModelOutcomes> {
         self.misses += 1;
-        let entry = self.map.entry(key).or_insert_with(|| Entry {
-            verdict: Arc::new(verdict),
+        let entry = self.map.entry(key).or_insert(Entry {
+            verdict,
             warm: false,
         });
         self.hits += repeats;
@@ -482,7 +490,7 @@ impl VerdictCache {
             return Ok(hit);
         }
         let verdict = model_outcomes(test, model, cfg)?;
-        Ok(self.publish_key(key, verdict, 0))
+        Ok(self.publish_key(key, Arc::new(verdict), 0))
     }
 
     /// The cached verdict, if this shape has been judged (counts a hit).
@@ -506,7 +514,7 @@ impl VerdictCache {
         cfg: &EnumConfig,
         verdict: ModelOutcomes,
     ) -> Arc<ModelOutcomes> {
-        self.publish_key(Fingerprint::of(test, model, cfg), verdict, 0)
+        self.publish_key(Fingerprint::of(test, model, cfg), Arc::new(verdict), 0)
     }
 
     /// Installs a verdict restored from a persisted cache
@@ -782,7 +790,8 @@ mod tests {
         assert!(!cache.contains(key));
         assert_eq!((cache.hits(), cache.misses()), (0, 0), "a miss is free");
         // A miss and four sibling hits on the fresh entry.
-        let first = cache.publish_key(key, model_outcomes(&t, &model, &cfg).unwrap(), 4);
+        let verdict = Arc::new(model_outcomes(&t, &model, &cfg).unwrap());
+        let first = cache.publish_key(key, verdict, 4);
         assert_eq!((cache.hits(), cache.misses()), (4, 1));
         assert!(cache.contains(key));
         assert_eq!((cache.hits(), cache.misses()), (4, 1), "probes are free");

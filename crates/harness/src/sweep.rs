@@ -1052,17 +1052,25 @@ fn judge_all(
         })
         .collect();
 
-    // Judge and time each shape `cache` does not know.
+    // Judge and time each shape `cache` does not know, wrapping each
+    // fresh verdict for sharing on the worker that judged it.
     let known = &*cache;
     let judged = map_on_pool(shapes.len(), parallelism, EvalContext::new, |ctx, s| {
         let (key, t, _) = shapes[s];
         (!known.contains(key)).then(|| {
             let t0 = Instant::now();
-            let verdict = model_outcomes_with(selected[t].1, model, enum_cfg, ctx);
+            let verdict = model_outcomes_with(selected[t].1, model, enum_cfg, ctx).map(Arc::new);
             (verdict, t0.elapsed().as_micros() as u64)
         })
     });
     let enum_micros = judged.iter().flatten().map(|(_, micros)| micros).sum();
+    cache.reserve(
+        judged
+            .iter()
+            .flatten()
+            .filter(|(verdict, _)| verdict.is_ok())
+            .count(),
+    );
 
     let verdicts = shapes
         .iter()

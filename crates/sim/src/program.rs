@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use weakgpu_litmus::{
-    CacheOp, FenceScope, FinalExpr, Instr, Label, LitmusTest, Loc, Operand, Outcome, Predicate,
+    CacheOp, FenceScope, FinalExpr, Instr, Label, LitmusTest, Operand, Outcome, Predicate,
     Quantifier, Reg, Region, Value,
 };
 
@@ -215,8 +215,6 @@ pub(crate) fn reg_bit(r: u32) -> u64 {
 /// A location's static properties.
 #[derive(Clone, Debug)]
 pub struct LocInfo {
-    /// Source-level name.
-    pub name: Loc,
     /// Region.
     pub region: Region,
     /// Initial value.
@@ -235,8 +233,6 @@ pub enum ObsTarget {
 /// A compiled litmus test.
 #[derive(Clone, Debug)]
 pub struct SimProgram {
-    /// Test name.
-    pub name: String,
     /// Per-thread code.
     pub threads: Vec<Vec<SimInstr>>,
     /// Per-thread register initial values.
@@ -256,6 +252,11 @@ pub struct SimProgram {
     /// [`SimInstr`]'s read masks are exact. The machine tests the operands
     /// of a wider program one by one instead.
     pub(crate) narrow: bool,
+    /// Whether each thread is [order-free](order_free): once it is the
+    /// only unfinished thread, the order in which its pending ops perform
+    /// cannot change the outcome, so the machine finishes it in program
+    /// order.
+    pub(crate) order_free: Vec<bool>,
     /// Whether some location is in shared memory; without one, a run
     /// keeps no shared-memory image.
     pub(crate) has_shared: bool,
@@ -362,12 +363,13 @@ impl SimProgram {
     /// Fails if the final condition observes a register its thread never
     /// mentions (the value would be meaningless).
     pub fn compile<'a>(test: &'a LitmusTest) -> Result<SimProgram, CompileError> {
-        let mut loc_ids: BTreeMap<Loc, u32> = BTreeMap::new();
+        // Locations and registers are keyed by the test's own names,
+        // borrowed.
+        let mut loc_ids: BTreeMap<&str, u32> = BTreeMap::new();
         let mut locs: Vec<LocInfo> = Vec::new();
         for (loc, mi) in test.memory().iter() {
-            loc_ids.insert(loc.clone(), locs.len() as u32);
+            loc_ids.insert(loc.as_str(), locs.len() as u32);
             locs.push(LocInfo {
-                name: loc.clone(),
                 region: mi.region,
                 init: mi.init,
             });
@@ -375,7 +377,6 @@ impl SimProgram {
 
         let mut threads = Vec::new();
         let mut reg_init = Vec::new();
-        // Registers are keyed by the test's own names, borrowed.
         let mut reg_maps: Vec<BTreeMap<&str, u32>> = Vec::new();
         for (tid, code) in test.threads().iter().enumerate() {
             let mut regs: BTreeMap<&str, u32> = BTreeMap::new();
@@ -393,7 +394,7 @@ impl SimProgram {
                 inits.push(match v {
                     Value::Int(n) => SimValue::Int(n),
                     Value::Ptr { loc, .. } => {
-                        SimValue::Ptr(*loc_ids.get(&loc).expect("validated pointer target"))
+                        SimValue::Ptr(*loc_ids.get(loc.as_str()).expect("validated pointer target"))
                     }
                 });
                 id
@@ -442,9 +443,11 @@ impl SimProgram {
                         })?;
                     ObsTarget::Reg(*t, id)
                 }
-                FinalExpr::Mem(l) => {
-                    ObsTarget::Mem(*loc_ids.get(l).expect("condition locations validated"))
-                }
+                FinalExpr::Mem(l) => ObsTarget::Mem(
+                    *loc_ids
+                        .get(l.as_str())
+                        .expect("condition locations validated"),
+                ),
             };
             observed.push((expr, target));
         }
@@ -462,7 +465,7 @@ impl SimProgram {
         compile_cond(&test.cond().pred, &observed, &mut cond);
 
         Ok(SimProgram {
-            name: test.name().to_owned(),
+            order_free: threads.iter().map(|code| order_free(code)).collect(),
             threads,
             narrow: reg_init.iter().all(|regs| regs.len() <= 64),
             reg_init,
@@ -507,6 +510,54 @@ impl SimProgram {
     }
 }
 
+/// Whether a thread of code `code` is order-free: once it runs alone,
+/// every order in which its pending ops may perform gives the same
+/// outcome. That holds when it has
+///
+/// * no backward branch, so it cannot spin;
+/// * no `.ca` load, so L1 contents are dead state to it;
+/// * no register that is the destination both of an asynchronous op (a
+///   load or an RMW, which write their register when they perform) and of
+///   any other instruction. An instruction issues once the registers it
+///   *reads* are ready, so in `ld r1,[x]; mov r1,2` the `mov` may issue
+///   before the load performs, and the final `r1` depends on that order.
+///
+/// With these, each register an instruction reads holds its program-order
+/// value when the instruction issues. Registers are compared by
+/// [`reg_bit`], so on a thread of more than 64 registers two of them may
+/// look like one: the test errs towards "not order-free".
+fn order_free(code: &[SimInstr]) -> bool {
+    // The registers written at all, written twice, and written late.
+    let (mut written, mut twice, mut late) = (0u64, 0u64, 0u64);
+    for (i, instr) in code.iter().enumerate() {
+        let (dst, is_late) = match instr.op {
+            SimOp::Ld {
+                cache: CacheOp::Ca, ..
+            } => return false,
+            SimOp::Bra(target) if target as usize <= i => return false,
+            SimOp::Ld { dst, .. }
+            | SimOp::Cas { dst, .. }
+            | SimOp::Exch { dst, .. }
+            | SimOp::Inc { dst, .. } => (dst, true),
+            SimOp::Mov { dst, .. }
+            | SimOp::Cvt { dst, .. }
+            | SimOp::Add { dst, .. }
+            | SimOp::And { dst, .. }
+            | SimOp::Xor { dst, .. }
+            | SimOp::SetpEq { dst, .. }
+            | SimOp::SetpNe { dst, .. } => (dst, false),
+            SimOp::St { .. } | SimOp::Membar(_) | SimOp::Bra(_) | SimOp::Nop => continue,
+        };
+        let bit = reg_bit(dst);
+        twice |= written & bit;
+        written |= bit;
+        if is_late {
+            late |= bit;
+        }
+    }
+    twice & late == 0
+}
+
 /// The CTA whose shared-memory instance of `loc` the test uses
 /// (validation guarantees a single CTA accesses each shared location).
 fn shared_owner_cta(threads: &[Vec<SimInstr>], thread_cta: &[usize], loc: u32) -> usize {
@@ -530,19 +581,19 @@ fn shared_owner_cta(threads: &[Vec<SimInstr>], thread_cta: &[usize], loc: u32) -
 fn compile_operand<'a>(
     op: &'a Operand,
     reg: &mut dyn FnMut(&'a Reg) -> u32,
-    locs: &BTreeMap<Loc, u32>,
+    locs: &BTreeMap<&str, u32>,
 ) -> SimOperand {
     match op {
         Operand::Reg(r) => SimOperand::Reg(reg(r)),
         Operand::Imm(n) => SimOperand::Imm(*n),
-        Operand::Sym(l) => SimOperand::Sym(*locs.get(l).expect("validated location")),
+        Operand::Sym(l) => SimOperand::Sym(*locs.get(l.as_str()).expect("validated location")),
     }
 }
 
 fn compile_instr<'a>(
     instr: &'a Instr,
     reg: &mut dyn FnMut(&'a Reg) -> u32,
-    locs: &BTreeMap<Loc, u32>,
+    locs: &BTreeMap<&str, u32>,
     labels: &BTreeMap<&Label, u32>,
 ) -> SimInstr {
     match instr {
@@ -566,7 +617,7 @@ fn compile_instr<'a>(
 fn compile_op<'a>(
     instr: &'a Instr,
     reg: &mut dyn FnMut(&'a Reg) -> u32,
-    locs: &BTreeMap<Loc, u32>,
+    locs: &BTreeMap<&str, u32>,
     labels: &BTreeMap<&Label, u32>,
 ) -> SimOp {
     let operand =
@@ -663,7 +714,7 @@ mod tests {
         let p = SimProgram::compile(&corpus::corr()).unwrap();
         assert_eq!(p.num_threads(), 2);
         assert_eq!(p.locs.len(), 1);
-        assert_eq!(p.locs[0].name.as_str(), "x");
+        assert_eq!(p.locs[0].region, Region::Global);
         assert!(!p.spans_ctas); // intra-CTA
         assert_eq!(p.observed.len(), 2);
         // T1 has two loads into distinct registers.
