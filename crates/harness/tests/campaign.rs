@@ -17,7 +17,7 @@ use weakgpu_harness::campaign::{
 use weakgpu_harness::runner::{run_test, HarnessError, RunConfig, TestReport};
 use weakgpu_harness::{Histogram, STREAM_CHUNKS};
 use weakgpu_litmus::build::{ld, st};
-use weakgpu_litmus::{corpus, LitmusTest, Predicate, ThreadScope};
+use weakgpu_litmus::{corpus, corpus_extra, LitmusTest, Predicate, ThreadScope};
 use weakgpu_sim::chip::{Chip, Incantations};
 use weakgpu_sim::machine::{ObsCounts, RunParams, Simulator};
 use weakgpu_sim::program::CompileError;
@@ -411,6 +411,65 @@ fn paper_sample_histograms_match_recorded_digest() {
         assert_eq!(
             hash, PAPER_SAMPLE_DIGEST,
             "parallelism {par}: paper-sample histogram digest changed: {hash:#018x}"
+        );
+    }
+}
+
+/// The digest of every per-cell histogram of the hand-written tests
+/// (`corpus::all` then `corpus_extra::all_extra`) on every chip, one
+/// digest per chip: 300 iterations under each test's default
+/// incantations, cell seeds `7 ^ index`, each cell rendered as a line of
+/// the golden file above. The generated families never run `.ca` loads,
+/// shared memory, RMWs or spin loops; these tests do, so a change to
+/// those paths shows here, and on which chip.
+const CORPUS_DIGESTS: [(Chip, u64); 8] = [
+    (Chip::Gtx280, 0xbd3c_f2e7_26cb_678a),
+    (Chip::Gtx540m, 0xbed4_4071_819c_8477),
+    (Chip::TeslaC2075, 0xbfad_f576_1193_18b0),
+    (Chip::Gtx660, 0x035f_7cbe_dcfe_fd19),
+    (Chip::GtxTitan, 0xf6a6_90bf_78a0_9084),
+    (Chip::Gtx750, 0x1d71_5601_18df_d112),
+    (Chip::RadeonHd6570, 0xc8f5_eaff_93e1_bd94),
+    (Chip::RadeonHd7970, 0x198c_a25b_d4dc_4912),
+];
+
+#[test]
+fn corpus_histograms_match_recorded_digests() {
+    let mut tests = corpus::all();
+    tests.extend(corpus_extra::all_extra());
+    let cells: Vec<CellSpec> = tests
+        .iter()
+        .enumerate()
+        .flat_map(|(i, test)| {
+            let inc = default_incantations(test);
+            Chip::ALL.into_iter().map(move |chip| {
+                CellSpec::new(test.clone(), chip)
+                    .incantations(inc)
+                    .iterations(300)
+                    .seed(7 ^ i as u64)
+            })
+        })
+        .collect();
+    assert_eq!(
+        CORPUS_DIGESTS.map(|(chip, _)| chip),
+        Chip::ALL,
+        "one digest per chip, in chip order"
+    );
+    for par in [1, 3] {
+        let reports = run_campaign(&cells, &CampaignConfig::with_parallelism(par)).unwrap();
+        let changed: Vec<String> = CORPUS_DIGESTS
+            .iter()
+            .filter_map(|&(chip, want)| {
+                let mine: Vec<TestReport> =
+                    reports.iter().filter(|r| r.chip == chip).cloned().collect();
+                let mut hash = 0xcbf2_9ce4_8422_2325u64;
+                fnv1a(&mut hash, golden_lines(&mine).as_bytes());
+                (hash != want).then(|| format!("{}: {hash:#018x}", chip.short()))
+            })
+            .collect();
+        assert!(
+            changed.is_empty(),
+            "parallelism {par}: corpus histogram digests changed: {changed:?}"
         );
     }
 }
