@@ -3,8 +3,9 @@
 //! A litmus test's candidate executions are generated in three stages,
 //! all on dense ids. The test is first loaded into reusable scratch:
 //! its locations become ids (memory-map locations in name order), its
-//! threads compiled programs, and its initial memory, thread placement
-//! and observed expressions id-indexed vectors.
+//! threads compiled programs, its initial memory and thread placement
+//! id-indexed vectors, and its final condition an [`ObsLayout`], each
+//! observed expression resolved to a register index or location id.
 //!
 //! 1. **Value domains** — a small fixed point computes, per location id,
 //!    the values a read could possibly return (the initial value plus
@@ -29,11 +30,13 @@
 //! [`enumerate_executions`] is a thin materialising wrapper over that
 //! stream for rendering and diagnostics.
 //!
-//! Verdicts ([`model_outcomes_with`], [`condition_witnessed_with`]) come
-//! from that same stream: every candidate is judged on its own by
+//! Verdicts ([`model_outcomes_with`]) come from that same stream: every
+//! candidate is judged on its own by
 //! [`crate::model::Model::allows_view`] (for `.cat` models, the compiled
-//! plan over the view) and folded into a [`ModelOutcomes`], which builds
-//! each distinct [`Outcome`] once. Candidates
+//! plan over the view) and folded into a [`ModelOutcomes`] by its
+//! observation vector: the layout judges each distinct vector against
+//! the final condition, and each distinct [`Outcome`] is built once, at
+//! the end. Candidates
 //! are judged one at a time; what they share is shared through the
 //! skeleton and the evaluation context's skeleton-derived registers.
 //! Litmus shapes are small (the largest shipped test has 120 candidates,
@@ -44,7 +47,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::ControlFlow;
 
-use weakgpu_litmus::{FinalExpr, Instr, LitmusTest, Operand, Outcome, Reg};
+use weakgpu_litmus::{FinalExpr, Instr, LitmusTest, ObsLayout, Operand, Outcome, Reg};
 
 use crate::exec::Execution;
 use crate::model::Model;
@@ -148,10 +151,9 @@ impl EnumScratch {
             let init = |r: &Reg| test.reg_init_value(tid, r);
             self.programs[tid].compile(code, &init, &mut t.locs);
         }
-        t.observed.clear();
-        test.cond().pred.exprs_into(&mut t.observed);
+        t.layout.load(test.cond());
         t.observed_src.clear();
-        for expr in &t.observed {
+        for expr in t.layout.exprs() {
             t.observed_src.push(match expr {
                 FinalExpr::Reg(tid, reg) => ObservedSrc::Reg {
                     tid: *tid,
@@ -719,7 +721,7 @@ pub fn model_outcomes_counted(
     ctx: &mut EvalContext,
 ) -> Result<(ModelOutcomes, usize), EnumError> {
     with_scratch(|scratch| {
-        let mut fold = OutcomeFold::new(test.cond(), &mut scratch.fold);
+        let mut fold = OutcomeFold::new(&mut scratch.fold);
         let (mut combinations, mut last_combination) = (0usize, 0u64);
         for_each_combination(test, cfg, &mut scratch.enumeration, &mut |view| {
             if view.combination_id() != last_combination {
@@ -730,7 +732,10 @@ pub fn model_outcomes_counted(
             fold.candidate(view, allowed);
             ControlFlow::<()>::Continue(())
         })?;
-        Ok((fold.finish(), combinations))
+        Ok((
+            fold.finish(&scratch.enumeration.tables.layout),
+            combinations,
+        ))
     })
 }
 
@@ -745,25 +750,26 @@ struct FoldScratch {
     seen: Vec<i64>,
     /// Entry indices sorted by value vector, for a binary-search probe.
     order: Vec<usize>,
-    /// Per entry: its outcome, whether it witnesses the final condition,
-    /// and whether some allowed candidate has it.
-    entries: Vec<(Outcome, bool, bool)>,
+    /// Per entry: whether it witnesses the final condition, and whether
+    /// some allowed candidate has it.
+    entries: Vec<(bool, bool)>,
 }
 
 /// The fold of [`model_outcomes_counted`]: accumulates a
 /// [`ModelOutcomes`] one `(candidate, verdict)` pair at a time.
 ///
-/// Dedup is by observed-value vector: `vals` is refilled per candidate
-/// and matched against the distinct vectors seen so far (a handful per
-/// test, so a sorted probe beats hashing). Each distinct vector's
-/// [`Outcome`] is built once, when first seen; `finish` moves it into
-/// the all-outcomes set and clones it only into the allowed set. Two
+/// Dedup is by observation vector, in the test's [`ObsLayout`]: `vals`
+/// is refilled per candidate and matched against the distinct vectors
+/// seen so far (a handful per test, so a sorted probe beats hashing).
+/// Each distinct vector is judged against the final condition once, when
+/// first seen, and built into its [`Outcome`] once, in `finish`, which
+/// moves it into the all-outcomes set and clones it only into the
+/// allowed set. Two
 /// memos answer most probes without a search: when a test observes
 /// only registers the outcome is fixed per trace combination (`fixed`
 /// answers with one stamp comparison), and for memory-observing tests
 /// consecutive candidates usually share their outcome (`last`).
 struct OutcomeFold<'t> {
-    cond: &'t weakgpu_litmus::FinalCond,
     buf: &'t mut FoldScratch,
     /// Observed values per candidate.
     width: usize,
@@ -775,12 +781,11 @@ struct OutcomeFold<'t> {
 }
 
 impl<'t> OutcomeFold<'t> {
-    fn new(cond: &'t weakgpu_litmus::FinalCond, buf: &'t mut FoldScratch) -> Self {
+    fn new(buf: &'t mut FoldScratch) -> Self {
         buf.seen.clear();
         buf.order.clear();
         buf.entries.clear();
         OutcomeFold {
-            cond,
             buf,
             width: 0,
             num_candidates: 0,
@@ -814,10 +819,9 @@ impl<'t> OutcomeFold<'t> {
                         {
                             Ok(pos) => self.buf.order[pos],
                             Err(pos) => {
-                                let outcome = view.outcome();
-                                let witnesses = self.cond.witnessed_by(&outcome);
+                                let witnesses = view.layout().witnessed_by(&self.buf.vals);
                                 let i = self.buf.entries.len();
-                                self.buf.entries.push((outcome, witnesses, false));
+                                self.buf.entries.push((witnesses, false));
                                 self.buf.seen.extend_from_slice(&self.buf.vals);
                                 self.buf.order.insert(pos, i);
                                 i
@@ -835,16 +839,19 @@ impl<'t> OutcomeFold<'t> {
         };
         if is_allowed {
             self.num_allowed += 1;
-            let (_, witnesses, allowed) = &mut self.buf.entries[idx];
+            let (witnesses, allowed) = &mut self.buf.entries[idx];
             self.witnessed |= *witnesses;
             *allowed = true;
         }
     }
 
-    fn finish(self) -> ModelOutcomes {
+    /// The verdict, naming each distinct vector in `layout`, the layout
+    /// the candidates were filled in.
+    fn finish(self, layout: &ObsLayout) -> ModelOutcomes {
         let mut all_outcomes = BTreeSet::new();
         let mut allowed_outcomes = BTreeSet::new();
-        for (outcome, _, allowed) in self.buf.entries.drain(..) {
+        for (i, &(_, allowed)) in self.buf.entries.iter().enumerate() {
+            let outcome = layout.outcome(self.seen(i));
             if allowed {
                 allowed_outcomes.insert(outcome.clone());
             }
@@ -858,34 +865,6 @@ impl<'t> OutcomeFold<'t> {
             condition_witnessed: self.witnessed,
         }
     }
-}
-
-/// `true` iff some model-allowed candidate witnesses the test's final
-/// condition — the early-exit form of
-/// [`ModelOutcomes::condition_witnessed`]: the stream stops at the first
-/// allowed witnessing candidate instead of covering the full candidate
-/// space.
-///
-/// # Errors
-///
-/// Propagates [`EnumError`]s from the enumeration. Because the visit
-/// count stops at the first witness, this can succeed where
-/// [`model_outcomes`] exceeds [`EnumConfig::max_executions`].
-pub fn condition_witnessed_with(
-    test: &LitmusTest,
-    model: &dyn Model,
-    cfg: &EnumConfig,
-    ctx: &mut EvalContext,
-) -> Result<bool, EnumError> {
-    let cond = test.cond();
-    let hit = for_each_execution(test, cfg, |view| {
-        if cond.witnessed_by(&view.outcome()) && model.allows_view(ctx, view) {
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
-        }
-    })?;
-    Ok(hit.is_some())
 }
 
 #[cfg(test)]

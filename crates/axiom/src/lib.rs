@@ -50,8 +50,8 @@ pub mod symbolic;
 
 pub use cache::{shape_key, VerdictCache};
 pub use enumerate::{
-    condition_witnessed_with, enumerate_executions, for_each_execution, model_outcomes,
-    model_outcomes_counted, model_outcomes_with, EnumConfig, ModelOutcomes,
+    enumerate_executions, for_each_execution, model_outcomes, model_outcomes_counted,
+    model_outcomes_with, EnumConfig, ModelOutcomes,
 };
 pub use event::{Event, EventKind};
 pub use exec::Execution;

@@ -38,7 +38,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use weakgpu_litmus::{CacheOp, FenceScope, FinalExpr, Outcome};
+use weakgpu_litmus::{CacheOp, FenceScope, ObsLayout, Outcome};
 
 use crate::event::{Event, EventKind};
 use crate::exec::{Execution, RmwAtomicity};
@@ -53,7 +53,8 @@ pub(crate) fn next_stamp() -> u64 {
     STAMP.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Where one observed [`FinalExpr`] takes its value from, on dense ids.
+/// Where one observed [`FinalExpr`](weakgpu_litmus::FinalExpr) takes its value
+/// from, on dense ids.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum ObservedSrc {
     /// A final register of thread `tid`: the dense index in its program,
@@ -66,7 +67,7 @@ pub(crate) enum ObservedSrc {
 /// The per-test tables a skeleton and its views read, on dense ids:
 /// location names (id = index; the memory map's locations come first, in
 /// name order, and a validated test has no others), initial memory, thread
-/// placement and the observed expressions. Filled once per test in
+/// placement and the observation layout. Filled once per test in
 /// place; names are only read to materialise named values
 /// ([`ExecutionView::outcome`], [`ExecutionView::to_execution`]).
 #[derive(Default, Debug)]
@@ -78,10 +79,11 @@ pub(crate) struct TestTables {
     pub(crate) init: Vec<i64>,
     /// CTA per thread.
     pub(crate) thread_cta: Vec<usize>,
-    /// The observed expressions, in `LitmusTest::observed` order.
-    pub(crate) observed: Vec<FinalExpr>,
+    /// The test's observation layout: the observed expressions, in
+    /// outcome order, and the final condition compiled over them.
+    pub(crate) layout: ObsLayout,
     /// Where each observed expression's value comes from, aligned with
-    /// `observed`.
+    /// `layout.exprs()`.
     pub(crate) observed_src: Vec<ObservedSrc>,
 }
 
@@ -758,6 +760,12 @@ impl<'a> ExecutionView<'a> {
         }
     }
 
+    /// The test's observation layout, which judges and names the vectors
+    /// [`ExecutionView::fill_observed`] fills.
+    pub fn layout(&self) -> &ObsLayout {
+        &self.tables.layout
+    }
+
     /// `true` iff the observed values are fixed by the skeleton (no
     /// observed expression reads final memory): every candidate of this
     /// skeleton then shares one outcome, so consumers can dedup once per
@@ -769,10 +777,10 @@ impl<'a> ExecutionView<'a> {
             .all(|s| matches!(s, ObservedSlot::Fixed(_)))
     }
 
-    /// Fills `out` with the observed values, in
-    /// [`weakgpu_litmus::LitmusTest::observed`] order — the
-    /// allocation-free form of [`ExecutionView::outcome`], for
-    /// per-candidate dedup against previously seen value vectors.
+    /// Fills `out` with the candidate's observation vector, in the order
+    /// of [`ExecutionView::layout`] — the allocation-free form of
+    /// [`ExecutionView::outcome`], for per-candidate dedup against
+    /// previously seen value vectors.
     pub fn fill_observed(&self, out: &mut Vec<i64>) {
         out.clear();
         out.extend(self.skel.observed_slots.iter().map(|&s| self.slot_value(s)));
@@ -782,7 +790,8 @@ impl<'a> ExecutionView<'a> {
     /// [`ExecutionView::fill_observed`] in per-candidate loops).
     pub fn outcome(&self) -> Outcome {
         self.tables
-            .observed
+            .layout
+            .exprs()
             .iter()
             .cloned()
             .zip(self.skel.observed_slots.iter().map(|&s| self.slot_value(s)))

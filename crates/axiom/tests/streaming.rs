@@ -6,8 +6,7 @@
 //! early exit must stop the stream, and the candidate limit must count
 //! visits rather than materialisations.
 //!
-//! The verdict functions ([`model_outcomes_with`],
-//! [`condition_witnessed_with`]) are checked against the
+//! The verdict function ([`model_outcomes_with`]) is checked against the
 //! materialise-then-judge oracle for every shipped model (the
 //! natively implemented PTX model included) over the hand-written
 //! corpus, `corpus_extra` and the whole generated `small` family.
@@ -18,8 +17,8 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 use weakgpu_axiom::enumerate::{
-    condition_witnessed_with, enumerate_executions, for_each_execution, model_outcomes,
-    model_outcomes_with, EnumConfig, EnumError, ModelOutcomes,
+    enumerate_executions, for_each_execution, model_outcomes, model_outcomes_with, EnumConfig,
+    EnumError, ModelOutcomes,
 };
 use weakgpu_axiom::model::sc_model;
 use weakgpu_axiom::plan::{EvalContext, Plan};
@@ -299,52 +298,9 @@ fn early_exit_stops_the_stream() {
     }
 }
 
-#[test]
-fn condition_witnessed_with_agrees_and_exits_early() {
-    let cfg = EnumConfig::default();
-    for model in [scoped_model(), sc_model()] {
-        let mut ctx = EvalContext::new();
-        for test in test_suite() {
-            let full = model_outcomes(&test, &model, &cfg).unwrap();
-            let fast = condition_witnessed_with(&test, &model, &cfg, &mut ctx).unwrap();
-            assert_eq!(
-                fast,
-                full.condition_witnessed,
-                "{} under {}",
-                test.name(),
-                Model::name(&model)
-            );
-        }
-    }
-
-    // Early exit beats the candidate limit: find where the first allowed
-    // witness sits, cap the visit budget exactly there, and the fast
-    // query must still succeed while the full enumeration errors out.
-    let test = corpus::corr();
-    let permissive = CatModel::new("anything-goes", "").unwrap();
-    let cands = enumerate_executions(&test, &EnumConfig::default()).unwrap();
-    let first_witness = cands
-        .iter()
-        .position(|c| test.cond().witnessed_by(&c.outcome))
-        .expect("corr has a weak candidate");
-    let capped = EnumConfig {
-        max_executions: first_witness + 1,
-        ..EnumConfig::default()
-    };
-    let mut ctx = EvalContext::new();
-    assert_eq!(
-        condition_witnessed_with(&test, &permissive, &capped, &mut ctx),
-        Ok(true)
-    );
-    assert_eq!(
-        model_outcomes(&test, &permissive, &capped).unwrap_err(),
-        EnumError::TooManyExecutions
-    );
-}
-
 /// Every shipped model, over every shipped hand-written test and the
 /// whole `small` family: [`model_outcomes_with`] equals the oracle bit
-/// for bit, and [`condition_witnessed_with`] equals its witness flag.
+/// for bit.
 /// One context serves every (test, model) pair, interleaving models on
 /// each test, so no evaluation state may leak between them.
 #[test]
@@ -368,18 +324,13 @@ fn stream_verdicts_match_the_materialised_oracle_for_every_model() {
             let streamed = model_outcomes_with(test, &**model, &cfg, &mut shared)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(streamed, oracle, "{name}");
-            assert_eq!(
-                condition_witnessed_with(test, &**model, &cfg, &mut shared).unwrap(),
-                oracle.condition_witnessed,
-                "{name}: witness query"
-            );
         }
     }
 }
 
 /// A stream that runs past [`EnumConfig::max_executions`] fails with
-/// [`EnumError::TooManyExecutions`], for verdicts and witness queries
-/// alike: the budget counts every candidate handed to the visitor.
+/// [`EnumError::TooManyExecutions`]: the budget counts every candidate
+/// handed to the visitor.
 #[test]
 fn a_stream_over_budget_is_an_error() {
     let test = corpus_extra::corr_fan(2, 8);
@@ -398,12 +349,6 @@ fn a_stream_over_budget_is_an_error() {
     let mut ctx = EvalContext::new();
     assert_eq!(
         model_outcomes_with(&test, &sc, &budget, &mut ctx).unwrap_err(),
-        EnumError::TooManyExecutions
-    );
-    // SC forbids the fan's new-then-old read pattern, so the witness
-    // query finds nothing to stop at and runs into the budget too.
-    assert_eq!(
-        condition_witnessed_with(&test, &sc, &budget, &mut ctx).unwrap_err(),
         EnumError::TooManyExecutions
     );
 }

@@ -47,7 +47,6 @@
 //! campaign starts, so its callback only compares a cell's observations
 //! with a verdict it already holds (see `crate::sweep`).
 //!
-//! [`Outcome`]: weakgpu_litmus::Outcome
 //!
 //! ```
 //! use weakgpu_harness::campaign::{run_campaign, CampaignConfig, CellSpec};
@@ -63,13 +62,14 @@
 //! assert_eq!(reports[1].witnesses, 0); // GTX 280 stays strong
 //! ```
 
+use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use weakgpu_litmus::{LitmusTest, ThreadScope};
+use weakgpu_litmus::{LitmusTest, Outcome, ThreadScope};
 use weakgpu_sim::chip::{Chip, Incantations};
 use weakgpu_sim::machine::{MachineState, ObsCounts, RunParams, Simulator};
 use weakgpu_sim::program::SimProgram;
@@ -228,6 +228,36 @@ struct CellAcc {
 pub(crate) struct CellCounts<'a> {
     pub(crate) sim: &'a Simulator,
     pub(crate) counts: &'a ObsCounts,
+}
+
+impl CellCounts<'_> {
+    /// The cell's witnessing runs and, when given the outcomes a verdict
+    /// allows, the outcomes the cell observed that it does not, in
+    /// canonical order. Both are judged on observation vectors, by value:
+    /// the verdict was judged in the same [`ObsLayout`], so its outcomes
+    /// bind exactly the layout's expressions, in order. Only forbidden
+    /// vectors are built into outcomes.
+    ///
+    /// [`ObsLayout`]: weakgpu_litmus::ObsLayout
+    pub(crate) fn judge(&self, allowed: Option<&BTreeSet<Outcome>>) -> (u64, Vec<Outcome>) {
+        let layout = &self.sim.program().layout;
+        let mut witnesses = 0;
+        let mut forbidden = Vec::new();
+        for (obs, n) in self.counts.iter_unordered() {
+            if layout.witnessed_by(obs) {
+                witnesses += n;
+            }
+            let is_allowed = |set: &BTreeSet<Outcome>| {
+                set.iter()
+                    .any(|o| o.iter().map(|(_, v)| v).eq(obs.iter().copied()))
+            };
+            if allowed.is_some_and(|set| !is_allowed(set)) {
+                forbidden.push(layout.outcome(obs));
+            }
+        }
+        forbidden.sort_unstable();
+        (witnesses, forbidden)
+    }
 }
 
 /// Runs every cell and returns one [`TestReport`] per cell, in cell
@@ -526,11 +556,12 @@ pub fn worker_count(parallelism: Option<usize>, jobs: usize) -> usize {
 }
 
 fn finish_cell(cell: Cell<'_>, done: CellCounts<'_>) -> TestReport {
+    let layout = &done.sim.program().layout;
     let mut histogram = Histogram::new();
     for (obs, n) in done.counts.iter_unordered() {
-        histogram.add(done.sim.outcome_from_obs(obs), n);
+        histogram.add(layout.outcome(obs), n);
     }
-    let witnesses = histogram.witnesses(cell.test.cond());
+    let (witnesses, _) = done.judge(None);
     TestReport {
         test: cell.test.name().to_owned(),
         chip: cell.chip,

@@ -47,9 +47,7 @@ use weakgpu_litmus::LitmusTest;
 use weakgpu_models::ptx_model;
 use weakgpu_sim::chip::{Chip, Incantations};
 
-use crate::campaign::{
-    default_incantations, run_cells, run_pool, CampaignConfig, Cell, CellCounts,
-};
+use crate::campaign::{default_incantations, run_cells, run_pool, CampaignConfig, Cell};
 use crate::json::{self, Json};
 use crate::runner::HarnessError;
 
@@ -893,7 +891,7 @@ where
             let verdict = verdicts[shape_of[ci / num_chips]]
                 .as_ref()
                 .map_err(|e| SweepError::Enum(test.name().to_owned(), e.clone()))?;
-            let (witnesses, unsound) = judge_cell(&done, verdict);
+            let (witnesses, forbidden) = done.judge(Some(&verdict.allowed_outcomes));
             let record = CellRecord {
                 test: test.name(),
                 index: gi,
@@ -901,7 +899,7 @@ where
                 runs: done.counts.total(),
                 witnesses,
                 distinct: done.counts.distinct(),
-                unsound,
+                unsound: forbidden.iter().map(ToString::to_string).collect(),
             };
             sink.record(&mut w.buffer, &record);
             w.tally.add(ci, num_chips, record);
@@ -963,30 +961,6 @@ where
         phases,
         cache,
     })
-}
-
-/// A cell's witnessing runs and the outcomes it observed that `verdict`
-/// forbids, rendered in canonical order. Each distinct observation vector
-/// is judged as the outcome it stands for, without building it; only
-/// forbidden outcomes are built, to be rendered.
-fn judge_cell(done: &CellCounts<'_>, verdict: &ModelOutcomes) -> (u64, Vec<String>) {
-    let program = done.sim.program();
-    let mut witnesses = 0;
-    let mut forbidden = Vec::new();
-    for (obs, n) in done.counts.iter_unordered() {
-        if program.witnessed_by(obs) {
-            witnesses += n;
-        }
-        let allowed = verdict
-            .allowed_outcomes
-            .iter()
-            .any(|o| program.is_outcome_of(obs, o));
-        if !allowed {
-            forbidden.push(done.sim.outcome_from_obs(obs));
-        }
-    }
-    forbidden.sort_unstable();
-    (witnesses, forbidden.iter().map(|o| o.to_string()).collect())
 }
 
 /// `f(state, i)` for every `i` in `0..n`, in index order, computed on

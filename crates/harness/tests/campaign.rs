@@ -202,7 +202,7 @@ fn chunk_by_chunk_oracle(cell: &CellSpec) -> Histogram {
     }
     let mut histogram = Histogram::new();
     for (obs, n) in counts.iter() {
-        histogram.add(sim.outcome_from_obs(obs), n);
+        histogram.add(sim.program().layout.outcome(obs), n);
     }
     histogram
 }
@@ -457,6 +457,17 @@ fn corpus_histograms_match_recorded_digests() {
     );
     for par in [1, 3] {
         let reports = run_campaign(&cells, &CampaignConfig::with_parallelism(par)).unwrap();
+        // Cells are judged on observation vectors; the named condition
+        // over each cell's histogram is the oracle.
+        for (cell, r) in cells.iter().zip(&reports) {
+            assert_eq!(
+                r.witnesses,
+                r.histogram.witnesses(cell.test.cond()),
+                "{} on {}",
+                r.test,
+                r.chip
+            );
+        }
         let changed: Vec<String> = CORPUS_DIGESTS
             .iter()
             .filter_map(|&(chip, want)| {

@@ -4,7 +4,9 @@
 //! registers and memory, e.g. `exists (0:r2=0 /\ 1:r2=0)` (paper Fig. 12,
 //! line 12). Running a test produces an [`Outcome`] — the observed values of
 //! the inspected registers/locations — and the harness counts how often the
-//! condition's body holds.
+//! condition's body holds. An [`ObsLayout`] is the one compiled form of a
+//! condition: the simulator, the axiomatic judge and the harness record
+//! and judge observations as vectors in its order.
 
 use std::fmt;
 
@@ -293,6 +295,127 @@ impl FromIterator<(FinalExpr, i64)> for Outcome {
             dup
         });
         Outcome { values }
+    }
+}
+
+/// The observation layout of a final condition: the expressions it
+/// inspects, in [`Outcome`] order, and its body compiled over their
+/// positions.
+///
+/// An *observation vector* holds one value per expression, in this
+/// order. The simulator records one per run and the axiomatic judge one
+/// per candidate; both, and the harness comparing them, judge vectors
+/// here ([`ObsLayout::witnessed_by`]) and build the [`Outcome`] a vector
+/// stands for only where an outcome is needed ([`ObsLayout::outcome`]).
+/// Because the layout is in outcome order, two vectors compare as the
+/// outcomes they stand for do.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct ObsLayout {
+    exprs: Vec<FinalExpr>,
+    /// The condition body over positions in `exprs`, flat in prefix
+    /// order: an operator comes before its operands.
+    body: Vec<Node>,
+    /// Whether a vector witnesses the condition by violating its body
+    /// (`forall`) rather than by satisfying it.
+    negated: bool,
+}
+
+/// One node of a compiled condition body.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Node {
+    Eq(usize, i64),
+    Ne(usize, i64),
+    /// Both operands hold; the first one spans the next `n` nodes.
+    And(usize),
+    /// Either operand holds; the first one spans the next `n` nodes.
+    Or(usize),
+    Not,
+    True,
+}
+
+impl ObsLayout {
+    /// The layout of `cond`.
+    pub fn new(cond: &FinalCond) -> Self {
+        let mut layout = ObsLayout::default();
+        layout.load(cond);
+        layout
+    }
+
+    /// Makes this the layout of `cond`, reusing its buffers.
+    pub fn load(&mut self, cond: &FinalCond) {
+        self.exprs.clear();
+        cond.pred.exprs_into(&mut self.exprs);
+        self.exprs.sort_unstable();
+        self.body.clear();
+        self.compile(&cond.pred);
+        self.negated = cond.quantifier == Quantifier::Forall;
+    }
+
+    /// Appends `pred` to the body.
+    fn compile(&mut self, pred: &Predicate) {
+        let mut binary = |a: &Predicate, b: &Predicate, op: fn(usize) -> Node| {
+            let at = self.body.len();
+            self.body.push(op(0));
+            self.compile(a);
+            self.body[at] = op(self.body.len() - at - 1);
+            self.compile(b);
+        };
+        match pred {
+            Predicate::Eq(e, n) => self.body.push(Node::Eq(self.position(e), *n)),
+            Predicate::Ne(e, n) => self.body.push(Node::Ne(self.position(e), *n)),
+            Predicate::And(a, b) => binary(a, b, Node::And),
+            Predicate::Or(a, b) => binary(a, b, Node::Or),
+            Predicate::Not(p) => {
+                self.body.push(Node::Not);
+                self.compile(p);
+            }
+            Predicate::True => self.body.push(Node::True),
+        }
+    }
+
+    fn position(&self, e: &FinalExpr) -> usize {
+        self.exprs
+            .binary_search(e)
+            .expect("the layout holds every expression of its condition")
+    }
+
+    /// The observed expressions, in [`Outcome`] order: the meaning of
+    /// each position of an observation vector.
+    pub fn exprs(&self) -> &[FinalExpr] {
+        &self.exprs
+    }
+
+    /// Whether the observation vector `obs` witnesses the condition:
+    /// [`FinalCond::witnessed_by`] on the outcome it stands for, without
+    /// building it.
+    pub fn witnessed_by(&self, obs: &[i64]) -> bool {
+        debug_assert_eq!(obs.len(), self.exprs.len());
+        eval(&self.body, obs) != self.negated
+    }
+
+    /// The outcome the observation vector `obs` stands for.
+    pub fn outcome(&self, obs: &[i64]) -> Outcome {
+        debug_assert_eq!(obs.len(), self.exprs.len());
+        Outcome {
+            values: self
+                .exprs
+                .iter()
+                .cloned()
+                .zip(obs.iter().copied())
+                .collect(),
+        }
+    }
+}
+
+/// The value of the body starting at `body[0]`.
+fn eval(body: &[Node], obs: &[i64]) -> bool {
+    match body[0] {
+        Node::Eq(k, n) => obs[k] == n,
+        Node::Ne(k, n) => obs[k] != n,
+        Node::And(first) => eval(&body[1..], obs) && eval(&body[1 + first..], obs),
+        Node::Or(first) => eval(&body[1..], obs) || eval(&body[1 + first..], obs),
+        Node::Not => !eval(&body[1..], obs),
+        Node::True => true,
     }
 }
 

@@ -41,7 +41,7 @@ pub mod program;
 pub mod scope;
 pub mod value;
 
-pub use cond::{FinalCond, FinalExpr, Outcome, Predicate, Quantifier};
+pub use cond::{FinalCond, FinalExpr, ObsLayout, Outcome, Predicate, Quantifier};
 pub use instr::{CacheOp, FenceScope, Instr, Label, Operand, Reg};
 pub use memmap::{MemMap, Region};
 pub use program::{LitmusTest, LitmusTestBuilder, ValidateError};

@@ -1,15 +1,16 @@
 //! Property tests for the litmus representation layer: the textual format
-//! round-trips, predicates behave like boolean algebra, scope trees
-//! classify consistently, and outcomes behave as the `BTreeMap` they
-//! replace.
+//! round-trips, predicates behave like boolean algebra, compiled
+//! conditions judge observation vectors as the named conditions judge
+//! outcomes, scope trees classify consistently, and outcomes behave as
+//! the `BTreeMap` they replace.
 
 use std::collections::BTreeMap;
 use std::hash::BuildHasher;
 
 use proptest::prelude::*;
 use weakgpu_litmus::{
-    build, parser, printer, FinalExpr, Instr, LitmusTest, Outcome, Predicate, ScopeTree,
-    ThreadScope,
+    build, parser, printer, FinalCond, FinalExpr, Instr, LitmusTest, ObsLayout, Outcome, Predicate,
+    Quantifier, ScopeTree, ThreadScope,
 };
 
 fn arb_operand_reg() -> impl Strategy<Value = String> {
@@ -107,6 +108,58 @@ fn arb_bindings() -> impl Strategy<Value = Vec<(FinalExpr, i64)>> {
 /// The reference: a map fed the same sequence, so later bindings win.
 fn reference(bindings: &[(FinalExpr, i64)]) -> BTreeMap<FinalExpr, i64> {
     bindings.iter().cloned().collect()
+}
+
+/// A random condition body over [`expr_pool`]: `e=n`, `e!=n` and `true`
+/// leaves under up to three levels of `/\`, `\/` and `not`, with values
+/// from a small range so that leaves often hold.
+fn arb_predicate() -> impl Strategy<Value = Predicate> {
+    let leaf = prop_oneof![
+        (0..6usize, -2i64..3).prop_map(|(i, n)| Predicate::Eq(expr_pool()[i].clone(), n)),
+        (0..6usize, -2i64..3).prop_map(|(i, n)| Predicate::Ne(expr_pool()[i].clone(), n)),
+        Just(Predicate::True),
+    ];
+    leaf.prop_recursive(3, 24, 2, |inner| {
+        prop_oneof![
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+            inner.prop_map(Predicate::negate),
+        ]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// The compiled condition judges an observation vector as the named
+    /// condition judges the outcome the vector stands for, under every
+    /// quantifier, and the layout's outcomes round-trip and order as
+    /// their vectors do.
+    #[test]
+    fn compiled_conditions_judge_vectors_as_named_conditions_do(
+        pred in arb_predicate(),
+        quantifier in 0..3usize,
+        a in prop::collection::vec(-2i64..3, 6),
+        b in prop::collection::vec(-2i64..3, 6),
+    ) {
+        let quantifier = [Quantifier::Exists, Quantifier::NotExists, Quantifier::Forall][quantifier];
+        let cond = FinalCond { quantifier, pred };
+        let layout = ObsLayout::new(&cond);
+        let exprs = layout.exprs();
+        let mut mentioned = cond.pred.exprs();
+        mentioned.sort();
+        prop_assert_eq!(exprs, &mentioned[..]);
+
+        let (a, b) = (&a[..exprs.len()], &b[..exprs.len()]);
+        let outcome = layout.outcome(a);
+        let named: Outcome = exprs.iter().cloned().zip(a.iter().copied()).collect();
+        prop_assert_eq!(&outcome, &named);
+        let values: Vec<i64> = outcome.iter().map(|(_, v)| v).collect();
+        prop_assert_eq!(&values[..], a);
+        prop_assert_eq!(layout.witnessed_by(a), cond.witnessed_by(&outcome));
+        prop_assert_eq!(layout.witnessed_by(b), cond.witnessed_by(&layout.outcome(b)));
+        prop_assert_eq!(a.cmp(b), outcome.cmp(&layout.outcome(b)));
+    }
 }
 
 proptest! {

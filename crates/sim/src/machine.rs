@@ -356,15 +356,15 @@ pub struct MachineState {
     threads: Vec<ThreadCtx>,
     /// Indices of the unfinished threads, in increasing order.
     active: Vec<usize>,
-    /// Observed values of the last completed run, in the compiled
-    /// program's `observed` order.
+    /// Observed values of the last completed run: its observation vector,
+    /// in the order of the program's layout.
     obs: Vec<i64>,
 }
 
 impl MachineState {
-    /// The observed values of the last completed run, in the order of the
-    /// program's final-condition expressions. Convert to an [`Outcome`]
-    /// with [`Simulator::outcome_from_obs`].
+    /// The observation vector of the last completed run: one value per
+    /// expression of [`SimProgram::layout`], in its order. Judge it and
+    /// convert it to an [`Outcome`] with that layout.
     pub fn observed(&self) -> &[i64] {
         &self.obs
     }
@@ -373,7 +373,8 @@ impl MachineState {
 /// An indexed outcome collector: counts distinct observation vectors
 /// (`MachineState::observed`) without materialising an [`Outcome`] — and
 /// its per-expression `FinalExpr` clones — per iteration. Convert each
-/// distinct vector once at the end via [`Simulator::outcome_from_obs`].
+/// distinct vector once at the end with the program's
+/// [`ObsLayout::outcome`](weakgpu_litmus::ObsLayout::outcome).
 ///
 /// A cell sees a handful of distinct vectors, so they are kept flat, in
 /// first-recorded order, and a record is a linear probe over them. All
@@ -554,7 +555,7 @@ impl Simulator {
     ) -> Result<Outcome, RunError> {
         let mut state = self.new_state();
         self.run_once_into(&RunParams::new(w, thread_rand), rng, &mut state)?;
-        Ok(self.outcome_from_obs(state.observed()))
+        Ok(self.program.layout.outcome(state.observed()))
     }
 
     /// A reusable run state sized for this simulator's program and chip.
@@ -732,7 +733,7 @@ impl Simulator {
         }
 
         // Collect the observed values.
-        for ((_, target), v) in p.observed.iter().zip(&mut st.obs) {
+        for (target, v) in p.observed.iter().zip(&mut st.obs) {
             *v = match target {
                 ObsTarget::Reg(t, r) => st.threads[*t].regs[*r as usize]
                     .expect("all ops performed at termination")
@@ -770,17 +771,6 @@ impl Simulator {
             counts.record(&st.obs);
         }
         Ok(())
-    }
-
-    /// Materialises an [`Outcome`] from an observation vector produced by
-    /// this simulator ([`MachineState::observed`] / [`ObsCounts`] keys).
-    pub fn outcome_from_obs(&self, obs: &[i64]) -> Outcome {
-        debug_assert_eq!(obs.len(), self.program.observed.len());
-        let mut outcome = Outcome::new();
-        for ((expr, _), v) in self.program.observed.iter().zip(obs) {
-            outcome.set(expr.clone(), *v);
-        }
-        outcome
     }
 
     /// `(can_issue, stalled_on_operand)` for the thread's next instruction.
@@ -1246,7 +1236,7 @@ mod tests {
         .unwrap();
         counts
             .iter_unordered()
-            .filter(|(obs, _)| sim.program().witnessed_by(obs))
+            .filter(|(obs, _)| sim.program().layout.witnessed_by(obs))
             .map(|(_, n)| n as usize)
             .sum()
     }
@@ -1481,7 +1471,7 @@ mod tests {
         .unwrap();
         let mut batch: std::collections::BTreeMap<Outcome, u64> = Default::default();
         for (obs, c) in counts.iter() {
-            *batch.entry(sim.outcome_from_obs(obs)).or_insert(0) += c;
+            *batch.entry(sim.program().layout.outcome(obs)).or_insert(0) += c;
         }
 
         let mut naive_rng = SmallRng::seed_from_u64(0xabcd);
@@ -1509,9 +1499,10 @@ mod tests {
         sim.run_once_into(&params, &mut rng, &mut state).unwrap();
         // The materialised outcome binds exactly the observed expressions,
         // each to the value the state recorded for it.
-        let outcome = sim.outcome_from_obs(state.observed());
+        let layout = &sim.program().layout;
+        let outcome = layout.outcome(state.observed());
         assert_eq!(outcome.len(), state.observed().len());
-        for ((expr, _), v) in sim.program().observed.iter().zip(state.observed()) {
+        for (expr, v) in layout.exprs().iter().zip(state.observed()) {
             assert_eq!(outcome.get(expr), Some(*v));
         }
     }

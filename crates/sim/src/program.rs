@@ -1,14 +1,15 @@
 //! Compilation of a [`LitmusTest`] into the simulator's internal form:
 //! registers and locations resolved to dense indices, labels resolved to
-//! instruction offsets, the final condition resolved to positions in the
-//! observation vector, and the start-of-run images every run copies.
+//! instruction offsets, each observed expression of the test's
+//! [`ObsLayout`] resolved to the register or location a run reads it
+//! from, and the start-of-run images every run copies.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use weakgpu_litmus::{
-    CacheOp, FenceScope, FinalExpr, Instr, Label, LitmusTest, Operand, Outcome, Predicate,
-    Quantifier, Reg, Region, Value,
+    CacheOp, FenceScope, FinalExpr, Instr, Label, LitmusTest, ObsLayout, Operand, Reg, Region,
+    Value,
 };
 
 /// A compile-time-resolved value: integer or location pointer. `Copy`, for
@@ -243,8 +244,12 @@ pub struct SimProgram {
     pub thread_cta: Vec<usize>,
     /// Number of CTAs in the scope tree.
     pub num_ctas: usize,
-    /// Observed expressions with resolved targets, in condition order.
-    pub observed: Vec<(FinalExpr, ObsTarget)>,
+    /// The test's observation layout: a run's observation vector holds
+    /// one value per expression of `layout.exprs()`.
+    pub layout: ObsLayout,
+    /// Where a run reads each observed value, aligned with
+    /// `layout.exprs()`.
+    pub observed: Vec<ObsTarget>,
     /// `true` when the test's threads span multiple CTAs (controls the
     /// cta-fence leak sampling).
     pub spans_ctas: bool,
@@ -269,71 +274,6 @@ pub struct SimProgram {
     /// The ids of the global locations, in id order: the candidates for
     /// L1 preload.
     pub(crate) global_locs: Vec<u32>,
-    /// The positions of `observed`, sorted by expression: the order of an
-    /// [`Outcome`]'s bindings.
-    obs_order: Vec<usize>,
-    /// The body of the final condition over observation-vector positions.
-    cond: Vec<CondOp>,
-    /// Whether a run witnesses the condition by violating its body
-    /// (`forall`) rather than by satisfying it.
-    cond_negated: bool,
-}
-
-/// One node of a final-condition body whose expressions are resolved to
-/// positions in the observation vector, so it is judged without building
-/// an [`Outcome`]. The body is flat, in prefix order: an operator comes
-/// before its operands.
-#[derive(Clone, Copy, Debug)]
-enum CondOp {
-    Eq(usize, i64),
-    Ne(usize, i64),
-    /// Both operands hold; the first one spans the next `n` nodes.
-    And(usize),
-    /// Either operand holds; the first one spans the next `n` nodes.
-    Or(usize),
-    Not,
-    True,
-}
-
-/// Appends `pred` to `ops` with each expression replaced by its position
-/// in `observed`, which holds every expression `pred` mentions.
-fn compile_cond(pred: &Predicate, observed: &[(FinalExpr, ObsTarget)], ops: &mut Vec<CondOp>) {
-    let pos = |e: &FinalExpr| {
-        observed
-            .iter()
-            .position(|(o, _)| o == e)
-            .expect("the condition's expressions are observed")
-    };
-    let mut binary = |a: &Predicate, b: &Predicate, op: fn(usize) -> CondOp| {
-        let at = ops.len();
-        ops.push(op(0));
-        compile_cond(a, observed, ops);
-        ops[at] = op(ops.len() - at - 1);
-        compile_cond(b, observed, ops);
-    };
-    match pred {
-        Predicate::Eq(e, n) => ops.push(CondOp::Eq(pos(e), *n)),
-        Predicate::Ne(e, n) => ops.push(CondOp::Ne(pos(e), *n)),
-        Predicate::And(a, b) => binary(a, b, CondOp::And),
-        Predicate::Or(a, b) => binary(a, b, CondOp::Or),
-        Predicate::Not(p) => {
-            ops.push(CondOp::Not);
-            compile_cond(p, observed, ops);
-        }
-        Predicate::True => ops.push(CondOp::True),
-    }
-}
-
-/// The value of the condition body starting at `ops[0]`.
-fn eval_cond(ops: &[CondOp], obs: &[i64]) -> bool {
-    match ops[0] {
-        CondOp::Eq(k, n) => obs[k] == n,
-        CondOp::Ne(k, n) => obs[k] != n,
-        CondOp::And(first) => eval_cond(&ops[1..], obs) && eval_cond(&ops[1 + first..], obs),
-        CondOp::Or(first) => eval_cond(&ops[1..], obs) || eval_cond(&ops[1 + first..], obs),
-        CondOp::Not => !eval_cond(&ops[1..], obs),
-        CondOp::True => true,
-    }
 }
 
 /// Compilation failure.
@@ -430,9 +370,10 @@ impl SimProgram {
             .collect();
         let num_ctas = test.scope_tree().num_ctas();
 
-        let mut observed = Vec::new();
-        for expr in test.observed() {
-            let target = match &expr {
+        let layout = ObsLayout::new(test.cond());
+        let mut observed = Vec::with_capacity(layout.exprs().len());
+        for expr in layout.exprs() {
+            let target = match expr {
                 FinalExpr::Reg(t, r) => {
                     let id = reg_maps
                         .get(*t)
@@ -449,7 +390,7 @@ impl SimProgram {
                         .expect("condition locations validated"),
                 ),
             };
-            observed.push((expr, target));
+            observed.push(target);
         }
 
         let shared_owner = (0..locs.len() as u32)
@@ -459,10 +400,6 @@ impl SimProgram {
         let global_locs = (0..locs.len() as u32)
             .filter(|&l| locs[l as usize].region == Region::Global)
             .collect();
-        let mut obs_order: Vec<usize> = (0..observed.len()).collect();
-        obs_order.sort_by(|&a, &b| observed[a].0.cmp(&observed[b].0));
-        let mut cond = Vec::new();
-        compile_cond(&test.cond().pred, &observed, &mut cond);
 
         Ok(SimProgram {
             order_free: threads.iter().map(|code| order_free(code)).collect(),
@@ -475,38 +412,16 @@ impl SimProgram {
             spans_ctas: num_ctas > 1,
             thread_cta,
             num_ctas,
+            layout,
             observed,
             shared_owner,
             global_locs,
-            obs_order,
-            cond,
-            cond_negated: test.cond().quantifier == Quantifier::Forall,
         })
     }
 
     /// Number of threads.
     pub fn num_threads(&self) -> usize {
         self.threads.len()
-    }
-
-    /// Whether a run that observed `obs` (in `observed` order) witnesses
-    /// the test's final condition: `cond().witnessed_by` on the outcome
-    /// the vector stands for, without building it.
-    pub fn witnessed_by(&self, obs: &[i64]) -> bool {
-        debug_assert_eq!(obs.len(), self.observed.len());
-        eval_cond(&self.cond, obs) != self.cond_negated
-    }
-
-    /// Whether `outcome` is the outcome `obs` (in `observed` order) stands
-    /// for: it binds exactly the observed expressions, each to the
-    /// vector's value. Compares without building an [`Outcome`].
-    pub fn is_outcome_of(&self, obs: &[i64], outcome: &Outcome) -> bool {
-        debug_assert_eq!(obs.len(), self.observed.len());
-        outcome.len() == obs.len()
-            && outcome
-                .iter()
-                .zip(&self.obs_order)
-                .all(|((e, v), &k)| v == obs[k] && *e == self.observed[k].0)
     }
 }
 
