@@ -214,12 +214,10 @@ pub struct BaseWeights {
     pub cta_fence_leak: f64,
     /// P(an SM's L1 holds a (fresh) line for a test location at run start).
     pub l1_preload: f64,
-    /// P(a `.ca` load hits a stale L1 line instead of refreshing).
-    pub l1_stale_read: f64,
     /// P(a `.cg` load fails to evict a matching stale L1 line) — the
-    /// `coRR-L2-L1` quirk (Fig. 4). A line kept this way is *sticky*: the
-    /// next `.ca` load reads its stale value deterministically, modelling
-    /// the observed fence-immune behaviour on Fermi.
+    /// `coRR-L2-L1` quirk (Fig. 4). The next `.ca` load reads the kept
+    /// line's stale value, as it reads any line it finds, modelling the
+    /// observed fence-immune behaviour on Fermi.
     pub keep_stale_after_cg: f64,
     /// Weakest fence scope that invalidates the issuing SM's L1 lines;
     /// `None` models the Tesla C2075, where no fence restores `.ca`
@@ -240,7 +238,6 @@ impl BaseWeights {
         rmw_second_factor: 0.0,
         cta_fence_leak: 0.0,
         l1_preload: 0.0,
-        l1_stale_read: 0.0,
         keep_stale_after_cg: 0.0,
         l1_invalidate_scope: Some(FenceScope::Cta),
     };
@@ -305,7 +302,6 @@ impl ChipProfile {
             rmw_second_factor: self.base.rmw_second_factor,
             cta_fence_leak: self.base.cta_fence_leak,
             l1_preload: self.base.l1_preload * cache_mult,
-            l1_stale_read: self.base.l1_stale_read,
             keep_stale_after_cg: self.base.keep_stale_after_cg * cache_mult,
             l1_invalidate_scope: self.base.l1_invalidate_scope,
         }
@@ -336,8 +332,6 @@ pub struct RunWeights {
     pub cta_fence_leak: f64,
     /// See [`BaseWeights::l1_preload`].
     pub l1_preload: f64,
-    /// See [`BaseWeights::l1_stale_read`].
-    pub l1_stale_read: f64,
     /// See [`BaseWeights::keep_stale_after_cg`].
     pub keep_stale_after_cg: f64,
     /// See [`BaseWeights::l1_invalidate_scope`].
@@ -358,7 +352,6 @@ impl RunWeights {
             rmw_second_factor: 0.0,
             cta_fence_leak: 0.0,
             l1_preload: 0.0,
-            l1_stale_read: 0.0,
             keep_stale_after_cg: 0.0,
             l1_invalidate_scope: Some(FenceScope::Cta),
         }
@@ -478,14 +471,13 @@ static GTX540M: ChipProfile = ChipProfile {
         rw: 0.0,                // dlb-lb: 0 observed
         wwrr: 0.065,            // mp-L1 no-fence 4979
         rr_same: 0.50,          // coRR 11642
-        rr_same_mixed: 0.022,   // coRR-L2-L1 no-fence 2556 minus sticky path
+        rr_same_mixed: 0.022,   // coRR-L2-L1 no-fence 2556 minus keep-stale path
         shared: 0.085,          // mp-volatile 6301
         rmw_first_factor: 0.0,  // dlb-lb: 0 observed
         rmw_second_factor: 0.0, // cas-sl / sl-future: 0 observed
         cta_fence_leak: 0.0,    // mp-L1 membar.cta row: 0
         l1_preload: 0.35,
-        l1_stale_read: 0.0,                        // mp-L1 fenced rows: 0
-        keep_stale_after_cg: 0.09,                 // coRR-L2-L1 cta-fence row 1934
+        keep_stale_after_cg: 0.09, // coRR-L2-L1 cta-fence row 1934
         l1_invalidate_scope: Some(FenceScope::Gl), // gl row: 0
     },
 };
@@ -509,7 +501,6 @@ static TESLA_C2075: ChipProfile = ChipProfile {
         rmw_second_factor: 0.01, // cas-sl 47
         cta_fence_leak: 0.03,    // mp-L1 cta row 308 over no-fence 10581
         l1_preload: 0.35,
-        l1_stale_read: 0.025,      // fenced mp-L1 rows 162–308
         keep_stale_after_cg: 0.07, // coRR-L2-L1 fenced rows ~1428–2180
         l1_invalidate_scope: None, // no fence restores .ca orderings
     },
@@ -534,7 +525,6 @@ static GTX660: ChipProfile = ChipProfile {
         rmw_second_factor: 0.04, // cas-sl 43
         cta_fence_leak: 0.004,   // mp-L1 cta row 14
         l1_preload: 0.30,
-        l1_stale_read: 0.0,           // fenced rows 0
         keep_stale_after_cg: 0.00001, // coRR-L2-L1: 2
         l1_invalidate_scope: Some(FenceScope::Gl),
     },
@@ -559,7 +549,6 @@ static GTX_TITAN: ChipProfile = ChipProfile {
         rmw_second_factor: 0.3, // cas-sl 512
         cta_fence_leak: 0.28,   // mp-L1 cta row 1696 over 6011
         l1_preload: 0.30,
-        l1_stale_read: 0.0,
         keep_stale_after_cg: 0.001, // coRR-L2-L1 contribution
         l1_invalidate_scope: Some(FenceScope::Gl),
     },
@@ -584,7 +573,6 @@ static GTX750: ChipProfile = ChipProfile {
         rmw_second_factor: 0.0,
         cta_fence_leak: 0.0,
         l1_preload: 0.0,
-        l1_stale_read: 0.0,
         keep_stale_after_cg: 0.0,
         l1_invalidate_scope: Some(FenceScope::Gl),
     },
@@ -609,7 +597,6 @@ static HD6570: ChipProfile = ChipProfile {
         rmw_second_factor: 0.48, // cas-sl 508
         cta_fence_leak: 0.0,     // OpenCL global fences work when present
         l1_preload: 0.0,
-        l1_stale_read: 0.0,
         keep_stale_after_cg: 0.0,
         l1_invalidate_scope: Some(FenceScope::Gl),
     },
@@ -634,7 +621,6 @@ static HD7970: ChipProfile = ChipProfile {
         rmw_second_factor: 2.6, // cas-sl 748 (> mp rate: capped at perform time)
         cta_fence_leak: 0.0,
         l1_preload: 0.0,
-        l1_stale_read: 0.0,
         keep_stale_after_cg: 0.0,
         l1_invalidate_scope: Some(FenceScope::Gl),
     },

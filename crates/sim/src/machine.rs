@@ -231,10 +231,9 @@ impl RunParams {
 #[derive(Clone, Copy, Debug)]
 struct L1Line {
     value: i64,
+    /// Written around since it was filled: a `.ca` load still reads it,
+    /// and a `.cg` load evicts it unless the keep-stale quirk fires.
     stale: bool,
-    /// Kept by a `.cg` load that should have evicted it: the next `.ca`
-    /// load reads it even though it is stale.
-    sticky: bool,
 }
 
 /// One window slot: the pending op, its location and bypass class, plus
@@ -644,7 +643,6 @@ impl Simulator {
                         st.l1[row * nlocs + l as usize] = Some(L1Line {
                             value: p.mem_init[l as usize],
                             stale: false,
-                            sticky: false,
                         });
                     }
                 }
@@ -1138,32 +1136,23 @@ impl Simulator {
         match cache {
             CacheOp::Cg => {
                 // `.cg` evicts a matching L1 line — except with the
-                // keep-stale quirk, which leaves a sticky stale line
-                // behind (Fig. 4).
+                // keep-stale quirk, which leaves a stale line behind
+                // (Fig. 4).
                 if let Some(held) = *line {
                     *line = (held.stale
                         && w.keep_stale_after_cg > 0.0
                         && rng.random_bool(w.keep_stale_after_cg))
-                    .then_some(L1Line {
-                        sticky: true,
-                        ..held
-                    });
+                    .then_some(held);
                 }
                 v
             }
+            // `.ca` reads the line it finds, stale or not.
             CacheOp::Ca => match *line {
-                Some(held) if held.sticky => held.value,
-                Some(held)
-                    if held.stale && w.l1_stale_read > 0.0 && rng.random_bool(w.l1_stale_read) =>
-                {
-                    held.value
-                }
                 Some(held) => held.value,
                 None => {
                     *line = Some(L1Line {
                         value: v,
                         stale: false,
-                        sticky: false,
                     });
                     v
                 }
