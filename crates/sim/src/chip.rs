@@ -182,10 +182,12 @@ const AMD_TABLES: IncantationTables = IncantationTables {
     rr_same: [0.0; 16],
 };
 
-/// Base (best-incantation) reordering probabilities and cache behaviour of
-/// one chip.
+/// Reordering probabilities and cache behaviour: a chip's base
+/// (best-incantation) weights ([`ChipProfile::base`]), or the
+/// incantation-scaled weights of one batch of runs
+/// ([`ChipProfile::weights`]).
 #[derive(Clone, Copy, Debug)]
-pub struct BaseWeights {
+pub struct Weights {
     /// P(later read performs before an earlier pending write), per
     /// opportunity — drives `sb`.
     pub wr: f64,
@@ -225,9 +227,11 @@ pub struct BaseWeights {
     pub l1_invalidate_scope: Option<FenceScope>,
 }
 
-impl BaseWeights {
-    /// A fully strong chip (every probability zero, fences invalidate).
-    pub const STRONG: BaseWeights = BaseWeights {
+impl Weights {
+    /// All-zero weights: a fully strong chip, which the simulator runs
+    /// sequentially consistently (every probability zero, fences
+    /// invalidate).
+    pub const STRONG: Weights = Weights {
         wr: 0.0,
         rw: 0.0,
         wwrr: 0.0,
@@ -261,7 +265,7 @@ pub struct ChipProfile {
     /// Threads per warp (32 Nvidia, 64 AMD).
     pub warp_size: usize,
     /// Base reordering probabilities.
-    pub base: BaseWeights,
+    pub base: Weights,
 }
 
 impl ChipProfile {
@@ -281,7 +285,7 @@ impl ChipProfile {
     /// with the memory-stress bit (stale lines need traffic to arise) and
     /// the structural parameters (`cta_fence_leak`, `atomic_factor`,
     /// `l1_invalidate_scope`) are incantation-independent.
-    pub fn weights(&self, inc: &Incantations) -> RunWeights {
+    pub fn weights(&self, inc: &Incantations) -> Weights {
         let t = self.tables();
         let i = inc.index();
         // Stale L1 lines need memory traffic to arise; AMD profiles have
@@ -291,7 +295,7 @@ impl ChipProfile {
         } else {
             0.0
         };
-        RunWeights {
+        Weights {
             wr: self.base.wr * t.wr[i],
             rw: self.base.rw * t.rw[i],
             wwrr: self.base.wwrr * t.wwrr[i],
@@ -304,56 +308,6 @@ impl ChipProfile {
             l1_preload: self.base.l1_preload * cache_mult,
             keep_stale_after_cg: self.base.keep_stale_after_cg * cache_mult,
             l1_invalidate_scope: self.base.l1_invalidate_scope,
-        }
-    }
-}
-
-/// The effective, incantation-scaled weights for one batch of runs.
-/// Fields mirror [`BaseWeights`].
-#[derive(Clone, Copy, Debug)]
-pub struct RunWeights {
-    /// See [`BaseWeights::wr`].
-    pub wr: f64,
-    /// See [`BaseWeights::rw`].
-    pub rw: f64,
-    /// See [`BaseWeights::wwrr`].
-    pub wwrr: f64,
-    /// See [`BaseWeights::rr_same`].
-    pub rr_same: f64,
-    /// See [`BaseWeights::rr_same_mixed`].
-    pub rr_same_mixed: f64,
-    /// See [`BaseWeights::shared`].
-    pub shared: f64,
-    /// See [`BaseWeights::rmw_first_factor`].
-    pub rmw_first_factor: f64,
-    /// See [`BaseWeights::rmw_second_factor`].
-    pub rmw_second_factor: f64,
-    /// See [`BaseWeights::cta_fence_leak`].
-    pub cta_fence_leak: f64,
-    /// See [`BaseWeights::l1_preload`].
-    pub l1_preload: f64,
-    /// See [`BaseWeights::keep_stale_after_cg`].
-    pub keep_stale_after_cg: f64,
-    /// See [`BaseWeights::l1_invalidate_scope`].
-    pub l1_invalidate_scope: Option<FenceScope>,
-}
-
-impl RunWeights {
-    /// All-zero weights: the simulator becomes sequentially consistent.
-    pub fn sequential() -> Self {
-        RunWeights {
-            wr: 0.0,
-            rw: 0.0,
-            wwrr: 0.0,
-            rr_same: 0.0,
-            rr_same_mixed: 0.0,
-            shared: 0.0,
-            rmw_first_factor: 0.0,
-            rmw_second_factor: 0.0,
-            cta_fence_leak: 0.0,
-            l1_preload: 0.0,
-            keep_stale_after_cg: 0.0,
-            l1_invalidate_scope: Some(FenceScope::Cta),
         }
     }
 }
@@ -455,7 +409,7 @@ static GTX280: ChipProfile = ChipProfile {
     year: 2008,
     num_sms: 30,
     warp_size: 32,
-    base: BaseWeights::STRONG,
+    base: Weights::STRONG,
 };
 
 static GTX540M: ChipProfile = ChipProfile {
@@ -466,7 +420,7 @@ static GTX540M: ChipProfile = ChipProfile {
     year: 2011,
     num_sms: 2,
     warp_size: 32,
-    base: BaseWeights {
+    base: Weights {
         wr: 0.02,               // sb not reported; dlb-mp: 0 observed
         rw: 0.0,                // dlb-lb: 0 observed
         wwrr: 0.065,            // mp-L1 no-fence 4979
@@ -490,7 +444,7 @@ static TESLA_C2075: ChipProfile = ChipProfile {
     year: 2011,
     num_sms: 14,
     warp_size: 32,
-    base: BaseWeights {
+    base: Weights {
         wr: 0.03,                // sb not reported; dlb-mp: 4
         rw: 0.05,                // dlb-lb 750 with atomics
         wwrr: 0.14,              // mp-L1 no-fence 10581
@@ -514,7 +468,7 @@ static GTX660: ChipProfile = ChipProfile {
     year: 2012,
     num_sms: 5,
     warp_size: 32,
-    base: BaseWeights {
+    base: Weights {
         wr: 0.10,                // dlb-mp 36
         rw: 0.03,                // dlb-lb 399
         wwrr: 0.048,             // mp-L1 no-fence 3635
@@ -538,7 +492,7 @@ static GTX_TITAN: ChipProfile = ChipProfile {
     year: 2013,
     num_sms: 14,
     warp_size: 32,
-    base: BaseWeights {
+    base: Weights {
         wr: 0.085,              // sb 6673 (Tab. 6 col 12)
         rw: 0.04,               // lb 2247
         wwrr: 0.055,            // mp 4347; mp-L1 6011
@@ -562,7 +516,7 @@ static GTX750: ChipProfile = ChipProfile {
     year: 2014,
     num_sms: 4,
     warp_size: 32,
-    base: BaseWeights {
+    base: Weights {
         wr: 0.0,
         rw: 0.0,
         wwrr: 0.000015, // mp-L1 no-fence: 3
@@ -586,7 +540,7 @@ static HD6570: ChipProfile = ChipProfile {
     year: 2011,
     num_sms: 8,
     warp_size: 64,
-    base: BaseWeights {
+    base: Weights {
         wr: 0.0,      // sb: not observed
         rw: 0.12,     // dlb-lb is "n/a" (compiler), but GCN-like hw rate
         wwrr: 0.17,   // OpenCL mp 9327 (Sec. 3.1.2)
@@ -610,7 +564,7 @@ static HD7970: ChipProfile = ChipProfile {
     year: 2012,
     num_sms: 32,
     warp_size: 64,
-    base: BaseWeights {
+    base: Weights {
         wr: 0.00003, // sb: 2/100k, bank-conflict columns only
         rw: 0.55,    // lb 38664
         wwrr: 0.036, // mp 2542

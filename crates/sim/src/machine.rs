@@ -62,7 +62,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use weakgpu_litmus::{CacheOp, FenceScope, LitmusTest, Outcome, Region};
 
-use crate::chip::{Chip, Incantations, RunWeights};
+use crate::chip::{Chip, Incantations, Weights};
 use crate::program::{reg_bit, CompileError, ObsTarget, SimOp, SimOperand, SimProgram, SimValue};
 
 /// Maximum scheduler steps per run, against runaway spin loops. A lone
@@ -132,7 +132,7 @@ const NO_LOC: u32 = u32::MAX;
 
 /// The probability that an op of class `later` may perform before one of
 /// class `earlier` (`None` = never), the two on the same location or not.
-fn class_bypass(earlier: u8, later: u8, same_loc: bool, w: &RunWeights) -> Option<f64> {
+fn class_bypass(earlier: u8, later: u8, same_loc: bool, w: &Weights) -> Option<f64> {
     if earlier >= LEAKED_FENCE {
         return (earlier == LEAKED_FENCE).then_some(1.0);
     }
@@ -196,7 +196,7 @@ fn class_bypass(earlier: u8, later: u8, same_loc: bool, w: &RunWeights) -> Optio
 /// weights once instead of once per pair and step.
 #[derive(Clone, Debug)]
 pub struct RunParams {
-    w: RunWeights,
+    w: Weights,
     thread_rand: bool,
     /// `bypass[same_loc][earlier][later]`: [`class_bypass`], with 0 for
     /// never (every allowed bypass has a positive probability).
@@ -206,7 +206,7 @@ pub struct RunParams {
 impl RunParams {
     /// The parameters of runs under weights `w`, with thread placement
     /// randomised when `thread_rand` is set.
-    pub fn new(w: &RunWeights, thread_rand: bool) -> Self {
+    pub fn new(w: &Weights, thread_rand: bool) -> Self {
         let mut bypass = [[[0.0; CLASSES]; CLASSES]; 2];
         for (same, table) in bypass.iter_mut().enumerate() {
             for (earlier, row) in table.iter_mut().enumerate() {
@@ -529,16 +529,6 @@ impl Simulator {
 
     /// Runs the test once under the given incantations.
     ///
-    /// # Errors
-    ///
-    /// See [`RunError`].
-    pub fn run_once(&self, inc: &Incantations, rng: &mut SmallRng) -> Result<Outcome, RunError> {
-        let weights = self.chip.profile().weights(inc);
-        self.run_once_with_weights(&weights, inc.thread_rand, rng)
-    }
-
-    /// Runs the test once with explicit weights.
-    ///
     /// Allocates a fresh [`MachineState`] and [`RunParams`] per call; hot
     /// loops should hold both and use [`Simulator::run_batch`] (or
     /// [`Simulator::run_once_into`]) instead.
@@ -546,14 +536,9 @@ impl Simulator {
     /// # Errors
     ///
     /// See [`RunError`].
-    pub fn run_once_with_weights(
-        &self,
-        w: &RunWeights,
-        thread_rand: bool,
-        rng: &mut SmallRng,
-    ) -> Result<Outcome, RunError> {
+    pub fn run_once(&self, inc: &Incantations, rng: &mut SmallRng) -> Result<Outcome, RunError> {
         let mut state = self.new_state();
-        self.run_once_into(&RunParams::new(w, thread_rand), rng, &mut state)?;
+        self.run_once_into(&RunParams::of(self.chip, inc), rng, &mut state)?;
         Ok(self.program.layout.outcome(state.observed()))
     }
 
@@ -931,7 +916,7 @@ impl Simulator {
         &self,
         t: usize,
         ctx: &mut ThreadCtx,
-        w: &RunWeights,
+        w: &Weights,
         rng: &mut SmallRng,
     ) -> Result<(), RunError> {
         let Some(op) = self.advance(t, ctx)? else {
@@ -1046,7 +1031,7 @@ impl Simulator {
         st: &mut MachineState,
         op: Pending,
         forward: Option<i64>,
-        l1: Option<(&RunWeights, &mut SmallRng)>,
+        l1: Option<(&Weights, &mut SmallRng)>,
     ) {
         let cta = self.program.thread_cta[t];
         match op {
@@ -1122,7 +1107,7 @@ impl Simulator {
         cta: usize,
         loc: u32,
         cache: CacheOp,
-        l1: Option<(&RunWeights, &mut SmallRng)>,
+        l1: Option<(&Weights, &mut SmallRng)>,
     ) -> i64 {
         let v = self.coherent(st, cta, loc);
         let Some((w, rng)) = l1 else {
@@ -1444,7 +1429,6 @@ mod tests {
         let test = corpus::mp(ThreadScope::InterCta, None);
         let sim = Simulator::compile(&test, Chip::GtxTitan).unwrap();
         let inc = Incantations::best_inter_cta();
-        let weights = Chip::GtxTitan.profile().weights(&inc);
         let n = 2_000;
 
         let mut batch_rng = SmallRng::seed_from_u64(0xabcd);
@@ -1452,7 +1436,7 @@ mod tests {
         let mut counts = ObsCounts::new();
         sim.run_batch(
             n,
-            &RunParams::new(&weights, inc.thread_rand),
+            &RunParams::of(Chip::GtxTitan, &inc),
             &mut batch_rng,
             &mut state,
             &mut counts,
@@ -1466,9 +1450,7 @@ mod tests {
         let mut naive_rng = SmallRng::seed_from_u64(0xabcd);
         let mut naive: std::collections::BTreeMap<Outcome, u64> = Default::default();
         for _ in 0..n {
-            let outcome = sim
-                .run_once_with_weights(&weights, inc.thread_rand, &mut naive_rng)
-                .unwrap();
+            let outcome = sim.run_once(&inc, &mut naive_rng).unwrap();
             *naive.entry(outcome).or_insert(0) += 1;
         }
 
