@@ -27,7 +27,6 @@ pub mod runner;
 pub mod serve;
 pub mod soundness;
 pub mod sweep;
-pub mod tuning;
 
 pub use campaign::{
     default_incantations, run_campaign, run_campaign_with, CampaignConfig, CellSpec,
@@ -41,4 +40,3 @@ pub use sweep::{
     run_sweep, run_sweep_with, CellRecord, RecordSink, Shard, SweepConfig, SweepError, SweepPhases,
     SweepReport, SweepRun,
 };
-pub use tuning::{tune, TuningReport};

@@ -2,6 +2,7 @@
 //! each established through the full pipeline (corpus → simulator/harness
 //! → axiomatic model → optcheck), at CI-friendly iteration counts.
 
+use weakgpu::harness::campaign::{run_campaign, CampaignConfig, CellSpec};
 use weakgpu::harness::runner::{run_test, RunConfig};
 use weakgpu::litmus::{corpus, FenceScope, LitmusTest, ThreadScope};
 use weakgpu::models::{operational_baseline, ptx_model};
@@ -167,4 +168,60 @@ fn sec_6_operational_model_unsound_axiomatic_sound() {
         .check_soundness_against(&test, &operational_baseline())
         .unwrap();
     assert!(!op.is_sound());
+}
+
+/// Tab. 6: the incantation columns that provoke each idiom, from one
+/// campaign over all 16 columns for three rows. On the Titan, coRR peaks
+/// in a column with thread randomisation and memory stress or bank
+/// conflicts; inter-CTA sb peaks in a memory-stress column without bank
+/// conflicts, and its first 8 columns (no memory stress) witness
+/// nothing. The GTX 280 witnesses coRR in no column.
+#[test]
+fn tab_6_incantation_columns() {
+    let columns = Incantations::all_combinations();
+    let rows = [
+        (corpus::corr(), Chip::GtxTitan, 4_000, 7),
+        (
+            corpus::sb(ThreadScope::InterCta, None),
+            Chip::GtxTitan,
+            4_000,
+            11,
+        ),
+        (corpus::corr(), Chip::Gtx280, 1_000, 3),
+    ];
+    let cells: Vec<CellSpec> = rows
+        .iter()
+        .flat_map(|(test, chip, iterations, seed)| {
+            columns.iter().enumerate().map(move |(i, &inc)| {
+                CellSpec::new(test.clone(), *chip)
+                    .incantations(inc)
+                    .iterations(*iterations)
+                    .seed(seed + i as u64)
+            })
+        })
+        .collect();
+    let reports = run_campaign(&cells, &CampaignConfig::default()).unwrap();
+    let witnesses: Vec<Vec<u64>> = reports
+        .chunks(columns.len())
+        .map(|row| row.iter().map(|r| r.witnesses).collect())
+        .collect();
+    // The most effective column; ties go to the earliest, as in the paper.
+    let best = |row: &[u64]| {
+        let i = (0..row.len())
+            .max_by_key(|&i| (row[i], usize::MAX - i))
+            .unwrap();
+        (columns[i], row[i])
+    };
+
+    let (corr, hits) = best(&witnesses[0]);
+    assert!(hits > 0);
+    assert!(corr.thread_rand, "thread randomisation drives coRR");
+    assert!(corr.memory_stress || corr.bank_conflicts);
+
+    let (sb, _) = best(&witnesses[1]);
+    assert!(sb.memory_stress);
+    assert!(!sb.bank_conflicts, "bank conflicts dampen inter-CTA sb");
+    assert!(witnesses[1][..8].iter().all(|&w| w == 0));
+
+    assert!(witnesses[2].iter().all(|&w| w == 0), "GTX 280 stays strong");
 }
