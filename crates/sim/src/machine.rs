@@ -29,8 +29,9 @@
 //!   starts from (in the L2 and, when the test has shared locations, in
 //!   each CTA's shared memory), the global locations L1 preload draws
 //!   for, the registers each instruction reads as a bit mask, the owning
-//!   CTA of each shared location, and the final condition resolved to
-//!   positions in the observation vector;
+//!   CTA of each shared location, and the test's
+//!   [`ObsLayout`](weakgpu_litmus::ObsLayout) with the register or
+//!   location each observed value is read from;
 //! * **per chip and incantations**, by [`RunParams::new`]: the bypass
 //!   probability of every pair of pending-op classes, so choosing which
 //!   op performs is a table lookup and a same-location test per pair.
