@@ -247,11 +247,11 @@ impl CellCounts<'_> {
             if layout.witnessed_by(obs) {
                 witnesses += n;
             }
-            let is_allowed = |set: &BTreeSet<Outcome>| {
+            let is_allowed = allowed.is_none_or(|set| {
                 set.iter()
                     .any(|o| o.iter().map(|(_, v)| v).eq(obs.iter().copied()))
-            };
-            if allowed.is_some_and(|set| !is_allowed(set)) {
+            });
+            if !is_allowed {
                 forbidden.push(layout.outcome(obs));
             }
         }
