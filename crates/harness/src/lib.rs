@@ -27,6 +27,8 @@ pub mod runner;
 pub mod serve;
 pub mod soundness;
 pub mod sweep;
+#[cfg(test)]
+mod tuning;
 
 pub use campaign::{
     default_incantations, run_campaign, run_campaign_with, CampaignConfig, CellSpec,

@@ -1,71 +1,40 @@
-//! Incantation tuning: find the combination that provokes a test's weak
-//! behaviour most often — how the paper selects the "most effective
-//! incantations" for its figures (Sec. 4.3, Tab. 6).
+//! Incantation tuning checks (paper Sec. 4.3, Tab. 6): one test's row of
+//! 16 incantation columns, run through one campaign, peaks in the column
+//! the paper reports as most effective.
 
 use weakgpu_litmus::LitmusTest;
 use weakgpu_sim::chip::{Chip, Incantations};
 
-use crate::runner::{run_test, HarnessError, RunConfig, TestReport};
+use crate::campaign::{run_campaign, CampaignConfig, CellSpec};
 
-/// The outcome of sweeping all 16 incantation combinations.
-#[derive(Clone, Debug)]
-pub struct TuningReport {
-    /// Per-column results, in Tab. 6 column order.
-    pub columns: Vec<TestReport>,
-    /// Index (0-based) of the most effective column.
-    pub best: usize,
-}
-
-impl TuningReport {
-    /// The most effective combination.
-    pub fn best_incantations(&self) -> Incantations {
-        self.columns[self.best].incantations
-    }
-
-    /// The witness count of the best column.
-    pub fn best_witnesses(&self) -> u64 {
-        self.columns[self.best].witnesses
-    }
-
-    /// The Tab. 6-style row of witness counts.
-    pub fn row(&self) -> Vec<u64> {
-        self.columns.iter().map(|r| r.witnesses).collect()
-    }
-}
-
-/// Runs `test` on `chip` under all 16 incantation combinations with
-/// `iterations_per_column` runs each, reporting the most effective column
-/// (ties break toward the earliest column, like the paper's tables).
-///
-/// # Errors
-///
-/// Propagates harness failures.
-pub fn tune(
-    test: &LitmusTest,
-    chip: Chip,
-    iterations_per_column: usize,
-    seed: u64,
-) -> Result<TuningReport, HarnessError> {
-    let mut columns = Vec::with_capacity(16);
-    for (i, inc) in Incantations::all_combinations().into_iter().enumerate() {
-        let cfg = RunConfig {
-            iterations: iterations_per_column,
-            incantations: inc,
-            seed: seed.wrapping_add(i as u64),
-            parallelism: None,
-        };
-        columns.push(run_test(test, chip, &cfg)?);
-    }
-    let best = columns
-        .iter()
+/// Witness counts of `test` on `chip` under each of the 16 columns, in
+/// Tab. 6 order; column `i` runs with seed `seed + i`.
+fn row(test: &LitmusTest, chip: Chip, iterations: usize, seed: u64) -> Vec<(Incantations, u64)> {
+    let cells: Vec<CellSpec> = Incantations::all_combinations()
+        .into_iter()
         .enumerate()
-        .max_by_key(|(i, r)| (r.witnesses, usize::MAX - i))
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-    Ok(TuningReport { columns, best })
+        .map(|(i, inc)| {
+            CellSpec::new(test.clone(), chip)
+                .incantations(inc)
+                .iterations(iterations)
+                .seed(seed + i as u64)
+        })
+        .collect();
+    let reports = run_campaign(&cells, &CampaignConfig::default()).unwrap();
+    reports
+        .iter()
+        .map(|r| (r.incantations, r.witnesses))
+        .collect()
 }
 
-#[cfg(test)]
+/// The most effective column; ties go to the earliest, as in the paper.
+fn best(row: &[(Incantations, u64)]) -> (Incantations, u64) {
+    (0..row.len())
+        .max_by_key(|&i| (row[i].1, usize::MAX - i))
+        .map(|i| row[i])
+        .unwrap()
+}
+
 mod tests {
     use super::*;
     use weakgpu_litmus::{corpus, ThreadScope};
@@ -73,30 +42,30 @@ mod tests {
     #[test]
     fn corr_tunes_to_an_all_on_style_column() {
         // Tab. 6: coRR peaks in column 16 (all incantations) on the Titan.
-        let report = tune(&corpus::corr(), Chip::GtxTitan, 4_000, 7).unwrap();
-        assert_eq!(report.columns.len(), 16);
-        let best = report.best_incantations();
+        let row = row(&corpus::corr(), Chip::GtxTitan, 4_000, 7);
+        assert_eq!(row.len(), 16);
+        let (best, hits) = best(&row);
         assert!(best.memory_stress || best.bank_conflicts);
         assert!(best.thread_rand, "thread randomisation drives coRR");
-        assert!(report.best_witnesses() > 0);
+        assert!(hits > 0);
     }
 
     #[test]
     fn inter_cta_tests_tune_to_memory_stress_columns() {
         // Tab. 6: sb/mp need memory stress; column 12 peaks.
         let test = corpus::sb(ThreadScope::InterCta, None);
-        let report = tune(&test, Chip::GtxTitan, 4_000, 11).unwrap();
-        let best = report.best_incantations();
+        let row = row(&test, Chip::GtxTitan, 4_000, 11);
+        let (best, _) = best(&row);
         assert!(best.memory_stress);
         assert!(!best.bank_conflicts, "bank conflicts dampen inter-CTA sb");
         // The first eight columns (no stress) witness nothing.
-        assert!(report.row()[..8].iter().all(|&w| w == 0));
+        assert!(row[..8].iter().all(|&(_, w)| w == 0));
     }
 
     #[test]
     fn strong_chips_tune_to_zero_everywhere() {
-        let report = tune(&corpus::corr(), Chip::Gtx280, 1_000, 3).unwrap();
-        assert_eq!(report.best_witnesses(), 0);
-        assert!(report.row().iter().all(|&w| w == 0));
+        let row = row(&corpus::corr(), Chip::Gtx280, 1_000, 3);
+        assert_eq!(best(&row).1, 0);
+        assert!(row.iter().all(|&(_, w)| w == 0));
     }
 }
