@@ -17,7 +17,7 @@ use weakgpu_harness::campaign::{
 use weakgpu_harness::runner::{run_test, HarnessError, RunConfig, TestReport};
 use weakgpu_harness::{Histogram, STREAM_CHUNKS};
 use weakgpu_litmus::build::{ld, st};
-use weakgpu_litmus::{corpus, corpus_extra, LitmusTest, Predicate, ThreadScope};
+use weakgpu_litmus::{corpus, corpus_extra, CacheOp, Instr, LitmusTest, Predicate, ThreadScope};
 use weakgpu_sim::chip::{Chip, Incantations};
 use weakgpu_sim::machine::{ObsCounts, RunParams, Simulator};
 use weakgpu_sim::program::CompileError;
@@ -415,22 +415,52 @@ fn paper_sample_histograms_match_recorded_digest() {
     }
 }
 
-/// The digest of every per-cell histogram of the hand-written tests
-/// (`corpus::all` then `corpus_extra::all_extra`) on every chip, one
-/// digest per chip: 300 iterations under each test's default
-/// incantations, cell seeds `7 ^ index`, each cell rendered as a line of
-/// the golden file above. The generated families never run `.ca` loads,
-/// shared memory, RMWs or spin loops; these tests do, so a change to
-/// those paths shows here, and on which chip.
+/// Whether `test` has a `.ca` load: a load that reads the per-SM L1.
+fn has_ca_load(test: &LitmusTest) -> bool {
+    fn ca(instr: &Instr) -> bool {
+        match instr {
+            Instr::Ld { cache, .. } => *cache == CacheOp::Ca,
+            Instr::Guard { inner, .. } => ca(inner),
+            _ => false,
+        }
+    }
+    test.threads().iter().flatten().any(ca)
+}
+
+/// The digests of every per-cell histogram of the hand-written tests
+/// (`corpus::all` then `corpus_extra::all_extra`) on every chip, two
+/// digests per chip: one over the tests with a `.ca` load, one over the
+/// rest. 300 iterations under each test's default incantations, cell
+/// seeds `7 ^ index`, each cell rendered as a line of the golden file
+/// above. The generated families never run `.ca` loads, shared memory,
+/// RMWs or spin loops; these tests do, so a change to those paths shows
+/// here, and on which chip.
+///
+/// The `.ca` digests were recorded on the simulator that kept the L1
+/// model in every run; a run of a test with a `.ca` load must still be
+/// bit-identical to it.
+const CORPUS_CA_DIGESTS: [(Chip, u64); 8] = [
+    (Chip::Gtx280, 0xf0a2_c2dc_c13b_96f8),
+    (Chip::Gtx540m, 0x998d_88a9_1dab_520f),
+    (Chip::TeslaC2075, 0x4db5_feb2_b4c3_589a),
+    (Chip::Gtx660, 0x7220_4803_fdf9_0eae),
+    (Chip::GtxTitan, 0xbbc1_7166_11a4_eb90),
+    (Chip::Gtx750, 0xdd8c_9354_4de2_a838),
+    (Chip::RadeonHd6570, 0x0935_bd3e_654f_a910),
+    (Chip::RadeonHd7970, 0xd54f_65a9_df5e_9e0a),
+];
+
+/// The digests of the hand-written tests without a `.ca` load, as
+/// [`CORPUS_CA_DIGESTS`].
 const CORPUS_DIGESTS: [(Chip, u64); 8] = [
-    (Chip::Gtx280, 0xbd3c_f2e7_26cb_678a),
-    (Chip::Gtx540m, 0xbed4_4071_819c_8477),
-    (Chip::TeslaC2075, 0x983f_8334_ecd3_a761),
-    (Chip::Gtx660, 0x035f_7cbe_dcfe_fd19),
-    (Chip::GtxTitan, 0xf6a6_90bf_78a0_9084),
-    (Chip::Gtx750, 0x1d71_5601_18df_d112),
-    (Chip::RadeonHd6570, 0xc8f5_eaff_93e1_bd94),
-    (Chip::RadeonHd7970, 0x198c_a25b_d4dc_4912),
+    (Chip::Gtx280, 0x30e6_8d1d_6ce3_a4ab),
+    (Chip::Gtx540m, 0xbbcd_2ee5_546d_e8fb),
+    (Chip::TeslaC2075, 0x0a86_cb80_f6b8_4f8a),
+    (Chip::Gtx660, 0xdb34_7c40_d386_cb48),
+    (Chip::GtxTitan, 0x55a7_11d6_589f_bd9d),
+    (Chip::Gtx750, 0x5e4b_6c0f_e16e_cc07),
+    (Chip::RadeonHd6570, 0x48ac_bc0f_fca3_8921),
+    (Chip::RadeonHd7970, 0x0e87_07f4_5933_26a9),
 ];
 
 #[test]
@@ -450,11 +480,13 @@ fn corpus_histograms_match_recorded_digests() {
             })
         })
         .collect();
-    assert_eq!(
-        CORPUS_DIGESTS.map(|(chip, _)| chip),
-        Chip::ALL,
-        "one digest per chip, in chip order"
-    );
+    for digests in [CORPUS_CA_DIGESTS, CORPUS_DIGESTS] {
+        assert_eq!(
+            digests.map(|(chip, _)| chip),
+            Chip::ALL,
+            "one digest per chip, in chip order"
+        );
+    }
     for par in [1, 3] {
         let reports = run_campaign(&cells, &CampaignConfig::with_parallelism(par)).unwrap();
         // Cells are judged on observation vectors; the named condition
@@ -468,16 +500,23 @@ fn corpus_histograms_match_recorded_digests() {
                 r.chip
             );
         }
-        let changed: Vec<String> = CORPUS_DIGESTS
-            .iter()
-            .filter_map(|&(chip, want)| {
-                let mine: Vec<TestReport> =
-                    reports.iter().filter(|r| r.chip == chip).cloned().collect();
+        let mut changed: Vec<String> = Vec::new();
+        for (ca, digests) in [(true, CORPUS_CA_DIGESTS), (false, CORPUS_DIGESTS)] {
+            for (chip, want) in digests {
+                let mine: Vec<TestReport> = cells
+                    .iter()
+                    .zip(&reports)
+                    .filter(|(cell, r)| r.chip == chip && has_ca_load(&cell.test) == ca)
+                    .map(|(_, r)| r.clone())
+                    .collect();
                 let mut hash = 0xcbf2_9ce4_8422_2325u64;
                 fnv1a(&mut hash, golden_lines(&mine).as_bytes());
-                (hash != want).then(|| format!("{}: {hash:#018x}", chip.short()))
-            })
-            .collect();
+                if hash != want {
+                    let set = if ca { ".ca" } else { "other" };
+                    changed.push(format!("{set} {}: {hash:#018x}", chip.short()));
+                }
+            }
+        }
         assert!(
             changed.is_empty(),
             "parallelism {par}: corpus histogram digests changed: {changed:?}"
