@@ -27,11 +27,11 @@
 //!
 //! * **per test**, by [`SimProgram::compile`]: the memory image a run
 //!   starts from (in the L2 and, when the test has shared locations, in
-//!   each CTA's shared memory), the global locations L1 preload draws
-//!   for, the registers each instruction reads as a bit mask, the owning
-//!   CTA of each shared location, and the test's
-//!   [`ObsLayout`](weakgpu_litmus::ObsLayout) with the register or
-//!   location each observed value is read from;
+//!   each CTA's shared memory), whether the test has a `.ca` load, the
+//!   global locations L1 preload draws for, the registers each
+//!   instruction reads as a bit mask, the owning CTA of each shared
+//!   location, and the test's [`ObsLayout`](weakgpu_litmus::ObsLayout)
+//!   with the register or location each observed value is read from;
 //! * **per chip and incantations**, by [`RunParams::new`]: the bypass
 //!   probability of every pair of pending-op classes, so choosing which
 //!   op performs is a table lookup and a same-location test per pair.
@@ -39,13 +39,24 @@
 //!   operator and fence leak.
 //!
 //! A run then resets its [`MachineState`] by copying the image and the
-//! register inits (the RNG draws of SM placement and L1 preload are the
-//! historical ones, in the historical order). An instruction is ready to issue when its read
+//! register inits. An instruction is ready to issue when its read
 //! mask misses the thread's mask of awaited registers. Each thread keeps
 //! its pending ops in an inline window of 8 slots, oldest first, and a
 //! run records its observation vector into an [`ObsCounts`] by a linear
 //! probe over the few distinct vectors seen so far. None of it allocates
 //! once the state and the counts are warm.
+//!
+//! Only a `.ca` load reads an L1 line, so a test without one (every
+//! generated test, and all hand-written ones but the `mp-L1` and
+//! `coRR-L2-L1` families) keeps no L1 model: its state has no SM
+//! placement and no L1 plane, a reset draws no SM and no preload, a
+//! store marks no line stale, a `.cg` load evicts nothing and draws no
+//! keep-stale, and a fence invalidates nothing. A test with a `.ca` load
+//! keeps the model and draws for it from the run's one stream as it
+//! always has (one SM per CTA, then one preload per CTA and global
+//! location, then keep-stale draws as loads perform), so its runs are
+//! bit-identical to those of the simulator that kept the model in every
+//! run.
 //!
 //! Steps are spent only while two or more threads run. Once one thread
 //! is left and it is *order-free* (no backward branch, no `.ca` load, no
@@ -192,7 +203,8 @@ fn class_bypass(earlier: u8, later: u8, same_loc: bool, w: &Weights) -> Option<f
 }
 
 /// The constants of a cell's batches of runs: the incantation-scaled
-/// weights, whether thread placement is randomised, and the bypass
+/// weights, whether thread placement is randomised (which only a state
+/// that keeps the L1 model sees), and the bypass
 /// probability of every pair of pending-op classes, derived from the
 /// weights once instead of once per pair and step.
 #[derive(Clone, Debug)]
@@ -338,6 +350,11 @@ impl ThreadCtx {
 pub struct MachineState {
     /// Location count — the stride of the flattened `shared`/`l1` planes.
     nlocs: usize,
+    /// Whether runs keep the L1 model: the SM placement, the `l1` plane
+    /// and every draw for them. Set when the program has a `.ca` load
+    /// ([`SimProgram`]'s `l1_live`); otherwise `sm_of_cta`, `l1_row` and
+    /// `l1` are empty.
+    keeps_l1: bool,
     /// SM hosting each CTA this run.
     sm_of_cta: Vec<usize>,
     /// The `l1` row of each CTA this run: the row of the lowest CTA on
@@ -547,6 +564,7 @@ impl Simulator {
     pub fn new_state(&self) -> MachineState {
         let mut st = MachineState {
             nlocs: 0,
+            keeps_l1: false,
             sm_of_cta: Vec::new(),
             l1_row: Vec::new(),
             l2: Vec::new(),
@@ -564,10 +582,19 @@ impl Simulator {
     /// its buffers: a worker that moves between simulators reuses one
     /// state instead of allocating a fresh one per simulator.
     pub fn fit_state(&self, st: &mut MachineState) {
+        self.fit(st, self.program.l1_live);
+    }
+
+    /// [`Simulator::fit_state`], keeping the L1 model when `keeps_l1` is
+    /// set; the production path keeps it exactly when the program has a
+    /// `.ca` load, and a test keeps it always as the oracle of that skip.
+    fn fit(&self, st: &mut MachineState, keeps_l1: bool) {
         let p = &self.program;
         st.nlocs = p.locs.len();
-        st.sm_of_cta.resize(p.num_ctas, 0);
-        st.l1_row.resize(p.num_ctas, 0);
+        st.keeps_l1 = keeps_l1;
+        let l1_ctas = if keeps_l1 { p.num_ctas } else { 0 };
+        st.sm_of_cta.resize(l1_ctas, 0);
+        st.l1_row.resize(l1_ctas, 0);
         st.l2.resize(p.mem_init.len(), 0);
         st.shared.resize(
             if p.has_shared {
@@ -577,7 +604,7 @@ impl Simulator {
             },
             0,
         );
-        st.l1.resize(p.num_ctas * st.nlocs, None);
+        st.l1.resize(l1_ctas * st.nlocs, None);
         st.threads.resize_with(p.threads.len(), || ThreadCtx {
             pc: 0,
             regs: Vec::new(),
@@ -590,46 +617,55 @@ impl Simulator {
         st.obs.resize(p.observed.len(), 0);
     }
 
-    /// Resets a fitted `st` to a fresh run: SM placement, memory images,
+    /// Resets a fitted `st` to a fresh run: memory images, SM placement,
     /// L1 preload and thread contexts. The images are copied from the
-    /// program; the RNG draws are the historical ones, in the historical
-    /// order (one SM per CTA, then one preload draw per CTA and global
-    /// location).
-    fn reset(&self, params: &RunParams, rng: &mut SmallRng, st: &mut MachineState) {
+    /// program. A state that keeps the L1 model draws one SM per CTA, then
+    /// one preload per CTA and global location, from `l1_rng` when given
+    /// and from `rng` otherwise; a state without it draws nothing.
+    fn reset(
+        &self,
+        params: &RunParams,
+        rng: &mut SmallRng,
+        st: &mut MachineState,
+        l1_rng: Option<&mut SmallRng>,
+    ) {
         let p = &self.program;
         let nlocs = st.nlocs;
 
-        // SM placement: one SM per CTA by default; thread randomisation
-        // scatters CTAs over the chip (they may then collide on an SM,
-        // sharing an L1 — which suppresses stale-line effects, as on
-        // hardware). A CTA uses the L1 row of the lowest CTA on its SM.
-        for c in 0..p.num_ctas {
-            let sm = if params.thread_rand {
-                rng.random_range(0..self.num_sms)
-            } else {
-                c % self.num_sms
-            };
-            st.sm_of_cta[c] = sm;
-            st.l1_row[c] = st.sm_of_cta[..c].iter().position(|&s| s == sm).unwrap_or(c);
-        }
-
-        // Memory.
         st.l2.copy_from_slice(&p.mem_init);
         if p.has_shared {
             for image in st.shared.chunks_exact_mut(nlocs) {
                 image.copy_from_slice(&p.mem_init);
             }
         }
-        st.l1.fill(None);
-        let preload = params.w.l1_preload;
-        if preload > 0.0 {
-            for &row in &st.l1_row {
-                for &l in &p.global_locs {
-                    if rng.random_bool(preload) {
-                        st.l1[row * nlocs + l as usize] = Some(L1Line {
-                            value: p.mem_init[l as usize],
-                            stale: false,
-                        });
+
+        if st.keeps_l1 {
+            let rng = l1_rng.unwrap_or(rng);
+            // SM placement: one SM per CTA by default; thread
+            // randomisation scatters CTAs over the chip (they may then
+            // collide on an SM, sharing an L1 — which suppresses
+            // stale-line effects, as on hardware). A CTA uses the L1 row
+            // of the lowest CTA on its SM.
+            for c in 0..p.num_ctas {
+                let sm = if params.thread_rand {
+                    rng.random_range(0..self.num_sms)
+                } else {
+                    c % self.num_sms
+                };
+                st.sm_of_cta[c] = sm;
+                st.l1_row[c] = st.sm_of_cta[..c].iter().position(|&s| s == sm).unwrap_or(c);
+            }
+            st.l1.fill(None);
+            let preload = params.w.l1_preload;
+            if preload > 0.0 {
+                for &row in &st.l1_row {
+                    for &l in &p.global_locs {
+                        if rng.random_bool(preload) {
+                            st.l1[row * nlocs + l as usize] = Some(L1Line {
+                                value: p.mem_init[l as usize],
+                                stale: false,
+                            });
+                        }
                     }
                 }
             }
@@ -659,21 +695,25 @@ impl Simulator {
         rng: &mut SmallRng,
         st: &mut MachineState,
     ) -> Result<(), RunError> {
-        self.run(params, rng, st, true)
+        self.run(params, rng, st, true, None)
     }
 
     /// [`Simulator::run_once_into`], which finishes a lone order-free
     /// thread in program order when `finish_alone` is set; without it the
-    /// sampler runs to the end, as the oracle of that finish.
+    /// sampler runs to the end, as the oracle of that finish. A state that
+    /// keeps the L1 model takes its draws for it from `l1_rng` when given,
+    /// so that the scheduler's stream in `rng` is the one a run without
+    /// the model takes: the oracle of skipping the model.
     fn run(
         &self,
         params: &RunParams,
         rng: &mut SmallRng,
         st: &mut MachineState,
         finish_alone: bool,
+        mut l1_rng: Option<&mut SmallRng>,
     ) -> Result<(), RunError> {
         let p = &self.program;
-        self.reset(params, rng, st);
+        self.reset(params, rng, st, l1_rng.as_deref_mut());
 
         // Only the thread that acts in a step can finish in it, so the
         // list is built once and a thread leaves it when it finishes.
@@ -709,7 +749,7 @@ impl Simulator {
             if do_issue {
                 self.issue(t, &mut st.threads[t], &params.w, rng)?;
             } else {
-                self.perform(t, st, params, rng);
+                self.perform(t, st, params, rng, l1_rng.as_deref_mut());
             }
             if st.threads[t].done(p.threads[t].len()) {
                 st.active.remove(a);
@@ -954,7 +994,14 @@ impl Simulator {
         Ok(())
     }
 
-    fn perform(&self, t: usize, st: &mut MachineState, params: &RunParams, rng: &mut SmallRng) {
+    fn perform(
+        &self,
+        t: usize,
+        st: &mut MachineState,
+        params: &RunParams,
+        rng: &mut SmallRng,
+        l1_rng: Option<&mut SmallRng>,
+    ) {
         // Choose which queue entry performs: the first younger op that
         // may bypass every older one and wins the draw of the product of
         // those pairs' probabilities.
@@ -1012,15 +1059,17 @@ impl Simulator {
         };
 
         let op = queue.remove(idx).op;
-        self.apply(t, st, op, forward, Some((&params.w, rng)));
+        let l1 = st.keeps_l1.then(|| (&params.w, l1_rng.unwrap_or(rng)));
+        self.apply(t, st, op, forward, l1);
     }
 
     /// Performs thread `t`'s pending `op`: its effect on memory and on the
     /// register it writes. A load reads `forward` when given, the value of
     /// the newest earlier same-location store it bypassed. `l1` holds the
-    /// weights and RNG that maintain the L1 model; without it (the in-order
-    /// finish of an order-free thread, which has no `.ca` load to read a
-    /// line) the L1 is left as it is.
+    /// weights and RNG that maintain the L1 model; without it (a state that
+    /// keeps no L1, or the in-order finish of an order-free thread, which
+    /// has no `.ca` load to read a line) loads read the point of coherence
+    /// and fences leave the L1 as it is.
     ///
     /// This, [`Simulator::advance`] and the memory helpers are inlined
     /// into the sampler and the in-order finish alike, so sharing them
@@ -1089,9 +1138,11 @@ impl Simulator {
                 // Fermi-style write-around: writes bypass the L1, leaving
                 // any present line — including the issuing SM's own —
                 // stale.
-                for sml1 in st.l1.chunks_mut(nlocs) {
-                    if let Some(line) = &mut sml1[li] {
-                        line.stale = true;
+                if st.keeps_l1 {
+                    for sml1 in st.l1.chunks_mut(nlocs) {
+                        if let Some(line) = &mut sml1[li] {
+                            line.stale = true;
+                        }
                     }
                 }
             }
@@ -1554,8 +1605,8 @@ mod tests {
             .filter(|&seed| {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 let mut oracle_rng = rng.clone();
-                let a = sim.run(params, &mut rng, &mut fast, true);
-                let b = sim.run(params, &mut oracle_rng, &mut full, false);
+                let a = sim.run(params, &mut rng, &mut fast, true, None);
+                let b = sim.run(params, &mut oracle_rng, &mut full, false, None);
                 a != b || (a.is_ok() && fast.observed() != full.observed())
             })
             .count()
@@ -1570,18 +1621,57 @@ mod tests {
         ]
     }
 
+    /// The runs of `sim` under `params`, one per seed in `seeds`, that end
+    /// differently without the L1 model, as a program without a `.ca` load
+    /// runs, than with the full model, its draws taken from a second,
+    /// independent stream. Each pair of runs takes its scheduler draws from
+    /// the same stream. Also returns how many full-model runs drew from the
+    /// L1 stream, so a caller can tell that the model was exercised.
+    fn l1_differing_runs(sim: &Simulator, params: &RunParams, seeds: Range<u64>) -> (usize, u64) {
+        assert!(
+            !sim.program().l1_live,
+            "the oracle is for tests without .ca"
+        );
+        let (mut lean, mut full) = (sim.new_state(), sim.new_state());
+        sim.fit(&mut full, true);
+        let mut drew = 0;
+        let differing = seeds
+            .filter(|&seed| {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let mut oracle_rng = rng.clone();
+                let mut l1_rng = SmallRng::seed_from_u64(!seed);
+                let a = sim.run(params, &mut rng, &mut lean, true, None);
+                let b = sim.run(params, &mut oracle_rng, &mut full, true, Some(&mut l1_rng));
+                let fresh = SmallRng::seed_from_u64(!seed).random::<u64>();
+                drew += u64::from(l1_rng.random::<u64>() != fresh);
+                a != b || (a.is_ok() && lean.observed() != full.observed())
+            })
+            .count();
+        (differing, drew)
+    }
+
     /// Checks every test of `tests` on every chip and incantation column,
-    /// `runs` run pairs each, and returns how many runs were compared.
-    fn assert_exact(tests: &[LitmusTest], runs: u64) -> u64 {
+    /// `runs` run pairs each, by the oracle `differing` (the number of
+    /// differing runs of a simulator under parameters over seeds), skipping
+    /// the tests `skip` names. Returns how many run pairs were compared.
+    fn assert_exact(
+        tests: &[LitmusTest],
+        runs: u64,
+        skip: impl Fn(&SimProgram) -> bool,
+        mut differing: impl FnMut(&Simulator, &RunParams, Range<u64>) -> usize,
+    ) -> u64 {
         let mut compared = 0;
         for (i, test) in tests.iter().enumerate() {
             let program = Arc::new(SimProgram::compile(test).unwrap());
+            if skip(&program) {
+                continue;
+            }
             for chip in Chip::ALL {
                 let sim = Simulator::from_program(Arc::clone(&program), chip);
                 for inc in incantation_columns() {
                     let seeds = (i as u64) << 32..((i as u64) << 32) + runs;
-                    let differing = differing_runs(&sim, &RunParams::of(chip, &inc), seeds);
-                    assert_eq!(differing, 0, "{} on {chip} under {inc:?}", test.name());
+                    let n = differing(&sim, &RunParams::of(chip, &inc), seeds);
+                    assert_eq!(n, 0, "{} on {chip} under {inc:?}", test.name());
                     compared += runs;
                 }
             }
@@ -1589,24 +1679,88 @@ mod tests {
         compared
     }
 
+    /// [`assert_exact`] by the lone-thread finish oracle, on every test.
+    fn assert_finish_exact(tests: &[LitmusTest], runs: u64) -> u64 {
+        assert_exact(tests, runs, |_| false, differing_runs)
+    }
+
+    /// [`assert_exact`] by the dead-L1 oracle, on every test without a
+    /// `.ca` load. Returns the run pairs compared and how many of the
+    /// full-model runs drew from the L1 stream.
+    fn assert_l1_dead(tests: &[LitmusTest], runs: u64) -> (u64, u64) {
+        let mut drew = 0;
+        let compared = assert_exact(
+            tests,
+            runs,
+            |p| p.l1_live,
+            |sim, params, seeds| {
+                let (differing, d) = l1_differing_runs(sim, params, seeds);
+                drew += d;
+                differing
+            },
+        );
+        (compared, drew)
+    }
+
     /// Run pairs per test, chip and incantation column: a release build
     /// (`cargo test --release -p weakgpu-sim`) runs fifteen times as many
     /// as a debug one.
     const PAIRS: u64 = if cfg!(debug_assertions) { 40 } else { 600 };
 
-    #[test]
-    fn lone_thread_finish_is_exact_on_the_corpus() {
+    /// The hand-written tests and the small family.
+    fn corpus_and_small_family() -> Vec<LitmusTest> {
         let mut tests = corpus::all();
         tests.extend(weakgpu_litmus::corpus_extra::all_extra());
         tests.extend(weakgpu_diy::generate(&weakgpu_diy::GenConfig::small()));
-        assert!(assert_exact(&tests, PAIRS) > 0);
+        tests
+    }
+
+    /// Every 97th test of the paper family.
+    fn paper_sample() -> Vec<LitmusTest> {
+        let family = weakgpu_diy::generate(&weakgpu_diy::GenConfig::paper());
+        family.into_iter().step_by(97).collect()
+    }
+
+    #[test]
+    fn lone_thread_finish_is_exact_on_the_corpus() {
+        assert!(assert_finish_exact(&corpus_and_small_family(), PAIRS) > 0);
     }
 
     #[test]
     fn lone_thread_finish_is_exact_on_a_paper_sample() {
-        let family = weakgpu_diy::generate(&weakgpu_diy::GenConfig::paper());
-        let sample: Vec<LitmusTest> = family.into_iter().step_by(97).collect();
-        assert!(assert_exact(&sample, PAIRS) > 0);
+        assert!(assert_finish_exact(&paper_sample(), PAIRS) > 0);
+    }
+
+    #[test]
+    fn dead_l1_is_exact_on_the_corpus() {
+        let (compared, drew) = assert_l1_dead(&corpus_and_small_family(), PAIRS);
+        assert!(compared > 0 && drew > 0, "{compared} pairs, {drew} drew");
+    }
+
+    #[test]
+    fn dead_l1_is_exact_on_a_paper_sample() {
+        let (compared, drew) = assert_l1_dead(&paper_sample(), PAIRS);
+        assert!(compared > 0 && drew > 0, "{compared} pairs, {drew} drew");
+    }
+
+    #[test]
+    fn only_the_l1_tests_keep_the_l1_model() {
+        // The Figs. 3–4 tests are the only hand-written ones with a `.ca`
+        // load; every other test runs without the L1 model.
+        let mut tests = corpus::all();
+        tests.extend(weakgpu_litmus::corpus_extra::all_extra());
+        let mut live = 0;
+        for test in &tests {
+            let l1_test = test.name().starts_with("mp-L1") || test.name().starts_with("coRR-L2-L1");
+            let p = SimProgram::compile(test).unwrap();
+            assert_eq!(p.l1_live, l1_test, "{}", test.name());
+            live += usize::from(p.l1_live);
+            let sim = Simulator::from_program(Arc::new(p), Chip::TeslaC2075);
+            let st = sim.new_state();
+            assert_eq!(st.keeps_l1, l1_test);
+            assert_eq!(st.l1.is_empty(), !l1_test, "{}", test.name());
+        }
+        assert_eq!(live, 8);
     }
 
     #[test]
@@ -1644,7 +1798,7 @@ mod tests {
         sim.run_once_into(&params, &mut run_rng, &mut st).unwrap();
         assert_eq!(st.observed(), [0, 1]);
         // The run drew what resetting the state draws, and nothing more.
-        sim.reset(&params, &mut reset_rng, &mut st);
+        sim.reset(&params, &mut reset_rng, &mut st, None);
         assert_eq!(run_rng.random::<u64>(), reset_rng.random::<u64>());
     }
 
@@ -1749,14 +1903,19 @@ mod tests {
 
     /// One random instruction over locations `x`, `y` and the registers
     /// `r0`, `r1`, so that registers get reused; `None` is a guarded
-    /// forward branch to the end of the thread.
-    fn arb_instr() -> impl Strategy<Value = Option<Instr>> {
+    /// forward branch to the end of the thread. Without `ca`, loads that
+    /// would be `.ca` are `.cg`.
+    fn arb_instr(ca: bool) -> impl Strategy<Value = Option<Instr>> {
         use weakgpu_litmus::build::*;
         let r = |i: usize| ["r0", "r1"][i];
         let l = |i: usize| ["x", "y"][i];
         let plain = prop_oneof![
             (0..2usize, 0..2usize).prop_map(move |(d, a)| ld(r(d), l(a))),
-            (0..2usize, 0..2usize).prop_map(move |(d, a)| ld_ca(r(d), l(a))),
+            (0..2usize, 0..2usize).prop_map(move |(d, a)| if ca {
+                ld_ca(r(d), l(a))
+            } else {
+                ld(r(d), l(a))
+            }),
             (0..2usize, 1..3i64).prop_map(move |(a, v)| st(l(a), v)),
             (0..2usize, 0..2usize).prop_map(move |(a, s)| st_reg(l(a), r(s))),
             (0..2usize, 0..2usize, 0..2i64).prop_map(move |(d, a, e)| cas(r(d), l(a), e, e + 1)),
@@ -1777,11 +1936,12 @@ mod tests {
     }
 
     /// A 2–3-thread test of random threads, observing every register a
-    /// thread mentions and both locations, with a random thread scope.
-    fn arb_test() -> impl Strategy<Value = LitmusTest> {
+    /// thread mentions and both locations, with a random thread scope;
+    /// with `.ca` loads only when `ca` is set.
+    fn arb_test(ca: bool) -> impl Strategy<Value = LitmusTest> {
         use weakgpu_litmus::build::*;
         use weakgpu_litmus::Predicate;
-        let thread = prop::collection::vec(arb_instr(), 1..6usize);
+        let thread = prop::collection::vec(arb_instr(ca), 1..6usize);
         (prop::collection::vec(thread, 2..4usize), prop::bool::ANY).prop_map(|(threads, intra)| {
             let mut b = LitmusTest::builder("random").global("x", 0).global("y", 0);
             let mut pred = Predicate::mem_eq("x", 1).and(Predicate::mem_eq("y", 1));
@@ -1813,12 +1973,24 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
-        fn lone_thread_finish_is_exact_on_random_programs(test in arb_test()) {
+        fn lone_thread_finish_is_exact_on_random_programs(test in arb_test(true)) {
             let program = Arc::new(SimProgram::compile(&test).unwrap());
             for chip in [Chip::TeslaC2075, Chip::GtxTitan, Chip::RadeonHd7970] {
                 let sim = Simulator::from_program(Arc::clone(&program), chip);
                 for inc in incantation_columns() {
                     let differing = differing_runs(&sim, &RunParams::of(chip, &inc), 0..40);
+                    prop_assert_eq!(differing, 0, "{} on {:?}", test, chip);
+                }
+            }
+        }
+
+        #[test]
+        fn dead_l1_is_exact_on_random_programs(test in arb_test(false)) {
+            let program = Arc::new(SimProgram::compile(&test).unwrap());
+            for chip in Chip::ALL {
+                let sim = Simulator::from_program(Arc::clone(&program), chip);
+                for inc in incantation_columns() {
+                    let (differing, _) = l1_differing_runs(&sim, &RunParams::of(chip, &inc), 0..40);
                     prop_assert_eq!(differing, 0, "{} on {:?}", test, chip);
                 }
             }

@@ -265,6 +265,9 @@ pub struct SimProgram {
     /// Whether some location is in shared memory; without one, a run
     /// keeps no shared-memory image.
     pub(crate) has_shared: bool,
+    /// Whether some load is `.ca`; without one, no load reads an L1 line,
+    /// so a run keeps no L1 model and draws nothing for it.
+    pub(crate) l1_live: bool,
     /// The CTA whose shared-memory instance of each location the test
     /// uses (meaningful for `Region::Shared` locations only).
     pub(crate) shared_owner: Vec<usize>,
@@ -401,12 +404,23 @@ impl SimProgram {
             .filter(|&l| locs[l as usize].region == Region::Global)
             .collect();
 
+        let l1_live = threads.iter().flatten().any(|i| {
+            matches!(
+                i.op,
+                SimOp::Ld {
+                    cache: CacheOp::Ca,
+                    ..
+                }
+            )
+        });
+
         Ok(SimProgram {
             order_free: threads.iter().map(|code| order_free(code)).collect(),
             threads,
             narrow: reg_init.iter().all(|regs| regs.len() <= 64),
             reg_init,
             has_shared: locs.iter().any(|l| l.region == Region::Shared),
+            l1_live,
             mem_init,
             locs,
             spans_ctas: num_ctas > 1,
