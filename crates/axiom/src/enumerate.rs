@@ -363,7 +363,7 @@ pub fn for_each_execution<B, F>(
 where
     F: FnMut(&ExecutionView<'_>) -> ControlFlow<B>,
 {
-    with_scratch(|scratch| for_each_combination(test, cfg, &mut scratch.enumeration, &mut f))
+    with_scratch(|scratch| for_each_combination(test, cfg, &mut scratch.enumeration, false, &mut f))
 }
 
 /// Everything a judge pass reuses from one test to the next: the
@@ -393,11 +393,15 @@ fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
 /// `test` through `f`: loads the test's tables, fills the trace arena at
 /// the read-value fixed point, then prepares each combination's skeleton
 /// and working set in `scratch` (see [`prepare_combination`]) and counts
-/// visits against [`EnumConfig::max_executions`].
+/// visits against [`EnumConfig::max_executions`]. An `exhaustive` visitor
+/// never breaks, so a combination whose candidates would pass the budget
+/// fails before any of them is visited; any other visitor may break first
+/// and is charged visit by visit.
 fn for_each_combination<B, F>(
     test: &LitmusTest,
     cfg: &EnumConfig,
     scratch: &mut EnumScratch,
+    exhaustive: bool,
     f: &mut F,
 ) -> Result<Option<B>, EnumError>
 where
@@ -423,6 +427,11 @@ where
     let mut visited = 0usize;
     'combos: loop {
         if prepare_combination(scratch) {
+            if exhaustive
+                && visited.saturating_add(combination_candidates(scratch)) > cfg.max_executions
+            {
+                return Err(EnumError::TooManyExecutions);
+            }
             if let ControlFlow::Break(b) = visit_combination(cfg, scratch, &mut visited, f)? {
                 return Ok(Some(b));
             }
@@ -554,6 +563,18 @@ fn prepare_combination(scratch: &mut EnumScratch) -> bool {
         scratch.working_set_skel = skel.id();
     }
     true
+}
+
+/// The candidates of the prepared combination, saturating: the product of
+/// each read's rf choices and each written location's coherence orders,
+/// the factorial of its write count.
+fn combination_candidates(scratch: &EnumScratch) -> usize {
+    let rf = scratch.rf_choices[..scratch.reads.len()]
+        .iter()
+        .fold(1usize, |n, choices| n.saturating_mul(choices.len()));
+    scratch.skel.writes_per_loc().iter().fold(rf, |n, ws| {
+        (2..=ws.len()).fold(n, |n, k| n.saturating_mul(k))
+    })
 }
 
 /// Streams one prepared combination's rf×co overlays through `f`,
@@ -723,7 +744,7 @@ pub fn model_outcomes_counted(
     with_scratch(|scratch| {
         let mut fold = OutcomeFold::new(&mut scratch.fold);
         let (mut combinations, mut last_combination) = (0usize, 0u64);
-        for_each_combination(test, cfg, &mut scratch.enumeration, &mut |view| {
+        for_each_combination(test, cfg, &mut scratch.enumeration, true, &mut |view| {
             if view.combination_id() != last_combination {
                 last_combination = view.combination_id();
                 combinations += 1;
@@ -1058,6 +1079,66 @@ mod tests {
             .unwrap();
             assert_eq!(visits, cands.len(), "{}", test.name());
         }
+    }
+
+    #[test]
+    fn the_judge_rejects_a_write_fan_before_judging_any_candidate() {
+        use crate::exec::Execution;
+        use std::cell::Cell;
+        use weakgpu_litmus::build::st;
+        use weakgpu_litmus::Predicate;
+
+        /// Allows every candidate and counts how many it was asked about.
+        struct Counting(Cell<usize>);
+        impl Model for Counting {
+            fn name(&self) -> &str {
+                "counting"
+            }
+            fn allows(&self, _: &Execution) -> bool {
+                self.0.set(self.0.get() + 1);
+                true
+            }
+        }
+
+        // Ten stores to one location: 10! = 3,628,800 coherence orders.
+        let test = LitmusTest::builder("ten-stores")
+            .global("x", 0)
+            .thread((1..=10).map(|v| st("x", v)))
+            .exists(Predicate::mem_eq("x", 1))
+            .build()
+            .unwrap();
+        let cfg = EnumConfig {
+            max_executions: 1_000,
+            ..EnumConfig::default()
+        };
+        let model = Counting(Cell::new(0));
+        let err = model_outcomes(&test, &model, &cfg).unwrap_err();
+        assert_eq!(err, EnumError::TooManyExecutions);
+        assert_eq!(model.0.get(), 0, "views judged before the budget check");
+
+        // Within the budget the count is exact: the same fan of four
+        // stores has 4! candidates, all of them judged.
+        let four = LitmusTest::builder("four-stores")
+            .global("x", 0)
+            .thread((1..=4).map(|v| st("x", v)))
+            .exists(Predicate::mem_eq("x", 1))
+            .build()
+            .unwrap();
+        let tight = EnumConfig {
+            max_executions: 24,
+            ..EnumConfig::default()
+        };
+        let out = model_outcomes(&four, &model, &tight).unwrap();
+        assert_eq!((out.num_candidates, model.0.get()), (24, 24));
+        let tighter = EnumConfig {
+            max_executions: 23,
+            ..EnumConfig::default()
+        };
+        assert_eq!(
+            model_outcomes(&four, &model, &tighter).unwrap_err(),
+            EnumError::TooManyExecutions
+        );
+        assert_eq!(model.0.get(), 24, "no view judged past the budget");
     }
 
     #[test]
