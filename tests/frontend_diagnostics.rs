@@ -161,12 +161,12 @@ fn check_golden(kind: &str) {
 }
 
 #[test]
-fn new_litmus_parser_matches_legacy_on_all_corpora() {
+fn litmus_parses_match_the_golden_file_on_all_corpora() {
     check_golden("litmus");
 }
 
 #[test]
-fn new_cat_parser_matches_legacy_on_shipped_models() {
+fn cat_parses_match_the_golden_file_on_shipped_models() {
     check_golden("cat");
 }
 
