@@ -658,18 +658,21 @@ fn charge(visited: &mut usize, cfg: &EnumConfig) -> Result<(), EnumError> {
 /// # Errors
 ///
 /// Fails if symbolic execution fails (bad addresses, unbounded loops) or
-/// the candidate count exceeds [`EnumConfig::max_executions`].
+/// the candidate count exceeds [`EnumConfig::max_executions`], before
+/// materialising the trace combination that passes it.
 pub fn enumerate_executions(
     test: &LitmusTest,
     cfg: &EnumConfig,
 ) -> Result<Vec<Candidate>, EnumError> {
     let mut out = Vec::new();
-    for_each_execution(test, cfg, |view| {
-        out.push(Candidate {
-            execution: view.to_execution(),
-            outcome: view.outcome(),
-        });
-        ControlFlow::<()>::Continue(())
+    with_scratch(|scratch| {
+        for_each_combination(test, cfg, &mut scratch.enumeration, true, &mut |view| {
+            out.push(Candidate {
+                execution: view.to_execution(),
+                outcome: view.outcome(),
+            });
+            ControlFlow::<()>::Continue(())
+        })
     })?;
     Ok(out)
 }
@@ -1115,6 +1118,11 @@ mod tests {
         let err = model_outcomes(&test, &model, &cfg).unwrap_err();
         assert_eq!(err, EnumError::TooManyExecutions);
         assert_eq!(model.0.get(), 0, "views judged before the budget check");
+        // Materialising the candidates fails the same way.
+        assert_eq!(
+            enumerate_executions(&test, &cfg).unwrap_err(),
+            EnumError::TooManyExecutions
+        );
 
         // Within the budget the count is exact: the same fan of four
         // stores has 4! candidates, all of them judged.
