@@ -1652,20 +1652,16 @@ mod tests {
 
     /// Checks every test of `tests` on every chip and incantation column,
     /// `runs` run pairs each, by the oracle `differing` (the number of
-    /// differing runs of a simulator under parameters over seeds), skipping
-    /// the tests `skip` names. Returns how many run pairs were compared.
+    /// differing runs of a simulator under parameters over seeds). Returns
+    /// how many run pairs were compared.
     fn assert_exact(
         tests: &[LitmusTest],
         runs: u64,
-        skip: impl Fn(&SimProgram) -> bool,
         mut differing: impl FnMut(&Simulator, &RunParams, Range<u64>) -> usize,
     ) -> u64 {
         let mut compared = 0;
         for (i, test) in tests.iter().enumerate() {
             let program = Arc::new(SimProgram::compile(test).unwrap());
-            if skip(&program) {
-                continue;
-            }
             for chip in Chip::ALL {
                 let sim = Simulator::from_program(Arc::clone(&program), chip);
                 for inc in incantation_columns() {
@@ -1679,26 +1675,21 @@ mod tests {
         compared
     }
 
-    /// [`assert_exact`] by the lone-thread finish oracle, on every test.
-    fn assert_finish_exact(tests: &[LitmusTest], runs: u64) -> u64 {
-        assert_exact(tests, runs, |_| false, differing_runs)
-    }
-
-    /// [`assert_exact`] by the dead-L1 oracle, on every test without a
-    /// `.ca` load. Returns the run pairs compared and how many of the
-    /// full-model runs drew from the L1 stream.
+    /// [`assert_exact`] by the dead-L1 oracle, on every test of `tests`
+    /// without a `.ca` load. Returns the run pairs compared and how many
+    /// of the full-model runs drew from the L1 stream.
     fn assert_l1_dead(tests: &[LitmusTest], runs: u64) -> (u64, u64) {
+        let l1_free: Vec<LitmusTest> = tests
+            .iter()
+            .filter(|t| !SimProgram::compile(t).unwrap().l1_live)
+            .cloned()
+            .collect();
         let mut drew = 0;
-        let compared = assert_exact(
-            tests,
-            runs,
-            |p| p.l1_live,
-            |sim, params, seeds| {
-                let (differing, d) = l1_differing_runs(sim, params, seeds);
-                drew += d;
-                differing
-            },
-        );
+        let compared = assert_exact(&l1_free, runs, |sim, params, seeds| {
+            let (differing, d) = l1_differing_runs(sim, params, seeds);
+            drew += d;
+            differing
+        });
         (compared, drew)
     }
 
@@ -1723,12 +1714,12 @@ mod tests {
 
     #[test]
     fn lone_thread_finish_is_exact_on_the_corpus() {
-        assert!(assert_finish_exact(&corpus_and_small_family(), PAIRS) > 0);
+        assert!(assert_exact(&corpus_and_small_family(), PAIRS, differing_runs) > 0);
     }
 
     #[test]
     fn lone_thread_finish_is_exact_on_a_paper_sample() {
-        assert!(assert_finish_exact(&paper_sample(), PAIRS) > 0);
+        assert!(assert_exact(&paper_sample(), PAIRS, differing_runs) > 0);
     }
 
     #[test]
