@@ -13,20 +13,17 @@
 use weakgpu_axiom::enumerate::EnumConfig;
 use weakgpu_axiom::Model;
 use weakgpu_bench::BenchArgs;
+use weakgpu_harness::default_incantations;
 use weakgpu_harness::runner::{run_test, RunConfig};
 use weakgpu_harness::soundness::check_soundness;
 use weakgpu_litmus::{corpus, FenceScope, LitmusTest, ThreadScope};
 use weakgpu_models::{operational_baseline, ptx_model, ptx_model_without_llh, rmo_model};
-use weakgpu_sim::chip::{Chip, Incantations};
+use weakgpu_sim::chip::Chip;
 
 fn observations(test: &LitmusTest, args: &BenchArgs) -> weakgpu_harness::Histogram {
-    let inc = match test.thread_scope() {
-        Some(ThreadScope::InterCta) => Incantations::best_inter_cta(),
-        _ => Incantations::all_on(),
-    };
     let cfg = RunConfig {
         iterations: args.iterations.max(150_000),
-        incantations: inc,
+        incantations: default_incantations(test),
         seed: args.seed,
         parallelism: None,
     };

@@ -3,22 +3,9 @@
 //! Shape to reproduce: Fermi and Kepler exhibit thousands of violations
 //! per 100k; Maxwell and both AMD chips exhibit none.
 
-use weakgpu_bench::paper::{CHIP_COLUMNS, FIG1_CORR};
-use weakgpu_bench::{obs_row, print_experiment, BenchArgs, Cell};
-use weakgpu_litmus::corpus;
-use weakgpu_sim::chip::Chip;
+use weakgpu_bench::{paper, print_figure, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
-    let test = corpus::corr();
-    let measured = obs_row(&test, &Chip::TABLED, &args);
-    print_experiment(
-        "Fig. 1: coRR (intra-CTA, global memory)",
-        &CHIP_COLUMNS,
-        vec![(
-            "coRR".to_owned(),
-            FIG1_CORR.iter().map(|&v| Cell::from(v)).collect(),
-            measured.into_iter().map(Cell::Obs).collect(),
-        )],
-    );
+    print_figure(&paper::FIG1, &args);
 }

@@ -6,83 +6,10 @@
 //! other Nvidia chip; on AMD, fences work on TeraScale 2 but the GCN 1.0
 //! compiler removes the fence between the loads, so the behaviour remains.
 
-use weakgpu_bench::paper::{AMD_MP_UNFENCED, FIG3_MP_L1, NVIDIA_COLUMNS};
-use weakgpu_bench::{obs_cell, print_experiment, BenchArgs, Cell};
-use weakgpu_litmus::{corpus, FenceScope, ThreadScope};
-use weakgpu_optcheck::{amd_compile, AmdTarget};
-use weakgpu_sim::chip::{Chip, Incantations};
+use weakgpu_bench::{paper, print_figure, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
-    let inc = Incantations::best_inter_cta();
-
-    let mut rows = Vec::new();
-    for (label, paper) in FIG3_MP_L1 {
-        let fence = match label {
-            "membar.cta" => Some(FenceScope::Cta),
-            "membar.gl" => Some(FenceScope::Gl),
-            "membar.sys" => Some(FenceScope::Sys),
-            _ => None,
-        };
-        let test = corpus::mp_l1(fence);
-        let measured: Vec<Cell> = Chip::NVIDIA_TABLED
-            .iter()
-            .map(|&c| Cell::Obs(obs_cell(&test, c, inc, &args)))
-            .collect();
-        rows.push((
-            label.to_owned(),
-            paper.iter().map(|&v| Cell::Obs(v)).collect(),
-            measured,
-        ));
-    }
-    print_experiment(
-        "Fig. 3: mp-L1 (inter-CTA, .ca loads) per fence",
-        &NVIDIA_COLUMNS,
-        rows,
-    );
-
-    // Sec. 3.1.2: OpenCL mp on AMD, unfenced and with global fences
-    // (compiled by the vendor compiler, which drops the load-side fence on
-    // GCN 1.0). AMD's best mp column is 15 (stress+gbc+sync), Tab. 6.
-    let inc = Incantations {
-        memory_stress: true,
-        bank_conflicts: true,
-        thread_sync: true,
-        thread_rand: false,
-    };
-    let mut rows = Vec::new();
-    let unfenced = corpus::mp(ThreadScope::InterCta, None);
-    let fenced = corpus::mp(ThreadScope::InterCta, Some(FenceScope::Gl));
-    for (chip, target, (_, paper_unfenced)) in [
-        (
-            Chip::RadeonHd6570,
-            AmdTarget::TeraScale2,
-            AMD_MP_UNFENCED[0],
-        ),
-        (Chip::RadeonHd7970, AmdTarget::Gcn10, AMD_MP_UNFENCED[1]),
-    ] {
-        let (u, _) = amd_compile(&unfenced, target);
-        let (f, rep) = amd_compile(&fenced, target);
-        let mu = obs_cell(&u, chip, inc, &args);
-        let mf = obs_cell(&f, chip, inc, &args);
-        rows.push((
-            format!("{} unfenced", chip.short()),
-            vec![Cell::Obs(paper_unfenced)],
-            vec![Cell::Obs(mu)],
-        ));
-        rows.push((
-            format!(
-                "{} fenced ({} fences removed by compiler)",
-                chip.short(),
-                rep.fences_removed
-            ),
-            vec![Cell::from(if rep.fences_removed > 0 {
-                Some(paper_unfenced / 2) // "still observed" — no exact count given
-            } else {
-                Some(0)
-            })],
-            vec![Cell::Obs(mf)],
-        ));
-    }
-    print_experiment("Sec. 3.1.2: OpenCL mp on AMD", &["obs"], rows);
+    print_figure(&paper::FIG3, &args);
+    print_figure(&paper::SEC3_1_2, &args);
 }

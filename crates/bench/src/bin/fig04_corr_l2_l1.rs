@@ -4,37 +4,9 @@
 //! reads after an L2 read; on the GTX 540m only `membar.gl` does; Kepler
 //! chips show a small unfenced residue; Maxwell shows nothing.
 
-use weakgpu_bench::paper::{FIG4_CORR_L2_L1, NVIDIA_COLUMNS};
-use weakgpu_bench::{obs_cell, print_experiment, BenchArgs, Cell};
-use weakgpu_litmus::{corpus, FenceScope};
-use weakgpu_sim::chip::{Chip, Incantations};
+use weakgpu_bench::{paper, print_figure, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
-    let inc = Incantations::all_on(); // intra-CTA test
-
-    let mut rows = Vec::new();
-    for (label, paper) in FIG4_CORR_L2_L1 {
-        let fence = match label {
-            "membar.cta" => Some(FenceScope::Cta),
-            "membar.gl" => Some(FenceScope::Gl),
-            "membar.sys" => Some(FenceScope::Sys),
-            _ => None,
-        };
-        let test = corpus::corr_l2_l1(fence);
-        let measured: Vec<Cell> = Chip::NVIDIA_TABLED
-            .iter()
-            .map(|&c| Cell::Obs(obs_cell(&test, c, inc, &args)))
-            .collect();
-        rows.push((
-            label.to_owned(),
-            paper.iter().map(|&v| Cell::Obs(v)).collect(),
-            measured,
-        ));
-    }
-    print_experiment(
-        "Fig. 4: coRR-L2-L1 (intra-CTA, .cg then .ca load) per fence",
-        &NVIDIA_COLUMNS,
-        rows,
-    );
+    print_figure(&paper::FIG4, &args);
 }

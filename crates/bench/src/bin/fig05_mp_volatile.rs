@@ -5,26 +5,9 @@
 //! restore SC — Fermi and Kepler exhibit the weak outcome by the
 //! thousands; Maxwell does not.
 
-use weakgpu_bench::paper::{FIG5_MP_VOLATILE, NVIDIA_COLUMNS};
-use weakgpu_bench::{obs_cell, print_experiment, BenchArgs, Cell};
-use weakgpu_litmus::corpus;
-use weakgpu_sim::chip::{Chip, Incantations};
+use weakgpu_bench::{paper, print_figure, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
-    let test = corpus::mp_volatile();
-    let inc = Incantations::all_on();
-    let measured: Vec<Cell> = Chip::NVIDIA_TABLED
-        .iter()
-        .map(|&c| Cell::Obs(obs_cell(&test, c, inc, &args)))
-        .collect();
-    print_experiment(
-        "Fig. 5: mp-volatile (intra-CTA, shared memory)",
-        &NVIDIA_COLUMNS,
-        vec![(
-            "mp-volatile".to_owned(),
-            FIG5_MP_VOLATILE.iter().map(|&v| Cell::Obs(v)).collect(),
-            measured,
-        )],
-    );
+    print_figure(&paper::FIG5, &args);
 }

@@ -6,29 +6,9 @@
 //! at tens per 100k; absent on GTX5, Maxwell and AMD; the `(+)` fences
 //! eliminate it everywhere.
 
-use weakgpu_bench::paper::{CHIP_COLUMNS, FIG7_DLB_MP};
-use weakgpu_bench::{obs_row, print_experiment, BenchArgs, Cell};
-use weakgpu_litmus::corpus;
-use weakgpu_sim::chip::Chip;
+use weakgpu_bench::{paper, print_figure, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
-    let mut rows = Vec::new();
-    let unfenced = obs_row(&corpus::dlb_mp(false), &Chip::TABLED, &args);
-    rows.push((
-        "dlb-mp".to_owned(),
-        FIG7_DLB_MP.iter().map(|&v| Cell::from(v)).collect(),
-        unfenced.into_iter().map(Cell::Obs).collect(),
-    ));
-    let fenced = obs_row(&corpus::dlb_mp(true), &Chip::TABLED, &args);
-    rows.push((
-        "dlb-mp+membar.gls".to_owned(),
-        vec![Cell::Obs(0); 7],
-        fenced.into_iter().map(Cell::Obs).collect(),
-    ));
-    print_experiment(
-        "Fig. 7: dlb-mp (inter-CTA) — deque loses a pushed task",
-        &CHIP_COLUMNS,
-        rows,
-    );
+    print_figure(&paper::FIG7, &args);
 }

@@ -7,58 +7,9 @@
 //! reorders the load and the CAS (detected here by `optcheck`/the AMD
 //! compile report); the fences forbid it everywhere.
 
-use weakgpu_bench::paper::{CHIP_COLUMNS, FIG8_DLB_LB};
-use weakgpu_bench::run::default_incantations;
-use weakgpu_bench::{obs_cell, print_experiment, BenchArgs, Cell};
-use weakgpu_litmus::corpus;
-use weakgpu_optcheck::{amd_compile, AmdTarget};
-use weakgpu_sim::chip::{Chip, Vendor};
+use weakgpu_bench::{paper, print_figure, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
-    let mut rows = Vec::new();
-    for (label, fenced) in [("dlb-lb", false), ("dlb-lb+membar.gls", true)] {
-        let test = corpus::dlb_lb(fenced);
-        let inc = default_incantations(&test);
-        let measured: Vec<Cell> = Chip::TABLED
-            .iter()
-            .map(|&chip| {
-                if chip.profile().vendor == Vendor::Amd {
-                    let target = if chip == Chip::RadeonHd6570 {
-                        AmdTarget::TeraScale2
-                    } else {
-                        AmdTarget::Gcn10
-                    };
-                    let (compiled, report) = amd_compile(&test, target);
-                    if !report.test_is_meaningful() {
-                        // The compiler reordered the load and the CAS: the
-                        // binary no longer measures dlb-lb.
-                        return Cell::Na;
-                    }
-                    Cell::Obs(obs_cell(&compiled, chip, inc, &args))
-                } else {
-                    Cell::Obs(obs_cell(&test, chip, inc, &args))
-                }
-            })
-            .collect();
-        let paper: Vec<Cell> = if fenced {
-            vec![
-                Cell::Obs(0),
-                Cell::Obs(0),
-                Cell::Obs(0),
-                Cell::Obs(0),
-                Cell::Obs(0),
-                Cell::Na,
-                Cell::Obs(0),
-            ]
-        } else {
-            FIG8_DLB_LB.iter().map(|&v| Cell::from(v)).collect()
-        };
-        rows.push((label.to_owned(), paper, measured));
-    }
-    print_experiment(
-        "Fig. 8: dlb-lb (inter-CTA) — steal reads a later push",
-        &CHIP_COLUMNS,
-        rows,
-    );
+    print_figure(&paper::FIG8, &args);
 }

@@ -6,36 +6,9 @@
 //! none on GTX5/Maxwell; the added fences eliminate them (the erratum
 //! Nvidia published).
 
-use weakgpu_bench::paper::{CHIP_COLUMNS, FIG9_CAS_SL};
-use weakgpu_bench::{obs_row, print_experiment, BenchArgs, Cell};
-use weakgpu_litmus::corpus;
-use weakgpu_sim::chip::Chip;
+use weakgpu_bench::{paper, print_figure, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
-    let mut rows = Vec::new();
-    let unfenced = obs_row(&corpus::cas_sl(false), &Chip::TABLED, &args);
-    rows.push((
-        "cas-sl".to_owned(),
-        FIG9_CAS_SL.iter().map(|&v| Cell::from(v)).collect(),
-        unfenced.into_iter().map(Cell::Obs).collect(),
-    ));
-    let fenced = obs_row(&corpus::cas_sl(true), &Chip::TABLED, &args);
-    rows.push((
-        "cas-sl+membar.gls".to_owned(),
-        vec![Cell::Obs(0); 7],
-        fenced.into_iter().map(Cell::Obs).collect(),
-    ));
-    // The Stuart–Owens exchange lock fails identically (Sec. 3.2.2).
-    let exch = obs_row(&corpus::exch_sl(false), &Chip::TABLED, &args);
-    rows.push((
-        "exch-sl".to_owned(),
-        vec![Cell::Na; 7], // no per-chip counts printed in the paper
-        exch.into_iter().map(Cell::Obs).collect(),
-    ));
-    print_experiment(
-        "Fig. 9: cas-sl (inter-CTA) — spin lock reads stale data",
-        &CHIP_COLUMNS,
-        rows,
-    );
+    print_figure(&paper::FIG9, &args);
 }

@@ -7,48 +7,9 @@
 //! automatically); the corrected lock (fences at entry/exit, exchange
 //! release) eliminates the behaviour.
 
-use weakgpu_bench::paper::{CHIP_COLUMNS, FIG11_SL_FUTURE};
-use weakgpu_bench::{obs_row, print_experiment, BenchArgs, Cell};
-use weakgpu_litmus::corpus;
-use weakgpu_sim::chip::Chip;
+use weakgpu_bench::{paper, print_figure, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
-    let mut rows = Vec::new();
-    let buggy = obs_row(&corpus::sl_future(false), &Chip::TABLED, &args);
-    rows.push((
-        "sl-future".to_owned(),
-        FIG11_SL_FUTURE.iter().map(|&v| Cell::from(v)).collect(),
-        buggy
-            .into_iter()
-            .zip(CHIP_COLUMNS)
-            .map(|(v, col)| {
-                // The paper could not test AMD here.
-                if col.starts_with("HD") {
-                    Cell::Na
-                } else {
-                    Cell::Obs(v)
-                }
-            })
-            .collect(),
-    ));
-    let fixed = obs_row(&corpus::sl_future(true), &Chip::TABLED, &args);
-    rows.push((
-        "sl-future (fixed)".to_owned(),
-        vec![
-            Cell::Obs(0),
-            Cell::Obs(0),
-            Cell::Obs(0),
-            Cell::Obs(0),
-            Cell::Obs(0),
-            Cell::Na,
-            Cell::Na,
-        ],
-        fixed.into_iter().map(Cell::Obs).collect(),
-    ));
-    print_experiment(
-        "Fig. 11: sl-future (inter-CTA) — lock reads future values",
-        &CHIP_COLUMNS,
-        rows,
-    );
+    print_figure(&paper::FIG11, &args);
 }

@@ -4,16 +4,14 @@
 //! it.
 
 use weakgpu_axiom::enumerate::model_outcomes;
-use weakgpu_bench::paper::SEC6_LB_CTAS;
-use weakgpu_bench::{obs_cell, BenchArgs};
-use weakgpu_litmus::{corpus, FenceScope, ThreadScope};
+use weakgpu_bench::paper::{Cell, SEC6};
+use weakgpu_bench::{run_cells, BenchArgs};
 use weakgpu_models::{operational_baseline, ptx_model};
-use weakgpu_sim::chip::{Chip, Incantations};
 
 fn main() {
     let args = BenchArgs::parse();
-    let test = corpus::lb(ThreadScope::InterCta, Some(FenceScope::Cta));
-    println!("== Sec. 6: inter-CTA lb+membar.ctas ==\n");
+    let test = (SEC6.rows[0].test)();
+    println!("== {} ==\n", SEC6.title);
 
     let ptx = model_outcomes(&test, &ptx_model(), &Default::default()).unwrap();
     let op = model_outcomes(&test, &operational_baseline(), &Default::default()).unwrap();
@@ -35,8 +33,9 @@ fn main() {
     );
 
     println!("\nobservations (obs/100k):");
-    for ((name, paper), chip) in SEC6_LB_CTAS.iter().zip([Chip::GtxTitan, Chip::Gtx660]) {
-        let measured = obs_cell(&test, chip, Incantations::best_inter_cta(), &args);
+    let cells: Vec<Cell> = SEC6.cells().collect();
+    for (cell, measured) in cells.iter().zip(run_cells(&cells, &args)) {
+        let (name, paper) = (cell.chip.short(), cell.paper);
         println!("  {name:<8} paper {paper:>6}   sim {measured:>6}");
     }
     println!(

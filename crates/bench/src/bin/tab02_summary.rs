@@ -2,9 +2,10 @@
 //! end-to-end: each row names the affected component, the witnessing
 //! experiment, and whether this reproduction confirms it.
 
-use weakgpu_bench::run::default_incantations;
-use weakgpu_bench::{obs_cell, BenchArgs};
-use weakgpu_litmus::{corpus, FenceScope, ThreadScope};
+use weakgpu_bench::paper::{Cell, Figure, FIG1, FIG11, FIG3, FIG4, FIG5, FIG7, FIG8, FIG9};
+use weakgpu_bench::{run_cells, BenchArgs};
+use weakgpu_litmus::FenceScope;
+use weakgpu_litmus::{corpus, ThreadScope};
 use weakgpu_optcheck::deps::{dependency_survives, load_load_dep, DepScheme};
 use weakgpu_optcheck::{amd_compile, AmdTarget, CompilerBug, CompilerConfig};
 use weakgpu_sim::chip::Chip;
@@ -26,101 +27,48 @@ fn main() {
         );
     };
 
-    // 1. Fermi/Kepler: coRR.
-    let corr = corpus::corr();
-    let corr_obs: u64 = [
-        Chip::Gtx540m,
-        Chip::TeslaC2075,
-        Chip::Gtx660,
-        Chip::GtxTitan,
-    ]
-    .iter()
-    .map(|&c| obs_cell(&corr, c, default_incantations(&corr), &args))
-    .sum();
-    row(
-        "Fermi/Kepler architectures",
-        "coRR",
-        "sparks debate for CPUs",
-        corr_obs > 0,
-    );
-
-    // 2. Fermi: mp-L1 / coRR-L2-L1 fence-immune.
-    let mp_l1 = corpus::mp_l1(Some(FenceScope::Sys));
-    let tesc = obs_cell(
-        &mp_l1,
-        Chip::TeslaC2075,
-        default_incantations(&mp_l1),
-        &args,
-    );
-    let l2l1 = corpus::corr_l2_l1(Some(FenceScope::Sys));
-    let tesc2 = obs_cell(&l2l1, Chip::TeslaC2075, default_incantations(&l2l1), &args);
-    row(
-        "Fermi architecture",
-        "mp-L1, coRR-L2-L1",
-        "fences do not restore orderings",
-        tesc > 0 && tesc2 > 0,
-    );
-
-    // 3. PTX ISA: volatile.
-    let vol = corpus::mp_volatile();
-    let vol_obs = obs_cell(&vol, Chip::Gtx540m, default_incantations(&vol), &args);
-    row(
-        "PTX ISA",
-        "mp-volatile",
-        "volatile documentation disagrees with testing",
-        vol_obs > 0,
-    );
-
-    // 4. GPU Computing Gems deque.
-    let dlb_lb = corpus::dlb_lb(false);
-    let dlb_mp = corpus::dlb_mp(false);
-    let deque = obs_cell(
-        &dlb_lb,
-        Chip::GtxTitan,
-        default_incantations(&dlb_lb),
-        &args,
-    ) + obs_cell(
-        &dlb_mp,
-        Chip::GtxTitan,
-        default_incantations(&dlb_mp),
-        &args,
-    );
-    row(
-        "GPU Computing Gems",
-        "dlb-lb, dlb-mp",
-        "fenceless deque allows items to be skipped",
-        deque > 0,
-    );
-
-    // 5. CUDA by Example lock.
-    let cas = corpus::cas_sl(false);
-    let cas_obs = obs_cell(&cas, Chip::GtxTitan, default_incantations(&cas), &args);
-    row(
-        "CUDA by Example",
-        "cas-sl",
-        "fenceless lock allows stale values to be read",
-        cas_obs > 0,
-    );
-
-    // 6. Stuart–Owens lock.
-    let exch = corpus::exch_sl(false);
-    let exch_obs = obs_cell(&exch, Chip::GtxTitan, default_incantations(&exch), &args);
-    row(
-        "Stuart-Owens lock",
-        "exch-sl",
-        "fenceless lock allows stale values to be read",
-        exch_obs > 0,
-    );
-
-    // 7. He–Yu lock.
-    let slf = corpus::sl_future(false);
-    let slf_obs = obs_cell(&slf, Chip::TeslaC2075, default_incantations(&slf), &args);
-    row(
-        "He-Yu lock",
-        "sl-future",
-        "lock allows future values to be read",
-        slf_obs > 0,
-    );
+    // Issues 1–7 are confirmed by simulated runs of paper-table cells, all
+    // in one campaign: an issue holds when any of its cells witnesses it
+    // (issue 2: every cell, one per fence-immune test).
+    let cell = |figure: &'static Figure, label: &str, chip: Chip| {
+        let mut cells = figure.cells();
+        cells
+            .find(|c| c.row.label == label && c.chip == chip)
+            .expect("a paper-table cell")
+    };
+    let (tesc, titan) = (Chip::TeslaC2075, Chip::GtxTitan);
+    #[rustfmt::skip]
+    let observed = [
+        ("Fermi/Kepler architectures", "coRR", "sparks debate for CPUs", false,
+         Vec::from([Chip::Gtx540m, tesc, Chip::Gtx660, titan].map(|c| cell(&FIG1, "coRR", c)))),
+        ("Fermi architecture", "mp-L1, coRR-L2-L1", "fences do not restore orderings", true,
+         vec![cell(&FIG3, "membar.sys", tesc), cell(&FIG4, "membar.sys", tesc)]),
+        ("PTX ISA", "mp-volatile", "volatile documentation disagrees with testing", false,
+         vec![cell(&FIG5, "mp-volatile", Chip::Gtx540m)]),
+        ("GPU Computing Gems", "dlb-lb, dlb-mp", "fenceless deque allows items to be skipped",
+         false, vec![cell(&FIG8, "dlb-lb", titan), cell(&FIG7, "dlb-mp", titan)]),
+        ("CUDA by Example", "cas-sl", "fenceless lock allows stale values to be read", false,
+         vec![cell(&FIG9, "cas-sl", titan)]),
+        ("Stuart-Owens lock", "exch-sl", "fenceless lock allows stale values to be read", false,
+         vec![cell(&FIG9, "exch-sl", titan)]),
+        ("He-Yu lock", "sl-future", "lock allows future values to be read", false,
+         vec![cell(&FIG11, "sl-future", tesc)]),
+    ];
+    let cells: Vec<Cell> = observed.iter().flat_map(|issue| issue.4.clone()).collect();
+    let mut obs = run_cells(&cells, &args).into_iter();
+    for (affected, test, comment, every, cells) in &observed {
+        let witnessed: Vec<bool> = obs
+            .by_ref()
+            .take(cells.len())
+            .map(|m| m.obs > Some(0))
+            .collect();
+        let ok = if *every {
+            witnessed.iter().all(|&w| w)
+        } else {
+            witnessed.contains(&true)
+        };
+        row(affected, test, comment, ok);
+    }
 
     // 8. CUDA 5.5 compiler reorders volatile loads to the same address —
     // caught by optcheck on a volatile coRR (Sec. 4.4).
@@ -158,7 +106,7 @@ fn main() {
     );
 
     // 10. TeraScale 2 compiler reorders load and CAS.
-    let (_, ts) = amd_compile(&dlb_lb, AmdTarget::TeraScale2);
+    let (_, ts) = amd_compile(&corpus::dlb_lb(false), AmdTarget::TeraScale2);
     row(
         "AMD TeraScale 2",
         "dlb-lb",

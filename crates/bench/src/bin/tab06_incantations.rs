@@ -9,38 +9,10 @@
 //! randomisation boosts coRR dramatically (col 15 vs 16). On AMD, lb is
 //! weak in every column, sb is vanishingly rare and bank-conflict-gated.
 
-use weakgpu_bench::paper::{TAB6_HD7970, TAB6_TITAN};
-use weakgpu_bench::{obs_cell, BenchArgs};
-use weakgpu_harness::report::ObsTable;
-use weakgpu_litmus::{corpus, LitmusTest, ThreadScope};
-use weakgpu_sim::chip::{Chip, Incantations};
-
-fn tests() -> Vec<(&'static str, LitmusTest)> {
-    vec![
-        ("coRR (intra-CTA)", corpus::corr()),
-        ("lb (inter-CTA)", corpus::lb(ThreadScope::InterCta, None)),
-        ("mp (inter-CTA)", corpus::mp(ThreadScope::InterCta, None)),
-        ("sb (inter-CTA)", corpus::sb(ThreadScope::InterCta, None)),
-    ]
-}
-
-fn run_chip(chip: Chip, paper: &[(&str, [u64; 16]); 4], args: &BenchArgs) {
-    println!("== Tab. 6 ({chip}) ==");
-    let columns: Vec<String> = (1..=16).map(|c| format!("c{c}")).collect();
-    let mut table = ObsTable::new("obs/100k", columns);
-    for ((label, test), (_, paper_row)) in tests().into_iter().zip(paper) {
-        table.row(format!("{label} (paper)"), paper_row.iter().copied());
-        let measured: Vec<u64> = Incantations::all_combinations()
-            .into_iter()
-            .map(|inc| obs_cell(&test, chip, inc, args))
-            .collect();
-        table.row(format!("{label} (sim)"), measured);
-    }
-    println!("{table}");
-}
+use weakgpu_bench::{paper, print_figure, BenchArgs};
 
 fn main() {
     let args = BenchArgs::parse();
-    run_chip(Chip::GtxTitan, &TAB6_TITAN, &args);
-    run_chip(Chip::RadeonHd7970, &TAB6_HD7970, &args);
+    print_figure(&paper::TAB6_TITAN, &args);
+    print_figure(&paper::TAB6_HD7970, &args);
 }

@@ -1,5 +1,5 @@
-//! Shared machinery for the experiment binaries in `src/bin/`: the paper's
-//! reference numbers, a tiny CLI, row runners and side-by-side printing.
+//! Shared machinery for the experiment binaries in `src/bin/`: the table
+//! of the paper's numbers, a tiny CLI, and the figure runner.
 //!
 //! Every binary regenerates one table or figure of the paper. Absolute
 //! counts come from the simulator's calibrated chip profiles; the claims
@@ -13,4 +13,4 @@ pub mod paper;
 pub mod run;
 
 pub use cli::BenchArgs;
-pub use run::{obs_cell, obs_row, print_experiment, Cell};
+pub use run::{print_figure, run_cells, Measured};

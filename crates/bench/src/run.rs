@@ -1,112 +1,123 @@
-//! Row runners and paper-vs-measured printing, built on the harness's
-//! campaign engine: a row's cells share one worker pool and compiled
-//! simulators instead of spawning a thread scope per cell.
+//! Runs the paper table's cells on the harness's campaign engine and
+//! prints them beside the paper's counts. A figure's cells share one
+//! campaign: one worker pool and compiled simulators.
+
+use std::fmt;
 
 use weakgpu_harness::campaign::{run_campaign, CampaignConfig, CellSpec};
 use weakgpu_harness::report::ObsTable;
-use weakgpu_harness::runner::{run_test, RunConfig};
-use weakgpu_litmus::LitmusTest;
-use weakgpu_sim::chip::{Chip, Incantations};
 
 use crate::cli::BenchArgs;
+use crate::paper::{Cell, Figure, Layout};
 
-impl BenchArgs {
-    /// The campaign config these bench args resolve to.
-    pub fn campaign_config(&self) -> CampaignConfig {
-        CampaignConfig {
-            parallelism: self.parallelism,
-        }
-    }
-}
-
-/// A table cell: a count or `n/a`.
+/// What a table cell measured.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Cell {
-    /// An observation count (per 100k).
-    Obs(u64),
-    /// Not applicable (compiler invalidates the test).
-    Na,
+pub struct Measured {
+    /// The witnesses per 100k runs; `None` when the cell was not run.
+    pub obs: Option<u64>,
+    /// The fences the AMD compiler removed from the cell's test.
+    pub fences_removed: usize,
 }
 
-impl Cell {
-    /// Renders the cell.
-    pub fn render(self) -> String {
-        match self {
-            Cell::Obs(n) => n.to_string(),
-            Cell::Na => "n/a".to_owned(),
+impl fmt::Display for Measured {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.obs {
+            Some(n) => n.fmt(f),
+            None => f.pad("n/a"),
         }
     }
 }
 
-impl From<Option<u64>> for Cell {
-    fn from(v: Option<u64>) -> Self {
-        match v {
-            Some(n) => Cell::Obs(n),
-            None => Cell::Na,
-        }
-    }
-}
-
-/// Runs `test` on one chip and returns the witness count normalised to
-/// 100k runs.
+/// Runs table cells as one campaign at the args' iterations and seed; a
+/// cell the table does not run (see [`crate::paper`]) measures `None`. A
+/// cell's count depends only on its own test, chip, column, iterations and
+/// seed, whatever else the campaign runs.
 ///
 /// # Panics
 ///
 /// Panics on harness errors — experiment binaries treat those as fatal.
-pub fn obs_cell(test: &LitmusTest, chip: Chip, inc: Incantations, args: &BenchArgs) -> u64 {
-    let cfg = RunConfig {
-        iterations: args.iterations,
-        incantations: inc,
-        seed: args.seed,
+pub fn run_cells(cells: &[Cell], args: &BenchArgs) -> Vec<Measured> {
+    let mut specs = Vec::new();
+    let mut removed = Vec::new();
+    for cell in cells {
+        let test = cell.test();
+        removed.push(test.as_ref().map(|t| t.1));
+        if let Some((test, _)) = test {
+            specs.push(
+                CellSpec::new(test, cell.chip)
+                    .incantations(cell.incantations())
+                    .iterations(args.iterations)
+                    .seed(args.seed),
+            );
+        }
+    }
+    let cfg = CampaignConfig {
         parallelism: args.parallelism,
     };
-    run_test(test, chip, &cfg)
-        .unwrap_or_else(|e| panic!("{} on {chip}: {e}", test.name()))
-        .obs_per_100k()
-}
-
-/// Runs `test` across `chips` with per-chip incantations chosen by the
-/// test's placement (best inter-CTA column for inter-CTA tests, all-on for
-/// intra-CTA, as in the paper). The whole row runs as one campaign —
-/// cell results are identical to per-cell [`obs_cell`] calls.
-pub fn obs_row(test: &LitmusTest, chips: &[Chip], args: &BenchArgs) -> Vec<u64> {
-    let inc = default_incantations(test);
-    let cells: Vec<CellSpec> = chips
-        .iter()
-        .map(|&chip| {
-            CellSpec::new(test.clone(), chip)
-                .incantations(inc)
-                .iterations(args.iterations)
-                .seed(args.seed)
+    let mut reports = run_campaign(&specs, &cfg)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .into_iter();
+    removed
+        .into_iter()
+        .map(|removed| Measured {
+            obs: removed
+                .and_then(|_| reports.next())
+                .map(|r| r.obs_per_100k()),
+            fences_removed: removed.unwrap_or(0),
         })
-        .collect();
-    run_campaign(&cells, &args.campaign_config())
-        .unwrap_or_else(|e| panic!("{}: {e}", test.name()))
-        .iter()
-        .map(weakgpu_harness::TestReport::obs_per_100k)
         .collect()
 }
 
-/// The paper's "most effective incantations" per placement (the harness
-/// helper, re-exported for the experiment binaries).
-pub fn default_incantations(test: &LitmusTest) -> Incantations {
-    weakgpu_harness::default_incantations(test)
-}
-
-/// Prints one experiment: for every row, the paper's reference counts and
-/// the measured counts side by side.
-pub fn print_experiment(title: &str, columns: &[&str], rows: Vec<(String, Vec<Cell>, Vec<Cell>)>) {
-    println!("== {title} ==");
-    let mut table = ObsTable::new("obs/100k", columns.iter().map(|s| (*s).to_owned()));
-    for (label, paper, measured) in rows {
-        table.row_text(
-            format!("{label} (paper)"),
-            paper.into_iter().map(Cell::render),
-        );
-        table.row_text(
-            format!("{label} (sim)"),
-            measured.into_iter().map(Cell::render),
-        );
+/// Runs a figure's cells as one campaign and prints, row by row, the
+/// paper's counts and the measured ones.
+pub fn print_figure(figure: &'static Figure, args: &BenchArgs) {
+    let cells: Vec<Cell> = figure.cells().collect();
+    let measured = run_cells(&cells, args);
+    println!("== {} ==", figure.title);
+    let mut table;
+    match figure.layout {
+        Layout::Grid => {
+            let columns: Vec<String> = match figure.chips {
+                [_] => figure.rows[0]
+                    .columns
+                    .iter()
+                    .map(|c| format!("c{c}"))
+                    .collect(),
+                chips => chips.iter().map(|c| c.short().to_owned()).collect(),
+            };
+            let width = columns.len();
+            table = ObsTable::new("obs/100k", columns);
+            for ((row, cells), measured) in figure
+                .rows
+                .iter()
+                .zip(cells.chunks(width))
+                .zip(measured.chunks(width))
+            {
+                table.row(
+                    format!("{} (paper)", row.label),
+                    cells.iter().map(|c| c.paper),
+                );
+                table.row(format!("{} (sim)", row.label), measured);
+            }
+        }
+        Layout::PerChip => {
+            table = ObsTable::new("obs/100k", ["obs".to_owned()]);
+            for &chip in figure.chips {
+                for (cell, m) in cells.iter().zip(&measured) {
+                    if cell.chip != chip {
+                        continue;
+                    }
+                    let removed = m.fences_removed.to_string();
+                    let label = format!(
+                        "{} {}",
+                        chip.short(),
+                        cell.row.label.replace("{removed}", &removed)
+                    );
+                    table.row(format!("{label} (paper)"), [cell.paper]);
+                    table.row(format!("{label} (sim)"), [m]);
+                }
+            }
+        }
     }
     println!("{table}");
 }
@@ -114,7 +125,11 @@ pub fn print_experiment(title: &str, columns: &[&str], rows: Vec<(String, Vec<Ce
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paper::{self, Paper};
+    use weakgpu_harness::default_incantations;
+    use weakgpu_harness::runner::{run_test, RunConfig};
     use weakgpu_litmus::corpus;
+    use weakgpu_sim::chip::{Chip, Incantations};
 
     #[test]
     fn obs_cell_runs() {
@@ -122,8 +137,13 @@ mod tests {
             iterations: 500,
             ..BenchArgs::default()
         };
-        let v = obs_cell(&corpus::corr(), Chip::Gtx280, Incantations::all_on(), &args);
-        assert_eq!(v, 0);
+        let cell = Cell {
+            row: &paper::FIG1.rows[0],
+            chip: Chip::Gtx280,
+            column: 16,
+            paper: Paper::Count(0),
+        };
+        assert_eq!(run_cells(&[cell], &args)[0].obs, Some(0));
     }
 
     #[test]
@@ -136,31 +156,62 @@ mod tests {
             default_incantations(&corpus::cas_sl(false)),
             Incantations::best_inter_cta()
         );
+        // Every figure runs its rows at the placement's column, but for
+        // Sec. 3.1.2's AMD column and Tab. 6's sweep of all 16.
+        for fig in paper::FIGURES {
+            if fig.title.starts_with("Sec. 3.1.2") || fig.title.starts_with("Tab. 6") {
+                continue;
+            }
+            for cell in fig.cells() {
+                assert_eq!(
+                    cell.incantations(),
+                    default_incantations(&(cell.row.test)()),
+                    "{}: {}",
+                    fig.title,
+                    cell.row.label
+                );
+            }
+        }
     }
 
     #[test]
     fn obs_row_matches_per_cell_runs() {
-        // The campaign-backed row must reproduce exactly what running
-        // each cell alone produces.
+        // A figure's campaign must reproduce exactly what running each
+        // cell alone produces; Fig. 8 has an AMD-compiled cell and one
+        // the compiler leaves unrun.
         let args = BenchArgs {
             iterations: 1_000,
             ..BenchArgs::default()
         };
-        let test = corpus::mp(weakgpu_litmus::ThreadScope::InterCta, None);
-        let chips = [Chip::GtxTitan, Chip::Gtx280];
-        let row = obs_row(&test, &chips, &args);
-        let inc = default_incantations(&test);
-        let solo: Vec<u64> = chips
+        let cells: Vec<Cell> = paper::FIG8.cells().collect();
+        let solo: Vec<Option<u64>> = cells
             .iter()
-            .map(|&c| obs_cell(&test, c, inc, &args))
+            .map(|cell| {
+                let (test, _) = cell.test()?;
+                let cfg = RunConfig {
+                    iterations: args.iterations,
+                    incantations: cell.incantations(),
+                    seed: args.seed,
+                    parallelism: Some(1),
+                };
+                Some(run_test(&test, cell.chip, &cfg).unwrap().obs_per_100k())
+            })
             .collect();
-        assert_eq!(row, solo);
+        let together: Vec<Option<u64>> = run_cells(&cells, &args).iter().map(|m| m.obs).collect();
+        assert_eq!(together, solo);
+        assert_eq!(solo.iter().filter(|o| o.is_none()).count(), 1);
     }
 
     #[test]
     fn cells_render() {
-        assert_eq!(Cell::Obs(42).render(), "42");
-        assert_eq!(Cell::Na.render(), "n/a");
-        assert_eq!(Cell::from(None), Cell::Na);
+        assert_eq!(Paper::Count(42).to_string(), "42");
+        assert_eq!(Paper::NoCount.to_string(), "n/a");
+        assert_eq!(format!("{:>5}", Paper::Untestable), "  n/a");
+        let m = |obs| Measured {
+            obs,
+            fences_removed: 0,
+        };
+        assert_eq!(m(Some(7)).to_string(), "7");
+        assert_eq!(format!("{:>4}", m(None)), " n/a");
     }
 }

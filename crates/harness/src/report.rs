@@ -21,18 +21,16 @@ impl ObsTable {
         }
     }
 
-    /// Appends a row of counts.
-    pub fn row(&mut self, label: impl Into<String>, values: impl IntoIterator<Item = u64>) {
+    /// Appends a row: counts, or preformatted cells such as `n/a`.
+    pub fn row(
+        &mut self,
+        label: impl Into<String>,
+        values: impl IntoIterator<Item = impl fmt::Display>,
+    ) {
         self.rows.push((
             label.into(),
             values.into_iter().map(|v| v.to_string()).collect(),
         ));
-    }
-
-    /// Appends a row of preformatted cells (for `n/a` entries, Fig. 8).
-    pub fn row_text(&mut self, label: impl Into<String>, values: impl IntoIterator<Item = String>) {
-        self.rows
-            .push((self_label(label), values.into_iter().collect()));
     }
 
     /// Number of data rows.
@@ -47,10 +45,6 @@ impl ObsTable {
             .and_then(|(_, v)| v.get(col))
             .map(String::as_str)
     }
-}
-
-fn self_label(label: impl Into<String>) -> String {
-    label.into()
 }
 
 impl fmt::Display for ObsTable {
@@ -119,7 +113,7 @@ mod tests {
     #[test]
     fn text_rows_for_na_cells() {
         let mut t = ObsTable::new("obs/100k", ["HD6570".to_string()]);
-        t.row_text("dlb-lb", ["n/a".to_string()]);
+        t.row("dlb-lb", ["n/a"]);
         assert_eq!(t.cell(0, 0), Some("n/a"));
         assert!(t.to_string().contains("n/a"));
     }

@@ -3,6 +3,7 @@
 //! → axiomatic model → optcheck), at CI-friendly iteration counts.
 
 use weakgpu::harness::campaign::{run_campaign, CampaignConfig, CellSpec};
+use weakgpu::harness::default_incantations;
 use weakgpu::harness::runner::{run_test, RunConfig};
 use weakgpu::litmus::{corpus, FenceScope, LitmusTest, ThreadScope};
 use weakgpu::models::{operational_baseline, ptx_model};
@@ -12,16 +13,12 @@ use weakgpu::sim::chip::{Chip, Incantations};
 use weakgpu::Session;
 
 fn obs(test: &LitmusTest, chip: Chip, iterations: usize) -> u64 {
-    let inc = match test.thread_scope() {
-        Some(ThreadScope::InterCta) => Incantations::best_inter_cta(),
-        _ => Incantations::all_on(),
-    };
     run_test(
         test,
         chip,
         &RunConfig {
             iterations,
-            incantations: inc,
+            incantations: default_incantations(test),
             seed: 0xf1d1,
             parallelism: None,
         },
