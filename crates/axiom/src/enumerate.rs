@@ -28,7 +28,7 @@
 //! test, and visitors can stop early (first witness
 //! found, forbidden outcome observed) via [`ControlFlow::Break`].
 //! [`enumerate_executions`] is a thin materialising wrapper over that
-//! stream for rendering and diagnostics.
+//! stream, kept as the test oracle that judges owned executions.
 //!
 //! Verdicts ([`model_outcomes_with`]) come from that same stream: every
 //! candidate is judged on its own by
@@ -650,10 +650,13 @@ fn charge(visited: &mut usize, cfg: &EnumConfig) -> Result<(), EnumError> {
 }
 
 /// Materialises all candidate executions of `test` — a thin wrapper over
-/// [`for_each_execution`] kept for rendering, diagnostics and as the
-/// differential oracle of the streaming path. Verdict code should use
-/// [`model_outcomes`] (or the visitor directly) instead: this clones the
-/// shared skeleton into an owned [`Execution`] per candidate.
+/// [`for_each_execution`] kept as the materialise-then-judge test oracle:
+/// its owned [`Execution`]s are judged by [`Model::allows`] (for `.cat`
+/// models, the tree-walking interpreter), against the compiled plan that
+/// judges the stream. Everything else should use [`model_outcomes`] (or
+/// the visitor directly, materialising only the candidates it keeps):
+/// this clones the shared skeleton into an owned [`Execution`] per
+/// candidate.
 ///
 /// # Errors
 ///

@@ -27,115 +27,6 @@ pub enum RmwAtomicity {
     None,
 }
 
-/// Fills `r` with program order over `events`: intra-thread, by position.
-pub(crate) fn po_into(events: &[Event], r: &mut Relation) {
-    r.reset(events.len());
-    for a in events {
-        for b in events {
-            if a.tid == b.tid && a.po_idx < b.po_idx {
-                r.add(a.id, b.id);
-            }
-        }
-    }
-}
-
-/// Fills `r` with program order restricted to same-location accesses.
-pub(crate) fn po_loc_into(events: &[Event], r: &mut Relation) {
-    r.reset(events.len());
-    for a in events {
-        for b in events {
-            if a.tid == b.tid && a.po_idx < b.po_idx && a.loc.is_some() && a.loc == b.loc {
-                r.add(a.id, b.id);
-            }
-        }
-    }
-}
-
-/// Fills `r` with pairs of events from different threads.
-pub(crate) fn ext_into(events: &[Event], r: &mut Relation) {
-    r.reset(events.len());
-    for a in events {
-        for b in events {
-            if a.tid != b.tid {
-                r.add(a.id, b.id);
-            }
-        }
-    }
-}
-
-/// Fills `r` with pairs of events from the same thread.
-pub(crate) fn int_into(events: &[Event], r: &mut Relation) {
-    r.reset(events.len());
-    for a in events {
-        for b in events {
-            if a.tid == b.tid {
-                r.add(a.id, b.id);
-            }
-        }
-    }
-}
-
-/// Fills `r` with pairs of accesses to the same location.
-pub(crate) fn same_loc_into(events: &[Event], r: &mut Relation) {
-    r.reset(events.len());
-    for a in events {
-        for b in events {
-            if a.loc.is_some() && a.loc == b.loc {
-                r.add(a.id, b.id);
-            }
-        }
-    }
-}
-
-/// Fills `r` with the fence relation for `scope`: pairs `(a, b)` with a
-/// fence of exactly that scope po-between them.
-pub(crate) fn fence_rel_into(events: &[Event], scope: FenceScope, r: &mut Relation) {
-    r.reset(events.len());
-    for f in events {
-        if f.kind != EventKind::Fence(scope) {
-            continue;
-        }
-        for a in events {
-            if a.tid != f.tid || a.po_idx >= f.po_idx {
-                continue;
-            }
-            for b in events {
-                if b.tid == f.tid && b.po_idx > f.po_idx {
-                    r.add(a.id, b.id);
-                }
-            }
-        }
-    }
-}
-
-/// Fills `r` with pairs of events whose threads share a CTA.
-pub(crate) fn scope_cta_into(events: &[Event], thread_cta: &[usize], r: &mut Relation) {
-    r.reset(events.len());
-    for a in events {
-        for b in events {
-            if thread_cta[a.tid] == thread_cta[b.tid] {
-                r.add(a.id, b.id);
-            }
-        }
-    }
-}
-
-/// Fills `s` with the ids of the read events.
-fn read_set_into(events: &[Event], s: &mut EventSet) {
-    s.reset(events.len());
-    for e in events.iter().filter(|e| e.is_read()) {
-        s.insert(e.id);
-    }
-}
-
-/// Fills `s` with the ids of the write events.
-fn write_set_into(events: &[Event], s: &mut EventSet) {
-    s.reset(events.len());
-    for e in events.iter().filter(|e| e.is_write()) {
-        s.insert(e.id);
-    }
-}
-
 /// A complete candidate execution of a litmus test.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Execution {
@@ -172,90 +63,69 @@ impl Execution {
         self.events.is_empty()
     }
 
-    /// Event ids of reads.
-    pub fn read_set(&self) -> EventSet {
-        let mut s = EventSet::default();
-        self.fill_read_set(&mut s);
-        s
+    /// The ids of the events satisfying `keep`.
+    fn events_where(&self, keep: impl Fn(&Event) -> bool) -> EventSet {
+        EventSet::from_iter_n(
+            self.len(),
+            self.events.iter().filter(|e| keep(e)).map(|e| e.id),
+        )
     }
 
-    /// In-place [`Execution::read_set`].
-    pub fn fill_read_set(&self, s: &mut EventSet) {
-        read_set_into(&self.events, s);
+    /// The pairs of events satisfying `keep`.
+    fn pairs_where(&self, keep: impl Fn(&Event, &Event) -> bool) -> Relation {
+        let mut r = Relation::empty(self.len());
+        for a in &self.events {
+            for b in &self.events {
+                if keep(a, b) {
+                    r.add(a.id, b.id);
+                }
+            }
+        }
+        r
+    }
+
+    /// Event ids of reads.
+    pub fn read_set(&self) -> EventSet {
+        self.events_where(Event::is_read)
     }
 
     /// Event ids of writes.
     pub fn write_set(&self) -> EventSet {
-        let mut s = EventSet::default();
-        self.fill_write_set(&mut s);
-        s
-    }
-
-    /// In-place [`Execution::write_set`].
-    pub fn fill_write_set(&self, s: &mut EventSet) {
-        write_set_into(&self.events, s);
+        self.events_where(Event::is_write)
     }
 
     /// Event ids of fences.
     pub fn fence_set(&self) -> EventSet {
-        EventSet::from_iter_n(
-            self.len(),
-            self.events.iter().filter(|e| e.is_fence()).map(|e| e.id),
-        )
+        self.events_where(Event::is_fence)
     }
 
     /// Program order: intra-thread, by position.
     pub fn po(&self) -> Relation {
-        let mut r = Relation::default();
-        self.fill_po(&mut r);
-        r
-    }
-
-    /// In-place [`Execution::po`].
-    pub fn fill_po(&self, r: &mut Relation) {
-        po_into(&self.events, r);
+        self.pairs_where(|a, b| a.tid == b.tid && a.po_idx < b.po_idx)
     }
 
     /// Program order restricted to accesses of the same location.
     pub fn po_loc(&self) -> Relation {
-        let mut r = Relation::default();
-        self.fill_po_loc(&mut r);
-        r
-    }
-
-    /// In-place [`Execution::po_loc`].
-    pub fn fill_po_loc(&self, r: &mut Relation) {
-        po_loc_into(&self.events, r);
+        self.pairs_where(|a, b| {
+            a.tid == b.tid && a.po_idx < b.po_idx && a.loc.is_some() && a.loc == b.loc
+        })
     }
 
     /// Read-from as a relation (init edges have no source, so they do not
     /// appear; `fr` accounts for them).
     pub fn rf_rel(&self) -> Relation {
-        let mut r = Relation::default();
-        self.fill_rf_rel(&mut r);
-        r
-    }
-
-    /// In-place [`Execution::rf_rel`].
-    pub fn fill_rf_rel(&self, r: &mut Relation) {
-        r.reset(self.len());
+        let mut r = Relation::empty(self.len());
         for (read, src) in self.rf.iter().enumerate() {
             if let Some(w) = src {
                 r.add(*w, read);
             }
         }
+        r
     }
 
     /// Coherence as a relation (transitive over each location's order).
     pub fn co_rel(&self) -> Relation {
-        let mut r = Relation::default();
-        self.fill_co_rel(&mut r);
-        r
-    }
-
-    /// In-place [`Execution::co_rel`].
-    pub fn fill_co_rel(&self, r: &mut Relation) {
-        r.reset(self.len());
+        let mut r = Relation::empty(self.len());
         for order in self.co.values() {
             for i in 0..order.len() {
                 for j in (i + 1)..order.len() {
@@ -263,18 +133,12 @@ impl Execution {
                 }
             }
         }
+        r
     }
 
     /// From-read: read `r` to every write coherence-after `r`'s source.
     pub fn fr(&self) -> Relation {
-        let mut r = Relation::default();
-        self.fill_fr(&mut r);
-        r
-    }
-
-    /// In-place [`Execution::fr`].
-    pub fn fill_fr(&self, rel: &mut Relation) {
-        rel.reset(self.len());
+        let mut rel = Relation::empty(self.len());
         for e in &self.events {
             if !e.is_read() {
                 continue;
@@ -302,67 +166,49 @@ impl Execution {
                 }
             }
         }
+        rel
     }
 
     /// Pairs of events from different threads.
     pub fn ext(&self) -> Relation {
-        let mut r = Relation::default();
-        self.fill_ext(&mut r);
-        r
-    }
-
-    /// In-place [`Execution::ext`].
-    pub fn fill_ext(&self, r: &mut Relation) {
-        ext_into(&self.events, r);
+        self.pairs_where(|a, b| a.tid != b.tid)
     }
 
     /// Pairs of events from the same thread (including identical events).
     pub fn int(&self) -> Relation {
-        let mut r = Relation::default();
-        self.fill_int(&mut r);
-        r
-    }
-
-    /// In-place [`Execution::int`].
-    pub fn fill_int(&self, r: &mut Relation) {
-        int_into(&self.events, r);
+        self.pairs_where(|a, b| a.tid == b.tid)
     }
 
     /// Pairs of accesses to the same location.
     pub fn same_loc(&self) -> Relation {
-        let mut r = Relation::default();
-        self.fill_same_loc(&mut r);
-        r
-    }
-
-    /// In-place [`Execution::same_loc`].
-    pub fn fill_same_loc(&self, r: &mut Relation) {
-        same_loc_into(&self.events, r);
+        self.pairs_where(|a, b| a.loc.is_some() && a.loc == b.loc)
     }
 
     /// The fence relation for scope `scope`: pairs `(a, b)` with a fence of
     /// exactly that scope po-between them.
     pub fn fence_rel(&self, scope: FenceScope) -> Relation {
-        let mut r = Relation::default();
-        self.fill_fence_rel(scope, &mut r);
+        let mut r = Relation::empty(self.len());
+        for f in &self.events {
+            if f.kind != EventKind::Fence(scope) {
+                continue;
+            }
+            for a in &self.events {
+                if a.tid != f.tid || a.po_idx >= f.po_idx {
+                    continue;
+                }
+                for b in &self.events {
+                    if b.tid == f.tid && b.po_idx > f.po_idx {
+                        r.add(a.id, b.id);
+                    }
+                }
+            }
+        }
         r
-    }
-
-    /// In-place [`Execution::fence_rel`].
-    pub fn fill_fence_rel(&self, scope: FenceScope, r: &mut Relation) {
-        fence_rel_into(&self.events, scope, r);
     }
 
     /// Scope relation `cta`: pairs of events whose threads share a CTA.
     pub fn scope_cta(&self) -> Relation {
-        let mut r = Relation::default();
-        self.fill_scope_cta(&mut r);
-        r
-    }
-
-    /// In-place [`Execution::scope_cta`].
-    pub fn fill_scope_cta(&self, r: &mut Relation) {
-        scope_cta_into(&self.events, &self.thread_cta, r);
+        self.pairs_where(|a, b| self.thread_cta[a.tid] == self.thread_cta[b.tid])
     }
 
     /// Scope relation `gl`: a single grid, so all pairs.

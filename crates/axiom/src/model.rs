@@ -4,12 +4,15 @@
 //! baseline) live in the `weakgpu-models` crate; this module provides the
 //! machinery plus a minimal [`sc_model`] used in documentation and tests.
 //!
-//! A [`CatModel`] compiles its `.cat` source into a reusable
-//! [`Plan`] at construction; verdicts are evaluated
-//! through the plan, allocation-free when callers thread a shared
-//! [`EvalContext`] via [`Model::allows_with`]. The original tree-walking
-//! interpreter ([`CatProgram::check`]) is retained as the
-//! differential-testing oracle ([`CatModel::allows_tree_walk`]).
+//! A [`CatModel`] judges each candidate form with its own evaluator. A
+//! streamed [`ExecutionView`] (the form every verdict in the pipeline
+//! judges) goes through the [`Plan`] compiled at construction,
+//! allocation-free when callers thread a shared [`EvalContext`] via
+//! [`Model::allows_view`]. An owned [`Execution`] (the materialising
+//! test oracles, [`crate::render::explain_verdict`]) goes through the
+//! tree-walking interpreter ([`CatProgram::check`]) over
+//! [`Execution::base_relations`]. The two share no evaluation code, so
+//! each is the other's differential oracle.
 
 use crate::cat::{CatError, CatProgram, CheckOutcome};
 use crate::exec::Execution;
@@ -26,23 +29,15 @@ pub trait Model {
     /// `true` iff the model allows this execution.
     fn allows(&self, exec: &Execution) -> bool;
 
-    /// [`Model::allows`] with a caller-owned [`EvalContext`], so hot
-    /// loops (candidate enumeration, sweeps) reuse one arena across
-    /// executions. The default ignores the context and calls `allows`;
-    /// plan-backed models override it with the allocation-free path.
-    fn allows_with(&self, ctx: &mut EvalContext, exec: &Execution) -> bool {
-        let _ = ctx;
-        self.allows(exec)
-    }
-
     /// The verdict on a streamed skeleton/overlay candidate
     /// ([`ExecutionView`]), the form the streaming enumerator hands out.
     /// The default materialises an owned [`Execution`] and defers to
-    /// [`Model::allows_with`] — correct for any model; plan-backed
-    /// models override it to evaluate the view directly, refilling only
-    /// rf/co-derived base relations per candidate.
+    /// [`Model::allows`] — correct for any model; plan-backed models
+    /// override it to evaluate the view directly, reusing `ctx`'s arena
+    /// and refilling only rf/co-derived base relations per candidate.
     fn allows_view(&self, ctx: &mut EvalContext, view: &ExecutionView<'_>) -> bool {
-        self.allows_with(ctx, &view.to_execution())
+        let _ = ctx;
+        self.allows(&view.to_execution())
     }
 }
 
@@ -56,10 +51,6 @@ impl<M: Model + ?Sized> Model for std::sync::Arc<M> {
 
     fn allows(&self, exec: &Execution) -> bool {
         (**self).allows(exec)
-    }
-
-    fn allows_with(&self, ctx: &mut EvalContext, exec: &Execution) -> bool {
-        (**self).allows_with(ctx, exec)
     }
 
     fn allows_view(&self, ctx: &mut EvalContext, view: &ExecutionView<'_>) -> bool {
@@ -127,50 +118,21 @@ impl CatModel {
     }
 
     /// Evaluates all named checks on `exec` (without the RMW side
-    /// condition) — the full-outcome mode used by `render`/diagnostics.
+    /// condition) through the tree-walking interpreter — the
+    /// full-outcome mode used by `render`/diagnostics.
     ///
     /// # Errors
     ///
     /// Returns a [`CatError`] if the program references unbound relations.
     pub fn check(&self, exec: &Execution) -> Result<Vec<CheckOutcome>, CatError> {
-        self.check_with(&mut EvalContext::new(), exec)
+        self.program
+            .check(&exec.base_relations(), &exec.read_set(), &exec.write_set())
     }
 
-    /// [`CatModel::check`] with a caller-owned [`EvalContext`].
-    ///
-    /// # Errors
-    ///
-    /// See [`CatModel::check`].
-    pub fn check_with(
-        &self,
-        ctx: &mut EvalContext,
-        exec: &Execution,
-    ) -> Result<Vec<CheckOutcome>, CatError> {
-        self.plan.check_exec(ctx, exec)
-    }
-
-    /// The fast path: the RMW side condition plus the compiled plan's
-    /// cheapest-first, short-circuiting check evaluation, reusing `ctx`'s
-    /// buffers. This is what [`Model::allows_with`] resolves to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the `.cat` program references relations the execution
-    /// does not define — a defect in the model source, not in the
-    /// execution under test.
-    pub fn allows_with(&self, ctx: &mut EvalContext, exec: &Execution) -> bool {
-        if !exec.rmw_atomicity_holds(self.rmw) {
-            return false;
-        }
-        self.plan
-            .allows_exec(ctx, exec)
-            .unwrap_or_else(|e| panic!("model {:?} failed to evaluate: {e}", self.name))
-    }
-
-    /// The streamed form of [`CatModel::allows_with`]: the RMW side
-    /// condition evaluated against the overlay's coherence orders, then
-    /// the compiled plan over the view — skeleton-derived relations and
-    /// registers are reused across all of a skeleton's candidates.
+    /// The streamed verdict: the RMW side condition evaluated against
+    /// the overlay's coherence orders, then the compiled plan over the
+    /// view — skeleton-derived relations and registers are reused across
+    /// all of a skeleton's candidates.
     ///
     /// # Panics
     ///
@@ -184,36 +146,6 @@ impl CatModel {
             .allows_view(ctx, view)
             .unwrap_or_else(|e| panic!("model {:?} failed to evaluate: {e}", self.name))
     }
-
-    /// The legacy tree-walking evaluation of the same verdict (RMW side
-    /// condition plus [`CatProgram::allows`] over
-    /// [`Execution::base_relations`]). Retained purely as the
-    /// differential-testing oracle for the compiled plan; use
-    /// [`Model::allows`] everywhere else.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CatError`] for unbound relations.
-    pub fn allows_tree_walk(&self, exec: &Execution) -> Result<bool, CatError> {
-        if !exec.rmw_atomicity_holds(self.rmw) {
-            return Ok(false);
-        }
-        let base = exec.base_relations();
-        self.program
-            .allows(&base, &exec.read_set(), &exec.write_set())
-    }
-
-    /// Tree-walking [`CatModel::check`] (without the RMW side condition):
-    /// the full-outcome differential oracle.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CatError`] for unbound relations.
-    pub fn check_tree_walk(&self, exec: &Execution) -> Result<Vec<CheckOutcome>, CatError> {
-        let base = exec.base_relations();
-        self.program
-            .check(&base, &exec.read_set(), &exec.write_set())
-    }
 }
 
 impl Model for CatModel {
@@ -221,17 +153,20 @@ impl Model for CatModel {
         &self.name
     }
 
+    /// The RMW side condition plus the tree-walking interpreter
+    /// ([`CatProgram::allows`]) over [`Execution::base_relations`].
+    ///
     /// # Panics
     ///
     /// Panics if the `.cat` program references relations that are not in
     /// the base environment — a defect in the model source, not in the
     /// execution under test.
     fn allows(&self, exec: &Execution) -> bool {
-        self.allows_with(&mut EvalContext::new(), exec)
-    }
-
-    fn allows_with(&self, ctx: &mut EvalContext, exec: &Execution) -> bool {
-        CatModel::allows_with(self, ctx, exec)
+        exec.rmw_atomicity_holds(self.rmw)
+            && self
+                .program
+                .allows(&exec.base_relations(), &exec.read_set(), &exec.write_set())
+                .unwrap_or_else(|e| panic!("model {:?} failed to evaluate: {e}", self.name))
     }
 
     fn allows_view(&self, ctx: &mut EvalContext, view: &ExecutionView<'_>) -> bool {

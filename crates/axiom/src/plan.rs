@@ -12,7 +12,7 @@
 //!
 //! * **Names become slots.** Base relations (`po`, `rf`, …) are interned
 //!   into dense base slots, each resolved to the relation of the
-//!   execution it reads; `let` bindings and subexpressions become
+//!   candidate it reads; `let` bindings and subexpressions become
 //!   numbered registers. No string lookup survives to evaluation time
 //!   (an unknown base name still fails there, when a check needs it).
 //! * **Bindings are shared.** Every `let` is compiled exactly once, and
@@ -24,42 +24,48 @@
 //!   mirroring the interpreter's dynamic scoping.
 //! * **Checks are scheduled cheapest-first.** Each check records the
 //!   registers it transitively needs and a cost estimate;
-//!   [`Plan::allows_exec`] evaluates checks in ascending cost order,
+//!   [`Plan::allows_view`] evaluates checks in ascending cost order,
 //!   materialising only the registers (and base relations) the next check
 //!   needs, and short-circuits on the first failure. The full-outcome
-//!   mode ([`Plan::check_exec`]) keeps the program's own order and
+//!   mode ([`Plan::check_view`]) keeps the program's own order and
 //!   evaluates everything, matching the interpreter statement for
 //!   statement.
 //!
+//! The plan judges streamed candidates ([`ExecutionView`]s, the form
+//! [`crate::enumerate::for_each_execution`] hands out) and, for the
+//! differential tests, the interpreter's own name-keyed environment
+//! ([`Plan::allows_in_env`]). An owned [`crate::Execution`] is judged by
+//! the interpreter ([`crate::CatModel::check`]), which shares no
+//! evaluation code with the plan.
+//!
 //! Evaluation happens inside an [`EvalContext`]: an arena of
 //! [`Relation`]/[`EventSet`] buffers (plus DFS scratch for acyclicity
-//! over more than 64 events) that is reused across executions. After the
-//! first execution of a given universe size has warmed the arena,
-//! evaluating the next execution performs **zero heap allocation**.
-//!
-//! Every verdict judges one concrete candidate. On the streaming path
-//! ([`Plan::allows_view`]) the context keys its arena on the view's
-//! skeleton and overlay stamps: registers that read only
-//! skeleton-derived relations are computed once per skeleton, and only
-//! the rf/co-derived bases and the registers above them are recomputed
-//! for each candidate.
+//! over more than 64 events) that is reused across candidates. The
+//! context keys its arena on the view's skeleton and overlay stamps:
+//! registers that read only skeleton-derived relations are computed once
+//! per skeleton, and only the rf/co-derived bases and the registers
+//! above them are recomputed for each candidate. Once the arena is warm,
+//! evaluating the next candidate performs **zero heap allocation**.
 //!
 //! ```
+//! use std::ops::ControlFlow;
 //! use weakgpu_axiom::plan::{EvalContext, Plan};
 //! use weakgpu_axiom::cat::CatProgram;
-//! use weakgpu_axiom::enumerate::{enumerate_executions, EnumConfig};
+//! use weakgpu_axiom::enumerate::{for_each_execution, EnumConfig};
 //! use weakgpu_litmus::{corpus, ThreadScope};
 //!
 //! let program = CatProgram::parse("let com = rf | co | fr\nacyclic (po | com) as sc").unwrap();
 //! let plan = Plan::compile(&program).unwrap();
 //! let mut ctx = EvalContext::new();
 //! let test = corpus::sb(ThreadScope::IntraCta, None);
-//! let execs = enumerate_executions(&test, &EnumConfig::default()).unwrap();
-//! let allowed = execs
-//!     .iter()
-//!     .filter(|c| plan.allows_exec(&mut ctx, &c.execution).unwrap())
-//!     .count();
-//! assert!(allowed > 0 && allowed < execs.len());
+//! let (mut candidates, mut allowed) = (0, 0);
+//! for_each_execution(&test, &EnumConfig::default(), |view| {
+//!     candidates += 1;
+//!     allowed += usize::from(plan.allows_view(&mut ctx, view).unwrap());
+//!     ControlFlow::<()>::Continue(())
+//! })
+//! .unwrap();
+//! assert!(allowed > 0 && allowed < candidates);
 //! ```
 
 use std::collections::{BTreeMap, HashMap};
@@ -68,7 +74,6 @@ use std::mem;
 use weakgpu_litmus::FenceScope;
 
 use crate::cat::{CatError, CatProgram, CheckKind, CheckOutcome, Expr, Stmt};
-use crate::exec::Execution;
 use crate::relation::{EventSet, Relation};
 use crate::skeleton::{next_stamp, ExecutionView};
 
@@ -174,8 +179,8 @@ struct PlanCheck {
 /// A `.cat` program compiled to a reusable evaluation plan.
 ///
 /// Compile once per model (e.g. in [`CatModel::new`](crate::CatModel)),
-/// then evaluate over any number of executions through a shared
-/// [`EvalContext`].
+/// then evaluate over any number of streamed candidates through a
+/// shared [`EvalContext`].
 #[derive(Clone, Debug)]
 pub struct Plan {
     /// Process-unique plan identity, for [`EvalContext`] cache keying
@@ -281,8 +286,6 @@ impl BaseRel {
 
 /// Where base relations come from during one evaluation.
 enum EnvSource<'a> {
-    /// Fill from an [`Execution`]'s event structure.
-    Exec(&'a Execution),
     /// Copy from a name-keyed environment (the interpreter's input
     /// format; used by the differential tests).
     Map(&'a BTreeMap<String, Relation>),
@@ -294,7 +297,7 @@ enum EnvSource<'a> {
 
 /// The reusable evaluation arena: registers, base-relation buffers, the
 /// read/write event sets and DFS scratch. One context serves any number
-/// of plans and executions; buffers grow to the high-water mark and are
+/// of plans and candidates; buffers grow to the high-water mark and are
 /// then reused, so steady-state evaluation allocates nothing.
 #[derive(Default, Debug)]
 pub struct EvalContext {
@@ -321,7 +324,6 @@ pub struct EvalContext {
     reads: EventSet,
     writes: EventSet,
     scratch_a: Relation,
-    scratch_b: Relation,
     colour: Vec<u8>,
     stack: Vec<(usize, usize)>,
     /// Adaptive check schedule for the fast path: starts as the plan's
@@ -710,7 +712,6 @@ impl Plan {
                 }
                 None => false,
             },
-            EnvSource::Exec(exec) => fill_base_from_exec(exec, base, &mut dst, ctx),
             // On the view path (and only there — a map environment may
             // bind `rfe` to anything) an internal/external variant is
             // one intersection off the plain relation, when the plan
@@ -825,48 +826,12 @@ impl Plan {
         passed
     }
 
-    /// The fast path: `true` iff every check passes on `exec`, evaluating
-    /// checks cheapest-first and stopping at the first failure. Only the
-    /// base relations and registers the verdict actually needs are
-    /// materialised.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CatError`] if the program references a base relation
-    /// the execution does not define. (Unlike the interpreter, bindings
-    /// no check depends on are never evaluated here, so errors confined
-    /// to dead bindings do not surface.)
-    pub fn allows_exec(&self, ctx: &mut EvalContext, exec: &Execution) -> Result<bool, CatError> {
-        ctx.begin(self, exec.len());
-        exec.fill_read_set(&mut ctx.reads);
-        exec.fill_write_set(&mut ctx.writes);
-        let env = EnvSource::Exec(exec);
-        self.allows_inner(ctx, &env)
-    }
-
-    /// Full-outcome mode: evaluates every statement (in program order,
-    /// like the interpreter — including bindings no check uses) and
-    /// reports each named check.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CatError`] for unbound base relations, even in unused
-    /// bindings.
-    pub fn check_exec(
-        &self,
-        ctx: &mut EvalContext,
-        exec: &Execution,
-    ) -> Result<Vec<CheckOutcome>, CatError> {
-        ctx.begin(self, exec.len());
-        exec.fill_read_set(&mut ctx.reads);
-        exec.fill_write_set(&mut ctx.writes);
-        let env = EnvSource::Exec(exec);
-        self.check_inner(ctx, &env)
-    }
-
-    /// [`Plan::allows_exec`] over a streamed [`ExecutionView`] — the
-    /// cache-miss hot path of the skeleton/overlay enumerator. The
-    /// context keys its arena on (plan, skeleton, overlay) stamps:
+    /// The fast path: `true` iff every check passes on the streamed
+    /// candidate `view`, evaluating checks cheapest-first and stopping at
+    /// the first failure. Only the base relations and registers the
+    /// verdict actually needs are materialised. This is the cache-miss
+    /// hot path of the skeleton/overlay enumerator. The context keys its
+    /// arena on (plan, skeleton, overlay) stamps:
     /// moving to the next overlay of the same skeleton invalidates only
     /// the rf/co-derived bases and the registers that transitively read
     /// them; everything skeleton-derived is evaluated once per skeleton.
@@ -877,7 +842,10 @@ impl Plan {
     ///
     /// # Errors
     ///
-    /// See [`Plan::allows_exec`].
+    /// Returns a [`CatError`] if the program references a base relation
+    /// the view does not define. (Unlike the interpreter, bindings no
+    /// check depends on are never evaluated here, so errors confined to
+    /// dead bindings do not surface.)
     pub fn allows_view(
         &self,
         ctx: &mut EvalContext,
@@ -887,11 +855,14 @@ impl Plan {
         self.allows_inner(ctx, &EnvSource::View(view))
     }
 
-    /// [`Plan::check_exec`] over a streamed [`ExecutionView`].
+    /// Full-outcome mode: evaluates every statement (in program order,
+    /// like the interpreter — including bindings no check uses) over the
+    /// streamed candidate `view` and reports each named check.
     ///
     /// # Errors
     ///
-    /// See [`Plan::check_exec`].
+    /// Returns a [`CatError`] for unbound base relations, even in unused
+    /// bindings.
     pub fn check_view(
         &self,
         ctx: &mut EvalContext,
@@ -917,13 +888,13 @@ impl Plan {
         ctx.overlay_gen = view.overlay_gen();
     }
 
-    /// [`Plan::allows_exec`] over a name-keyed environment — the same
+    /// [`Plan::allows_view`] over a name-keyed environment — the same
     /// inputs [`CatProgram::check`] takes, for differential testing. The
     /// universe is taken from the environment's first relation.
     ///
     /// # Errors
     ///
-    /// See [`Plan::allows_exec`].
+    /// See [`Plan::allows_view`].
     pub fn allows_in_env(
         &self,
         ctx: &mut EvalContext,
@@ -935,11 +906,11 @@ impl Plan {
         self.allows_inner(ctx, &EnvSource::Map(base))
     }
 
-    /// [`Plan::check_exec`] over a name-keyed environment.
+    /// [`Plan::check_view`] over a name-keyed environment.
     ///
     /// # Errors
     ///
-    /// See [`Plan::check_exec`].
+    /// See [`Plan::check_view`].
     pub fn check_in_env(
         &self,
         ctx: &mut EvalContext,
@@ -1012,55 +983,6 @@ impl Plan {
     }
 }
 
-/// Fills `dst` with the base relation `base` of `exec`; returns `false`
-/// for [`BaseRel::Unknown`], a name [`Execution::base_relations`] does
-/// not define.
-fn fill_base_from_exec(
-    exec: &Execution,
-    base: BaseRel,
-    dst: &mut Relation,
-    ctx: &mut EvalContext,
-) -> bool {
-    let fill_comm = |comm, r: &mut Relation| match comm {
-        Comm::Rf => exec.fill_rf_rel(r),
-        Comm::Co => exec.fill_co_rel(r),
-        Comm::Fr => exec.fill_fr(r),
-    };
-    match base {
-        BaseRel::Po => exec.fill_po(dst),
-        BaseRel::PoLoc => exec.fill_po_loc(dst),
-        BaseRel::Addr => dst.copy_from(&exec.addr),
-        BaseRel::Data => dst.copy_from(&exec.data),
-        BaseRel::Ctrl => dst.copy_from(&exec.ctrl),
-        BaseRel::Rmw => dst.copy_from(&exec.rmw),
-        BaseRel::Comm(comm) => fill_comm(comm, dst),
-        BaseRel::Ext => exec.fill_ext(dst),
-        BaseRel::Int => exec.fill_int(dst),
-        BaseRel::Loc => exec.fill_same_loc(dst),
-        BaseRel::Id => {
-            dst.reset(exec.len());
-            dst.add_identity();
-        }
-        BaseRel::Fence(scope) => exec.fill_fence_rel(scope, dst),
-        BaseRel::Cta => exec.fill_scope_cta(dst),
-        BaseRel::Full => {
-            dst.reset(exec.len());
-            dst.fill_full();
-        }
-        BaseRel::Split { comm, external } => {
-            fill_comm(comm, &mut ctx.scratch_a);
-            if external {
-                exec.fill_ext(&mut ctx.scratch_b);
-            } else {
-                exec.fill_int(&mut ctx.scratch_b);
-            }
-            dst.inter_from(&ctx.scratch_a, &ctx.scratch_b);
-        }
-        BaseRel::Unknown => return false,
-    }
-    true
-}
-
 /// Fills `dst` with the base relation `base` of a skeleton/overlay
 /// `view`; returns `false` for [`BaseRel::Unknown`]. Skeleton-derived
 /// relations are copied from the (already built) skeleton; only
@@ -1110,7 +1032,8 @@ fn fill_base_from_view(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::{enumerate_executions, EnumConfig};
+    use crate::enumerate::{for_each_execution, EnumConfig};
+    use std::ops::ControlFlow;
     use weakgpu_litmus::{corpus, ThreadScope};
 
     fn env3() -> (BTreeMap<String, Relation>, EventSet, EventSet) {
@@ -1203,17 +1126,21 @@ mod tests {
     #[test]
     fn unbound_base_fails_on_executions_and_views_alike() {
         // Names resolve at compile time, but an unknown one still fails
-        // only when a check needs it, with the interpreter's message.
-        let plan = plan_of("empty 0 as fine\nacyclic po | nosuch as c");
-        let test = corpus::corr();
-        let cands = enumerate_executions(&test, &EnumConfig::default()).unwrap();
+        // only when a check needs it, with the interpreter's message: the
+        // plan over a view fails as the interpreter over its execution.
+        let src = "empty 0 as fine\nacyclic po | nosuch as c";
+        let prog = CatProgram::parse(src).unwrap();
+        let plan = plan_of(src);
         let mut ctx = EvalContext::new();
-        let err = plan.allows_exec(&mut ctx, &cands[0].execution).unwrap_err();
-        assert_eq!(err.message, "unbound identifier \"nosuch\"");
-        crate::enumerate::for_each_execution(&test, &EnumConfig::default(), |view| {
+        for_each_execution(&corpus::corr(), &EnumConfig::default(), |view| {
+            let exec = view.to_execution();
+            let interp = prog
+                .check(&exec.base_relations(), &exec.read_set(), &exec.write_set())
+                .unwrap_err();
+            assert_eq!(interp.message, "unbound identifier \"nosuch\"");
             let err = plan.allows_view(&mut ctx, view).unwrap_err();
-            assert_eq!(err.message, "unbound identifier \"nosuch\"");
-            std::ops::ControlFlow::Break(())
+            assert_eq!(err.message, interp.message);
+            ControlFlow::Break(())
         })
         .unwrap();
     }
@@ -1253,9 +1180,10 @@ mod tests {
     }
 
     #[test]
-    fn exec_eval_matches_env_eval_on_candidates() {
-        // The execution fast path must agree with evaluating the same
-        // program over `base_relations()` through the interpreter.
+    fn view_eval_matches_interpreter_on_candidates() {
+        // The plan over each streamed view must agree with evaluating the
+        // same program over its execution's `base_relations()` through
+        // the interpreter, in both modes.
         let src = "\
 let com = rf | co | fr
 let po-loc-llh = WW(po-loc) | WR(po-loc) | RW(po-loc)
@@ -1267,17 +1195,19 @@ irreflexive (fre ; coe) as aux
         let plan = Plan::compile(&prog).unwrap();
         let mut ctx = EvalContext::new();
         let test = corpus::sb(ThreadScope::IntraCta, None);
-        for cand in enumerate_executions(&test, &EnumConfig::default()).unwrap() {
-            let exec = &cand.execution;
+        for_each_execution(&test, &EnumConfig::default(), |view| {
+            let exec = view.to_execution();
             let interp = prog
                 .check(&exec.base_relations(), &exec.read_set(), &exec.write_set())
                 .unwrap();
-            assert_eq!(plan.check_exec(&mut ctx, exec).unwrap(), interp);
+            assert_eq!(plan.check_view(&mut ctx, view).unwrap(), interp);
             assert_eq!(
-                plan.allows_exec(&mut ctx, exec).unwrap(),
+                plan.allows_view(&mut ctx, view).unwrap(),
                 interp.iter().all(|c| c.passed)
             );
-        }
+            ControlFlow::<()>::Continue(())
+        })
+        .unwrap();
     }
 
     #[test]
@@ -1287,14 +1217,21 @@ irreflexive (fre ; coe) as aux
         let p2 = plan_of("let com = rf | co | fr\nacyclic (po | com) as sc");
         let mut ctx = EvalContext::new();
         let test = corpus::mp(ThreadScope::InterCta, None);
-        let cands = enumerate_executions(&test, &EnumConfig::default()).unwrap();
         for _ in 0..2 {
             // Alternate between a 3-event map environment and a larger
-            // execution, and between two different plans, through one
+            // view, and between two different plans, through one
             // context: epoch bumps must prevent any stale-buffer reuse.
             assert!(p1.allows_in_env(&mut ctx, &base, &reads, &writes).unwrap());
-            let _ = p2.allows_exec(&mut ctx, &cands[0].execution).unwrap();
-            let _ = p1.allows_exec(&mut ctx, &cands[0].execution).unwrap();
+            for_each_execution(&test, &EnumConfig::default(), |view| {
+                for p in [&p2, &p1] {
+                    assert_eq!(
+                        p.allows_view(&mut ctx, view).unwrap(),
+                        p.allows_view(&mut EvalContext::new(), view).unwrap()
+                    );
+                }
+                ControlFlow::Break(())
+            })
+            .unwrap();
         }
     }
 

@@ -1,6 +1,7 @@
 //! Rendering candidate executions — the graphs the paper draws (Fig. 14),
 //! as ASCII summaries or Graphviz DOT, plus "why forbidden" diagnostics
-//! extracting the cycle that trips a model's check.
+//! naming a model's failing checks, each with a cycle of
+//! `rf | co | fr | po` as its witness.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -116,12 +117,17 @@ fn letter(id: usize) -> char {
     (b'a' + (id % 26) as u8) as char
 }
 
-/// Why a `.cat` model forbids an execution: the failing checks, each with
-/// a cycle witness rendered through event labels.
+/// Why a `.cat` model forbids an execution: a lost RMW exclusivity, and
+/// each failing check, named with a cycle of `rf | co | fr | po` rendered
+/// through event labels.
 ///
-/// Uses the plan's full-outcome mode ([`CatModel::check`]) rather than
-/// the short-circuiting `allows` fast path, so every failing check is
-/// named even when an earlier (cheaper) one already decides the verdict.
+/// The checks come from the interpreter's full-outcome mode
+/// ([`CatModel::check`]), so every failing check is named even when an
+/// earlier one already decides the verdict. The witness is not the
+/// checked relation's own cycle, which is not recovered here: it is the
+/// same cycle of `rf | co | fr | po` for every failing check (a failing
+/// acyclicity check over a subset of that union, as each of the PTX
+/// model's is, always leaves one), or a note that the union is acyclic.
 ///
 /// Returns an empty vector when the model allows the execution.
 pub fn explain_verdict(model: &CatModel, exec: &Execution) -> Vec<String> {
@@ -134,14 +140,6 @@ pub fn explain_verdict(model: &CatModel, exec: &Execution) -> Vec<String> {
         Err(e) => return vec![format!("model evaluation failed: {e}")],
     };
     for check in outcomes.into_iter().filter(|c| !c.passed) {
-        // Re-derive the checked relation to extract a witness cycle. The
-        // simplest route: re-evaluate every prefix is costly; instead use
-        // the fact that all the paper's checks are acyclicity checks and
-        // report the failing check's name plus the cycle found in the
-        // union of communication and program order restricted to… the
-        // checked expression is not directly recoverable here, so report
-        // the strongest general witness: a cycle in com ∪ po (which every
-        // failing check embeds into for this model family).
         let rels = exec.base_relations();
         let com_po = rels["rf"]
             .union(&rels["co"])

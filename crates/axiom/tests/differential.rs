@@ -4,13 +4,16 @@
 //!
 //! Random `.cat` programs (operators, filters, `let` bindings, function
 //! definitions and applications) are evaluated over random relation
-//! environments, and over real enumerated executions, asserting the two
-//! evaluators return identical check outcomes.
+//! environments, and shipped-style programs over the streamed candidates
+//! of corpus tests (the interpreter judging each one's materialised
+//! execution), asserting the two evaluators return identical check
+//! outcomes.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use weakgpu_axiom::cat::{CatProgram, Expr};
-use weakgpu_axiom::enumerate::{enumerate_executions, EnumConfig};
+use weakgpu_axiom::enumerate::{for_each_execution, EnumConfig};
 use weakgpu_axiom::plan::{EvalContext, Plan};
 use weakgpu_axiom::relation::{EventSet, Relation};
 use weakgpu_litmus::{corpus, FenceScope, ThreadScope};
@@ -163,10 +166,11 @@ proptest! {
     }
 }
 
-/// Every candidate execution of the corpus idioms, judged through the
-/// plan's execution fast path and through the tree-walk oracle, must get
-/// the same verdict — and the full-outcome mode must match check by
-/// check.
+/// Every streamed candidate of the corpus idioms, judged through the
+/// plan over its view and through the tree-walk oracle over its
+/// materialised execution, must get the same verdict — and the
+/// full-outcome mode must match check by check. One context serves
+/// every program and test, so plan and skeleton changes are crossed too.
 #[test]
 fn plan_matches_tree_walk_on_corpus_executions() {
     let programs = [
@@ -178,12 +182,22 @@ fn plan_matches_tree_walk_on_corpus_executions() {
          let cta-fence = membar.cta | membar.gl | membar.sys\n\
          acyclic rmo(cta-fence) & cta as cta-constraint\n\
          acyclic rmo(membar.sys) & sys as sys-constraint",
+        // The same shape over the internal/external splits of every
+        // overlay-derived relation.
+        "let com = rf | co | fr\nlet po-loc-llh = WW(po-loc) | WR(po-loc) | RW(po-loc)\n\
+         acyclic (po-loc-llh | com) as sc-per-loc-llh\n\
+         let dp = addr | data | ctrl\nacyclic (dp | rf) as no-thin-air\n\
+         let rmo(fence) = dp | fence | rfe | coe | fre\n\
+         let cta-fence = membar.cta | membar.gl | membar.sys\n\
+         acyclic rmo(cta-fence) & cta as cta-constraint\n\
+         acyclic rmo(membar.sys) & sys as sys-constraint",
         "irreflexive (fre ; coe ; rfi?) as scratchy\nempty rmw \\ rmw as trivially",
     ];
     let cfg = EnumConfig::default();
     let mut ctx = EvalContext::new();
     let tests = [
         corpus::corr(),
+        corpus::mp(ThreadScope::InterCta, None),
         corpus::mp(ThreadScope::InterCta, Some(FenceScope::Cta)),
         corpus::sb(ThreadScope::IntraCta, None),
         corpus::lb(ThreadScope::InterCta, Some(FenceScope::Gl)),
@@ -193,24 +207,28 @@ fn plan_matches_tree_walk_on_corpus_executions() {
         let prog = CatProgram::parse(src).unwrap();
         let plan = Plan::compile(&prog).unwrap();
         for test in &tests {
-            for (i, cand) in enumerate_executions(test, &cfg).unwrap().iter().enumerate() {
-                let exec = &cand.execution;
+            let mut i = 0usize;
+            for_each_execution(test, &cfg, |view| {
+                let exec = view.to_execution();
                 let oracle = prog
                     .check(&exec.base_relations(), &exec.read_set(), &exec.write_set())
                     .unwrap();
                 assert_eq!(
-                    plan.check_exec(&mut ctx, exec).unwrap(),
+                    plan.check_view(&mut ctx, view).unwrap(),
                     oracle,
                     "{}: candidate {i} of {src:?}",
                     test.name()
                 );
                 assert_eq!(
-                    plan.allows_exec(&mut ctx, exec).unwrap(),
+                    plan.allows_view(&mut ctx, view).unwrap(),
                     oracle.iter().all(|c| c.passed),
                     "{}: candidate {i} fast path of {src:?}",
                     test.name()
                 );
-            }
+                i += 1;
+                ControlFlow::<()>::Continue(())
+            })
+            .unwrap();
         }
     }
 }

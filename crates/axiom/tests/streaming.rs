@@ -2,7 +2,9 @@
 //! [`for_each_execution`] must visit exactly the candidate set the
 //! materialising wrapper produces (same count, same order, same
 //! executions, same outcomes), per-candidate verdicts through the view
-//! fast path must agree with judging the materialised [`Execution`],
+//! fast path must agree with judging the materialised
+//! [`weakgpu_axiom::Execution`] (for `.cat` models, through the
+//! tree-walking interpreter),
 //! early exit must stop the stream, and the candidate limit must count
 //! visits rather than materialisations.
 //!
@@ -21,7 +23,7 @@ use weakgpu_axiom::enumerate::{
     EnumError, ModelOutcomes,
 };
 use weakgpu_axiom::model::sc_model;
-use weakgpu_axiom::plan::{EvalContext, Plan};
+use weakgpu_axiom::plan::EvalContext;
 use weakgpu_axiom::{CatModel, Model, RmwAtomicity};
 use weakgpu_diy::{generate, GenConfig};
 use weakgpu_litmus::{corpus, corpus_extra, FenceScope, LitmusTest, ThreadScope};
@@ -46,14 +48,9 @@ fn scoped_model() -> CatModel {
     .with_rmw_atomicity(RmwAtomicity::AmongAtomics)
 }
 
-/// The oracle: materialise every candidate as an owned [`Execution`]
-/// and judge it with [`Model::allows_with`].
-fn materialised_outcomes(
-    test: &LitmusTest,
-    model: &dyn Model,
-    cfg: &EnumConfig,
-    ctx: &mut EvalContext,
-) -> ModelOutcomes {
+/// The oracle: materialise every candidate as an owned
+/// [`weakgpu_axiom::Execution`] and judge it with [`Model::allows`].
+fn materialised_outcomes(test: &LitmusTest, model: &dyn Model, cfg: &EnumConfig) -> ModelOutcomes {
     let cands = enumerate_executions(test, cfg).unwrap();
     let mut out = ModelOutcomes {
         all_outcomes: BTreeSet::new(),
@@ -64,7 +61,7 @@ fn materialised_outcomes(
     };
     for c in &cands {
         out.all_outcomes.insert(c.outcome.clone());
-        if model.allows_with(ctx, &c.execution) {
+        if model.allows(&c.execution) {
             out.num_allowed += 1;
             out.condition_witnessed |= test.cond().witnessed_by(&c.outcome);
             out.allowed_outcomes.insert(c.outcome.clone());
@@ -126,18 +123,17 @@ fn streamed_views_materialise_to_the_candidate_vector() {
 
 #[test]
 fn view_verdicts_match_execution_verdicts_per_candidate() {
-    // The view fast path (skeleton-cached bases + overlay refills) must
-    // give the same verdict as evaluating the materialised execution,
-    // candidate by candidate, through one shared context each.
+    // The view fast path (skeleton-cached bases + overlay refills, one
+    // shared context) must give the same verdict as judging the
+    // materialised execution, candidate by candidate.
     let cfg = EnumConfig::default();
     for model in [scoped_model(), sc_model()] {
         let mut view_ctx = EvalContext::new();
-        let mut exec_ctx = EvalContext::new();
         for test in test_suite() {
             let mut i = 0usize;
             for_each_execution(&test, &cfg, |view| {
                 let via_view = model.allows_view(&mut view_ctx, view);
-                let via_exec = model.allows_with(&mut exec_ctx, &view.to_execution());
+                let via_exec = model.allows(&view.to_execution());
                 assert_eq!(
                     via_view,
                     via_exec,
@@ -150,27 +146,6 @@ fn view_verdicts_match_execution_verdicts_per_candidate() {
             })
             .unwrap();
         }
-    }
-}
-
-#[test]
-fn check_view_matches_check_exec() {
-    // Full-outcome mode over views vs over materialised executions.
-    let model = scoped_model();
-    let plan: &Plan = model.plan();
-    let cfg = EnumConfig::default();
-    let mut view_ctx = EvalContext::new();
-    let mut exec_ctx = EvalContext::new();
-    for test in [corpus::corr(), corpus::mp(ThreadScope::InterCta, None)] {
-        for_each_execution(&test, &cfg, |view| {
-            let ours = plan.check_view(&mut view_ctx, view).unwrap();
-            let oracle = plan
-                .check_exec(&mut exec_ctx, &view.to_execution())
-                .unwrap();
-            assert_eq!(ours, oracle, "{}", test.name());
-            ControlFlow::<()>::Continue(())
-        })
-        .unwrap();
     }
 }
 
@@ -270,7 +245,7 @@ fn wide_tests_stream_like_the_materialised_oracle() {
     for model in [scoped_model(), sc_model()] {
         let mut ctx = EvalContext::new();
         let streamed = model_outcomes_with(&test, &model, &cfg, &mut ctx).unwrap();
-        let oracle = materialised_outcomes(&test, &model, &cfg, &mut EvalContext::new());
+        let oracle = materialised_outcomes(&test, &model, &cfg);
         assert_eq!(streamed, oracle, "{}", Model::name(&model));
         assert_eq!(streamed.num_candidates, 4);
     }
@@ -316,11 +291,10 @@ fn stream_verdicts_match_the_materialised_oracle_for_every_model() {
     tests.extend(corpus_extra::all_extra());
     tests.extend(generate(&GenConfig::small()));
     let mut shared = EvalContext::new();
-    let mut oracle_ctx = EvalContext::new();
     for test in &tests {
         for model in &models {
             let name = format!("{} under {}", test.name(), model.name());
-            let oracle = materialised_outcomes(test, &**model, &cfg, &mut oracle_ctx);
+            let oracle = materialised_outcomes(test, &**model, &cfg);
             let streamed = model_outcomes_with(test, &**model, &cfg, &mut shared)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(streamed, oracle, "{name}");
@@ -418,7 +392,7 @@ proptest! {
         let cfg = EnumConfig::default();
         let streamed = model_outcomes(&test, &model, &cfg).unwrap();
 
-        let oracle = materialised_outcomes(&test, &model, &cfg, &mut EvalContext::new());
+        let oracle = materialised_outcomes(&test, &model, &cfg);
         prop_assert_eq!(streamed, oracle);
     }
 

@@ -2,14 +2,15 @@
 //!
 //! [`model_outcomes`] streams candidates through the skeleton/overlay
 //! visitor and judges borrowed views; the oracle below materialises the
-//! full `Vec<Candidate>` and judges each owned execution. The two must
+//! full `Vec<Candidate>` and judges each owned execution with
+//! [`Model::allows`] (for `.cat` models, the tree-walking interpreter).
+//! The two must
 //! produce bit-identical [`ModelOutcomes`] — outcome sets, counts and
 //! witness flag — for PTX, SC, TSO, RMO, the operational baseline, the
 //! no-LLH ablation, and the natively-implemented PTX model (which
 //! exercises the visitor's materialising fallback path).
 
 use weakgpu_axiom::enumerate::{enumerate_executions, EnumConfig, ModelOutcomes};
-use weakgpu_axiom::plan::EvalContext;
 use weakgpu_axiom::{model_outcomes, Model};
 use weakgpu_litmus::{corpus, FenceScope, LitmusTest, ThreadScope};
 use weakgpu_models::{all_models, native::NativePtxModel, ptx_model_without_llh};
@@ -17,14 +18,13 @@ use weakgpu_models::{all_models, native::NativePtxModel, ptx_model_without_llh};
 /// The pre-streaming judgement loop, kept as the differential oracle.
 fn materialised_outcomes(test: &LitmusTest, model: &dyn Model, cfg: &EnumConfig) -> ModelOutcomes {
     let candidates = enumerate_executions(test, cfg).unwrap();
-    let mut ctx = EvalContext::new();
     let mut all = std::collections::BTreeSet::new();
     let mut allowed = std::collections::BTreeSet::new();
     let mut num_allowed = 0;
     let mut witnessed = false;
     for c in &candidates {
         all.insert(c.outcome.clone());
-        if model.allows_with(&mut ctx, &c.execution) {
+        if model.allows(&c.execution) {
             num_allowed += 1;
             if test.cond().witnessed_by(&c.outcome) {
                 witnessed = true;

@@ -21,15 +21,16 @@
 //! non-zero.
 
 use std::io::Write as _;
+use std::ops::ControlFlow;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use weakgpu::axiom::cat::CatProgram;
-use weakgpu::axiom::enumerate::{enumerate_executions, model_outcomes, EnumConfig};
+use weakgpu::axiom::enumerate::{for_each_execution, model_outcomes, Candidate, EnumConfig};
 use weakgpu::axiom::render;
-use weakgpu::axiom::{Model, Plan};
+use weakgpu::axiom::{ExecutionView, Model, Plan};
 use weakgpu::diy::{generate_parallel, GenConfig};
 use weakgpu::front::{has_errors, render_all, Diagnostic, SourceFile};
 use weakgpu::harness::campaign::{run_campaign_with, worker_count, CampaignConfig, CellSpec};
@@ -879,13 +880,30 @@ fn cmd_show(args: &[String]) -> CliResult {
     let want_dot = take_flag(&mut args, "--dot");
     let path = sole_file("show", &args, &["--dot"])?;
     let test = load(path)?;
-    let cands = enumerate_executions(&test, &EnumConfig::default()).map_err(|e| e.to_string())?;
-    // Show the witnessing execution if one exists, else the first.
-    let cand = cands
-        .iter()
-        .find(|c| test.cond().witnessed_by(&c.outcome))
-        .or_else(|| cands.first())
-        .ok_or("no candidate executions")?;
+    // Show the first witnessing candidate if one exists, else the first
+    // candidate. The stream stops at the one it shows and materialises
+    // only that one.
+    let cfg = EnumConfig::default();
+    let materialise = |view: &ExecutionView<'_>| Candidate {
+        execution: view.to_execution(),
+        outcome: view.outcome(),
+    };
+    let mut vals = Vec::new();
+    let witness = for_each_execution(&test, &cfg, |view| {
+        view.fill_observed(&mut vals);
+        if view.layout().witnessed_by(&vals) {
+            ControlFlow::Break(materialise(view))
+        } else {
+            ControlFlow::Continue(())
+        }
+    })
+    .map_err(|e| e.to_string())?;
+    let cand = match witness {
+        Some(cand) => cand,
+        None => for_each_execution(&test, &cfg, |view| ControlFlow::Break(materialise(view)))
+            .map_err(|e| e.to_string())?
+            .ok_or("no candidate executions")?,
+    };
     println!("{test}\n");
     if want_dot {
         println!("{}", render::dot(&cand.execution, test.name()));

@@ -219,6 +219,56 @@ fn check_judges_a_long_loop_free_thread() {
 }
 
 #[test]
+fn show_prints_a_candidate_and_its_ptx_verdict() {
+    let out = weakgpu().args(["show", "coRR"]).output().unwrap();
+    assert!(out.status.success(), "show exited {:?}", out.status);
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("candidate execution with outcome"), "{text}");
+    assert!(text.contains("--rf-->"), "{text}");
+    assert!(text.contains("PTX model: "), "{text}");
+}
+
+#[test]
+fn show_dot_prints_a_digraph() {
+    let out = weakgpu().args(["show", "coRR", "--dot"]).output().unwrap();
+    assert!(out.status.success(), "show --dot exited {:?}", out.status);
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("digraph \"coRR\" {"), "{text}");
+    assert!(text.contains("subgraph cluster_t0"), "{text}");
+    assert!(text.trim_end().ends_with('}'), "{text}");
+}
+
+#[test]
+fn show_stops_at_the_first_witness_of_a_write_fan() {
+    // Ten stores to one location have 10! coherence orders, over the
+    // candidate budget; the first candidate already witnesses, and
+    // `show` prints it without enumerating the rest.
+    let dir = std::env::temp_dir().join(format!("weakgpu-show-fan-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fan.litmus");
+    let mut src = String::from("GPU_PTX fan\n{}\nT0 ;\n");
+    for i in 1..=10 {
+        src.push_str(&format!("st.cg [x],{i} ;\n"));
+    }
+    src.push_str("ScopeTree(grid(cta(warp T0)))\nx: global\nexists (x=10)\n");
+    std::fs::write(&path, src).unwrap();
+    let out = weakgpu().arg("show").arg(&path).output().unwrap();
+    assert!(
+        out.status.success(),
+        "show exited {:?}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        text.contains("candidate execution with outcome x=10;"),
+        "{text}"
+    );
+    assert!(text.contains("PTX model: allowed"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn check_accepts_every_listed_model_name() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/litmus/sb.litmus");
     for name in weakgpu::models::NAMES {
