@@ -696,13 +696,6 @@ pub struct ModelOutcomes {
     pub condition_witnessed: bool,
 }
 
-impl ModelOutcomes {
-    /// `true` if `outcome` is allowed by the model.
-    pub fn allows(&self, outcome: &Outcome) -> bool {
-        self.allowed_outcomes.contains(outcome)
-    }
-}
-
 /// Runs `model` over all candidates of `test`.
 ///
 /// # Errors

@@ -10,25 +10,15 @@
 //!   inter-CTA `lb+membar.ctas`, so the per-scope stratification is
 //!   necessary (the paper's Sec. 6 argument).
 
-use weakgpu_axiom::enumerate::EnumConfig;
+use weakgpu_axiom::enumerate::{model_outcomes, EnumConfig};
 use weakgpu_axiom::Model;
 use weakgpu_bench::BenchArgs;
 use weakgpu_harness::default_incantations;
-use weakgpu_harness::runner::{run_test, RunConfig};
+use weakgpu_harness::runner::RunConfig;
 use weakgpu_harness::soundness::check_soundness;
 use weakgpu_litmus::{corpus, FenceScope, LitmusTest, ThreadScope};
 use weakgpu_models::{operational_baseline, ptx_model, ptx_model_without_llh, rmo_model};
 use weakgpu_sim::chip::Chip;
-
-fn observations(test: &LitmusTest, args: &BenchArgs) -> weakgpu_harness::Histogram {
-    let cfg = RunConfig {
-        iterations: args.iterations.max(150_000),
-        incantations: default_incantations(test),
-        seed: args.seed,
-        parallelism: None,
-    };
-    run_test(test, Chip::GtxTitan, &cfg).unwrap().histogram
-}
 
 fn main() {
     let args = BenchArgs::parse();
@@ -56,10 +46,17 @@ fn main() {
     let enum_cfg = EnumConfig::default();
     let mut necessity_shown = [false; 2];
     for (label, test) in &witnesses {
-        let obs = observations(test, &args);
+        // Every model faces the same runs: one seed, one cell.
+        let cfg = RunConfig {
+            iterations: args.iterations.max(150_000),
+            incantations: default_incantations(test),
+            seed: args.seed,
+            parallelism: None,
+        };
         print!("{label:<26}");
         for (mi, model) in models.iter().enumerate() {
-            let verdict = check_soundness(test, &obs, model.as_ref(), &enum_cfg).unwrap();
+            let outcomes = model_outcomes(test, model.as_ref(), &enum_cfg).unwrap();
+            let verdict = check_soundness(test, Chip::GtxTitan, &cfg, &outcomes).unwrap();
             let cell = if verdict.is_sound() {
                 "sound"
             } else {

@@ -11,7 +11,8 @@ use rand::SeedableRng;
 use weakgpu_axiom::enumerate::model_outcomes;
 use weakgpu_bench::naive::naive_outcome;
 use weakgpu_bench::BenchArgs;
-use weakgpu_harness::runner::{run_test, RunConfig};
+use weakgpu_harness::runner::RunConfig;
+use weakgpu_harness::soundness::check_soundness;
 use weakgpu_litmus::{corpus, ThreadScope};
 use weakgpu_models::ptx_model;
 use weakgpu_sim::chip::{Chip, Incantations};
@@ -21,6 +22,8 @@ fn main() {
     let n = args.iterations.min(20_000);
     let model = ptx_model();
     println!("== Ablation: operational machine vs naive sampler ({n} runs/test) ==\n");
+    // The machine's forbidden outcomes, judged as every sweep cell is,
+    // against the naive sampler's violating runs.
     println!(
         "{:<22} {:>22} {:>22}",
         "test", "machine violations", "naive violations"
@@ -42,13 +45,8 @@ fn main() {
             seed: args.seed,
             parallelism: None,
         };
-        let report = run_test(&test, Chip::GtxTitan, &cfg).unwrap();
-        let machine_viol: u64 = report
-            .histogram
-            .iter()
-            .filter(|(o, _)| !verdict.allowed_outcomes.contains(*o))
-            .map(|(_, c)| c)
-            .sum();
+        let sound = check_soundness(&test, Chip::GtxTitan, &cfg, &verdict).unwrap();
+        let machine_viol = sound.violations.len() as u64;
         // Naive sampler.
         let mut rng = SmallRng::seed_from_u64(args.seed);
         let naive_viol = (0..n)

@@ -63,7 +63,7 @@ fn main() {
         "\nsound: {}/{} tests ({} total runs; verdict cache {} hits / {} misses)",
         report.tests_run - unsound_tests.len() as u64,
         report.tests_run,
-        report.total_runs,
+        report.total_runs(),
         report.cache.hits,
         report.cache.misses,
     );
@@ -72,7 +72,7 @@ fn main() {
     } else {
         println!(
             "RESULT: UNSOUND — {} cells with forbidden observations:",
-            report.unsound_cells
+            report.unsound_cells()
         );
         for u in report.unsound.iter().take(20) {
             println!("  {} on {}: {:?}", u.test, u.chip, u.outcomes);

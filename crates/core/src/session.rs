@@ -199,7 +199,9 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Propagates harness and enumeration failures.
+    /// Propagates harness and enumeration failures, including
+    /// [`HarnessError::OutOfDomain`] for an observation that no candidate
+    /// execution of `test` has.
     pub fn check_soundness(&self, test: &LitmusTest) -> Result<SoundnessReport, SessionError> {
         self.check_soundness_against(test, &ptx_model())
     }
@@ -214,12 +216,12 @@ impl Session {
         test: &LitmusTest,
         model: &dyn Model,
     ) -> Result<SoundnessReport, SessionError> {
-        let report = self.run(test)?;
+        let verdict = self.model_check(test, model)?;
         Ok(check_soundness(
             test,
-            &report.histogram,
-            model,
-            &self.enum_config,
+            self.chip,
+            &self.run_config(),
+            &verdict,
         )?)
     }
 }

@@ -41,12 +41,16 @@
 //! end. The sweep takes the count itself instead: a sound cell's record
 //! needs no outcome at all, and each worker tallies its own cells.
 //!
+//! Every comparison of a cell's observations with a verdict (paper
+//! Sec. 5.4) is one function, `CellCounts::judge`, which the sweep and
+//! [`check_soundness`](crate::soundness::check_soundness) share; see
+//! [`crate::soundness`] for its three classes of observation.
+//!
 //! Progress callbacks run on the worker threads, and a worker runs no
 //! other item while its callback runs. A callback should therefore do
 //! little and never wait: the sweep resolves every verdict before its
 //! campaign starts, so its callback only compares a cell's observations
 //! with a verdict it already holds (see `crate::sweep`).
-//!
 //!
 //! ```
 //! use weakgpu_harness::campaign::{run_campaign, CampaignConfig, CellSpec};
@@ -62,13 +66,13 @@
 //! assert_eq!(reports[1].witnesses, 0); // GTX 280 stays strong
 //! ```
 
-use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use weakgpu_axiom::enumerate::ModelOutcomes;
 use weakgpu_litmus::{LitmusTest, Outcome, ThreadScope};
 use weakgpu_sim::chip::{Chip, Incantations};
 use weakgpu_sim::machine::{MachineState, ObsCounts, RunParams, Simulator};
@@ -157,7 +161,7 @@ impl CellSpec {
         self
     }
 
-    fn cell(&self) -> Cell<'_> {
+    pub(crate) fn cell(&self) -> Cell<'_> {
         Cell {
             test: &self.test,
             chip: self.chip,
@@ -223,23 +227,34 @@ struct CellAcc {
     items_left: usize,
 }
 
-/// A finished cell as the engine hands it over: the simulator that ran
-/// it and the count of every distinct observation vector its runs made.
+/// A finished cell as the engine hands it over: its test, the simulator
+/// that ran it and the count of every distinct observation vector its
+/// runs made.
 pub(crate) struct CellCounts<'a> {
+    pub(crate) test: &'a LitmusTest,
     pub(crate) sim: &'a Simulator,
     pub(crate) counts: &'a ObsCounts,
 }
 
 impl CellCounts<'_> {
-    /// The cell's witnessing runs and, when given the outcomes a verdict
-    /// allows, the outcomes the cell observed that it does not, in
-    /// canonical order. Both are judged on observation vectors, by value:
-    /// the verdict was judged in the same [`ObsLayout`], so its outcomes
-    /// bind exactly the layout's expressions, in order. Only forbidden
-    /// vectors are built into outcomes.
+    /// The cell's witnessing runs and, when given its test's verdict, the
+    /// outcomes the cell observed that the verdict forbids, in canonical
+    /// order. Both are judged on observation vectors, by value: the
+    /// verdict was judged in the same [`ObsLayout`], so its outcomes bind
+    /// exactly the layout's expressions, in order. Only vectors the
+    /// verdict does not allow are built into outcomes, and looked up in
+    /// its `all_outcomes`.
+    ///
+    /// # Errors
+    ///
+    /// [`HarnessError::OutOfDomain`], naming the lowest such outcome, when
+    /// the cell observed an outcome of no candidate execution.
     ///
     /// [`ObsLayout`]: weakgpu_litmus::ObsLayout
-    pub(crate) fn judge(&self, allowed: Option<&BTreeSet<Outcome>>) -> (u64, Vec<Outcome>) {
+    pub(crate) fn judge(
+        &self,
+        verdict: Option<&ModelOutcomes>,
+    ) -> Result<(u64, Vec<Outcome>), HarnessError> {
         let layout = &self.sim.program().layout;
         let mut witnesses = 0;
         let mut forbidden = Vec::new();
@@ -247,8 +262,10 @@ impl CellCounts<'_> {
             if layout.witnessed_by(obs) {
                 witnesses += n;
             }
-            let is_allowed = allowed.is_none_or(|set| {
-                set.iter()
+            let is_allowed = verdict.is_none_or(|verdict| {
+                verdict
+                    .allowed_outcomes
+                    .iter()
                     .any(|o| o.iter().map(|(_, v)| v).eq(obs.iter().copied()))
             });
             if !is_allowed {
@@ -256,7 +273,15 @@ impl CellCounts<'_> {
             }
         }
         forbidden.sort_unstable();
-        (witnesses, forbidden)
+        let outside = verdict.and_then(|v| forbidden.iter().find(|o| !v.all_outcomes.contains(*o)));
+        if let Some(outcome) = outside {
+            return Err(HarnessError::OutOfDomain {
+                test: self.test.name().to_owned(),
+                chip: self.sim.chip(),
+                outcome: outcome.clone(),
+            });
+        }
+        Ok((witnesses, forbidden))
     }
 }
 
@@ -277,7 +302,7 @@ pub fn run_campaign(
         cfg,
         Vec::new,
         |reports: &mut Vec<(usize, TestReport)>, ci, done| {
-            reports.push((ci, finish_cell(cells[ci].cell(), done)));
+            reports.push((ci, finish_cell(cells[ci].cell(), done)?));
             Ok::<_, HarnessError>(())
         },
     )?;
@@ -314,7 +339,7 @@ where
         |ci| cells[ci].cell(),
         cfg,
         || (),
-        |(), ci, done| on_cell(ci, finish_cell(cells[ci].cell(), done)),
+        |(), ci, done| on_cell(ci, finish_cell(cells[ci].cell(), done)?),
     )
     .map(drop)
 }
@@ -417,7 +442,8 @@ where
         };
         for ci in item.cells.clone() {
             let cell = cell_at(ci);
-            let sim = Simulator::from_program(Arc::clone(&program), cell.chip);
+            let test = cell.test;
+            let sim = &Simulator::from_program(Arc::clone(&program), cell.chip);
             let params = match params
                 .iter()
                 .position(|(chip, inc, _)| *chip == cell.chip && *inc == cell.incantations)
@@ -444,7 +470,7 @@ where
                     .map_err(|e| E::from(HarnessError::Run(e)))?;
             }
             let Some((_, acc)) = item.split else {
-                on_cell(w, ci, CellCounts { sim: &sim, counts })?;
+                on_cell(w, ci, CellCounts { test, sim, counts })?;
                 continue;
             };
             let finished = {
@@ -453,15 +479,8 @@ where
                 acc.items_left -= 1;
                 (acc.items_left == 0).then(|| std::mem::take(&mut acc.counts))
             };
-            if let Some(counts) = finished {
-                on_cell(
-                    w,
-                    ci,
-                    CellCounts {
-                        sim: &sim,
-                        counts: &counts,
-                    },
-                )?;
+            if let Some(counts) = &finished {
+                on_cell(w, ci, CellCounts { test, sim, counts })?;
             }
         }
         Ok(())
@@ -555,18 +574,18 @@ pub fn worker_count(parallelism: Option<usize>, jobs: usize) -> usize {
         .clamp(1, jobs.max(1))
 }
 
-fn finish_cell(cell: Cell<'_>, done: CellCounts<'_>) -> TestReport {
+fn finish_cell(cell: Cell<'_>, done: CellCounts<'_>) -> Result<TestReport, HarnessError> {
     let layout = &done.sim.program().layout;
     let mut histogram = Histogram::new();
     for (obs, n) in done.counts.iter_unordered() {
         histogram.add(layout.outcome(obs), n);
     }
-    let (witnesses, _) = done.judge(None);
-    TestReport {
+    let (witnesses, _) = done.judge(None)?;
+    Ok(TestReport {
         test: cell.test.name().to_owned(),
         chip: cell.chip,
         incantations: cell.incantations,
         histogram,
         witnesses,
-    }
+    })
 }

@@ -4,7 +4,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use weakgpu_axiom::enumerate::ModelOutcomes;
 use weakgpu_litmus::{FinalCond, Outcome};
 
 /// Counts of each observed final state.
@@ -68,16 +67,6 @@ impl Histogram {
     /// The distinct outcomes observed.
     pub fn outcomes(&self) -> impl Iterator<Item = &Outcome> {
         self.counts.keys()
-    }
-
-    /// The distinct outcomes observed that `verdict` forbids, in
-    /// canonical outcome order: the soundness violations of paper
-    /// Sec. 5.4.
-    pub fn forbidden_by<'a>(
-        &'a self,
-        verdict: &'a ModelOutcomes,
-    ) -> impl Iterator<Item = &'a Outcome> + 'a {
-        self.outcomes().filter(|o| !verdict.allows(o))
     }
 }
 

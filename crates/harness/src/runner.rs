@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use weakgpu_litmus::LitmusTest;
+use weakgpu_litmus::{LitmusTest, Outcome};
 use weakgpu_sim::chip::{Chip, Incantations};
 use weakgpu_sim::machine::RunError;
 use weakgpu_sim::program::CompileError;
@@ -96,6 +96,18 @@ pub enum HarnessError {
     Compile(CompileError),
     /// A run failed.
     Run(RunError),
+    /// A cell observed an outcome that no candidate execution of its
+    /// test has. The verdict's outcomes cover every candidate, so this is
+    /// a fault of the simulator, the enumerator or a verdict cache, never
+    /// a finding about the model.
+    OutOfDomain {
+        /// Test name.
+        test: String,
+        /// The chip the cell ran on.
+        chip: Chip,
+        /// The lowest such outcome of the cell, in canonical order.
+        outcome: Outcome,
+    },
 }
 
 impl fmt::Display for HarnessError {
@@ -103,6 +115,18 @@ impl fmt::Display for HarnessError {
         match self {
             HarnessError::Compile(e) => write!(f, "compile error: {e}"),
             HarnessError::Run(e) => write!(f, "run error: {e}"),
+            HarnessError::OutOfDomain {
+                test,
+                chip,
+                outcome,
+            } => write!(
+                f,
+                "{test} on {}: observed outcome \"{}\", which no candidate execution \
+                 of the test has (a simulator, enumerator or verdict-cache fault, \
+                 not a model finding)",
+                chip.short(),
+                outcome.to_string().trim_end()
+            ),
         }
     }
 }

@@ -1,21 +1,30 @@
-//! Soundness comparison: are all hardware(-simulator) observations allowed
+//! Soundness checks: are all hardware(-simulator) observations allowed
 //! by a memory model? (Paper Sec. 5.4: "whenever the hardware exhibits a
 //! behaviour, our model allows it".)
+//!
+//! A cell's observations are judged on observation vectors against a
+//! verdict, by the one function the sweep uses too. Each distinct
+//! observation is allowed; forbidden, the outcome of some candidate
+//! execution the model rejects (a model finding, listed in
+//! [`SoundnessReport::violations`]); or outside the domain, the outcome
+//! of no candidate execution. The verdict holds every candidate's
+//! outcome, so the last is a simulator, enumerator or cache fault, and
+//! fails the cell with [`HarnessError::OutOfDomain`].
 
-use weakgpu_axiom::enumerate::{model_outcomes, EnumConfig, EnumError};
-use weakgpu_axiom::model::Model;
+use weakgpu_axiom::enumerate::ModelOutcomes;
 use weakgpu_litmus::{LitmusTest, Outcome};
+use weakgpu_sim::chip::Chip;
 
-use crate::histogram::Histogram;
+use crate::campaign::{run_cells, CampaignConfig, CellSpec};
+use crate::runner::{HarnessError, RunConfig};
 
 /// The verdict of one soundness check.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SoundnessReport {
     /// Test name.
     pub test: String,
-    /// Model name.
-    pub model: String,
-    /// Observed outcomes that the model forbids (empty = sound).
+    /// Observed outcomes that the model forbids, in canonical order
+    /// (empty = sound).
     pub violations: Vec<Outcome>,
     /// Number of distinct outcomes observed.
     pub observed: usize,
@@ -30,35 +39,65 @@ impl SoundnessReport {
     }
 }
 
-/// Checks that every outcome in `observations` is allowed by `model`.
+/// Runs `test` on `chip` as configured by `cfg`, the same runs
+/// [`run_test`](crate::runner::run_test) makes, and checks every
+/// observation against `verdict`, the test's verdict under some model.
 ///
 /// # Errors
 ///
-/// Propagates enumeration failures from the axiomatic engine.
+/// A compile or run error of the cell, or
+/// [`HarnessError::OutOfDomain`] when the cell observed an outcome that
+/// no candidate execution in `verdict` has.
 pub fn check_soundness(
     test: &LitmusTest,
-    observations: &Histogram,
-    model: &dyn Model,
-    cfg: &EnumConfig,
-) -> Result<SoundnessReport, EnumError> {
-    let verdict = model_outcomes(test, model, cfg)?;
-    let violations: Vec<Outcome> = observations.forbidden_by(&verdict).cloned().collect();
-    Ok(SoundnessReport {
-        test: test.name().to_owned(),
-        model: model.name().to_owned(),
-        violations,
-        observed: observations.distinct(),
-        allowed: verdict.allowed_outcomes.len(),
-    })
+    chip: Chip,
+    cfg: &RunConfig,
+    verdict: &ModelOutcomes,
+) -> Result<SoundnessReport, HarnessError> {
+    let spec = CellSpec::from_config(test.clone(), chip, cfg);
+    let workers = run_cells(
+        1,
+        |_| spec.cell(),
+        &CampaignConfig {
+            parallelism: cfg.parallelism,
+        },
+        || None,
+        |report: &mut Option<SoundnessReport>, _, done| {
+            let (_, violations) = done.judge(Some(verdict))?;
+            *report = Some(SoundnessReport {
+                test: test.name().to_owned(),
+                violations,
+                observed: done.counts.distinct(),
+                allowed: verdict.allowed_outcomes.len(),
+            });
+            Ok::<_, HarnessError>(())
+        },
+    )?;
+    Ok(workers
+        .into_iter()
+        .flatten()
+        .next()
+        .expect("the one cell completed"))
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::runner::{run_test, RunConfig};
-    use weakgpu_litmus::{corpus, FinalExpr, ThreadScope};
+    use crate::campaign::CellCounts;
+    use crate::runner::run_test;
+    use weakgpu_axiom::enumerate::{model_outcomes, EnumConfig};
+    use weakgpu_axiom::model::{sc_model, Model};
+    use weakgpu_litmus::{corpus, ThreadScope};
     use weakgpu_models::{operational_baseline, ptx_model};
-    use weakgpu_sim::chip::{Chip, Incantations};
+    use weakgpu_sim::chip::Incantations;
+    use weakgpu_sim::machine::{ObsCounts, Simulator};
+    use weakgpu_sim::program::SimProgram;
+
+    fn verdict(test: &LitmusTest, model: &dyn Model) -> ModelOutcomes {
+        model_outcomes(test, model, &EnumConfig::default()).unwrap()
+    }
 
     #[test]
     fn titan_observations_are_ptx_sound() {
@@ -78,9 +117,8 @@ mod tests {
             corpus::sl_future(false),
             corpus::dlb_lb(false),
         ] {
-            let report = run_test(&test, Chip::GtxTitan, &cfg).unwrap();
             let sound =
-                check_soundness(&test, &report.histogram, &model, &Default::default()).unwrap();
+                check_soundness(&test, Chip::GtxTitan, &cfg, &verdict(&test, &model)).unwrap();
             assert!(
                 sound.is_sound(),
                 "{}: observed forbidden outcomes {:?}",
@@ -103,19 +141,15 @@ mod tests {
             seed: 0xcafe,
             ..RunConfig::default()
         };
-        let report = run_test(&test, Chip::GtxTitan, &cfg).unwrap();
-        assert!(report.witnesses > 0, "the leak must manifest at 200k runs");
-        let sound = check_soundness(
-            &test,
-            &report.histogram,
-            &operational_baseline(),
-            &Default::default(),
-        )
-        .unwrap();
-        assert!(!sound.is_sound(), "operational model must be unsound here");
+        let op = verdict(&test, &operational_baseline());
+        let sound = check_soundness(&test, Chip::GtxTitan, &cfg, &op).unwrap();
+        assert!(
+            sound.violations.iter().any(|o| test.cond().witnessed_by(o)),
+            "the leak must manifest at 200k runs, and the operational model forbid it"
+        );
         // And the paper's model covers the same observations.
         let ptx =
-            check_soundness(&test, &report.histogram, &ptx_model(), &Default::default()).unwrap();
+            check_soundness(&test, Chip::GtxTitan, &cfg, &verdict(&test, &ptx_model())).unwrap();
         assert!(ptx.is_sound());
     }
 
@@ -126,16 +160,17 @@ mod tests {
             incantations: Incantations::best_inter_cta(),
             ..RunConfig::default()
         };
-        let enum_cfg = EnumConfig::default();
         for model in [ptx_model(), operational_baseline()] {
             for test in [
                 corpus::corr(),
                 corpus::mp(ThreadScope::InterCta, None),
                 corpus::dlb_lb(false),
             ] {
+                let oracle = verdict(&test, &model);
+                let sound = check_soundness(&test, Chip::GtxTitan, &cfg, &oracle).unwrap();
+                // The named oracle: the histogram's outcomes the verdict
+                // does not allow, compared by name.
                 let report = run_test(&test, Chip::GtxTitan, &cfg).unwrap();
-                let sound = check_soundness(&test, &report.histogram, &model, &enum_cfg).unwrap();
-                let oracle = model_outcomes(&test, &model, &enum_cfg).unwrap();
                 let violations: Vec<Outcome> = report
                     .histogram
                     .outcomes()
@@ -155,15 +190,34 @@ mod tests {
 
     #[test]
     fn fabricated_violation_detected() {
-        // An impossible outcome (r1=7) must be flagged by any model.
+        // Hand-made counts for coRR, judged against SC, which forbids
+        // reading the new value before the old one.
         let test = corpus::corr();
-        let mut h = Histogram::new();
-        let mut o = Outcome::new();
-        o.set(FinalExpr::reg(1, "r1"), 7);
-        o.set(FinalExpr::reg(1, "r2"), 7);
-        h.record(o);
-        let sound = check_soundness(&test, &h, &ptx_model(), &Default::default()).unwrap();
-        assert!(!sound.is_sound());
-        assert_eq!(sound.violations.len(), 1);
+        let sc = verdict(&test, &sc_model());
+        let program = Arc::new(SimProgram::compile(&test).unwrap());
+        let sim = Simulator::from_program(program, Chip::GtxTitan);
+        let judge = |obs: &[i64]| {
+            let mut counts = ObsCounts::new();
+            counts.record(obs);
+            CellCounts {
+                test: &test,
+                sim: &sim,
+                counts: &counts,
+            }
+            .judge(Some(&sc))
+        };
+        // r1 = r2 = 7 is an outcome of no candidate execution: a tool
+        // fault, whatever the model.
+        let expect = HarnessError::OutOfDomain {
+            test: test.name().to_owned(),
+            chip: Chip::GtxTitan,
+            outcome: sim.program().layout.outcome(&[7, 7]),
+        };
+        assert_eq!(judge(&[7, 7]), Err(expect));
+        // An outcome of some candidate that SC rejects is a violation.
+        let forbidden: Vec<&Outcome> = sc.all_outcomes.difference(&sc.allowed_outcomes).collect();
+        assert_eq!(forbidden.len(), 1, "coRR's one SC-forbidden outcome");
+        let obs: Vec<i64> = forbidden[0].iter().map(|(_, v)| v).collect();
+        assert_eq!(judge(&obs), Ok((1, vec![forbidden[0].clone()])));
     }
 }

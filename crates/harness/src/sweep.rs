@@ -21,6 +21,8 @@
 //!   behalf of all its tests' chip cells. The run pass then runs the
 //!   campaign; a finished cell only compares its observations with its
 //!   shape's verdict, so no worker ever waits on another's judgement.
+//!   An outcome of no candidate execution fails the sweep with
+//!   [`HarnessError::OutOfDomain`] (see [`crate::soundness`]).
 //! * **Nothing shared per cell** — a run-pass worker tallies the cells
 //!   it finishes itself and hands their records to its own share of the
 //!   [`RecordSink`], so a sound cell's record takes no lock and allocates
@@ -30,7 +32,9 @@
 //!   [`CellRecord`] of its results alone, the same at any parallelism and
 //!   in any shard; the aggregate [`SweepReport`] serialises to JSON,
 //!   parses back, and [`SweepReport::merge`]s across shards into totals
-//!   identical to an unsharded run at the same seed.
+//!   identical to an unsharded run at the same seed. Its totals are
+//!   derived from its per-chip columns, so a report cannot disagree with
+//!   itself.
 
 use std::collections::{BTreeSet, HashMap};
 use std::convert::Infallible;
@@ -350,19 +354,10 @@ pub struct SweepReport {
     pub tests_run: u64,
     /// Tests witnessing their weak outcome on at least one chip.
     pub weak_tests: u64,
-    /// Cells run.
-    pub cells: u64,
-    /// Cells with at least one witness.
-    pub witnessed_cells: u64,
-    /// Total runs.
-    pub total_runs: u64,
-    /// Total witnessing runs.
-    pub total_witnesses: u64,
-    /// Cells with model-forbidden observations.
-    pub unsound_cells: u64,
     /// The unsound cells, in canonical (test-major) order.
     pub unsound: Vec<UnsoundCell>,
-    /// Per-chip totals, in chip column order.
+    /// Per-chip totals, in chip column order: the one source of the
+    /// report's cell, run and witness totals.
     pub per_chip: Vec<ChipTotals>,
     /// Verdict-cache statistics (informational; not part of
     /// [`SweepReport::totals_match`]).
@@ -372,7 +367,34 @@ pub struct SweepReport {
 impl SweepReport {
     /// `true` iff no cell observed a model-forbidden outcome.
     pub fn is_sound(&self) -> bool {
-        self.unsound_cells == 0
+        self.unsound.is_empty()
+    }
+
+    /// Cells run.
+    pub fn cells(&self) -> u64 {
+        self.per_chip.iter().map(|c| c.cells).sum()
+    }
+
+    /// Cells with at least one witness.
+    pub fn witnessed_cells(&self) -> u64 {
+        self.per_chip.iter().map(|c| c.witnessed_cells).sum()
+    }
+
+    /// Total runs.
+    pub fn total_runs(&self) -> u64 {
+        self.per_chip.iter().map(|c| c.runs).sum()
+    }
+
+    /// Total witnessing runs.
+    pub fn total_witnesses(&self) -> u64 {
+        self.per_chip.iter().map(|c| c.witnesses).sum()
+    }
+
+    /// Cells with model-forbidden observations: in a report that a sweep
+    /// returns or [`SweepReport::from_json`] accepts, the length of
+    /// [`SweepReport::unsound`] too.
+    pub fn unsound_cells(&self) -> u64 {
+        self.per_chip.iter().map(|c| c.unsound_cells).sum()
     }
 
     /// `true` iff every semantic field matches `other` — everything
@@ -381,20 +403,12 @@ impl SweepReport {
     /// Merging all shards of a family must yield a report whose totals
     /// match the unsharded run at the same seed.
     pub fn totals_match(&self, other: &SweepReport) -> bool {
-        self.family == other.family
-            && self.family_size == other.family_size
-            && self.seed == other.seed
-            && self.iterations == other.iterations
-            && self.chips == other.chips
-            && self.tests_run == other.tests_run
-            && self.weak_tests == other.weak_tests
-            && self.cells == other.cells
-            && self.witnessed_cells == other.witnessed_cells
-            && self.total_runs == other.total_runs
-            && self.total_witnesses == other.total_witnesses
-            && self.unsound_cells == other.unsound_cells
-            && self.unsound == other.unsound
-            && self.per_chip == other.per_chip
+        let semantic = |r: &SweepReport| SweepReport {
+            shard: None,
+            cache: CacheStats::default(),
+            ..r.clone()
+        };
+        semantic(self) == semantic(other)
     }
 
     /// Serialises to the `weakgpu-sweep/1` JSON schema (pretty-printed,
@@ -424,17 +438,9 @@ impl SweepReport {
         ));
         s.push_str(&format!("  \"tests_run\": {},\n", self.tests_run));
         s.push_str(&format!("  \"weak_tests\": {},\n", self.weak_tests));
-        s.push_str(&format!("  \"cells\": {},\n", self.cells));
-        s.push_str(&format!(
-            "  \"witnessed_cells\": {},\n",
-            self.witnessed_cells
-        ));
-        s.push_str(&format!("  \"total_runs\": {},\n", self.total_runs));
-        s.push_str(&format!(
-            "  \"total_witnesses\": {},\n",
-            self.total_witnesses
-        ));
-        s.push_str(&format!("  \"unsound_cells\": {},\n", self.unsound_cells));
+        for (key, total) in self.totals() {
+            s.push_str(&format!("  \"{key}\": {total},\n"));
+        }
         s.push_str("  \"unsound\": [");
         for (i, u) in self.unsound.iter().enumerate() {
             if i > 0 {
@@ -488,7 +494,22 @@ impl SweepReport {
         s
     }
 
-    /// Parses a `weakgpu-sweep/1` JSON report.
+    /// The totals [`SweepReport::to_json`] prints, by key.
+    fn totals(&self) -> [(&'static str, u64); 5] {
+        [
+            ("cells", self.cells()),
+            ("witnessed_cells", self.witnessed_cells()),
+            ("total_runs", self.total_runs()),
+            ("total_witnesses", self.total_witnesses()),
+            ("unsound_cells", self.unsound_cells()),
+        ]
+    }
+
+    /// Parses a `weakgpu-sweep/1` JSON report. The totals it prints are
+    /// not read back but checked: each must equal its sum over
+    /// `per_chip`, and `unsound_cells` must also count the `unsound`
+    /// list, so a hand-edited report whose totals disagree with its
+    /// columns is rejected rather than merged.
     ///
     /// # Errors
     ///
@@ -551,7 +572,7 @@ impl SweepReport {
             },
             None => CacheStats::default(),
         };
-        Ok(SweepReport {
+        let report = SweepReport {
             family: str_field(&v, "family")?.to_owned(),
             family_size: u64_field(&v, "family_size")?,
             shard,
@@ -560,15 +581,20 @@ impl SweepReport {
             chips,
             tests_run: u64_field(&v, "tests_run")?,
             weak_tests: u64_field(&v, "weak_tests")?,
-            cells: u64_field(&v, "cells")?,
-            witnessed_cells: u64_field(&v, "witnessed_cells")?,
-            total_runs: u64_field(&v, "total_runs")?,
-            total_witnesses: u64_field(&v, "total_witnesses")?,
-            unsound_cells: u64_field(&v, "unsound_cells")?,
             unsound,
             per_chip,
             cache,
-        })
+        };
+        let listed = ("unsound_cells", report.unsound.len() as u64);
+        for (key, derived) in report.totals().into_iter().chain([listed]) {
+            let printed = u64_field(&v, key)?;
+            if printed != derived {
+                return Err(SweepError::Json(format!(
+                    "{key} is {printed}, but the report's cells give {derived}"
+                )));
+            }
+        }
+        Ok(report)
     }
 
     /// Merges shard reports back into one whole-family report.
@@ -672,11 +698,6 @@ impl SweepReport {
             chips: first.chips.clone(),
             tests_run: 0,
             weak_tests: 0,
-            cells: 0,
-            witnessed_cells: 0,
-            total_runs: 0,
-            total_witnesses: 0,
-            unsound_cells: 0,
             unsound: Vec::new(),
             per_chip: first.chips.iter().map(|c| ChipTotals::new(c)).collect(),
             cache: CacheStats::default(),
@@ -684,11 +705,6 @@ impl SweepReport {
         for r in reports {
             out.tests_run += r.tests_run;
             out.weak_tests += r.weak_tests;
-            out.cells += r.cells;
-            out.witnessed_cells += r.witnessed_cells;
-            out.total_runs += r.total_runs;
-            out.total_witnesses += r.total_witnesses;
-            out.unsound_cells += r.unsound_cells;
             out.unsound.extend(r.unsound.iter().cloned());
             for (acc, c) in out.per_chip.iter_mut().zip(&r.per_chip) {
                 acc.add(c);
@@ -891,7 +907,7 @@ where
             let verdict = verdicts[shape_of[ci / num_chips]]
                 .as_ref()
                 .map_err(|e| SweepError::Enum(test.name().to_owned(), e.clone()))?;
-            let (witnesses, forbidden) = done.judge(Some(&verdict.allowed_outcomes));
+            let (witnesses, forbidden) = done.judge(Some(&**verdict))?;
             let record = CellRecord {
                 test: test.name(),
                 index: gi,
@@ -934,11 +950,6 @@ where
         chips: cfg.chips.iter().map(|c| c.short().to_owned()).collect(),
         tests_run: selected.len() as u64,
         weak_tests: weak.iter().filter(|&&w| w).count() as u64,
-        cells: per_chip.iter().map(|c| c.cells).sum(),
-        witnessed_cells: per_chip.iter().map(|c| c.witnessed_cells).sum(),
-        total_runs: per_chip.iter().map(|c| c.runs).sum(),
-        total_witnesses: per_chip.iter().map(|c| c.witnesses).sum(),
-        unsound_cells: unsound.len() as u64,
         unsound,
         per_chip,
         cache: CacheStats {
@@ -1165,11 +1176,6 @@ mod tests {
             chips: vec!["Titan".to_owned()],
             tests_run: 10 / count as u64 + u64::from(index <= 10 % count),
             weak_tests: 1,
-            cells: 5,
-            witnessed_cells: 2,
-            total_runs: 500,
-            total_witnesses: 3,
-            unsound_cells: 0,
             unsound: Vec::new(),
             per_chip: vec![ChipTotals {
                 chip: "Titan".to_owned(),
@@ -1199,7 +1205,7 @@ mod tests {
             chip: "Titan".to_owned(),
             outcomes: vec!["0:r0=1; 1:r0=1; ".to_owned()],
         }];
-        r.unsound_cells = 1;
+        r.per_chip[0].unsound_cells = 1;
         let parsed = SweepReport::from_json(&r.to_json()).unwrap();
         assert_eq!(parsed, r);
         // And an unsharded report.
@@ -1278,9 +1284,9 @@ mod tests {
         let merged = SweepReport::merge(&[tiny_report(2, 2), tiny_report(1, 2)]).unwrap();
         assert_eq!(merged.shard, None);
         assert_eq!(merged.tests_run, 10);
-        assert_eq!(merged.cells, 10);
-        assert_eq!(merged.total_runs, 1000);
-        assert_eq!(merged.total_witnesses, 6);
+        assert_eq!(merged.cells(), 10);
+        assert_eq!(merged.total_runs(), 1000);
+        assert_eq!(merged.total_witnesses(), 6);
         assert_eq!(merged.per_chip[0].runs, 1000);
         assert_eq!(merged.cache.misses, 10);
         assert_eq!(merged.cache.enum_micros, 240);

@@ -10,6 +10,7 @@ use std::sync::Mutex;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use weakgpu_axiom::enumerate::{model_outcomes, EnumConfig, ModelOutcomes};
 use weakgpu_diy::{generate, GenConfig};
 use weakgpu_harness::campaign::{
     default_incantations, run_campaign, run_campaign_with, CampaignConfig, CellSpec,
@@ -18,6 +19,7 @@ use weakgpu_harness::runner::{run_test, HarnessError, RunConfig, TestReport};
 use weakgpu_harness::{Histogram, STREAM_CHUNKS};
 use weakgpu_litmus::build::{ld, st};
 use weakgpu_litmus::{corpus, corpus_extra, CacheOp, Instr, LitmusTest, Predicate, ThreadScope};
+use weakgpu_models::ptx_model;
 use weakgpu_sim::chip::{Chip, Incantations};
 use weakgpu_sim::machine::{ObsCounts, RunParams, Simulator};
 use weakgpu_sim::program::CompileError;
@@ -491,11 +493,19 @@ fn corpus_histograms_match_recorded_digests() {
             "one digest per chip, in chip order"
         );
     }
+    // Every outcome a cell observes is an outcome of some candidate
+    // execution of its test, so an out-of-domain error is never a false
+    // alarm on the corpus (the `.ca` cells' stale reads included).
+    let model = ptx_model();
+    let verdicts: Vec<ModelOutcomes> = tests
+        .iter()
+        .map(|test| model_outcomes(test, &model, &EnumConfig::default()).unwrap())
+        .collect();
     for par in [1, 3] {
         let reports = run_campaign(&cells, &CampaignConfig::with_parallelism(par)).unwrap();
         // Cells are judged on observation vectors; the named condition
         // over each cell's histogram is the oracle.
-        for (cell, r) in cells.iter().zip(&reports) {
+        for (ci, (cell, r)) in cells.iter().zip(&reports).enumerate() {
             assert_eq!(
                 r.witnesses,
                 r.histogram.witnesses(cell.test.cond()),
@@ -503,6 +513,10 @@ fn corpus_histograms_match_recorded_digests() {
                 r.test,
                 r.chip
             );
+            let domain = &verdicts[ci / Chip::ALL.len()].all_outcomes;
+            if let Some(o) = r.histogram.outcomes().find(|o| !domain.contains(*o)) {
+                panic!("{} on {}: {o}is no candidate's outcome", r.test, r.chip);
+            }
         }
         let mut changed: Vec<String> = Vec::new();
         for (ca, digests) in [(true, CORPUS_CA_DIGESTS), (false, CORPUS_DIGESTS)] {

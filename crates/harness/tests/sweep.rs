@@ -1,13 +1,15 @@
 //! Integration tests for the sharded validation sweep: partition
 //! correctness over the real generated families, shard/merge identity
-//! with an unsharded run, the model-verdict cache's bookkeeping, and
-//! cell records against each cell's histogram.
+//! with an unsharded run, the model-verdict cache's bookkeeping, cell
+//! records against each cell's histogram, and verdicts that have lost an
+//! observed outcome.
 
 use std::collections::HashSet;
 use std::sync::Mutex;
 
-use weakgpu_axiom::cache::Fingerprint;
+use weakgpu_axiom::cache::{Fingerprint, VerdictCache};
 use weakgpu_axiom::enumerate::{model_outcomes, EnumConfig, EnumError};
+use weakgpu_axiom::persist;
 use weakgpu_axiom::symbolic::SymError;
 use weakgpu_diy::{generate, GenConfig};
 use weakgpu_harness::campaign::{default_incantations, run_campaign, CampaignConfig, CellSpec};
@@ -82,7 +84,7 @@ fn merged_shards_match_unsharded_run() {
     // Shards are proper subsets.
     for s in &shards {
         assert!(s.tests_run < whole.tests_run);
-        assert!(s.total_runs < whole.total_runs);
+        assert!(s.total_runs() < whole.total_runs());
     }
     let merged = SweepReport::merge(&shards).unwrap();
     assert!(
@@ -95,6 +97,53 @@ fn merged_shards_match_unsharded_run() {
     let mut whole_adjusted = whole.clone();
     whole_adjusted.cache = merged.cache;
     assert_eq!(merged.to_json(), whole_adjusted.to_json());
+}
+
+#[test]
+fn reports_whose_totals_disagree_with_their_columns_do_not_parse_or_merge() {
+    // A report's five totals are printed but derived from its per-chip
+    // columns, and `unsound_cells` also counts the unsound cells listed.
+    // A shard whose printed totals were edited by hand is rejected when
+    // read back, so it cannot merge.
+    let family: Vec<_> = generate(&GenConfig::small()).into_iter().take(10).collect();
+    let shard = |index| {
+        let cfg = SweepConfig {
+            chips: vec![Chip::GtxTitan],
+            iterations: 20,
+            ..small_cfg(Some(Shard { index, count: 2 }))
+        };
+        run_sweep(&family, &cfg).unwrap().to_json()
+    };
+    let (one, two) = (shard(1), shard(2));
+    let parse = |text: &str| SweepReport::from_json(text);
+    let merged = SweepReport::merge(&[parse(&one).unwrap(), parse(&two).unwrap()]).unwrap();
+    assert_eq!(merged.total_runs(), 200);
+    let doctored = |from: &str, to: &str| {
+        assert!(two.contains(from), "{from}");
+        let err = parse(&two.replace(from, to)).unwrap_err();
+        assert!(matches!(err, SweepError::Json(_)), "{err}");
+        err.to_string()
+    };
+    let report = parse(&two).unwrap();
+    for (key, n) in [
+        ("cells", report.cells()),
+        ("witnessed_cells", report.witnessed_cells()),
+        ("total_runs", report.total_runs()),
+        ("total_witnesses", report.total_witnesses()),
+        ("unsound_cells", report.unsound_cells()),
+    ] {
+        let err = doctored(
+            &format!("\"{key}\": {n},\n"),
+            &format!("\"{key}\": {},\n", n + 1),
+        );
+        assert!(err.contains(&format!("{key} is {}, but", n + 1)), "{err}");
+    }
+    // Columns that agree with the total, but not with the cell list.
+    let err = doctored("\"unsound_cells\": 0", "\"unsound_cells\": 1");
+    assert!(
+        err.contains("unsound_cells is 1, but the report's cells give 0"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -124,8 +173,8 @@ fn sweep_reports_are_model_sound_and_witness_weak_behaviour() {
     );
     // Streaming callback saw every cell exactly once.
     let records = records.into_inner().unwrap();
-    assert_eq!(records.len() as u64, report.cells);
-    assert_eq!(report.cells, report.tests_run);
+    assert_eq!(records.len() as u64, report.cells());
+    assert_eq!(report.cells(), report.tests_run);
     // Single-chip sweep: every shape is looked up exactly once, so
     // nothing hits.
     assert_eq!(report.cache.misses, report.tests_run);
@@ -133,9 +182,9 @@ fn sweep_reports_are_model_sound_and_witness_weak_behaviour() {
     assert_eq!(report.cache.entries, report.tests_run);
     // Totals agree between the streamed records and the aggregate.
     let runs: u64 = records.iter().map(|r| r.runs).sum();
-    assert_eq!(runs, report.total_runs);
+    assert_eq!(runs, report.total_runs());
     let witnesses: u64 = records.iter().map(|r| r.witnesses).sum();
-    assert_eq!(witnesses, report.total_witnesses);
+    assert_eq!(witnesses, report.total_witnesses());
 }
 
 #[test]
@@ -200,7 +249,11 @@ fn cache_counters_are_exact_at_every_parallelism() {
         let cache = report.cache;
         assert_eq!(cache.misses, distinct.len() as u64, "parallelism {par}");
         assert_eq!(cache.entries, cache.misses, "parallelism {par}");
-        assert_eq!(cache.hits + cache.misses, report.cells, "parallelism {par}");
+        assert_eq!(
+            cache.hits + cache.misses,
+            report.cells(),
+            "parallelism {par}"
+        );
         let mut recs = records.into_inner().unwrap();
         recs.sort_by_key(|r| (r.index, r.chip));
         recs
@@ -229,7 +282,8 @@ fn strong_chip_never_witnesses_any_generated_cycle() {
     };
     let report = run_sweep(&family, &cfg).unwrap();
     assert_eq!(
-        report.total_witnesses, 0,
+        report.total_witnesses(),
+        0,
         "GTX 280 must behave sequentially"
     );
     assert_eq!(report.weak_tests, 0);
@@ -436,7 +490,8 @@ fn cell_records_match_the_histogram_of_each_cell() {
         let histogram = &cell_report.histogram;
         let verdict = model_outcomes(test, &model, &EnumConfig::default()).unwrap();
         let forbidden: Vec<String> = histogram
-            .forbidden_by(&verdict)
+            .outcomes()
+            .filter(|o| !verdict.allowed_outcomes.contains(*o))
             .map(|o| o.to_string())
             .collect();
         assert_eq!((rec.index, rec.chip), (i, chip.short()));
@@ -446,5 +501,114 @@ fn cell_records_match_the_histogram_of_each_cell() {
         assert_eq!(rec.unsound, forbidden, "{} on {chip}", test.name());
         unsound += usize::from(!forbidden.is_empty());
     }
-    assert_eq!(report.unsound_cells, unsound as u64);
+    assert_eq!(report.unsound_cells(), unsound as u64);
+}
+
+#[test]
+fn a_verdict_that_lost_an_observed_outcome_fails_as_a_tool_error() {
+    // A verdict's `all_outcomes` holds the outcome of every candidate
+    // execution, so an observation outside it is a fault of the
+    // simulator, the enumerator or the cache, never a model finding. A
+    // warm cache is doctored so that one shape's verdict has lost an
+    // outcome its cells observe: the sweep fails with `OutOfDomain` at
+    // the lowest cell observing it, at any parallelism. If the verdict
+    // only loses the outcome's allowed mark, the outcome is forbidden but
+    // in the domain, and every cell observing it is reported unsound.
+    let family: Vec<_> = generate(&GenConfig::small()).into_iter().take(12).collect();
+    let dir = std::env::temp_dir().join(format!("weakgpu-sweep-domain-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("verdicts.wgc");
+    let cfg = |par| SweepConfig {
+        family: "domain".to_owned(),
+        iterations: 100,
+        parallelism: Some(par),
+        cache_file: Some(path.clone()),
+        cache_readonly: true,
+        ..small_cfg(None)
+    };
+    let cold = SweepConfig {
+        cache_readonly: false,
+        ..cfg(1)
+    };
+    assert!(run_sweep(&family, &cold).unwrap().is_sound());
+    let cold = persist::load(&path).unwrap();
+
+    // The doctored shape is that of test 5, and the outcome is the most
+    // frequent one of its last cell.
+    let model = ptx_model();
+    let key_of = |test: &LitmusTest| Fingerprint::of(test, &model, &EnumConfig::default());
+    let chips = cfg(1).chips;
+    let cells: Vec<(usize, Chip)> = (0..family.len())
+        .flat_map(|i| chips.iter().map(move |&chip| (i, chip)))
+        .collect();
+    let histogram = |&(i, chip): &(usize, Chip)| {
+        let test = &family[i];
+        let cell = CellSpec::new(test.clone(), chip)
+            .incantations(default_incantations(test))
+            .iterations(100)
+            .seed(cfg(1).seed ^ i as u64);
+        run_campaign(&[cell], &CampaignConfig::with_parallelism(1))
+            .unwrap()
+            .remove(0)
+            .histogram
+    };
+    let key = key_of(&family[5]);
+    let last = cells.iter().rposition(|&(i, _)| i == 5).unwrap();
+    let lost = histogram(&cells[last])
+        .iter()
+        .max_by_key(|&(_, n)| n)
+        .unwrap()
+        .0
+        .clone();
+    // Every cell of the doctored shape that observes the outcome.
+    let observing: Vec<(usize, Chip)> = cells
+        .iter()
+        .filter(|&&(i, _)| key_of(&family[i]) == key)
+        .filter(|cell| histogram(cell).count(&lost) > 0)
+        .copied()
+        .collect();
+    let write_doctored = |drop_from_domain: bool| {
+        let mut doctored = VerdictCache::new();
+        for (k, verdict) in cold.entries() {
+            let mut verdict = verdict.clone();
+            if k == key {
+                assert!(verdict.allowed_outcomes.remove(&lost));
+                if drop_from_domain {
+                    assert!(verdict.all_outcomes.remove(&lost));
+                }
+            }
+            doctored.insert_warm(k, verdict);
+        }
+        persist::save(&path, &doctored).unwrap();
+    };
+
+    write_doctored(true);
+    let (i, chip) = observing[0];
+    let want = SweepError::Harness(HarnessError::OutOfDomain {
+        test: family[i].name().to_owned(),
+        chip,
+        outcome: lost.clone(),
+    });
+    for par in [1, 3] {
+        let err = run_sweep(&family, &cfg(par)).unwrap_err();
+        assert_eq!(err, want, "parallelism {par}");
+        assert!(err.to_string().contains("no candidate execution"), "{err}");
+    }
+
+    write_doctored(false);
+    let rendered = [lost.to_string()];
+    for par in [1, 3] {
+        let report = run_sweep(&family, &cfg(par)).unwrap();
+        let unsound: Vec<(usize, &str, &[String])> = report
+            .unsound
+            .iter()
+            .map(|u| (u.index, u.chip.as_str(), &u.outcomes[..]))
+            .collect();
+        let want: Vec<(usize, &str, &[String])> = observing
+            .iter()
+            .map(|&(i, chip)| (i, chip.short(), &rendered[..]))
+            .collect();
+        assert_eq!(unsound, want, "parallelism {par}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

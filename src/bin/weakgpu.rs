@@ -616,7 +616,7 @@ fn sound_or_failed(report: &SweepReport) -> CliResult {
     } else {
         Err(CliError::Failed(format!(
             "{} cells observed model-forbidden outcomes",
-            report.unsound_cells
+            report.unsound_cells()
         )))
     }
 }
@@ -737,7 +737,9 @@ fn print_sweep_summary(report: &SweepReport, to_stderr: bool) {
     line(format!("{table}"));
     line(format!(
         "{} of {} tests witnessed their weak outcome on >=1 chip; {} total runs",
-        report.weak_tests, report.tests_run, report.total_runs
+        report.weak_tests,
+        report.tests_run,
+        report.total_runs()
     ));
     line(format!(
         "verdict cache: {} entries ({} preloaded), {} hits ({} warm) / {} misses, {:.1} ms enumerating",
@@ -753,7 +755,7 @@ fn print_sweep_summary(report: &SweepReport, to_stderr: bool) {
     } else {
         line(format!(
             "RESULT: UNSOUND — {} cells observed forbidden outcomes:",
-            report.unsound_cells
+            report.unsound_cells()
         ));
         for u in report.unsound.iter().take(20) {
             line(format!("  {} on {}: {:?}", u.test, u.chip, u.outcomes));

@@ -37,7 +37,7 @@ fn generated_family_observations_are_model_sound() {
         report.unsound
     );
     assert_eq!(report.tests_run as usize, tests.len());
-    assert_eq!(report.total_runs, (tests.len() * 4 * 1_000) as u64);
+    assert_eq!(report.total_runs(), (tests.len() * 4 * 1_000) as u64);
     // The family must actually exercise weak behaviour, not just pass
     // vacuously.
     assert!(
@@ -70,7 +70,8 @@ fn strong_chip_never_witnesses_any_generated_cycle() {
     };
     let report = run_sweep(&tests, &cfg).unwrap();
     assert_eq!(
-        report.total_witnesses, 0,
+        report.total_witnesses(),
+        0,
         "GTX 280 must behave sequentially on the whole family"
     );
     assert_eq!(report.weak_tests, 0);
