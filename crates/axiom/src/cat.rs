@@ -27,10 +27,12 @@
 //! compiler is include-free), `let rec` (no fixpoints), and the
 //! complement operator `~`.
 //!
-//! Parsing is built on [`weakgpu_front`]: a spanned lexer feeds a token
-//! [`Cursor`] with expected-set accumulation and a packrat [`Memo`] on the
-//! atom rule, and statement-level recovery reports every error in one
-//! pass ([`CatProgram::parse_with_diagnostics`]).
+//! Parsing is plain recursive descent on [`weakgpu_front`]: a spanned
+//! lexer feeds a token [`Cursor`] with expected-set accumulation, and
+//! statement-level recovery reports every error in one pass
+//! ([`CatProgram::parse_with_diagnostics`]). An expression nested deeper
+//! than [`weakgpu_front::MAX_DEPTH`] — in parentheses or in tree levels —
+//! is rejected with a caret at the token that crossed the bound.
 //!
 //! A model *allows* an execution iff every check passes
 //! ([`CatProgram::check`]).
@@ -39,7 +41,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use weakgpu_front::{
-    Cursor, Diagnostic, LineCol, Memo, Parsed, SourceFile, Span, Token, TokenKind,
+    binary_chain, deeper, BinaryOp, Cursor, Diagnostic, LineCol, Parsed, SourceFile, Span, Token,
+    TokenKind,
 };
 
 use crate::relation::{EventSet, Relation};
@@ -363,10 +366,9 @@ fn lex(file: &SourceFile) -> (Vec<Token<CatK>>, Vec<Diagnostic>) {
 // ---------------------------------------------------------------- parsing
 
 type PCur<'t> = Cursor<'t, CatK>;
-type PMemo = Memo<Result<Expr, Diagnostic>>;
 
-/// Rule id for the packrat memo on the atom rule.
-const RULE_ATOM: u32 = 0;
+/// A parsed expression and its levels (see [`weakgpu_front::MAX_DEPTH`]).
+type Leveled = Result<(Expr, usize), Diagnostic>;
 
 fn is_stmt_start(k: &CatK) -> bool {
     matches!(
@@ -386,83 +388,54 @@ fn expect_ident(cur: &mut PCur<'_>) -> Result<(String, Span), Diagnostic> {
     eat_ident(cur).ok_or_else(|| cur.expected_error())
 }
 
-fn expr(cur: &mut PCur<'_>, memo: &mut PMemo) -> Result<Expr, Diagnostic> {
-    let mut e = seq_expr(cur, memo)?;
-    while cur.eat(&CatK::Pipe).is_some() {
-        let rhs = seq_expr(cur, memo)?;
-        e = Expr::Union(Box::new(e), Box::new(rhs));
-    }
-    Ok(e)
+/// The binary operators, from the tightest-binding.
+const BINARY: [BinaryOp<CatK, Expr>; 4] = [
+    (CatK::Amp, |a, b| Expr::Inter(Box::new(a), Box::new(b))),
+    (CatK::Backslash, |a, b| Expr::Diff(Box::new(a), Box::new(b))),
+    (CatK::Semi, |a, b| Expr::Seq(Box::new(a), Box::new(b))),
+    (CatK::Pipe, |a, b| Expr::Union(Box::new(a), Box::new(b))),
+];
+
+/// The expression rule at `nest` enclosing parentheses.
+fn expr(cur: &mut PCur<'_>, nest: usize) -> Leveled {
+    binary_chain(cur, &BINARY, |cur| postfix_expr(cur, nest))
 }
 
-fn seq_expr(cur: &mut PCur<'_>, memo: &mut PMemo) -> Result<Expr, Diagnostic> {
-    let mut e = diff_expr(cur, memo)?;
-    while cur.eat(&CatK::Semi).is_some() {
-        let rhs = diff_expr(cur, memo)?;
-        e = Expr::Seq(Box::new(e), Box::new(rhs));
-    }
-    Ok(e)
-}
-
-fn diff_expr(cur: &mut PCur<'_>, memo: &mut PMemo) -> Result<Expr, Diagnostic> {
-    let mut e = inter_expr(cur, memo)?;
-    while cur.eat(&CatK::Backslash).is_some() {
-        let rhs = inter_expr(cur, memo)?;
-        e = Expr::Diff(Box::new(e), Box::new(rhs));
-    }
-    Ok(e)
-}
-
-fn inter_expr(cur: &mut PCur<'_>, memo: &mut PMemo) -> Result<Expr, Diagnostic> {
-    let mut e = postfix_expr(cur, memo)?;
-    while cur.eat(&CatK::Amp).is_some() {
-        let rhs = postfix_expr(cur, memo)?;
-        e = Expr::Inter(Box::new(e), Box::new(rhs));
-    }
-    Ok(e)
-}
-
-fn postfix_expr(cur: &mut PCur<'_>, memo: &mut PMemo) -> Result<Expr, Diagnostic> {
-    let mut e = atom(cur, memo)?;
+fn postfix_expr(cur: &mut PCur<'_>, nest: usize) -> Leveled {
+    let (mut e, mut levels) = atom(cur, nest)?;
     loop {
-        if cur.eat(&CatK::Inv).is_some() {
-            e = Expr::Inverse(Box::new(e));
-        } else if cur.eat(&CatK::Plus).is_some() {
-            e = Expr::Plus(Box::new(e));
-        } else if cur.eat(&CatK::Star).is_some() {
-            e = Expr::Star(Box::new(e));
-        } else if cur.eat(&CatK::Question).is_some() {
-            e = Expr::Opt(Box::new(e));
+        let (t, node): (_, fn(Box<Expr>) -> Expr) = if let Some(t) = cur.eat(&CatK::Inv) {
+            (t, Expr::Inverse)
+        } else if let Some(t) = cur.eat(&CatK::Plus) {
+            (t, Expr::Plus)
+        } else if let Some(t) = cur.eat(&CatK::Star) {
+            (t, Expr::Star)
+        } else if let Some(t) = cur.eat(&CatK::Question) {
+            (t, Expr::Opt)
         } else {
-            return Ok(e);
-        }
+            return Ok((e, levels));
+        };
+        levels = deeper(levels, t.span)?;
+        e = node(Box::new(e));
     }
 }
 
-/// The atom rule, memoised packrat-style under [`RULE_ATOM`] so repeated
-/// descents over the same position (the grammar is PEG-shaped) stay
-/// linear.
-fn atom(cur: &mut PCur<'_>, memo: &mut PMemo) -> Result<Expr, Diagnostic> {
-    memo.apply(RULE_ATOM, cur, |cur, memo| Some(atom_inner(cur, memo)))
-        .unwrap_or_else(|| Err(Diagnostic::error("expected expression")))
-}
-
-fn atom_inner(cur: &mut PCur<'_>, memo: &mut PMemo) -> Result<Expr, Diagnostic> {
-    if let Some((name, _)) = eat_ident(cur) {
-        if cur.eat(&CatK::LParen).is_some() {
-            let arg = expr(cur, memo)?;
+fn atom(cur: &mut PCur<'_>, nest: usize) -> Leveled {
+    if let Some((name, span)) = eat_ident(cur) {
+        if let Some(open) = cur.eat(&CatK::LParen) {
+            let (arg, levels) = expr(cur, deeper(nest, open.span)?)?;
             cur.expect(&CatK::RParen)?;
-            return Ok(Expr::App(name, Box::new(arg)));
+            return Ok((Expr::App(name, Box::new(arg)), deeper(levels, span)?));
         }
-        return Ok(Expr::Id(name));
+        return Ok((Expr::Id(name), 1));
     }
-    if cur.eat(&CatK::LParen).is_some() {
-        let e = expr(cur, memo)?;
+    if let Some(open) = cur.eat(&CatK::LParen) {
+        let inner = expr(cur, deeper(nest, open.span)?)?;
         cur.expect(&CatK::RParen)?;
-        return Ok(e);
+        return Ok(inner);
     }
     if cur.eat(&CatK::Zero).is_some() {
-        return Ok(Expr::Zero);
+        return Ok((Expr::Zero, 1));
     }
     if let Some(t) = cur.eat(&CatK::Tilde) {
         return Err(
@@ -478,7 +451,6 @@ fn atom_inner(cur: &mut PCur<'_>, memo: &mut PMemo) -> Result<Expr, Diagnostic> 
 /// producing a statement (`show` / `unshow`).
 fn stmt(
     cur: &mut PCur<'_>,
-    memo: &mut PMemo,
     diags: &mut Vec<Diagnostic>,
     auto_checks: &mut usize,
 ) -> Result<Option<Stmt>, Diagnostic> {
@@ -548,7 +520,7 @@ fn stmt(
             None
         };
         cur.expect(&CatK::Eq)?;
-        let body = expr(cur, memo)?;
+        let (body, _) = expr(cur, 0)?;
         return Ok(Some(Stmt::Let { name, param, body }));
     }
     for (tok, kind) in [
@@ -557,7 +529,7 @@ fn stmt(
         (CatK::Empty, CheckKind::Empty),
     ] {
         if cur.eat(&tok).is_some() {
-            let e = expr(cur, memo)?;
+            let (e, _) = expr(cur, 0)?;
             let name = if cur.eat(&CatK::As).is_some() {
                 expect_ident(cur)?.0
             } else {
@@ -619,7 +591,6 @@ impl CatProgram {
     pub fn parse_with_diagnostics(file: &SourceFile) -> Parsed<CatProgram> {
         let (toks, mut diags) = lex(file);
         let mut cur = Cursor::new(&toks, file.text().len());
-        let mut memo = Memo::new();
         // Optional herd7-style model title: a leading string literal or a
         // bare identifier (anything a statement cannot start with).
         let title = match cur.peek_kind() {
@@ -639,7 +610,7 @@ impl CatProgram {
         let mut auto_checks = 0usize;
         while !cur.at_end() {
             let start = cur.pos();
-            match stmt(&mut cur, &mut memo, &mut diags, &mut auto_checks) {
+            match stmt(&mut cur, &mut diags, &mut auto_checks) {
                 Ok(Some(s)) => stmts.push(s),
                 Ok(None) => {}
                 Err(d) => {

@@ -17,7 +17,10 @@
 //!   wrote them.
 //! * **Line-oriented** — after the header, each line is one complete
 //!   `key → ModelOutcomes` record, and a truncated or damaged record is
-//!   *detected*: every record carries its own field and outcome counts.
+//!   *detected*: every record carries its own field and outcome counts,
+//!   and a record whose counts contradict its outcome list (an allowed
+//!   count with no outcome marked allowed, more outcomes than candidates,
+//!   a witness with nothing allowed, …) is rejected.
 //! * **Deterministic** — [`save`] writes records sorted by key, so two
 //!   caches with the same entries produce byte-identical files.
 //!
@@ -71,7 +74,8 @@ pub enum PersistError {
     /// The file's schema tag is not [`SCHEMA`].
     Version(String),
     /// A record is malformed (wrong field count, bad number, truncated
-    /// outcome list, …). Carries the 1-based line number.
+    /// outcome list, counts that contradict the outcomes, …). Carries the
+    /// 1-based line number.
     Format(usize, String),
 }
 
@@ -257,6 +261,37 @@ fn parse_record(text: &str, line: usize) -> Result<(Fingerprint, ModelOutcomes),
             allowed_outcomes.insert(outcome.clone());
         }
         all_outcomes.insert(outcome);
+    }
+    // Each outcome is some candidate's and each allowed outcome some
+    // allowed candidate's, so the counts bound the lists; a record that
+    // breaks this was not written by `render_record`.
+    let marked = allowed_outcomes.len();
+    let contradiction = if (num_allowed == 0) != (marked == 0) {
+        Some(format!(
+            "allowed count {num_allowed} but {marked} outcomes marked allowed"
+        ))
+    } else if marked > num_allowed {
+        Some(format!(
+            "{marked} outcomes marked allowed but allowed count {num_allowed}"
+        ))
+    } else if num_allowed > num_candidates {
+        Some(format!(
+            "allowed count {num_allowed} exceeds candidate count {num_candidates}"
+        ))
+    } else if n_outcomes > num_candidates {
+        Some(format!(
+            "{n_outcomes} outcomes exceed candidate count {num_candidates}"
+        ))
+    } else if condition_witnessed && num_allowed == 0 {
+        Some("witness flag set but no candidate is allowed".to_owned())
+    } else {
+        None
+    };
+    if let Some(msg) = contradiction {
+        return Err(PersistError::Format(
+            line,
+            format!("record contradicts itself: {msg}"),
+        ));
     }
     Ok((
         key,
@@ -450,6 +485,38 @@ mod tests {
         let text_key = format!("{SCHEMA}\nkey\t4\t2\t1\t1\t*0:r1=1; \n");
         let err = parse(&text_key).unwrap_err();
         assert!(err.to_string().contains("hex digits"), "{err}");
+    }
+
+    #[test]
+    fn self_contradicting_records_are_rejected() {
+        let key = Fingerprint(7);
+        for (record, complaint) in [
+            // Four allowed candidates and a witness, but no outcomes.
+            ("4\t4\t1\t0", "allowed count 4 but 0 outcomes"),
+            // An allowed outcome, but no allowed candidate.
+            ("4\t0\t0\t1\t*0:r1=1; ", "allowed count 0 but 1 outcomes"),
+            (
+                "4\t1\t0\t2\t*0:r1=0; \t*0:r1=1; ",
+                "2 outcomes marked allowed but allowed count 1",
+            ),
+            ("1\t2\t0\t1\t*0:r1=1; ", "exceeds candidate count 1"),
+            (
+                "1\t1\t0\t2\t*0:r1=0; \t0:r1=1; ",
+                "2 outcomes exceed candidate count 1",
+            ),
+            ("2\t0\t1\t1\t0:r1=1; ", "witness flag set"),
+        ] {
+            let err = parse(&format!("{SCHEMA}\n{key}\t{record}\n")).unwrap_err();
+            assert!(matches!(err, PersistError::Format(2, _)), "{err}");
+            assert!(err.to_string().contains(complaint), "{record}: {err}");
+        }
+        // The consistent neighbours load.
+        for record in ["4\t1\t1\t2\t*0:r1=0; \t0:r1=1; ", "2\t0\t0\t1\t0:r1=1; "] {
+            assert!(
+                parse(&format!("{SCHEMA}\n{key}\t{record}\n")).is_ok(),
+                "{record}"
+            );
+        }
     }
 
     #[test]

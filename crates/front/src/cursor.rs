@@ -1,5 +1,4 @@
-//! A recursive-descent token cursor with expected-set accumulation and a
-//! packrat memo table.
+//! A recursive-descent token cursor with expected-set accumulation.
 //!
 //! The cursor owns no grammar: callers [`Cursor::eat`] / [`Cursor::expect`]
 //! token kinds and [`Cursor::rewind`] to backtrack. Every failed match at
@@ -7,8 +6,6 @@
 //! parse fails the error lists everything that would have been legal there
 //! — "expected `;`, `|` or end of line, found `^-1`" — instead of whatever
 //! the last alternative happened to want.
-
-use std::collections::HashMap;
 
 use crate::diag::Diagnostic;
 use crate::span::Span;
@@ -39,7 +36,7 @@ impl<K> Token<K> {
 /// A cursor over a token slice.
 ///
 /// Positions returned by [`Cursor::mark`] are plain indices; [`Cursor::rewind`]
-/// restores them, which is all a PEG-style grammar needs for backtracking.
+/// restores them, for the rare rule that must look one token ahead.
 pub struct Cursor<'t, K: TokenKind> {
     tokens: &'t [Token<K>],
     pos: usize,
@@ -194,12 +191,6 @@ impl<'t, K: TokenKind> Cursor<'t, K> {
         Diagnostic::error(msg).with_span(span)
     }
 
-    /// An error at the current token with a custom message.
-    #[must_use]
-    pub fn error_here(&self, message: impl Into<String>) -> Diagnostic {
-        Diagnostic::error(message).with_span(self.here())
-    }
-
     /// Skips tokens until `stop` matches or the stream ends; used for
     /// error recovery (resynchronise on `;`, a keyword, …). Returns how
     /// many tokens were skipped.
@@ -228,75 +219,9 @@ fn join_or(items: &[String]) -> String {
     }
 }
 
-/// A packrat memo table: caches a rule's outcome at a position so
-/// backtracking grammars re-derive nothing. Keyed by `(rule_id, pos)`;
-/// stores the result *and* the position the rule ended at.
-#[derive(Default)]
-pub struct Memo<R: Clone> {
-    table: HashMap<(u32, usize), Option<(R, usize)>>,
-}
-
-impl<R: Clone> Memo<R> {
-    /// An empty table.
-    #[must_use]
-    pub fn new() -> Self {
-        Memo {
-            table: HashMap::new(),
-        }
-    }
-
-    /// Runs `rule` at the cursor's current position, memoised under
-    /// `rule_id`. On a cache hit the cursor jumps straight to the stored
-    /// end position (or stays put for a cached failure). `rule` returns
-    /// `None` on failure and must leave the cursor wherever it likes —
-    /// the memo rewinds on failure either way.
-    pub fn apply<K: TokenKind>(
-        &mut self,
-        rule_id: u32,
-        cur: &mut Cursor<'_, K>,
-        rule: impl FnOnce(&mut Cursor<'_, K>, &mut Self) -> Option<R>,
-    ) -> Option<R> {
-        let start = cur.pos();
-        if let Some(hit) = self.table.get(&(rule_id, start)) {
-            return match hit {
-                Some((r, end)) => {
-                    cur.rewind(*end);
-                    Some(r.clone())
-                }
-                None => None,
-            };
-        }
-        let out = rule(cur, self);
-        match &out {
-            Some(r) => {
-                self.table
-                    .insert((rule_id, start), Some((r.clone(), cur.pos())));
-            }
-            None => {
-                cur.rewind(start);
-                self.table.insert((rule_id, start), None);
-            }
-        }
-        out
-    }
-
-    /// Number of memoised entries (for tests / instrumentation).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// `true` when nothing is memoised yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
 
     #[derive(Clone, PartialEq, Debug)]
     enum K {
@@ -415,57 +340,5 @@ mod tests {
         let err = c.expected_error();
         assert!(err.message.contains("found end of input"), "{err:?}");
         assert_eq!(err.span, Some(Span::point(1)));
-    }
-
-    #[test]
-    fn memo_caches_and_restores_position() {
-        let ts = toks("a a a");
-        let calls = Cell::new(0usize);
-        let mut memo: Memo<String> = Memo::new();
-        let mut c = Cursor::new(&ts, 5);
-
-        let rule = |cur: &mut Cursor<'_, K>, _m: &mut Memo<String>| {
-            calls.set(calls.get() + 1);
-            let t = cur.eat(&K::Ident("a".into()))?;
-            Some(t.kind.describe())
-        };
-
-        // First application runs the rule.
-        let r1 = memo.apply(1, &mut c, rule);
-        assert!(r1.is_some());
-        assert_eq!(calls.get(), 1);
-        let end = c.pos();
-
-        // Rewind and re-apply: cache hit, no extra call, same end position.
-        c.rewind(0);
-        let r2 = memo.apply(1, &mut c, rule);
-        assert_eq!(r1, r2);
-        assert_eq!(calls.get(), 1);
-        assert_eq!(c.pos(), end);
-
-        // A different rule id at the same position runs fresh.
-        c.rewind(0);
-        let _ = memo.apply(2, &mut c, rule);
-        assert_eq!(calls.get(), 2);
-        assert_eq!(memo.len(), 2); // (1,0) and (2,0)
-    }
-
-    #[test]
-    fn memo_caches_failures_and_rewinds() {
-        let ts = toks("b");
-        let calls = Cell::new(0usize);
-        let mut memo: Memo<()> = Memo::new();
-        let mut c = Cursor::new(&ts, 1);
-
-        let rule = |cur: &mut Cursor<'_, K>, _m: &mut Memo<()>| {
-            calls.set(calls.get() + 1);
-            cur.eat(&K::Ident("a".into()))?;
-            Some(())
-        };
-
-        assert!(memo.apply(7, &mut c, rule).is_none());
-        assert_eq!(c.pos(), 0); // rewound on failure
-        assert!(memo.apply(7, &mut c, rule).is_none()); // cached failure
-        assert_eq!(calls.get(), 1);
     }
 }

@@ -26,15 +26,6 @@ impl fmt::Display for Severity {
     }
 }
 
-/// A secondary remark attached to a [`Diagnostic`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Note {
-    /// The remark.
-    pub message: String,
-    /// An optional position it refers to.
-    pub span: Option<Span>,
-}
-
 /// One problem (or remark) found in a source file.
 ///
 /// Rendered with [`Diagnostic::render`] as the familiar compiler shape:
@@ -55,8 +46,8 @@ pub struct Diagnostic {
     pub message: String,
     /// The primary position, when attributable.
     pub span: Option<Span>,
-    /// Secondary remarks.
-    pub notes: Vec<Note>,
+    /// Secondary remarks, rendered as `= note: …` lines.
+    pub notes: Vec<String>,
 }
 
 impl Diagnostic {
@@ -85,23 +76,10 @@ impl Diagnostic {
         self
     }
 
-    /// Appends an unspanned note.
+    /// Appends a note.
     #[must_use]
     pub fn with_note(mut self, message: impl Into<String>) -> Self {
-        self.notes.push(Note {
-            message: message.into(),
-            span: None,
-        });
-        self
-    }
-
-    /// Appends a spanned note.
-    #[must_use]
-    pub fn with_note_at(mut self, message: impl Into<String>, span: Span) -> Self {
-        self.notes.push(Note {
-            message: message.into(),
-            span: Some(span),
-        });
+        self.notes.push(message.into());
         self
     }
 
@@ -115,21 +93,6 @@ impl Diagnostic {
     #[must_use]
     pub fn line_in(&self, file: &SourceFile) -> Option<usize> {
         self.span.map(|s| file.pos(s).line as usize)
-    }
-
-    /// One-line form: `path:line:col: severity: message`.
-    #[must_use]
-    pub fn one_line(&self, file: &SourceFile) -> String {
-        match self.span {
-            Some(span) => format!(
-                "{}:{}: {}: {}",
-                file.name(),
-                file.pos(span),
-                self.severity,
-                self.message
-            ),
-            None => format!("{}: {}: {}", file.name(), self.severity, self.message),
-        }
     }
 
     /// Renders the full caret-underline form (see the type-level example).
@@ -147,13 +110,7 @@ impl Diagnostic {
             out.push_str(&format!("{pad} | {}\n", caret_line(file, span, line_text)));
         }
         for note in &self.notes {
-            match note.span {
-                Some(s) => {
-                    out.push_str(&format!("  = note: {} (at {})", note.message, file.pos(s)));
-                }
-                None => out.push_str(&format!("  = note: {}", note.message)),
-            }
-            out.push('\n');
+            out.push_str(&format!("  = note: {note}\n"));
         }
         out
     }
@@ -302,17 +259,15 @@ mod tests {
     }
 
     #[test]
-    fn notes_and_one_line() {
+    fn notes_render_after_the_caret() {
         let f = SourceFile::new("m.cat", "let x = po\n");
         let span = f.span_of_substr("po").unwrap();
         let d = Diagnostic::warning("shadowed binding")
             .with_span(span)
-            .with_note("previous definition here")
-            .with_note_at("first bound here", Span::new(0, 3));
+            .with_note("previous definition here");
         let r = d.render(&f);
         assert!(r.contains("= note: previous definition here"), "{r}");
-        assert!(r.contains("= note: first bound here (at 1:1)"), "{r}");
-        assert_eq!(d.one_line(&f), "m.cat:1:9: warning: shadowed binding");
+        assert!(r.find('^').unwrap() < r.find("= note").unwrap(), "{r}");
     }
 
     #[test]

@@ -59,13 +59,6 @@ impl SourceFile {
         &self.text
     }
 
-    /// Number of lines (a trailing newline does not start a new line for
-    /// counting purposes unless followed by text).
-    #[must_use]
-    pub fn num_lines(&self) -> usize {
-        self.line_starts.len()
-    }
-
     /// The 1-based line containing byte `offset` (clamped to the last
     /// line for out-of-range offsets).
     #[must_use]
@@ -149,50 +142,6 @@ impl SourceFile {
     }
 }
 
-/// An ordered collection of [`SourceFile`]s, for drivers that diagnose
-/// several files in one invocation (`weakgpu check a.litmus b.cat …`).
-#[derive(Clone, Default, Debug)]
-pub struct SourceMap {
-    files: Vec<SourceFile>,
-}
-
-impl SourceMap {
-    /// An empty map.
-    #[must_use]
-    pub fn new() -> Self {
-        SourceMap::default()
-    }
-
-    /// Adds a file and returns its index.
-    pub fn add(&mut self, name: impl Into<String>, text: impl Into<String>) -> usize {
-        self.files.push(SourceFile::new(name, text));
-        self.files.len() - 1
-    }
-
-    /// The file at `id`.
-    #[must_use]
-    pub fn get(&self, id: usize) -> Option<&SourceFile> {
-        self.files.get(id)
-    }
-
-    /// All files, in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &SourceFile> {
-        self.files.iter()
-    }
-
-    /// Number of files.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.files.len()
-    }
-
-    /// `true` when no files were added.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,7 +149,6 @@ mod tests {
     #[test]
     fn line_col_mapping() {
         let f = SourceFile::new("t", "ab\ncdef\n\nx");
-        assert_eq!(f.num_lines(), 4);
         assert_eq!(f.line_col(0), LineCol { line: 1, col: 1 });
         assert_eq!(f.line_col(1), LineCol { line: 1, col: 2 });
         assert_eq!(f.line_col(3), LineCol { line: 2, col: 1 });
@@ -237,16 +185,5 @@ mod tests {
         assert_eq!(f.pos(span), LineCol { line: 2, col: 7 });
         // A slice from elsewhere is rejected.
         assert_eq!(f.span_of("not from this file"), None);
-    }
-
-    #[test]
-    fn source_map_ordering() {
-        let mut m = SourceMap::new();
-        let a = m.add("a", "1");
-        let b = m.add("b", "2");
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.get(a).unwrap().name(), "a");
-        assert_eq!(m.get(b).unwrap().text(), "2");
-        assert_eq!(m.iter().count(), 2);
     }
 }

@@ -1,4 +1,4 @@
-//! Byte-offset spans and spanned values.
+//! Byte-offset spans.
 
 use std::fmt;
 
@@ -64,30 +64,6 @@ impl fmt::Display for Span {
     }
 }
 
-/// A value with the span it was parsed from.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct Spanned<T> {
-    /// The value.
-    pub node: T,
-    /// Where it came from.
-    pub span: Span,
-}
-
-impl<T> Spanned<T> {
-    /// Attaches a span to a value.
-    pub fn new(node: T, span: Span) -> Self {
-        Spanned { node, span }
-    }
-
-    /// Maps the value, keeping the span.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Spanned<U> {
-        Spanned {
-            node: f(self.node),
-            span: self.span,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,12 +88,5 @@ mod tests {
         let s = Span::new(5, 2);
         assert_eq!(s.start, 5);
         assert_eq!(s.end, 5);
-    }
-
-    #[test]
-    fn spanned_map_keeps_span() {
-        let s = Spanned::new(21, Span::new(1, 2)).map(|n| n * 2);
-        assert_eq!(s.node, 42);
-        assert_eq!(s.span, Span::new(1, 2));
     }
 }

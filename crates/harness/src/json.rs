@@ -7,9 +7,13 @@
 //! and null. Unsigned-integer tokens that fit `u64` are kept exact
 //! ([`Json::UInt`]) — seeds use the full 64-bit range, beyond what `f64`
 //! represents — and everything else numeric falls back to `f64`.
+//! Arrays and objects may nest [`MAX_DEPTH`] deep; a document nested
+//! deeper is a parse error, not a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use weakgpu_front::MAX_DEPTH;
 
 /// A parsed JSON value.
 #[derive(Clone, PartialEq, Debug)]
@@ -110,7 +114,7 @@ pub fn escape_into(out: &mut String, s: &str) {
 pub fn parse(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -139,8 +143,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, inside `nest` arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, nest: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && nest == MAX_DEPTH {
+        return Err(format!(
+            "input nests deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
         Some(b'{') => {
@@ -153,12 +164,12 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(b, pos, nest + 1)? {
                     Json::Str(s) => s,
                     other => return Err(format!("object key must be a string, got {other:?}")),
                 };
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, nest + 1)?;
                 map.insert(key, value);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -185,7 +196,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(arr));
             }
             loop {
-                arr.push(parse_value(b, pos)?);
+                arr.push(parse_value(b, pos, nest + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -279,12 +290,13 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unchanged).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or escape at once.
+                // Both are ASCII, so the run ends on a UTF-8 boundary.
+                let start = *pos;
+                while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -324,6 +336,7 @@ mod tests {
             "back\\slash",
             "tab\there\nnewline",
             "1:r1=0; ",
+            "multi-byte: na\u{ef}ve \u{2713}",
         ] {
             let parsed = parse(&escape(s)).unwrap();
             assert_eq!(parsed.as_str(), Some(s), "{s:?}");
@@ -339,6 +352,24 @@ mod tests {
         assert!(parse("true false").is_err());
         assert!(parse("{1: 2}").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("input nests deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        // Objects count too, and a document far past the bound fails the
+        // same way instead of overflowing the stack.
+        let err = parse(&"{\"a\": ".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nests deeper than"), "{err}");
+        assert!(parse(&nested(100_000))
+            .unwrap_err()
+            .ends_with(&format!("at byte {MAX_DEPTH}")));
     }
 
     #[test]

@@ -28,9 +28,11 @@
 //! A `verdict` response carries `ok`, the resolved `test`/`model` names,
 //! `num_candidates`, `num_allowed`, `condition_witnessed`, the rendered
 //! `allowed_outcomes`, and `cached` (whether the cache answered without
-//! enumerating). Malformed lines and unknown names produce
-//! `{"ok": false, "error": …}` responses — the daemon itself keeps
-//! serving; only I/O failure stops it. `stats` reports the session
+//! enumerating). Malformed lines, unknown names and requests nested
+//! deeper than [`weakgpu_front::MAX_DEPTH`] (the JSON itself, or an
+//! inline test's condition) produce `{"ok": false, "error": …}`
+//! responses — the daemon itself keeps serving; only I/O failure stops
+//! it. `stats` reports the session
 //! cache's counters; `shutdown` answers then ends the loop, and EOF on
 //! the input is an implicit shutdown. The caller persists the cache
 //! afterwards ([`weakgpu_axiom::persist`]) — that is the flush-on-
@@ -375,6 +377,29 @@ mod tests {
             .contains("ptx"));
         // The daemon survived every error and answered the last request.
         assert_eq!(rs[5].get("ok"), Some(&Json::Bool(true)));
+    }
+
+    #[test]
+    fn deep_requests_answer_errors_and_keep_serving() {
+        // A JSON line nested 100,000 deep, then an inline test whose
+        // condition chains 100,000 conjuncts: each is answered with an
+        // error at the depth bound, and the session goes on.
+        let deep_json = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+        let conjuncts = vec!["0:r1=0"; 100_000].join(" /\\ ");
+        let src = format!("GPU_PTX deep\nT0 ;\nld.cg r1,[x] ;\nexists ({conjuncts})\n");
+        let batch = format!(
+            "{deep_json}\n{{\"id\": 2, \"litmus\": {}}}\n{{\"id\": 3, \"test\": \"coRR\"}}\n",
+            json::escape(&src)
+        );
+        let (summary, rs) = run(&batch, &ServeConfig::default());
+        assert_eq!((summary.requests, summary.errors), (3, 2));
+        assert_eq!(rs.len(), 3);
+        for r in &rs[..2] {
+            let error = r.get("error").and_then(Json::as_str).unwrap_or_default();
+            assert!(error.contains("nests deeper than"), "{r:?}");
+        }
+        assert_eq!(rs[2].get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(rs[2].get("test").unwrap().as_str(), Some("coRR"));
     }
 
     #[test]

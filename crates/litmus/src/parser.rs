@@ -18,6 +18,9 @@
 //! grammar derives precise [`Span`]s from borrowed slices via
 //! [`SourceFile::span_of`], while the condition and scope-tree
 //! sub-grammars run on a token [`Cursor`] with expected-set accumulation.
+//! A condition nested deeper than [`weakgpu_front::MAX_DEPTH`] — in
+//! parentheses or in tree levels — gets a caret at the token that crossed
+//! the bound.
 //! Errors are collected as [`Diagnostic`]s with per-cell / per-entry
 //! recovery, so one pass over a broken file reports *every* problem:
 //!
@@ -35,7 +38,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use weakgpu_front::{Cursor, Diagnostic, Parsed, SourceFile, Span, Token, TokenKind};
+use weakgpu_front::{
+    binary_chain, deeper, BinaryOp, Cursor, Diagnostic, Parsed, SourceFile, Span, Token, TokenKind,
+};
 
 use crate::cond::{FinalCond, FinalExpr, Predicate, Quantifier};
 use crate::instr::{CacheOp, FenceScope, Instr, Label, Operand, Reg};
@@ -1014,7 +1019,7 @@ fn parse_cond(file: &SourceFile, l: &str) -> Result<FinalCond, Diagnostic> {
     let toks = lex_cond(file, rest.trim());
     let eof_at = span_or_eof(file, l).end as usize;
     let mut cur = Cursor::new(&toks, eof_at);
-    let pred = parse_or(&mut cur)?;
+    let (pred, _) = parse_or(&mut cur, 0)?;
     if !cur.at_end() {
         // `parse_or` already recorded `/\` and `\/` as legal here, so the
         // accumulated error reads "expected `/\` or `\/`, found …".
@@ -1026,37 +1031,38 @@ fn parse_cond(file: &SourceFile, l: &str) -> Result<FinalCond, Diagnostic> {
     })
 }
 
-fn parse_or(cur: &mut Cursor<'_, CondK>) -> Result<Predicate, Diagnostic> {
-    let mut p = parse_and(cur)?;
-    while cur.eat(&CondK::Or).is_some() {
-        let q = parse_and(cur)?;
-        p = p.or(q);
-    }
-    Ok(p)
+/// A parsed predicate and its levels (see [`weakgpu_front::MAX_DEPTH`]).
+type Leveled = Result<(Predicate, usize), Diagnostic>;
+
+/// The condition's binary operators, from the tightest-binding.
+const BINARY: [BinaryOp<CondK, Predicate>; 2] =
+    [(CondK::And, Predicate::and), (CondK::Or, Predicate::or)];
+
+/// The disjunction rule at `nest` enclosing parentheses.
+fn parse_or(cur: &mut Cursor<'_, CondK>, nest: usize) -> Leveled {
+    binary_chain(cur, &BINARY, |cur| parse_unary(cur, nest))
 }
 
-fn parse_and(cur: &mut Cursor<'_, CondK>) -> Result<Predicate, Diagnostic> {
-    let mut p = parse_unary(cur)?;
-    while cur.eat(&CondK::And).is_some() {
-        let q = parse_unary(cur)?;
-        p = p.and(q);
+fn parse_unary(cur: &mut Cursor<'_, CondK>, nest: usize) -> Leveled {
+    // A run of `not`s is read in a loop, so no length of it recurses.
+    let mut nots = Vec::new();
+    while let Some(t) = cur.eat(&CondK::Not) {
+        nots.push(t.span);
     }
-    Ok(p)
-}
-
-fn parse_unary(cur: &mut Cursor<'_, CondK>) -> Result<Predicate, Diagnostic> {
-    if cur.eat(&CondK::Not).is_some() {
-        return Ok(parse_unary(cur)?.negate());
-    }
-    if cur.eat(&CondK::LPar).is_some() {
-        let p = parse_or(cur)?;
+    let (mut p, mut levels) = if let Some(open) = cur.eat(&CondK::LPar) {
+        let inner = parse_or(cur, deeper(nest, open.span)?)?;
         cur.expect(&CondK::RPar)?;
-        return Ok(p);
+        inner
+    } else if cur.eat(&CondK::True).is_some() {
+        (Predicate::True, 1)
+    } else {
+        (parse_atom(cur)?, 1)
+    };
+    for span in nots.into_iter().rev() {
+        levels = deeper(levels, span)?;
+        p = p.negate();
     }
-    if cur.eat(&CondK::True).is_some() {
-        return Ok(Predicate::True);
-    }
-    parse_atom(cur)
+    Ok((p, levels))
 }
 
 fn parse_atom(cur: &mut Cursor<'_, CondK>) -> Result<Predicate, Diagnostic> {

@@ -362,6 +362,64 @@ fn check_lint_reports_carets_and_exits_nonzero() {
 }
 
 #[test]
+fn deep_inputs_fail_with_a_caret_not_a_stack_overflow() {
+    // Each of these nests far past the readers' bound; before it, each
+    // aborted the process on a stack overflow.
+    let dir = std::env::temp_dir().join(format!("weakgpu-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sb = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("litmus/sb.litmus"),
+    )
+    .unwrap();
+    let head = sb.trim_end().rsplit_once('\n').unwrap().0;
+    let nested = |open: &str, inner: &str, close: &str, n: usize| {
+        format!("{}{inner}{}", open.repeat(n), close.repeat(n))
+    };
+    let conjuncts = vec!["0:r2=0"; 100_000].join(" /\\ ");
+    let inputs = [
+        (
+            "deep.cat",
+            format!("let x = {}\n", nested("(", "po", ")", 5_000)),
+        ),
+        (
+            "parens.litmus",
+            format!("{head}\nexists {}\n", nested("(", "0:r2=0", ")", 10_000)),
+        ),
+        ("chain.litmus", format!("{head}\nexists ({conjuncts})\n")),
+    ];
+    for (name, text) in &inputs {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let out = weakgpu().arg("check").arg(&path).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{name}: {:?}", out.status);
+        // Lint mode (`.cat`) prints to stdout, a single test to stderr.
+        let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+        assert!(
+            text.contains("error: input nests deeper than 128 levels"),
+            "{name}: {}",
+            &text[..text.len().min(500)]
+        );
+        assert!(text.contains(&format!("{name}:")), "{name}");
+    }
+    // A sweep report nested as deep fails to merge, with the byte.
+    let report = dir.join("deep.json");
+    std::fs::write(&report, nested("[", "", "]", 100_000)).unwrap();
+    let out = weakgpu()
+        .args(["sweep", "--merge"])
+        .arg(&report)
+        .arg(&report)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("nests deeper than 128 levels at byte 128"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn unknown_command_exits_nonzero() {
     let out = weakgpu().arg("frobnicate").output().unwrap();
     assert!(!out.status.success(), "unknown command must fail");
