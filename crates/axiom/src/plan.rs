@@ -71,15 +71,12 @@
 use std::collections::{BTreeMap, HashMap};
 use std::mem;
 
+use weakgpu_front::MAX_DEPTH;
 use weakgpu_litmus::FenceScope;
 
 use crate::cat::{CatError, CatProgram, CheckKind, CheckOutcome, Expr, Stmt};
 use crate::relation::{EventSet, Relation};
 use crate::skeleton::{next_stamp, ExecutionView};
-
-/// Maximum function-inlining depth; beyond this the program is assumed to
-/// be (mutually) recursive, which the interpreter cannot evaluate either.
-const MAX_INLINE_DEPTH: usize = 64;
 
 /// An operand: a base-relation slot or the result register of an op.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -387,6 +384,8 @@ struct Compiler {
     operand_intern: HashMap<Vec<Src>, (u32, u32)>,
     cse: HashMap<Op, usize>,
     lets: HashMap<String, Binding>,
+    /// Levels of the expression being compiled, counting those of every
+    /// inlined body (see [`Compiler::deeper`]).
     depth: usize,
 }
 
@@ -420,14 +419,30 @@ impl Compiler {
         self.emit(mk(lo, hi))
     }
 
-    /// Compiles the leaves of a union tree (`a | b | c | …`) in source
-    /// order.
+    /// One level deeper, or an error past [`MAX_DEPTH`]. Parsed
+    /// expressions are within it, and an inlined body's levels add to
+    /// those of its application site, so a chain of inlined functions or a
+    /// recursive one cannot overflow the stack.
+    fn deeper(&mut self) -> Result<(), CatError> {
+        if self.depth == MAX_DEPTH {
+            return Err(CatError::new(format!(
+                "expression nests deeper than {MAX_DEPTH} levels with its functions inlined"
+            )));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Compiles the leaves of a union tree (`a | b | c | …`) at the
+    /// union's level in source order.
     fn union_leaves(&mut self, e: &Expr, out: &mut Vec<Src>) -> Result<(), CatError> {
         if let Expr::Union(a, b) = e {
+            self.deeper()?;
             self.union_leaves(a, out)?;
             self.union_leaves(b, out)?;
+            self.depth -= 1;
         } else {
-            out.push(self.expr(e)?);
+            out.push(self.node(e)?);
         }
         Ok(())
     }
@@ -458,7 +473,16 @@ impl Compiler {
         }
     }
 
+    /// Compiles `e` one level below the current one.
     fn expr(&mut self, e: &Expr) -> Result<Src, CatError> {
+        self.deeper()?;
+        let src = self.node(e);
+        self.depth -= 1;
+        src
+    }
+
+    /// Compiles `e` at the current level.
+    fn node(&mut self, e: &Expr) -> Result<Src, CatError> {
         match e {
             Expr::Zero => Ok(self.emit(Op::Zero)),
             Expr::Id(name) => match self.lets.get(name.as_str()) {
@@ -477,12 +501,6 @@ impl Compiler {
                     "RR" => Ok(self.emit(Op::Restrict(argv, Sort::Reads, Sort::Reads))),
                     _ => match self.lets.get(name.as_str()).cloned() {
                         Some(Binding::Fun { param, body }) => {
-                            if self.depth >= MAX_INLINE_DEPTH {
-                                return Err(CatError::new(format!(
-                                    "function {name:?} recurses deeper than {MAX_INLINE_DEPTH}"
-                                )));
-                            }
-                            self.depth += 1;
                             // Bind the parameter, compile the body at this
                             // application site, restore — the compile-time
                             // image of the interpreter's dynamic scoping.
@@ -496,7 +514,6 @@ impl Compiler {
                                     self.lets.remove(&param);
                                 }
                             }
-                            self.depth -= 1;
                             result
                         }
                         Some(Binding::Rel(_)) => Err(CatError::new(format!(
@@ -554,9 +571,10 @@ impl Plan {
     ///
     /// # Errors
     ///
-    /// Returns a [`CatError`] for programs the interpreter could not
-    /// evaluate either: applying a non-function, using a function as a
-    /// relation, or unboundedly recursive function definitions.
+    /// Returns a [`CatError`] for applying a non-function, using a
+    /// function as a relation, or an expression nested deeper than
+    /// [`MAX_DEPTH`] levels once its functions are inlined, which any
+    /// recursive function definition is.
     pub fn compile(program: &CatProgram) -> Result<Plan, CatError> {
         let mut c = Compiler {
             base_names: Vec::new(),

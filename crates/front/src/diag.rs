@@ -106,8 +106,18 @@ impl Diagnostic {
             let pad = " ".repeat(gutter.len());
             out.push_str(&format!("{pad}--> {}:{pos}\n", file.name()));
             out.push_str(&format!("{pad} |\n"));
-            out.push_str(&format!("{gutter} | {line_text}\n"));
-            out.push_str(&format!("{pad} | {}\n", caret_line(file, span, line_text)));
+            // The span's first line, cut to a window around the caret.
+            let line_start = file.line_start(pos.line);
+            let col = |b: u32| (b as usize).saturating_sub(line_start).min(line_text.len());
+            let (start, end) = (col(span.start), col(span.end).max(col(span.start)));
+            let (lo, hi) = window(line_text, start);
+            let open = if lo > 0 { "…" } else { "" };
+            let close = if hi < line_text.len() { "…" } else { "" };
+            let echo = format!("{open}{}", &line_text[lo..hi]);
+            let at = |b: usize| b - lo + open.len();
+            let carets = caret_line(&echo, at(start), at(end.min(hi)));
+            out.push_str(&format!("{gutter} | {echo}{close}\n"));
+            out.push_str(&format!("{pad} | {carets}\n"));
         }
         for note in &self.notes {
             out.push_str(&format!("  = note: {note}\n"));
@@ -116,28 +126,35 @@ impl Diagnostic {
     }
 }
 
-/// The `^^^^` underline for `span` on its first line. Tabs in the
+/// Characters of a source line a diagnostic echoes: a longer line is cut
+/// to this many around the caret.
+const ECHO_CHARS: usize = 120;
+
+/// The byte range of `line` that a diagnostic with its caret at byte
+/// `start` echoes: all of it, or [`ECHO_CHARS`] characters with the
+/// caret at most half of them from the start.
+fn window(line: &str, start: usize) -> (usize, usize) {
+    let chars = line.chars().count();
+    if chars <= ECHO_CHARS {
+        return (0, line.len());
+    }
+    let from = line[..start]
+        .chars()
+        .count()
+        .saturating_sub(ECHO_CHARS / 2)
+        .min(chars - ECHO_CHARS);
+    let byte = |k: usize| line.char_indices().nth(k).map_or(line.len(), |(i, _)| i);
+    (byte(from), byte(from + ECHO_CHARS))
+}
+
+/// The `^^^^` underline of bytes `start..end` of `text`. Tabs in the
 /// leading text are preserved so the carets stay aligned in terminals.
-fn caret_line(file: &SourceFile, span: Span, line_text: &str) -> String {
-    let line_start = file.line_start(file.pos(span).line);
-    let start_in_line = (span.start as usize).saturating_sub(line_start);
-    let end_in_line = (span.end as usize)
-        .saturating_sub(line_start)
-        .min(line_text.len())
-        .max(start_in_line);
-    let mut underline = String::new();
-    for c in line_text[..start_in_line.min(line_text.len())].chars() {
-        underline.push(if c == '\t' { '\t' } else { ' ' });
-    }
-    let width = line_text
-        .get(start_in_line..end_in_line)
-        .map(|s| s.chars().count())
-        .unwrap_or(0)
-        .max(1);
-    for _ in 0..width {
-        underline.push('^');
-    }
-    underline
+fn caret_line(text: &str, start: usize, end: usize) -> String {
+    let lead = text[..start]
+        .chars()
+        .map(|c| if c == '\t' { '\t' } else { ' ' });
+    let width = text[start..end].chars().count().max(1);
+    lead.chain(std::iter::repeat_n('^', width)).collect()
 }
 
 /// Renders every diagnostic in order, blank-line separated.

@@ -28,11 +28,11 @@
 //! A `verdict` response carries `ok`, the resolved `test`/`model` names,
 //! `num_candidates`, `num_allowed`, `condition_witnessed`, the rendered
 //! `allowed_outcomes`, and `cached` (whether the cache answered without
-//! enumerating). Malformed lines, unknown names and requests nested
-//! deeper than [`weakgpu_front::MAX_DEPTH`] (the JSON itself, or an
-//! inline test's condition) produce `{"ok": false, "error": …}`
-//! responses — the daemon itself keeps serving; only I/O failure stops
-//! it. `stats` reports the session
+//! enumerating). Malformed lines (not UTF-8, or not JSON), unknown names
+//! and requests nested deeper than [`weakgpu_front::MAX_DEPTH`] (the
+//! JSON itself, or an inline test's condition) produce `{"ok": false,
+//! "error": …}` responses — the daemon itself keeps serving; only I/O
+//! failure stops it. `stats` reports the session
 //! cache's counters; `shutdown` answers then ends the loop, and EOF on
 //! the input is an implicit shutdown. The caller persists the cache
 //! afterwards ([`weakgpu_axiom::persist`]) — that is the flush-on-
@@ -95,7 +95,7 @@ pub struct ServeSummary {
 /// Only transport failures (reading `input`, writing `output`) abort
 /// the loop; per-request problems become error *responses*.
 pub fn serve<R: BufRead, W: Write>(
-    input: R,
+    mut input: R,
     mut output: W,
     cfg: &ServeConfig,
     cache: &mut VerdictCache,
@@ -105,13 +105,26 @@ pub fn serve<R: BufRead, W: Write>(
     // Built on the first by-name request, reused for the session — a
     // daemon must not rebuild the corpus per request.
     let corpus_index = std::cell::OnceCell::new();
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        if input.read_until(b'\n', &mut buf)? == 0 {
+            break;
         }
+        // The line without its `\n` or `\r\n`, as `BufRead::lines` gives it.
+        let bytes = match buf.strip_suffix(b"\n") {
+            Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+            None => &buf,
+        };
+        let (response, shutdown) = match std::str::from_utf8(bytes) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => answer(line, cfg, cache, &mut ctx, &corpus_index),
+            Err(e) => (
+                error_response("null", &format!("bad request: not UTF-8 ({e})")),
+                false,
+            ),
+        };
         summary.requests += 1;
-        let (response, shutdown) = answer(&line, cfg, cache, &mut ctx, &corpus_index);
         if response.contains("\"ok\": false") {
             summary.errors += 1;
         }
@@ -400,6 +413,29 @@ mod tests {
         }
         assert_eq!(rs[2].get("ok"), Some(&Json::Bool(true)));
         assert_eq!(rs[2].get("test").unwrap().as_str(), Some("coRR"));
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_answers_an_error_and_keeps_serving() {
+        let mut out = Vec::new();
+        let batch = &b"\xff\n{\"id\": 2, \"test\": \"coRR\"}\n"[..];
+        let cfg = ServeConfig::default();
+        let summary = serve(batch, &mut out, &cfg, &mut VerdictCache::new()).unwrap();
+        assert_eq!((summary.requests, summary.errors), (2, 1));
+        let rs: Vec<Json> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| json::parse(l).unwrap())
+            .collect();
+        assert_eq!(rs.len(), 2);
+        assert_eq!(rs[0].get("id"), Some(&Json::Null));
+        let error = rs[0]
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap_or_default();
+        assert!(error.starts_with("bad request: not UTF-8"), "{error}");
+        assert_eq!(rs[1].get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(rs[1].get("id").unwrap().as_u64(), Some(2));
     }
 
     #[test]

@@ -49,5 +49,5 @@ pub mod machine;
 pub mod program;
 
 pub use chip::{Chip, ChipProfile, Incantations, Vendor};
-pub use machine::{MachineState, ObsCounts, RunError, RunParams, Simulator};
+pub use machine::{Chooser, Draw, MachineState, ObsCounts, RunError, RunParams, Simulator};
 pub use program::SimProgram;

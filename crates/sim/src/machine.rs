@@ -52,11 +52,8 @@
 //! placement and no L1 plane, a reset draws no SM and no preload, a
 //! store marks no line stale, a `.cg` load evicts nothing and draws no
 //! keep-stale, and a fence invalidates nothing. A test with a `.ca` load
-//! keeps the model and draws for it from the run's one stream as it
-//! always has (one SM per CTA, then one preload per CTA and global
-//! location, then keep-stale draws as loads perform), so its runs are
-//! bit-identical to those of the simulator that kept the model in every
-//! run.
+//! keeps the model, and its runs are bit-identical to those of the
+//! simulator that kept the model in every run.
 //!
 //! Steps are spent only while two or more threads run. Once one thread
 //! is left and it is *order-free* (no backward branch, no `.ca` load, no
@@ -66,6 +63,28 @@
 //! instructions in program order, drawing no random numbers. That tail
 //! was 56 % of the steps of the paper family (16.2 steps per run before,
 //! 7.2 after, on 5 Nvidia chips × 40 iterations).
+//!
+//! # What a run draws
+//!
+//! Every random decision of a run goes through one [`Chooser`] and is
+//! named by a [`Draw`]. The sampler's chooser is a [`SmallRng`], drawn
+//! in the order a run meets the decisions:
+//!
+//! * [`Draw::SmPlacement`]: at reset, under thread randomisation, the SM
+//!   hosting each CTA;
+//! * [`Draw::Preload`]: at reset, whether each CTA's L1 starts out
+//!   holding each global location;
+//! * [`Draw::Thread`]: each step, which unfinished thread acts;
+//! * [`Draw::Issue`]: whether a thread that could both issue and perform
+//!   issues (p = 0.8);
+//! * [`Draw::FenceLeak`]: whether a cta-scope fence of a test spanning
+//!   CTAs leaks as it issues;
+//! * [`Draw::Bypass`]: for each younger pending op in turn, whether it
+//!   performs ahead of all older ones;
+//! * [`Draw::Delay`]: for how many of the thread's perform attempts
+//!   (24 to 64) the bypassed ops are held back;
+//! * [`Draw::KeepStale`]: whether a `.cg` load leaves a stale L1 line in
+//!   place (Fig. 4).
 
 use std::fmt;
 use std::sync::Arc;
@@ -110,6 +129,38 @@ impl fmt::Display for RunError {
 }
 
 impl std::error::Error for RunError {}
+
+/// One kind of random decision of a run (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Draw {
+    SmPlacement,
+    Preload,
+    Thread,
+    Issue,
+    FenceLeak,
+    Bypass,
+    Delay,
+    KeepStale,
+}
+
+/// The source of every random decision of a run.
+pub trait Chooser {
+    /// A uniform draw from `0..n`.
+    fn pick(&mut self, draw: Draw, n: usize) -> usize;
+    /// `true` with probability `p`.
+    fn flip(&mut self, draw: Draw, p: f64) -> bool;
+}
+
+impl Chooser for SmallRng {
+    #[inline(always)]
+    fn pick(&mut self, _: Draw, n: usize) -> usize {
+        self.random_range(0..n)
+    }
+    #[inline(always)]
+    fn flip(&mut self, _: Draw, p: f64) -> bool {
+        self.random_bool(p)
+    }
+}
 
 /// A pending (issued, not yet performed) memory operation.
 #[derive(Clone, Copy, Debug)]
@@ -350,12 +401,8 @@ impl ThreadCtx {
 pub struct MachineState {
     /// Location count — the stride of the flattened `shared`/`l1` planes.
     nlocs: usize,
-    /// Whether runs keep the L1 model: the SM placement, the `l1` plane
-    /// and every draw for them. Set when the program has a `.ca` load
-    /// ([`SimProgram`]'s `l1_live`); otherwise `sm_of_cta`, `l1_row` and
-    /// `l1` are empty.
-    keeps_l1: bool,
-    /// SM hosting each CTA this run.
+    /// SM hosting each CTA this run; empty, like `l1_row` and `l1`, when
+    /// the program has no `.ca` load ([`SimProgram`]'s `l1_live`).
     sm_of_cta: Vec<usize>,
     /// The `l1` row of each CTA this run: the row of the lowest CTA on
     /// the same SM, so CTAs sharing an SM share its L1.
@@ -564,7 +611,6 @@ impl Simulator {
     pub fn new_state(&self) -> MachineState {
         let mut st = MachineState {
             nlocs: 0,
-            keeps_l1: false,
             sm_of_cta: Vec::new(),
             l1_row: Vec::new(),
             l2: Vec::new(),
@@ -582,17 +628,9 @@ impl Simulator {
     /// its buffers: a worker that moves between simulators reuses one
     /// state instead of allocating a fresh one per simulator.
     pub fn fit_state(&self, st: &mut MachineState) {
-        self.fit(st, self.program.l1_live);
-    }
-
-    /// [`Simulator::fit_state`], keeping the L1 model when `keeps_l1` is
-    /// set; the production path keeps it exactly when the program has a
-    /// `.ca` load, and a test keeps it always as the oracle of that skip.
-    fn fit(&self, st: &mut MachineState, keeps_l1: bool) {
         let p = &self.program;
         st.nlocs = p.locs.len();
-        st.keeps_l1 = keeps_l1;
-        let l1_ctas = if keeps_l1 { p.num_ctas } else { 0 };
+        let l1_ctas = if p.l1_live { p.num_ctas } else { 0 };
         st.sm_of_cta.resize(l1_ctas, 0);
         st.l1_row.resize(l1_ctas, 0);
         st.l2.resize(p.mem_init.len(), 0);
@@ -619,16 +657,8 @@ impl Simulator {
 
     /// Resets a fitted `st` to a fresh run: memory images, SM placement,
     /// L1 preload and thread contexts. The images are copied from the
-    /// program. A state that keeps the L1 model draws one SM per CTA, then
-    /// one preload per CTA and global location, from `l1_rng` when given
-    /// and from `rng` otherwise; a state without it draws nothing.
-    fn reset(
-        &self,
-        params: &RunParams,
-        rng: &mut SmallRng,
-        st: &mut MachineState,
-        l1_rng: Option<&mut SmallRng>,
-    ) {
+    /// program; only a program with a `.ca` load draws, for the L1 model.
+    fn reset<C: Chooser>(&self, params: &RunParams, rng: &mut C, st: &mut MachineState) {
         let p = &self.program;
         let nlocs = st.nlocs;
 
@@ -639,8 +669,7 @@ impl Simulator {
             }
         }
 
-        if st.keeps_l1 {
-            let rng = l1_rng.unwrap_or(rng);
+        if p.l1_live {
             // SM placement: one SM per CTA by default; thread
             // randomisation scatters CTAs over the chip (they may then
             // collide on an SM, sharing an L1 — which suppresses
@@ -648,7 +677,7 @@ impl Simulator {
             // of the lowest CTA on its SM.
             for c in 0..p.num_ctas {
                 let sm = if params.thread_rand {
-                    rng.random_range(0..self.num_sms)
+                    rng.pick(Draw::SmPlacement, self.num_sms)
                 } else {
                     c % self.num_sms
                 };
@@ -660,7 +689,7 @@ impl Simulator {
             if preload > 0.0 {
                 for &row in &st.l1_row {
                     for &l in &p.global_locs {
-                        if rng.random_bool(preload) {
+                        if rng.flip(Draw::Preload, preload) {
                             st.l1[row * nlocs + l as usize] = Some(L1Line {
                                 value: p.mem_init[l as usize],
                                 stale: false,
@@ -689,31 +718,14 @@ impl Simulator {
     /// # Errors
     ///
     /// See [`RunError`].
-    pub fn run_once_into(
+    pub fn run_once_into<C: Chooser>(
         &self,
         params: &RunParams,
-        rng: &mut SmallRng,
+        rng: &mut C,
         st: &mut MachineState,
-    ) -> Result<(), RunError> {
-        self.run(params, rng, st, true, None)
-    }
-
-    /// [`Simulator::run_once_into`], which finishes a lone order-free
-    /// thread in program order when `finish_alone` is set; without it the
-    /// sampler runs to the end, as the oracle of that finish. A state that
-    /// keeps the L1 model takes its draws for it from `l1_rng` when given,
-    /// so that the scheduler's stream in `rng` is the one a run without
-    /// the model takes: the oracle of skipping the model.
-    fn run(
-        &self,
-        params: &RunParams,
-        rng: &mut SmallRng,
-        st: &mut MachineState,
-        finish_alone: bool,
-        mut l1_rng: Option<&mut SmallRng>,
     ) -> Result<(), RunError> {
         let p = &self.program;
-        self.reset(params, rng, st, l1_rng.as_deref_mut());
+        self.reset(params, rng, st);
 
         // Only the thread that acts in a step can finish in it, so the
         // list is built once and a thread leaves it when it finishes.
@@ -722,7 +734,7 @@ impl Simulator {
             .extend((0..st.threads.len()).filter(|&t| !st.threads[t].done(p.threads[t].len())));
         let mut steps = 0usize;
         while let Some(&first) = st.active.first() {
-            if finish_alone && st.active.len() == 1 && p.order_free[first] {
+            if st.active.len() == 1 && p.order_free[first] {
                 self.finish_in_order(first, st)?;
                 break;
             }
@@ -730,7 +742,7 @@ impl Simulator {
             if steps > MAX_STEPS {
                 return Err(RunError::StepLimit);
             }
-            let a = rng.random_range(0..st.active.len());
+            let a = rng.pick(Draw::Thread, st.active.len());
             let t = st.active[a];
             let (can_issue, stalled) = self.issue_status(t, &st.threads[t]);
             let can_perform = !st.threads[t].queue.is_empty();
@@ -738,7 +750,7 @@ impl Simulator {
                 // Favour issuing: real front-ends run ahead of the memory
                 // system, which is what fills the window with reorderable
                 // work.
-                (true, true) => rng.random_bool(0.8),
+                (true, true) => rng.flip(Draw::Issue, 0.8),
                 (true, false) => true,
                 (false, true) => false,
                 (false, false) => {
@@ -749,7 +761,7 @@ impl Simulator {
             if do_issue {
                 self.issue(t, &mut st.threads[t], &params.w, rng)?;
             } else {
-                self.perform(t, st, params, rng, l1_rng.as_deref_mut());
+                self.perform(t, st, params, rng);
             }
             if st.threads[t].done(p.threads[t].len()) {
                 st.active.remove(a);
@@ -782,11 +794,11 @@ impl Simulator {
     ///
     /// See [`RunError`]. Iterations completed before the error remain
     /// recorded in `counts`.
-    pub fn run_batch(
+    pub fn run_batch<C: Chooser>(
         &self,
         n: usize,
         params: &RunParams,
-        rng: &mut SmallRng,
+        rng: &mut C,
         st: &mut MachineState,
         counts: &mut ObsCounts,
     ) -> Result<(), RunError> {
@@ -953,12 +965,12 @@ impl Simulator {
     /// Issues thread `t`'s next instruction: [`Simulator::advance`], then
     /// the memory op it issues joins the window, its destination register
     /// awaiting it.
-    fn issue(
+    fn issue<C: Chooser>(
         &self,
         t: usize,
         ctx: &mut ThreadCtx,
         w: &Weights,
-        rng: &mut SmallRng,
+        rng: &mut C,
     ) -> Result<(), RunError> {
         let Some(op) = self.advance(t, ctx)? else {
             return Ok(());
@@ -968,7 +980,7 @@ impl Simulator {
                 let leaked = scope == FenceScope::Cta
                     && self.program.spans_ctas
                     && w.cta_fence_leak > 0.0
-                    && rng.random_bool(w.cta_fence_leak);
+                    && rng.flip(Draw::FenceLeak, w.cta_fence_leak);
                 Slot {
                     op: Pending::Fence { scope, leaked },
                     loc: NO_LOC,
@@ -994,13 +1006,12 @@ impl Simulator {
         Ok(())
     }
 
-    fn perform(
+    fn perform<C: Chooser>(
         &self,
         t: usize,
         st: &mut MachineState,
         params: &RunParams,
-        rng: &mut SmallRng,
-        l1_rng: Option<&mut SmallRng>,
+        rng: &mut C,
     ) {
         // Choose which queue entry performs: the first younger op that
         // may bypass every older one and wins the draw of the product of
@@ -1021,7 +1032,7 @@ impl Simulator {
                     }
                     p *= q;
                 }
-                if ok && p > 0.0 && rng.random_bool(p.min(1.0)) {
+                if ok && p > 0.0 && rng.flip(Draw::Bypass, p.min(1.0)) {
                     chosen = j;
                     break;
                 }
@@ -1033,7 +1044,7 @@ impl Simulator {
         if idx > 0 {
             // Hold the bypassed ops back so the reordering window stays
             // open for other threads to observe.
-            let extra = rng.random_range(24..=64);
+            let extra = 24 + rng.pick(Draw::Delay, 41) as u8;
             for slot in &mut queue.slots[..idx] {
                 slot.delay = slot.delay.max(extra);
             }
@@ -1059,29 +1070,29 @@ impl Simulator {
         };
 
         let op = queue.remove(idx).op;
-        let l1 = st.keeps_l1.then(|| (&params.w, l1_rng.unwrap_or(rng)));
+        let l1 = self.program.l1_live.then_some((&params.w, rng));
         self.apply(t, st, op, forward, l1);
     }
 
     /// Performs thread `t`'s pending `op`: its effect on memory and on the
     /// register it writes. A load reads `forward` when given, the value of
     /// the newest earlier same-location store it bypassed. `l1` holds the
-    /// weights and RNG that maintain the L1 model; without it (a state that
-    /// keeps no L1, or the in-order finish of an order-free thread, which
-    /// has no `.ca` load to read a line) loads read the point of coherence
-    /// and fences leave the L1 as it is.
+    /// weights and chooser that maintain the L1 model; without it (a
+    /// program without a `.ca` load, or the in-order finish of an
+    /// order-free thread, which has none) loads read the point of
+    /// coherence and fences leave the L1 as it is.
     ///
     /// This, [`Simulator::advance`] and the memory helpers are inlined
     /// into the sampler and the in-order finish alike, so sharing them
     /// costs no call per op (calls cost ~10 % of the run loop).
     #[inline(always)]
-    fn apply(
+    fn apply<C: Chooser>(
         &self,
         t: usize,
         st: &mut MachineState,
         op: Pending,
         forward: Option<i64>,
-        l1: Option<(&Weights, &mut SmallRng)>,
+        l1: Option<(&Weights, &mut C)>,
     ) {
         let cta = self.program.thread_cta[t];
         match op {
@@ -1138,7 +1149,7 @@ impl Simulator {
                 // Fermi-style write-around: writes bypass the L1, leaving
                 // any present line — including the issuing SM's own —
                 // stale.
-                if st.keeps_l1 {
+                if self.program.l1_live {
                     for sml1 in st.l1.chunks_mut(nlocs) {
                         if let Some(line) = &mut sml1[li] {
                             line.stale = true;
@@ -1153,13 +1164,13 @@ impl Simulator {
     /// memory for CTA `cta`, maintaining the CTA's L1 line when `l1` is
     /// given (see [`Simulator::apply`]).
     #[inline(always)]
-    fn read(
+    fn read<C: Chooser>(
         &self,
         st: &mut MachineState,
         cta: usize,
         loc: u32,
         cache: CacheOp,
-        l1: Option<(&Weights, &mut SmallRng)>,
+        l1: Option<(&Weights, &mut C)>,
     ) -> i64 {
         let v = self.coherent(st, cta, loc);
         let Some((w, rng)) = l1 else {
@@ -1178,7 +1189,7 @@ impl Simulator {
                 if let Some(held) = *line {
                     *line = (held.stale
                         && w.keep_stale_after_cg > 0.0
-                        && rng.random_bool(w.keep_stale_after_cg))
+                        && rng.flip(Draw::KeepStale, w.keep_stale_after_cg))
                     .then_some(held);
                 }
                 v
@@ -1225,12 +1236,12 @@ impl Simulator {
     fn finish_in_order(&self, t: usize, st: &mut MachineState) -> Result<(), RunError> {
         for i in 0..st.threads[t].queue.len() {
             let op = st.threads[t].queue.slots[i].op;
-            self.apply(t, st, op, None, None);
+            self.apply(t, st, op, None, None::<(_, &mut SmallRng)>);
         }
         st.threads[t].queue.len = 0;
         while st.threads[t].pc < self.program.threads[t].len() {
             if let Some(op) = self.advance(t, &mut st.threads[t])? {
-                self.apply(t, st, op, None, None);
+                self.apply(t, st, op, None, None::<(_, &mut SmallRng)>);
             }
         }
         Ok(())
@@ -1595,18 +1606,71 @@ mod tests {
         }
     }
 
+    /// The draws that maintain the L1 model.
+    const L1_DRAWS: [Draw; 3] = [Draw::SmPlacement, Draw::Preload, Draw::KeepStale];
+
+    /// A chooser over `SmallRng` that counts its draws of each kind and,
+    /// given an `l1` stream, takes the L1 model's draws from it.
+    struct Tally {
+        rng: SmallRng,
+        l1: Option<SmallRng>,
+        drawn: [u64; 8],
+    }
+
+    impl Tally {
+        fn new(seed: u64) -> Self {
+            Tally {
+                rng: SmallRng::seed_from_u64(seed),
+                l1: None,
+                drawn: [0; 8],
+            }
+        }
+
+        /// Draws made for the L1 model.
+        fn l1_draws(&self) -> u64 {
+            L1_DRAWS.iter().map(|&d| self.drawn[d as usize]).sum()
+        }
+
+        fn stream(&mut self, draw: Draw) -> &mut SmallRng {
+            self.drawn[draw as usize] += 1;
+            match &mut self.l1 {
+                Some(l1) if L1_DRAWS.contains(&draw) => l1,
+                _ => &mut self.rng,
+            }
+        }
+    }
+
+    impl Chooser for Tally {
+        fn pick(&mut self, draw: Draw, n: usize) -> usize {
+            self.stream(draw).pick(draw, n)
+        }
+
+        fn flip(&mut self, draw: Draw, p: f64) -> bool {
+            self.stream(draw).flip(draw, p)
+        }
+    }
+
+    /// `sim` with its program changed by `edit`.
+    fn variant(sim: &Simulator, edit: impl FnOnce(&mut SimProgram)) -> Simulator {
+        let mut program = sim.program().clone();
+        edit(&mut program);
+        Simulator::from_program(Arc::new(program), sim.chip())
+    }
+
     /// The runs of `sim` under `params`, one per seed in `seeds`, that end
     /// differently with the in-order finish of a lone order-free thread
-    /// than with the sampler run to the end. Each pair of runs starts from
-    /// the same RNG state.
+    /// than with the sampler run to the end, as a copy of the program with
+    /// no order-free thread runs. Each pair of runs starts from the same
+    /// RNG state.
     fn differing_runs(sim: &Simulator, params: &RunParams, seeds: Range<u64>) -> usize {
-        let (mut fast, mut full) = (sim.new_state(), sim.new_state());
+        let oracle = variant(sim, |p| p.order_free.fill(false));
+        let (mut fast, mut full) = (sim.new_state(), oracle.new_state());
         seeds
             .filter(|&seed| {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 let mut oracle_rng = rng.clone();
-                let a = sim.run(params, &mut rng, &mut fast, true, None);
-                let b = sim.run(params, &mut oracle_rng, &mut full, false, None);
+                let a = sim.run_once_into(params, &mut rng, &mut fast);
+                let b = oracle.run_once_into(params, &mut oracle_rng, &mut full);
                 a != b || (a.is_ok() && fast.observed() != full.observed())
             })
             .count()
@@ -1623,27 +1687,27 @@ mod tests {
 
     /// The runs of `sim` under `params`, one per seed in `seeds`, that end
     /// differently without the L1 model, as a program without a `.ca` load
-    /// runs, than with the full model, its draws taken from a second,
-    /// independent stream. Each pair of runs takes its scheduler draws from
-    /// the same stream. Also returns how many full-model runs drew from the
-    /// L1 stream, so a caller can tell that the model was exercised.
+    /// runs, than with the full model, as a copy of the program marked
+    /// `l1_live` runs, its draws for the model taken from a second,
+    /// independent stream. Each pair of runs takes its other draws from
+    /// the same stream. Also returns how many full-model runs drew for the
+    /// model, so a caller can tell that the model was exercised.
     fn l1_differing_runs(sim: &Simulator, params: &RunParams, seeds: Range<u64>) -> (usize, u64) {
         assert!(
             !sim.program().l1_live,
             "the oracle is for tests without .ca"
         );
-        let (mut lean, mut full) = (sim.new_state(), sim.new_state());
-        sim.fit(&mut full, true);
+        let oracle = variant(sim, |p| p.l1_live = true);
+        let (mut lean, mut full) = (sim.new_state(), oracle.new_state());
         let mut drew = 0;
         let differing = seeds
             .filter(|&seed| {
                 let mut rng = SmallRng::seed_from_u64(seed);
-                let mut oracle_rng = rng.clone();
-                let mut l1_rng = SmallRng::seed_from_u64(!seed);
-                let a = sim.run(params, &mut rng, &mut lean, true, None);
-                let b = sim.run(params, &mut oracle_rng, &mut full, true, Some(&mut l1_rng));
-                let fresh = SmallRng::seed_from_u64(!seed).random::<u64>();
-                drew += u64::from(l1_rng.random::<u64>() != fresh);
+                let mut oracle_rng = Tally::new(seed);
+                oracle_rng.l1 = Some(SmallRng::seed_from_u64(!seed));
+                let a = sim.run_once_into(params, &mut rng, &mut lean);
+                let b = oracle.run_once_into(params, &mut oracle_rng, &mut full);
+                drew += u64::from(oracle_rng.l1_draws() > 0);
                 a != b || (a.is_ok() && lean.observed() != full.observed())
             })
             .count();
@@ -1737,19 +1801,33 @@ mod tests {
     #[test]
     fn only_the_l1_tests_keep_the_l1_model() {
         // The Figs. 3–4 tests are the only hand-written ones with a `.ca`
-        // load; every other test runs without the L1 model.
-        let mut tests = corpus::all();
-        tests.extend(weakgpu_litmus::corpus_extra::all_extra());
+        // load; every other test runs without the L1 model and draws
+        // nothing for it on any chip or incantation column.
         let mut live = 0;
-        for test in &tests {
+        for test in corpus_and_small_family() {
             let l1_test = test.name().starts_with("mp-L1") || test.name().starts_with("coRR-L2-L1");
-            let p = SimProgram::compile(test).unwrap();
-            assert_eq!(p.l1_live, l1_test, "{}", test.name());
-            live += usize::from(p.l1_live);
-            let sim = Simulator::from_program(Arc::new(p), Chip::TeslaC2075);
-            let st = sim.new_state();
-            assert_eq!(st.keeps_l1, l1_test);
-            assert_eq!(st.l1.is_empty(), !l1_test, "{}", test.name());
+            let program = Arc::new(SimProgram::compile(&test).unwrap());
+            assert_eq!(program.l1_live, l1_test, "{}", test.name());
+            live += usize::from(l1_test);
+            let mut l1_draws = 0;
+            for chip in Chip::ALL {
+                let sim = Simulator::from_program(Arc::clone(&program), chip);
+                let mut st = sim.new_state();
+                assert_eq!(st.l1.is_empty(), !l1_test, "{}", test.name());
+                for inc in incantation_columns() {
+                    let (params, mut tally) = (RunParams::of(chip, &inc), Tally::new(5));
+                    for _ in 0..PAIRS {
+                        sim.run_once_into(&params, &mut tally, &mut st).unwrap();
+                    }
+                    let (name, drawn) = (test.name(), tally.drawn);
+                    assert!(
+                        l1_test || tally.l1_draws() == 0,
+                        "{name} on {chip} under {inc:?}: {drawn:?}"
+                    );
+                    l1_draws += tally.l1_draws();
+                }
+            }
+            assert_eq!(l1_draws > 0, l1_test, "{}", test.name());
         }
         assert_eq!(live, 8);
     }
@@ -1784,13 +1862,10 @@ mod tests {
         let sim = Simulator::compile(&test, Chip::GtxTitan).unwrap();
         let params = RunParams::of(Chip::GtxTitan, &Incantations::all_on());
         let mut st = sim.new_state();
-        let mut run_rng = SmallRng::seed_from_u64(9);
-        let mut reset_rng = run_rng.clone();
-        sim.run_once_into(&params, &mut run_rng, &mut st).unwrap();
+        let mut tally = Tally::new(9);
+        sim.run_once_into(&params, &mut tally, &mut st).unwrap();
         assert_eq!(st.observed(), [0, 1]);
-        // The run drew what resetting the state draws, and nothing more.
-        sim.reset(&params, &mut reset_rng, &mut st, None);
-        assert_eq!(run_rng.random::<u64>(), reset_rng.random::<u64>());
+        assert_eq!(tally.drawn, [0; 8]);
     }
 
     /// `ld r1,[x]; mov r1,2` beside a thread storing 1 to `x`.

@@ -118,6 +118,25 @@ fn cat_models_at_the_bound_parse_print_and_compile() {
 }
 
 #[test]
+fn inlined_function_bodies_count_into_the_bound() {
+    // Every body is at the bound, so the bodies of `f16(po)` inlined
+    // into one another nest sixteen times past it.
+    on_2mb_thread(|| {
+        let mut src = String::from("let f0(x) = x\n");
+        for k in 1..=16 {
+            src += &format!("let f{k}(x) = f{}(x){}\n", k - 1, "+".repeat(126));
+        }
+        src += "acyclic f16(po) as deep\n";
+        assert_eq!(program_levels(&CatProgram::parse(&src).unwrap()), MAX_DEPTH);
+        let err = CatModel::new("inlined", &src).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("nests deeper than {MAX_DEPTH} levels")),
+            "{err}"
+        );
+    });
+}
+
+#[test]
 fn cat_models_past_the_bound_get_a_caret_at_the_crossing_token() {
     for form in CAT_FORMS {
         let src = deep_cat(form, at_bound(form) + 1);
@@ -195,6 +214,30 @@ fn litmus_conditions_past_the_bound_get_a_caret_at_the_crossing_token() {
         };
         assert_eq!((at, offset), expected, "{form}");
     }
+}
+
+#[test]
+fn a_diagnostic_echoes_a_window_of_a_long_line() {
+    let src = deep_litmus("and", 100_000);
+    let file = SourceFile::new("chain.litmus", src.as_str());
+    let rendered = parser::parse_with_diagnostics(&file).diagnostics[0].render(&file);
+    assert!(rendered.len() < 1024, "{} bytes", rendered.len());
+    assert!(
+        rendered.contains("--> chain.litmus:10:1286\n"),
+        "{rendered}"
+    );
+    // The echo is cut at both ends, and the caret sits under the `/\`
+    // that crossed the bound.
+    let lines: Vec<&str> = rendered.lines().collect();
+    let (echo, carets) = (lines[3], lines[4]);
+    assert!(echo.starts_with("10 | …") && echo.ends_with('…'), "{echo}");
+    let col = carets.find('^').unwrap();
+    let under: String = echo.chars().skip(col).take(2).collect();
+    assert_eq!(
+        (under.as_str(), &carets[col..]),
+        ("/\\", "^^"),
+        "{rendered}"
+    );
 }
 
 #[test]
