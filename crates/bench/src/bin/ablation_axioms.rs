@@ -13,8 +13,7 @@
 use weakgpu_axiom::enumerate::{model_outcomes, EnumConfig};
 use weakgpu_axiom::Model;
 use weakgpu_bench::BenchArgs;
-use weakgpu_harness::default_incantations;
-use weakgpu_harness::runner::RunConfig;
+use weakgpu_harness::campaign::{default_incantations, CampaignConfig, CellSpec};
 use weakgpu_harness::soundness::check_soundness;
 use weakgpu_litmus::{corpus, FenceScope, LitmusTest, ThreadScope};
 use weakgpu_models::{operational_baseline, ptx_model, ptx_model_without_llh, rmo_model};
@@ -47,16 +46,14 @@ fn main() {
     let mut necessity_shown = [false; 2];
     for (label, test) in &witnesses {
         // Every model faces the same runs: one seed, one cell.
-        let cfg = RunConfig {
-            iterations: args.iterations.max(150_000),
-            incantations: default_incantations(test),
-            seed: args.seed,
-            parallelism: None,
-        };
+        let spec = CellSpec::new(test.clone(), Chip::GtxTitan)
+            .iterations(args.iterations.max(150_000))
+            .incantations(default_incantations(test))
+            .seed(args.seed);
         print!("{label:<26}");
         for (mi, model) in models.iter().enumerate() {
             let outcomes = model_outcomes(test, model.as_ref(), &enum_cfg).unwrap();
-            let verdict = check_soundness(test, Chip::GtxTitan, &cfg, &outcomes).unwrap();
+            let verdict = check_soundness(&spec, &CampaignConfig::default(), &outcomes).unwrap();
             let cell = if verdict.is_sound() {
                 "sound"
             } else {

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use weakgpu_axiom::enumerate::model_outcomes;
 use weakgpu_bench::naive::naive_outcome;
 use weakgpu_bench::BenchArgs;
-use weakgpu_harness::runner::RunConfig;
+use weakgpu_harness::campaign::{CampaignConfig, CellSpec};
 use weakgpu_harness::soundness::check_soundness;
 use weakgpu_litmus::{corpus, ThreadScope};
 use weakgpu_models::ptx_model;
@@ -39,13 +39,11 @@ fn main() {
     ] {
         let verdict = model_outcomes(&test, &model, &Default::default()).unwrap();
         // Machine.
-        let cfg = RunConfig {
-            iterations: n,
-            incantations: Incantations::best_inter_cta(),
-            seed: args.seed,
-            parallelism: None,
-        };
-        let sound = check_soundness(&test, Chip::GtxTitan, &cfg, &verdict).unwrap();
+        let cell = CellSpec::new(test.clone(), Chip::GtxTitan)
+            .iterations(n)
+            .incantations(Incantations::best_inter_cta())
+            .seed(args.seed);
+        let sound = check_soundness(&cell, &CampaignConfig::default(), &verdict).unwrap();
         let machine_viol = sound.violations.len() as u64;
         // Naive sampler.
         let mut rng = SmallRng::seed_from_u64(args.seed);

@@ -126,8 +126,9 @@ pub fn print_figure(figure: &'static Figure, args: &BenchArgs) {
 mod tests {
     use super::*;
     use crate::paper::{self, Paper};
+    use weakgpu_harness::campaign::{CampaignConfig, CellSpec};
     use weakgpu_harness::default_incantations;
-    use weakgpu_harness::runner::{run_test, RunConfig};
+    use weakgpu_harness::runner::run_test;
     use weakgpu_litmus::corpus;
     use weakgpu_sim::chip::{Chip, Incantations};
 
@@ -188,13 +189,12 @@ mod tests {
             .iter()
             .map(|cell| {
                 let (test, _) = cell.test()?;
-                let cfg = RunConfig {
-                    iterations: args.iterations,
-                    incantations: cell.incantations(),
-                    seed: args.seed,
-                    parallelism: Some(1),
-                };
-                Some(run_test(&test, cell.chip, &cfg).unwrap().obs_per_100k())
+                let spec = CellSpec::new(test, cell.chip)
+                    .iterations(args.iterations)
+                    .incantations(cell.incantations())
+                    .seed(args.seed);
+                let report = run_test(&spec, &CampaignConfig::with_parallelism(1)).unwrap();
+                Some(report.obs_per_100k())
             })
             .collect();
         let together: Vec<Option<u64>> = run_cells(&cells, &args).iter().map(|m| m.obs).collect();

@@ -137,17 +137,24 @@ fn locations_consistent(edges: &[Edge]) -> bool {
 /// alphabet positions, so that first sequence is the class's least
 /// rotation in that order, and whether a sequence is kept depends on the
 /// sequence alone: the walk keeps no set of what it has seen. That makes
-/// every (length, first edge) walk independent of the others:
-/// [`crate::generate_parallel`] splits them over workers, and the cycles
-/// returned here are those of each walk in turn, by length and then by
-/// first edge.
+/// every walk from a given length and opening edges independent of the
+/// others: [`crate::generate_parallel`] splits them over workers, and the
+/// cycles returned here are those of each walk in turn, by length, then
+/// by first edge, then (from three edges up) by second edge.
 pub fn enumerate_cycles(alphabet: &[Edge], max_edges: usize) -> Vec<Cycle> {
     let walk = Walk::new(alphabet);
     let mut cycles = Vec::new();
-    for (len, first) in walk.roots(max_edges) {
-        walk.for_each_cycle(len, first, |c| cycles.push(c));
+    for root in walk.roots(max_edges) {
+        walk.for_each_cycle(&root, |c| cycles.push(c));
     }
     cycles
+}
+
+/// One independent walk of [`enumerate_cycles`]: the cycles of `len`
+/// edges that open with the alphabet positions in `opening`.
+pub(crate) struct Root {
+    len: usize,
+    opening: Vec<usize>,
 }
 
 /// The edges the depth-first walk behind [`enumerate_cycles`] may take.
@@ -187,38 +194,60 @@ impl Walk {
         }
     }
 
-    /// The independent walks up to `max_edges` edges, as (length, first
-    /// edge position), in the order [`enumerate_cycles`] concatenates
-    /// them.
-    pub(crate) fn roots(&self, max_edges: usize) -> impl Iterator<Item = (usize, usize)> {
-        let n = self.alphabet.len();
-        (2..=max_edges).flat_map(move |len| (0..n).map(move |first| (len, first)))
+    /// The independent walks up to `max_edges` edges, in the order
+    /// [`enumerate_cycles`] concatenates them: by length, then by first
+    /// edge, then, for walks of three or more edges, by second edge in
+    /// the order the walk would take it. Splitting by the second edge
+    /// keeps any one walk from holding most of a family.
+    pub(crate) fn roots(&self, max_edges: usize) -> Vec<Root> {
+        let mut roots = Vec::new();
+        for len in 2..=max_edges {
+            for first in 0..self.alphabet.len() {
+                if len == 2 {
+                    roots.push(Root {
+                        len,
+                        opening: vec![first],
+                    });
+                    continue;
+                }
+                for &second in self.successors_of(first, first) {
+                    roots.push(Root {
+                        len,
+                        opening: vec![first, second],
+                    });
+                }
+            }
+        }
+        roots
     }
 
-    /// Hands `keep` every cycle of `len` edges whose least rotation
-    /// starts with the edge at position `first`, in walk order.
-    pub(crate) fn for_each_cycle(&self, len: usize, first: usize, mut keep: impl FnMut(Cycle)) {
+    /// Hands `keep` every cycle of `root`, in walk order.
+    pub(crate) fn for_each_cycle(&self, root: &Root, mut keep: impl FnMut(Cycle)) {
         let mut stack = Stack {
-            edges: Vec::with_capacity(len),
-            at: Vec::with_capacity(len),
+            edges: Vec::with_capacity(root.len),
+            at: Vec::with_capacity(root.len),
         };
-        stack.edges.push(self.alphabet[first]);
-        stack.at.push(first);
-        self.extend(len, &mut stack, &mut keep);
+        for &i in &root.opening {
+            stack.edges.push(self.alphabet[i]);
+            stack.at.push(i);
+        }
+        self.extend(root.len, &mut stack, &mut keep);
+    }
+
+    /// The positions of the edges that may follow the edge at position
+    /// `last` in a walk from the edge at position `first`: an edge before
+    /// the first one in the alphabet would start a smaller rotation, so
+    /// no sequence through it is kept.
+    fn successors_of(&self, last: usize, first: usize) -> &[usize] {
+        let candidates = &self.successors[self.alphabet[last].to_dir() as usize];
+        &candidates[candidates.partition_point(|&i| i < first)..]
     }
 
     /// Extends `stack` to every sequence of `target_len` chained edges
     /// that may be a least rotation, keeping each valid cycle.
     fn extend(&self, target_len: usize, stack: &mut Stack, keep: &mut impl FnMut(Cycle)) {
-        let last = *stack
-            .edges
-            .last()
-            .expect("walks start from their first edge");
-        // An edge before the first one in the alphabet would start a
-        // smaller rotation, so no sequence through it is kept.
-        let first = stack.at[0];
-        let candidates = &self.successors[last.to_dir() as usize];
-        let candidates = &candidates[candidates.partition_point(|&i| i < first)..];
+        let last = *stack.at.last().expect("walks start from their first edge");
+        let candidates = self.successors_of(last, stack.at[0]);
         // The closing edge must also chain back into the first edge and
         // leave at least two external edges; a sequence that passes
         // needs only the location and rotation checks to be kept.
@@ -388,6 +417,33 @@ mod tests {
         // A repeated edge repeats no cycle.
         let twice: Vec<Edge> = small.iter().chain(&small).copied().collect();
         assert_eq!(enumerate_cycles(&twice, 4), first_met_rotations(&small, 4));
+    }
+
+    #[test]
+    fn no_walk_holds_most_of_the_paper_family() {
+        // `generate_parallel` shares the walks between workers, so no one
+        // walk may hold half the family.
+        let cfg = crate::GenConfig::paper();
+        let walk = Walk::new(&cfg.alphabet);
+        let sizes: Vec<usize> = walk
+            .roots(cfg.max_edges)
+            .iter()
+            .map(|root| {
+                let mut n = 0;
+                walk.for_each_cycle(root, |_| n += 1);
+                n
+            })
+            .collect();
+        let total: usize = sizes.iter().sum();
+        let largest = *sizes.iter().max().unwrap();
+        let share = largest as f64 / total as f64;
+        println!(
+            "largest of {} walks: {largest} of {total} cycles ({:.1} %)",
+            sizes.len(),
+            100.0 * share
+        );
+        assert_eq!(total, enumerate_cycles(&cfg.alphabet, cfg.max_edges).len());
+        assert!(share < 0.5, "one walk holds {:.1} %", 100.0 * share);
     }
 
     #[test]

@@ -66,15 +66,16 @@ pub fn generate(cfg: &GenConfig) -> Vec<LitmusTest> {
 /// [`generate`] on `workers` threads, with the same result at any worker
 /// count.
 ///
-/// The cycle walks, one per (length, first edge), are split over the
-/// workers, the longest first, and their cycles are concatenated in
+/// The cycle walks, one per length and first edge, split further by
+/// second edge from three edges up, are shared by the workers, the
+/// longest first, and their cycles are concatenated in
 /// [`enumerate_cycles`] order. The synthesis of those cycles is then
 /// split into jobs of consecutive cycles, each with its own set of
 /// names, and the jobs' tests are concatenated in order before the name
 /// sort.
 pub fn generate_parallel(cfg: &GenConfig, workers: usize) -> Vec<LitmusTest> {
     let walk = cycle::Walk::new(&cfg.alphabet);
-    let roots: Vec<(usize, usize)> = walk.roots(cfg.max_edges).collect();
+    let roots = walk.roots(cfg.max_edges);
     let mut cycles = Vec::new();
     // Roots are ordered by length, and longer walks cost more, so
     // claiming from the end balances the tail.
@@ -83,9 +84,8 @@ pub fn generate_parallel(cfg: &GenConfig, workers: usize) -> Vec<LitmusTest> {
         workers,
         |k| roots.len() - 1 - k,
         |j| {
-            let (len, first) = roots[j];
             let mut cycles = Vec::new();
-            walk.for_each_cycle(len, first, |c| cycles.push(c));
+            walk.for_each_cycle(&roots[j], |c| cycles.push(c));
             cycles
         },
         |part| cycles.extend(part),

@@ -79,7 +79,7 @@ use weakgpu_sim::machine::{MachineState, ObsCounts, RunParams, Simulator};
 use weakgpu_sim::program::SimProgram;
 
 use crate::histogram::Histogram;
-use crate::runner::{chunk_seed, chunk_sizes, HarnessError, RunConfig, TestReport, STREAM_CHUNKS};
+use crate::runner::{chunk_seed, chunk_sizes, HarnessError, TestReport, STREAM_CHUNKS};
 
 /// The fewest runs for which a cell is split into items of its own, and
 /// the fewest a split cell's item holds unless it is the rest of its
@@ -115,28 +115,15 @@ pub struct CellSpec {
 }
 
 impl CellSpec {
-    /// A cell with the default harness configuration (100k iterations,
-    /// all incantations, the default seed).
+    /// A cell with the paper's setup for its figures: 100k iterations,
+    /// every incantation on, the default seed `0x5eed`.
     pub fn new(test: LitmusTest, chip: Chip) -> Self {
-        let d = RunConfig::default();
         CellSpec {
             test,
             chip,
-            incantations: d.incantations,
-            iterations: d.iterations,
-            seed: d.seed,
-        }
-    }
-
-    /// A cell mirroring `cfg` — running it in a campaign produces the
-    /// same report `run_test(test, chip, cfg)` would.
-    pub fn from_config(test: LitmusTest, chip: Chip, cfg: &RunConfig) -> Self {
-        CellSpec {
-            test,
-            chip,
-            incantations: cfg.incantations,
-            iterations: cfg.iterations,
-            seed: cfg.seed,
+            incantations: Incantations::all_on(),
+            iterations: 100_000,
+            seed: 0x5eed,
         }
     }
 

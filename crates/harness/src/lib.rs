@@ -3,17 +3,15 @@
 //! compare observations against a memory model.
 //!
 //! ```
-//! use weakgpu_harness::{RunConfig, run_test};
+//! use weakgpu_harness::{run_test, CampaignConfig, CellSpec};
 //! use weakgpu_sim::chip::{Chip, Incantations};
 //! use weakgpu_litmus::corpus;
 //!
-//! let cfg = RunConfig {
-//!     iterations: 2_000,
-//!     incantations: Incantations::all_on(),
-//!     seed: 7,
-//!     ..RunConfig::default()
-//! };
-//! let report = run_test(&corpus::corr(), Chip::GtxTitan, &cfg).unwrap();
+//! let cell = CellSpec::new(corpus::corr(), Chip::GtxTitan)
+//!     .iterations(2_000)
+//!     .incantations(Incantations::all_on())
+//!     .seed(7);
+//! let report = run_test(&cell, &CampaignConfig::default()).unwrap();
 //! assert_eq!(report.histogram.total(), 2_000);
 //! // Kepler exhibits read-read coherence violations (Fig. 1).
 //! assert!(report.witnesses > 0);
@@ -35,7 +33,7 @@ pub use campaign::{
 };
 pub use histogram::Histogram;
 pub use report::ObsTable;
-pub use runner::{run_test, RunConfig, TestReport, STREAM_CHUNKS};
+pub use runner::{run_test, TestReport, STREAM_CHUNKS};
 pub use serve::{serve, ServeConfig, ServeSummary};
 pub use soundness::{check_soundness, SoundnessReport};
 pub use sweep::{

@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use weakgpu_litmus::{LitmusTest, Outcome};
+use weakgpu_litmus::Outcome;
 use weakgpu_sim::chip::{Chip, Incantations};
 use weakgpu_sim::machine::RunError;
 use weakgpu_sim::program::CompileError;
@@ -43,50 +43,6 @@ pub(crate) fn chunk_sizes(iterations: usize) -> impl Iterator<Item = usize> {
 /// stride keeps neighbouring streams decorrelated).
 pub(crate) fn chunk_seed(seed: u64, idx: usize) -> u64 {
     seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(idx as u64 + 1))
-}
-
-/// Configuration of one harness invocation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RunConfig {
-    /// Number of runs (the paper uses 100 000).
-    pub iterations: usize,
-    /// Incantation combination.
-    pub incantations: Incantations,
-    /// Base RNG seed; logical chunk streams derive from it independently
-    /// of worker count.
-    pub seed: u64,
-    /// Worker threads (`None` = all available cores). Affects wall-clock
-    /// time only, never the histogram.
-    pub parallelism: Option<usize>,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            iterations: 100_000,
-            incantations: Incantations::all_on(),
-            seed: 0x5eed,
-            parallelism: None,
-        }
-    }
-}
-
-impl RunConfig {
-    /// Paper-scale config: 100k iterations at the given incantations.
-    pub fn paper(incantations: Incantations) -> Self {
-        RunConfig {
-            incantations,
-            ..RunConfig::default()
-        }
-    }
-
-    /// A quick config for tests and examples.
-    pub fn quick(iterations: usize) -> Self {
-        RunConfig {
-            iterations,
-            ..RunConfig::default()
-        }
-    }
 }
 
 /// Harness failure.
@@ -172,31 +128,20 @@ impl TestReport {
     }
 }
 
-/// Runs `test` on `chip` for `cfg.iterations` runs and histograms the
-/// outcomes.
+/// Runs `cell` alone and histograms its outcomes: a one-cell
+/// [`run_campaign`] on `cfg`'s workers.
 ///
-/// A single-cell campaign (see [`crate::campaign`]): the iterations are
-/// split into [`STREAM_CHUNKS`] seed-derived logical chunks, grouped into
-/// work items that a worker pool drains, so the histogram is
-/// bit-identical for a fixed seed on any machine and at any
+/// The iterations are split into [`STREAM_CHUNKS`] seed-derived logical
+/// chunks, grouped into work items that a worker pool drains, so the
+/// histogram is bit-identical for a fixed seed on any machine and at any
 /// `parallelism`.
 ///
 /// # Errors
 ///
 /// Returns a [`HarnessError`] if the test cannot be compiled or a run
 /// fails (e.g. a livelocked spin loop).
-pub fn run_test(
-    test: &LitmusTest,
-    chip: Chip,
-    cfg: &RunConfig,
-) -> Result<TestReport, HarnessError> {
-    let cells = [CellSpec::from_config(test.clone(), chip, cfg)];
-    let mut reports = run_campaign(
-        &cells,
-        &CampaignConfig {
-            parallelism: cfg.parallelism,
-        },
-    )?;
+pub fn run_test(cell: &CellSpec, cfg: &CampaignConfig) -> Result<TestReport, HarnessError> {
+    let mut reports = run_campaign(std::slice::from_ref(cell), cfg)?;
     Ok(reports.pop().expect("one report per cell"))
 }
 
@@ -208,8 +153,13 @@ mod tests {
 
     #[test]
     fn totals_match_iterations() {
-        let cfg = RunConfig::quick(1234);
-        let r = run_test(&corpus::corr(), Chip::GtxTitan, &cfg).unwrap();
+        let cell = CellSpec::new(corpus::corr(), Chip::GtxTitan);
+        // The paper's setup for its figures.
+        assert_eq!(
+            (cell.incantations, cell.iterations, cell.seed),
+            (Incantations::all_on(), 100_000, 0x5eed)
+        );
+        let r = run_test(&cell.iterations(1234), &CampaignConfig::default()).unwrap();
         assert_eq!(r.histogram.total(), 1234);
         assert_eq!(r.test, "coRR");
         assert_eq!(r.chip, Chip::GtxTitan);
@@ -217,25 +167,18 @@ mod tests {
 
     #[test]
     fn reproducible_across_invocations() {
-        let cfg = RunConfig {
-            iterations: 3000,
-            parallelism: Some(4),
-            ..RunConfig::default()
-        };
-        let test = corpus::mp(ThreadScope::InterCta, None);
-        let a = run_test(&test, Chip::GtxTitan, &cfg).unwrap();
-        let b = run_test(&test, Chip::GtxTitan, &cfg).unwrap();
+        let cell =
+            CellSpec::new(corpus::mp(ThreadScope::InterCta, None), Chip::GtxTitan).iterations(3000);
+        let cfg = CampaignConfig::with_parallelism(4);
+        let a = run_test(&cell, &cfg).unwrap();
+        let b = run_test(&cell, &cfg).unwrap();
         assert_eq!(a.histogram, b.histogram);
     }
 
     #[test]
     fn obs_normalisation() {
-        let cfg = RunConfig {
-            iterations: 50_000,
-            incantations: Incantations::all_on(),
-            ..RunConfig::default()
-        };
-        let r = run_test(&corpus::corr(), Chip::GtxTitan, &cfg).unwrap();
+        let cell = CellSpec::new(corpus::corr(), Chip::GtxTitan).iterations(50_000);
+        let r = run_test(&cell, &CampaignConfig::default()).unwrap();
         assert!(r.witnesses > 0);
         let per100k = r.obs_per_100k();
         assert!(per100k >= r.witnesses, "normalising 50k to 100k doubles");
@@ -243,8 +186,8 @@ mod tests {
 
     #[test]
     fn zero_iterations_is_empty() {
-        let cfg = RunConfig::quick(0);
-        let r = run_test(&corpus::corr(), Chip::Gtx280, &cfg).unwrap();
+        let cell = CellSpec::new(corpus::corr(), Chip::Gtx280).iterations(0);
+        let r = run_test(&cell, &CampaignConfig::default()).unwrap();
         assert_eq!(r.histogram.total(), 0);
         assert_eq!(r.obs_per_100k(), 0);
     }
@@ -254,14 +197,10 @@ mod tests {
         // Strengthened from totals to full histograms: RNG streams are
         // per logical chunk, not per worker, so worker count must not
         // shift a single outcome count.
-        let test = corpus::sb(ThreadScope::InterCta, None);
-        let mk = |par| RunConfig {
-            iterations: 2000,
-            parallelism: Some(par),
-            ..RunConfig::default()
-        };
-        let one = run_test(&test, Chip::GtxTitan, &mk(1)).unwrap();
-        let four = run_test(&test, Chip::GtxTitan, &mk(4)).unwrap();
+        let cell =
+            CellSpec::new(corpus::sb(ThreadScope::InterCta, None), Chip::GtxTitan).iterations(2000);
+        let one = run_test(&cell, &CampaignConfig::with_parallelism(1)).unwrap();
+        let four = run_test(&cell, &CampaignConfig::with_parallelism(4)).unwrap();
         assert_eq!(one.histogram.total(), four.histogram.total());
         assert_eq!(one.histogram, four.histogram);
     }

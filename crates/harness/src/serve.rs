@@ -450,8 +450,9 @@ mod tests {
 
     #[test]
     fn warm_cache_answers_without_enumerating() {
-        // Session 1 judges and its cache is persisted; session 2 starts
-        // from the restored cache and its first lookup is a warm hit.
+        // The first session judges and its cache is persisted; the
+        // second starts from the restored cache and its first lookup is
+        // a warm hit.
         let mut cache = VerdictCache::new();
         let (_, rs) = run_with_cache(
             "{\"id\": 1, \"test\": \"mp+inter-CTA\"}\n",

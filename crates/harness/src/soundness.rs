@@ -12,11 +12,10 @@
 //! fails the cell with [`HarnessError::OutOfDomain`].
 
 use weakgpu_axiom::enumerate::ModelOutcomes;
-use weakgpu_litmus::{LitmusTest, Outcome};
-use weakgpu_sim::chip::Chip;
+use weakgpu_litmus::Outcome;
 
 use crate::campaign::{run_cells, CampaignConfig, CellSpec};
-use crate::runner::{HarnessError, RunConfig};
+use crate::runner::HarnessError;
 
 /// The verdict of one soundness check.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -39,9 +38,10 @@ impl SoundnessReport {
     }
 }
 
-/// Runs `test` on `chip` as configured by `cfg`, the same runs
+/// Runs `cell` on `cfg`'s workers, the same runs
 /// [`run_test`](crate::runner::run_test) makes, and checks every
-/// observation against `verdict`, the test's verdict under some model.
+/// observation against `verdict`, the cell's test's verdict under some
+/// model.
 ///
 /// # Errors
 ///
@@ -49,23 +49,19 @@ impl SoundnessReport {
 /// [`HarnessError::OutOfDomain`] when the cell observed an outcome that
 /// no candidate execution in `verdict` has.
 pub fn check_soundness(
-    test: &LitmusTest,
-    chip: Chip,
-    cfg: &RunConfig,
+    cell: &CellSpec,
+    cfg: &CampaignConfig,
     verdict: &ModelOutcomes,
 ) -> Result<SoundnessReport, HarnessError> {
-    let spec = CellSpec::from_config(test.clone(), chip, cfg);
     let workers = run_cells(
         1,
-        |_| spec.cell(),
-        &CampaignConfig {
-            parallelism: cfg.parallelism,
-        },
+        |_| cell.cell(),
+        cfg,
         || None,
         |report: &mut Option<SoundnessReport>, _, done| {
             let (_, violations) = done.judge(Some(verdict))?;
             *report = Some(SoundnessReport {
-                test: test.name().to_owned(),
+                test: cell.test.name().to_owned(),
                 violations,
                 observed: done.counts.distinct(),
                 allowed: verdict.allowed_outcomes.len(),
@@ -89,9 +85,9 @@ mod tests {
     use crate::runner::run_test;
     use weakgpu_axiom::enumerate::{model_outcomes, EnumConfig};
     use weakgpu_axiom::model::{sc_model, Model};
-    use weakgpu_litmus::{corpus, ThreadScope};
+    use weakgpu_litmus::{corpus, LitmusTest, ThreadScope};
     use weakgpu_models::{operational_baseline, ptx_model};
-    use weakgpu_sim::chip::Incantations;
+    use weakgpu_sim::chip::{Chip, Incantations};
     use weakgpu_sim::machine::{ObsCounts, Simulator};
     use weakgpu_sim::program::SimProgram;
 
@@ -101,11 +97,6 @@ mod tests {
 
     #[test]
     fn titan_observations_are_ptx_sound() {
-        let cfg = RunConfig {
-            iterations: 20_000,
-            incantations: Incantations::best_inter_cta(),
-            ..RunConfig::default()
-        };
         let model = ptx_model();
         for test in [
             corpus::corr(),
@@ -117,8 +108,11 @@ mod tests {
             corpus::sl_future(false),
             corpus::dlb_lb(false),
         ] {
-            let sound =
-                check_soundness(&test, Chip::GtxTitan, &cfg, &verdict(&test, &model)).unwrap();
+            let cell = CellSpec::new(test.clone(), Chip::GtxTitan)
+                .iterations(20_000)
+                .incantations(Incantations::best_inter_cta());
+            let sound = check_soundness(&cell, &CampaignConfig::default(), &verdict(&test, &model))
+                .unwrap();
             assert!(
                 sound.is_sound(),
                 "{}: observed forbidden outcomes {:?}",
@@ -135,55 +129,53 @@ mod tests {
         // forbidden by the operational baseline — the soundness check must
         // flag it.
         let test = corpus::lb(ThreadScope::InterCta, Some(FenceScope::Cta));
-        let cfg = RunConfig {
-            iterations: 200_000,
-            incantations: Incantations::best_inter_cta(),
-            seed: 0xcafe,
-            ..RunConfig::default()
-        };
+        let cell = CellSpec::new(test.clone(), Chip::GtxTitan)
+            .iterations(200_000)
+            .incantations(Incantations::best_inter_cta())
+            .seed(0xcafe);
+        let cfg = CampaignConfig::default();
         let op = verdict(&test, &operational_baseline());
-        let sound = check_soundness(&test, Chip::GtxTitan, &cfg, &op).unwrap();
+        let sound = check_soundness(&cell, &cfg, &op).unwrap();
         assert!(
             sound.violations.iter().any(|o| test.cond().witnessed_by(o)),
             "the leak must manifest at 200k runs, and the operational model forbid it"
         );
         // And the paper's model covers the same observations.
-        let ptx =
-            check_soundness(&test, Chip::GtxTitan, &cfg, &verdict(&test, &ptx_model())).unwrap();
+        let ptx = check_soundness(&cell, &cfg, &verdict(&test, &ptx_model())).unwrap();
         assert!(ptx.is_sound());
     }
 
     #[test]
     fn soundness_report_matches_the_exhaustive_oracle() {
-        let cfg = RunConfig {
-            iterations: 10_000,
-            incantations: Incantations::best_inter_cta(),
-            ..RunConfig::default()
-        };
-        for model in [ptx_model(), operational_baseline()] {
-            for test in [
-                corpus::corr(),
-                corpus::mp(ThreadScope::InterCta, None),
-                corpus::dlb_lb(false),
-            ] {
-                let oracle = verdict(&test, &model);
-                let sound = check_soundness(&test, Chip::GtxTitan, &cfg, &oracle).unwrap();
+        let cfg = CampaignConfig::default();
+        // Titan cells, and the GTX 280's coRR, which the paper's model
+        // must cover on a strong chip too.
+        let cells = [
+            (corpus::corr(), Chip::GtxTitan),
+            (corpus::mp(ThreadScope::InterCta, None), Chip::GtxTitan),
+            (corpus::dlb_lb(false), Chip::GtxTitan),
+            (corpus::corr(), Chip::Gtx280),
+        ];
+        for (model, paper) in [(ptx_model(), true), (operational_baseline(), false)] {
+            for (test, chip) in &cells {
+                let oracle = verdict(test, &model);
+                let cell = CellSpec::new(test.clone(), *chip)
+                    .iterations(10_000)
+                    .incantations(Incantations::best_inter_cta());
+                let sound = check_soundness(&cell, &cfg, &oracle).unwrap();
                 // The named oracle: the histogram's outcomes the verdict
                 // does not allow, compared by name.
-                let report = run_test(&test, Chip::GtxTitan, &cfg).unwrap();
+                let report = run_test(&cell, &cfg).unwrap();
                 let violations: Vec<Outcome> = report
                     .histogram
                     .outcomes()
                     .filter(|o| !oracle.allowed_outcomes.contains(*o))
                     .cloned()
                     .collect();
-                assert_eq!(sound.violations, violations, "{}", test.name());
-                assert_eq!(
-                    sound.allowed,
-                    oracle.allowed_outcomes.len(),
-                    "{}",
-                    test.name()
-                );
+                let name = format!("{} on {chip}", test.name());
+                assert_eq!(sound.violations, violations, "{name}");
+                assert_eq!(sound.allowed, oracle.allowed_outcomes.len(), "{name}");
+                assert!(!paper || sound.is_sound(), "{name}: PTX-forbidden");
             }
         }
     }

@@ -15,7 +15,7 @@ use weakgpu_diy::{generate, GenConfig};
 use weakgpu_harness::campaign::{
     default_incantations, run_campaign, run_campaign_with, CampaignConfig, CellSpec,
 };
-use weakgpu_harness::runner::{run_test, HarnessError, RunConfig, TestReport};
+use weakgpu_harness::runner::{run_test, HarnessError, TestReport};
 use weakgpu_harness::{Histogram, STREAM_CHUNKS};
 use weakgpu_litmus::build::{ld, st};
 use weakgpu_litmus::{corpus, corpus_extra, CacheOp, Instr, LitmusTest, Predicate, ThreadScope};
@@ -24,13 +24,12 @@ use weakgpu_sim::chip::{Chip, Incantations};
 use weakgpu_sim::machine::{ObsCounts, RunParams, Simulator};
 use weakgpu_sim::program::CompileError;
 
-fn config(parallelism: Option<usize>) -> RunConfig {
-    RunConfig {
-        iterations: 4_000,
-        incantations: Incantations::best_inter_cta(),
-        seed: 0xdead_5eed,
-        parallelism,
-    }
+/// A 4000-run cell of `test` on `chip` at the best inter-CTA column.
+fn spec(test: &LitmusTest, chip: Chip) -> CellSpec {
+    CellSpec::new(test.clone(), chip)
+        .iterations(4_000)
+        .incantations(Incantations::best_inter_cta())
+        .seed(0xdead_5eed)
 }
 
 #[test]
@@ -38,11 +37,11 @@ fn histograms_identical_across_parallelism() {
     // The headline bugfix: 1, 4, 16 and "all cores" workers must produce
     // the same histogram bit for bit, because RNG streams derive from
     // seed-indexed logical chunks, never from the worker layout.
-    let test = corpus::mp(ThreadScope::InterCta, None);
-    let baseline = run_test(&test, Chip::GtxTitan, &config(Some(1))).unwrap();
+    let cell = spec(&corpus::mp(ThreadScope::InterCta, None), Chip::GtxTitan);
+    let baseline = run_test(&cell, &CampaignConfig::with_parallelism(1)).unwrap();
     assert!(baseline.witnesses > 0, "mp must be weak on the Titan");
     for par in [Some(4), Some(16), None] {
-        let r = run_test(&test, Chip::GtxTitan, &config(par)).unwrap();
+        let r = run_test(&cell, &CampaignConfig { parallelism: par }).unwrap();
         assert_eq!(
             baseline.histogram, r.histogram,
             "histogram differs at parallelism {par:?}"
@@ -61,23 +60,19 @@ fn campaign_matches_sequential_run_test() {
         corpus::lb(ThreadScope::InterCta, None),
     ];
     let chips = [Chip::GtxTitan, Chip::Gtx280];
-    let cfg = config(None);
+    let cfg = CampaignConfig::default();
 
     let cells: Vec<CellSpec> = tests
         .iter()
-        .flat_map(|t| {
-            chips
-                .iter()
-                .map(|&c| CellSpec::from_config(t.clone(), c, &cfg))
-        })
+        .flat_map(|t| chips.iter().map(|&c| spec(t, c)))
         .collect();
-    let campaign = run_campaign(&cells, &CampaignConfig::default()).unwrap();
+    let campaign = run_campaign(&cells, &cfg).unwrap();
     assert_eq!(campaign.len(), 6);
 
     let mut i = 0;
     for test in &tests {
         for &chip in &chips {
-            let solo = run_test(test, chip, &cfg).unwrap();
+            let solo = run_test(&spec(test, chip), &cfg).unwrap();
             assert_eq!(campaign[i].test, solo.test);
             assert_eq!(campaign[i].chip, chip);
             assert_eq!(

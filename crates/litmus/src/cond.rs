@@ -193,14 +193,6 @@ impl FinalCond {
         }
     }
 
-    /// `~exists (pred)`.
-    pub fn not_exists(pred: Predicate) -> Self {
-        FinalCond {
-            quantifier: Quantifier::NotExists,
-            pred,
-        }
-    }
-
     /// `forall (pred)`.
     pub fn forall(pred: Predicate) -> Self {
         FinalCond {

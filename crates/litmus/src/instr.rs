@@ -188,16 +188,6 @@ pub enum Operand {
     Sym(Loc),
 }
 
-impl Operand {
-    /// The register, if this operand reads one.
-    pub fn as_reg(&self) -> Option<&Reg> {
-        match self {
-            Operand::Reg(r) => Some(r),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for Operand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

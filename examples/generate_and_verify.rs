@@ -1,7 +1,7 @@
 //! diy-style test generation and model validation in miniature (paper
 //! Secs. 4.1 and 5.4): enumerate relaxation cycles, synthesise litmus
 //! tests, classify them under the PTX model vs SC, run a sample on the
-//! simulator and verify soundness.
+//! simulator (one `CellSpec` per test) and verify soundness.
 //!
 //! ```sh
 //! cargo run --release --example generate_and_verify
@@ -9,9 +9,9 @@
 
 use weakgpu::axiom::enumerate::model_outcomes;
 use weakgpu::diy::{generate, GenConfig};
+use weakgpu::harness::{check_soundness, run_test, CampaignConfig, CellSpec};
 use weakgpu::models::{ptx_model, sc_model};
 use weakgpu::sim::chip::Chip;
-use weakgpu::Session;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = GenConfig::small();
@@ -48,11 +48,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Run a sample on the Titan profile and verify soundness: every
     // observation must be PTX-allowed (the paper's Sec. 5.4 validation).
-    let session = Session::new().chip(Chip::GtxTitan).iterations(3_000);
+    let cfg = CampaignConfig::default();
     let mut weak_observed = 0;
     for test in tests.iter().take(40) {
-        let report = session.run(test)?;
-        let soundness = session.check_soundness(test)?;
+        let cell = CellSpec::new(test.clone(), Chip::GtxTitan).iterations(3_000);
+        let report = run_test(&cell, &cfg)?;
+        let verdict = model_outcomes(test, &ptx, &Default::default())?;
+        let soundness = check_soundness(&cell, &cfg, &verdict)?;
         assert!(
             soundness.is_sound(),
             "{}: forbidden observation {:?}",

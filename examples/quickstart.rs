@@ -1,14 +1,18 @@
 //! Quickstart: write a litmus test, run it on simulated GPUs, and check it
-//! against the paper's PTX memory model.
+//! against the paper's PTX memory model. Each run is one cell, a
+//! `CellSpec` (test, chip, incantations, iterations, seed), handed to
+//! `harness::run_test`; `harness::check_soundness` runs the same cell and
+//! judges its observations against a model's verdict.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
+use weakgpu::axiom::enumerate::{model_outcomes, EnumConfig};
+use weakgpu::harness::{check_soundness, run_test, CampaignConfig, CellSpec};
 use weakgpu::litmus::{build::*, LitmusTest, Predicate, ScopeTree};
 use weakgpu::models::{ptx_model, sc_model};
 use weakgpu::sim::chip::Chip;
-use weakgpu::Session;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Build the message-passing test of the paper's Fig. 14: T0
@@ -30,9 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Ask the axiomatic models about it. Intra-CTA, with a cta fence on
     //    the write side and a gl fence on the read side, the cycle closes
     //    in rmo-cta: the PTX model forbids the weak outcome.
-    let session = Session::new().iterations(100_000);
+    let enum_cfg = EnumConfig::default();
     for model in [ptx_model(), sc_model()] {
-        let verdict = session.model_check(&mp, &model)?;
+        let verdict = model_outcomes(&mp, &model, &enum_cfg)?;
         println!(
             "{:<16} {} candidate executions, {} allowed — weak outcome {}",
             weakgpu::axiom::Model::name(&model),
@@ -46,10 +50,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 3. Run it on simulated chips: nothing should show up.
+    // 3. Run it on simulated chips, one cell each at the paper's setup
+    //    (100k iterations, every incantation on): nothing should show up.
     println!();
+    let cfg = CampaignConfig::default();
     for chip in [Chip::GtxTitan, Chip::TeslaC2075, Chip::RadeonHd7970] {
-        let report = session.clone().chip(chip).run(&mp)?;
+        let report = run_test(&CellSpec::new(mp.clone(), chip), &cfg)?;
         println!(
             "{:<16} obs {:>6}/100k    ({} distinct outcomes)",
             chip.short(),
@@ -61,10 +67,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Now drop the fences: the weak outcome appears on weak chips, and
     //    the PTX model (which must stay sound) allows it.
     let unfenced = weakgpu::litmus::corpus::mp(weakgpu::litmus::ThreadScope::IntraCta, None);
+    let verdict = model_outcomes(&unfenced, &ptx_model(), &enum_cfg)?;
     println!("\nwithout fences:");
     for chip in [Chip::GtxTitan, Chip::Gtx280] {
-        let report = session.clone().chip(chip).run(&unfenced)?;
-        let soundness = session.clone().chip(chip).check_soundness(&unfenced)?;
+        let cell = CellSpec::new(unfenced.clone(), chip);
+        let report = run_test(&cell, &cfg)?;
+        let soundness = check_soundness(&cell, &cfg, &verdict)?;
         println!(
             "{:<16} obs {:>6}/100k    model-sound: {}",
             chip.short(),

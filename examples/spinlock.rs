@@ -2,13 +2,13 @@
 //! program*, not just a distilled litmus test: a CUDA-by-Example-style
 //! lock protects a shared counter; without fences the increments get lost
 //! on weak chips (the wrong dot product of Sec. 3.2.2), with the erratum's
-//! fences they never do.
+//! fences they never do. Each kernel on each chip is one `CellSpec`.
 //!
 //! ```sh
 //! cargo run --release --example spinlock
 //! ```
 
-use weakgpu::harness::runner::{run_test, RunConfig};
+use weakgpu::harness::{run_test, CampaignConfig, CellSpec};
 use weakgpu::litmus::{build::*, Instr, LitmusTest, Predicate, ThreadScope};
 use weakgpu::sim::chip::{Chip, Incantations};
 
@@ -69,14 +69,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Chip::RadeonHd6570,
         Chip::RadeonHd7970,
     ] {
-        let cfg = RunConfig {
-            iterations: RUNS,
-            incantations: Incantations::best_inter_cta(),
-            seed: 0x10c4,
-            parallelism: None,
+        let run = |fenced| {
+            let cell = CellSpec::new(lock_kernel(THREADS, fenced), chip)
+                .iterations(RUNS)
+                .incantations(Incantations::best_inter_cta())
+                .seed(0x10c4);
+            run_test(&cell, &CampaignConfig::default())
         };
-        let buggy = run_test(&lock_kernel(THREADS, false), chip, &cfg)?;
-        let fixed = run_test(&lock_kernel(THREADS, true), chip, &cfg)?;
+        let buggy = run(false)?;
+        let fixed = run(true)?;
         // `witnesses` counts runs where c == THREADS; losses are the rest.
         let lost = RUNS as u64 - buggy.witnesses;
         let lost_fixed = RUNS as u64 - fixed.witnesses;

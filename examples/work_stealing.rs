@@ -2,29 +2,32 @@
 //! the two fenceless bugs (`dlb-mp`: a steal reads a stale task;
 //! `dlb-lb`: a steal reads a task pushed after the pop that emptied the
 //! deque), plus the TeraScale 2 compiler making the test itself
-//! meaningless.
+//! meaningless. Every chip column is one `CellSpec` of 100k iterations
+//! at the best inter-CTA incantations.
 //!
 //! ```sh
 //! cargo run --release --example work_stealing
 //! ```
 
-use weakgpu::litmus::corpus;
+use weakgpu::axiom::enumerate::{model_outcomes, EnumConfig};
+use weakgpu::harness::{run_test, CampaignConfig, CellSpec};
+use weakgpu::litmus::{corpus, LitmusTest};
 use weakgpu::optcheck::{amd_compile, AmdTarget};
-use weakgpu::sim::chip::Chip;
-use weakgpu::Session;
+use weakgpu::sim::chip::{Chip, Incantations};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let session = Session::new()
-        .iterations(100_000)
-        .incantations(weakgpu::sim::chip::Incantations::best_inter_cta());
+    // Every cell: 100k iterations at the best inter-CTA column.
+    let obs = |test: &LitmusTest, chip| {
+        let cell = CellSpec::new(test.clone(), chip).incantations(Incantations::best_inter_cta());
+        run_test(&cell, &CampaignConfig::default()).map(|r| r.obs_per_100k())
+    };
 
     println!("deque bug 1 — dlb-mp (steal sees incremented tail, stale task):\n");
     for fenced in [false, true] {
         let test = corpus::dlb_mp(fenced);
         print!("{:<22}", test.name());
         for chip in [Chip::TeslaC2075, Chip::Gtx660, Chip::GtxTitan, Chip::Gtx750] {
-            let r = session.clone().chip(chip).run(&test)?;
-            print!("  {}:{:>5}", chip.short(), r.obs_per_100k());
+            print!("  {}:{:>5}", chip.short(), obs(&test, chip)?);
         }
         println!();
     }
@@ -34,8 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let test = corpus::dlb_lb(fenced);
         print!("{:<22}", test.name());
         for chip in [Chip::TeslaC2075, Chip::GtxTitan, Chip::RadeonHd7970] {
-            let r = session.clone().chip(chip).run(&test)?;
-            print!("  {}:{:>6}", chip.short(), r.obs_per_100k());
+            print!("  {}:{:>6}", chip.short(), obs(&test, chip)?);
         }
         println!();
     }
@@ -57,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = weakgpu::models::ptx_model();
     for fenced in [false, true] {
         let t = corpus::dlb_lb(fenced);
-        let v = session.model_check(&t, &model)?;
+        let v = model_outcomes(&t, &model, &EnumConfig::default())?;
         println!(
             "model verdict for {:<22} {}",
             t.name(),

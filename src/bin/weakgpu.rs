@@ -35,7 +35,7 @@ use weakgpu::diy::{generate_parallel, GenConfig};
 use weakgpu::front::{has_errors, render_all, Diagnostic, SourceFile};
 use weakgpu::harness::campaign::{run_campaign_with, worker_count, CampaignConfig, CellSpec};
 use weakgpu::harness::report::ObsTable;
-use weakgpu::harness::runner::{run_test, RunConfig};
+use weakgpu::harness::runner::run_test;
 use weakgpu::harness::sweep::{
     run_sweep_with, CellRecord, RecordSink, Shard, SweepConfig, SweepReport,
 };
@@ -318,12 +318,6 @@ fn cmd_run(args: &[String]) -> CliResult {
     let path = sole_file("run", &args, RUN_FLAGS)?;
     let test = load(path)?;
     let inc = weakgpu::harness::default_incantations(&test);
-    let cfg = RunConfig {
-        iterations,
-        incantations: inc,
-        seed,
-        parallelism,
-    };
     let chips: Vec<Chip> = match chip {
         Some(c) => vec![c],
         None => Chip::TABLED.to_vec(),
@@ -335,7 +329,11 @@ fn cmd_run(args: &[String]) -> CliResult {
     );
     println!("{}\n", test.cond());
     for chip in chips {
-        let report = run_test(&test, chip, &cfg).map_err(|e| e.to_string())?;
+        let cell = CellSpec::new(test.clone(), chip)
+            .incantations(inc)
+            .iterations(iterations)
+            .seed(seed);
+        let report = run_test(&cell, &CampaignConfig { parallelism }).map_err(|e| e.to_string())?;
         println!("{} ({}):", chip, chip.profile().arch);
         print!("{}", report.histogram);
         println!(

@@ -3,7 +3,7 @@
 //! reproducing the cas-sl result from source-level CUDA rather than from
 //! the hand-distilled PTX.
 
-use weakgpu::harness::runner::{run_test, RunConfig};
+use weakgpu::harness::{run_test, CampaignConfig, CellSpec};
 use weakgpu::litmus::cuda::{
     compile_thread, cuda_by_example_lock, cuda_by_example_unlock, var_register, CudaExpr, CudaStmt,
 };
@@ -46,13 +46,13 @@ fn lock_test(fenced: bool) -> LitmusTest {
 }
 
 fn stale_reads(test: &LitmusTest, chip: Chip) -> u64 {
-    let cfg = RunConfig {
-        iterations: 60_000,
-        incantations: Incantations::best_inter_cta(),
-        seed: 0xcdaa,
-        parallelism: None,
-    };
-    run_test(test, chip, &cfg).unwrap().witnesses
+    let cell = CellSpec::new(test.clone(), chip)
+        .iterations(60_000)
+        .incantations(Incantations::best_inter_cta())
+        .seed(0xcdaa);
+    run_test(&cell, &CampaignConfig::default())
+        .unwrap()
+        .witnesses
 }
 
 #[test]

@@ -5,7 +5,7 @@
 use std::path::Path;
 
 use weakgpu::axiom::enumerate::{model_outcomes, EnumConfig};
-use weakgpu::harness::runner::{run_test, RunConfig};
+use weakgpu::harness::{run_test, CampaignConfig, CellSpec};
 use weakgpu::litmus::parser;
 use weakgpu::models::{operational_baseline, ptx_model};
 use weakgpu::sim::chip::{Chip, Incantations};
@@ -69,14 +69,15 @@ fn file_corpus_model_verdicts() {
 #[test]
 fn file_corpus_runs_on_the_simulator() {
     let test = load("sb.litmus");
-    let cfg = RunConfig {
-        iterations: 20_000,
-        incantations: Incantations::all_on(), // intra-CTA file
-        seed: 0xf11e,
-        parallelism: None,
+    let run = |chip| {
+        let cell = CellSpec::new(test.clone(), chip)
+            .iterations(20_000)
+            .incantations(Incantations::all_on()) // intra-CTA file
+            .seed(0xf11e);
+        run_test(&cell, &CampaignConfig::default()).unwrap()
     };
-    let report = run_test(&test, Chip::GtxTitan, &cfg).unwrap();
+    let report = run(Chip::GtxTitan);
     assert!(report.witnesses > 0, "sb must be observable on the Titan");
-    let strong = run_test(&test, Chip::Gtx280, &cfg).unwrap();
+    let strong = run(Chip::Gtx280);
     assert_eq!(strong.witnesses, 0);
 }

@@ -2,29 +2,26 @@
 //! each established through the full pipeline (corpus → simulator/harness
 //! → axiomatic model → optcheck), at CI-friendly iteration counts.
 
+use weakgpu::axiom::enumerate::{model_outcomes, EnumConfig};
+use weakgpu::axiom::Model;
 use weakgpu::harness::campaign::{run_campaign, CampaignConfig, CellSpec};
 use weakgpu::harness::default_incantations;
-use weakgpu::harness::runner::{run_test, RunConfig};
+use weakgpu::harness::runner::run_test;
+use weakgpu::harness::soundness::check_soundness;
 use weakgpu::litmus::{corpus, FenceScope, LitmusTest, ThreadScope};
 use weakgpu::models::{operational_baseline, ptx_model};
 use weakgpu::optcheck::deps::{dependency_survives, load_load_dep, DepScheme};
 use weakgpu::optcheck::{amd_compile, AmdTarget, CompilerBug, CompilerConfig};
 use weakgpu::sim::chip::{Chip, Incantations};
-use weakgpu::Session;
 
 fn obs(test: &LitmusTest, chip: Chip, iterations: usize) -> u64 {
-    run_test(
-        test,
-        chip,
-        &RunConfig {
-            iterations,
-            incantations: default_incantations(test),
-            seed: 0xf1d1,
-            parallelism: None,
-        },
-    )
-    .unwrap()
-    .witnesses
+    let cell = CellSpec::new(test.clone(), chip)
+        .iterations(iterations)
+        .incantations(default_incantations(test))
+        .seed(0xf1d1);
+    run_test(&cell, &CampaignConfig::default())
+        .unwrap()
+        .witnesses
 }
 
 #[test]
@@ -152,19 +149,18 @@ fn sec_4_5_dependency_schemes() {
 #[test]
 fn sec_6_operational_model_unsound_axiomatic_sound() {
     let test = corpus::lb(ThreadScope::InterCta, Some(FenceScope::Cta));
-    let session = Session::new()
+    let cell = CellSpec::new(test.clone(), Chip::GtxTitan)
         .iterations(150_000)
         .incantations(Incantations::best_inter_cta());
-    let report = session.run(&test).unwrap();
+    let cfg = CampaignConfig::default();
+    let report = run_test(&cell, &cfg).unwrap();
     assert!(report.witnesses > 0, "lb+membar.ctas must be observable");
-    let ptx = session
-        .check_soundness_against(&test, &ptx_model())
-        .unwrap();
-    assert!(ptx.is_sound());
-    let op = session
-        .check_soundness_against(&test, &operational_baseline())
-        .unwrap();
-    assert!(!op.is_sound());
+    let judge = |model: &dyn Model| {
+        let verdict = model_outcomes(&test, model, &EnumConfig::default()).unwrap();
+        check_soundness(&cell, &cfg, &verdict).unwrap()
+    };
+    assert!(judge(&ptx_model()).is_sound());
+    assert!(!judge(&operational_baseline()).is_sound());
 }
 
 /// Tab. 6: the incantation columns that provoke each idiom, from one

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use weakgpu::axiom::enumerate::{enumerate_executions, model_outcomes, EnumConfig};
-use weakgpu::harness::runner::{run_test, RunConfig};
+use weakgpu::harness::{run_test, CampaignConfig, CellSpec};
 use weakgpu::litmus::{build, FinalExpr, Instr, LitmusTest, Predicate, ThreadScope};
 use weakgpu::models::ptx_model;
 use weakgpu::sim::chip::{Chip, Incantations};
@@ -109,13 +109,11 @@ proptest! {
             Ok(v) => v,
             Err(_) => return Err(TestCaseError::reject("candidate explosion")),
         };
-        let cfg = RunConfig {
-            iterations: 120,
-            incantations: Incantations::best_inter_cta(),
-            seed,
-            parallelism: Some(1),
-        };
-        let report = run_test(&test, Chip::GtxTitan, &cfg).unwrap();
+        let cell = CellSpec::new(test.clone(), Chip::GtxTitan)
+            .iterations(120)
+            .incantations(Incantations::best_inter_cta())
+            .seed(seed);
+        let report = run_test(&cell, &CampaignConfig::with_parallelism(1)).unwrap();
         for (outcome, _) in report.histogram.iter() {
             prop_assert!(
                 verdict.allowed_outcomes.contains(outcome),
@@ -136,14 +134,12 @@ proptest! {
             .into_iter()
             .map(|c| c.outcome)
             .collect();
-        let cfg = RunConfig {
-            iterations: 60,
-            incantations: Incantations::all_on(),
-            seed,
-            parallelism: Some(1),
-        };
         for chip in [Chip::Gtx280, Chip::RadeonHd7970] {
-            let report = run_test(&test, chip, &cfg).unwrap();
+            let cell = CellSpec::new(test.clone(), chip)
+                .iterations(60)
+                .incantations(Incantations::all_on())
+                .seed(seed);
+            let report = run_test(&cell, &CampaignConfig::with_parallelism(1)).unwrap();
             for (outcome, _) in report.histogram.iter() {
                 prop_assert!(
                     all.contains(outcome),
@@ -169,14 +165,13 @@ proptest! {
     /// Fixed seeds make harness runs reproducible bit-for-bit.
     #[test]
     fn harness_is_deterministic(test in arb_test(), seed in 0u64..1_000) {
-        let cfg = RunConfig {
-            iterations: 50,
-            incantations: Incantations::best_inter_cta(),
-            seed,
-            parallelism: Some(2),
-        };
-        let a = run_test(&test, Chip::TeslaC2075, &cfg).unwrap();
-        let b = run_test(&test, Chip::TeslaC2075, &cfg).unwrap();
+        let cell = CellSpec::new(test, Chip::TeslaC2075)
+            .iterations(50)
+            .incantations(Incantations::best_inter_cta())
+            .seed(seed);
+        let cfg = CampaignConfig::with_parallelism(2);
+        let a = run_test(&cell, &cfg).unwrap();
+        let b = run_test(&cell, &cfg).unwrap();
         prop_assert_eq!(a.histogram, b.histogram);
     }
 }
